@@ -23,10 +23,13 @@
 //! - **Claim** (submitter and workers alike): CAS the claim word from
 //!   `(e, i)` to `(e, i + 1)`. The epoch in the compared value makes a stale
 //!   claim from a previous batch impossible — a straggler's CAS fails the
-//!   moment the epoch moves on. Workers only read the job pointer *after* a
-//!   successful CAS in the current epoch, and the pointer cannot have been
-//!   republished underneath them because publishing epoch `e + 1` requires
-//!   epoch `e`'s `remaining` to have hit zero first.
+//!   moment the epoch moves on, and the submitter saturates the drained
+//!   epoch's index field before it stages the next batch's `len`, so the
+//!   CAS also fails in the window before the move. Workers only read the
+//!   job pointer *after* a successful CAS in the current epoch, and the
+//!   pointer cannot have been republished underneath them because
+//!   publishing epoch `e + 1` requires epoch `e`'s `remaining` to have hit
+//!   zero first.
 //! - **Join** (workers): advance on the epoch change, then take one of the
 //!   batch's `slots` via `fetch_sub`; a non-positive result means the
 //!   caller's `max_threads` cap is exhausted and the worker goes back to
@@ -234,7 +237,9 @@ fn claim_indices(shared: &Shared, epoch: u64, run: impl Fn(usize)) {
             return;
         }
         let idx = (cur & INDEX_MASK) as usize;
-        let len = shared.len.load(Ordering::Relaxed);
+        // Acquire: pairs with the staging store, so a straggler that sees
+        // the next batch's `len` also sees its own epoch's word closed.
+        let len = shared.len.load(Ordering::Acquire);
         if idx >= len {
             return;
         }
@@ -451,15 +456,26 @@ impl WorkerPool {
                 as *const _
         });
         let s = self.shared;
+        // Close the drained epoch before staging the next one. Its claim
+        // word rests at `(prev, prev_len)`; a straggler that loaded it and
+        // then reads the new, larger `len` staged below would otherwise win
+        // its CAS against the old word: an index of the unpublished batch
+        // runs under the old epoch, runs again once published, and
+        // `remaining` is retired once too often (the submitter returns with
+        // jobs in flight). A saturated index field fails every straggler
+        // CAS; `len`'s Release/Acquire pair orders this store before it.
+        let prev = s.claim.load(Ordering::Relaxed) >> INDEX_BITS;
+        s.claim
+            .store(pack(prev, INDEX_MASK as usize), Ordering::Release);
         // Stage the batch, then publish it with the claim-word store. The
         // store is SeqCst (not merely Release) for the ParkGate missed-wakeup
         // protocol: it must be totally ordered against a parking worker's
         // `sleepers` advertisement.
         unsafe { *s.job.0.get() = Some(raw) };
-        s.len.store(len, Ordering::Relaxed);
+        s.len.store(len, Ordering::Release);
         s.remaining.store(len, Ordering::Relaxed);
         s.slots.store(helpers as isize, Ordering::Relaxed);
-        let epoch = (s.claim.load(Ordering::Relaxed) >> INDEX_BITS) + 1;
+        let epoch = prev + 1;
         s.claim.store(pack(epoch, 0), Ordering::SeqCst);
         if eager {
             s.work_gate.wake_all();
@@ -596,6 +612,36 @@ mod tests {
         // sum over rounds of (8*round + 0+..+7)
         let expected: u64 = (0..500u64).map(|r| 8 * r + 28).sum();
         assert_eq!(sum.load(Ordering::Relaxed), expected);
+    }
+
+    #[test]
+    fn growing_batches_run_every_index_once_and_only_inside_the_call() {
+        // Tiny back-to-back batches whose length keeps changing — the cycle
+        // loop's pending-shard worklists. A straggler still holding the
+        // drained epoch's claim word must not be able to claim against the
+        // next batch's larger `len` while it is being staged: that ran an
+        // index twice and let the submitter return with a job in flight.
+        let pool = WorkerPool::new();
+        pool.set_eager_wake(true);
+        let hits: Vec<AtomicU32> = (0..8).map(|_| AtomicU32::new(0)).collect();
+        let inside = AtomicBool::new(false);
+        for round in 0..200_000usize {
+            let len = 2 + round % 7;
+            inside.store(true, Ordering::SeqCst);
+            pool.run_limited(len, 4, &|i| {
+                assert!(inside.load(Ordering::SeqCst), "job ran outside its batch");
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            inside.store(false, Ordering::SeqCst);
+            for (i, h) in hits.iter().enumerate() {
+                let want = u32::from(i < len);
+                assert_eq!(
+                    h.swap(0, Ordering::Relaxed),
+                    want,
+                    "round {round} index {i}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use noc_base::{
 use noc_bench::banner;
 use noc_sim::{NetworkConfig, RouterModel, RouterOutputs};
 use noc_topology::{Mesh, SharedTopology};
-use pseudo_circuit::{PcRouter, Scheme};
+use pseudo_circuit::{PcHooks, PcRouter, Scheme};
 use std::sync::Arc;
 
 const EAST: PortIndex = PortIndex::new(3);
@@ -43,13 +43,13 @@ fn deliver(r: &mut PcRouter, port: PortIndex, f: Flit) {
 
 fn describe(router: &PcRouter, what: &str) {
     print!("  {what:<52}");
-    match router.pseudo_unit().live(PortIndex::new(0)) {
+    match router.hooks().pseudo_unit().live(PortIndex::new(0)) {
         Some(pc) => println!(
             "circuit: in p0 (vc {}) -> out {}",
             pc.in_vc.index(),
             pc.out_port
         ),
-        None => match router.pseudo_unit().live(PortIndex::new(1)) {
+        None => match router.hooks().pseudo_unit().live(PortIndex::new(1)) {
             Some(pc) => println!(
                 "circuit: in p1 (vc {}) -> out {}",
                 pc.in_vc.index(),
@@ -73,7 +73,7 @@ fn main() {
         va_policy: VaPolicy::Static,
     };
     let pool = Arc::new(noc_base::FlitPool::new(64, 1));
-    let mut r = PcRouter::new(RouterId::new(0), topo, config, Scheme::pseudo(), pool);
+    let mut r = PcHooks::router(RouterId::new(0), topo, config, Scheme::pseudo(), pool);
     let mut out = RouterOutputs::default();
     let mut step = |r: &mut PcRouter, cycle| {
         out.clear();

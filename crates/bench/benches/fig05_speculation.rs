@@ -12,7 +12,7 @@ use noc_base::{
 use noc_bench::banner;
 use noc_sim::{NetworkConfig, RouterModel, RouterOutputs};
 use noc_topology::{Mesh, SharedTopology};
-use pseudo_circuit::{PcRouter, PseudoCircuitUnit, Scheme, Termination};
+use pseudo_circuit::{PcHooks, PseudoCircuitUnit, Scheme, Termination};
 use std::sync::Arc;
 
 fn p(i: usize) -> PortIndex {
@@ -58,7 +58,7 @@ fn main() {
         va_policy: VaPolicy::Static,
     };
     let pool = Arc::new(noc_base::FlitPool::new(64, 1));
-    let mut r = PcRouter::new(RouterId::new(0), topo, config, Scheme::pseudo_ps(), pool);
+    let mut r = PcHooks::router(RouterId::new(0), topo, config, Scheme::pseudo_ps(), pool);
     let east = p(3);
     let mk = |packet| Flit {
         packet: PacketId::new(packet),
@@ -87,12 +87,12 @@ fn main() {
         out.clear();
         r.step(c, &mut out);
     }
-    assert!(r.pseudo_unit().live(p(0)).is_none());
+    assert!(r.hooks().pseudo_unit().live(p(0)).is_none());
     println!("  both downstream credits spent -> circuit terminated (congestion)");
     r.receive_credit(east, Credit::new(VcIndex::new(0)));
     out.clear();
     r.step(9, &mut out);
-    assert!(r.pseudo_unit().live(p(0)).is_some());
+    assert!(r.hooks().pseudo_unit().live(p(0)).is_some());
     println!(
         "  a credit returns -> speculation restores the circuit \
          ({} restore(s) counted)",

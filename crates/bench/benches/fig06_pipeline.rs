@@ -14,7 +14,7 @@ use noc_base::{
 use noc_bench::{banner, Table};
 use noc_sim::{NetworkConfig, RouterModel, RouterOutputs};
 use noc_topology::{Mesh, SharedTopology};
-use pseudo_circuit::{PcRouter, Scheme};
+use pseudo_circuit::{PcHooks, Scheme};
 use std::sync::Arc;
 
 fn probe_flit(packet: u64) -> Flit {
@@ -45,7 +45,7 @@ fn probe_delay(scheme: Scheme, n: usize) -> u64 {
         va_policy: VaPolicy::Static,
     };
     let pool = Arc::new(noc_base::FlitPool::new(64, 1));
-    let mut router = PcRouter::new(RouterId::new(0), topo, config, scheme, pool);
+    let mut router = PcHooks::router(RouterId::new(0), topo, config, scheme, pool);
     let mut cycle = 0u64;
     let mut delay = 0;
     for i in 0..n {

@@ -34,7 +34,8 @@ pub mod value;
 pub use cache::{write_atomic, PointResult, ResultCache, POINT_SCHEMA};
 pub use report::{CampaignReport, Crossover, Curve, REPORT_SCHEMA, SATURATION_FACTOR};
 pub use runner::{
-    build_topology, build_traffic, prepare, run_point, PreparedPoint, TOPOLOGY_FORMS,
+    build_simulation, build_topology, build_traffic, prepare, run_point, validate, PreparedPoint,
+    TOPOLOGY_FORMS,
 };
 pub use spec::{
     parse_routing, parse_va, routing_name, va_name, Axes, CampaignSpec, PointSpec, SchemeChoice,

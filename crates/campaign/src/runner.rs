@@ -1,20 +1,19 @@
 //! Turning spec strings into live simulator objects and running one point.
 //!
-//! This module is the single place topology and traffic spec strings are
-//! interpreted — the `noc` CLI's `run` subcommand delegates here too, so a
-//! campaign axis value and a `--topology`/`--traffic` flag accept exactly
-//! the same vocabulary and resolve to exactly the same objects (and
+//! This module is the single place a [`PointSpec`] is interpreted: its
+//! topology and traffic strings are resolved, its values validated, and its
+//! simulation built ([`build_simulation`]). The `noc` CLI's `run` subcommand
+//! goes through the same function a campaign point does, so a flag and a
+//! campaign axis value accept exactly the same vocabulary, are rejected by
+//! exactly the same rules, and resolve to exactly the same objects (and
 //! therefore the same `config_hash`).
 
-use crate::spec::{PointSpec, SchemeChoice};
+use crate::spec::{routing_name, PointSpec, SchemeChoice};
 use crate::Error;
-use noc_evc::EvcRouterFactory;
-use noc_hybrid::HybridRouterFactory;
-use noc_sim::{config_hash, SimReport};
-use noc_topology::{FlattenedButterfly, HierRing, Mecs, Mesh, Ring, SharedTopology};
+use noc_sim::{auto_threads, config_hash, MetricsConfig, SimReport, Simulation, ThreadDecision};
+use noc_topology::{FlattenedButterfly, HierRing, Mecs, Mesh, Ring, SharedTopology, Topology};
 use noc_traffic::{BenchmarkProfile, SyntheticPattern, SyntheticTraffic, TrafficModel};
 use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::ExperimentBuilder;
 use std::sync::Arc;
 
 /// Every topology spec form, in display order — the single vocabulary
@@ -37,7 +36,8 @@ pub const TOPOLOGY_FORMS: &[&str] = &[
 ///
 /// # Errors
 ///
-/// Returns an [`Error`] for unrecognized specs.
+/// Returns an [`Error`] for unrecognized specs and for a zero dimension or
+/// concentration.
 pub fn build_topology(spec: &str) -> Result<SharedTopology, Error> {
     let spec = spec.to_ascii_lowercase();
     match spec.as_str() {
@@ -77,18 +77,23 @@ pub fn build_topology(spec: &str) -> Result<SharedTopology, Error> {
     let (w, h) = dims
         .split_once('x')
         .ok_or_else(|| Error(format!("bad mesh spec {spec:?} (want mesh<W>x<H>[c<C>])")))?;
-    Ok(Arc::new(Mesh::new(
-        parse_num(w, "width")?,
-        parse_num(h, "height")?,
-        conc,
-    )))
+    let (w, h) = (parse_num(w, "width")?, parse_num(h, "height")?);
+    if w == 0 || h == 0 {
+        return Err(Error(format!(
+            "bad mesh spec {spec:?} (width and height must be at least 1)"
+        )));
+    }
+    Ok(Arc::new(Mesh::new(w, h, conc)))
 }
 
 /// Splits an optional `c<C>` concentration suffix off a topology spec body.
 fn split_concentration(body: &str) -> Result<(&str, usize), Error> {
-    match body.split_once('c') {
-        Some((dims, c)) => Ok((dims, parse_num::<usize>(c, "concentration")?)),
-        None => Ok((body, 1)),
+    let Some((dims, c)) = body.split_once('c') else {
+        return Ok((body, 1));
+    };
+    match parse_num::<usize>(c, "concentration")? {
+        0 => Err(Error("concentration: must be at least 1".into())),
+        conc => Ok((dims, conc)),
     }
 }
 
@@ -98,7 +103,8 @@ fn split_concentration(body: &str) -> Result<(&str, usize), Error> {
 /// # Errors
 ///
 /// Returns an [`Error`] if the name is neither a synthetic pattern nor a
-/// benchmark profile, or if the topology cannot host the CMP layout.
+/// benchmark profile, or if the topology cannot host the pattern or the CMP
+/// layout.
 pub fn build_traffic(
     traffic: &str,
     load: f64,
@@ -119,6 +125,12 @@ pub fn build_traffic(
         // Arrange the nodes on the router grid footprint (concentration
         // folded into columns).
         let n = topo.num_nodes();
+        if n < 2 {
+            return Err(Error(format!(
+                "synthetic traffic needs at least two nodes; {} has {n}",
+                topo.name()
+            )));
+        }
         let cols = (1..=n)
             .rev()
             .find(|c| n.is_multiple_of(*c) && *c * *c <= n)
@@ -171,21 +183,80 @@ pub struct PreparedPoint {
     pub config_hash: String,
 }
 
+/// Checks every value of `point` that the constructors downstream would
+/// otherwise reject by panicking, against the topology it resolved to — the
+/// values come from flags, spec files and campaign axes, and a panic inside
+/// a campaign also aborts the whole sweep. [`prepare`] and
+/// [`build_simulation`] both call this.
+///
+/// # Errors
+///
+/// Returns an [`Error`] naming the field and the rule: VCs, buffer depth and
+/// packet length at least 1; load in `(0, 1]`; the VC count divisible by the
+/// deadlock-class count of the routing policy on this topology; and for
+/// `evc` a single deadlock class and an even VC count.
+pub fn validate(point: &PointSpec, topo: &dyn Topology) -> Result<(), Error> {
+    let fail = |message: String| Err(Error(message));
+    if point.vcs == 0 {
+        return fail("vcs: must be at least 1".into());
+    }
+    if point.buffer == 0 {
+        return fail("buffer: must be at least 1".into());
+    }
+    if point.packet == 0 {
+        return fail("packet: must be at least 1".into());
+    }
+    if !(point.load > 0.0 && point.load <= 1.0) {
+        return fail(format!("load: must be in (0, 1], got {}", point.load));
+    }
+    let classes = point.routing.num_classes().max(topo.min_classes());
+    let on = format!("{} routing on {}", routing_name(point.routing), topo.name());
+    if !point.vcs.is_multiple_of(classes) {
+        return fail(format!(
+            "vcs: {} VCs cannot be split across the {classes} deadlock classes of {on}",
+            point.vcs
+        ));
+    }
+    if point.scheme == SchemeChoice::Evc {
+        if classes != 1 {
+            return fail(format!(
+                "scheme: evc needs a single deadlock class (xy or yx routing on a \
+                 mesh-family topology), {on} has {classes}"
+            ));
+        }
+        if !point.vcs.is_multiple_of(2) {
+            return fail(format!(
+                "vcs: evc splits the VCs in half and needs an even count, got {}",
+                point.vcs
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Resolves a point's topology and traffic strings into live objects,
+/// validating the point on the way.
+fn resolve(point: &PointSpec) -> Result<(SharedTopology, Box<dyn TrafficModel>), Error> {
+    let topo = build_topology(&point.topology)?;
+    validate(point, topo.as_ref())?;
+    let traffic = build_traffic(&point.traffic, point.load, point.packet, point.seed, &topo)?;
+    Ok((topo, traffic))
+}
+
 /// Resolves and hashes one point (see [`PreparedPoint`]).
 ///
 /// # Errors
 ///
-/// Returns an [`Error`] when the topology or traffic spec is invalid.
+/// Returns an [`Error`] when the topology or traffic spec is invalid or a
+/// value is out of range for the configuration.
 pub fn prepare(point: &PointSpec) -> Result<PreparedPoint, Error> {
-    let topo = build_topology(&point.topology)?;
-    let traffic = build_traffic(&point.traffic, point.load, point.packet, point.seed, &topo)?;
-    let builder = builder_for(point, topo.clone());
+    let (topo, traffic) = resolve(point)?;
     let hash = config_hash(
         topo.name(),
         traffic.name(),
         Some(&point.scheme.label()),
-        &builder.config(),
-        builder.spec(),
+        &point.network_config(),
+        point.run_spec(),
         point.seed,
     );
     Ok(PreparedPoint {
@@ -196,43 +267,50 @@ pub fn prepare(point: &PointSpec) -> Result<PreparedPoint, Error> {
     })
 }
 
+/// Builds the simulation of one point: the single point→[`Simulation`]
+/// path, shared by [`run_point`] and `noc run`. `threads` is a budget —
+/// clamped through [`auto_threads`] against the host CPUs and the network
+/// size, with the decision returned for the manifest; it never affects
+/// results.
+///
+/// # Errors
+///
+/// As [`prepare`].
+pub fn build_simulation(
+    point: &PointSpec,
+    metrics: MetricsConfig,
+    threads: usize,
+) -> Result<(Simulation, ThreadDecision), Error> {
+    let (topo, traffic) = resolve(point)?;
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let decision = auto_threads(threads, host_cpus, topo.num_routers());
+    let mut sim = Simulation::with_metrics(
+        topo,
+        point.network_config(),
+        metrics,
+        traffic,
+        point.scheme.factory().as_ref(),
+        point.seed,
+    );
+    sim.set_threads(decision.effective);
+    Ok((sim, decision))
+}
+
 /// Runs one prepared point to completion and returns its report.
 ///
 /// The simulation itself always runs **single-threaded**: campaign
 /// parallelism is across points (one simulation per worker), which beats
 /// intra-simulation sharding for every network small enough to appear in a
-/// sweep (ROADMAP item 4). Determinism therefore never depends on the
-/// campaign's thread budget.
+/// sweep. Determinism therefore never depends on the campaign's thread
+/// budget.
 ///
 /// # Errors
 ///
 /// Returns an [`Error`] when the specs fail to rebuild (they were already
 /// validated by [`prepare`], so this is effectively unreachable).
 pub fn run_point(prepared: &PreparedPoint) -> Result<SimReport, Error> {
-    let point = &prepared.spec;
-    let topo = build_topology(&point.topology)?;
-    let traffic = build_traffic(&point.traffic, point.load, point.packet, point.seed, &topo)?;
-    let builder = builder_for(point, topo);
-    let spec = builder.spec();
-    let mut sim = match point.scheme {
-        SchemeChoice::Pc(scheme) => builder.scheme(scheme).build(traffic),
-        SchemeChoice::Evc => builder.build_with_factory(traffic, &EvcRouterFactory::default()),
-        SchemeChoice::Hybrid => {
-            builder.build_with_factory(traffic, &HybridRouterFactory::default())
-        }
-    };
-    Ok(sim.run(spec))
-}
-
-fn builder_for(point: &PointSpec, topo: SharedTopology) -> ExperimentBuilder {
-    ExperimentBuilder::new(topo)
-        .routing(point.routing)
-        .va_policy(point.va)
-        .vcs(point.vcs)
-        .buffer_depth(point.buffer)
-        .seed(point.seed)
-        .phases(point.warmup, point.measure, point.drain)
-        .threads(1)
+    let (mut sim, _) = build_simulation(&prepared.spec, MetricsConfig::off(), 1)?;
+    Ok(sim.run(prepared.spec.run_spec()))
 }
 
 #[cfg(test)]
@@ -289,6 +367,9 @@ mod tests {
         assert!(err.0.contains("concentration"), "{err}");
         let odd_nodes = build_topology("mesh3x3").unwrap();
         assert!(build_traffic("fma3d", 0.1, 5, 1, &odd_nodes).is_err());
+        // A one-node network has nobody to send to.
+        let lonely = build_topology("mesh1x1").unwrap();
+        assert!(build_traffic("ur", 0.1, 5, 1, &lonely).is_err());
     }
 
     #[test]
@@ -298,12 +379,10 @@ mod tests {
         let point = tiny_point();
         let prepared = prepare(&point).unwrap();
         let report = run_point(&prepared).unwrap();
-        let topo = build_topology(&point.topology).unwrap();
-        let builder = builder_for(&point, topo);
         let manifest = noc_sim::RunManifest::capture(
             &report,
-            &builder.config(),
-            builder.spec(),
+            &point.network_config(),
+            point.run_spec(),
             point.seed,
             noc_sim::MetricsLevel::Off,
         )

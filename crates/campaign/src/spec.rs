@@ -35,7 +35,10 @@
 use crate::value::{parse_json, parse_toml, Value};
 use crate::Error;
 use noc_base::{RoutingPolicy, VaPolicy};
-use pseudo_circuit::Scheme;
+use noc_evc::EvcRouterFactory;
+use noc_hybrid::HybridRouterFactory;
+use noc_sim::{NetworkConfig, RouterFactory, RunSpec};
+use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -106,6 +109,17 @@ impl SchemeChoice {
             SchemeChoice::Pc(s) => s.to_string(),
             SchemeChoice::Evc => "EVC".to_string(),
             SchemeChoice::Hybrid => "Hybrid".to_string(),
+        }
+    }
+
+    /// The router factory this scheme names — the one place a scheme name
+    /// becomes router code (the `noc` CLI and campaign points both build
+    /// through [`crate::build_simulation`], which calls this).
+    pub fn factory(&self) -> Box<dyn RouterFactory> {
+        match *self {
+            SchemeChoice::Pc(scheme) => Box::new(PcRouterFactory::new(scheme)),
+            SchemeChoice::Evc => Box::new(EvcRouterFactory::default()),
+            SchemeChoice::Hybrid => Box::new(HybridRouterFactory::default()),
         }
     }
 }
@@ -186,7 +200,44 @@ pub struct PointSpec {
     pub drain: u64,
 }
 
+impl Default for PointSpec {
+    /// The `noc run` defaults — also what omitted campaign axes and phases
+    /// take.
+    fn default() -> Self {
+        Self {
+            topology: "mesh8x8".into(),
+            traffic: "ur".into(),
+            scheme: SchemeChoice::Pc(Scheme::pseudo_ps_bb()),
+            routing: RoutingPolicy::Xy,
+            va: VaPolicy::Static,
+            vcs: 4,
+            buffer: 4,
+            packet: 5,
+            load: 0.10,
+            seed: 1,
+            warmup: 1_000,
+            measure: 10_000,
+            drain: 100_000,
+        }
+    }
+}
+
 impl PointSpec {
+    /// The network parameters of this point.
+    pub fn network_config(&self) -> NetworkConfig {
+        NetworkConfig {
+            vcs_per_port: self.vcs,
+            buffer_depth: self.buffer,
+            routing: self.routing,
+            va_policy: self.va,
+        }
+    }
+
+    /// The run phases of this point.
+    pub fn run_spec(&self) -> RunSpec {
+        RunSpec::new(self.warmup, self.measure, self.drain)
+    }
+
     /// The point's curve key: every coordinate except load. Points sharing a
     /// curve key form one latency–throughput curve in the merged report.
     pub fn curve_key(&self) -> String {
@@ -237,18 +288,20 @@ pub struct Axes {
 }
 
 impl Default for Axes {
+    /// One-value axes at the [`PointSpec`] defaults.
     fn default() -> Self {
+        let p = PointSpec::default();
         Self {
-            topology: vec!["mesh8x8".into()],
-            traffic: vec!["ur".into()],
-            scheme: vec![SchemeChoice::Pc(Scheme::pseudo_ps_bb())],
-            routing: vec![RoutingPolicy::Xy],
-            va: vec![VaPolicy::Static],
-            vcs: vec![4],
-            buffer: vec![4],
-            packet: vec![5],
-            load: vec![0.10],
-            seed: vec![1],
+            topology: vec![p.topology],
+            traffic: vec![p.traffic],
+            scheme: vec![p.scheme],
+            routing: vec![p.routing],
+            va: vec![p.va],
+            vcs: vec![p.vcs],
+            buffer: vec![p.buffer],
+            packet: vec![p.packet],
+            load: vec![p.load],
+            seed: vec![p.seed],
         }
     }
 }
@@ -270,11 +323,12 @@ pub struct CampaignSpec {
 
 impl Default for CampaignSpec {
     fn default() -> Self {
+        let p = PointSpec::default();
         Self {
             name: "campaign".into(),
-            warmup: 1_000,
-            measure: 10_000,
-            drain: 100_000,
+            warmup: p.warmup,
+            measure: p.measure,
+            drain: p.drain,
             axes: Axes::default(),
         }
     }

@@ -21,7 +21,9 @@
 //!   (wormhole switching, credit-based flow control, lookahead routing)
 //!   implementing all five configurations of the paper
 //!   ([`Scheme::paper_lineup`]);
-//! - [`PseudoCircuitUnit`] — the register/history state machine of §III–IV;
+//! - [`PseudoCircuitUnit`] — the register/history state machine of §III–IV,
+//!   and [`CircuitDatapath`], which drives it against the shared pipeline
+//!   kernel (also for the profiled hybrid scheme of `noc-hybrid`);
 //! - [`ExperimentBuilder`] — a high-level API assembling topology, traffic,
 //!   scheme and policies into a runnable simulation.
 //!
@@ -50,13 +52,13 @@
 //! ```
 
 pub mod config;
+pub mod datapath;
 pub mod experiment;
-pub mod probe;
 pub mod pseudo;
 pub mod router;
 
 pub use config::Scheme;
+pub use datapath::CircuitDatapath;
 pub use experiment::ExperimentBuilder;
-pub use probe::{Probe, RouterCounters};
 pub use pseudo::{EstablishOutcome, PcRegisters, PseudoCircuitUnit, Termination};
-pub use router::{PcRouter, PcRouterFactory};
+pub use router::{PcHooks, PcRouter, PcRouterFactory};

@@ -12,7 +12,7 @@
 //! - every output port remembers the input port of its most recently
 //!   terminated pseudo-circuit (the speculation history register).
 
-use noc_base::{PortIndex, VcIndex};
+use noc_base::{PortIndex, RouteInfo, VcIndex};
 // `Termination` lives next to the `Probe` trait that carries it (the kernel's
 // observability surface in `noc-sim`); re-exported here so the circuit state
 // machine and its termination causes stay importable from one place.
@@ -47,6 +47,14 @@ pub struct PcRegisters {
 }
 
 impl PcRegisters {
+    /// The held connection as a route: output port and drop distance.
+    pub fn route(&self) -> RouteInfo {
+        RouteInfo {
+            port: self.out_port,
+            hops: self.hops,
+        }
+    }
+
     fn empty() -> Self {
         Self {
             valid: false,

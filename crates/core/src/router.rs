@@ -28,151 +28,64 @@
 //!   flits are charged no buffer read/write energy.
 
 use crate::config::Scheme;
-use crate::probe::Probe;
-use crate::pseudo::{PseudoCircuitUnit, Termination};
-use noc_base::{
-    Credit, Flit, FlitPool, FlitRef, NodeId, PortIndex, RouteInfo, RouterId, VaPolicy, VcIndex,
-    VcPartition,
-};
-use noc_energy::{EnergyCounters, EnergyEvent};
+use crate::datapath::CircuitDatapath;
+use crate::pseudo::PseudoCircuitUnit;
+use noc_base::{Flit, FlitPool, FlitRef, PortIndex, RouteInfo, RouterId, VcIndex};
 use noc_sim::{
-    MetricsConfig, NetworkConfig, PipelineKernel, PipelineStage, RouterBuildContext, RouterFactory,
-    RouterModel, RouterObservation, RouterOutputs, RouterStats, SchemeHooks, TraceEventKind,
-    TraceRing,
+    KernelRouter, NetworkConfig, PipelineKernel, PipelineStage, Probe, RouterBuildContext,
+    RouterFactory, RouterModel, RouterOutputs, SchemeHooks, TraceEventKind,
 };
 use noc_topology::SharedTopology;
 use std::sync::Arc;
 
-/// The pseudo-circuit scheme state and hook implementations: the circuit
-/// registers plus the policy knobs the hooks consult.
-struct PcHooks {
+/// The pseudo-circuit scheme's [`SchemeHooks`]: the shared circuit datapath
+/// gated by the [`Scheme`] switches, plus the paper's two §IV extensions
+/// (speculation, the bypass latch).
+pub struct PcHooks {
     scheme: Scheme,
-    va_policy: VaPolicy,
-    partition: VcPartition,
-    pcu: PseudoCircuitUnit,
+    circuits: CircuitDatapath,
 }
 
+/// The pseudo-circuit router (also the baseline router when the scheme is
+/// [`Scheme::baseline`]): the shared kernel running [`PcHooks`].
+pub type PcRouter = KernelRouter<PcHooks>;
+
 impl PcHooks {
-    /// Allocates an output VC for a header (VA). `require_credit` makes the
-    /// allocation fail unless the chosen VC has a downstream credit — used by
-    /// the pseudo-circuit reuse/bypass paths that traverse the same cycle.
-    fn allocate_vc(
-        &self,
-        k: &mut PipelineKernel,
-        route: RouteInfo,
-        class: u8,
-        dst: NodeId,
-        owner: (PortIndex, VcIndex),
-        require_credit: bool,
-    ) -> Option<VcIndex> {
-        let sub = route.hops as usize - 1;
-        let port = route.port;
-        let chosen = match self.va_policy {
-            VaPolicy::Static => {
-                let vc = self.partition.static_vc(class, dst);
-                (k.out_vc_is_free(port, vc)
-                    && (!require_credit || k.credits_available(port, sub, vc) > 0))
-                    .then_some(vc)
-            }
-            VaPolicy::Dynamic => self
-                .partition
-                .class_range(class)
-                .map(|v| VcIndex::new(v as usize))
-                .filter(|&v| k.out_vc_is_free(port, v))
-                .filter(|&v| !require_credit || k.credits_available(port, sub, v) > 0)
-                .max_by_key(|&v| k.credits_available(port, sub, v)),
-        }?;
-        k.claim_out_vc(port, chosen, owner);
-        Some(chosen)
+    /// Builds a router running `scheme`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scheme is inconsistent (see [`Scheme::validate`]).
+    pub fn router(
+        id: RouterId,
+        topo: SharedTopology,
+        config: NetworkConfig,
+        scheme: Scheme,
+        pool: Arc<FlitPool>,
+    ) -> PcRouter {
+        scheme.validate().unwrap_or_else(|e| panic!("{e}"));
+        let hooks = PcHooks {
+            scheme,
+            circuits: CircuitDatapath::new(id, topo.as_ref(), &config),
+        };
+        KernelRouter::new(PipelineKernel::new(id, topo, config, true, pool), hooks)
     }
 
-    /// Phase A: terminate pseudo-circuits whose output has no downstream
-    /// credit at the held drop position (§III.C).
-    fn terminate_creditless_circuits(&mut self, k: &mut PipelineKernel, cycle: u64) {
-        for out_port in 0..k.num_out_ports() {
-            let port = PortIndex::new(out_port);
-            let Some(holder) = self.pcu.holder(port) else {
-                continue;
-            };
-            let reg = self.pcu.registers(holder);
-            let sub = reg.hops as usize - 1;
-            if k.credits_at_sub(port, sub) == 0 {
-                self.pcu.terminate(holder, Termination::CreditExhausted);
-                if let Some(p) = k.counters.as_deref_mut() {
-                    p.on_pc_terminated(holder, Termination::CreditExhausted);
-                }
-                k.trace(cycle, TraceEventKind::TerminateCredit, holder, port);
-            }
-        }
+    /// The scheme this router runs.
+    pub fn scheme(&self) -> Scheme {
+        self.scheme
     }
 
-    /// Phase C: pseudo-circuit reuse from the input buffers. A buffered,
-    /// ready head-of-VC flit whose route matches the live circuit traverses
-    /// immediately, bypassing SA.
-    fn reuse_circuits(&mut self, k: &mut PipelineKernel, cycle: u64, out: &mut RouterOutputs) {
-        for in_port in 0..k.num_in_ports() {
-            if k.in_occupancy[in_port] == 0 {
-                continue; // reuse only drains buffered flits
-            }
-            let in_port = PortIndex::new(in_port);
-            if k.in_busy[in_port.index()] {
-                continue;
-            }
-            let Some(pc) = self.pcu.live(in_port) else {
-                continue;
-            };
-            if k.out_busy[pc.out_port.index()] {
-                continue;
-            }
-            let vc = pc.in_vc;
-            let Some(flit) = k.input_head_ready(in_port, vc, cycle) else {
-                continue;
-            };
-            let (is_head, flit_route) = (flit.kind.is_head(), flit.route);
-            let (class, dst) = (flit.class, flit.dst);
-            let pc_route = RouteInfo {
-                port: pc.out_port,
-                hops: pc.hops,
-            };
-            let sub = pc.hops as usize - 1;
-            if is_head && k.input_route(in_port, vc).is_none() {
-                // A new packet: compare its routing information against the
-                // circuit (§III.B) and acquire an output VC in parallel.
-                if flit_route != pc_route {
-                    continue; // mismatch: the flit takes the baseline pipeline
-                }
-                let Some(out_vc) = self.allocate_vc(k, pc_route, class, dst, (in_port, vc), true)
-                else {
-                    continue; // VA failed: baseline pipeline, no penalty
-                };
-                k.claim_input_vc(in_port, vc, pc_route, out_vc);
-                k.stats.va_grants += 1;
-                k.energy.record(EnergyEvent::Arbitration);
-                if let Some(p) = k.counters.as_deref_mut() {
-                    p.on_va_grant(in_port);
-                }
-            } else {
-                // Mid-packet (or a header that already holds VA state): the
-                // packet's route must match the circuit.
-                if k.input_route(in_port, vc) != Some(pc_route) {
-                    continue;
-                }
-                let out_vc = k
-                    .input_out_vc(in_port, vc)
-                    .expect("routed VC has an output VC");
-                if k.credits_available(pc.out_port, sub, out_vc) == 0 {
-                    continue; // per-VC back-pressure; port-level handled in phase A
-                }
-            }
-            k.traverse_from_buffer(cycle, in_port, vc, true, out);
-        }
+    /// The pseudo-circuit unit (exposed for white-box tests).
+    pub fn pseudo_unit(&self) -> &PseudoCircuitUnit {
+        &self.circuits.pcu
     }
 
     /// Attempts to forward an arriving flit through the bypass latch
     /// (§IV.B). Returns whether the flit was consumed. `r` is the arriving
-    /// flit's pool slot; its fields are read in place (after the cheap
-    /// port-state early-outs) and a consumed flit is forwarded by reference,
-    /// never re-stored.
+    /// flit's pool slot; its body is read once (after the cheap port-state
+    /// early-outs) and a consumed flit is forwarded by reference, never
+    /// re-stored.
     fn try_bypass(
         &mut self,
         k: &mut PipelineKernel,
@@ -184,64 +97,27 @@ impl PcHooks {
         if !self.scheme.buffer_bypass || k.in_busy[in_port.index()] {
             return false;
         }
-        let Some(pc) = self.pcu.live(in_port) else {
+        let Some(pc) = self.circuits.pcu.live(in_port) else {
             return false;
         };
         if k.out_busy[pc.out_port.index()] {
             return false;
         }
-        let (vc, kind, flit_route, class, dst) = {
-            let f = k.pool().get(r);
-            (f.vc, f.kind, f.route, f.class, f.dst)
-        };
-        if pc.in_vc != vc {
+        let flit = *k.pool().get(r);
+        let (vc, kind) = (flit.vc, flit.kind);
+        if pc.in_vc != vc || !k.input_empty(in_port, vc) {
             return false;
         }
-        if !k.input_empty(in_port, vc) {
+        let Some(out_vc) = self.circuits.admit(k, in_port, pc, &flit) else {
             return false;
-        }
-        let pc_route = RouteInfo {
-            port: pc.out_port,
-            hops: pc.hops,
         };
-        let sub = pc.hops as usize - 1;
-        let out_vc;
-        let is_tail = kind.is_tail();
-        if kind.is_head() && k.input_route(in_port, vc).is_none() {
-            if flit_route != pc_route {
-                return false;
-            }
-            let Some(allocated) = self.allocate_vc(k, pc_route, class, dst, (in_port, vc), true)
-            else {
-                return false;
-            };
-            out_vc = allocated;
-            k.stats.va_grants += 1;
-            k.energy.record(EnergyEvent::Arbitration);
-            if let Some(p) = k.counters.as_deref_mut() {
-                p.on_va_grant(in_port);
-            }
-            if !is_tail {
-                k.claim_input_vc(in_port, vc, pc_route, out_vc);
-            } else {
-                k.release_out_vc(pc_route.port, allocated);
-            }
-        } else {
-            if k.input_route(in_port, vc) != Some(pc_route) {
-                return false;
-            }
-            out_vc = k
-                .input_out_vc(in_port, vc)
-                .expect("routed VC has an output VC");
-            if k.credits_available(pc.out_port, sub, out_vc) == 0 {
-                return false;
-            }
-            if is_tail {
-                k.release_input_vc(in_port, vc);
-                k.release_out_vc(pc_route.port, out_vc);
-            }
+        let pc_route = pc.route();
+        if kind.is_tail() {
+            // The packet ends inside the latch: nothing of it stays behind.
+            k.release_input_vc(in_port, vc);
+            k.release_out_vc(pc_route.port, out_vc);
         }
-        k.consume_credit(pc_route.port, sub, out_vc);
+        k.consume_credit(pc_route.port, pc.hops as usize - 1, out_vc);
         k.stats.pc_reuses += 1;
         k.stats.buffer_bypasses += 1;
         if kind.is_head() {
@@ -266,27 +142,32 @@ impl PcHooks {
         true
     }
 
+    /// The input port whose terminated circuit phase G would restore on
+    /// `port` this cycle (§IV.A): the port is idle, its history register
+    /// names a stale circuit still pointing at it, and the circuit's drop
+    /// position has downstream credit.
+    #[inline(always)]
+    fn restorable(&self, k: &PipelineKernel, port: PortIndex) -> Option<PortIndex> {
+        let pcu = &self.circuits.pcu;
+        if pcu.holder(port).is_some() {
+            return None;
+        }
+        let h = pcu.history(port)?;
+        let reg = pcu.registers(h);
+        (!reg.valid && reg.out_port == port && k.credits_at_sub(port, reg.hops as usize - 1) > 0)
+            .then_some(h)
+    }
+
     /// Phase G: pseudo-circuit speculation — restore the most recently
     /// terminated circuit of every idle output port with downstream credit
     /// (§IV.A).
     fn speculate(&mut self, k: &mut PipelineKernel, cycle: u64) {
         for out_port in 0..k.num_out_ports() {
             let port = PortIndex::new(out_port);
-            if self.pcu.holder(port).is_some() {
-                continue;
-            }
-            let Some(h) = self.pcu.history(port) else {
+            let Some(h) = self.restorable(k, port) else {
                 continue;
             };
-            let reg = self.pcu.registers(h);
-            if reg.valid || reg.out_port != port {
-                continue;
-            }
-            let sub = reg.hops as usize - 1;
-            if k.credits_at_sub(port, sub) == 0 {
-                continue;
-            }
-            let restored = self.pcu.try_restore(port);
+            let restored = self.circuits.pcu.try_restore(port);
             debug_assert!(restored, "preconditions checked above");
             k.stats.pc_speculative_restores += 1;
             if let Some(p) = k.counters.as_deref_mut() {
@@ -297,19 +178,23 @@ impl PcHooks {
     }
 }
 
+// `#[inline]` throughout, for the reason given in `crate::datapath`.
 impl SchemeHooks for PcHooks {
+    #[inline]
     fn begin_cycle(&mut self, k: &mut PipelineKernel, cycle: u64) {
         if self.scheme.pseudo_circuit {
-            self.terminate_creditless_circuits(k, cycle);
+            self.circuits.terminate_creditless(k, cycle);
         }
     }
 
+    #[inline]
     fn drain_reuse(&mut self, k: &mut PipelineKernel, cycle: u64, out: &mut RouterOutputs) {
         if self.scheme.pseudo_circuit {
-            self.reuse_circuits(k, cycle, out);
+            self.circuits.reuse(k, cycle, out);
         }
     }
 
+    #[inline]
     fn try_arrival_intercept(
         &mut self,
         k: &mut PipelineKernel,
@@ -321,30 +206,25 @@ impl SchemeHooks for PcHooks {
         self.try_bypass(k, cycle, in_port, r, out)
     }
 
+    #[inline]
     fn allocate_out_vc(
         &mut self,
         k: &mut PipelineKernel,
         flit: &Flit,
         owner: (PortIndex, VcIndex),
     ) -> Option<(VcIndex, u8)> {
-        self.allocate_vc(k, flit.route, flit.class, flit.dst, owner, false)
+        self.circuits
+            .allocate_vc(k, flit.route, flit.class, flit.dst, owner, false)
             .map(|vc| (vc, 0))
     }
 
-    /// Flits covered by a live matching pseudo-circuit bypass SA entirely:
-    /// they drain through the held connection (§III.B, "the following flits
-    /// coming to the same VC can bypass SA ... until the pseudo-circuit is
-    /// terminated").
+    #[inline]
     fn sa_skip(&self, in_port: PortIndex, vc: VcIndex, route: RouteInfo) -> bool {
-        if !self.scheme.pseudo_circuit {
-            return false;
-        }
-        self.pcu
-            .live(in_port)
-            .is_some_and(|pc| pc.in_vc == vc && pc.out_port == route.port && pc.hops == route.hops)
+        self.scheme.pseudo_circuit && self.circuits.covers(in_port, vc, route)
     }
 
     /// Each grant (re)establishes the pseudo-circuit of its connection.
+    #[inline]
     fn on_sa_grant(
         &mut self,
         k: &mut PipelineKernel,
@@ -353,160 +233,27 @@ impl SchemeHooks for PcHooks {
         vc: VcIndex,
         route: RouteInfo,
     ) {
-        if !self.scheme.pseudo_circuit {
-            return;
-        }
-        let outcome = self.pcu.establish(in_port, vc, route.port, route.hops);
-        if let Some(p) = k.counters.as_deref_mut() {
-            p.on_pc_established(in_port, outcome.created);
-            for (victim, _) in outcome.terminated.into_iter().flatten() {
-                p.on_pc_terminated(victim, Termination::Conflict);
-            }
-        }
-        if k.tracer.is_some() {
-            for (victim, victim_out) in outcome.terminated.into_iter().flatten() {
-                k.trace(cycle, TraceEventKind::TerminateConflict, victim, victim_out);
-            }
-            if outcome.created {
-                k.trace(cycle, TraceEventKind::Establish, in_port, route.port);
-            }
+        if self.scheme.pseudo_circuit {
+            self.circuits.establish(k, cycle, in_port, vc, route);
         }
     }
 
+    #[inline]
     fn end_cycle(&mut self, k: &mut PipelineKernel, cycle: u64) {
         if self.scheme.speculation {
             self.speculate(k, cycle);
         }
-        k.stats.pc_terminations_conflict = self.pcu.terminations_conflict();
-        k.stats.pc_terminations_credit = self.pcu.terminations_credit();
-        debug_assert!(self.pcu.check_invariants().is_ok());
-    }
-}
-
-/// The pseudo-circuit router (also the baseline router when the scheme is
-/// [`Scheme::baseline`]): the shared [`PipelineKernel`] plus the scheme's
-/// [`SchemeHooks`] implementation.
-pub struct PcRouter {
-    kernel: PipelineKernel,
-    hooks: PcHooks,
-}
-
-impl PcRouter {
-    /// Builds a router.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scheme is inconsistent (see [`Scheme::validate`]).
-    pub fn new(
-        id: RouterId,
-        topo: SharedTopology,
-        config: NetworkConfig,
-        scheme: Scheme,
-        pool: Arc<FlitPool>,
-    ) -> Self {
-        scheme.validate().unwrap_or_else(|e| panic!("{e}"));
-        let in_ports = topo.in_ports(id);
-        let out_ports = topo.out_ports(id);
-        let partition = config.partition_for(topo.as_ref());
-        Self {
-            kernel: PipelineKernel::new(id, topo, config, true, pool),
-            hooks: PcHooks {
-                scheme,
-                va_policy: config.va_policy,
-                partition,
-                pcu: PseudoCircuitUnit::new(in_ports, out_ports),
-            },
-        }
+        self.circuits.mirror_stats(k);
     }
 
-    /// The scheme this router runs.
-    pub fn scheme(&self) -> Scheme {
-        self.hooks.scheme
-    }
-
-    /// Enables observability per `metrics`: per-port counters at
-    /// [`noc_sim::MetricsLevel::Full`], and a lifecycle trace ring when this
-    /// router is selected by the trace spec. Call before the first `step`.
-    pub fn enable_metrics(&mut self, metrics: &MetricsConfig) {
-        self.kernel.enable_metrics(metrics);
-    }
-
-    /// The pseudo-circuit unit (exposed for white-box tests).
-    pub fn pseudo_unit(&self) -> &PseudoCircuitUnit {
-        &self.hooks.pcu
-    }
-
-    /// The flit slab this router reads and writes flit bodies through
-    /// (exposed so tests can allocate arrival flits and inspect emissions).
-    pub fn pool(&self) -> &Arc<FlitPool> {
-        self.kernel.pool()
-    }
-}
-
-impl RouterModel for PcRouter {
-    fn receive_flit(&mut self, in_port: PortIndex, flit: FlitRef) {
-        self.kernel.receive_flit(in_port, flit);
-    }
-
-    fn receive_credit(&mut self, out_port: PortIndex, credit: Credit) {
-        self.kernel.receive_credit(out_port, credit);
-    }
-
-    fn step(&mut self, cycle: u64, out: &mut RouterOutputs) {
-        self.kernel.step(&mut self.hooks, cycle, out);
-    }
-
-    /// Exact step-is-no-op predicate, mirroring every phase of `step`:
-    /// nothing staged or buffered (the kernel phases have no work), no live
-    /// circuit that phase A would terminate for credit exhaustion, and no
-    /// history register that phase G would speculatively restore. Arbiters do
-    /// not move on empty request masks, so a skipped step is bit-identical to
-    /// an executed one.
-    fn is_idle(&self) -> bool {
-        if !self.kernel.is_idle_base() {
-            return false;
-        }
-        let (k, h) = (&self.kernel, &self.hooks);
-        for out_port in 0..k.num_out_ports() {
-            let port = PortIndex::new(out_port);
-            if h.scheme.pseudo_circuit {
-                if let Some(holder) = h.pcu.holder(port) {
-                    let reg = h.pcu.registers(holder);
-                    let sub = reg.hops as usize - 1;
-                    if k.credits_at_sub(port, sub) == 0 {
-                        return false; // phase A would terminate this circuit
-                    }
-                }
-            }
-            if h.scheme.speculation && h.pcu.holder(port).is_none() {
-                if let Some(hist) = h.pcu.history(port) {
-                    let reg = h.pcu.registers(hist);
-                    if !reg.valid && reg.out_port == port {
-                        let sub = reg.hops as usize - 1;
-                        if k.credits_at_sub(port, sub) > 0 {
-                            return false; // phase G would restore this circuit
-                        }
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    fn stats(&self) -> RouterStats {
-        self.kernel.stats
-    }
-
-    fn energy(&self) -> EnergyCounters {
-        self.kernel.energy
-    }
-
-    fn observation(&self) -> Option<RouterObservation> {
-        self.kernel.observation()
-    }
-
-    fn tracer(&self) -> Option<&TraceRing> {
-        self.kernel.trace_ring()
+    /// No live circuit that phase A would terminate for credit exhaustion,
+    /// and no history register that phase G would speculatively restore.
+    #[inline(always)]
+    fn is_idle(&self, k: &PipelineKernel) -> bool {
+        !(0..k.num_out_ports()).map(PortIndex::new).any(|port| {
+            (self.scheme.pseudo_circuit && self.circuits.creditless_holder(k, port).is_some())
+                || (self.scheme.speculation && self.restorable(k, port).is_some())
+        })
     }
 }
 
@@ -526,14 +273,13 @@ impl PcRouterFactory {
 
 impl RouterFactory for PcRouterFactory {
     fn build(&self, ctx: RouterBuildContext<'_>) -> Box<dyn RouterModel> {
-        let mut router = PcRouter::new(
+        PcHooks::router(
             ctx.id,
             ctx.topology.clone(),
             *ctx.config,
             self.scheme,
             ctx.pool.clone(),
-        );
-        router.enable_metrics(ctx.metrics);
-        Box::new(router)
+        )
+        .boxed(ctx.metrics)
     }
 }

@@ -8,7 +8,7 @@ use noc_base::{
 };
 use noc_sim::{NetworkConfig, RouterModel, RouterOutputs};
 use noc_topology::{Mecs, SharedTopology};
-use pseudo_circuit::{PcRouter, Scheme};
+use pseudo_circuit::{PcHooks, PcRouter, Scheme};
 use std::sync::Arc;
 
 /// A 4x1 MECS row, concentration 1: router 0's east channel (port 2) has
@@ -23,7 +23,7 @@ fn router(scheme: Scheme) -> (PcRouter, SharedTopology) {
     };
     let pool = Arc::new(noc_base::FlitPool::new(64, 1));
     (
-        PcRouter::new(RouterId::new(0), topo.clone(), config, scheme, pool),
+        PcHooks::router(RouterId::new(0), topo.clone(), config, scheme, pool),
         topo,
     )
 }
@@ -68,7 +68,11 @@ fn multidrop_circuit_stores_drop_distance() {
     for c in 0..3 {
         step(&mut r, c);
     }
-    let pc = r.pseudo_unit().live(PortIndex::new(0)).expect("circuit");
+    let pc = r
+        .hooks()
+        .pseudo_unit()
+        .live(PortIndex::new(0))
+        .expect("circuit");
     assert_eq!(pc.out_port, EAST);
     assert_eq!(pc.hops, 2, "drop distance is part of the circuit");
 }
@@ -91,7 +95,11 @@ fn same_channel_different_drop_does_not_reuse() {
     assert_eq!(sent[0].hops, 3);
     assert_eq!(r.stats().pc_reuses, 0);
     // The grant re-established the circuit at the new drop distance.
-    let pc = r.pseudo_unit().live(PortIndex::new(0)).expect("circuit");
+    let pc = r
+        .hooks()
+        .pseudo_unit()
+        .live(PortIndex::new(0))
+        .expect("circuit");
     assert_eq!(pc.hops, 3);
 }
 

@@ -14,7 +14,7 @@ use noc_sim::{
 };
 use noc_topology::{Mesh, SharedTopology};
 use noc_traffic::{SyntheticPattern, SyntheticTraffic};
-use pseudo_circuit::{ExperimentBuilder, PcRouter, Scheme};
+use pseudo_circuit::{ExperimentBuilder, PcHooks, PcRouter, Scheme};
 use std::sync::Arc;
 
 const EAST: PortIndex = PortIndex::new(3);
@@ -32,7 +32,7 @@ fn full_metrics() -> MetricsConfig {
 fn instrumented(scheme: Scheme, cfg: NetworkConfig) -> PcRouter {
     let topo: SharedTopology = Arc::new(Mesh::new(2, 1, 2));
     let pool = Arc::new(noc_base::FlitPool::new(64, 1));
-    let mut r = PcRouter::new(RouterId::new(0), topo, cfg, scheme, pool);
+    let mut r = PcHooks::router(RouterId::new(0), topo, cfg, scheme, pool);
     r.enable_metrics(&full_metrics());
     r
 }
@@ -208,7 +208,7 @@ fn bypass_hits_count_in_both_hit_and_bypass_ledgers() {
 fn disabled_metrics_observe_nothing() {
     let topo: SharedTopology = Arc::new(Mesh::new(2, 1, 2));
     let pool = Arc::new(noc_base::FlitPool::new(64, 1));
-    let mut r = PcRouter::new(RouterId::new(0), topo, config(), Scheme::pseudo(), pool);
+    let mut r = PcHooks::router(RouterId::new(0), topo, config(), Scheme::pseudo(), pool);
     r.enable_metrics(&MetricsConfig::off());
     deliver(&mut r, PortIndex::new(0), single_flit(1, 0, STATIC_VC));
     for c in 0..3 {

@@ -8,7 +8,7 @@ use noc_base::{
 };
 use noc_sim::{NetworkConfig, RouterModel, RouterOutputs};
 use noc_topology::{Mesh, SharedTopology};
-use pseudo_circuit::{PcRouter, Scheme};
+use pseudo_circuit::{PcHooks, PcRouter, Scheme};
 use std::sync::Arc;
 
 fn config() -> NetworkConfig {
@@ -25,7 +25,7 @@ fn config() -> NetworkConfig {
 fn router() -> (PcRouter, SharedTopology) {
     let topo: SharedTopology = Arc::new(Mesh::new(2, 1, 2));
     let pool = Arc::new(noc_base::FlitPool::new(64, 1));
-    let r = PcRouter::new(
+    let r = PcHooks::router(
         RouterId::new(0),
         topo.clone(),
         config(),
@@ -38,7 +38,7 @@ fn router() -> (PcRouter, SharedTopology) {
 fn router_with(scheme: Scheme) -> PcRouter {
     let topo: SharedTopology = Arc::new(Mesh::new(2, 1, 2));
     let pool = Arc::new(noc_base::FlitPool::new(64, 1));
-    PcRouter::new(RouterId::new(0), topo, config(), scheme, pool)
+    PcHooks::router(RouterId::new(0), topo, config(), scheme, pool)
 }
 
 /// Allocates `f` in the router's pool and delivers it on `port`.
@@ -115,7 +115,7 @@ fn pseudo_circuit_hop_takes_two_cycles() {
     for c in 0..3 {
         step(&mut r, c);
     }
-    assert!(r.pseudo_unit().live(PortIndex::new(0)).is_some());
+    assert!(r.hooks().pseudo_unit().live(PortIndex::new(0)).is_some());
     // Second packet on the same VC and route: BW at 3, reuse-ST at 4.
     deliver(&mut r, PortIndex::new(0), single_flit(2, 0, STATIC_VC));
     assert!(step(&mut r, 3).is_empty(), "cycle 3 is BW");
@@ -176,14 +176,20 @@ fn conflicting_grant_terminates_the_circuit() {
     for c in 0..3 {
         step(&mut r, c);
     }
-    assert_eq!(r.pseudo_unit().holder(EAST), Some(PortIndex::new(0)));
+    assert_eq!(
+        r.hooks().pseudo_unit().holder(EAST),
+        Some(PortIndex::new(0))
+    );
     // Input 1 claims the same output: grant terminates the old circuit.
     deliver(&mut r, PortIndex::new(1), single_flit(2, 1, STATIC_VC));
     for c in 3..6 {
         step(&mut r, c);
     }
-    assert_eq!(r.pseudo_unit().holder(EAST), Some(PortIndex::new(1)));
-    assert!(r.pseudo_unit().live(PortIndex::new(0)).is_none());
+    assert_eq!(
+        r.hooks().pseudo_unit().holder(EAST),
+        Some(PortIndex::new(1))
+    );
+    assert!(r.hooks().pseudo_unit().live(PortIndex::new(0)).is_none());
     assert_eq!(r.stats().pc_terminations_conflict, 1);
 }
 
@@ -208,7 +214,7 @@ fn credit_exhaustion_terminates_the_circuit() {
         sent += step(&mut r, c).len();
     }
     assert_eq!(sent, 4);
-    assert!(r.pseudo_unit().live(PortIndex::new(0)).is_some());
+    assert!(r.hooks().pseudo_unit().live(PortIndex::new(0)).is_some());
     // 5th packet: no credit on vc 2 downstream -> waits buffered.
     deliver(&mut r, PortIndex::new(0), single_flit(9, 0, STATIC_VC));
     for c in 12..16 {
@@ -237,7 +243,7 @@ fn whole_port_credit_exhaustion_kills_the_circuit() {
         va_policy: VaPolicy::Static,
     };
     let pool = Arc::new(noc_base::FlitPool::new(64, 1));
-    let mut r = PcRouter::new(RouterId::new(0), topo, cfg, Scheme::pseudo(), pool);
+    let mut r = PcHooks::router(RouterId::new(0), topo, cfg, Scheme::pseudo(), pool);
     let mk = |packet: u64| {
         let mut f = single_flit(packet, 0, 0);
         f.vc = VcIndex::new(0);
@@ -252,7 +258,7 @@ fn whole_port_credit_exhaustion_kills_the_circuit() {
     assert_eq!(sent, 2, "both credits spent");
     // Next step detects zero credits at the port and terminates the circuit.
     step(&mut r, 8);
-    assert!(r.pseudo_unit().live(PortIndex::new(0)).is_none());
+    assert!(r.hooks().pseudo_unit().live(PortIndex::new(0)).is_none());
     assert!(r.stats().pc_terminations_credit >= 1);
 }
 
@@ -269,7 +275,7 @@ fn speculation_restores_circuits_on_congestion_relief() {
         va_policy: VaPolicy::Static,
     };
     let pool = Arc::new(noc_base::FlitPool::new(64, 1));
-    let mut r = PcRouter::new(RouterId::new(0), topo, cfg, Scheme::pseudo_ps(), pool);
+    let mut r = PcHooks::router(RouterId::new(0), topo, cfg, Scheme::pseudo_ps(), pool);
     let mk = |packet: u64| {
         let mut f = single_flit(packet, 0, 0);
         f.vc = VcIndex::new(0);
@@ -281,14 +287,14 @@ fn speculation_restores_circuits_on_congestion_relief() {
         step(&mut r, c);
     }
     assert!(
-        r.pseudo_unit().live(PortIndex::new(0)).is_none(),
+        r.hooks().pseudo_unit().live(PortIndex::new(0)).is_none(),
         "circuit dead after credit exhaustion"
     );
     // Congestion relief: the downstream returns a credit.
     r.receive_credit(EAST, noc_base::Credit::new(VcIndex::new(0)));
     step(&mut r, 9);
     assert!(
-        r.pseudo_unit().live(PortIndex::new(0)).is_some(),
+        r.hooks().pseudo_unit().live(PortIndex::new(0)).is_some(),
         "speculation revived the circuit"
     );
     assert_eq!(r.stats().pc_speculative_restores, 1);
@@ -352,7 +358,7 @@ fn baseline_never_creates_circuits() {
     for c in 0..16 {
         step(&mut r, c);
     }
-    assert!(r.pseudo_unit().live(PortIndex::new(0)).is_none());
+    assert!(r.hooks().pseudo_unit().live(PortIndex::new(0)).is_none());
     assert_eq!(r.stats().pc_reuses, 0);
     assert_eq!(r.stats().flit_traversals, 4);
 }
@@ -367,7 +373,7 @@ fn dynamic_va_spreads_packets_across_vcs() {
         buffer_depth: 4,
     };
     let pool = Arc::new(noc_base::FlitPool::new(64, 1));
-    let mut r = PcRouter::new(RouterId::new(0), topo, cfg, Scheme::baseline(), pool);
+    let mut r = PcHooks::router(RouterId::new(0), topo, cfg, Scheme::baseline(), pool);
     // Two packets from the two local ports to node 2, arriving together:
     // dynamic VA must give them distinct output VCs.
     deliver(&mut r, PortIndex::new(0), single_flit(1, 0, 0));
@@ -394,7 +400,7 @@ fn o1turn_va_respects_vc_class_partition() {
         va_policy: VaPolicy::Dynamic,
     };
     let pool = Arc::new(noc_base::FlitPool::new(64, 1));
-    let mut r = PcRouter::new(RouterId::new(0), topo, cfg, Scheme::pseudo_ps_bb(), pool);
+    let mut r = PcHooks::router(RouterId::new(0), topo, cfg, Scheme::pseudo_ps_bb(), pool);
     for i in 0..6u64 {
         let class = (i % 2) as u8;
         let mut f = single_flit(i, 0, (class as usize) * 2); // in-vc within class

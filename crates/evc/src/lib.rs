@@ -31,4 +31,4 @@
 
 mod router;
 
-pub use router::{EvcRouter, EvcRouterFactory};
+pub use router::{EvcHooks, EvcRouter, EvcRouterFactory};

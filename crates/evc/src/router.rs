@@ -8,28 +8,66 @@
 //! [`TraceEventKind::ExpressLatch`]), and manifest router dumps.
 
 use noc_base::{
-    Credit, Flit, FlitPool, FlitRef, NodeId, PortIndex, RouteInfo, RouterId, VaPolicy, VcIndex,
+    Flit, FlitPool, FlitRef, NodeId, PortIndex, RouteInfo, RouterId, VaPolicy, VcIndex,
 };
-use noc_energy::EnergyCounters;
-use noc_sim::probe::Probe;
 use noc_sim::{
-    MetricsConfig, NetworkConfig, PipelineKernel, PipelineStage, RouterBuildContext, RouterFactory,
-    RouterModel, RouterObservation, RouterOutputs, RouterStats, SchemeHooks, TraceEventKind,
-    TraceRing,
+    KernelRouter, NetworkConfig, PipelineKernel, PipelineStage, Probe, RouterBuildContext,
+    RouterFactory, RouterModel, RouterOutputs, SchemeHooks, TraceEventKind,
 };
 use noc_topology::SharedTopology;
 use std::sync::Arc;
 
-/// The EVC scheme state and hook implementations: the NVC/EVC split plus the
-/// express-segment length bound.
-struct EvcHooks {
+/// The EVC scheme's [`SchemeHooks`]: the NVC/EVC split plus the
+/// express-segment length bound. The hooks carry no cycle-driven state, so
+/// the kernel's base idle predicate is the whole answer (the default
+/// [`SchemeHooks::is_idle`]).
+pub struct EvcHooks {
     va_policy: VaPolicy,
     vcs: usize,
     nvcs: usize,
     l_max: u8,
 }
 
+/// The Express-Virtual-Channel router (dynamic EVCs, configurable `l_max`):
+/// the shared kernel running [`EvcHooks`].
+pub type EvcRouter = KernelRouter<EvcHooks>;
+
 impl EvcHooks {
+    /// Builds an EVC router. Half the VCs are normal, half express.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the routing policy uses more than one deadlock class (EVC's
+    /// VC partition replaces O1TURN's), if the VC count is odd, or if
+    /// `l_max < 2`.
+    pub fn router(
+        id: RouterId,
+        topo: SharedTopology,
+        config: NetworkConfig,
+        l_max: u8,
+        pool: Arc<FlitPool>,
+    ) -> EvcRouter {
+        assert_eq!(
+            config.routing.num_classes().max(topo.min_classes()),
+            1,
+            "EVC requires a single-class routing policy (XY or YX) \
+             on a topology without extra deadlock classes"
+        );
+        assert!(
+            config.vcs_per_port.is_multiple_of(2),
+            "EVC splits VCs in half"
+        );
+        assert!(l_max >= 2, "express segments span at least two hops");
+        let vcs = config.vcs_per_port as usize;
+        let hooks = EvcHooks {
+            va_policy: config.va_policy,
+            vcs,
+            nvcs: vcs / 2,
+            l_max,
+        };
+        KernelRouter::new(PipelineKernel::new(id, topo, config, false, pool), hooks)
+    }
+
     fn is_evc(&self, vc: VcIndex) -> bool {
         vc.index() >= self.nvcs
     }
@@ -193,102 +231,6 @@ impl SchemeHooks for EvcHooks {
     }
 }
 
-/// The Express-Virtual-Channel router (dynamic EVCs, configurable `l_max`):
-/// the shared [`PipelineKernel`] plus the EVC [`SchemeHooks`].
-pub struct EvcRouter {
-    kernel: PipelineKernel,
-    hooks: EvcHooks,
-}
-
-impl EvcRouter {
-    /// Builds an EVC router. Half the VCs are normal, half express.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the routing policy uses more than one deadlock class (EVC's
-    /// VC partition replaces O1TURN's), if the VC count is odd, or if
-    /// `l_max < 2`.
-    pub fn new(
-        id: RouterId,
-        topo: SharedTopology,
-        config: NetworkConfig,
-        l_max: u8,
-        pool: Arc<FlitPool>,
-    ) -> Self {
-        assert_eq!(
-            config.routing.num_classes().max(topo.min_classes()),
-            1,
-            "EVC requires a single-class routing policy (XY or YX) \
-             on a topology without extra deadlock classes"
-        );
-        assert!(
-            config.vcs_per_port.is_multiple_of(2),
-            "EVC splits VCs in half"
-        );
-        assert!(l_max >= 2, "express segments span at least two hops");
-        let vcs = config.vcs_per_port as usize;
-        Self {
-            kernel: PipelineKernel::new(id, topo, config, false, pool),
-            hooks: EvcHooks {
-                va_policy: config.va_policy,
-                vcs,
-                nvcs: vcs / 2,
-                l_max,
-            },
-        }
-    }
-
-    /// Enables observability per `metrics` (counters at
-    /// [`noc_sim::MetricsLevel::Full`], tracing when selected). Call before
-    /// the first `step`.
-    pub fn enable_metrics(&mut self, metrics: &MetricsConfig) {
-        self.kernel.enable_metrics(metrics);
-    }
-
-    /// The flit slab this router reads and writes flit bodies through
-    /// (exposed so tests can allocate arrival flits and inspect emissions).
-    pub fn pool(&self) -> &Arc<FlitPool> {
-        self.kernel.pool()
-    }
-}
-
-impl RouterModel for EvcRouter {
-    fn receive_flit(&mut self, in_port: PortIndex, flit: FlitRef) {
-        self.kernel.receive_flit(in_port, flit);
-    }
-
-    fn receive_credit(&mut self, out_port: PortIndex, credit: Credit) {
-        self.kernel.receive_credit(out_port, credit);
-    }
-
-    fn step(&mut self, cycle: u64, out: &mut RouterOutputs) {
-        self.kernel.step(&mut self.hooks, cycle, out);
-    }
-
-    /// Exact step-is-no-op predicate: the EVC hooks carry no cycle-driven
-    /// state of their own, so the kernel's base predicate is the whole
-    /// answer.
-    fn is_idle(&self) -> bool {
-        self.kernel.is_idle_base()
-    }
-
-    fn stats(&self) -> RouterStats {
-        self.kernel.stats
-    }
-
-    fn energy(&self) -> EnergyCounters {
-        self.kernel.energy
-    }
-
-    fn observation(&self) -> Option<RouterObservation> {
-        self.kernel.observation()
-    }
-
-    fn tracer(&self) -> Option<&TraceRing> {
-        self.kernel.trace_ring()
-    }
-}
-
 /// Builds [`EvcRouter`]s with a fixed `l_max` (default 2, the paper's
 /// configuration).
 #[derive(Copy, Clone, Debug)]
@@ -305,14 +247,13 @@ impl Default for EvcRouterFactory {
 
 impl RouterFactory for EvcRouterFactory {
     fn build(&self, ctx: RouterBuildContext<'_>) -> Box<dyn RouterModel> {
-        let mut router = EvcRouter::new(
+        EvcHooks::router(
             ctx.id,
             ctx.topology.clone(),
             *ctx.config,
             self.l_max,
             ctx.pool.clone(),
-        );
-        router.enable_metrics(ctx.metrics);
-        Box::new(router)
+        )
+        .boxed(ctx.metrics)
     }
 }

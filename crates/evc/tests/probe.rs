@@ -5,7 +5,7 @@ use noc_base::{
     Credit, Flit, FlitKind, NodeId, PacketClass, PacketId, PortIndex, RouteInfo, RouteMode,
     RouterId, RoutingPolicy, VaPolicy, VcIndex,
 };
-use noc_evc::EvcRouter;
+use noc_evc::{EvcHooks, EvcRouter};
 use noc_sim::{NetworkConfig, RouterModel, RouterOutputs};
 use noc_topology::{Mesh, SharedTopology};
 use std::sync::Arc;
@@ -24,7 +24,7 @@ fn middle_router() -> (EvcRouter, SharedTopology) {
     let topo: SharedTopology = Arc::new(Mesh::new(5, 1, 1));
     let pool = Arc::new(noc_base::FlitPool::new(64, 1));
     (
-        EvcRouter::new(RouterId::new(2), topo.clone(), config(), 2, pool),
+        EvcHooks::router(RouterId::new(2), topo.clone(), config(), 2, pool),
         topo,
     )
 }
@@ -148,5 +148,5 @@ fn rejects_multi_class_routing() {
         ..config()
     };
     let pool = Arc::new(noc_base::FlitPool::new(16, 1));
-    let _ = EvcRouter::new(RouterId::new(0), topo, bad, 2, pool);
+    let _ = EvcHooks::router(RouterId::new(0), topo, bad, 2, pool);
 }

@@ -44,4 +44,4 @@
 
 mod router;
 
-pub use router::{HybridRouter, HybridRouterFactory};
+pub use router::{HybridHooks, HybridRouter, HybridRouterFactory};

@@ -9,7 +9,8 @@
 //!   round-robin arbiters, credit books, output-VC allocation state);
 //! - [`pipeline`] — the speculative two-stage pipeline kernel
 //!   ([`PipelineKernel`]) every router scheme shares, parameterized by
-//!   [`SchemeHooks`];
+//!   [`SchemeHooks`], and the [`KernelRouter`] shell that makes a kernel +
+//!   hooks pair a [`RouterModel`];
 //! - [`probe`] — observability hooks ([`Probe`]) and the per-port
 //!   [`RouterCounters`] the kernel drives at `--metrics=full`;
 //! - [`RouterModel`] / [`RouterFactory`] — the cycle-level router interface
@@ -63,7 +64,7 @@ pub use metrics::{
 };
 pub use network::{auto_threads, Simulation, ThreadDecision, MIN_ROUTERS_PER_SHARD};
 pub use ni::{NetworkInterface, NiOutputs, NiStats};
-pub use pipeline::{PipelineKernel, SchemeHooks};
+pub use pipeline::{KernelRouter, PipelineKernel, SchemeHooks};
 pub use probe::{Probe, RouterCounters, Termination};
 pub use router::{
     RouterBuildContext, RouterFactory, RouterModel, RouterOutputs, RouterStats, SentFlit,

@@ -431,9 +431,9 @@ pub struct Simulation {
     next_packet_id: u64,
     stats: SimStats,
     request_buf: Vec<noc_traffic::PacketRequest>,
-    /// Whether quiescence-driven cycle fast-forwarding is enabled (the
-    /// `NOC_NO_FASTFWD` environment knob disables it at construction; tests
-    /// override via [`set_fast_forward`](Self::set_fast_forward)).
+    /// Whether quiescence-driven cycle fast-forwarding is enabled (on from
+    /// construction; [`set_fast_forward`](Self::set_fast_forward) is the
+    /// reference switch).
     fast_forward: bool,
     /// Cycles skipped by fast-forwarding since construction (diagnostics
     /// only; never part of the report).
@@ -560,7 +560,7 @@ impl Simulation {
             next_packet_id: 0,
             stats: SimStats::new(0, u64::MAX),
             request_buf: Vec::new(),
-            fast_forward: std::env::var_os("NOC_NO_FASTFWD").is_none(),
+            fast_forward: true,
             fast_forwarded: 0,
             coordination,
             quiescent: false,
@@ -693,7 +693,11 @@ impl Simulation {
             "set_threads requires no in-flight events (call it between runs)"
         );
         let cap = noc_base::pool::env_thread_cap().unwrap_or(usize::MAX);
-        self.threads = threads.clamp(1, cap);
+        let threads = threads.clamp(1, cap);
+        if threads == self.threads {
+            return; // already sharded for this budget (construction: 1)
+        }
+        self.threads = threads;
         self.rebuild_shards();
     }
 
@@ -930,11 +934,10 @@ impl Simulation {
         self.cycle += 1;
     }
 
-    /// Enables or disables quiescence-driven cycle fast-forwarding. The
-    /// default is on unless the `NOC_NO_FASTFWD` environment variable is set
-    /// at construction. Fast-forwarding never changes results — the on/off
-    /// report identity is pinned by tests/prop_fastforward.rs — only how
-    /// fast provably idle cycles pass.
+    /// Enables or disables quiescence-driven cycle fast-forwarding (default:
+    /// on). Fast-forwarding never changes results — only how fast provably
+    /// idle cycles pass; this switch exists so tests/prop_fastforward.rs can
+    /// pin the on/off report identity against the stepped reference.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fast_forward = enabled;
     }
@@ -1138,7 +1141,7 @@ pub struct ThreadDecision {
 }
 
 /// Picks the thread budget to actually run with instead of trusting the
-/// requested count verbatim (ROADMAP item 5, first slice).
+/// requested count verbatim.
 ///
 /// Two clamps apply, in order: the budget never exceeds `host_cpus`
 /// (oversubscription only adds scheduler churn), and when the resulting 2×

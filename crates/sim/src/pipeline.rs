@@ -37,7 +37,7 @@ use crate::blocks::FifoBank;
 use crate::metrics::RouterObservation;
 use crate::metrics::{MetricsConfig, MetricsLevel, PipelineStage, TraceEventKind, TraceRing};
 use crate::probe::{Probe, RouterCounters};
-use crate::router::{RouterOutputs, RouterStats, SentFlit};
+use crate::router::{RouterModel, RouterOutputs, RouterStats, SentFlit};
 use crate::{lookahead_route, NetworkConfig};
 use noc_base::{BitArbiter, WordMask};
 use noc_base::{Credit, Flit, FlitPool, FlitRef, PortIndex, RouteInfo, RouterId, VcIndex};
@@ -72,6 +72,9 @@ struct StGrant {
 ///    [`on_sa_grant`](Self::on_sa_grant) fired per grant (phase F);
 /// 7. [`end_cycle`](Self::end_cycle) — after all allocation (phase G:
 ///    speculation, stat mirrors, invariant checks).
+///
+/// The eighth hook, [`is_idle`](Self::is_idle), is not a phase: it is the
+/// scheme's half of the predicate that lets the engine skip `step` entirely.
 ///
 /// Hooks receive `&mut PipelineKernel` and use its accessor methods and
 /// helpers ([`PipelineKernel::send_flit`],
@@ -139,6 +142,16 @@ pub trait SchemeHooks {
     /// Runs after all allocation of the cycle (pseudo-circuit: speculation,
     /// termination-counter mirrors, invariant checks).
     fn end_cycle(&mut self, _k: &mut PipelineKernel, _cycle: u64) {}
+
+    /// The scheme's clause of the exact step-is-no-op predicate
+    /// ([`RouterModel::is_idle`]): `false` whenever `begin_cycle` or
+    /// `end_cycle` would change state on an otherwise empty router (a circuit
+    /// termination, a speculative restore). Only consulted when
+    /// [`PipelineKernel::is_idle_base`] holds, so the flit-driven hooks
+    /// cannot fire. Schemes without cycle-driven state keep the default.
+    fn is_idle(&self, _k: &PipelineKernel) -> bool {
+        true
+    }
 }
 
 /// The shared speculative two-stage pipeline core. See the module docs for
@@ -657,7 +670,8 @@ impl PipelineKernel {
     /// buffered, so every kernel phase falls through without touching
     /// observable state (pass-through VC claims are inert until a flit
     /// arrives, and arbiters do not move on empty request masks). Schemes
-    /// with cycle-driven state of their own AND their conditions on top.
+    /// with cycle-driven state of their own add their clause through
+    /// [`SchemeHooks::is_idle`]; [`KernelRouter`] ANDs the two.
     pub fn is_idle_base(&self) -> bool {
         self.arrivals.is_empty()
             && self.st_pending.is_empty()
@@ -1076,5 +1090,87 @@ impl PipelineKernel {
         }
         picks.clear();
         self.sa_picks = picks;
+    }
+}
+
+/// A kernel-backed router: the shared [`PipelineKernel`] paired with one
+/// scheme's [`SchemeHooks`], and the only [`RouterModel`] implementation for
+/// routers built on the kernel — a scheme crate supplies its hooks type and
+/// a constructor, never another copy of this plumbing. Dispatch stays
+/// static: `step::<H>` monomorphizes per scheme.
+pub struct KernelRouter<H> {
+    kernel: PipelineKernel,
+    hooks: H,
+}
+
+impl<H: SchemeHooks> KernelRouter<H> {
+    /// Pairs a kernel with the hooks of the scheme it runs.
+    pub fn new(kernel: PipelineKernel, hooks: H) -> Self {
+        Self { kernel, hooks }
+    }
+
+    /// Enables observability per `metrics` (see
+    /// [`PipelineKernel::enable_metrics`]). Call before the first `step`.
+    pub fn enable_metrics(&mut self, metrics: &MetricsConfig) {
+        self.kernel.enable_metrics(metrics);
+    }
+
+    /// Factory construction: enables observability per `metrics` and boxes
+    /// the router for the engine.
+    pub fn boxed(mut self, metrics: &MetricsConfig) -> Box<dyn RouterModel>
+    where
+        H: Send + 'static,
+    {
+        self.enable_metrics(metrics);
+        Box::new(self)
+    }
+
+    /// The scheme state (exposed for white-box tests).
+    pub fn hooks(&self) -> &H {
+        &self.hooks
+    }
+
+    /// The flit slab this router reads and writes flit bodies through
+    /// (exposed so tests can allocate arrival flits and inspect emissions).
+    pub fn pool(&self) -> &Arc<FlitPool> {
+        self.kernel.pool()
+    }
+}
+
+impl<H: SchemeHooks + Send> RouterModel for KernelRouter<H> {
+    fn receive_flit(&mut self, in_port: PortIndex, flit: FlitRef) {
+        self.kernel.receive_flit(in_port, flit);
+    }
+
+    fn receive_credit(&mut self, out_port: PortIndex, credit: Credit) {
+        self.kernel.receive_credit(out_port, credit);
+    }
+
+    fn step(&mut self, cycle: u64, out: &mut RouterOutputs) {
+        self.kernel.step(&mut self.hooks, cycle, out);
+    }
+
+    /// Exact step-is-no-op predicate: nothing staged or buffered (the kernel
+    /// phases and every flit-driven hook have no work) and no pending scheme
+    /// state transition. Arbiters do not move on empty request masks, so a
+    /// skipped step is bit-identical to an executed one (DESIGN.md §13).
+    fn is_idle(&self) -> bool {
+        self.kernel.is_idle_base() && self.hooks.is_idle(&self.kernel)
+    }
+
+    fn stats(&self) -> RouterStats {
+        self.kernel.stats
+    }
+
+    fn energy(&self) -> EnergyCounters {
+        self.kernel.energy
+    }
+
+    fn observation(&self) -> Option<RouterObservation> {
+        self.kernel.observation()
+    }
+
+    fn tracer(&self) -> Option<&TraceRing> {
+        self.kernel.trace_ring()
     }
 }

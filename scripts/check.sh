@@ -7,73 +7,31 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --offline
 
-# Debug-assertions pass: unoptimized profile, so every debug_assert! in the
-# hot path is live — the flit pool's 8-bit generation tags (use-after-free /
-# double-free checks on every FlitRef deref, DESIGN.md §19), the FifoBank
-# ring-bounds checks, and the O(1) quiescence flag's cross-check against a
-# full shard scan all fire here and nowhere else.
-echo "==> cargo test -q"
-cargo test -q --offline
+# Debug-assertions pass over every workspace member (a bare `cargo test` at
+# the root covers only the facade package): unoptimized profile, so every
+# debug_assert! in the hot path is live — the flit pool's 8-bit generation
+# tags (use-after-free / double-free checks on every FlitRef deref,
+# DESIGN.md §19), the FifoBank ring-bounds checks, and the O(1) quiescence
+# flag's cross-check against a full shard scan all fire here and nowhere
+# else.
+echo "==> cargo test -q --workspace"
+cargo test -q --offline --workspace
 
 # Second pass with a capped thread budget: every test that builds a
 # simulation or calls parallel_map now runs through the sharded engine and
 # worker pool (NOC_THREADS caps both), so the determinism matrix in
-# tests/determinism_threads.rs and the golden report are exercised with the
-# pool genuinely engaged.
-echo "==> NOC_THREADS=2 cargo test -q"
-NOC_THREADS=2 cargo test -q --offline
+# tests/determinism_threads.rs, the golden report and the worker pool's own
+# epoch-barrier tests are exercised with the pool genuinely engaged.
+echo "==> NOC_THREADS=2 cargo test -q --workspace"
+NOC_THREADS=2 cargo test -q --offline --workspace
 
-# Third pass over the goldens with quiescence fast-forwarding disabled:
-# the pinned reports must be byte-identical whether or not the engine is
-# allowed to skip provably-empty cycles (DESIGN.md §15). The goldens use
-# closed-loop CMP traffic where fast-forwarding never fires, so this pass
-# is the explicit witness that the default-on path changes nothing.
-echo "==> NOC_NO_FASTFWD=1 cargo test -q --test golden_report"
-NOC_NO_FASTFWD=1 cargo test -q --offline --test golden_report
-
-# Fourth pass: both knobs at once. With the thread cap engaged AND
-# fast-forwarding off, every cycle of the determinism matrix goes through
-# the sharded epoch-barrier path with the quiescent-shard mask as the only
-# work-skipping mechanism — the combination the fused-merge determinism
-# argument (DESIGN.md §17) has to hold under on its own.
-echo "==> NOC_THREADS=2 NOC_NO_FASTFWD=1 cargo test -q --test determinism_threads --test golden_report"
-NOC_THREADS=2 NOC_NO_FASTFWD=1 cargo test -q --offline \
-    --test determinism_threads --test golden_report
-
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets --offline -- -D warnings
-
-# The worker pool's unsafe lifetime erasure and epoch barrier, its park/
-# wake and adaptive-spin primitives (noc_base::sync), and the word-packed
-# bitset arbitration primitives (noc_base::bitset — the VA/SA hot path's
-# grant machinery and the engine's pending-shard mask) live in noc-base;
-# lint it explicitly so a partial workspace build never skips any of them.
-echo "==> cargo clippy -p noc-base --all-targets -- -D warnings"
-cargo clippy -p noc-base --all-targets --offline -- -D warnings
-
-# The router crates are thin hook layers over the shared pipeline kernel;
-# lint them explicitly so a partial workspace build never skips any side
-# of the kernel contract.
-echo "==> cargo clippy -p pseudo-circuit -p noc-evc -p noc-hybrid --all-targets -- -D warnings"
-cargo clippy -p pseudo-circuit -p noc-evc -p noc-hybrid --all-targets --offline -- -D warnings
-
-# The SoA kernel state and the quiescence fast-forward path (injection
-# lookahead in noc-traffic, advance()/is_quiescent in noc-sim) carry the
-# engine's perf-critical invariants; lint both crates explicitly.
-echo "==> cargo clippy -p noc-traffic -p noc-sim --all-targets -- -D warnings"
-cargo clippy -p noc-traffic -p noc-sim --all-targets --offline -- -D warnings
-
-# The campaign engine owns the cache's byte-identity contract and the only
-# hand-rolled TOML/JSON parsing in the workspace; lint it explicitly so a
-# partial workspace build never skips it.
-echo "==> cargo clippy -p noc-campaign --all-targets -- -D warnings"
-cargo clippy -p noc-campaign --all-targets --offline -- -D warnings
-
-# noc-bench is a non-default workspace member: a root-level
-# `cargo clippy --all-targets` builds its lib but NOT its benches, so the
-# figure harnesses and the engine/fifo micro-benchmarks need their own pass.
-echo "==> cargo clippy -p noc-bench --all-targets -- -D warnings"
-cargo clippy -p noc-bench --all-targets --offline -- -D warnings
+# One lint pass over every target of every member: the facade, the unsafe
+# lifetime erasure and epoch barrier of noc-base's worker pool, both sides
+# of the kernel/hooks contract (noc-sim and the three scheme crates), the
+# campaign engine's hand-rolled TOML/JSON parsing, and noc-bench's figure
+# harnesses. vendor/proptest is an implicit member and not ours to lint.
+echo "==> cargo clippy --workspace --exclude proptest --all-targets -- -D warnings"
+cargo clippy --workspace --exclude proptest --all-targets --offline -- -D warnings
 
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items --offline --quiet

@@ -21,10 +21,10 @@
 //! noc list            # available traffic names and topologies
 //! ```
 //!
-//! Topology, traffic and scheme vocabulary is shared with campaign spec
-//! files: the spec strings here are parsed by [`noc_campaign`]'s resolvers
-//! (`build_topology`, `build_traffic`, [`SchemeChoice`][RouterChoice]), so
-//! a flag value and a campaign axis value mean exactly the same thing. The
+//! The experiment flags fill in a [`noc_campaign::PointSpec`] — the same
+//! struct a campaign expands its axes into — and [`run`] builds it through
+//! [`noc_campaign::build_simulation`], so a flag value and a campaign axis
+//! value are parsed, validated, built and hashed by the same code. The
 //! `campaign` subcommand drives [`noc_campaign::run_campaign`]: cached,
 //! resumable sweeps documented in `docs/CAMPAIGNS.md`.
 //!
@@ -37,51 +37,23 @@
 //! including `--scheme evc` — both router families run on the shared
 //! pipeline kernel and carry the same observability plumbing.
 
-use noc_base::{RoutingPolicy, VaPolicy};
-use noc_campaign::{CampaignOptions, CampaignSpec, Checkpoint};
-use noc_evc::EvcRouterFactory;
-use noc_hybrid::HybridRouterFactory;
-use noc_sim::{auto_threads, MetricsLevel, RunManifest, SimReport, TraceSpec};
-use noc_topology::SharedTopology;
-use noc_traffic::{BenchmarkProfile, TrafficModel};
-use pseudo_circuit::{ExperimentBuilder, Scheme};
+use noc_campaign::{
+    build_simulation, parse_routing, parse_va, CampaignOptions, CampaignSpec, Checkpoint,
+    PointSpec, SchemeChoice,
+};
+use noc_sim::{MetricsConfig, MetricsLevel, RunManifest, SimReport, TraceSpec};
+use noc_traffic::BenchmarkProfile;
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// The router scheme to run, including the EVC comparator — the CLI name
-/// for [`noc_campaign::SchemeChoice`] (one shared vocabulary).
-pub use noc_campaign::SchemeChoice as RouterChoice;
-
-/// A fully parsed experiment description.
+/// A fully parsed experiment description: the point to simulate plus how to
+/// execute and observe it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunArgs {
-    /// Topology spec string (e.g. `mesh8x8`, `cmesh4x4`).
-    pub topology: String,
-    /// Traffic spec: synthetic pattern name or benchmark name.
-    pub traffic: String,
-    /// Offered load in flits/node/cycle (synthetic traffic only).
-    pub load: f64,
-    /// Packet length in flits (synthetic traffic only).
-    pub packet: u16,
-    /// Router scheme.
-    pub scheme: RouterChoice,
-    /// Routing algorithm.
-    pub routing: RoutingPolicy,
-    /// VC allocation policy.
-    pub va: VaPolicy,
-    /// Virtual channels per port.
-    pub vcs: u8,
-    /// Buffer depth per VC.
-    pub buffer: u32,
-    /// Warmup cycles.
-    pub warmup: u64,
-    /// Measurement cycles.
-    pub measure: u64,
-    /// Drain-limit cycles.
-    pub drain: u64,
-    /// Experiment seed.
-    pub seed: u64,
+    /// What to simulate (`--topology` … `--seed`): exactly a campaign point,
+    /// so the CLI and a campaign hash the same struct.
+    pub point: PointSpec,
     /// Engine thread budget (`--threads`; default: all physical cores, with
     /// a `NOC_THREADS` environment override). Never affects results — the
     /// report is byte-identical for any value. Treated as a budget, not a
@@ -101,19 +73,7 @@ pub struct RunArgs {
 impl Default for RunArgs {
     fn default() -> Self {
         Self {
-            topology: "mesh8x8".into(),
-            traffic: "ur".into(),
-            load: 0.10,
-            packet: 5,
-            scheme: RouterChoice::Pc(Scheme::pseudo_ps_bb()),
-            routing: RoutingPolicy::Xy,
-            va: VaPolicy::Static,
-            vcs: 4,
-            buffer: 4,
-            warmup: 1_000,
-            measure: 10_000,
-            drain: 100_000,
-            seed: 1,
+            point: PointSpec::default(),
             threads: noc_base::pool::default_threads(),
             metrics: MetricsLevel::Off,
             manifest: None,
@@ -135,6 +95,12 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+impl From<noc_campaign::Error> for CliError {
+    fn from(e: noc_campaign::Error) -> Self {
+        CliError(e.0)
+    }
+}
+
 fn err(message: impl Into<String>) -> CliError {
     CliError(message.into())
 }
@@ -147,6 +113,7 @@ fn err(message: impl Into<String>) -> CliError {
 /// or unparseable number.
 pub fn parse_run_args(args: &[String]) -> Result<RunArgs, CliError> {
     let mut out = RunArgs::default();
+    let point = &mut out.point;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = || {
@@ -155,32 +122,19 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, CliError> {
                 .ok_or_else(|| err(format!("{flag} needs a value")))
         };
         match flag.as_str() {
-            "--topology" => out.topology = value()?,
-            "--traffic" => out.traffic = value()?,
-            "--load" => out.load = parse_num(&value()?, flag)?,
-            "--packet" => out.packet = parse_num(&value()?, flag)?,
-            "--scheme" => out.scheme = parse_scheme(&value()?)?,
-            "--routing" => {
-                out.routing = match value()?.to_ascii_lowercase().as_str() {
-                    "xy" => RoutingPolicy::Xy,
-                    "yx" => RoutingPolicy::Yx,
-                    "o1turn" => RoutingPolicy::O1Turn,
-                    other => return Err(err(format!("unknown routing {other:?}"))),
-                }
-            }
-            "--va" => {
-                out.va = match value()?.to_ascii_lowercase().as_str() {
-                    "static" => VaPolicy::Static,
-                    "dynamic" => VaPolicy::Dynamic,
-                    other => return Err(err(format!("unknown VA policy {other:?}"))),
-                }
-            }
-            "--vcs" => out.vcs = parse_num(&value()?, flag)?,
-            "--buffer" => out.buffer = parse_num(&value()?, flag)?,
-            "--warmup" => out.warmup = parse_num(&value()?, flag)?,
-            "--measure" => out.measure = parse_num(&value()?, flag)?,
-            "--drain" => out.drain = parse_num(&value()?, flag)?,
-            "--seed" => out.seed = parse_num(&value()?, flag)?,
+            "--topology" => point.topology = value()?,
+            "--traffic" => point.traffic = value()?,
+            "--load" => point.load = parse_num(&value()?, flag)?,
+            "--packet" => point.packet = parse_num(&value()?, flag)?,
+            "--scheme" => point.scheme = SchemeChoice::parse(&value()?)?,
+            "--routing" => point.routing = parse_routing(&value()?)?,
+            "--va" => point.va = parse_va(&value()?)?,
+            "--vcs" => point.vcs = parse_num(&value()?, flag)?,
+            "--buffer" => point.buffer = parse_num(&value()?, flag)?,
+            "--warmup" => point.warmup = parse_num(&value()?, flag)?,
+            "--measure" => point.measure = parse_num(&value()?, flag)?,
+            "--drain" => point.drain = parse_num(&value()?, flag)?,
+            "--seed" => point.seed = parse_num(&value()?, flag)?,
             "--threads" => {
                 out.threads = parse_num(&value()?, flag)?;
                 if out.threads == 0 {
@@ -213,80 +167,29 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, CliError> {
         .map_err(|_| err(format!("{flag}: cannot parse {s:?}")))
 }
 
-fn parse_scheme(s: &str) -> Result<RouterChoice, CliError> {
-    RouterChoice::parse(s).map_err(|e| CliError(e.0))
-}
-
-/// Builds the topology named by a spec string: the four named presets or the
-/// general `mesh<W>x<H>[c<C>]` form. Delegates to
-/// [`noc_campaign::build_topology`] — the CLI and campaign axes share one
-/// resolver.
-///
-/// # Errors
-///
-/// Returns a [`CliError`] for unrecognized specs.
-pub fn build_topology(spec: &str) -> Result<SharedTopology, CliError> {
-    noc_campaign::build_topology(spec).map_err(|e| CliError(e.0))
-}
-
-/// Builds the traffic model named by `args.traffic` for `topo`. Delegates
-/// to [`noc_campaign::build_traffic`].
-///
-/// # Errors
-///
-/// Returns a [`CliError`] if the name is neither a synthetic pattern nor a
-/// benchmark profile, or if the topology cannot host the CMP layout.
-pub fn build_traffic(
-    args: &RunArgs,
-    topo: &SharedTopology,
-) -> Result<Box<dyn TrafficModel>, CliError> {
-    noc_campaign::build_traffic(&args.traffic, args.load, args.packet, args.seed, topo)
-        .map_err(|e| CliError(e.0))
-}
-
 /// Runs a parsed experiment to completion, writing the run manifest and
 /// Chrome trace as side effects when `--manifest` / `--trace` were given.
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] when the topology or traffic spec is invalid or a
-/// requested output file cannot be written.
+/// Returns a [`CliError`] when the topology or traffic spec is invalid, a
+/// value is out of range for the configuration (see
+/// [`noc_campaign::prepare`]), or a requested output file cannot be written.
 pub fn run(args: &RunArgs) -> Result<SimReport, CliError> {
-    let topo = build_topology(&args.topology)?;
-    let traffic = build_traffic(args, &topo)?;
-    // `--threads` / `NOC_THREADS` is a budget, not a command: the effective
-    // count is clamped to the host CPUs and to what the network is large
-    // enough to shard profitably. The decision is recorded in the manifest.
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads = auto_threads(args.threads, host_cpus, topo.num_routers());
-    let mut builder = ExperimentBuilder::new(topo)
-        .routing(args.routing)
-        .va_policy(args.va)
-        .vcs(args.vcs)
-        .buffer_depth(args.buffer)
-        .seed(args.seed)
-        .phases(args.warmup, args.measure, args.drain)
-        .threads(threads.effective)
-        .metrics(args.metrics);
-    if args.trace.is_some() {
-        builder = builder.trace(TraceSpec::routers(args.trace_routers.clone()));
-    }
-    let spec = builder.spec();
-    let config = builder.config();
-    let scheme_label = args.scheme.label();
-    let mut sim = match args.scheme {
-        RouterChoice::Pc(scheme) => builder.scheme(scheme).build(traffic),
-        RouterChoice::Evc => builder.build_with_factory(traffic, &EvcRouterFactory::default()),
-        RouterChoice::Hybrid => {
-            builder.build_with_factory(traffic, &HybridRouterFactory::default())
-        }
+    let point = &args.point;
+    let metrics = MetricsConfig {
+        level: args.metrics,
+        trace: args
+            .trace
+            .as_ref()
+            .map(|_| TraceSpec::routers(args.trace_routers.clone())),
     };
+    let (mut sim, threads) = build_simulation(point, metrics, args.threads)?;
+    let spec = point.run_spec();
     let report = sim.run(spec);
     if let Some(path) = &args.manifest {
-        RunManifest::capture(&report, &config, spec, args.seed, args.metrics)
-            .with_scheme(scheme_label)
+        RunManifest::capture(&report, sim.config(), spec, point.seed, args.metrics)
+            .with_scheme(point.scheme.label())
             .with_threads(threads)
             .write(Path::new(path))
             .map_err(|e| err(format!("cannot write manifest {path}: {e}")))?;
@@ -396,14 +299,13 @@ pub fn run_campaign_command(command: &CampaignCommand) -> Result<String, CliErro
             threads,
             max_points,
         } => {
-            let spec = CampaignSpec::load(Path::new(spec)).map_err(|e| CliError(e.0))?;
+            let spec = CampaignSpec::load(Path::new(spec))?;
             let options = CampaignOptions {
                 threads: *threads,
                 max_points: *max_points,
                 git_rev: None,
             };
-            let outcome = noc_campaign::run_campaign(&spec, Path::new(out), &options)
-                .map_err(|e| CliError(e.0))?;
+            let outcome = noc_campaign::run_campaign(&spec, Path::new(out), &options)?;
             let mut text = format!(
                 "{} points | cache hits {} | executed {}",
                 outcome.total, outcome.cache_hits, outcome.executed
@@ -444,7 +346,7 @@ pub fn run_campaign_command(command: &CampaignCommand) -> Result<String, CliErro
             ))
         }
         CampaignCommand::Expand { spec } => {
-            let spec = CampaignSpec::load(Path::new(spec)).map_err(|e| CliError(e.0))?;
+            let spec = CampaignSpec::load(Path::new(spec))?;
             let points = spec.expand();
             let mut text = format!("{}: {} point(s)", spec.name, points.len());
             for point in &points {
@@ -590,6 +492,8 @@ pub fn usage() -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_base::{RoutingPolicy, VaPolicy};
+    use pseudo_circuit::Scheme;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -632,13 +536,14 @@ mod tests {
             "1",
         ]))
         .unwrap();
-        assert_eq!(parsed.topology, "cmesh4x4");
-        assert_eq!(parsed.scheme, RouterChoice::Pc(Scheme::pseudo_bb()));
-        assert_eq!(parsed.routing, RoutingPolicy::O1Turn);
-        assert_eq!(parsed.va, VaPolicy::Dynamic);
-        assert_eq!((parsed.vcs, parsed.buffer), (8, 2));
-        assert_eq!((parsed.warmup, parsed.measure, parsed.drain), (10, 20, 30));
-        assert_eq!(parsed.load, 0.25);
+        let point = parsed.point;
+        assert_eq!(point.topology, "cmesh4x4");
+        assert_eq!(point.scheme, SchemeChoice::Pc(Scheme::pseudo_bb()));
+        assert_eq!(point.routing, RoutingPolicy::O1Turn);
+        assert_eq!(point.va, VaPolicy::Dynamic);
+        assert_eq!((point.vcs, point.buffer), (8, 2));
+        assert_eq!((point.warmup, point.measure, point.drain), (10, 20, 30));
+        assert_eq!(point.load, 0.25);
     }
 
     #[test]
@@ -670,56 +575,60 @@ mod tests {
             .unwrap_err()
             .0
             .contains("abc"));
-        assert!(parse_scheme("warp").is_err());
-    }
-
-    #[test]
-    fn topology_specs_build() {
-        assert_eq!(build_topology("mesh8x8").unwrap().num_routers(), 64);
-        assert_eq!(build_topology("CMESH4x4").unwrap().num_nodes(), 64);
-        assert_eq!(build_topology("mecs4x4").unwrap().num_nodes(), 64);
-        assert_eq!(build_topology("fbfly4x4").unwrap().num_nodes(), 64);
-        let custom = build_topology("mesh3x5c2").unwrap();
-        assert_eq!(custom.num_routers(), 15);
-        assert_eq!(custom.num_nodes(), 30);
-        assert_eq!(build_topology("ring8").unwrap().num_routers(), 8);
-        assert_eq!(build_topology("hring2x8").unwrap().num_routers(), 16);
-        assert!(build_topology("torus9").is_err());
-        assert!(build_topology("mesh3by5").is_err());
-    }
-
-    #[test]
-    fn traffic_specs_build() {
-        let run_args = RunArgs::default();
-        let topo = build_topology("mesh4x4c1").unwrap();
-        assert!(build_traffic(&run_args, &topo).is_ok());
-        let bench = RunArgs {
-            traffic: "lu".into(),
-            ..RunArgs::default()
-        };
-        let cmesh = build_topology("cmesh4x4").unwrap();
-        assert!(build_traffic(&bench, &cmesh).is_ok());
-        let bad = RunArgs {
-            traffic: "nonesuch".into(),
-            ..RunArgs::default()
-        };
-        assert!(build_traffic(&bad, &cmesh).is_err());
+        assert!(parse_run_args(&args(&["--scheme", "warp"]))
+            .unwrap_err()
+            .0
+            .contains("warp"));
+        assert!(parse_run_args(&args(&["--routing", "zigzag"])).is_err());
+        assert!(parse_run_args(&args(&["--va", "lucky"])).is_err());
     }
 
     #[test]
     fn benchmark_traffic_on_unsupported_concentration_is_an_error() {
-        let args = RunArgs {
-            traffic: "fma3d".into(),
-            ..RunArgs::default()
-        };
-        let odd = build_topology("mesh3x3c2").unwrap();
-        let Err(e) = build_traffic(&args, &odd) else {
-            panic!("expected a concentration error");
-        };
-        assert!(e.0.contains("concentration"), "{e}");
-        // Concentration 1 with an odd node count is also rejected cleanly.
-        let odd_nodes = build_topology("mesh3x3").unwrap();
-        assert!(build_traffic(&args, &odd_nodes).is_err());
+        // Concentration 2, and concentration 1 with an odd node count: no
+        // CMP floorplan exists for either.
+        for topology in ["mesh3x3c2", "mesh3x3"] {
+            let args = RunArgs {
+                point: PointSpec {
+                    topology: topology.into(),
+                    traffic: "fma3d".into(),
+                    ..PointSpec::default()
+                },
+                ..RunArgs::default()
+            };
+            let Err(e) = run(&args) else {
+                panic!("expected a concentration error on {topology}");
+            };
+            assert!(e.0.contains("concentration"), "{e}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_input_is_an_error_not_a_panic() {
+        // Every row used to die on an assert deep inside a constructor. The
+        // flags parse (the values are well-formed); the shared validation
+        // behind `prepare` and `run` must reject them, naming the field.
+        let table: &[(&[&str], &str)] = &[
+            (&["--scheme", "evc", "--topology", "ring8"], "scheme"),
+            (&["--scheme", "evc", "--routing", "o1turn"], "scheme"),
+            (&["--scheme", "evc", "--vcs", "3"], "vcs"),
+            (&["--vcs", "0"], "vcs"),
+            (&["--vcs", "1", "--routing", "o1turn"], "vcs"),
+            (&["--buffer", "0"], "buffer"),
+            (&["--packet", "0"], "packet"),
+            (&["--load", "-1"], "load"),
+            (&["--load", "5"], "load"),
+            (&["--topology", "mesh0x4"], "mesh"),
+            (&["--topology", "ring8c0"], "concentration"),
+        ];
+        for (flags, field) in table {
+            let run_args = parse_run_args(&args(flags)).unwrap();
+            let from_prepare = noc_campaign::prepare(&run_args.point).unwrap_err();
+            let from_run = run(&run_args).unwrap_err();
+            assert_eq!(from_prepare.0, from_run.0, "{flags:?}");
+            assert!(from_run.0.contains(field), "{flags:?}: {from_run}");
+            assert!(!from_run.0.contains('\n'), "{flags:?}: {from_run}");
+        }
     }
 
     #[test]
@@ -739,7 +648,7 @@ mod tests {
             "5000",
         ]))
         .unwrap();
-        run_args.packet = 2;
+        run_args.point.packet = 2;
         let report = run(&run_args).unwrap();
         assert!(report.drained);
         let text = render_report(&report);
@@ -774,12 +683,15 @@ mod tests {
         let manifest_path = dir.join("run.json");
         let trace_path = dir.join("trace.json");
         let run_args = RunArgs {
-            topology: "mesh2x2".into(),
-            load: 0.05,
-            packet: 2,
-            warmup: 100,
-            measure: 500,
-            drain: 5_000,
+            point: PointSpec {
+                topology: "mesh2x2".into(),
+                load: 0.05,
+                packet: 2,
+                warmup: 100,
+                measure: 500,
+                drain: 5_000,
+                ..PointSpec::default()
+            },
             metrics: MetricsLevel::Full,
             manifest: Some(manifest_path.to_string_lossy().into_owned()),
             trace: Some(trace_path.to_string_lossy().into_owned()),
@@ -815,12 +727,15 @@ mod tests {
     #[test]
     fn metrics_off_report_has_no_observability_section() {
         let run_args = RunArgs {
-            topology: "mesh2x2".into(),
-            load: 0.05,
-            packet: 2,
-            warmup: 100,
-            measure: 500,
-            drain: 5_000,
+            point: PointSpec {
+                topology: "mesh2x2".into(),
+                load: 0.05,
+                packet: 2,
+                warmup: 100,
+                measure: 500,
+                drain: 5_000,
+                ..PointSpec::default()
+            },
             ..RunArgs::default()
         };
         let report = run(&run_args).unwrap();
@@ -830,15 +745,18 @@ mod tests {
 
     #[test]
     fn evc_scheme_runs() {
-        let mut run_args = RunArgs {
-            topology: "mesh4x4".into(),
-            scheme: RouterChoice::Evc,
-            measure: 400,
-            warmup: 100,
-            drain: 4_000,
+        let run_args = RunArgs {
+            point: PointSpec {
+                topology: "mesh4x4".into(),
+                scheme: SchemeChoice::Evc,
+                load: 0.05,
+                measure: 400,
+                warmup: 100,
+                drain: 4_000,
+                ..PointSpec::default()
+            },
             ..RunArgs::default()
         };
-        run_args.load = 0.05;
         let report = run(&run_args).unwrap();
         assert!(report.measured_delivered > 0);
     }
@@ -852,13 +770,16 @@ mod tests {
         let manifest_path = dir.join("run.json");
         let trace_path = dir.join("trace.json");
         let run_args = RunArgs {
-            topology: "mesh4x4".into(),
-            scheme: RouterChoice::Evc,
-            load: 0.10,
-            packet: 5,
-            warmup: 200,
-            measure: 2_000,
-            drain: 20_000,
+            point: PointSpec {
+                topology: "mesh4x4".into(),
+                scheme: SchemeChoice::Evc,
+                load: 0.10,
+                packet: 5,
+                warmup: 200,
+                measure: 2_000,
+                drain: 20_000,
+                ..PointSpec::default()
+            },
             metrics: MetricsLevel::Full,
             manifest: Some(manifest_path.to_string_lossy().into_owned()),
             trace: Some(trace_path.to_string_lossy().into_owned()),
@@ -888,12 +809,15 @@ mod tests {
         // One flag each for the two new vocabulary entries: the profiled
         // hybrid scheme on the ring topology, end to end through `run`.
         let run_args = RunArgs {
-            topology: "ring8".into(),
-            scheme: RouterChoice::Hybrid,
-            load: 0.05,
-            warmup: 100,
-            measure: 2_000,
-            drain: 20_000,
+            point: PointSpec {
+                topology: "ring8".into(),
+                scheme: SchemeChoice::Hybrid,
+                load: 0.05,
+                warmup: 100,
+                measure: 2_000,
+                drain: 20_000,
+                ..PointSpec::default()
+            },
             ..RunArgs::default()
         };
         let report = run(&run_args).unwrap();
@@ -917,7 +841,7 @@ mod tests {
         assert!(list.contains("hring<G>x<L>[c<C>]"), "{list}");
         // Everything `noc list` advertises as a scheme actually parses.
         for name in noc_campaign::SCHEME_NAMES {
-            assert!(parse_scheme(name).is_ok(), "{name}");
+            assert!(SchemeChoice::parse(name).is_ok(), "{name}");
         }
         assert!(usage().contains("noc run"));
         assert!(usage().contains("noc campaign run"));

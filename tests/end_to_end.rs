@@ -2,8 +2,9 @@
 //! topology family and traffic model.
 
 use noc_base::{RoutingPolicy, VaPolicy};
+use noc_campaign::{PointSpec, SchemeChoice, SCHEME_NAMES};
 use noc_evc::EvcRouterFactory;
-use noc_topology::{FlattenedButterfly, Mecs, Mesh, SharedTopology};
+use noc_topology::{FlattenedButterfly, Mecs, Mesh, Ring, SharedTopology};
 use noc_traffic::{BenchmarkProfile, SyntheticPattern, SyntheticTraffic};
 use pseudo_circuit::experiment::cmp_traffic_for;
 use pseudo_circuit::{ExperimentBuilder, Scheme};
@@ -24,18 +25,35 @@ fn every_scheme_delivers_everything_on_every_topology() {
         Arc::new(Mesh::new(2, 2, 4)),
         Arc::new(Mecs::new(3, 3, 2)),
         Arc::new(FlattenedButterfly::new(3, 3, 2)),
+        Arc::new(Ring::new(8, 1)),
     ];
+    let mut ran = 0;
     for topo in topologies {
-        for scheme in Scheme::paper_lineup() {
+        for &name in SCHEME_NAMES {
+            // The same name → factory mapping and validation `noc run` and
+            // campaign points go through (XY routing, static VA).
+            let point = PointSpec {
+                scheme: SchemeChoice::parse(name).unwrap(),
+                ..PointSpec::default()
+            };
+            if noc_campaign::validate(&point, topo.as_ref()).is_err() {
+                assert_eq!((name, topo.name()), ("evc", "ring8"));
+                continue;
+            }
             let n = topo.num_nodes();
             let traffic =
                 SyntheticTraffic::new(SyntheticPattern::UniformRandom, n / 2, 2, 3, 0.08, 5);
-            let report = builder(topo.clone()).scheme(scheme).run(Box::new(traffic));
-            assert!(report.drained, "{} / {scheme}: stuck packets", topo.name());
+            let report = builder(topo.clone())
+                .routing(point.routing)
+                .va_policy(point.va)
+                .run_with_factory(Box::new(traffic), point.scheme.factory().as_ref());
+            assert!(report.drained, "{} / {name}: stuck packets", topo.name());
             assert!(report.measured_delivered > 0);
             assert_eq!(report.measured_injected, report.measured_delivered);
+            ran += 1;
         }
     }
+    assert_eq!(ran, 5 * SCHEME_NAMES.len() - 1);
 }
 
 #[test]
