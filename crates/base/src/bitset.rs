@@ -146,6 +146,23 @@ impl WordMask {
         }
     }
 
+    /// Visits the set bits in ascending order and clears each one `keep`
+    /// answers `false` for — a worklist scan: bit `i` stays set while item
+    /// `i` still has work. `keep` sees each bit that was set on entry once.
+    #[inline]
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for (wi, stored) in self.words.iter_mut().enumerate() {
+            let mut word = *stored;
+            while word != 0 {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1; // strip lowest set bit
+                if !keep(wi * WORD_BITS + bit) {
+                    *stored &= !(1u64 << bit);
+                }
+            }
+        }
+    }
+
     /// Iterates the set bits in ascending order.
     pub fn iter(&self) -> SetBits<'_> {
         SetBits {
@@ -188,6 +205,105 @@ impl Iterator for SetBits<'_> {
         let bit = self.word.trailing_zeros() as usize;
         self.word &= self.word - 1; // strip lowest set bit
         Some(self.word_index * WORD_BITS + bit)
+    }
+}
+
+/// A set over at most [`Mask64::WIDTH`] positions in one machine word.
+///
+/// The pipeline kernel and the pseudo-circuit unit summarize per-port state
+/// in these ("which input ports hold a flit", "which output ports are held
+/// by a circuit"), so a per-cycle phase intersects two words and visits the
+/// set bits instead of looping over every port. `Copy`, so a scan iterates a
+/// snapshot while the owner's state is mutated; iteration is ascending, the
+/// order of the `0..ports` loops it replaces.
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
+pub struct Mask64(u64);
+
+impl Mask64 {
+    /// Positions a mask can hold; owners assert their port and VC counts
+    /// against it at construction.
+    pub const WIDTH: usize = WORD_BITS;
+
+    /// The mask with no bit set.
+    pub const EMPTY: Self = Self(0);
+
+    /// Sets bit `bit`.
+    #[inline]
+    pub fn set(&mut self, bit: usize) {
+        debug_assert!(bit < Self::WIDTH);
+        self.0 |= 1 << bit;
+    }
+
+    /// Clears bit `bit`.
+    #[inline]
+    pub fn clear(&mut self, bit: usize) {
+        debug_assert!(bit < Self::WIDTH);
+        self.0 &= !(1 << bit);
+    }
+
+    /// Sets or clears bit `bit`.
+    #[inline]
+    pub fn assign(&mut self, bit: usize, value: bool) {
+        debug_assert!(bit < Self::WIDTH);
+        self.0 = (self.0 & !(1 << bit)) | (u64::from(value) << bit);
+    }
+
+    /// Whether bit `bit` is set.
+    #[inline]
+    pub fn get(self, bit: usize) -> bool {
+        debug_assert!(bit < Self::WIDTH);
+        self.0 & (1 << bit) != 0
+    }
+
+    /// Whether any bit is set.
+    #[inline]
+    pub fn any(self) -> bool {
+        self.0 != 0
+    }
+}
+
+impl std::ops::BitAnd for Mask64 {
+    type Output = Self;
+
+    #[inline]
+    fn bitand(self, rhs: Self) -> Self {
+        Self(self.0 & rhs.0)
+    }
+}
+
+impl std::ops::Not for Mask64 {
+    type Output = Self;
+
+    #[inline]
+    fn not(self) -> Self {
+        Self(!self.0)
+    }
+}
+
+impl IntoIterator for Mask64 {
+    type Item = usize;
+    type IntoIter = Mask64Bits;
+
+    fn into_iter(self) -> Mask64Bits {
+        Mask64Bits(self.0)
+    }
+}
+
+/// Ascending iterator over the set bits of a [`Mask64`] snapshot.
+#[derive(Clone, Debug)]
+pub struct Mask64Bits(u64);
+
+impl Iterator for Mask64Bits {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1; // strip lowest set bit
+        Some(bit)
     }
 }
 
@@ -306,6 +422,46 @@ mod tests {
         m.clear_all();
         assert!(!m.any());
         assert_eq!(m.popcount(), 0);
+    }
+
+    #[test]
+    fn retain_visits_ascending_and_clears_rejected_bits() {
+        let mut m = WordMask::new(200);
+        for b in [3, 64, 65, 130, 199] {
+            m.set(b);
+        }
+        let mut seen = Vec::new();
+        m.retain(|b| {
+            seen.push(b);
+            b % 2 == 0
+        });
+        assert_eq!(seen, vec![3, 64, 65, 130, 199]);
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![64, 130]);
+    }
+
+    #[test]
+    fn mask64_tracks_bits_and_iterates_ascending() {
+        let mut m = Mask64::EMPTY;
+        assert!(!m.any());
+        for bit in [63, 0, 17] {
+            m.set(bit);
+        }
+        m.assign(5, true);
+        m.assign(17, false);
+        m.assign(17, false);
+        assert!(m.get(0) && m.get(5) && m.get(63) && !m.get(17));
+        assert_eq!(m.into_iter().collect::<Vec<_>>(), vec![0, 5, 63]);
+        m.clear(0);
+        let mut other = Mask64::EMPTY;
+        other.set(5);
+        assert_eq!((m & other).into_iter().collect::<Vec<_>>(), vec![5]);
+        assert_eq!((m & !other).into_iter().collect::<Vec<_>>(), vec![63]);
+        assert_eq!(m, {
+            let mut again = Mask64::default();
+            again.set(63);
+            again.set(5);
+            again
+        });
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   [`VaPolicy`], [`VcPartition`]);
 //! - word-packed bitsets and the bit-parallel round-robin arbiter built on
 //!   them ([`bitset::WordMask`], [`bitset::BitArbiter`]) — the request-vector
-//!   representation of the router pipeline's hot path;
+//!   representation of the router pipeline's hot path — and the one-word
+//!   [`bitset::Mask64`] its per-port summaries are kept in;
 //! - a small deterministic PRNG ([`rng::Pcg32`]) plus a seed-stream splitter
 //!   ([`rng::SeedStream`]) so that every experiment in the reproduction is
 //!   bit-for-bit repeatable regardless of external crate versions;
@@ -47,7 +48,7 @@ pub mod rng;
 pub mod sync;
 
 pub use arena::{FlitPool, FlitRef};
-pub use bitset::{BitArbiter, WordMask};
+pub use bitset::{BitArbiter, Mask64, WordMask};
 pub use flit::{Credit, Flit, FlitKind, PacketClass, PacketDescriptor, RouteInfo};
 pub use geom::Coord;
 pub use ids::{NodeId, PacketId, PortIndex, RouterId, VcIndex};

@@ -10,6 +10,7 @@
 
 use crate::spec::{routing_name, PointSpec, SchemeChoice};
 use crate::Error;
+use noc_base::{Mask64, RouterId};
 use noc_sim::{auto_threads, config_hash, MetricsConfig, SimReport, Simulation, ThreadDecision};
 use noc_topology::{FlattenedButterfly, HierRing, Mecs, Mesh, Ring, SharedTopology, Topology};
 use noc_traffic::{BenchmarkProfile, SyntheticPattern, SyntheticTraffic, TrafficModel};
@@ -192,13 +193,34 @@ pub struct PreparedPoint {
 /// # Errors
 ///
 /// Returns an [`Error`] naming the field and the rule: VCs, buffer depth and
-/// packet length at least 1; load in `(0, 1]`; the VC count divisible by the
-/// deadlock-class count of the routing policy on this topology; and for
-/// `evc` a single deadlock class and an even VC count.
+/// packet length at least 1; at most [`Mask64::WIDTH`] VCs per port and
+/// input or output ports per router (the routers keep one-word masks over
+/// them); load in `(0, 1]`; the VC count divisible by the deadlock-class
+/// count of the routing policy on this topology; and for `evc` a single
+/// deadlock class and an even VC count.
 pub fn validate(point: &PointSpec, topo: &dyn Topology) -> Result<(), Error> {
     let fail = |message: String| Err(Error(message));
     if point.vcs == 0 {
         return fail("vcs: must be at least 1".into());
+    }
+    if usize::from(point.vcs) > Mask64::WIDTH {
+        return fail(format!(
+            "vcs: at most {} per port, got {}",
+            Mask64::WIDTH,
+            point.vcs
+        ));
+    }
+    let widest = (0..topo.num_routers())
+        .map(RouterId::new)
+        .map(|r| topo.in_ports(r).max(topo.out_ports(r)))
+        .max()
+        .unwrap_or(0);
+    if widest > Mask64::WIDTH {
+        return fail(format!(
+            "topology: {} has a router with {widest} ports, at most {} are supported",
+            topo.name(),
+            Mask64::WIDTH
+        ));
     }
     if point.buffer == 0 {
         return fail("buffer: must be at least 1".into());

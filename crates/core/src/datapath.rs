@@ -11,13 +11,16 @@
 //! The per-cycle methods are `#[inline]`: their callers are the scheme hooks
 //! inside `PipelineKernel::step::<H>`, instantiated in another codegen unit
 //! (another crate, for the hybrid), and without the hint every SA candidate
-//! pays a call — 8–13 % of a low-load run. The idle predicate runs once per
-//! router per cycle and is most of a near-quiescent run, so its pieces
-//! (`creditless_holder` here, `PcHooks::{is_idle, restorable}`) are
-//! `#[inline(always)]`: the plain hint still left them 8–20 % slower there.
+//! pays a call — 8–13 % of a low-load run. The idle predicate runs after
+//! every router step and is a visible share of a near-quiescent run, so its
+//! pieces (`creditless_candidates`, `creditless_holder` and `is_idle` here,
+//! `PcHooks::{is_idle, restorable}`) are `#[inline(always)]`: the plain hint
+//! still left them 8–20 % slower there.
 
 use crate::pseudo::{PcRegisters, PseudoCircuitUnit, Termination};
-use noc_base::{Flit, NodeId, PortIndex, RouteInfo, RouterId, VaPolicy, VcIndex, VcPartition};
+use noc_base::{
+    Flit, Mask64, NodeId, PortIndex, RouteInfo, RouterId, VaPolicy, VcIndex, VcPartition,
+};
 use noc_energy::EnergyEvent;
 use noc_sim::{NetworkConfig, PipelineKernel, Probe, RouterOutputs, TraceEventKind};
 use noc_topology::Topology;
@@ -117,11 +120,20 @@ impl CircuitDatapath {
         (k.credits_at_sub(port, sub) == 0).then_some(holder)
     }
 
+    /// The held output ports on which some drop position is out of credit:
+    /// the only ports [`creditless_holder`](Self::creditless_holder) can
+    /// name a circuit on (it decides by the circuit's own drop position).
+    /// Almost always empty.
+    #[inline(always)]
+    fn creditless_candidates(&self, k: &PipelineKernel) -> Mask64 {
+        self.pcu.held_mask() & k.creditless_ports()
+    }
+
     /// Phase A: terminates circuits whose output has no downstream credit at
     /// the held drop position (buffer-overflow protection, §III.C).
     #[inline]
     pub fn terminate_creditless(&mut self, k: &mut PipelineKernel, cycle: u64) {
-        for out_port in 0..k.num_out_ports() {
+        for out_port in self.creditless_candidates(k) {
             if let Some(holder) = self.creditless_holder(k, PortIndex::new(out_port)) {
                 self.terminate(k, cycle, holder, Termination::CreditExhausted);
             }
@@ -131,9 +143,11 @@ impl CircuitDatapath {
     /// The datapath's clause of the step-is-no-op predicate: no held circuit
     /// that [`terminate_creditless`](Self::terminate_creditless) would
     /// terminate.
-    #[inline]
+    #[inline(always)]
     pub fn is_idle(&self, k: &PipelineKernel) -> bool {
-        (0..k.num_out_ports()).all(|p| self.creditless_holder(k, PortIndex::new(p)).is_none())
+        self.creditless_candidates(k)
+            .into_iter()
+            .all(|p| self.creditless_holder(k, PortIndex::new(p)).is_none())
     }
 
     /// Decides whether `flit`, at the head of the circuit's input VC, may
@@ -183,18 +197,17 @@ impl CircuitDatapath {
     /// traverses immediately, bypassing SA.
     #[inline]
     pub fn reuse(&mut self, k: &mut PipelineKernel, cycle: u64, out: &mut RouterOutputs) {
-        for in_port in 0..k.num_in_ports() {
-            if k.in_occupancy[in_port] == 0 {
-                continue; // reuse only drains buffered flits
-            }
+        // Reuse only drains buffered flits, and only through a live circuit.
+        // Neither mask changes under the loop except at the visited port.
+        for in_port in k.occupied_ports() & self.pcu.live_mask() {
             let in_port = PortIndex::new(in_port);
-            if k.in_busy[in_port.index()] {
+            if k.in_busy(in_port) {
                 continue;
             }
             let Some(pc) = self.pcu.live(in_port) else {
                 continue;
             };
-            if k.out_busy[pc.out_port.index()] {
+            if k.out_busy(pc.out_port) {
                 continue;
             }
             let Some(&flit) = k.input_head_ready(in_port, pc.in_vc, cycle) else {

@@ -12,7 +12,7 @@
 //! - every output port remembers the input port of its most recently
 //!   terminated pseudo-circuit (the speculation history register).
 
-use noc_base::{PortIndex, RouteInfo, VcIndex};
+use noc_base::{Mask64, PortIndex, RouteInfo, VcIndex};
 // `Termination` lives next to the `Probe` trait that carries it (the kernel's
 // observability surface in `noc-sim`); re-exported here so the circuit state
 // machine and its termination causes stay importable from one place.
@@ -71,17 +71,41 @@ pub struct PseudoCircuitUnit {
     regs: Vec<PcRegisters>,
     held: Vec<Option<PortIndex>>,
     history: Vec<Option<PortIndex>>,
+    // One-word summaries of the three arrays, written beside them by
+    // `establish` / `terminate` / `try_restore`: input ports whose register
+    // is valid, output ports with a holder, output ports with a history
+    // entry. The per-cycle scans of the circuit datapath intersect these
+    // (with each other and with the kernel's port summaries) instead of
+    // walking every port.
+    live_mask: Mask64,
+    held_mask: Mask64,
+    history_mask: Mask64,
     terminations_conflict: u64,
     terminations_credit: u64,
 }
 
 impl PseudoCircuitUnit {
     /// Creates the unit for a router with the given port counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either count exceeds [`Mask64::WIDTH`].
     pub fn new(in_ports: usize, out_ports: usize) -> Self {
+        for (count, what) in [(in_ports, "input"), (out_ports, "output")] {
+            assert!(
+                count <= Mask64::WIDTH,
+                "pseudo-circuit unit with {count} {what} ports; \
+                 the one-word port masks hold at most {}",
+                Mask64::WIDTH
+            );
+        }
         Self {
             regs: vec![PcRegisters::empty(); in_ports],
             held: vec![None; out_ports],
             history: vec![None; out_ports],
+            live_mask: Mask64::EMPTY,
+            held_mask: Mask64::EMPTY,
+            history_mask: Mask64::EMPTY,
             terminations_conflict: 0,
             terminations_credit: 0,
         }
@@ -107,6 +131,24 @@ impl PseudoCircuitUnit {
     /// most recently terminated pseudo-circuit there.
     pub fn history(&self, out_port: PortIndex) -> Option<PortIndex> {
         self.history[out_port.index()]
+    }
+
+    /// Input ports with a live pseudo-circuit.
+    #[inline]
+    pub fn live_mask(&self) -> Mask64 {
+        self.live_mask
+    }
+
+    /// Output ports whose crossbar connection a live circuit holds.
+    #[inline]
+    pub fn held_mask(&self) -> Mask64 {
+        self.held_mask
+    }
+
+    /// Output ports whose history register names a terminated circuit.
+    #[inline]
+    pub fn history_mask(&self) -> Mask64 {
+        self.history_mask
     }
 
     /// Conflict terminations so far.
@@ -154,6 +196,8 @@ impl PseudoCircuitUnit {
             hops,
         };
         self.held[out_port.index()] = Some(in_port);
+        self.live_mask.set(in_port.index());
+        self.held_mask.set(out_port.index());
         outcome
     }
 
@@ -169,6 +213,9 @@ impl PseudoCircuitUnit {
         debug_assert_eq!(self.held[out.index()], Some(in_port), "hold desync");
         self.held[out.index()] = None;
         self.history[out.index()] = Some(in_port);
+        self.live_mask.clear(in_port.index());
+        self.held_mask.clear(out.index());
+        self.history_mask.set(out.index());
         match why {
             Termination::Conflict => self.terminations_conflict += 1,
             Termination::CreditExhausted => self.terminations_credit += 1,
@@ -194,18 +241,30 @@ impl PseudoCircuitUnit {
         }
         self.regs[h.index()].valid = true;
         self.held[out_port.index()] = Some(h);
+        self.live_mask.set(h.index());
+        self.held_mask.set(out_port.index());
         true
     }
 
-    /// Checks the one-per-port invariants; used by debug assertions and
-    /// property tests.
+    /// Checks the one-per-port invariants and the three port masks against
+    /// the arrays they summarize; used by debug assertions and property
+    /// tests.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, reg) in self.regs.iter().enumerate() {
             if reg.valid && self.held[reg.out_port.index()] != Some(PortIndex::new(i)) {
                 return Err(format!("input {i} valid but output not held by it"));
             }
+            if self.live_mask.get(i) != reg.valid {
+                return Err(format!("stale live_mask bit of input {i}"));
+            }
         }
         for (o, h) in self.held.iter().enumerate() {
+            if self.held_mask.get(o) != h.is_some() {
+                return Err(format!("stale held_mask bit of output {o}"));
+            }
+            if self.history_mask.get(o) != self.history[o].is_some() {
+                return Err(format!("stale history_mask bit of output {o}"));
+            }
             if let Some(input) = h {
                 if !self.regs[input.index()].valid {
                     return Err(format!("output {o} held by invalid input {input}"));
@@ -365,6 +424,12 @@ mod tests {
         assert!(moved.created);
         assert_eq!(moved.terminated, [Some((p(1), p(2))), None]);
         u.check_invariants().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "65 output ports")]
+    fn more_ports_than_a_mask_holds_are_rejected() {
+        let _ = PseudoCircuitUnit::new(4, 65);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use crate::config::Scheme;
 use crate::datapath::CircuitDatapath;
 use crate::pseudo::PseudoCircuitUnit;
-use noc_base::{Flit, FlitPool, FlitRef, PortIndex, RouteInfo, RouterId, VcIndex};
+use noc_base::{Flit, FlitPool, FlitRef, Mask64, PortIndex, RouteInfo, RouterId, VcIndex};
 use noc_sim::{
     KernelRouter, NetworkConfig, PipelineKernel, PipelineStage, Probe, RouterBuildContext,
     RouterFactory, RouterModel, RouterOutputs, SchemeHooks, TraceEventKind,
@@ -64,11 +64,13 @@ impl PcHooks {
         pool: Arc<FlitPool>,
     ) -> PcRouter {
         scheme.validate().unwrap_or_else(|e| panic!("{e}"));
+        // The kernel first: its width check names the router.
+        let kernel = PipelineKernel::new(id, topo, config, true, pool);
         let hooks = PcHooks {
             scheme,
-            circuits: CircuitDatapath::new(id, topo.as_ref(), &config),
+            circuits: CircuitDatapath::new(id, kernel.topo.as_ref(), &config),
         };
-        KernelRouter::new(PipelineKernel::new(id, topo, config, true, pool), hooks)
+        KernelRouter::new(kernel, hooks)
     }
 
     /// The scheme this router runs.
@@ -94,13 +96,13 @@ impl PcHooks {
         r: FlitRef,
         out: &mut RouterOutputs,
     ) -> bool {
-        if !self.scheme.buffer_bypass || k.in_busy[in_port.index()] {
+        if !self.scheme.buffer_bypass || k.in_busy(in_port) {
             return false;
         }
         let Some(pc) = self.circuits.pcu.live(in_port) else {
             return false;
         };
-        if k.out_busy[pc.out_port.index()] {
+        if k.out_busy(pc.out_port) {
             return false;
         }
         let flit = *k.pool().get(r);
@@ -158,11 +160,19 @@ impl PcHooks {
             .then_some(h)
     }
 
+    /// The output ports [`restorable`](Self::restorable) can name a circuit
+    /// on: a history entry and no holder.
+    #[inline(always)]
+    fn restore_candidates(&self) -> Mask64 {
+        self.circuits.pcu.history_mask() & !self.circuits.pcu.held_mask()
+    }
+
     /// Phase G: pseudo-circuit speculation — restore the most recently
     /// terminated circuit of every idle output port with downstream credit
     /// (§IV.A).
     fn speculate(&mut self, k: &mut PipelineKernel, cycle: u64) {
-        for out_port in 0..k.num_out_ports() {
+        // A restore takes only the visited port out of the candidates.
+        for out_port in self.restore_candidates() {
             let port = PortIndex::new(out_port);
             let Some(h) = self.restorable(k, port) else {
                 continue;
@@ -250,10 +260,12 @@ impl SchemeHooks for PcHooks {
     /// and no history register that phase G would speculatively restore.
     #[inline(always)]
     fn is_idle(&self, k: &PipelineKernel) -> bool {
-        !(0..k.num_out_ports()).map(PortIndex::new).any(|port| {
-            (self.scheme.pseudo_circuit && self.circuits.creditless_holder(k, port).is_some())
-                || (self.scheme.speculation && self.restorable(k, port).is_some())
-        })
+        (!self.scheme.pseudo_circuit || self.circuits.is_idle(k))
+            && (!self.scheme.speculation
+                || self
+                    .restore_candidates()
+                    .into_iter()
+                    .all(|p| self.restorable(k, PortIndex::new(p)).is_none()))
     }
 }
 

@@ -428,3 +428,12 @@ fn o1turn_va_respects_vc_class_partition() {
         );
     }
 }
+
+#[test]
+#[should_panic(expected = "r2 has 65 input ports")]
+fn a_router_wider_than_the_port_masks_is_rejected_by_name() {
+    // Concentration 61 on a 2x2 mesh: 61 local ports plus four directions.
+    let topo: SharedTopology = Arc::new(Mesh::new(2, 2, 61));
+    let pool = Arc::new(noc_base::FlitPool::new(64, 1));
+    let _ = PcHooks::router(RouterId::new(2), topo, config(), Scheme::baseline(), pool);
+}

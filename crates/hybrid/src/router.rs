@@ -64,8 +64,10 @@ impl HybridHooks {
         assert!(hot_threshold > 0, "a zero threshold marks unseen flows hot");
         let num_nodes = topo.num_nodes();
         let table = (num_nodes * num_nodes).clamp(1, FLOW_TABLE_CAP);
+        // The kernel first: its width check names the router.
+        let kernel = PipelineKernel::new(id, topo, config, true, pool);
         let hooks = HybridHooks {
-            circuits: CircuitDatapath::new(id, topo.as_ref(), &config),
+            circuits: CircuitDatapath::new(id, kernel.topo.as_ref(), &config),
             profile_cycles,
             hot_threshold,
             frozen: false,
@@ -73,7 +75,7 @@ impl HybridHooks {
             counts: vec![0; table],
             hot: vec![0; table.div_ceil(64)],
         };
-        KernelRouter::new(PipelineKernel::new(id, topo, config, true, pool), hooks)
+        KernelRouter::new(kernel, hooks)
     }
 
     /// Whether the profile window has been frozen into the hot-flow table

@@ -6,11 +6,12 @@
 //! cycle cannot leak information between components.
 //!
 //! The hot loop runs on precomputed state only. At construction every
-//! topology lookup is flattened into [`FlatWiring`] and [`DistanceMatrix`]
-//! index tables, events travel through typed double-buffered queues (no enum
-//! dispatch, capacity reused across cycles), and an active-router worklist
-//! skips the `step` of routers that are provably quiescent. In steady state
-//! the loop performs zero heap allocations.
+//! per-event topology lookup is flattened into the [`FlatWiring`] index
+//! tables, events travel through typed double-buffered queues (no enum
+//! dispatch, capacity reused across cycles), and per-shard worklist masks
+//! name the routers and interfaces that have anything to do, so a component
+//! that is provably quiescent costs a clear bit. In steady state the loop
+//! performs zero heap allocations.
 //!
 //! # Sharded parallel stepping
 //!
@@ -54,7 +55,7 @@ use noc_base::bitset::WordMask;
 use noc_base::rng::{Pcg32, SeedStream};
 use noc_base::{Credit, FlitPool, FlitRef, NodeId, PacketId, PortIndex, RouterId};
 use noc_energy::EnergyCounters;
-use noc_topology::{DistanceMatrix, FlatWiring, PortFeeder, SharedTopology};
+use noc_topology::{FlatWiring, PortFeeder, SharedTopology};
 use noc_traffic::TrafficModel;
 use std::ops::Range;
 use std::sync::Arc;
@@ -173,15 +174,26 @@ impl ShardLayout {
 }
 
 /// Per-shard mutable scratch: reusable emission buffers, an independent RNG
-/// stream for engine-internal randomized decisions, and the shard's
-/// contribution to next cycle's pending mask.
+/// stream for engine-internal randomized decisions, the shard's worklists,
+/// and its contribution to next cycle's pending mask.
 struct ShardScratch {
     router_out: RouterOutputs,
     ni_out: NiOutputs,
     rng: Pcg32,
-    /// Set by the shard's step when it retains work for next cycle (a
-    /// stepped router left non-idle, or an interface with injection work) —
-    /// state the pending mask cannot see through the event lanes.
+    /// Routers of this shard (by router index) whose `step` must run: bit
+    /// set when an event is delivered to the router, and kept after a step
+    /// while the router does not certify [`RouterModel::is_idle`]. A router
+    /// changes state only through `receive_*` and `step`, so a clear bit
+    /// means the idleness it certified after its last step still holds.
+    router_work: WordMask,
+    /// Interfaces of this shard (by node index) whose `step` must run: bit
+    /// set by the driver on `enqueue` and on flit receipt (which owes an
+    /// ejection credit), and kept after a step while
+    /// [`NetworkInterface::has_step_work`] holds.
+    ni_work: WordMask,
+    /// Set by the shard's step when either worklist is non-empty afterwards
+    /// — work for next cycle that the pending mask cannot see through the
+    /// event lanes.
     busy: bool,
     /// Non-empty inbound lanes this shard drained in its latest step
     /// (coordination metrics only; counted only when enabled).
@@ -191,7 +203,7 @@ struct ShardScratch {
 /// Everything one shard job needs, erased to raw pointers where shards touch
 /// disjoint elements of a shared vector.
 ///
-/// Safety: shard `s` dereferences `routers[r]`/`active[r]` only for `r` in
+/// Safety: shard `s` dereferences `routers[r]` only for `r` in
 /// `layout.ranges[s]`, `nis[n]` only for `n` in `layout.ni_lists[s]`, and
 /// `now[s]`/`next[s]`/`scratch[s]` only at its own index. Of the flat
 /// `shards × shards` lane matrices it writes only row `s` of `lanes_next`
@@ -213,7 +225,6 @@ struct ShardCtx<'a> {
     pool: *const FlitPool,
     routers: *mut Box<dyn RouterModel>,
     nis: *mut NetworkInterface,
-    active: *mut bool,
     now: *mut ShardOutbox,
     next: *mut ShardOutbox,
     lanes_now: *mut LanePair,
@@ -250,8 +261,9 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
     let now = &mut *ctx.now.add(s);
     let next = &mut *ctx.next.add(s);
     let scratch = &mut *ctx.scratch.add(s);
+    let (router_out, ni_out) = (&mut scratch.router_out, &mut scratch.ni_out);
+    let (router_work, ni_work) = (&mut scratch.router_work, &mut scratch.ni_work);
     next.dest_mask.clear_all();
-    let mut busy = false;
     let mut lanes_merged = 0u64;
 
     // Inbound flits: interface emissions first, then router emissions in
@@ -262,7 +274,7 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
         lanes_merged += 1;
     }
     for (router, port, flit) in now.ni_flits.drain(..) {
-        *ctx.active.add(router.index()) = true;
+        router_work.set(router.index());
         (*ctx.routers.add(router.index())).receive_flit(port, flit);
     }
     for src in 0..shards {
@@ -271,7 +283,7 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
             lanes_merged += 1;
         }
         for (router, port, flit) in lane.flits.drain(..) {
-            *ctx.active.add(router.index()) = true;
+            router_work.set(router.index());
             (*ctx.routers.add(router.index())).receive_flit(port, flit);
         }
     }
@@ -281,7 +293,7 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
         lanes_merged += 1;
     }
     for (router, out_port, credit) in now.ni_credits.drain(..) {
-        *ctx.active.add(router.index()) = true;
+        router_work.set(router.index());
         (*ctx.routers.add(router.index())).receive_credit(out_port, credit);
     }
     for src in 0..shards {
@@ -290,41 +302,52 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
             lanes_merged += 1;
         }
         for (router, out_port, credit) in lane.credits.drain(..) {
-            *ctx.active.add(router.index()) = true;
+            router_work.set(router.index());
             (*ctx.routers.add(router.index())).receive_credit(out_port, credit);
         }
     }
 
-    // Interface injection and ejection-credit return for this shard's nodes.
+    // Interface injection and ejection-credit return, for the interfaces
+    // that have either to do, in ascending node order. The others' `step`
+    // would emit nothing and change nothing.
     for &n in &layout.ni_lists[s] {
+        debug_assert!(
+            ni_work.get(n) || !(*ctx.nis.add(n)).has_step_work(),
+            "interface {n} has step work but is off its shard's worklist"
+        );
+    }
+    ni_work.retain(|n| {
         let ni = &mut *ctx.nis.add(n);
-        scratch.ni_out.clear();
-        ni.step(cycle, s, &mut scratch.ni_out);
+        ni_out.clear();
+        ni.step(cycle, s, ni_out);
         let (router, local) = wiring.attach_of(ni.node());
-        if let Some(flit) = scratch.ni_out.flit.take() {
+        if let Some(flit) = ni_out.flit.take() {
             next.ni_flits.push((router, local, flit));
         }
-        for vc in scratch.ni_out.credits.drain(..) {
+        for vc in ni_out.credits.drain(..) {
             next.ni_credits.push((router, local, Credit::new(vc)));
         }
         // An interface still holding injection work must step again next
         // cycle even if no event reaches this shard in between.
-        busy |= ni.has_step_work();
-    }
+        ni.has_step_work()
+    });
 
-    // Routers advance and emit. A router is skipped only when it received no
-    // event this cycle AND its own model certifies that `step` would be a
-    // no-op — so skipping cannot change behaviour.
+    // Routers advance and emit, in ascending index order. A router is
+    // skipped only when it received no event since its last step AND
+    // certified after that step that the next one would be a no-op — so
+    // skipping cannot change behaviour.
     for r in layout.ranges[s].clone() {
-        let scheduled = std::mem::replace(&mut *ctx.active.add(r), false);
+        debug_assert!(
+            router_work.get(r) || (*ctx.routers.add(r)).is_idle(),
+            "router {r} is skipped but no longer idle"
+        );
+    }
+    router_work.retain(|r| {
         let model = &mut *ctx.routers.add(r);
-        if !scheduled && model.is_idle() {
-            continue;
-        }
         let router = RouterId::new(r);
-        scratch.router_out.clear();
-        model.step(cycle, &mut scratch.router_out);
-        for sent in scratch.router_out.flits.drain(..) {
+        router_out.clear();
+        model.step(cycle, router_out);
+        for sent in router_out.flits.drain(..) {
             if sent.out_port.index() < wiring.concentration() {
                 let node = wiring
                     .eject_node(router, sent.out_port)
@@ -344,7 +367,7 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
                     .push((end.router, end.port, sent.flit));
             }
         }
-        for (in_port, vc) in scratch.router_out.credits.drain(..) {
+        for (in_port, vc) in router_out.credits.drain(..) {
             match wiring.feeder(router, in_port) {
                 PortFeeder::Channel {
                     router: up,
@@ -369,8 +392,8 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
         }
         // A router left non-idle must step again next cycle regardless of
         // inbound events (it is holding flits mid-pipeline).
-        busy |= !model.is_idle();
-    }
+        !model.is_idle()
+    });
 
     // Intra-shard emissions (NI injections, ejections, node credits) are
     // consumed by this shard itself — node lanes via the driver's serial
@@ -379,7 +402,7 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
     if !next.is_empty() {
         next.dest_mask.set(s);
     }
-    scratch.busy = busy;
+    scratch.busy = router_work.any() || ni_work.any();
     scratch.lanes_merged = lanes_merged;
 }
 
@@ -398,8 +421,6 @@ pub struct Simulation {
     traffic: Box<dyn TrafficModel>,
     /// Flattened forward/reverse wiring (links, credit sinks, attachments).
     wiring: FlatWiring,
-    /// All-pairs minimal hops for delivery statistics.
-    dist: DistanceMatrix,
     /// Per-component seed derivation from the experiment seed.
     seeds: SeedStream,
     /// Thread budget for the parallel stepping phase (1 = fully serial).
@@ -417,16 +438,18 @@ pub struct Simulation {
     /// `s`).
     lanes_next: Vec<LanePair>,
     /// Shards that must step this cycle: every shard some ran shard
-    /// addressed events to, every shard that retained router/NI work, plus
-    /// phase-2 injection targets. All-set after (re)construction.
+    /// addressed events to, every shard with a non-empty router or interface
+    /// worklist, plus phase-2 injection targets. All-set after
+    /// (re)construction.
     pending: WordMask,
     /// Reusable compaction of `pending` into job indices for the pool.
     worklist: Vec<usize>,
-    /// Per-shard reusable emission buffers and RNG streams.
+    /// Per-shard reusable emission buffers, RNG streams and router/interface
+    /// worklists.
     scratch: Vec<ShardScratch>,
-    /// Worklist flags: router received an event this cycle, so its `step`
-    /// must run even if its externally visible state looks idle.
-    active: Vec<bool>,
+    /// Nodes whose interface completed a packet in this cycle's phase 1 —
+    /// the only ones phase 4 has deliveries to drain from.
+    delivered: WordMask,
     cycle: u64,
     next_packet_id: u64,
     stats: SimStats,
@@ -530,8 +553,7 @@ impl Simulation {
             .collect();
 
         let wiring = FlatWiring::new(topo.as_ref());
-        let dist = DistanceMatrix::new(topo.as_ref());
-        let active = vec![false; routers.len()];
+        let delivered = WordMask::new(nis.len());
         let layout = ShardLayout::new(1, routers.len(), nis.len(), &wiring);
         let coordination = (metrics.level == MetricsLevel::Full).then(CoordinationStats::default);
 
@@ -544,7 +566,6 @@ impl Simulation {
             nis,
             traffic,
             wiring,
-            dist,
             seeds,
             threads: 1,
             layout,
@@ -555,7 +576,7 @@ impl Simulation {
             pending: WordMask::new(1),
             worklist: Vec::new(),
             scratch: Vec::new(),
-            active,
+            delivered,
             cycle: 0,
             next_packet_id: 0,
             stats: SimStats::new(0, u64::MAX),
@@ -617,10 +638,22 @@ impl Simulation {
                 let mut router_out = RouterOutputs::default();
                 router_out.flits.reserve(max_out);
                 router_out.credits.reserve(max_in * vcs);
+                // The worklists restart from what each component certifies
+                // now; `step_shard` keeps them exact from here on.
+                let mut router_work = WordMask::new(self.routers.len());
+                for r in self.layout.ranges[s].clone() {
+                    router_work.assign(r, !self.routers[r].is_idle());
+                }
+                let mut ni_work = WordMask::new(self.nis.len());
+                for &n in &self.layout.ni_lists[s] {
+                    ni_work.assign(n, self.nis[n].has_step_work());
+                }
                 ShardScratch {
                     router_out,
                     ni_out: NiOutputs::default(),
                     rng: self.seeds.shard_rng(s),
+                    router_work,
+                    ni_work,
                     busy: false,
                     lanes_merged: 0,
                 }
@@ -790,9 +823,14 @@ impl Simulation {
         // these receipts create are returned by this cycle's phase 3.)
         {
             let nis = &mut self.nis;
-            for outbox in self.now.iter_mut() {
+            for (outbox, scratch) in self.now.iter_mut().zip(&mut self.scratch) {
                 for (node, flit) in outbox.node_flits.drain(..) {
-                    nis[node.index()].receive_flit(cycle, flit);
+                    // The receipt owes the router an ejection credit, which
+                    // the interface's next step returns.
+                    scratch.ni_work.set(node.index());
+                    if nis[node.index()].receive_flit(cycle, flit) {
+                        self.delivered.set(node.index());
+                    }
                 }
             }
             for outbox in self.now.iter_mut() {
@@ -818,8 +856,9 @@ impl Simulation {
             self.next_packet_id += 1;
             self.nis[request.src.index()].enqueue(cycle, &request, id);
             self.stats.on_injected(cycle);
-            self.pending
-                .set(self.layout.node_shard[request.src.index()]);
+            let shard = self.layout.node_shard[request.src.index()];
+            self.scratch[shard].ni_work.set(request.src.index());
+            self.pending.set(shard);
         }
 
         // Phase 3 (parallel over pending shards): drain inbound lanes, step
@@ -852,7 +891,6 @@ impl Simulation {
                 pool: Arc::as_ptr(&self.pool),
                 routers: self.routers.as_mut_ptr(),
                 nis: self.nis.as_mut_ptr(),
-                active: self.active.as_mut_ptr(),
                 now: self.now.as_mut_ptr(),
                 next: self.next.as_mut_ptr(),
                 lanes_now: self.lanes_now.as_mut_ptr(),
@@ -919,17 +957,19 @@ impl Simulation {
             nis,
             stats,
             traffic,
-            dist,
+            topo,
+            delivered,
             ..
         } = self;
-        for ni in nis.iter_mut() {
-            for packet in ni.drain_delivered() {
+        for n in delivered.iter() {
+            for packet in nis[n].drain_delivered() {
                 // Minimal routing: actual hops equal the topological minimum.
-                let hops = dist.get(packet.src, packet.dst);
+                let hops = topo.min_hops(packet.src, packet.dst);
                 stats.on_delivered(&packet, hops);
                 traffic.deliver(cycle, &packet);
             }
         }
+        delivered.clear_all();
 
         self.cycle += 1;
     }

@@ -227,8 +227,9 @@ impl NetworkInterface {
     /// Accepts a flit ejected by the router's local output port. The flit
     /// dies here: its fields are copied out and its pool slot recycled (this
     /// runs in the driver's serial delivery phase, the pool's one free
-    /// point).
-    pub fn receive_flit(&mut self, cycle: u64, r: FlitRef) {
+    /// point). Returns whether the flit completed a packet, which then waits
+    /// in [`drain_delivered`](Self::drain_delivered).
+    pub fn receive_flit(&mut self, cycle: u64, r: FlitRef) -> bool {
         let flit = *self.pool.get(r);
         self.pool.free(r);
         debug_assert_eq!(flit.dst, self.node, "flit ejected at wrong node");
@@ -262,7 +263,8 @@ impl NetworkInterface {
             flit.packet, self.node
         );
         entry.flits += 1;
-        if flit.kind.is_tail() {
+        let completed = flit.kind.is_tail();
+        if completed {
             let (_, done) = self.reassembly.swap_remove(idx);
             self.stats.ejected_packets += 1;
             self.delivered.push(DeliveredPacket {
@@ -275,6 +277,7 @@ impl NetworkInterface {
                 delivered_at: cycle,
             });
         }
+        completed
     }
 
     /// Accepts an injection credit returned by the router's local input port.

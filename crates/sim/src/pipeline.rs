@@ -39,7 +39,7 @@ use crate::metrics::{MetricsConfig, MetricsLevel, PipelineStage, TraceEventKind,
 use crate::probe::{Probe, RouterCounters};
 use crate::router::{RouterModel, RouterOutputs, RouterStats, SentFlit};
 use crate::{lookahead_route, NetworkConfig};
-use noc_base::{BitArbiter, WordMask};
+use noc_base::{BitArbiter, Mask64, WordMask};
 use noc_base::{Credit, Flit, FlitPool, FlitRef, PortIndex, RouteInfo, RouterId, VcIndex};
 use noc_energy::{EnergyCounters, EnergyEvent};
 use noc_topology::SharedTopology;
@@ -163,14 +163,6 @@ pub struct PipelineKernel {
     pub topo: SharedTopology,
     /// Local (injection/ejection) ports per router.
     pub concentration: usize,
-    /// Whether each input port's crossbar connection is taken this cycle.
-    pub in_busy: Vec<bool>,
-    /// Whether each output port's crossbar connection is taken this cycle.
-    pub out_busy: Vec<bool>,
-    /// Buffered flits per input port across all its VCs; lets the VA/SA
-    /// scans and scheme hooks skip empty ports without touching their VC
-    /// state (every candidate in those scans requires a buffered flit).
-    pub in_occupancy: Vec<u32>,
     /// Aggregate router statistics.
     pub stats: RouterStats,
     /// Energy event counters.
@@ -188,6 +180,24 @@ pub struct PipelineKernel {
     vcs: usize,
     in_ports: usize,
     out_ports: usize,
+    // Port-summary masks (DESIGN.md §14): one word per summary, written only
+    // by the funnel named on each, so a per-cycle phase visits the ports that
+    // have work instead of looping over all of them. They pre-filter only —
+    // every visit re-evaluates its predicate — and `check_summaries`
+    // recomputes all of them from the state they summarize.
+    //
+    // Input / output ports whose crossbar connection is taken this cycle:
+    // cleared at the top of `step`, set by `mark_connection`.
+    in_busy: Mask64,
+    out_busy: Mask64,
+    // Buffered flits per input port across all its VCs, and the ports where
+    // that count is nonzero (written where a flit is buffered or popped).
+    in_occupancy: Vec<u32>,
+    occupied_ports: Mask64,
+    // Input ports with a bit in `sa_cand[p] & sa_credit[p]`: the only ports
+    // the SA gather stage visits. Written by `refresh_sa_port`, which every
+    // write to either per-port mask is followed by.
+    sa_ports: Mask64,
     // The shared flit slab; buffers and emissions move `FlitRef`s, flit
     // bodies are read/written in place through the pool.
     pool: Arc<FlitPool>,
@@ -214,14 +224,21 @@ pub struct PipelineKernel {
     // is buffered into the VC.
     pass_through: Vec<bool>,
     // Output-side state, flattened. `out_owners` is indexed
-    // `out_port * vcs + vc`; the credit counters are indexed
-    // `credit_base[out_port] + sub * vcs + vc` (ports have differing
-    // sub-channel counts, so a per-port base offset replaces a fixed
-    // stride), with `credit_base[out_ports]` the total length.
+    // `out_port * vcs + vc`. Sub-channels are numbered across the router,
+    // `sub_base[out_port] + sub` (ports have differing sub-channel counts,
+    // so a per-port base offset replaces a fixed stride), with
+    // `sub_base[out_ports]` their total; the credit counters are indexed
+    // `(sub_base[out_port] + sub) * vcs + vc`.
     out_owners: Vec<Option<(PortIndex, VcIndex)>>,
     credits: Vec<u32>,
-    credit_base: Vec<usize>,
+    sub_base: Vec<usize>,
     credit_capacity: u32,
+    // Per sub-channel, the sum of its VC counters, and the output ports
+    // where some sub-channel sums to zero (a superset of the ports a held
+    // circuit is out of credit on). Both kept by `consume_credit` /
+    // `receive_credit`.
+    credit_sums: Vec<u32>,
+    creditless_ports: Mask64,
     arrivals: Vec<(PortIndex, FlitRef)>,
     st_pending: Vec<StGrant>,
     last_connection: Vec<Option<PortIndex>>,
@@ -249,7 +266,7 @@ pub struct PipelineKernel {
     va_cand: WordMask,
     // Per input port, bit `vc`: the VC holds flits, has route + output VC,
     // and is not an express pass-through claim — it may request SA.
-    sa_cand: Vec<WordMask>,
+    sa_cand: Vec<Mask64>,
     // Per input port, bit `vc`: the claimed VC's gating credit counter
     // `(route.port, route.hops-1, out_vc)` is nonzero. Maintained exactly:
     // `refresh_vc_masks` recomputes it on every VC state transition and
@@ -259,7 +276,7 @@ pub struct PipelineKernel {
     // candidates are credit-blocked every cycle, which is exactly when the
     // scan is longest. Bits of unclaimed VCs are clear (never read: the
     // AND with `sa_cand` masks them out).
-    sa_credit: Vec<WordMask>,
+    sa_credit: Vec<Mask64>,
     // Reusable per-cycle working storage, so `step` never allocates once the
     // queues reach steady-state capacity.
     st_scratch: Vec<StGrant>,
@@ -294,25 +311,40 @@ impl PipelineKernel {
         let in_ports = topo.in_ports(id);
         let out_ports = topo.out_ports(id);
         let vcs = config.vcs_per_port as usize;
+        for (count, what) in [
+            (in_ports, "input ports"),
+            (out_ports, "output ports"),
+            (vcs, "VCs"),
+        ] {
+            assert!(
+                count <= Mask64::WIDTH,
+                "{id} has {count} {what}; the one-word port masks hold at most {}",
+                Mask64::WIDTH
+            );
+        }
         let slots = in_ports * vcs;
         // Per-port credit regions: `channel_len` sub-channels × `vcs`
         // counters each, laid out back to back in output-port order.
-        let mut credit_base = Vec::with_capacity(out_ports + 1);
-        let mut total_credits = 0usize;
-        credit_base.push(0);
+        let mut sub_base = Vec::with_capacity(out_ports + 1);
+        let mut total_subs = 0usize;
+        sub_base.push(0);
+        let sub_credits = config.buffer_depth * vcs as u32;
+        let mut creditless_ports = Mask64::EMPTY;
         for p in 0..out_ports {
-            total_credits += topo.channel_len(id, PortIndex::new(p)) as usize * vcs;
-            credit_base.push(total_credits);
+            let subs = topo.channel_len(id, PortIndex::new(p)) as usize;
+            creditless_ports.assign(p, subs > 0 && sub_credits == 0);
+            total_subs += subs;
+            sub_base.push(total_subs);
         }
         Self {
             id,
             concentration: topo.concentration(),
             topo,
-            // All per-cycle queues are reserved to their structural maxima so
-            // steady-state stepping never allocates (tests/zero_alloc.rs).
-            in_busy: vec![false; in_ports],
-            out_busy: vec![false; out_ports],
+            in_busy: Mask64::EMPTY,
+            out_busy: Mask64::EMPTY,
             in_occupancy: vec![0; in_ports],
+            occupied_ports: Mask64::EMPTY,
+            sa_ports: Mask64::EMPTY,
             stats: RouterStats::default(),
             energy: EnergyCounters::default(),
             counters: None,
@@ -329,9 +361,13 @@ impl PipelineKernel {
             express: vec![0; slots],
             pass_through: vec![false; slots],
             out_owners: vec![None; out_ports * vcs],
-            credits: vec![config.buffer_depth; total_credits],
-            credit_base,
+            credits: vec![config.buffer_depth; total_subs * vcs],
+            sub_base,
             credit_capacity: config.buffer_depth,
+            credit_sums: vec![sub_credits; total_subs],
+            creditless_ports,
+            // All per-cycle queues are reserved to their structural maxima so
+            // steady-state stepping never allocates (tests/zero_alloc.rs).
             arrivals: Vec::with_capacity(in_ports),
             st_pending: Vec::with_capacity(in_ports),
             last_connection: vec![None; in_ports],
@@ -342,8 +378,8 @@ impl PipelineKernel {
                 .collect(),
             out_arb: (0..out_ports).map(|_| BitArbiter::new(in_ports)).collect(),
             va_cand: WordMask::new(in_ports * vcs),
-            sa_cand: (0..in_ports).map(|_| WordMask::new(vcs)).collect(),
-            sa_credit: (0..in_ports).map(|_| WordMask::new(vcs)).collect(),
+            sa_cand: vec![Mask64::EMPTY; in_ports],
+            sa_credit: vec![Mask64::EMPTY; in_ports],
             st_scratch: Vec::with_capacity(in_ports),
             arrivals_scratch: Vec::with_capacity(in_ports),
             va_req: (0..out_ports)
@@ -375,15 +411,23 @@ impl PipelineKernel {
         out_port.index() * self.vcs + vc.index()
     }
 
-    /// The flat index of the `(out_port, sub, vc)` credit counter.
+    /// The router-wide number of sub-channel `sub` of `out_port`: its index
+    /// in the credit sums, and `vcs` times it the start of its counters.
     #[inline]
-    fn credit_slot(&self, out_port: PortIndex, sub: usize, vc: VcIndex) -> usize {
-        let idx = self.credit_base[out_port.index()] + sub * self.vcs + vc.index();
+    fn sub_slot(&self, out_port: PortIndex, sub: usize) -> usize {
+        let idx = self.sub_base[out_port.index()] + sub;
         debug_assert!(
-            idx < self.credit_base[out_port.index() + 1],
+            idx < self.sub_base[out_port.index() + 1],
             "sub-channel {sub} out of range on {out_port}"
         );
         idx
+    }
+
+    /// The flat index of the `(out_port, sub, vc)` credit counter.
+    #[inline]
+    fn credit_slot(&self, out_port: PortIndex, sub: usize, vc: VcIndex) -> usize {
+        debug_assert!(vc.index() < self.vcs);
+        self.sub_slot(out_port, sub) * self.vcs + vc.index()
     }
 
     /// Re-derives the VA/SA candidate-mask bits of one input VC from its
@@ -393,7 +437,7 @@ impl PipelineKernel {
     /// it internally — a missed refresh silently hides the VC from the
     /// allocators, which is a correctness bug, not a performance bug.
     #[inline]
-    pub fn refresh_vc_masks(&mut self, in_port: PortIndex, vc: VcIndex) {
+    fn refresh_vc_masks(&mut self, in_port: PortIndex, vc: VcIndex) {
         let slot = self.slot(in_port, vc);
         let has_flits = !self.bank.is_empty(slot);
         let claimed = self.routes[slot].is_some() && self.out_vcs[slot].is_some();
@@ -401,6 +445,23 @@ impl PipelineKernel {
         self.va_cand.assign(slot, has_flits && unclaimed);
         self.sa_cand[in_port.index()]
             .assign(vc.index(), has_flits && claimed && !self.pass_through[slot]);
+        self.refresh_sa_port(in_port);
+    }
+
+    /// Re-derives `in_port`'s bit of [`sa_ports`](Self::sa_ports); follows
+    /// every write to the port's `sa_cand` or `sa_credit` mask.
+    #[inline]
+    fn refresh_sa_port(&mut self, in_port: PortIndex) {
+        let p = in_port.index();
+        self.sa_ports
+            .assign(p, (self.sa_cand[p] & self.sa_credit[p]).any());
+    }
+
+    /// Writes bit `vc` of `in_port`'s [`sa_credit`](Self::sa_credit) mask.
+    #[inline]
+    fn set_credit_gate(&mut self, in_port: PortIndex, vc: VcIndex, credit_ok: bool) {
+        self.sa_credit[in_port.index()].assign(vc.index(), credit_ok);
+        self.refresh_sa_port(in_port);
     }
 
     /// Recomputes the [`sa_credit`](Self::sa_credit) bit of `(in_port, vc)`
@@ -417,7 +478,7 @@ impl PipelineKernel {
             }
             _ => false,
         };
-        self.sa_credit[in_port.index()].assign(vc.index(), credit_ok);
+        self.set_credit_gate(in_port, vc, credit_ok);
     }
 
     /// Virtual channels per port.
@@ -524,8 +585,9 @@ impl PipelineKernel {
         self.va_cycles[slot] = u64::MAX;
         self.express[slot] = 0;
         self.pass_through[slot] = false;
-        self.refresh_vc_masks(in_port, vc);
+        // `refresh_vc_masks` re-derives the port's `sa_ports` bit.
         self.sa_credit[in_port.index()].clear(vc.index());
+        self.refresh_vc_masks(in_port, vc);
     }
 
     /// Whether output VC `(out_port, vc)` is unallocated.
@@ -563,8 +625,41 @@ impl PipelineKernel {
     /// Total downstream credits across all VCs of `(out_port, sub)`.
     #[inline]
     pub fn credits_at_sub(&self, out_port: PortIndex, sub: usize) -> u32 {
-        let start = self.credit_base[out_port.index()] + sub * self.vcs;
-        self.credits[start..start + self.vcs].iter().sum()
+        self.credit_sums[self.sub_slot(out_port, sub)]
+    }
+
+    /// Output ports on which some sub-channel has no downstream credit on
+    /// any VC — a superset of the ports whose held circuit must terminate
+    /// (the circuit's own drop position decides, via
+    /// [`credits_at_sub`](Self::credits_at_sub)).
+    #[inline]
+    pub fn creditless_ports(&self) -> Mask64 {
+        self.creditless_ports
+    }
+
+    /// Input ports with at least one buffered flit.
+    #[inline]
+    pub fn occupied_ports(&self) -> Mask64 {
+        self.occupied_ports
+    }
+
+    /// Whether `in_port`'s crossbar connection is taken this cycle.
+    #[inline]
+    pub fn in_busy(&self, in_port: PortIndex) -> bool {
+        self.in_busy.get(in_port.index())
+    }
+
+    /// Whether `out_port`'s crossbar connection is taken this cycle.
+    #[inline]
+    pub fn out_busy(&self, out_port: PortIndex) -> bool {
+        self.out_busy.get(out_port.index())
+    }
+
+    /// Takes the `in_port → out_port` crossbar connection for this cycle.
+    #[inline]
+    fn mark_connection(&mut self, in_port: PortIndex, out_port: PortIndex) {
+        self.in_busy.set(in_port.index());
+        self.out_busy.set(out_port.index());
     }
 
     /// Reserves one downstream credit of `(out_port, sub, vc)`.
@@ -581,6 +676,12 @@ impl PipelineKernel {
         self.credits[slot] -= 1;
         if self.credits[slot] == 0 {
             self.note_credit_gate(out_port, sub, vc, false);
+        }
+        let sub_slot = self.sub_slot(out_port, sub);
+        let sum = &mut self.credit_sums[sub_slot];
+        *sum -= 1;
+        if *sum == 0 {
+            self.creditless_ports.set(out_port.index());
         }
     }
 
@@ -599,7 +700,7 @@ impl PipelineKernel {
             return; // output VC claimed, input-side claim not stored yet
         };
         if route.port == out_port && out_vc == vc && route.hops as usize - 1 == sub {
-            self.sa_credit[ip.index()].assign(ivc.index(), avail);
+            self.set_credit_gate(ip, ivc, avail);
         }
     }
 
@@ -664,6 +765,17 @@ impl PipelineKernel {
         if self.credits[slot] == 1 {
             self.note_credit_gate(out_port, credit.sub as usize, credit.vc, true);
         }
+        let sub_slot = self.sub_slot(out_port, credit.sub as usize);
+        let sum = &mut self.credit_sums[sub_slot];
+        *sum += 1;
+        if *sum == 1 {
+            // The port leaves the mask only when no other sub-channel of it
+            // is still at zero.
+            let subs = self.sub_base[out_port.index()]..self.sub_base[out_port.index() + 1];
+            self.creditless_ports
+                .assign(out_port.index(), self.credit_sums[subs].contains(&0));
+        }
+        debug_assert_eq!(self.check_summaries(), Ok(()));
     }
 
     /// The kernel part of the step-is-no-op predicate: nothing staged or
@@ -673,9 +785,65 @@ impl PipelineKernel {
     /// with cycle-driven state of their own add their clause through
     /// [`SchemeHooks::is_idle`]; [`KernelRouter`] ANDs the two.
     pub fn is_idle_base(&self) -> bool {
-        self.arrivals.is_empty()
-            && self.st_pending.is_empty()
-            && self.in_occupancy.iter().all(|&c| c == 0)
+        self.arrivals.is_empty() && self.st_pending.is_empty() && !self.occupied_ports.any()
+    }
+
+    /// Recomputes every port summary — the candidate masks, the per-port
+    /// occupancy and its mask, `sa_ports`, the per-sub-channel credit sums
+    /// and `creditless_ports` — from the state it summarizes, and names the
+    /// first one that disagrees. A stale summary hides work from a phase
+    /// that pre-filters on it, so `step` and `receive_credit` assert this in
+    /// debug builds; allocation-free unless it fails.
+    pub fn check_summaries(&self) -> Result<(), String> {
+        let id = self.id;
+        for p in 0..self.in_ports {
+            let mut buffered = 0;
+            let mut sa_cand = Mask64::EMPTY;
+            for vc in 0..self.vcs {
+                let slot = p * self.vcs + vc;
+                let has_flits = !self.bank.is_empty(slot);
+                let (routed, has_out_vc) =
+                    (self.routes[slot].is_some(), self.out_vcs[slot].is_some());
+                buffered += self.bank.len(slot);
+                sa_cand.assign(
+                    vc,
+                    has_flits && routed && has_out_vc && !self.pass_through[slot],
+                );
+                if self.va_cand.get(slot) != (has_flits && !routed && !has_out_vc) {
+                    return Err(format!("{id}: stale va_cand bit of input {p} VC {vc}"));
+                }
+            }
+            if self.sa_cand[p] != sa_cand {
+                return Err(format!("{id}: stale sa_cand mask of input {p}"));
+            }
+            if self.in_occupancy[p] as usize != buffered {
+                return Err(format!(
+                    "{id}: input {p} buffers {buffered} flits, not {}",
+                    self.in_occupancy[p]
+                ));
+            }
+            if self.occupied_ports.get(p) != (buffered > 0) {
+                return Err(format!("{id}: stale occupied_ports bit of input {p}"));
+            }
+            if self.sa_ports.get(p) != (self.sa_cand[p] & self.sa_credit[p]).any() {
+                return Err(format!("{id}: stale sa_ports bit of input {p}"));
+            }
+        }
+        for p in 0..self.out_ports {
+            let mut creditless = false;
+            for sub_slot in self.sub_base[p]..self.sub_base[p + 1] {
+                let counters = &self.credits[sub_slot * self.vcs..(sub_slot + 1) * self.vcs];
+                let sum: u32 = counters.iter().sum();
+                if self.credit_sums[sub_slot] != sum {
+                    return Err(format!("{id}: stale credit sum on output {p}"));
+                }
+                creditless |= sum == 0;
+            }
+            if self.creditless_ports.get(p) != creditless {
+                return Err(format!("{id}: stale creditless_ports bit of output {p}"));
+            }
+        }
+        Ok(())
     }
 
     /// Sends a flit out of the crossbar: records locality, fills in the
@@ -714,8 +882,7 @@ impl PipelineKernel {
         if let Some(p) = self.counters.as_deref_mut() {
             p.on_traversal(in_port);
         }
-        self.in_busy[in_port.index()] = true;
-        self.out_busy[route.port.index()] = true;
+        self.mark_connection(in_port, route.port);
 
         let lookahead = (route.port.index() >= self.concentration).then(|| {
             let slot = self.out_slot(route.port, out_vc);
@@ -782,6 +949,7 @@ impl PipelineKernel {
             self.va_cycles[slot] = u64::MAX;
             self.express[slot] = 0;
             self.release_out_vc(route.port, out_vc);
+            // `refresh_vc_masks` below re-derives the port's `sa_ports` bit.
             self.sa_credit[in_port.index()].clear(vc.index());
         }
         self.refresh_vc_masks(in_port, vc);
@@ -793,6 +961,9 @@ impl PipelineKernel {
             }
         }
         self.in_occupancy[in_port.index()] -= 1;
+        if self.in_occupancy[in_port.index()] == 0 {
+            self.occupied_ports.clear(in_port.index());
+        }
         self.energy.record(EnergyEvent::BufferRead);
         if let Some(p) = self.counters.as_deref_mut() {
             // The flit was written into the buffer the cycle before it
@@ -837,8 +1008,8 @@ impl PipelineKernel {
     /// Runs one cycle of the shared pipeline, dispatching to `hooks` at each
     /// scheme extension point (see [`SchemeHooks`] for the phase order).
     pub fn step<H: SchemeHooks>(&mut self, hooks: &mut H, cycle: u64, out: &mut RouterOutputs) {
-        self.in_busy.fill(false);
-        self.out_busy.fill(false);
+        self.in_busy = Mask64::EMPTY;
+        self.out_busy = Mask64::EMPTY;
 
         hooks.begin_cycle(self, cycle);
 
@@ -858,6 +1029,7 @@ impl PipelineKernel {
         self.allocate_vcs(hooks, cycle);
         self.arbitrate_switch(hooks, cycle);
         hooks.end_cycle(self, cycle);
+        debug_assert_eq!(self.check_summaries(), Ok(()));
     }
 
     /// Arrival phase: each flit is offered to the scheme's intercept hook
@@ -879,6 +1051,7 @@ impl PipelineKernel {
             }
             self.energy.record(EnergyEvent::BufferWrite);
             self.in_occupancy[in_port.index()] += 1;
+            self.occupied_ports.set(in_port.index());
             let vc = self.pool.get(r).vc;
             let slot = self.slot(in_port, vc);
             // An express stream that stalls into the buffer continues
@@ -978,52 +1151,47 @@ impl PipelineKernel {
     /// fire [`SchemeHooks::on_sa_grant`].
     fn arbitrate_switch<H: SchemeHooks>(&mut self, hooks: &mut H, cycle: u64) {
         // Input-first stage: one winning VC per input port. Only ports with
-        // SA-eligible VCs (per the incremental eligibility masks) are
-        // visited, and within a port only the set bits; the per-cycle
-        // conditions — ready head, scheme skip, downstream credit — are the
-        // only ones re-checked per bit, against the flat SoA arrays.
-        self.sa_winners.fill(None);
+        // an SA-eligible, credit-backed VC (`sa_ports`) are visited, and
+        // within a port only those VCs; the per-cycle conditions — ready
+        // head, scheme skip, downstream credit — are the only ones
+        // re-checked per bit, against the flat SoA arrays. With no such port
+        // there is no request, no grant and no arbiter movement.
         debug_assert!(!self.sa_out_pending.any());
-        for in_port in 0..self.in_ports {
-            if !self.sa_cand[in_port].any() {
-                continue; // every SA candidate needs a buffered flit
-            }
+        if !self.sa_ports.any() {
+            return;
+        }
+        self.sa_winners.fill(None);
+        for in_port in self.sa_ports {
             let in_port_i = PortIndex::new(in_port);
             self.sa_vc_nonspec.clear_all();
             self.sa_vc_spec.clear_all();
-            for wi in 0..self.sa_cand[in_port].num_words() {
-                // Credit-starved VCs are masked out of the scan entirely
-                // (their bit tracks the gating counter exactly); the per-bit
-                // credit re-check below is the cross-checked safety net.
-                let mut word = self.sa_cand[in_port].word(wi) & self.sa_credit[in_port].word(wi);
-                while word != 0 {
-                    let vc = wi * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let slot = in_port * self.vcs + vc;
-                    debug_assert!(
-                        !self.bank.is_empty(slot) && !self.pass_through[slot],
-                        "stale SA candidate bit (missed refresh_vc_masks)"
-                    );
-                    let (Some(route), Some(out_vc)) = (self.routes[slot], self.out_vcs[slot])
-                    else {
-                        unreachable!("SA candidate bit requires route and output VC")
-                    };
-                    if self.bank.head_ready(slot, cycle).is_none() {
-                        continue;
-                    }
-                    if hooks.sa_skip(in_port_i, VcIndex::new(vc), route) {
-                        continue;
-                    }
-                    let sub = route.hops as usize - 1;
-                    if self.credits_available(route.port, sub, out_vc) == 0 {
-                        debug_assert!(false, "stale SA credit bit (missed note_credit_gate)");
-                        continue;
-                    }
-                    if self.va_cycles[slot] == cycle {
-                        self.sa_vc_spec.set(vc);
-                    } else {
-                        self.sa_vc_nonspec.set(vc);
-                    }
+            // Credit-starved VCs are masked out of the scan entirely (their
+            // bit tracks the gating counter exactly); the per-bit credit
+            // re-check below is the cross-checked safety net.
+            for vc in self.sa_cand[in_port] & self.sa_credit[in_port] {
+                let slot = in_port * self.vcs + vc;
+                debug_assert!(
+                    !self.bank.is_empty(slot) && !self.pass_through[slot],
+                    "stale SA candidate bit (missed refresh_vc_masks)"
+                );
+                let (Some(route), Some(out_vc)) = (self.routes[slot], self.out_vcs[slot]) else {
+                    unreachable!("SA candidate bit requires route and output VC")
+                };
+                if self.bank.head_ready(slot, cycle).is_none() {
+                    continue;
+                }
+                if hooks.sa_skip(in_port_i, VcIndex::new(vc), route) {
+                    continue;
+                }
+                let sub = route.hops as usize - 1;
+                if self.credits_available(route.port, sub, out_vc) == 0 {
+                    debug_assert!(false, "stale SA credit bit (missed note_credit_gate)");
+                    continue;
+                }
+                if self.va_cycles[slot] == cycle {
+                    self.sa_vc_spec.set(vc);
+                } else {
+                    self.sa_vc_nonspec.set(vc);
                 }
             }
             let pick = if self.sa_vc_nonspec.any() {
@@ -1128,6 +1296,11 @@ impl<H: SchemeHooks> KernelRouter<H> {
     /// The scheme state (exposed for white-box tests).
     pub fn hooks(&self) -> &H {
         &self.hooks
+    }
+
+    /// The kernel state (exposed for white-box tests).
+    pub fn kernel(&self) -> &PipelineKernel {
+        &self.kernel
     }
 
     /// The flit slab this router reads and writes flit bodies through

@@ -169,6 +169,11 @@ pub trait RouterModel: Send {
     /// would fire. The engine skips `step` for routers that are idle and
     /// received no event this cycle, so an inexact `true` changes simulated
     /// behaviour; the conservative default keeps every router stepping.
+    ///
+    /// The engine asks once, after each `step`, and keeps skipping on a
+    /// `true` until the router's next `receive_*` — so the answer may depend
+    /// only on state that `receive_flit`, `receive_credit` and `step`
+    /// change, never on the cycle number or on anything outside the router.
     fn is_idle(&self) -> bool {
         false
     }

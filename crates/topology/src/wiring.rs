@@ -7,7 +7,9 @@
 //! downstream input port, per drop position), the reverse wiring (input port
 //! → feeding channel or injecting node, i.e. where credits go), and the
 //! node-attachment maps. [`DistanceMatrix`] flattens all-pairs minimal hop
-//! counts for delivery-time statistics.
+//! counts for callers that look the same pairs up many times; the engine is
+//! not one of them (it asks [`Topology::min_hops`] once per delivered packet,
+//! which is O(1) arithmetic on every topology here, and the table is N²).
 
 use crate::{LinkEnd, Topology};
 use noc_base::{NodeId, PortIndex, RouterId};
@@ -197,7 +199,7 @@ impl FlatWiring {
 }
 
 /// All-pairs minimal hop counts, flattened to one `u32` per ordered node
-/// pair. Replaces per-delivery [`Topology::min_hops`] virtual calls.
+/// pair: N² words, so worth building only where lookups far outnumber pairs.
 #[derive(Clone, Debug)]
 pub struct DistanceMatrix {
     nodes: usize,

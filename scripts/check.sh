@@ -67,6 +67,16 @@ NOC_BENCH_SMOKE=1 cargo bench -q -p noc-bench --bench engine --offline >/dev/nul
 echo "==> NOC_BENCH_SMOKE=1 cargo bench --bench fifo_micro (smoke)"
 NOC_BENCH_SMOKE=1 cargo bench -q -p noc-bench --bench fifo_micro --offline >/dev/null
 
+# Benchmark smoke: all five workloads of the repository benchmark at 1/100
+# size, through the code path the measured run takes, with the benchmark's
+# own gate — equal report_hash across repetitions, threads=2 == threads=1,
+# fast-forward on == off, cold/warm sweep byte-identity — so a kernel change
+# is checked by the benchmark before it is measured by it. (Its own package:
+# builds into crates/bench/benchmark/target.)
+echo "==> noc-benchmark --smoke"
+cargo run --release --offline --quiet \
+    --manifest-path crates/bench/benchmark/Cargo.toml -- --smoke >/dev/null
+
 # Campaign smoke: a tiny 2-scheme × 2-load sweep, interrupted after one
 # point (--max-points, the deterministic stand-in for a kill), resumed to
 # completion, then re-run — the re-run must execute 0 points and the report

@@ -613,6 +613,8 @@ mod tests {
             (&["--scheme", "evc", "--routing", "o1turn"], "scheme"),
             (&["--scheme", "evc", "--vcs", "3"], "vcs"),
             (&["--vcs", "0"], "vcs"),
+            (&["--vcs", "66"], "vcs: at most 64"),
+            (&["--topology", "mesh2x2c61"], "65 ports"),
             (&["--vcs", "1", "--routing", "o1turn"], "vcs"),
             (&["--buffer", "0"], "buffer"),
             (&["--packet", "0"], "packet"),

@@ -5,14 +5,25 @@
 //! `PipelineKernel::is_idle_base() && SchemeHooks::is_idle()`; this test
 //! pins it against the reference that never skips anything — the same
 //! routers behind a wrapper that always answers `false`.
+//!
+//! The engine asks a router once, after each of its steps, and skips it
+//! until its next event while the answer was `true` (DESIGN.md §10); the
+//! second test pins which cycles that leaves a router stepped in when its
+//! only work is scheme state.
 
-use noc_base::{Credit, FlitRef, PortIndex};
+use noc_base::{
+    Credit, FlitRef, NodeId, PacketClass, PortIndex, RouterId, RoutingPolicy, VaPolicy,
+};
 use noc_campaign::{build_topology, build_traffic, prepare, PointSpec, SchemeChoice, SCHEME_NAMES};
 use noc_energy::EnergyCounters;
 use noc_sim::{
-    RouterBuildContext, RouterFactory, RouterModel, RouterObservation, RouterOutputs, RouterStats,
-    SimReport, Simulation, TraceRing,
+    NetworkConfig, RouterBuildContext, RouterFactory, RouterModel, RouterObservation,
+    RouterOutputs, RouterStats, SimReport, Simulation, TraceRing,
 };
+use noc_topology::Mesh;
+use noc_traffic::{PacketRequest, TrafficModel};
+use pseudo_circuit::{PcRouterFactory, Scheme};
+use std::sync::{Arc, Mutex};
 
 /// Delegates everything to the wrapped router but is never idle, so the
 /// engine steps it every cycle and never fast-forwards.
@@ -53,17 +64,29 @@ impl RouterFactory for NeverIdleFactory {
     }
 }
 
-fn run(point: &PointSpec, factory: &dyn RouterFactory) -> SimReport {
+fn run(point: &PointSpec, factory: &dyn RouterFactory, threads: usize) -> SimReport {
     let topo = build_topology(&point.topology).unwrap();
     let traffic = build_traffic(&point.traffic, point.load, point.packet, point.seed, &topo);
-    Simulation::new(
+    let mut sim = Simulation::new(
         topo,
         point.network_config(),
         traffic.unwrap(),
         factory,
         point.seed,
-    )
-    .run(point.run_spec())
+    );
+    sim.set_threads(threads);
+    sim.run(point.run_spec())
+}
+
+fn assert_skipping_is_exact(point: &PointSpec, threads: usize) {
+    let skipping = run(point, point.scheme.factory().as_ref(), threads);
+    let stepped = run(point, &NeverIdleFactory(point.scheme.factory()), 1);
+    assert!(skipping.drained && skipping.measured_delivered > 0);
+    assert_eq!(
+        format!("{skipping:?}"),
+        format!("{stepped:?}"),
+        "{point} at threads={threads}: an idle router's skipped step was not a no-op"
+    );
 }
 
 #[test]
@@ -106,17 +129,114 @@ fn skipping_idle_routers_never_changes_a_report() {
                     assert_eq!((name, topology), ("evc", "ring8"));
                     continue;
                 }
-                let skipping = run(&point, point.scheme.factory().as_ref());
-                let stepped = run(&point, &NeverIdleFactory(point.scheme.factory()));
-                assert!(skipping.drained && skipping.measured_delivered > 0);
-                assert_eq!(
-                    format!("{skipping:?}"),
-                    format!("{stepped:?}"),
-                    "{point}: an idle router's skipped step was not a no-op"
-                );
+                assert_skipping_is_exact(&point, 1);
+                // Sharded, every shard keeps its own worklists, and events
+                // crossing shards schedule routers in another shard's. One
+                // busy case per scheme and topology, over a shorter window:
+                // each of its cycles crosses the worker pool's barrier.
+                if (traffic, buffer) == ("ur", 1) {
+                    let short = PointSpec {
+                        measure: 1_500,
+                        ..point.clone()
+                    };
+                    assert_skipping_is_exact(&short, 2);
+                }
                 compared += 1;
             }
         }
     }
     assert_eq!(compared, 4 * (2 * SCHEME_NAMES.len() - 1));
+}
+
+/// Logs the cycles in which each wrapped router is stepped.
+struct StepLog(Box<dyn RouterModel>, usize, Arc<Mutex<Vec<Vec<u64>>>>);
+
+impl RouterModel for StepLog {
+    fn receive_flit(&mut self, in_port: PortIndex, flit: FlitRef) {
+        self.0.receive_flit(in_port, flit);
+    }
+    fn receive_credit(&mut self, out_port: PortIndex, credit: Credit) {
+        self.0.receive_credit(out_port, credit);
+    }
+    fn step(&mut self, cycle: u64, out: &mut RouterOutputs) {
+        self.2.lock().unwrap()[self.1].push(cycle);
+        self.0.step(cycle, out);
+    }
+    fn is_idle(&self) -> bool {
+        self.0.is_idle()
+    }
+    fn stats(&self) -> RouterStats {
+        self.0.stats()
+    }
+    fn energy(&self) -> EnergyCounters {
+        self.0.energy()
+    }
+}
+
+struct StepLogFactory(PcRouterFactory, Arc<Mutex<Vec<Vec<u64>>>>);
+
+impl RouterFactory for StepLogFactory {
+    fn build(&self, ctx: RouterBuildContext<'_>) -> Box<dyn RouterModel> {
+        let id = ctx.id.index();
+        Box::new(StepLog(self.0.build(ctx), id, self.1.clone()))
+    }
+}
+
+/// Single-flit packets from node 0 to node 1, at cycles 0 and 3.
+struct TwoPackets;
+
+impl TrafficModel for TwoPackets {
+    fn name(&self) -> &str {
+        "two-packets"
+    }
+    fn generate(&mut self, cycle: u64, sink: &mut dyn FnMut(PacketRequest)) {
+        if cycle == 0 || cycle == 3 {
+            sink(PacketRequest {
+                src: NodeId::new(0),
+                dst: NodeId::new(1),
+                len: 1,
+                class: PacketClass::Data,
+            });
+        }
+    }
+}
+
+#[test]
+fn scheme_state_alone_keeps_a_router_stepping_exactly_as_long_as_it_changes() {
+    // Two routers, one VC with a two-flit buffer. At router 0 the first
+    // flit's SA grant spends one credit of the east port and establishes a
+    // circuit; the second flit rides it through the bypass latch and spends
+    // the other. Router 0 then holds no flit, only a circuit with no credit
+    // behind it, and no event reaches it until router 1 forwards the first
+    // flit and its credit comes back.
+    let config = NetworkConfig {
+        vcs_per_port: 1,
+        buffer_depth: 2,
+        routing: RoutingPolicy::Xy,
+        va_policy: VaPolicy::Static,
+    };
+    let log = Arc::new(Mutex::new(vec![Vec::new(); 2]));
+    let factory = StepLogFactory(PcRouterFactory::new(Scheme::pseudo_ps_bb()), log.clone());
+    let mut sim = Simulation::new(
+        Arc::new(Mesh::new(2, 1, 1)),
+        config,
+        Box::new(TwoPackets),
+        &factory,
+        1,
+    );
+    for _ in 0..40 {
+        sim.step();
+    }
+    let stats = sim.router(RouterId::new(0)).stats();
+    assert_eq!(stats.pc_terminations_credit, 1);
+    assert_eq!(stats.pc_speculative_restores, 1);
+    // Cycles 1-3: BW, VA and SA, ST of the first flit; cycle 4: the second
+    // bypasses. Cycle 5, unscheduled: the creditless circuit is terminated,
+    // and with no credit its history register is not restorable, so the
+    // router certifies idleness and cycle 6 skips it. Cycle 7: the first
+    // credit arrives, which schedules the step that restores the circuit; a
+    // held circuit with credit is no work. Cycle 8: the second credit's
+    // step. Skipped from then on.
+    assert_eq!(stats.buffer_bypasses, 1);
+    assert_eq!(log.lock().unwrap()[0], [1, 2, 3, 4, 5, 7, 8]);
 }
