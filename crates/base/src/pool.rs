@@ -512,12 +512,6 @@ impl WorkerPool {
         wait_ns
     }
 
-    /// Runs `job(i)` for every `i in 0..len` with no extra thread cap beyond
-    /// the pool's worker count.
-    pub fn run_indexed(&self, len: usize, job: &(dyn Fn(usize) + Sync)) {
-        self.run_limited(len, usize::MAX, job);
-    }
-
     /// Spawns workers until at least `n` exist.
     fn ensure_workers(&self, n: usize) {
         if self.workers.load(Ordering::Acquire) >= n {

@@ -5,38 +5,26 @@
 //! both routers; the pseudo-circuit advantage persists at every depth, and
 //! shallower buffers trigger more credit-exhaustion terminations.
 
-use noc_base::{RoutingPolicy, VaPolicy};
-use noc_bench::{banner, cmp_phases, parallel_map, pct, Table};
-use noc_topology::{Mesh, SharedTopology};
-use noc_traffic::BenchmarkProfile;
-use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
-use std::sync::Arc;
+use noc_bench::{banner, cmp_point, pct, run_points, Table};
+use noc_campaign::{PointSpec, SchemeChoice};
+use pseudo_circuit::Scheme;
 
 fn main() {
     banner("Ablation", "buffer depth sweep (fma3d, XY + static VA)");
-    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 4));
-    let (warmup, measure, drain) = cmp_phases();
-    let bench = *BenchmarkProfile::by_name("fma3d").expect("profile exists");
     let depths = [2u32, 4, 8, 16];
 
     let mut points = Vec::new();
     for &depth in &depths {
         for scheme in [Scheme::baseline(), Scheme::pseudo_ps_bb()] {
-            points.push((depth, scheme));
+            points.push(PointSpec {
+                scheme: SchemeChoice::Pc(scheme),
+                buffer: depth,
+                seed: 77,
+                ..cmp_point("fma3d")
+            });
         }
     }
-    let reports = parallel_map(points, |(depth, scheme)| {
-        let traffic = cmp_traffic_for(topo.as_ref(), bench, 3);
-        ExperimentBuilder::new(topo.clone())
-            .routing(RoutingPolicy::Xy)
-            .va_policy(VaPolicy::Static)
-            .buffer_depth(*depth)
-            .scheme(*scheme)
-            .seed(77)
-            .phases(warmup, measure, drain)
-            .run(Box::new(traffic))
-    });
+    let reports = run_points(&points);
 
     let mut table = Table::new([
         "depth",

@@ -6,35 +6,26 @@
 //! fire on every packet); long packets amortize the pipeline over the
 //! serialization tail, shrinking the relative gain.
 
-use noc_base::{RoutingPolicy, VaPolicy};
-use noc_bench::{banner, parallel_map, pct, synth_phases, Table};
-use noc_topology::Mesh;
-use noc_traffic::{SyntheticPattern, SyntheticTraffic};
-use pseudo_circuit::{ExperimentBuilder, Scheme};
-use std::sync::Arc;
+use noc_bench::{banner, pct, run_points, synth_point, Table};
+use noc_campaign::{PointSpec, SchemeChoice};
+use pseudo_circuit::Scheme;
 
 fn main() {
     banner("Ablation", "packet size sweep (UR @ 0.15 flits/node/cycle)");
-    let topo = Arc::new(Mesh::new(8, 8, 1));
-    let (warmup, measure, drain) = synth_phases();
     let sizes = [1u16, 5, 9];
 
     let mut points = Vec::new();
     for &len in &sizes {
         for scheme in [Scheme::baseline(), Scheme::pseudo_ps_bb()] {
-            points.push((len, scheme));
+            points.push(PointSpec {
+                scheme: SchemeChoice::Pc(scheme),
+                packet: len,
+                seed: 79,
+                ..synth_point("ur", 0.15)
+            });
         }
     }
-    let reports = parallel_map(points, |(len, scheme)| {
-        let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, 8, 8, *len, 0.15, 91);
-        ExperimentBuilder::new(topo.clone())
-            .routing(RoutingPolicy::Xy)
-            .va_policy(VaPolicy::Static)
-            .scheme(*scheme)
-            .seed(79)
-            .phases(warmup, measure, drain)
-            .run(Box::new(traffic))
-    });
+    let reports = run_points(&points);
 
     let mut table = Table::new([
         "packet",

@@ -7,45 +7,34 @@
 //! comes from the allocation policy concentrating same-destination flows
 //! onto one VC.
 
-use noc_base::{RoutingPolicy, VaPolicy};
-use noc_bench::{banner, cmp_phases, parallel_map, pct, Table};
-use noc_topology::{Mesh, SharedTopology};
-use noc_traffic::BenchmarkProfile;
-use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
-use std::sync::Arc;
+use noc_base::VaPolicy;
+use noc_bench::{banner, cmp_point, pct, run_points, Table};
+use noc_campaign::{PointSpec, SchemeChoice};
+use pseudo_circuit::Scheme;
 
 fn main() {
     banner(
         "Ablation",
         "VA keying: destination-keyed static vs dynamic (fma3d, XY)",
     );
-    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 4));
-    let (warmup, measure, drain) = cmp_phases();
-    let bench = *BenchmarkProfile::by_name("fma3d").expect("profile exists");
-
     let mut points = Vec::new();
     for va in [VaPolicy::Static, VaPolicy::Dynamic] {
         for scheme in Scheme::paper_lineup() {
-            points.push((va, scheme));
+            points.push(PointSpec {
+                scheme: SchemeChoice::Pc(scheme),
+                va,
+                seed: 80,
+                ..cmp_point("fma3d")
+            });
         }
     }
-    let reports = parallel_map(points.clone(), |(va, scheme)| {
-        let traffic = cmp_traffic_for(topo.as_ref(), bench, 3);
-        ExperimentBuilder::new(topo.clone())
-            .routing(RoutingPolicy::Xy)
-            .va_policy(*va)
-            .scheme(*scheme)
-            .seed(80)
-            .phases(warmup, measure, drain)
-            .run(Box::new(traffic))
-    });
+    let reports = run_points(&points);
 
     let mut table = Table::new(["VA policy", "scheme", "latency", "reuse", "header hits"]);
-    for ((va, scheme), report) in points.iter().zip(&reports) {
+    for (point, report) in points.iter().zip(&reports) {
         table.row([
-            va.to_string(),
-            scheme.to_string(),
+            point.va.to_string(),
+            point.scheme.label(),
             format!("{:.2}", report.avg_latency),
             pct(report.reusability()),
             pct(report.router_stats.header_hit_rate()),

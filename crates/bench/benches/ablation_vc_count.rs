@@ -5,38 +5,26 @@
 //! pseudo-circuit reuse (destinations spread over more VCs, so the stored
 //! input-VC matches less often).
 
-use noc_base::{RoutingPolicy, VaPolicy};
-use noc_bench::{banner, cmp_phases, parallel_map, pct, Table};
-use noc_topology::{Mesh, SharedTopology};
-use noc_traffic::BenchmarkProfile;
-use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
-use std::sync::Arc;
+use noc_bench::{banner, cmp_point, pct, run_points, Table};
+use noc_campaign::{PointSpec, SchemeChoice};
+use pseudo_circuit::Scheme;
 
 fn main() {
     banner("Ablation", "VC count sweep (fma3d, XY + static VA)");
-    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 4));
-    let (warmup, measure, drain) = cmp_phases();
-    let bench = *BenchmarkProfile::by_name("fma3d").expect("profile exists");
     let vc_counts = [2u8, 4, 8];
 
     let mut points = Vec::new();
     for &vcs in &vc_counts {
         for scheme in [Scheme::baseline(), Scheme::pseudo_ps_bb()] {
-            points.push((vcs, scheme));
+            points.push(PointSpec {
+                scheme: SchemeChoice::Pc(scheme),
+                vcs,
+                seed: 78,
+                ..cmp_point("fma3d")
+            });
         }
     }
-    let reports = parallel_map(points, |(vcs, scheme)| {
-        let traffic = cmp_traffic_for(topo.as_ref(), bench, 3);
-        ExperimentBuilder::new(topo.clone())
-            .routing(RoutingPolicy::Xy)
-            .va_policy(VaPolicy::Static)
-            .vcs(*vcs)
-            .scheme(*scheme)
-            .seed(78)
-            .phases(warmup, measure, drain)
-            .run(Box::new(traffic))
-    });
+    let reports = run_points(&points);
 
     let mut table = Table::new(["VCs", "baseline lat", "pseudo lat", "reduction", "reuse"]);
     for (i, &vcs) in vc_counts.iter().enumerate() {

@@ -7,24 +7,18 @@
 //! reports the MSHR-stall fraction of active core cycles per scheme — a
 //! first-order proxy for the IPC impact the authors deferred to future work.
 
-use noc_base::{RoutingPolicy, VaPolicy};
-use noc_bench::{banner, benchmarks, cmp_phases, parallel_map, pct, Table};
-use noc_topology::{Mesh, SharedTopology};
+use noc_bench::{banner, cmp_point, parallel_map, pct, Table};
+use noc_campaign::{build_simulation, PointSpec, SchemeChoice};
+use noc_sim::MetricsConfig;
 use noc_traffic::{BenchmarkProfile, CmpStats, CmpTraffic};
-use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
-use std::sync::Arc;
+use pseudo_circuit::Scheme;
 
-fn stall_fraction(topo: &SharedTopology, bench: BenchmarkProfile, scheme: Scheme) -> CmpStats {
-    let (warmup, measure, drain) = cmp_phases();
-    let traffic = cmp_traffic_for(topo.as_ref(), bench, 17);
-    let mut sim = ExperimentBuilder::new(topo.clone())
-        .routing(RoutingPolicy::Xy)
-        .va_policy(VaPolicy::Static)
-        .scheme(scheme)
-        .seed(2016)
-        .build(Box::new(traffic));
-    let _ = sim.run(noc_sim::RunSpec::new(warmup, measure, drain));
+/// Runs `point` and reads the core-side counters off its traffic model (a
+/// report does not carry them).
+fn cmp_stats(point: &PointSpec) -> CmpStats {
+    let (mut sim, _) =
+        build_simulation(point, MetricsConfig::off(), 1).unwrap_or_else(|e| panic!("{point}: {e}"));
+    let _ = sim.run(point.run_spec());
     sim.traffic_model()
         .as_any()
         .and_then(|any| any.downcast_ref::<CmpTraffic>())
@@ -37,19 +31,20 @@ fn main() {
         "Extension (IPC proxy)",
         "MSHR-stall fraction of active core cycles, per scheme",
     );
-    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 4));
-    let benches = benchmarks();
+    let benches = BenchmarkProfile::suite();
     let schemes = [Scheme::baseline(), Scheme::pseudo(), Scheme::pseudo_ps_bb()];
 
     let mut points = Vec::new();
-    for bench in &benches {
+    for bench in benches {
         for scheme in schemes {
-            points.push((*bench, scheme));
+            points.push(PointSpec {
+                scheme: SchemeChoice::Pc(scheme),
+                seed: 2016,
+                ..cmp_point(bench.name)
+            });
         }
     }
-    let stats = parallel_map(points, |(bench, scheme)| {
-        stall_fraction(&topo, *bench, *scheme)
-    });
+    let stats = parallel_map(&points, cmp_stats);
 
     let mut table = Table::new([
         "benchmark",

@@ -7,54 +7,62 @@
 //! like UR on a mesh.
 
 use noc_base::{NodeId, RoutingPolicy, VaPolicy};
-use noc_bench::{banner, parallel_map, pct, synth_phases, Table};
-use noc_topology::Mesh;
+use noc_bench::{banner, parallel_map, pct, run_points, synth_point, Table, SYNTH_PHASES};
+use noc_campaign::{PointSpec, SchemeChoice};
+use noc_sim::{NetworkConfig, Simulation};
+use noc_topology::{Mesh, SharedTopology};
 use noc_traffic::{SyntheticPattern, SyntheticTraffic};
-use pseudo_circuit::{ExperimentBuilder, Scheme};
+use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::sync::Arc;
+
+const LOADS: [f64; 2] = [0.08, 0.20];
+const SEED: u64 = 31;
 
 fn main() {
     banner(
         "Extension (patterns)",
         "tornado / neighbor / hotspot traffic on an 8x8 mesh (XY + static VA)",
     );
-    let topo = Arc::new(Mesh::new(8, 8, 1));
-    let (warmup, measure, drain) = synth_phases();
-    let patterns: Vec<(&str, SyntheticPattern)> = vec![
-        ("TOR", SyntheticPattern::Tornado),
-        ("NBR", SyntheticPattern::Neighbor),
-        (
-            "HOT(4@20%)",
-            SyntheticPattern::Hotspot {
-                fraction: 0.2,
-                spots: vec![
-                    NodeId::new(18),
-                    NodeId::new(21),
-                    NodeId::new(42),
-                    NodeId::new(45),
-                ],
-            },
-        ),
-    ];
+    let schemes = [Scheme::baseline(), Scheme::pseudo_ps_bb()];
 
     let mut points = Vec::new();
-    for (name, pattern) in &patterns {
-        for load in [0.08, 0.20] {
-            for scheme in [Scheme::baseline(), Scheme::pseudo_ps_bb()] {
-                points.push((*name, pattern.clone(), load, scheme));
+    for pattern in ["tornado", "neighbor"] {
+        for load in LOADS {
+            for scheme in schemes {
+                points.push(PointSpec {
+                    scheme: SchemeChoice::Pc(scheme),
+                    seed: SEED,
+                    ..synth_point(pattern, load)
+                });
             }
         }
     }
-    let reports = parallel_map(points.clone(), |(_, pattern, load, scheme)| {
-        let traffic = SyntheticTraffic::new(pattern.clone(), 8, 8, 5, *load, 77);
-        ExperimentBuilder::new(topo.clone())
-            .routing(RoutingPolicy::Xy)
-            .va_policy(VaPolicy::Static)
-            .scheme(*scheme)
-            .seed(31)
-            .phases(warmup, measure, drain)
-            .run(Box::new(traffic))
-    });
+    let mut reports = run_points(&points);
+
+    // A hotspot pattern carries a node list, which the traffic vocabulary
+    // cannot name: these rows are built at object level, on the mesh,
+    // configuration, phases and seed `synth_point` gives the rows above.
+    let topo: SharedTopology = Arc::new(Mesh::new(8, 8, 1));
+    let config = NetworkConfig {
+        routing: RoutingPolicy::Xy,
+        va_policy: VaPolicy::Static,
+        ..NetworkConfig::paper()
+    };
+    let hotspot = SyntheticPattern::Hotspot {
+        fraction: 0.2,
+        spots: [18, 21, 42, 45].map(NodeId::new).to_vec(),
+    };
+    let mut cells = Vec::new();
+    for load in LOADS {
+        for scheme in schemes {
+            cells.push((load, scheme));
+        }
+    }
+    reports.extend(parallel_map(&cells, |&(load, scheme)| {
+        let traffic = SyntheticTraffic::new(hotspot.clone(), 8, 8, 5, load, SEED);
+        let factory = PcRouterFactory::new(scheme);
+        Simulation::new(topo.clone(), config, Box::new(traffic), &factory, SEED).run(SYNTH_PHASES)
+    }));
 
     let mut table = Table::new([
         "pattern",
@@ -64,13 +72,11 @@ fn main() {
         "reduction",
         "reuse",
     ]);
-    for chunk in 0..points.len() / 2 {
-        let (name, _, load, _) = &points[chunk * 2];
-        let base = &reports[chunk * 2];
-        let full = &reports[chunk * 2 + 1];
+    for (row, pair) in reports.chunks(2).enumerate() {
+        let (base, full) = (&pair[0], &pair[1]);
         table.row([
-            name.to_string(),
-            format!("{:.0}%", load * 100.0),
+            ["TOR", "NBR", "HOT(4@20%)"][row / LOADS.len()].to_string(),
+            format!("{:.0}%", LOADS[row % LOADS.len()] * 100.0),
             format!("{:.1}", base.avg_latency),
             format!("{:.1}", full.avg_latency),
             pct(full.latency_reduction_vs(base)),

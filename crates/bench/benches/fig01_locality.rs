@@ -6,28 +6,27 @@
 //! port taking the same output port) rises to ~31% — the headroom the
 //! pseudo-circuit scheme exploits.
 
-use noc_base::{RoutingPolicy, VaPolicy};
-use noc_bench::{banner, benchmarks, parallel_map, pct, run_cmp, CmpPoint, Table};
-use noc_topology::{Mesh, SharedTopology};
+use noc_base::VaPolicy;
+use noc_bench::{banner, cmp_point, pct, run_points, Table};
+use noc_campaign::{PointSpec, SchemeChoice};
+use noc_traffic::BenchmarkProfile;
 use pseudo_circuit::Scheme;
-use std::sync::Arc;
 
 fn main() {
     banner(
         "Fig. 1",
         "communication temporal locality: end-to-end vs crossbar connection",
     );
-    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 4));
-    let points: Vec<CmpPoint> = benchmarks()
-        .into_iter()
-        .map(|bench| CmpPoint {
-            bench,
-            routing: RoutingPolicy::Xy,
+    let points: Vec<PointSpec> = BenchmarkProfile::suite()
+        .iter()
+        .map(|bench| PointSpec {
+            scheme: SchemeChoice::Pc(Scheme::baseline()),
             va: VaPolicy::Dynamic,
-            scheme: Scheme::baseline(),
+            seed: 2010,
+            ..cmp_point(bench.name)
         })
         .collect();
-    let reports = parallel_map(points.clone(), |p| run_cmp(&topo, p, 2010));
+    let reports = run_points(&points);
 
     let mut table = Table::new(["benchmark", "end-to-end", "crossbar connection"]);
     let (mut e2e_sum, mut xbar_sum) = (0.0, 0.0);
@@ -35,7 +34,7 @@ fn main() {
         e2e_sum += report.end_to_end_locality;
         xbar_sum += report.xbar_locality();
         table.row([
-            point.bench.name.to_string(),
+            point.traffic.clone(),
             pct(report.end_to_end_locality),
             pct(report.xbar_locality()),
         ]);

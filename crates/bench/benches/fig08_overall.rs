@@ -8,42 +8,40 @@
 //!     VA, §VI.A).
 //! (b) Pseudo-circuit reusability per benchmark.
 
-use noc_base::{RoutingPolicy, VaPolicy};
-use noc_bench::{
-    banner, benchmarks, parallel_map, pct, reference_baseline, run_cmp, CmpPoint, Table,
-};
-use noc_topology::{Mesh, SharedTopology};
+use noc_bench::{banner, cmp_point, pct, reference_baseline, run_points, Table};
+use noc_campaign::{PointSpec, SchemeChoice};
+use noc_traffic::BenchmarkProfile;
 use pseudo_circuit::Scheme;
-use std::sync::Arc;
 
 fn main() {
     banner(
         "Fig. 8",
         "overall latency reduction (a) and pseudo-circuit reusability (b)",
     );
-    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 4));
     let schemes = [
         Scheme::pseudo(),
         Scheme::pseudo_ps(),
         Scheme::pseudo_bb(),
         Scheme::pseudo_ps_bb(),
     ];
-    let benches = benchmarks();
+    let benches = BenchmarkProfile::suite();
 
     // Work list: the baseline plus the four schemes per benchmark.
     let mut points = Vec::new();
-    for bench in &benches {
-        points.push(reference_baseline(*bench));
+    for bench in benches {
+        points.push(PointSpec {
+            seed: 88,
+            ..reference_baseline(bench.name)
+        });
         for scheme in schemes {
-            points.push(CmpPoint {
-                bench: *bench,
-                routing: RoutingPolicy::Xy,
-                va: VaPolicy::Static,
-                scheme,
+            points.push(PointSpec {
+                scheme: SchemeChoice::Pc(scheme),
+                seed: 88,
+                ..cmp_point(bench.name)
             });
         }
     }
-    let reports = parallel_map(points, |p| run_cmp(&topo, p, 88));
+    let reports = run_points(&points);
 
     let mut reduction = Table::new([
         "benchmark",

@@ -7,12 +7,10 @@
 //! in most benchmarks; jbb prefers O1TURN due to its skewed traffic.
 
 use noc_base::{RoutingPolicy, VaPolicy};
-use noc_bench::{
-    banner, benchmarks, parallel_map, pct, reference_baseline, run_cmp, CmpPoint, Table,
-};
-use noc_topology::{Mesh, SharedTopology};
+use noc_bench::{banner, cmp_point, pct, reference_baseline, run_points, Table};
+use noc_campaign::{PointSpec, SchemeChoice};
+use noc_traffic::BenchmarkProfile;
 use pseudo_circuit::Scheme;
-use std::sync::Arc;
 
 const COMBOS: [(VaPolicy, RoutingPolicy); 6] = [
     (VaPolicy::Static, RoutingPolicy::Xy),
@@ -36,8 +34,7 @@ fn main() {
         "Fig. 9",
         "latency reduction per scheme x benchmark x (VA policy, routing)",
     );
-    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 4));
-    let benches = benchmarks();
+    let benches = BenchmarkProfile::suite();
     let schemes = [
         ("(a) Pseudo", Scheme::pseudo()),
         ("(b) Pseudo+PS", Scheme::pseudo_ps()),
@@ -46,24 +43,29 @@ fn main() {
     ];
 
     // Baselines once per benchmark.
-    let baselines = parallel_map(
-        benches.iter().map(|b| reference_baseline(*b)).collect(),
-        |p| run_cmp(&topo, p, 88),
-    );
+    let baselines: Vec<PointSpec> = benches
+        .iter()
+        .map(|bench| PointSpec {
+            seed: 88,
+            ..reference_baseline(bench.name)
+        })
+        .collect();
+    let baselines = run_points(&baselines);
 
     for (title, scheme) in schemes {
         let mut points = Vec::new();
-        for bench in &benches {
+        for bench in benches {
             for (va, routing) in COMBOS {
-                points.push(CmpPoint {
-                    bench: *bench,
+                points.push(PointSpec {
+                    scheme: SchemeChoice::Pc(scheme),
                     routing,
                     va,
-                    scheme,
+                    seed: 88,
+                    ..cmp_point(bench.name)
                 });
             }
         }
-        let reports = parallel_map(points, |p| run_cmp(&topo, p, 88));
+        let reports = run_points(&points);
         let mut table = Table::new(
             std::iter::once("benchmark".to_string())
                 .chain(COMBOS.iter().map(|&(va, r)| combo_label(va, r)))

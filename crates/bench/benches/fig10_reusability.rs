@@ -8,10 +8,10 @@
 //! concentration.
 
 use noc_base::{RoutingPolicy, VaPolicy};
-use noc_bench::{banner, benchmarks, parallel_map, pct, run_cmp, CmpPoint, Table};
-use noc_topology::{Mesh, SharedTopology};
+use noc_bench::{banner, cmp_point, pct, run_points, Table};
+use noc_campaign::{PointSpec, SchemeChoice};
+use noc_traffic::BenchmarkProfile;
 use pseudo_circuit::Scheme;
-use std::sync::Arc;
 
 const COMBOS: [(VaPolicy, RoutingPolicy); 6] = [
     (VaPolicy::Static, RoutingPolicy::Xy),
@@ -35,8 +35,7 @@ fn main() {
         "Fig. 10",
         "pseudo-circuit reusability per scheme x benchmark x (VA policy, routing)",
     );
-    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 4));
-    let benches = benchmarks();
+    let benches = BenchmarkProfile::suite();
     let schemes = [
         ("(a) Pseudo", Scheme::pseudo()),
         ("(b) Pseudo+PS", Scheme::pseudo_ps()),
@@ -45,17 +44,18 @@ fn main() {
     ];
     for (title, scheme) in schemes {
         let mut points = Vec::new();
-        for bench in &benches {
+        for bench in benches {
             for (va, routing) in COMBOS {
-                points.push(CmpPoint {
-                    bench: *bench,
+                points.push(PointSpec {
+                    scheme: SchemeChoice::Pc(scheme),
                     routing,
                     va,
-                    scheme,
+                    seed: 88,
+                    ..cmp_point(bench.name)
                 });
             }
         }
-        let reports = parallel_map(points, |p| run_cmp(&topo, p, 88));
+        let reports = run_points(&points);
         let mut table = Table::new(
             std::iter::once("benchmark".to_string())
                 .chain(COMBOS.iter().map(|&(va, r)| combo_label(va, r)))

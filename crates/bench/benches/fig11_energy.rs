@@ -7,39 +7,32 @@
 //! bypass_rate x 23.6% by eliminating buffer reads and writes on bypassed
 //! flits (bounded by the 23.4% buffer share of Table II).
 
-use noc_base::{RoutingPolicy, VaPolicy};
-use noc_bench::{banner, benchmarks, parallel_map, pct, run_cmp, CmpPoint, Table};
-use noc_topology::{Mesh, SharedTopology};
+use noc_base::RoutingPolicy;
+use noc_bench::{banner, cmp_point, pct, run_points, Table};
+use noc_campaign::{PointSpec, SchemeChoice};
+use noc_traffic::BenchmarkProfile;
 use pseudo_circuit::Scheme;
-use std::sync::Arc;
 
 fn main() {
     banner(
         "Fig. 11",
         "normalized router energy per benchmark (static VA)",
     );
-    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 4));
-    let benches = benchmarks();
-    let schemes = [
-        Scheme::baseline(),
-        Scheme::pseudo(),
-        Scheme::pseudo_ps(),
-        Scheme::pseudo_bb(),
-        Scheme::pseudo_ps_bb(),
-    ];
+    let benches = BenchmarkProfile::suite();
+    let schemes = Scheme::paper_lineup();
     for (panel, routing) in [("(a) XY", RoutingPolicy::Xy), ("(b) YX", RoutingPolicy::Yx)] {
         let mut points = Vec::new();
-        for bench in &benches {
+        for bench in benches {
             for scheme in schemes {
-                points.push(CmpPoint {
-                    bench: *bench,
+                points.push(PointSpec {
+                    scheme: SchemeChoice::Pc(scheme),
                     routing,
-                    va: VaPolicy::Static,
-                    scheme,
+                    seed: 424,
+                    ..cmp_point(bench.name)
                 });
             }
         }
-        let reports = parallel_map(points, |p| run_cmp(&topo, p, 424));
+        let reports = run_points(&points);
         let mut table = Table::new([
             "benchmark",
             "Pseudo",

@@ -6,44 +6,30 @@
 //! latency improvement at low load for UR and BP, ~6% for BC, and a
 //! rightward shift of the saturation knee with the pseudo-circuit schemes.
 
-use noc_base::{RoutingPolicy, VaPolicy};
-use noc_bench::{banner, parallel_map, pct, synth_phases, Table};
-use noc_topology::Mesh;
-use noc_traffic::{SyntheticPattern, SyntheticTraffic};
-use pseudo_circuit::{ExperimentBuilder, Scheme};
-use std::sync::Arc;
+use noc_bench::{banner, pct, run_points, synth_point, Table};
+use noc_campaign::{PointSpec, SchemeChoice};
+use pseudo_circuit::Scheme;
 
 fn main() {
     banner(
         "Fig. 12",
         "synthetic load-latency: UR / BC / BP on an 8x8 mesh (XY + static VA)",
     );
-    let topo = Arc::new(Mesh::new(8, 8, 1));
-    let (warmup, measure, drain) = synth_phases();
     let schemes = Scheme::paper_lineup();
     let loads = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45];
 
-    for pattern in [
-        SyntheticPattern::UniformRandom,
-        SyntheticPattern::BitComplement,
-        SyntheticPattern::Transpose,
-    ] {
+    for pattern in ["ur", "bc", "bp"] {
         let mut points = Vec::new();
         for &load in &loads {
             for scheme in schemes {
-                points.push((pattern.clone(), load, scheme));
+                points.push(PointSpec {
+                    scheme: SchemeChoice::Pc(scheme),
+                    seed: 12,
+                    ..synth_point(pattern, load)
+                });
             }
         }
-        let reports = parallel_map(points, |(pattern, load, scheme)| {
-            let traffic = SyntheticTraffic::new(pattern.clone(), 8, 8, 5, *load, 1208);
-            ExperimentBuilder::new(topo.clone())
-                .routing(RoutingPolicy::Xy)
-                .va_policy(VaPolicy::Static)
-                .scheme(*scheme)
-                .seed(12)
-                .phases(warmup, measure, drain)
-                .run(Box::new(traffic))
-        });
+        let reports = run_points(&points);
 
         let mut table = Table::new([
             "load",
@@ -71,7 +57,7 @@ fn main() {
         }
         println!(
             "\n{} (avg packet latency, cycles; * = saturated):",
-            pattern.label()
+            pattern.to_ascii_uppercase()
         );
         table.print();
     }

@@ -7,45 +7,35 @@
 //! topology-independent), and combining it with a hop-reducing topology
 //! yields more than 50% latency reduction versus the mesh baseline.
 
-use noc_base::{RoutingPolicy, VaPolicy};
-use noc_bench::{banner, cmp_phases, parallel_map, pct, Table};
-use noc_topology::{FlattenedButterfly, Mecs, Mesh, SharedTopology};
-use noc_traffic::BenchmarkProfile;
-use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
-use std::sync::Arc;
+use noc_bench::{banner, cmp_point, pct, run_points, Table};
+use noc_campaign::{PointSpec, SchemeChoice};
+use pseudo_circuit::Scheme;
 
 fn main() {
     banner(
         "Fig. 13",
         "pseudo-circuit on mesh / CMesh / MECS / FBFLY (fma3d, XY + static VA)",
     );
-    let (warmup, measure, drain) = cmp_phases();
-    let bench = *BenchmarkProfile::by_name("fma3d").expect("profile exists");
-    let topologies: Vec<(&str, SharedTopology)> = vec![
-        ("Mesh", Arc::new(Mesh::new(8, 8, 1))),
-        ("CMesh", Arc::new(Mesh::new(4, 4, 4))),
-        ("MECS", Arc::new(Mecs::new(4, 4, 4))),
-        ("FBFLY", Arc::new(FlattenedButterfly::new(4, 4, 4))),
+    let topologies = [
+        ("Mesh", "mesh8x8"),
+        ("CMesh", "cmesh4x4"),
+        ("MECS", "mecs4x4"),
+        ("FBFLY", "fbfly4x4"),
     ];
     let schemes = Scheme::paper_lineup();
 
     let mut points = Vec::new();
-    for (name, topo) in &topologies {
+    for (_, topology) in topologies {
         for scheme in schemes {
-            points.push((*name, topo.clone(), scheme));
+            points.push(PointSpec {
+                topology: topology.into(),
+                scheme: SchemeChoice::Pc(scheme),
+                seed: 13,
+                ..cmp_point("fma3d")
+            });
         }
     }
-    let reports = parallel_map(points, |(_, topo, scheme)| {
-        let traffic = cmp_traffic_for(topo.as_ref(), bench, 555);
-        ExperimentBuilder::new(topo.clone())
-            .routing(RoutingPolicy::Xy)
-            .va_policy(VaPolicy::Static)
-            .scheme(*scheme)
-            .seed(13)
-            .phases(warmup, measure, drain)
-            .run(Box::new(traffic))
-    });
+    let reports = run_points(&points);
 
     let mesh_baseline = reports[0].avg_latency;
     let mut table = Table::new([

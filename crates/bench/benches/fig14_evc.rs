@@ -7,63 +7,40 @@
 //! on the CMesh (short dimensions starve the express channels and halve the
 //! usable VCs), while the pseudo-circuit scheme is topology-independent.
 
-use noc_base::{RoutingPolicy, VaPolicy};
-use noc_bench::{banner, benchmarks, cmp_phases, parallel_map, Table};
-use noc_evc::EvcRouterFactory;
-use noc_sim::SimReport;
-use noc_topology::{Mesh, SharedTopology};
+use noc_base::VaPolicy;
+use noc_bench::{banner, cmp_point, run_points, Table};
+use noc_campaign::{PointSpec, SchemeChoice};
 use noc_traffic::BenchmarkProfile;
-use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
-use std::sync::Arc;
-
-#[derive(Clone, Copy)]
-enum Router {
-    Baseline,
-    Evc,
-    PseudoFull,
-}
-
-fn run(topo: &SharedTopology, bench: BenchmarkProfile, router: Router) -> SimReport {
-    let (warmup, measure, drain) = cmp_phases();
-    let traffic = cmp_traffic_for(topo.as_ref(), bench, 14);
-    let builder = ExperimentBuilder::new(topo.clone())
-        .routing(RoutingPolicy::Xy)
-        .va_policy(VaPolicy::Dynamic)
-        .seed(41)
-        .phases(warmup, measure, drain);
-    match router {
-        Router::Baseline => builder.scheme(Scheme::baseline()).run(Box::new(traffic)),
-        Router::PseudoFull => builder
-            .scheme(Scheme::pseudo_ps_bb())
-            .run(Box::new(traffic)),
-        Router::Evc => builder.run_with_factory(Box::new(traffic), &EvcRouterFactory::default()),
-    }
-}
+use pseudo_circuit::Scheme;
 
 fn main() {
     banner(
         "Fig. 14",
         "EVC vs Pseudo+PS+BB on mesh and concentrated mesh (XY + dynamic VA)",
     );
-    let benches = benchmarks();
-    for (panel, topo) in [
-        (
-            "(a) 8x8 Mesh",
-            Arc::new(Mesh::new(8, 8, 1)) as SharedTopology,
-        ),
-        (
-            "(b) 4x4 Concentrated Mesh",
-            Arc::new(Mesh::new(4, 4, 4)) as SharedTopology,
-        ),
+    let benches = BenchmarkProfile::suite();
+    let routers = [
+        SchemeChoice::Pc(Scheme::baseline()),
+        SchemeChoice::Evc,
+        SchemeChoice::Pc(Scheme::pseudo_ps_bb()),
+    ];
+    for (panel, topology) in [
+        ("(a) 8x8 Mesh", "mesh8x8"),
+        ("(b) 4x4 Concentrated Mesh", "cmesh4x4"),
     ] {
         let mut points = Vec::new();
-        for bench in &benches {
-            for router in [Router::Baseline, Router::Evc, Router::PseudoFull] {
-                points.push((*bench, router));
+        for bench in benches {
+            for scheme in routers {
+                points.push(PointSpec {
+                    topology: topology.into(),
+                    scheme,
+                    va: VaPolicy::Dynamic,
+                    seed: 41,
+                    ..cmp_point(bench.name)
+                });
             }
         }
-        let reports = parallel_map(points, |(bench, router)| run(&topo, *bench, *router));
+        let reports = run_points(&points);
         let mut table = Table::new(["benchmark", "Baseline", "EVC", "Pseudo+PS+BB"]);
         let (mut evc_sum, mut pc_sum) = (0.0, 0.0);
         for (i, bench) in benches.iter().enumerate() {

@@ -9,58 +9,33 @@
 //! (who wins, by roughly what factor) is the reproduction target —
 //! EXPERIMENTS.md records the comparison.
 //!
-//! Environment knobs:
-//!
-//! - `NOC_SCALE` — multiplies the measurement-window length (default 1.0;
-//!   use 4 or more for tighter confidence);
-//! - `NOC_BENCHMARKS` — comma-separated benchmark subset (default: all 12);
-//! - `NOC_THREADS` — process-wide thread budget: sets the sweep worker count
-//!   and caps the engine's per-simulation thread budget (default: all cores);
-//! - `NOC_MANIFEST_DIR` — when set, every harness run writes a reproducibility
-//!   manifest (`noc-run-manifest/1` JSON, see `docs/METRICS.md`) into this
-//!   directory, named by its configuration hash.
+//! A sweep harness is "build [`PointSpec`]s → [`run_points`] → print": every
+//! cell of a figure is a campaign point, so `noc run` with the flags of that
+//! point (or a campaign spec listing it) reproduces the cell — including
+//! with a run manifest (`--manifest`), a longer window (`--measure`) or more
+//! seeds (a campaign `seed` axis). Phases and seeds are fixed here so the
+//! printed tables are the ones EXPERIMENTS.md records. `NOC_THREADS` caps
+//! the sweep worker count (default: all cores).
 
 use noc_base::{RoutingPolicy, VaPolicy};
-use noc_sim::{RunManifest, SimReport};
-use noc_topology::SharedTopology;
-use noc_traffic::BenchmarkProfile;
-use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
+use noc_campaign::{prepare, run_point, PointSpec, SchemeChoice};
+use noc_sim::{RunSpec, SimReport};
+use pseudo_circuit::Scheme;
 use std::fmt::Write as _;
-use std::path::Path;
-
-/// Measurement-window scale factor from `NOC_SCALE`.
-pub fn scale() -> f64 {
-    std::env::var("NOC_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|s: &f64| *s > 0.0)
-        .unwrap_or(1.0)
-}
 
 /// Warmup / measure / drain cycles for closed-loop CMP runs.
-pub fn cmp_phases() -> (u64, u64, u64) {
-    let measure = (10_000.0 * scale()) as u64;
-    (1_000, measure, 20 * measure)
-}
+pub const CMP_PHASES: RunSpec = RunSpec {
+    warmup: 1_000,
+    measure: 10_000,
+    drain: 200_000,
+};
 
 /// Warmup / measure / drain cycles for open-loop synthetic runs.
-pub fn synth_phases() -> (u64, u64, u64) {
-    let measure = (8_000.0 * scale()) as u64;
-    (1_000, measure, 10 * measure)
-}
-
-/// The benchmark suite, filtered by `NOC_BENCHMARKS` when set.
-pub fn benchmarks() -> Vec<BenchmarkProfile> {
-    let all = BenchmarkProfile::suite();
-    match std::env::var("NOC_BENCHMARKS") {
-        Ok(list) => list
-            .split(',')
-            .filter_map(|name| BenchmarkProfile::by_name(name.trim()).copied())
-            .collect(),
-        Err(_) => all.to_vec(),
-    }
-}
+pub const SYNTH_PHASES: RunSpec = RunSpec {
+    warmup: 1_000,
+    measure: 8_000,
+    drain: 80_000,
+};
 
 /// The sweep thread budget: `NOC_THREADS` when set to a positive integer,
 /// otherwise every available core ([`std::thread::available_parallelism`]).
@@ -94,9 +69,9 @@ impl<R> ResultSlots<R> {
 /// sweep point that itself runs a multi-threaded simulation executes its
 /// shards inline on whichever thread runs the sweep point — a pool worker
 /// or the submitting thread itself — so nested submissions never deadlock.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
-    T: Send + Sync,
+    T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
@@ -107,7 +82,6 @@ where
     let mut results: Vec<Option<R>> = Vec::with_capacity(n);
     results.resize_with(n, || None);
     let slots = ResultSlots(results.as_mut_ptr());
-    let items = &items;
     let f = &f;
     // Sweep points run whole simulations — always worth waking parked
     // workers for (eager), unlike the engine's per-cycle micro-batches.
@@ -124,77 +98,61 @@ where
         .collect()
 }
 
-/// One experiment point in a sweep.
-#[derive(Clone, Debug)]
-pub struct CmpPoint {
-    /// Benchmark profile.
-    pub bench: BenchmarkProfile,
-    /// Routing algorithm.
-    pub routing: RoutingPolicy,
-    /// VC allocation policy.
-    pub va: VaPolicy,
-    /// Router scheme.
-    pub scheme: Scheme,
+/// Runs every point to completion on the worker pool ([`parallel_map`]),
+/// each through the campaign's own path ([`prepare`] then [`run_point`] —
+/// what `noc run` with the point's flags executes), and returns the reports
+/// in input order.
+///
+/// # Panics
+///
+/// Panics, naming the point, if one is not a legal campaign point — a
+/// harness lists fixed points, so that is a bug in the harness.
+pub fn run_points(points: &[PointSpec]) -> Vec<SimReport> {
+    parallel_map(points, |point| {
+        prepare(point)
+            .and_then(|prepared| run_point(&prepared))
+            .unwrap_or_else(|e| panic!("{point}: {e}"))
+    })
 }
 
-/// Runs one CMP experiment on the given topology. Writes a run manifest when
-/// `NOC_MANIFEST_DIR` is set (see [`maybe_write_manifest`]).
-pub fn run_cmp(topo: &SharedTopology, point: &CmpPoint, seed: u64) -> SimReport {
-    let (warmup, measure, drain) = cmp_phases();
-    let traffic = cmp_traffic_for(topo.as_ref(), point.bench, seed ^ 0x77);
-    let builder = ExperimentBuilder::new(topo.clone())
-        .routing(point.routing)
-        .va_policy(point.va)
-        .scheme(point.scheme)
-        .seed(seed)
-        .phases(warmup, measure, drain);
-    let report = builder.run(Box::new(traffic));
-    maybe_write_manifest(&report, &builder, point.scheme.to_string());
-    report
-}
-
-/// Writes a run manifest for `report` into `NOC_MANIFEST_DIR` when that
-/// variable is set; a no-op otherwise. Write failures are reported on stderr
-/// but never abort a harness mid-sweep.
-pub fn maybe_write_manifest(report: &SimReport, builder: &ExperimentBuilder, scheme: String) {
-    if let Ok(dir) = std::env::var("NOC_MANIFEST_DIR") {
-        write_manifest_to(Path::new(&dir), report, builder, scheme);
+/// The coordinates every CMP figure cell shares: benchmark `bench` on the
+/// paper's 4×4 concentrated mesh at [`CMP_PHASES`]. Harnesses fill in the
+/// rest (scheme, routing, VA policy, seed, ...) with struct-update syntax.
+pub fn cmp_point(bench: &str) -> PointSpec {
+    PointSpec {
+        topology: "cmesh4x4".into(),
+        traffic: bench.into(),
+        warmup: CMP_PHASES.warmup,
+        measure: CMP_PHASES.measure,
+        drain: CMP_PHASES.drain,
+        ..PointSpec::default()
     }
 }
 
-/// Writes a run manifest for `report` into `dir`, named
-/// `<config_hash>.json` — identical configurations (same topology, traffic,
-/// scheme, parameters, and seed) overwrite each other, so a sweep leaves one
-/// manifest per distinct experiment point.
-pub fn write_manifest_to(
-    dir: &Path,
-    report: &SimReport,
-    builder: &ExperimentBuilder,
-    scheme: String,
-) {
-    let manifest = RunManifest::capture(
-        report,
-        &builder.config(),
-        builder.spec(),
-        builder.seed_value(),
-        builder.metrics_config().level,
-    )
-    .with_scheme(scheme);
-    let path = dir.join(format!("{}.json", manifest.config_hash));
-    if let Err(e) = manifest.write(&path) {
-        eprintln!("warning: cannot write manifest {}: {e}", path.display());
+/// The coordinates every synthetic figure cell shares: `pattern` at offered
+/// load `load` on the 8×8 mesh with XY routing, static VA and 5-flit
+/// packets (the `noc run` defaults), at [`SYNTH_PHASES`].
+pub fn synth_point(pattern: &str, load: f64) -> PointSpec {
+    PointSpec {
+        topology: "mesh8x8".into(),
+        traffic: pattern.into(),
+        load,
+        warmup: SYNTH_PHASES.warmup,
+        measure: SYNTH_PHASES.measure,
+        drain: SYNTH_PHASES.drain,
+        ..PointSpec::default()
     }
 }
 
 /// The paper's reference baseline for Fig. 8: O1TURN routing with dynamic VC
 /// allocation, no pseudo-circuits ("the best performance in the baseline
 /// system", §VI.A).
-pub fn reference_baseline(bench: BenchmarkProfile) -> CmpPoint {
-    CmpPoint {
-        bench,
+pub fn reference_baseline(bench: &str) -> PointSpec {
+    PointSpec {
+        scheme: SchemeChoice::Pc(Scheme::baseline()),
         routing: RoutingPolicy::O1Turn,
         va: VaPolicy::Dynamic,
-        scheme: Scheme::baseline(),
+        ..cmp_point(bench)
     }
 }
 
@@ -269,10 +227,7 @@ pub fn pct(x: f64) -> String {
 pub fn banner(figure: &str, what: &str) {
     println!("==============================================================");
     println!("{figure}: {what}");
-    println!(
-        "(scale {}x; set NOC_SCALE to lengthen runs, NOC_BENCHMARKS to subset)",
-        scale()
-    );
+    println!("(fixed phases and seeds: any row is `noc run` + the flags of its point)");
     println!("==============================================================");
 }
 
@@ -295,16 +250,16 @@ mod tests {
     #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(items, |&x| x * 2);
+        let out = parallel_map(&items, |&x| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn parallel_map_handles_empty_and_tiny_inputs() {
-        assert_eq!(parallel_map(Vec::<u64>::new(), |&x| x), Vec::<u64>::new());
+        assert_eq!(parallel_map(&[0u64; 0], |&x| x), Vec::<u64>::new());
         // Fewer items than threads: excess workers simply never join.
-        assert_eq!(parallel_map(vec![7u64], |&x| x + 1), vec![8]);
-        assert_eq!(parallel_map(vec![1u64, 2, 3], |&x| x * x), vec![1, 4, 9]);
+        assert_eq!(parallel_map(&[7u64], |&x| x + 1), vec![8]);
+        assert_eq!(parallel_map(&[1u64, 2, 3], |&x| x * x), vec![1, 4, 9]);
     }
 
     #[test]
@@ -322,21 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn benchmarks_default_to_full_suite() {
-        // Only valid when the filter variable is unset, which is the normal
-        // test environment.
-        if std::env::var("NOC_BENCHMARKS").is_err() {
-            assert_eq!(benchmarks().len(), 12);
-        }
-    }
-
-    #[test]
-    fn phases_scale_with_env() {
-        let (w, m, d) = cmp_phases();
-        assert!(w > 0 && m > 0 && d > m);
-    }
-
-    #[test]
     fn pct_formats() {
         assert_eq!(pct(0.163), "16.3%");
         assert_eq!(pct(-0.05), "-5.0%");
@@ -349,34 +289,43 @@ mod tests {
     }
 
     #[test]
-    fn write_manifest_to_names_file_by_config_hash() {
-        use noc_topology::Mesh;
-        use std::sync::Arc;
+    fn run_points_is_the_campaign_path_in_input_order() {
+        // One tiny point per scheme family. Each report must be exactly what
+        // the campaign engine (and so `noc run` with the point's flags)
+        // produces for that point, at the index it was listed.
+        let points: Vec<PointSpec> = ["pseudo+ps+bb", "evc", "hybrid"]
+            .into_iter()
+            .zip([0.05, 0.08, 0.11])
+            .map(|(scheme, load)| PointSpec {
+                topology: "mesh4x4".into(),
+                scheme: SchemeChoice::parse(scheme).unwrap(),
+                load,
+                packet: 2,
+                warmup: 50,
+                measure: 300,
+                drain: 3_000,
+                ..PointSpec::default()
+            })
+            .collect();
+        let reports = run_points(&points);
+        assert_eq!(reports.len(), points.len());
+        for (point, report) in points.iter().zip(&reports) {
+            let direct = run_point(&prepare(point).unwrap()).unwrap();
+            assert_eq!(format!("{report:?}"), format!("{direct:?}"), "{point}");
+            assert!(report.drained, "{point}");
+        }
+        assert_ne!(format!("{:?}", reports[0]), format!("{:?}", reports[1]));
+    }
 
-        let topo: SharedTopology = Arc::new(Mesh::new(2, 2, 1));
-        let builder = ExperimentBuilder::new(topo)
-            .scheme(Scheme::pseudo())
-            .seed(11)
-            .phases(50, 200, 2_000);
-        let traffic = noc_traffic::SyntheticTraffic::new(
-            noc_traffic::SyntheticPattern::UniformRandom,
-            2,
-            2,
-            2,
-            0.05,
-            11,
-        );
-        let report = builder.run(Box::new(traffic));
-        let dir = std::env::temp_dir().join(format!("noc-bench-manifest-{}", std::process::id()));
-        write_manifest_to(&dir, &report, &builder, Scheme::pseudo().to_string());
-        let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-        assert_eq!(entries.len(), 1);
-        let path = entries[0].as_ref().unwrap().path();
-        let body = std::fs::read_to_string(&path).unwrap();
-        let hash = path.file_stem().unwrap().to_string_lossy().into_owned();
-        assert!(body.contains(&format!("\"config_hash\": \"{hash}\"")));
-        assert!(body.contains("\"scheme\": \"Pseudo\""));
-        std::fs::remove_dir_all(&dir).ok();
+    #[test]
+    fn reference_baseline_is_a_legal_campaign_point_for_the_whole_suite() {
+        for profile in noc_traffic::BenchmarkProfile::suite() {
+            let point = reference_baseline(profile.name);
+            let prepared = prepare(&point).unwrap_or_else(|e| panic!("{point}: {e}"));
+            assert_eq!(prepared.traffic_name, profile.name);
+            assert_eq!(point.run_spec(), CMP_PHASES);
+            assert_eq!(point.scheme.canonical(), "baseline");
+        }
     }
 
     #[test]

@@ -155,8 +155,9 @@ impl Checkpoint {
 #[derive(Clone, Default, Debug)]
 pub struct CampaignOptions {
     /// Worker-thread budget for across-point parallelism; `0` means one
-    /// simulation per available core. Each point's simulation always runs
-    /// single-threaded, so this never affects results — only wall-clock.
+    /// simulation per available core (capped by `NOC_THREADS`). Each point's
+    /// simulation always runs single-threaded, so this never affects results
+    /// — only wall-clock.
     pub threads: usize,
     /// Execute at most this many *uncached* points, then stop with
     /// `completed == false`. The deterministic stand-in for an interrupt
@@ -266,10 +267,9 @@ pub fn run_campaign(
     // loses at most the in-flight points.
     let slots: Vec<Mutex<Option<PointResult>>> = pending.iter().map(|_| Mutex::new(None)).collect();
     let failures: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let threads = if options.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        options.threads
+    let threads = match options.threads {
+        0 => runner::host_threads(),
+        n => n,
     };
     let job = |i: usize| {
         let point = &prepared[pending[i]];

@@ -13,8 +13,7 @@ use crate::Error;
 use noc_base::{Mask64, RouterId};
 use noc_sim::{auto_threads, config_hash, MetricsConfig, SimReport, Simulation, ThreadDecision};
 use noc_topology::{FlattenedButterfly, HierRing, Mecs, Mesh, Ring, SharedTopology, Topology};
-use noc_traffic::{BenchmarkProfile, SyntheticPattern, SyntheticTraffic, TrafficModel};
-use pseudo_circuit::experiment::cmp_traffic_for;
+use noc_traffic::{BenchmarkProfile, CmpTraffic, SyntheticPattern, SyntheticTraffic, TrafficModel};
 use std::sync::Arc;
 
 /// Every topology spec form, in display order — the single vocabulary
@@ -146,19 +145,9 @@ pub fn build_traffic(
     }
     let profile = BenchmarkProfile::by_name(&name)
         .ok_or_else(|| Error(format!("unknown traffic {name:?} (try `noc list`)")))?;
-    // Mirror cmp_traffic_for's floorplan requirements as errors, not panics.
-    match topo.concentration() {
-        4 => {}
-        1 if topo.num_nodes().is_multiple_of(2) => {}
-        c => {
-            return Err(Error(format!(
-                "benchmark traffic needs concentration 4 (2 cores + 2 banks per router) \
-                 or concentration 1 with an even node count; {} has concentration {c}",
-                topo.name()
-            )))
-        }
-    }
-    Ok(Box::new(cmp_traffic_for(topo.as_ref(), *profile, seed)))
+    let cmp = CmpTraffic::for_topology(topo.as_ref(), *profile, seed)
+        .map_err(|e| Error(e.to_string()))?;
+    Ok(Box::new(cmp))
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, Error> {
@@ -289,11 +278,20 @@ pub fn prepare(point: &PointSpec) -> Result<PreparedPoint, Error> {
     })
 }
 
+/// The host's thread budget: its CPUs, capped by `NOC_THREADS`. Resolved
+/// here once so the budget a manifest reports, the one the engine applies
+/// (`Simulation::set_threads` clamps by the same variable) and a campaign's
+/// default worker count agree.
+pub(crate) fn host_threads() -> usize {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    noc_base::pool::env_thread_cap().map_or(cpus, |cap| cpus.min(cap))
+}
+
 /// Builds the simulation of one point: the single point→[`Simulation`]
 /// path, shared by [`run_point`] and `noc run`. `threads` is a budget —
-/// clamped through [`auto_threads`] against the host CPUs and the network
-/// size, with the decision returned for the manifest; it never affects
-/// results.
+/// clamped through [`auto_threads`] against the host budget (CPUs capped by
+/// `NOC_THREADS`) and the network size, with the decision returned for the
+/// manifest; it never affects results.
 ///
 /// # Errors
 ///
@@ -304,8 +302,7 @@ pub fn build_simulation(
     threads: usize,
 ) -> Result<(Simulation, ThreadDecision), Error> {
     let (topo, traffic) = resolve(point)?;
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let decision = auto_threads(threads, host_cpus, topo.num_routers());
+    let decision = auto_threads(threads, host_threads(), topo.num_routers());
     let mut sim = Simulation::with_metrics(
         topo,
         point.network_config(),

@@ -24,41 +24,50 @@
 //! - [`PseudoCircuitUnit`] — the register/history state machine of §III–IV,
 //!   and [`CircuitDatapath`], which drives it against the shared pipeline
 //!   kernel (also for the profiled hybrid scheme of `noc-hybrid`);
-//! - [`ExperimentBuilder`] — a high-level API assembling topology, traffic,
-//!   scheme and policies into a runnable simulation.
+//! - [`PcRouterFactory`] — the [`noc_sim::RouterFactory`] that plugs a
+//!   [`Scheme`] into [`noc_sim::Simulation`].
+//!
+//! An experiment is described one of two ways (docs/ARCHITECTURE.md,
+//! "Describing an experiment: two levels"): by name, as a
+//! `noc_campaign::PointSpec` built with `noc_campaign::build_simulation`
+//! (what `noc run`, campaigns and the figure harnesses do), or — for what
+//! the vocabulary cannot name — by handing live objects to
+//! [`noc_sim::Simulation::new`], as below.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use pseudo_circuit::{ExperimentBuilder, Scheme};
-//! use noc_base::{RoutingPolicy, VaPolicy};
-//! use noc_topology::Mesh;
+//! use noc_sim::{NetworkConfig, RunSpec, Simulation};
+//! use noc_topology::{Mesh, SharedTopology};
 //! use noc_traffic::{SyntheticPattern, SyntheticTraffic};
+//! use pseudo_circuit::{PcRouterFactory, Scheme};
 //! use std::sync::Arc;
 //!
-//! let topo = Arc::new(Mesh::new(4, 4, 1));
-//! let make_traffic =
-//!     || SyntheticTraffic::new(SyntheticPattern::UniformRandom, 4, 4, 5, 0.1, 7);
+//! let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 1));
+//! let run = |scheme: Scheme| {
+//!     let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, 4, 4, 5, 0.1, 7);
+//!     Simulation::new(
+//!         topo.clone(),
+//!         NetworkConfig::paper(), // 4 VCs x 4 flits, O1TURN + dynamic VA
+//!         Box::new(traffic),
+//!         &PcRouterFactory::new(scheme),
+//!         1,
+//!     )
+//!     .run(RunSpec::new(200, 1_000, 5_000))
+//! };
 //!
-//! let builder = ExperimentBuilder::new(topo)
-//!     .routing(RoutingPolicy::Xy)
-//!     .va_policy(VaPolicy::Static)
-//!     .phases(200, 1_000, 5_000);
-//!
-//! let baseline = builder.clone().scheme(Scheme::baseline()).run(Box::new(make_traffic()));
-//! let pseudo = builder.clone().scheme(Scheme::pseudo_ps_bb()).run(Box::new(make_traffic()));
+//! let baseline = run(Scheme::baseline());
+//! let pseudo = run(Scheme::pseudo_ps_bb());
 //! assert!(pseudo.avg_latency <= baseline.avg_latency);
 //! assert!(pseudo.reusability() > 0.0);
 //! ```
 
 pub mod config;
 pub mod datapath;
-pub mod experiment;
 pub mod pseudo;
 pub mod router;
 
 pub use config::Scheme;
 pub use datapath::CircuitDatapath;
-pub use experiment::ExperimentBuilder;
 pub use pseudo::{EstablishOutcome, PcRegisters, PseudoCircuitUnit, Termination};
 pub use router::{PcHooks, PcRouter, PcRouterFactory};

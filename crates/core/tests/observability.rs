@@ -9,12 +9,12 @@ use noc_base::{
     RoutingPolicy, VaPolicy, VcIndex,
 };
 use noc_sim::{
-    MetricsConfig, MetricsLevel, NetworkConfig, RouterModel, RouterOutputs, TraceEventKind,
-    TraceSpec,
+    MetricsConfig, MetricsLevel, NetworkConfig, RouterModel, RouterOutputs, RunSpec, Simulation,
+    TraceEventKind, TraceSpec,
 };
 use noc_topology::{Mesh, SharedTopology};
 use noc_traffic::{SyntheticPattern, SyntheticTraffic};
-use pseudo_circuit::{ExperimentBuilder, PcHooks, PcRouter, Scheme};
+use pseudo_circuit::{PcHooks, PcRouter, PcRouterFactory, Scheme};
 use std::sync::Arc;
 
 const EAST: PortIndex = PortIndex::new(3);
@@ -226,12 +226,15 @@ fn mesh_run_counters_reconcile_with_router_stats() {
     // the same call sites, so any drift is an instrumentation bug.
     let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 1));
     let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, 4, 4, 4, 0.15, 42);
-    let report = ExperimentBuilder::new(topo)
-        .scheme(Scheme::pseudo_ps_bb())
-        .seed(42)
-        .phases(200, 1_000, 10_000)
-        .metrics(MetricsLevel::Full)
-        .run(Box::new(traffic));
+    let report = Simulation::with_metrics(
+        topo,
+        NetworkConfig::paper(),
+        MetricsConfig::level(MetricsLevel::Full),
+        Box::new(traffic),
+        &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
+        42,
+    )
+    .run(RunSpec::new(200, 1_000, 10_000));
     let obs = report.observability.as_ref().expect("full metrics payload");
     assert_eq!(obs.routers.len(), 16);
     let s = report.router_stats;

@@ -3,10 +3,9 @@
 //! The pseudo-circuit router (`pseudo-circuit` crate) and the EVC comparison
 //! router (`noc-evc` crate) are assembled from the same primitives: a bank of
 //! bounded ring-buffer FIFOs with pipeline-stage readiness ([`FifoBank`]),
-//! round-robin arbiters, per-channel credit books, and output-VC allocation
-//! state.
+//! round-robin arbiters, and per-channel credit books.
 
-use noc_base::{FlitRef, PortIndex, VcIndex};
+use noc_base::{FlitRef, VcIndex};
 use std::error::Error;
 use std::fmt;
 
@@ -330,57 +329,6 @@ impl CreditBook {
     }
 }
 
-/// Output-VC allocation state for one output port: which (input port, input
-/// VC) currently owns each output VC.
-#[derive(Clone, Debug)]
-pub struct OutputVcAlloc {
-    owners: Vec<Option<(PortIndex, VcIndex)>>,
-}
-
-impl OutputVcAlloc {
-    /// Creates state for `vcs` output VCs, all free.
-    pub fn new(vcs: usize) -> Self {
-        Self {
-            owners: vec![None; vcs],
-        }
-    }
-
-    /// Whether `vc` is unallocated.
-    pub fn is_free(&self, vc: VcIndex) -> bool {
-        self.owners[vc.index()].is_none()
-    }
-
-    /// The (input port, input VC) holding `vc`, if any.
-    pub fn owner(&self, vc: VcIndex) -> Option<(PortIndex, VcIndex)> {
-        self.owners[vc.index()]
-    }
-
-    /// Allocates `vc` to an input VC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vc` is already allocated.
-    pub fn allocate(&mut self, vc: VcIndex, owner: (PortIndex, VcIndex)) {
-        assert!(self.is_free(vc), "output {vc} already allocated");
-        self.owners[vc.index()] = Some(owner);
-    }
-
-    /// Frees `vc` (idempotent).
-    pub fn free(&mut self, vc: VcIndex) {
-        self.owners[vc.index()] = None;
-    }
-
-    /// Number of output VCs.
-    pub fn len(&self) -> usize {
-        self.owners.len()
-    }
-
-    /// Whether there are zero VCs.
-    pub fn is_empty(&self) -> bool {
-        self.owners.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,26 +439,5 @@ mod tests {
         assert_eq!(b.available(0, VcIndex::new(0)), 0);
         assert_eq!(b.total_available(), 0);
         assert_eq!(b.available_at_sub(0), 0);
-    }
-
-    #[test]
-    fn output_vc_allocation_lifecycle() {
-        let mut a = OutputVcAlloc::new(4);
-        let vc = VcIndex::new(2);
-        assert!(a.is_free(vc));
-        a.allocate(vc, (PortIndex::new(1), VcIndex::new(0)));
-        assert!(!a.is_free(vc));
-        assert_eq!(a.owner(vc), Some((PortIndex::new(1), VcIndex::new(0))));
-        a.free(vc);
-        assert!(a.is_free(vc));
-        a.free(vc); // idempotent
-    }
-
-    #[test]
-    #[should_panic(expected = "already allocated")]
-    fn double_allocation_is_a_bug() {
-        let mut a = OutputVcAlloc::new(1);
-        a.allocate(VcIndex::new(0), (PortIndex::new(0), VcIndex::new(0)));
-        a.allocate(VcIndex::new(0), (PortIndex::new(1), VcIndex::new(1)));
     }
 }

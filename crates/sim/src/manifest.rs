@@ -416,7 +416,7 @@ mod tests {
             &NetworkConfig::paper(),
             RunSpec::new(100, 400, 1000),
             0x5eed,
-            MetricsLevel::Edge,
+            MetricsLevel::Full,
         )
         .with_scheme("pseudo+ps+bb");
         let json = m.to_json();
@@ -424,7 +424,7 @@ mod tests {
         assert!(json.contains("\"schema\": \"noc-run-manifest/1\""));
         assert!(json.contains("\"seed\": 24301"));
         assert!(json.contains("\"scheme\": \"pseudo+ps+bb\""));
-        assert!(json.contains("\"metrics\": \"edge\""));
+        assert!(json.contains("\"metrics\": \"full\""));
         assert!(json.contains("\"routers\": []"));
         assert_eq!(m.config_hash.len(), 16);
         std::env::remove_var("NOC_GIT_REV");

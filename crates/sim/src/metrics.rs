@@ -26,8 +26,6 @@ use std::fmt;
 /// - [`Off`](MetricsLevel::Off) — network-edge aggregates only; behaviour
 ///   and report bytes identical to the pre-observability engine (golden
 ///   guarantee).
-/// - [`Edge`](MetricsLevel::Edge) — same simulation, but the run is eligible
-///   for a [`crate::RunManifest`] capturing the edge aggregates.
 /// - [`Full`](MetricsLevel::Full) — per-router, per-port counters and
 ///   pipeline-stage histograms are recorded and attached to the report.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -35,18 +33,15 @@ pub enum MetricsLevel {
     /// No observability (the default; golden-report compatible).
     #[default]
     Off,
-    /// Network-edge aggregates plus manifest eligibility.
-    Edge,
     /// Per-router counters, stage histograms, and manifest router dumps.
     Full,
 }
 
 impl MetricsLevel {
-    /// Parses the CLI spelling (`off` / `edge` / `full`).
+    /// Parses the CLI spelling (`off` / `full`).
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "off" => Some(Self::Off),
-            "edge" => Some(Self::Edge),
             "full" => Some(Self::Full),
             _ => None,
         }
@@ -56,7 +51,6 @@ impl MetricsLevel {
     pub fn name(self) -> &'static str {
         match self {
             Self::Off => "off",
-            Self::Edge => "edge",
             Self::Full => "full",
         }
     }
@@ -497,8 +491,8 @@ mod tests {
     #[test]
     fn metrics_level_parses_cli_spellings() {
         assert_eq!(MetricsLevel::parse("off"), Some(MetricsLevel::Off));
-        assert_eq!(MetricsLevel::parse("EDGE"), Some(MetricsLevel::Edge));
-        assert_eq!(MetricsLevel::parse("full"), Some(MetricsLevel::Full));
+        assert_eq!(MetricsLevel::parse("FULL"), Some(MetricsLevel::Full));
+        assert_eq!(MetricsLevel::parse("edge"), None);
         assert_eq!(MetricsLevel::parse("verbose"), None);
         assert_eq!(MetricsLevel::Full.name(), "full");
         assert_eq!(MetricsLevel::default(), MetricsLevel::Off);

@@ -1172,7 +1172,8 @@ pub struct ThreadDecision {
     pub requested: usize,
     /// The budget actually applied.
     pub effective: usize,
-    /// Host CPUs observed at decision time.
+    /// Host CPUs the decision was sized against (after any `NOC_THREADS`
+    /// cap, which the engine applies too).
     pub host_cpus: usize,
     /// Routers in the network the decision was sized against.
     pub routers: usize,
@@ -1238,6 +1239,12 @@ mod auto_thread_tests {
         assert_eq!(d.reason, "as requested");
         let d = auto_threads(32, 8, 1024);
         assert_eq!(d.effective, 8);
+        assert_eq!(d.reason, "capped to host cpus");
+        // A host capped to one thread (`NOC_THREADS=1`: the caller passes
+        // the capped count) runs serial however large the network — the
+        // engine's own clamp would otherwise undercut the reported budget.
+        let d = auto_threads(4, 1, 1024);
+        assert_eq!((d.effective, d.host_cpus), (1, 1));
         assert_eq!(d.reason, "capped to host cpus");
     }
 

@@ -20,8 +20,10 @@
 use crate::{BenchmarkProfile, DeliveredPacket, PacketRequest, TrafficModel};
 use noc_base::rng::Pcg32;
 use noc_base::{NodeId, PacketClass};
+use noc_topology::Topology;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
 
 /// The role an endpoint plays in the CMP.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -133,6 +135,30 @@ impl CmpLayout {
         self.banks[n]
     }
 }
+
+/// A topology no CMP floorplan exists for (see [`CmpTraffic::for_topology`]).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct NoFloorplan {
+    /// The topology's display name.
+    pub topology: String,
+    /// Its concentration (endpoints per router).
+    pub concentration: usize,
+    /// Its endpoint count.
+    pub nodes: usize,
+}
+
+impl fmt::Display for NoFloorplan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "benchmark traffic needs concentration 4 (2 cores + 2 banks per router) \
+             or concentration 1 with an even node count; {} has concentration {} and {} nodes",
+            self.topology, self.concentration, self.nodes
+        )
+    }
+}
+
+impl std::error::Error for NoFloorplan {}
 
 /// Fixed system parameters of the CMP model (the paper's Table I; latencies
 /// the OCR lost are documented choices, see DESIGN.md §5).
@@ -260,6 +286,36 @@ impl CmpTraffic {
             in_flight: 0,
             stats: CmpStats::default(),
         }
+    }
+
+    /// The paper's CMP workload ([`CmpConfig::paper`]) laid out on `topo`:
+    /// the concentration-4 floorplan (two cores + two banks per router,
+    /// [`CmpLayout::paper_cmesh`]) when the topology is concentrated, a
+    /// checkerboard of cores and banks ([`CmpLayout::alternating`]) on a
+    /// concentration-1 topology. The one place a topology is matched to a
+    /// floorplan.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NoFloorplan`] if the concentration is neither 4 nor 1, or
+    /// if a concentration-1 topology has an odd number of nodes.
+    pub fn for_topology(
+        topo: &dyn Topology,
+        profile: BenchmarkProfile,
+        seed: u64,
+    ) -> Result<Self, NoFloorplan> {
+        let layout = match topo.concentration() {
+            4 => CmpLayout::paper_cmesh(topo.num_routers()),
+            1 if topo.num_nodes().is_multiple_of(2) => CmpLayout::alternating(topo.num_nodes()),
+            concentration => {
+                return Err(NoFloorplan {
+                    topology: topo.name().to_string(),
+                    concentration,
+                    nodes: topo.num_nodes(),
+                })
+            }
+        };
+        Ok(Self::new(CmpConfig::paper(), layout, profile, seed))
     }
 
     /// Message counters accumulated so far.
@@ -545,6 +601,36 @@ mod tests {
         let l = CmpLayout::alternating(8);
         assert_eq!(l.num_cores(), 4);
         assert_eq!(l.role(NodeId::new(3)), NodeRole::Bank(1));
+    }
+
+    #[test]
+    fn for_topology_picks_the_floorplan_or_names_the_concentration() {
+        use noc_topology::Mesh;
+        let profile = *BenchmarkProfile::by_name("fma3d").unwrap();
+        let roles = |l: &CmpLayout| -> Vec<NodeRole> {
+            (0..l.num_nodes()).map(|i| l.role(NodeId::new(i))).collect()
+        };
+        // Concentration 4: the paper's floorplan over the routers.
+        let t = CmpTraffic::for_topology(&Mesh::new(4, 4, 4), profile, 1).unwrap();
+        assert_eq!(roles(t.layout()), roles(&CmpLayout::paper_cmesh(16)));
+        assert_eq!((t.layout().num_nodes(), t.layout().num_cores()), (64, 32));
+        // Concentration 1, even node count: the checkerboard over the nodes.
+        let t = CmpTraffic::for_topology(&Mesh::new(8, 8, 1), profile, 1).unwrap();
+        assert_eq!(roles(t.layout()), roles(&CmpLayout::alternating(64)));
+        assert_eq!((t.layout().num_nodes(), t.layout().num_cores()), (64, 32));
+        // No floorplan: concentration 2, and concentration 1 with 9 nodes.
+        for (topo, concentration) in [(Mesh::new(3, 3, 2), 2), (Mesh::new(3, 3, 1), 1)] {
+            let Err(e) = CmpTraffic::for_topology(&topo, profile, 1) else {
+                panic!("{} has no floorplan", topo.name());
+            };
+            assert_eq!(e.concentration, concentration);
+            let text = e.to_string();
+            assert!(
+                text.contains(&format!("has concentration {concentration}")),
+                "{text}"
+            );
+            assert!(text.contains(topo.name()), "{text}");
+        }
     }
 
     #[test]

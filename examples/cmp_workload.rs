@@ -7,15 +7,19 @@
 //! (default benchmark: fma3d; try `jbb` for skewed traffic)
 
 use noc_base::{RoutingPolicy, VaPolicy};
-use noc_topology::{Mesh, Topology as _};
+use noc_campaign::{build_simulation, PointSpec, SchemeChoice};
+use noc_sim::{MetricsConfig, SimReport};
 use noc_traffic::BenchmarkProfile;
-use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
-use std::sync::Arc;
+use pseudo_circuit::Scheme;
+
+fn run(point: &PointSpec) -> SimReport {
+    let (mut sim, _) = build_simulation(point, MetricsConfig::off(), 1).expect("a legal point");
+    sim.run(point.run_spec())
+}
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "fma3d".into());
-    let Some(&bench) = BenchmarkProfile::by_name(&name) else {
+    let Some(bench) = BenchmarkProfile::by_name(&name) else {
         eprintln!("unknown benchmark {name:?}; available:");
         for p in BenchmarkProfile::suite() {
             eprintln!("  {}", p.name);
@@ -23,20 +27,28 @@ fn main() {
         std::process::exit(1);
     };
 
-    let topo = Arc::new(Mesh::new(4, 4, 4));
+    // `noc run --topology cmesh4x4 --traffic <bench> --seed 7 --measure 20000
+    // --drain 200000`, XY + static VA unless a row says otherwise.
+    let cell = PointSpec {
+        topology: "cmesh4x4".into(),
+        traffic: bench.name.into(),
+        seed: 7,
+        measure: 20_000,
+        drain: 200_000,
+        ..PointSpec::default()
+    };
     println!(
         "CMP: 32 cores + 32 L2 banks on {}, benchmark {}",
-        topo.name(),
-        bench.name
+        cell.topology, cell.traffic
     );
 
     // The paper's strongest baseline: O1TURN + dynamic VA.
-    let baseline = ExperimentBuilder::new(topo.clone())
-        .routing(RoutingPolicy::O1Turn)
-        .va_policy(VaPolicy::Dynamic)
-        .scheme(Scheme::baseline())
-        .phases(1_000, 20_000, 200_000)
-        .run(Box::new(cmp_traffic_for(topo.as_ref(), bench, 7)));
+    let baseline = run(&PointSpec {
+        scheme: SchemeChoice::Pc(Scheme::baseline()),
+        routing: RoutingPolicy::O1Turn,
+        va: VaPolicy::Dynamic,
+        ..cell.clone()
+    });
     println!(
         "\nbaseline (O1TURN, dynamic VA): {:.2} cycles over {} packets",
         baseline.avg_latency, baseline.measured_delivered
@@ -44,12 +56,10 @@ fn main() {
 
     println!("\nscheme        latency  reduction  reuse%  header-hit%  energy/flit");
     for scheme in Scheme::paper_lineup() {
-        let report = ExperimentBuilder::new(topo.clone())
-            .routing(RoutingPolicy::Xy)
-            .va_policy(VaPolicy::Static)
-            .scheme(scheme)
-            .phases(1_000, 20_000, 200_000)
-            .run(Box::new(cmp_traffic_for(topo.as_ref(), bench, 7)));
+        let report = run(&PointSpec {
+            scheme: SchemeChoice::Pc(scheme),
+            ..cell.clone()
+        });
         let per_flit = report.energy_pj() / report.router_stats.flit_traversals.max(1) as f64;
         println!(
             "{:<13} {:>7.2}  {:>8.1}%  {:>5.1}%  {:>10.1}%  {:>8.2} pJ",

@@ -5,25 +5,26 @@
 //!
 //! Run with: `cargo run --release --example locality_analysis`
 
-use noc_base::{RoutingPolicy, VaPolicy};
-use noc_topology::Mesh;
+use noc_campaign::{build_simulation, PointSpec};
+use noc_sim::MetricsConfig;
 use noc_traffic::BenchmarkProfile;
-use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
-use std::sync::Arc;
 
 fn main() {
-    let topo = Arc::new(Mesh::new(4, 4, 4));
     println!("benchmark      end-to-end  crossbar  reuse(flits)  header-hits");
     let (mut e2e, mut xbar, mut reuse, mut hits) = (0.0, 0.0, 0.0, 0.0);
     let suite = BenchmarkProfile::suite();
     for bench in suite {
-        let report = ExperimentBuilder::new(topo.clone())
-            .routing(RoutingPolicy::Xy)
-            .va_policy(VaPolicy::Static)
-            .scheme(Scheme::pseudo_ps_bb())
-            .phases(1_000, 10_000, 100_000)
-            .run(Box::new(cmp_traffic_for(topo.as_ref(), *bench, 21)));
+        // `noc run --topology cmesh4x4 --traffic <bench> --seed 21`: the
+        // full scheme, XY + static VA and the 10k-cycle window are defaults.
+        let point = PointSpec {
+            topology: "cmesh4x4".into(),
+            traffic: bench.name.into(),
+            seed: 21,
+            ..PointSpec::default()
+        };
+        let (mut sim, _) =
+            build_simulation(&point, MetricsConfig::off(), 1).expect("a legal point");
+        let report = sim.run(point.run_spec());
         e2e += report.end_to_end_locality;
         xbar += report.xbar_locality();
         reuse += report.reusability();

@@ -4,36 +4,35 @@
 //!
 //! Run with: `cargo run --release --example topology_explorer`
 
-use noc_base::{RoutingPolicy, VaPolicy};
-use noc_topology::{average_min_hops, FlattenedButterfly, Mecs, Mesh, SharedTopology};
-use noc_traffic::BenchmarkProfile;
-use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
-use std::sync::Arc;
+use noc_campaign::{build_simulation, build_topology, PointSpec, SchemeChoice};
+use noc_sim::MetricsConfig;
+use noc_topology::average_min_hops;
+use pseudo_circuit::Scheme;
 
 fn main() {
-    let bench = *BenchmarkProfile::by_name("fma3d").expect("profile exists");
-    let topologies: Vec<SharedTopology> = vec![
-        Arc::new(Mesh::new(8, 8, 1)),
-        Arc::new(Mesh::new(4, 4, 4)),
-        Arc::new(Mecs::new(4, 4, 4)),
-        Arc::new(FlattenedButterfly::new(4, 4, 4)),
-    ];
-
     println!("topology      avg-hops  baseline  pseudo+ps+bb  gain");
     let mut mesh_baseline = None;
-    for topo in topologies {
+    for topology in ["mesh8x8", "cmesh4x4", "mecs4x4", "fbfly4x4"] {
+        // `noc run --topology <topology> --traffic fma3d --seed 11
+        // --measure 15000 --drain 150000` (XY + static VA) per scheme.
         let run = |scheme: Scheme| {
-            ExperimentBuilder::new(topo.clone())
-                .routing(RoutingPolicy::Xy)
-                .va_policy(VaPolicy::Static)
-                .scheme(scheme)
-                .phases(1_000, 15_000, 150_000)
-                .run(Box::new(cmp_traffic_for(topo.as_ref(), bench, 11)))
+            let point = PointSpec {
+                topology: topology.into(),
+                traffic: "fma3d".into(),
+                scheme: SchemeChoice::Pc(scheme),
+                seed: 11,
+                measure: 15_000,
+                drain: 150_000,
+                ..PointSpec::default()
+            };
+            let (mut sim, _) =
+                build_simulation(&point, MetricsConfig::off(), 1).expect("a legal point");
+            sim.run(point.run_spec())
         };
         let base = run(Scheme::baseline());
         let full = run(Scheme::pseudo_ps_bb());
         let reference = *mesh_baseline.get_or_insert(base.avg_latency);
+        let topo = build_topology(topology).expect("a preset name");
         println!(
             "{:<13} {:>7.2}  {:>8.2}  {:>12.2}  {:>4.1}%   (vs mesh baseline: {:.1}%)",
             topo.name(),

@@ -3,35 +3,46 @@
 //! through different router configurations for a perfectly controlled
 //! comparison (closed-loop runs would adapt their injection to the router).
 //!
+//! A trace replay is a traffic model the `PointSpec` vocabulary cannot name,
+//! so this example assembles its simulations from objects
+//! (`Simulation::new`), the level below `noc_campaign::build_simulation`.
+//!
 //! Run with: `cargo run --release --example trace_replay [path]`
 //! (optionally writes the trace to `path` in the line format)
 
 use noc_base::{RoutingPolicy, VaPolicy};
-use noc_topology::Mesh;
-use noc_traffic::{trace, BenchmarkProfile, TraceRecorder, TraceReplay, TrafficModel};
-use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
+use noc_sim::{NetworkConfig, RunSpec, Simulation};
+use noc_topology::{Mesh, SharedTopology};
+use noc_traffic::{trace, BenchmarkProfile, CmpTraffic, TraceRecorder, TraceReplay, TrafficModel};
+use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::sync::Arc;
 
 fn main() {
-    let topo = Arc::new(Mesh::new(4, 4, 4));
+    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 4));
     let bench = *BenchmarkProfile::by_name("equake").expect("profile exists");
+    let equake = || CmpTraffic::for_topology(topo.as_ref(), bench, 3).expect("cmesh floorplan");
+    let config = NetworkConfig {
+        routing: RoutingPolicy::Xy,
+        va_policy: VaPolicy::Static,
+        ..NetworkConfig::paper()
+    };
 
     // Phase 1: record a trace by running the closed-loop CMP model through
     // the baseline router (responses react to real network timing).
     println!("recording equake trace through the baseline router...");
-    let recorder = TraceRecorder::new(cmp_traffic_for(topo.as_ref(), bench, 3));
-    let mut sim = ExperimentBuilder::new(topo.clone())
-        .routing(RoutingPolicy::Xy)
-        .va_policy(VaPolicy::Static)
-        .scheme(Scheme::baseline())
-        .build(Box::new(recorder));
+    let mut sim = Simulation::new(
+        topo.clone(),
+        config,
+        Box::new(TraceRecorder::new(equake())),
+        &PcRouterFactory::new(Scheme::baseline()),
+        1,
+    );
     for _ in 0..20_000 {
         sim.step();
     }
     // The recorder lives inside the simulation; re-record standalone instead
     // for a self-contained trace (generation is deterministic by seed).
-    let mut recorder = TraceRecorder::new(cmp_traffic_for(topo.as_ref(), bench, 3));
+    let mut recorder = TraceRecorder::new(equake());
     let mut sink = |_r| {};
     for cycle in 0..20_000 {
         recorder.generate(cycle, &mut sink);
@@ -53,12 +64,9 @@ fn main() {
     let mut baseline = None;
     for scheme in Scheme::paper_lineup() {
         let replay = TraceReplay::new("equake-trace", records.clone());
-        let report = ExperimentBuilder::new(topo.clone())
-            .routing(RoutingPolicy::Xy)
-            .va_policy(VaPolicy::Static)
-            .scheme(scheme)
-            .phases(1_000, 15_000, 150_000)
-            .run(Box::new(replay));
+        let factory = PcRouterFactory::new(scheme);
+        let report = Simulation::new(topo.clone(), config, Box::new(replay), &factory, 1)
+            .run(RunSpec::new(1_000, 15_000, 150_000));
         let base = *baseline.get_or_insert(report.avg_latency);
         println!(
             "{:<13} {:>7.2}  {:>8.1}%  {:>5.1}%",

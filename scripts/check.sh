@@ -67,6 +67,17 @@ NOC_BENCH_SMOKE=1 cargo bench -q -p noc-bench --bench engine --offline >/dev/nul
 echo "==> NOC_BENCH_SMOKE=1 cargo bench --bench fifo_micro (smoke)"
 NOC_BENCH_SMOKE=1 cargo bench -q -p noc-bench --bench fifo_micro --offline >/dev/null
 
+# Figure-harness smoke: three of the figure/table harnesses executed once,
+# so one that panics at start-up fails here. fig08_overall is the headline
+# sweep; ablation_vc_count drives `validate`'s VC-class rule through a
+# harness; ext_patterns is the one harness with object-level rows (the
+# hotspot pattern the traffic vocabulary cannot name). Phases are fixed, so
+# these are seconds apiece in release.
+for harness in fig08_overall ablation_vc_count ext_patterns; do
+    echo "==> cargo bench --bench $harness (smoke)"
+    cargo bench -q -p noc-bench --offline --bench "$harness" >/dev/null
+done
+
 # Benchmark smoke: all five workloads of the repository benchmark at 1/100
 # size, through the code path the measured run takes, with the benchmark's
 # own gate — equal report_hash across repetitions, threads=2 == threads=1,

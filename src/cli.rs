@@ -13,7 +13,7 @@
 //!         [--vcs 4] [--buffer 4]
 //!         [--warmup 1000] [--measure 10000] [--drain 100000]
 //!         [--seed 1] [--threads N]
-//!         [--metrics off|edge|full] [--manifest PATH]
+//!         [--metrics off|full] [--manifest PATH]
 //!         [--trace PATH] [--trace-routers 0,5,12]
 //! noc campaign run --spec FILE --out DIR [--threads N] [--max-points N]
 //! noc campaign status --out DIR
@@ -60,7 +60,7 @@ pub struct RunArgs {
     /// command: [`run`] clamps it through [`noc_sim::auto_threads`] and
     /// records the decision in the manifest.
     pub threads: usize,
-    /// Observability level (`--metrics off|edge|full`).
+    /// Observability level (`--metrics off|full`).
     pub metrics: MetricsLevel,
     /// Run-manifest output path (`--manifest`), if requested.
     pub manifest: Option<String>,
@@ -144,7 +144,7 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, CliError> {
             "--metrics" => {
                 let v = value()?;
                 out.metrics = MetricsLevel::parse(&v)
-                    .ok_or_else(|| err(format!("unknown metrics level {v:?} (off|edge|full)")))?;
+                    .ok_or_else(|| err(format!("unknown metrics level {v:?} (off|full)")))?;
             }
             "--manifest" => out.manifest = Some(value()?),
             "--trace" => out.trace = Some(value()?),
@@ -482,7 +482,7 @@ pub fn usage() -> &'static str {
                              the manifest records the decision)\n\
      \n\
      OBSERVABILITY (defaults off; see docs/METRICS.md):\n\
-       --metrics off|edge|full   per-router counters + stage histograms (full)\n\
+       --metrics off|full        per-router counters + stage histograms (full)\n\
        --manifest PATH           write the machine-readable run manifest (JSON)\n\
        --trace PATH              write router lifecycle events (circuit + EVC\n\
                                  latch) as Chrome-trace JSON (chrome://tracing)\n\
@@ -631,6 +631,11 @@ mod tests {
             assert!(from_run.0.contains(field), "{flags:?}: {from_run}");
             assert!(!from_run.0.contains('\n'), "{flags:?}: {from_run}");
         }
+        // `--metrics edge` selected nothing `off` does not and is gone: an
+        // unknown level like any other, rejected where the flag is parsed.
+        let e = parse_run_args(&args(&["--metrics", "edge"])).unwrap_err();
+        assert!(e.0.contains("unknown metrics level \"edge\""), "{e}");
+        assert!(!e.0.contains('\n'), "{e}");
     }
 
     #[test]

@@ -1,34 +1,43 @@
 //! Reproducibility: identical seeds give bit-identical experiment results,
 //! different seeds differ; trace record/replay reproduces a run exactly.
 
-use noc_base::{RoutingPolicy, VaPolicy};
+use noc_sim::{NetworkConfig, RunSpec, SimReport, Simulation};
 use noc_topology::{Mesh, SharedTopology};
 use noc_traffic::{
-    BenchmarkProfile, SyntheticPattern, SyntheticTraffic, TraceRecorder, TraceReplay,
+    BenchmarkProfile, CmpTraffic, SyntheticPattern, SyntheticTraffic, TraceRecorder, TraceReplay,
+    TrafficModel,
 };
-use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
+use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::sync::Arc;
 
-fn builder(topo: SharedTopology, seed: u64) -> ExperimentBuilder {
-    ExperimentBuilder::new(topo)
-        .routing(RoutingPolicy::O1Turn)
-        .va_policy(VaPolicy::Dynamic)
-        .scheme(Scheme::pseudo_ps_bb())
-        .phases(300, 2_000, 20_000)
-        .seed(seed)
+/// One run at the paper's configuration (O1TURN + dynamic VA) over a
+/// 2 000-cycle window; `seed` is the engine seed, the traffic brings its own.
+fn run(
+    topo: &SharedTopology,
+    scheme: Scheme,
+    traffic: impl TrafficModel + 'static,
+    seed: u64,
+) -> SimReport {
+    Simulation::new(
+        topo.clone(),
+        NetworkConfig::paper(),
+        Box::new(traffic),
+        &PcRouterFactory::new(scheme),
+        seed,
+    )
+    .run(RunSpec::new(300, 2_000, 20_000))
 }
 
 #[test]
 fn same_seed_same_result() {
     let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 4));
     let bench = *BenchmarkProfile::by_name("fft").unwrap();
-    let run = |seed| {
-        let traffic = cmp_traffic_for(topo.as_ref(), bench, 5);
-        builder(topo.clone(), seed).run(Box::new(traffic))
+    let once = |seed| {
+        let traffic = CmpTraffic::for_topology(topo.as_ref(), bench, 5).unwrap();
+        run(&topo, Scheme::pseudo_ps_bb(), traffic, seed)
     };
-    let a = run(42);
-    let b = run(42);
+    let a = once(42);
+    let b = once(42);
     assert_eq!(a.avg_latency, b.avg_latency);
     assert_eq!(a.measured_delivered, b.measured_delivered);
     assert_eq!(a.router_stats, b.router_stats);
@@ -38,12 +47,12 @@ fn same_seed_same_result() {
 #[test]
 fn different_seed_different_result() {
     let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 1));
-    let run = |seed| {
+    let once = |seed| {
         let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, 4, 4, 3, 0.2, seed);
-        builder(topo.clone(), seed).run(Box::new(traffic))
+        run(&topo, Scheme::pseudo_ps_bb(), traffic, seed)
     };
-    let a = run(1);
-    let b = run(2);
+    let a = once(1);
+    let b = once(2);
     assert_ne!(
         (a.avg_latency, a.measured_delivered),
         (b.avg_latency, b.measured_delivered)
@@ -58,7 +67,7 @@ fn recorded_trace_replays_identically() {
     let mut recorder = TraceRecorder::new(inner);
     let mut records = Vec::new();
     for cycle in 0..3_000 {
-        noc_traffic::TrafficModel::generate(&mut recorder, cycle, &mut |_r| {});
+        recorder.generate(cycle, &mut |_r| {});
     }
     let (_inner, captured) = recorder.into_parts();
     records.extend(captured);
@@ -71,12 +80,12 @@ fn recorded_trace_replays_identically() {
     assert_eq!(parsed, records);
 
     // Two replays through the full simulator are bit-identical.
-    let run = |records: Vec<noc_traffic::TraceRecord>| {
+    let replay = |records: Vec<noc_traffic::TraceRecord>| {
         let replay = TraceReplay::new("replay", records);
-        builder(topo.clone(), 7).run(Box::new(replay))
+        run(&topo, Scheme::pseudo_ps_bb(), replay, 7)
     };
-    let a = run(parsed.clone());
-    let b = run(parsed);
+    let a = replay(parsed.clone());
+    let b = replay(parsed);
     assert_eq!(a.avg_latency, b.avg_latency);
     assert_eq!(a.router_stats, b.router_stats);
     assert!(a.measured_delivered > 0);
@@ -87,13 +96,11 @@ fn scheme_toggle_does_not_change_traffic() {
     // The same seed must generate the same packet population regardless of
     // the router scheme (injection counts match; only latency differs).
     let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 1));
-    let run = |scheme| {
+    let with = |scheme| {
         let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, 4, 4, 3, 0.1, 64);
-        builder(topo.clone(), 11)
-            .scheme(scheme)
-            .run(Box::new(traffic))
+        run(&topo, scheme, traffic, 11)
     };
-    let base = run(Scheme::baseline());
-    let full = run(Scheme::pseudo_ps_bb());
+    let base = with(Scheme::baseline());
+    let full = with(Scheme::pseudo_ps_bb());
     assert_eq!(base.measured_injected, full.measured_injected);
 }

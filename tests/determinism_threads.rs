@@ -11,66 +11,94 @@
 use noc_base::{RoutingPolicy, VaPolicy};
 use noc_evc::EvcRouterFactory;
 use noc_hybrid::HybridRouterFactory;
-use noc_sim::{MetricsLevel, RunManifest};
+use noc_sim::{MetricsLevel, NetworkConfig, RouterFactory, RunManifest, RunSpec, Simulation};
 use noc_topology::{Mecs, Mesh, Ring, SharedTopology};
-use noc_traffic::BenchmarkProfile;
-use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
+use noc_traffic::{BenchmarkProfile, CmpTraffic};
+use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::sync::Arc;
 
-/// The golden-report configuration (tests/golden_report.rs), parameterized
-/// by thread budget.
-fn golden_builder(threads: usize) -> (ExperimentBuilder, SharedTopology) {
-    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 4));
-    let b = ExperimentBuilder::new(topo.clone())
-        .routing(RoutingPolicy::O1Turn)
-        .va_policy(VaPolicy::Dynamic)
-        .scheme(Scheme::pseudo_ps_bb())
-        .seed(0x5eed)
-        .phases(500, 2_000, 40_000)
-        .threads(threads);
-    (b, topo)
+const SEED: u64 = 0x5eed;
+const PHASES: RunSpec = RunSpec {
+    warmup: 500,
+    measure: 2_000,
+    drain: 40_000,
+};
+
+/// A golden-report configuration (tests/golden_report.rs: `fft` traffic
+/// seeded apart from the engine, the paper's buffers) built but not yet
+/// run, single-threaded.
+fn golden_sim(
+    topo: SharedTopology,
+    routing: RoutingPolicy,
+    va_policy: VaPolicy,
+    factory: &dyn RouterFactory,
+) -> (Simulation, NetworkConfig) {
+    let profile = *BenchmarkProfile::by_name("fft").unwrap();
+    let traffic = CmpTraffic::for_topology(topo.as_ref(), profile, SEED ^ 0x77).unwrap();
+    let config = NetworkConfig {
+        routing,
+        va_policy,
+        ..NetworkConfig::paper()
+    };
+    let sim = Simulation::new(topo, config, Box::new(traffic), factory, SEED);
+    (sim, config)
 }
 
-fn golden_run(threads: usize) -> (String, String) {
-    let (b, topo) = golden_builder(threads);
-    let profile = *BenchmarkProfile::by_name("fft").unwrap();
-    let traffic = cmp_traffic_for(topo.as_ref(), profile, 0x5eed ^ 0x77);
-    let report = b.run(Box::new(traffic));
-    let manifest = RunManifest::capture(
-        &report,
-        &b.config(),
-        b.spec(),
-        b.seed_value(),
-        MetricsLevel::Off,
-    )
-    .with_scheme("pseudo+ps+bb");
+/// Runs a golden configuration at a thread budget; returns the report text
+/// and the manifest configuration hash under scheme label `scheme`.
+fn run_at(
+    threads: usize,
+    topo: SharedTopology,
+    routing: RoutingPolicy,
+    va_policy: VaPolicy,
+    factory: &dyn RouterFactory,
+    scheme: &str,
+) -> (String, String) {
+    let (mut sim, config) = golden_sim(topo, routing, va_policy, factory);
+    sim.set_threads(threads);
+    let report = sim.run(PHASES);
+    let manifest =
+        RunManifest::capture(&report, &config, PHASES, SEED, MetricsLevel::Off).with_scheme(scheme);
     (format!("{report:#?}\n"), manifest.config_hash)
+}
+
+/// The paper-config golden (4×4 CMesh, O1TURN + dynamic VA, full scheme).
+fn golden_run(threads: usize) -> (String, String) {
+    run_at(
+        threads,
+        Arc::new(Mesh::new(4, 4, 4)),
+        RoutingPolicy::O1Turn,
+        VaPolicy::Dynamic,
+        &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
+        "pseudo+ps+bb",
+    )
 }
 
 /// The EVC golden-report configuration (tests/golden_report.rs),
 /// parameterized by thread budget. EVC routers must satisfy the same
 /// thread-count-invariance contract as the pseudo-circuit scheme.
 fn evc_run(threads: usize) -> (String, String) {
-    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 1));
-    let b = ExperimentBuilder::new(topo.clone())
-        .routing(RoutingPolicy::Xy)
-        .va_policy(VaPolicy::Dynamic)
-        .seed(0x5eed)
-        .phases(500, 2_000, 40_000)
-        .threads(threads);
-    let profile = *BenchmarkProfile::by_name("fft").unwrap();
-    let traffic = cmp_traffic_for(topo.as_ref(), profile, 0x5eed ^ 0x77);
-    let report = b.run_with_factory(Box::new(traffic), &EvcRouterFactory::default());
-    let manifest = RunManifest::capture(
-        &report,
-        &b.config(),
-        b.spec(),
-        b.seed_value(),
-        MetricsLevel::Off,
+    run_at(
+        threads,
+        Arc::new(Mesh::new(4, 4, 1)),
+        RoutingPolicy::Xy,
+        VaPolicy::Dynamic,
+        &EvcRouterFactory::default(),
+        "evc",
     )
-    .with_scheme("evc");
-    (format!("{report:#?}\n"), manifest.config_hash)
+}
+
+/// A pseudo-circuit golden on another topology (XY + static VA).
+fn topo_run(threads: usize, topo: SharedTopology) -> String {
+    run_at(
+        threads,
+        topo,
+        RoutingPolicy::Xy,
+        VaPolicy::Static,
+        &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
+        "pseudo+ps+bb",
+    )
+    .0
 }
 
 #[test]
@@ -115,18 +143,7 @@ fn evc_report_is_byte_identical_across_thread_counts() {
 /// one source shard's emissions fan out across many destination shards'
 /// lanes, and its port asymmetry makes the shard workloads uneven.
 fn mecs_run(threads: usize) -> String {
-    let topo: SharedTopology = Arc::new(Mecs::new(4, 4, 4));
-    let b = ExperimentBuilder::new(topo.clone())
-        .routing(RoutingPolicy::Xy)
-        .va_policy(VaPolicy::Static)
-        .scheme(Scheme::pseudo_ps_bb())
-        .seed(0x5eed)
-        .phases(500, 2_000, 40_000)
-        .threads(threads);
-    let profile = *BenchmarkProfile::by_name("fft").unwrap();
-    let traffic = cmp_traffic_for(topo.as_ref(), profile, 0x5eed ^ 0x77);
-    let report = b.run(Box::new(traffic));
-    format!("{report:#?}\n")
+    topo_run(threads, Arc::new(Mecs::new(4, 4, 4)))
 }
 
 #[test]
@@ -148,18 +165,7 @@ fn mecs_report_is_byte_identical_at_prime_thread_counts() {
 /// thread budget. The ring's dateline VC classes and CW/CCW modes must not
 /// disturb the sharded engine's replay of the serial event order.
 fn ring_run(threads: usize) -> String {
-    let topo: SharedTopology = Arc::new(Ring::new(8, 1));
-    let b = ExperimentBuilder::new(topo.clone())
-        .routing(RoutingPolicy::Xy)
-        .va_policy(VaPolicy::Static)
-        .scheme(Scheme::pseudo_ps_bb())
-        .seed(0x5eed)
-        .phases(500, 2_000, 40_000)
-        .threads(threads);
-    let profile = *BenchmarkProfile::by_name("fft").unwrap();
-    let traffic = cmp_traffic_for(topo.as_ref(), profile, 0x5eed ^ 0x77);
-    let report = b.run(Box::new(traffic));
-    format!("{report:#?}\n")
+    topo_run(threads, Arc::new(Ring::new(8, 1)))
 }
 
 #[test]
@@ -180,17 +186,15 @@ fn ring_report_is_byte_identical_across_thread_counts() {
 /// so the hot-flow tables — and everything downstream of them — must be
 /// identical however the routers are sharded.
 fn hybrid_run(threads: usize) -> String {
-    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 1));
-    let b = ExperimentBuilder::new(topo.clone())
-        .routing(RoutingPolicy::Xy)
-        .va_policy(VaPolicy::Dynamic)
-        .seed(0x5eed)
-        .phases(500, 2_000, 40_000)
-        .threads(threads);
-    let profile = *BenchmarkProfile::by_name("fft").unwrap();
-    let traffic = cmp_traffic_for(topo.as_ref(), profile, 0x5eed ^ 0x77);
-    let report = b.run_with_factory(Box::new(traffic), &HybridRouterFactory::default());
-    format!("{report:#?}\n")
+    run_at(
+        threads,
+        Arc::new(Mesh::new(4, 4, 1)),
+        RoutingPolicy::Xy,
+        VaPolicy::Dynamic,
+        &HybridRouterFactory::default(),
+        "hybrid",
+    )
+    .0
 }
 
 #[test]
@@ -209,17 +213,19 @@ fn hybrid_report_is_byte_identical_across_thread_counts() {
 fn set_threads_between_runs_is_transparent() {
     // Re-sharding an existing simulation between runs must not perturb the
     // next run relative to a freshly built simulation at that thread count.
-    let profile = *BenchmarkProfile::by_name("fft").unwrap();
-    let (b, topo) = golden_builder(1);
-    let traffic = cmp_traffic_for(topo.as_ref(), profile, 0x5eed ^ 0x77);
-    let mut sim = b.build(Box::new(traffic));
+    let (mut sim, _) = golden_sim(
+        Arc::new(Mesh::new(4, 4, 4)),
+        RoutingPolicy::O1Turn,
+        VaPolicy::Dynamic,
+        &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
+    );
     sim.set_threads(4);
     assert_eq!(
         sim.threads(),
         noc_base::pool::env_thread_cap().map_or(4, |c| c.min(4))
     );
     assert!(sim.shards() >= 1);
-    let report = sim.run(b.spec());
+    let report = sim.run(PHASES);
 
     let (fresh, _) = golden_run(4);
     assert_eq!(format!("{report:#?}\n"), fresh);

@@ -4,19 +4,26 @@
 use noc_base::{RoutingPolicy, VaPolicy};
 use noc_campaign::{PointSpec, SchemeChoice, SCHEME_NAMES};
 use noc_evc::EvcRouterFactory;
+use noc_sim::{NetworkConfig, RunSpec, Simulation};
 use noc_topology::{FlattenedButterfly, Mecs, Mesh, Ring, SharedTopology};
-use noc_traffic::{BenchmarkProfile, SyntheticPattern, SyntheticTraffic};
-use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
+use noc_traffic::{BenchmarkProfile, CmpTraffic, SyntheticPattern, SyntheticTraffic};
+use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::sync::Arc;
 
-fn builder(topo: SharedTopology) -> ExperimentBuilder {
-    ExperimentBuilder::new(topo)
-        .routing(RoutingPolicy::Xy)
-        .va_policy(VaPolicy::Static)
-        .phases(500, 2_000, 20_000)
-        .seed(99)
-}
+/// What most tests here run with: XY routing + static VA on the paper's
+/// 4 VCs x 4 flits, a 2 000-cycle window, engine seed 99.
+const XY_STATIC: NetworkConfig = NetworkConfig {
+    vcs_per_port: 4,
+    buffer_depth: 4,
+    routing: RoutingPolicy::Xy,
+    va_policy: VaPolicy::Static,
+};
+const PHASES: RunSpec = RunSpec {
+    warmup: 500,
+    measure: 2_000,
+    drain: 20_000,
+};
+const SEED: u64 = 99;
 
 #[test]
 fn every_scheme_delivers_everything_on_every_topology() {
@@ -43,10 +50,14 @@ fn every_scheme_delivers_everything_on_every_topology() {
             let n = topo.num_nodes();
             let traffic =
                 SyntheticTraffic::new(SyntheticPattern::UniformRandom, n / 2, 2, 3, 0.08, 5);
-            let report = builder(topo.clone())
-                .routing(point.routing)
-                .va_policy(point.va)
-                .run_with_factory(Box::new(traffic), point.scheme.factory().as_ref());
+            let report = Simulation::new(
+                topo.clone(),
+                point.network_config(),
+                Box::new(traffic),
+                point.scheme.factory().as_ref(),
+                SEED,
+            )
+            .run(PHASES);
             assert!(report.drained, "{} / {name}: stuck packets", topo.name());
             assert!(report.measured_delivered > 0);
             assert_eq!(report.measured_injected, report.measured_delivered);
@@ -62,7 +73,8 @@ fn latency_ordering_matches_the_paper() {
     let topo: SharedTopology = Arc::new(Mesh::new(6, 6, 1));
     let run = |scheme| {
         let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, 6, 6, 5, 0.10, 17);
-        builder(topo.clone()).scheme(scheme).run(Box::new(traffic))
+        let factory = PcRouterFactory::new(scheme);
+        Simulation::new(topo.clone(), XY_STATIC, Box::new(traffic), &factory, SEED).run(PHASES)
     };
     let base = run(Scheme::baseline());
     let pseudo = run(Scheme::pseudo());
@@ -88,11 +100,15 @@ fn latency_ordering_matches_the_paper() {
 fn cmp_closed_loop_self_throttles_and_drains() {
     let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 4));
     let bench = *BenchmarkProfile::by_name("streamcluster").unwrap();
-    let traffic = cmp_traffic_for(topo.as_ref(), bench, 3);
-    let report = ExperimentBuilder::new(topo)
-        .scheme(Scheme::pseudo_ps_bb())
-        .phases(500, 5_000, 100_000)
-        .run(Box::new(traffic));
+    let traffic = CmpTraffic::for_topology(topo.as_ref(), bench, 3).unwrap();
+    let report = Simulation::new(
+        topo,
+        NetworkConfig::paper(),
+        Box::new(traffic),
+        &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
+        1,
+    )
+    .run(RunSpec::new(500, 5_000, 100_000));
     assert!(report.drained, "coherence transactions must complete");
     assert!(report.measured_delivered > 500, "traffic flowed");
     // Self-throttling keeps the network out of saturation.
@@ -105,12 +121,14 @@ fn o1turn_survives_heavy_adversarial_traffic() {
     // the network deadlock-free; the run must keep delivering.
     let topo: SharedTopology = Arc::new(Mesh::new(6, 6, 1));
     let traffic = SyntheticTraffic::new(SyntheticPattern::Transpose, 6, 6, 5, 0.6, 23);
-    let report = ExperimentBuilder::new(topo)
-        .routing(RoutingPolicy::O1Turn)
-        .va_policy(VaPolicy::Dynamic)
-        .scheme(Scheme::pseudo_ps_bb())
-        .phases(500, 3_000, 10_000)
-        .run(Box::new(traffic));
+    let report = Simulation::new(
+        topo,
+        NetworkConfig::paper(), // O1TURN + dynamic VA
+        Box::new(traffic),
+        &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
+        1,
+    )
+    .run(RunSpec::new(500, 3_000, 10_000));
     // Saturated, so not drained — but thousands of packets must still flow.
     assert!(
         report.delivered_packets > 2_000,
@@ -123,20 +141,24 @@ fn o1turn_survives_heavy_adversarial_traffic() {
 fn evc_router_integrates_with_the_builder() {
     let topo: SharedTopology = Arc::new(Mesh::new(6, 6, 1));
     let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, 6, 6, 5, 0.10, 31);
-    let report = builder(topo)
-        .va_policy(VaPolicy::Dynamic)
-        .run_with_factory(Box::new(traffic), &EvcRouterFactory::default());
+    let config = NetworkConfig {
+        va_policy: VaPolicy::Dynamic,
+        ..XY_STATIC
+    };
+    let factory = EvcRouterFactory::default();
+    let report = Simulation::new(topo, config, Box::new(traffic), &factory, SEED).run(PHASES);
     assert!(report.drained);
     assert!(report.router_stats.express_bypasses > 0);
 }
 
 #[test]
 fn facade_crate_reexports_work() {
-    use pseudo_circuit_repro::{base, core, topology};
+    use pseudo_circuit_repro::{base, core, hybrid, topology};
     let topo: base::NodeId = base::NodeId::new(1);
     assert_eq!(topo.index(), 1);
     let mesh = topology::Mesh::new(2, 2, 1);
     let _ = core::Scheme::paper_lineup();
+    let _ = hybrid::HybridRouterFactory::default();
     assert_eq!(topology::Topology::num_routers(&mesh), 4);
 }
 
@@ -146,9 +168,8 @@ fn multidrop_topology_carries_multiflit_packets() {
     // crossing the full row exercise the per-sub credit books.
     let topo: SharedTopology = Arc::new(Mecs::new(4, 4, 1));
     let traffic = SyntheticTraffic::new(SyntheticPattern::BitComplement, 4, 4, 5, 0.15, 77);
-    let report = builder(topo)
-        .scheme(Scheme::pseudo_ps_bb())
-        .run(Box::new(traffic));
+    let factory = PcRouterFactory::new(Scheme::pseudo_ps_bb());
+    let report = Simulation::new(topo, XY_STATIC, Box::new(traffic), &factory, SEED).run(PHASES);
     assert!(report.drained);
     assert!(report.measured_delivered > 100);
 }

@@ -1,23 +1,28 @@
 //! Energy accounting and statistics invariants across full simulations.
 
 use noc_base::{RoutingPolicy, VaPolicy};
+use noc_campaign::{build_simulation, PointSpec, SchemeChoice};
+use noc_sim::{MetricsConfig, NetworkConfig, RunSpec, Simulation};
 use noc_topology::{Mesh, SharedTopology};
-use noc_traffic::{BenchmarkProfile, SyntheticPattern, SyntheticTraffic};
-use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
+use noc_traffic::{SyntheticPattern, SyntheticTraffic};
+use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::sync::Arc;
 
+/// `noc run --topology cmesh4x4 --traffic mgrid` (XY + static VA) under
+/// `scheme`, 4 000 measured cycles.
 fn run(scheme: Scheme, seed: u64) -> noc_sim::SimReport {
-    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 4));
-    let bench = *BenchmarkProfile::by_name("mgrid").unwrap();
-    let traffic = cmp_traffic_for(topo.as_ref(), bench, seed);
-    ExperimentBuilder::new(topo)
-        .routing(RoutingPolicy::Xy)
-        .va_policy(VaPolicy::Static)
-        .scheme(scheme)
-        .phases(500, 4_000, 50_000)
-        .seed(seed)
-        .run(Box::new(traffic))
+    let point = PointSpec {
+        topology: "cmesh4x4".into(),
+        traffic: "mgrid".into(),
+        scheme: SchemeChoice::Pc(scheme),
+        seed,
+        warmup: 500,
+        measure: 4_000,
+        drain: 50_000,
+        ..PointSpec::default()
+    };
+    let (mut sim, _) = build_simulation(&point, MetricsConfig::off(), 1).unwrap();
+    sim.run(point.run_spec())
 }
 
 #[test]
@@ -105,11 +110,14 @@ fn reusability_and_rates_are_fractions() {
 fn throughput_reflects_measured_flits() {
     let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 1));
     let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, 4, 4, 4, 0.12, 3);
-    let report = ExperimentBuilder::new(topo)
-        .routing(RoutingPolicy::Xy)
-        .va_policy(VaPolicy::Dynamic)
-        .phases(500, 4_000, 40_000)
-        .run(Box::new(traffic));
+    let config = NetworkConfig {
+        routing: RoutingPolicy::Xy,
+        va_policy: VaPolicy::Dynamic,
+        ..NetworkConfig::paper()
+    };
+    let factory = PcRouterFactory::new(Scheme::baseline());
+    let report = Simulation::new(topo, config, Box::new(traffic), &factory, 1)
+        .run(RunSpec::new(500, 4_000, 40_000));
     assert!(
         (report.throughput - 0.12).abs() < 0.03,
         "{}",

@@ -13,11 +13,12 @@
 use noc_base::{RoutingPolicy, VaPolicy};
 use noc_evc::EvcRouterFactory;
 use noc_hybrid::HybridRouterFactory;
-use noc_sim::MetricsLevel;
+use noc_sim::{
+    MetricsConfig, MetricsLevel, NetworkConfig, RouterFactory, RunSpec, SimReport, Simulation,
+};
 use noc_topology::{FlattenedButterfly, Mecs, Mesh, Ring, SharedTopology};
-use noc_traffic::BenchmarkProfile;
-use pseudo_circuit::experiment::cmp_traffic_for;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
+use noc_traffic::{BenchmarkProfile, CmpTraffic};
+use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::sync::Arc;
 
 const GOLDEN_PATH: &str = "tests/golden/cmp4x4_pseudo_fft.txt";
@@ -43,25 +44,60 @@ fn golden_expectation(rel_path: &str, actual: &str) -> Option<String> {
     )
 }
 
-fn golden_run_at(metrics: MetricsLevel) -> String {
-    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 4));
+/// What every golden run shares: the `fft` CMP profile on `topo` (traffic
+/// seeded apart from the engine, as when the goldens were captured), engine
+/// seed `0x5eed`, the paper's 4 VCs × 4 flits, a 2 000-cycle window. The
+/// goldens predate the `PointSpec` vocabulary's one-seed convention, so the
+/// simulation is assembled from objects.
+fn fft_report(
+    topo: SharedTopology,
+    routing: RoutingPolicy,
+    va_policy: VaPolicy,
+    factory: &dyn RouterFactory,
+    metrics: MetricsLevel,
+) -> SimReport {
     let profile = *BenchmarkProfile::by_name("fft").expect("fft profile exists");
-    let traffic = cmp_traffic_for(topo.as_ref(), profile, 0x5eed ^ 0x77);
-    let mut report = ExperimentBuilder::new(topo)
-        .routing(RoutingPolicy::O1Turn)
-        .va_policy(VaPolicy::Dynamic)
-        .scheme(Scheme::pseudo_ps_bb())
-        .seed(0x5eed)
-        .phases(500, 2_000, 40_000)
-        .metrics(metrics)
-        .run(Box::new(traffic));
-    // Observability is passive: stripping it must leave the seed-era report
-    // (the `Debug` impl omits the field when `None`).
+    let traffic = CmpTraffic::for_topology(topo.as_ref(), profile, 0x5eed ^ 0x77)
+        .expect("golden topologies have a CMP floorplan");
+    let config = NetworkConfig {
+        routing,
+        va_policy,
+        ..NetworkConfig::paper()
+    };
+    Simulation::with_metrics(
+        topo,
+        config,
+        MetricsConfig::level(metrics),
+        Box::new(traffic),
+        factory,
+        0x5eed,
+    )
+    .run(RunSpec::new(500, 2_000, 40_000))
+}
+
+/// The golden text of a report. Observability is passive: stripping it must
+/// leave the seed-era report (the `Debug` impl omits the field when `None`).
+/// `{:#?}` of the full report covers every field (latency, hops, throughput,
+/// per-counter energy, locality, backlog) with stable formatting; f64 Debug
+/// is shortest-roundtrip and deterministic.
+fn golden_text(mut report: SimReport) -> String {
     report.observability = None;
-    // `{:#?}` of the full report covers every field (latency, hops,
-    // throughput, per-counter energy, locality, backlog) with stable
-    // formatting; f64 Debug is shortest-roundtrip and deterministic.
     format!("{report:#?}\n")
+}
+
+/// The paper-config run: 4×4 CMesh, O1TURN + dynamic VA, full scheme.
+fn golden_report_at(metrics: MetricsLevel) -> SimReport {
+    fft_report(
+        Arc::new(Mesh::new(4, 4, 4)),
+        RoutingPolicy::O1Turn,
+        VaPolicy::Dynamic,
+        &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
+        metrics,
+    )
+}
+
+fn golden_run_at(metrics: MetricsLevel) -> String {
+    golden_text(golden_report_at(metrics))
 }
 
 fn golden_run() -> String {
@@ -73,18 +109,13 @@ fn golden_run() -> String {
 /// Pinned *before* the shared pipeline-kernel extraction so the refactor's
 /// equivalence is provable for the EVC router too, not just pseudo-circuit.
 fn evc_golden_run_at(metrics: MetricsLevel) -> String {
-    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 1));
-    let profile = *BenchmarkProfile::by_name("fft").expect("fft profile exists");
-    let traffic = cmp_traffic_for(topo.as_ref(), profile, 0x5eed ^ 0x77);
-    let mut report = ExperimentBuilder::new(topo)
-        .routing(RoutingPolicy::Xy)
-        .va_policy(VaPolicy::Dynamic)
-        .seed(0x5eed)
-        .phases(500, 2_000, 40_000)
-        .metrics(metrics)
-        .run_with_factory(Box::new(traffic), &EvcRouterFactory::default());
-    report.observability = None;
-    format!("{report:#?}\n")
+    golden_text(fft_report(
+        Arc::new(Mesh::new(4, 4, 1)),
+        RoutingPolicy::Xy,
+        VaPolicy::Dynamic,
+        &EvcRouterFactory::default(),
+        metrics,
+    ))
 }
 
 fn evc_golden_run() -> String {
@@ -97,17 +128,13 @@ fn evc_golden_run() -> String {
 /// the port asymmetries of MECS (input ports ≫ output ports) and the
 /// high-radix flattened butterfly, not just mesh/CMesh.
 fn topo_golden_run(topo: SharedTopology) -> String {
-    let profile = *BenchmarkProfile::by_name("fft").expect("fft profile exists");
-    let traffic = cmp_traffic_for(topo.as_ref(), profile, 0x5eed ^ 0x77);
-    let mut report = ExperimentBuilder::new(topo)
-        .routing(RoutingPolicy::Xy)
-        .va_policy(VaPolicy::Static)
-        .scheme(Scheme::pseudo_ps_bb())
-        .seed(0x5eed)
-        .phases(500, 2_000, 40_000)
-        .run(Box::new(traffic));
-    report.observability = None;
-    format!("{report:#?}\n")
+    golden_text(fft_report(
+        topo,
+        RoutingPolicy::Xy,
+        VaPolicy::Static,
+        &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
+        MetricsLevel::Off,
+    ))
 }
 
 fn fbfly_golden_run() -> String {
@@ -132,18 +159,13 @@ fn ring_golden_run() -> String {
 /// 1000 — inside the measurement window — so this report pins the profile
 /// phase, the freeze, and the hot-flow circuit phase in one run.
 fn hybrid_golden_run_at(metrics: MetricsLevel) -> String {
-    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 1));
-    let profile = *BenchmarkProfile::by_name("fft").expect("fft profile exists");
-    let traffic = cmp_traffic_for(topo.as_ref(), profile, 0x5eed ^ 0x77);
-    let mut report = ExperimentBuilder::new(topo)
-        .routing(RoutingPolicy::Xy)
-        .va_policy(VaPolicy::Dynamic)
-        .seed(0x5eed)
-        .phases(500, 2_000, 40_000)
-        .metrics(metrics)
-        .run_with_factory(Box::new(traffic), &HybridRouterFactory::default());
-    report.observability = None;
-    format!("{report:#?}\n")
+    golden_text(fft_report(
+        Arc::new(Mesh::new(4, 4, 1)),
+        RoutingPolicy::Xy,
+        VaPolicy::Dynamic,
+        &HybridRouterFactory::default(),
+        metrics,
+    ))
 }
 
 fn hybrid_golden_run() -> String {
@@ -266,17 +288,7 @@ fn full_metrics_surface_coordination_stats() {
     // accounting: every stepped cycle publishes exactly one epoch (or counts
     // as skipped when no shard is pending), and the lane-merge histogram
     // observes actual inbound traffic.
-    let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 4));
-    let profile = *BenchmarkProfile::by_name("fft").expect("fft profile exists");
-    let traffic = cmp_traffic_for(topo.as_ref(), profile, 0x5eed ^ 0x77);
-    let report = ExperimentBuilder::new(topo)
-        .routing(RoutingPolicy::O1Turn)
-        .va_policy(VaPolicy::Dynamic)
-        .scheme(Scheme::pseudo_ps_bb())
-        .seed(0x5eed)
-        .phases(500, 2_000, 40_000)
-        .metrics(MetricsLevel::Full)
-        .run(Box::new(traffic));
+    let report = golden_report_at(MetricsLevel::Full);
     let obs = report.observability.as_ref().expect("full metrics payload");
     let coord = obs.coordination.as_ref().expect("coordination stats");
     assert!(coord.epochs > 0, "a loaded run must publish epochs");

@@ -11,11 +11,11 @@
 //!   under arbitrary claim/release/credit operation sequences.
 
 use noc_base::{Credit, PortIndex, RouteInfo, RouterId, VcIndex};
-use noc_sim::{NetworkConfig, PipelineKernel};
+use noc_sim::{NetworkConfig, PipelineKernel, RunSpec, Simulation};
 use noc_topology::{Mecs, Mesh, SharedTopology, Topology};
 use noc_traffic::{SyntheticPattern, SyntheticTraffic};
 use proptest::prelude::*;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
+use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::sync::Arc;
 
 fn scheme_strategy() -> impl Strategy<Value = Scheme> {
@@ -51,13 +51,15 @@ proptest! {
                 load,
                 seed,
             );
-            let builder = ExperimentBuilder::new(topo.clone())
-                .scheme(scheme)
-                .seed(seed ^ 0x5eed)
-                .phases(100, 800, 20_000);
-            let mut sim = builder.build(Box::new(traffic));
+            let mut sim = Simulation::new(
+                topo.clone(),
+                NetworkConfig::paper(),
+                Box::new(traffic),
+                &PcRouterFactory::new(scheme),
+                seed ^ 0x5eed,
+            );
             sim.set_fast_forward(fast_forward);
-            sim.run(builder.spec())
+            sim.run(RunSpec::new(100, 800, 20_000))
         };
         let on = run(true);
         let off = run(false);

@@ -3,10 +3,12 @@
 //! conservation laws hold across the network.
 
 use noc_base::{RoutingPolicy, VaPolicy};
+use noc_campaign::{build_simulation, PointSpec, SchemeChoice};
+use noc_sim::{MetricsConfig, NetworkConfig, RunSpec, Simulation};
 use noc_topology::{Mesh, SharedTopology};
 use noc_traffic::{SyntheticPattern, SyntheticTraffic};
 use proptest::prelude::*;
-use pseudo_circuit::{ExperimentBuilder, Scheme};
+use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::sync::Arc;
 
 fn scheme_strategy() -> impl Strategy<Value = Scheme> {
@@ -50,13 +52,14 @@ proptest! {
             load,
             seed,
         );
-        let report = ExperimentBuilder::new(topo)
-            .routing(routing)
-            .va_policy(va)
-            .scheme(scheme)
-            .seed(seed ^ 0xabc)
-            .phases(200, 1_000, 30_000)
-            .run(Box::new(traffic));
+        let config = NetworkConfig {
+            routing,
+            va_policy: va,
+            ..NetworkConfig::paper()
+        };
+        let factory = PcRouterFactory::new(scheme);
+        let report = Simulation::new(topo, config, Box::new(traffic), &factory, seed ^ 0xabc)
+            .run(RunSpec::new(200, 1_000, 30_000));
         prop_assert!(report.drained, "packets stuck at load {load}");
         prop_assert_eq!(report.measured_injected, report.measured_delivered);
         // Conservation: flit traversals >= delivered flits (each flit crosses
@@ -74,17 +77,21 @@ proptest! {
         seed in 0u64..200,
         load in 0.02f64..0.10,
     ) {
-        let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 1));
+        // `noc run --topology mesh4x4 --load <load> --seed <seed>` (uniform
+        // random, 5-flit packets, XY + static VA) under each scheme.
         let run = |scheme| {
-            let traffic = SyntheticTraffic::new(
-                SyntheticPattern::UniformRandom, 4, 4, 5, load, seed);
-            ExperimentBuilder::new(topo.clone())
-                .routing(RoutingPolicy::Xy)
-                .va_policy(VaPolicy::Static)
-                .scheme(scheme)
-                .seed(seed)
-                .phases(200, 1_500, 30_000)
-                .run(Box::new(traffic))
+            let point = PointSpec {
+                topology: "mesh4x4".into(),
+                scheme: SchemeChoice::Pc(scheme),
+                load,
+                seed,
+                warmup: 200,
+                measure: 1_500,
+                drain: 30_000,
+                ..PointSpec::default()
+            };
+            let (mut sim, _) = build_simulation(&point, MetricsConfig::off(), 1).unwrap();
+            sim.run(point.run_spec())
         };
         let base = run(Scheme::baseline());
         let full = run(Scheme::pseudo_ps_bb());
