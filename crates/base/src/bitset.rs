@@ -1,9 +1,11 @@
 //! Word-packed bitsets and the bit-parallel round-robin arbiter.
 //!
-//! The pipeline kernel's hot path (`noc_sim::pipeline`) keeps its VA/SA
-//! candidate sets as [`WordMask`]es maintained incrementally at state
-//! transitions, and its arbiters as [`BitArbiter`]s whose grant is a masked
-//! `trailing_zeros` scan instead of a per-element `&[bool]` walk. The scalar
+//! The pipeline kernel's hot path (`noc_sim::pipeline`) keeps every set over
+//! one router's ports or VCs in a one-word [`Mask64`] and the sets that span
+//! `input ports × VCs` in a [`WordMask`], all maintained incrementally at
+//! state transitions; its arbiters are [`BitArbiter`]s whose grant is a
+//! masked `trailing_zeros` scan over either kind of [`RequestSet`] instead
+//! of a per-element `&[bool]` walk. The scalar
 //! [`RrArbiter`](https://docs.rs/..) in `noc_sim::blocks` remains the
 //! behavioural reference: `BitArbiter::grant` is provably (and
 //! property-tested to be) grant-for-grant identical to it, including the
@@ -307,19 +309,66 @@ impl Iterator for Mask64Bits {
     }
 }
 
-/// A work-conserving round-robin arbiter over a [`WordMask`] request vector.
+/// A request vector a [`BitArbiter`] grants from: bit `i` set means
+/// requester `i` is asking.
+pub trait RequestSet {
+    /// Whether this is a request vector over exactly `n` requesters. A
+    /// [`WordMask`] carries its width; a [`Mask64`] does not, so it spans
+    /// any `n` up to [`Mask64::WIDTH`] that leaves no bit at or above `n`
+    /// set.
+    fn spans(&self, n: usize) -> bool;
+
+    /// Index of the lowest requester at or above `start`, if any.
+    fn first_set_from(&self, start: usize) -> Option<usize>;
+}
+
+impl RequestSet for WordMask {
+    #[inline]
+    fn spans(&self, n: usize) -> bool {
+        self.bits == n
+    }
+
+    #[inline]
+    fn first_set_from(&self, start: usize) -> Option<usize> {
+        WordMask::first_set_from(self, start)
+    }
+}
+
+impl RequestSet for Mask64 {
+    #[inline]
+    fn spans(&self, n: usize) -> bool {
+        n == Self::WIDTH || (n < Self::WIDTH && self.0 >> n == 0)
+    }
+
+    #[inline]
+    fn first_set_from(&self, start: usize) -> Option<usize> {
+        // A start of `WIDTH` (one past the top bit) finds nothing; shifting
+        // by it would overflow.
+        if start >= Self::WIDTH {
+            return None;
+        }
+        let word = self.0 & (!0u64 << start);
+        (word != 0).then(|| word.trailing_zeros() as usize)
+    }
+}
+
+/// A work-conserving round-robin arbiter over a [`RequestSet`].
 ///
 /// Semantics are identical to the scalar `RrArbiter` in `noc_sim::blocks`
 /// (the retained reference implementation): the grant is the first requesting
 /// index at or after the rotating-priority pointer, wrapping once; the
-/// pointer then moves one past the winner. An all-clear request mask returns
+/// pointer then moves one past the winner. An all-clear request set returns
 /// `None` and leaves the pointer untouched. The linear scan is replaced by at
-/// most two [`WordMask::first_set_from`] word walks (rotate + count trailing
-/// zeros).
+/// most two `first_set_from` probes (mask off the bits below the pointer +
+/// count trailing zeros) — one or two word operations on a [`Mask64`], a
+/// word walk on a [`WordMask`].
+///
+/// Both fields are `u32` so an arbiter embedded in a per-port record of the
+/// pipeline kernel costs one word.
 #[derive(Clone, Debug)]
 pub struct BitArbiter {
-    next: usize,
-    n: usize,
+    next: u32,
+    n: u32,
 }
 
 impl BitArbiter {
@@ -327,9 +376,10 @@ impl BitArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero.
+    /// Panics if `n` is zero or does not fit `u32`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "arbiter needs at least one requester");
+        let n = u32::try_from(n).expect("arbiter width fits u32");
         Self { next: 0, n }
     }
 
@@ -338,23 +388,30 @@ impl BitArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `requests.len() != n`.
+    /// Panics if `requests` is not a request vector over `n` requesters
+    /// ([`RequestSet::spans`]).
     #[inline]
-    pub fn grant(&mut self, requests: &WordMask) -> Option<usize> {
-        assert_eq!(requests.len(), self.n, "request vector size mismatch");
+    pub fn grant<R: RequestSet>(&mut self, requests: &R) -> Option<usize> {
+        assert!(
+            requests.spans(self.n as usize),
+            "request vector size mismatch"
+        );
         // First requester at or after the pointer, else wrap to the lowest
         // requester overall (which, when the first probe failed, is
         // necessarily below the pointer).
         let winner = requests
-            .first_set_from(self.next)
+            .first_set_from(self.next as usize)
             .or_else(|| requests.first_set_from(0))?;
-        self.next = (winner + 1) % self.n;
+        // `winner < n`, so the increment cannot overflow; the compare wraps
+        // the pointer without a division.
+        let next = winner as u32 + 1;
+        self.next = if next == self.n { 0 } else { next };
         Some(winner)
     }
 
     /// Number of requesters.
     pub fn len(&self) -> usize {
-        self.n
+        self.n as usize
     }
 
     /// Always false; arbiters are non-empty by construction.
@@ -364,7 +421,7 @@ impl BitArbiter {
 
     /// The rotating-priority pointer (exposed for equivalence tests).
     pub fn pointer(&self) -> usize {
-        self.next
+        self.next as usize
     }
 }
 
@@ -495,6 +552,30 @@ mod tests {
         let before = a.pointer();
         assert_eq!(a.grant(&empty), None);
         assert_eq!(a.pointer(), before, "no grant, no pointer movement");
+    }
+
+    #[test]
+    fn arbiter_grants_from_one_word_sets_up_to_the_full_width() {
+        let mut a = BitArbiter::new(Mask64::WIDTH);
+        let mut m = Mask64::EMPTY;
+        m.set(5);
+        m.set(63);
+        assert_eq!(a.grant(&m), Some(5));
+        assert_eq!(a.grant(&m), Some(63));
+        assert_eq!(a.pointer(), 0, "(63 + 1) % 64 wraps to zero");
+        assert_eq!(a.grant(&m), Some(5));
+        assert_eq!(a.grant(&Mask64::EMPTY), None);
+        assert_eq!(a.pointer(), 6, "no grant, no pointer movement");
+        assert_eq!(m.first_set_from(64), None, "one past the top bit");
+        assert_eq!(m.first_set_from(63), Some(63));
+    }
+
+    #[test]
+    #[should_panic(expected = "size mismatch")]
+    fn arbiter_rejects_a_one_word_request_beyond_its_width() {
+        let mut m = Mask64::EMPTY;
+        m.set(4);
+        let _ = BitArbiter::new(4).grant(&m);
     }
 
     #[test]

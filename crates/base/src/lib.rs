@@ -48,7 +48,7 @@ pub mod rng;
 pub mod sync;
 
 pub use arena::{FlitPool, FlitRef};
-pub use bitset::{BitArbiter, Mask64, WordMask};
+pub use bitset::{BitArbiter, Mask64, RequestSet, WordMask};
 pub use flit::{Credit, Flit, FlitKind, PacketClass, PacketDescriptor, RouteInfo};
 pub use geom::Coord;
 pub use ids::{NodeId, PacketId, PortIndex, RouterId, VcIndex};

@@ -65,13 +65,24 @@ impl PcRegisters {
     }
 }
 
-/// Pseudo-circuit state for one router.
+/// Per-output-port pseudo-circuit state.
+#[derive(Copy, Clone, Debug, Default)]
+struct OutputRegs {
+    /// The input port whose live circuit holds this output's crossbar
+    /// connection.
+    holder: Option<PortIndex>,
+    /// The speculation history register: the input port of the most
+    /// recently terminated circuit here.
+    history: Option<PortIndex>,
+}
+
+/// Pseudo-circuit state for one router: one record per input port, one per
+/// output port.
 #[derive(Clone, Debug)]
 pub struct PseudoCircuitUnit {
     regs: Vec<PcRegisters>,
-    held: Vec<Option<PortIndex>>,
-    history: Vec<Option<PortIndex>>,
-    // One-word summaries of the three arrays, written beside them by
+    outs: Vec<OutputRegs>,
+    // One-word summaries of the two arrays, written beside them by
     // `establish` / `terminate` / `try_restore`: input ports whose register
     // is valid, output ports with a holder, output ports with a history
     // entry. The per-cycle scans of the circuit datapath intersect these
@@ -101,8 +112,7 @@ impl PseudoCircuitUnit {
         }
         Self {
             regs: vec![PcRegisters::empty(); in_ports],
-            held: vec![None; out_ports],
-            history: vec![None; out_ports],
+            outs: vec![OutputRegs::default(); out_ports],
             live_mask: Mask64::EMPTY,
             held_mask: Mask64::EMPTY,
             history_mask: Mask64::EMPTY,
@@ -124,13 +134,13 @@ impl PseudoCircuitUnit {
 
     /// The input port holding `out_port`'s crossbar connection, if any.
     pub fn holder(&self, out_port: PortIndex) -> Option<PortIndex> {
-        self.held[out_port.index()]
+        self.outs[out_port.index()].holder
     }
 
     /// The speculation history register of `out_port`: the input port of the
     /// most recently terminated pseudo-circuit there.
     pub fn history(&self, out_port: PortIndex) -> Option<PortIndex> {
-        self.history[out_port.index()]
+        self.outs[out_port.index()].history
     }
 
     /// Input ports with a live pseudo-circuit.
@@ -182,20 +192,20 @@ impl PseudoCircuitUnit {
             }
         }
         // Terminate whichever circuit currently holds the output port.
-        if let Some(holder) = self.held[out_port.index()] {
+        if let Some(holder) = self.outs[out_port.index()].holder {
             if holder != in_port {
                 self.terminate(holder, Termination::Conflict);
                 outcome.terminated[1] = Some((holder, out_port));
             }
         }
-        outcome.created = self.held[out_port.index()] != Some(in_port);
+        outcome.created = self.outs[out_port.index()].holder != Some(in_port);
         self.regs[in_port.index()] = PcRegisters {
             valid: true,
             in_vc,
             out_port,
             hops,
         };
-        self.held[out_port.index()] = Some(in_port);
+        self.outs[out_port.index()].holder = Some(in_port);
         self.live_mask.set(in_port.index());
         self.held_mask.set(out_port.index());
         outcome
@@ -210,9 +220,10 @@ impl PseudoCircuitUnit {
         }
         reg.valid = false;
         let out = reg.out_port;
-        debug_assert_eq!(self.held[out.index()], Some(in_port), "hold desync");
-        self.held[out.index()] = None;
-        self.history[out.index()] = Some(in_port);
+        let regs = &mut self.outs[out.index()];
+        debug_assert_eq!(regs.holder, Some(in_port), "hold desync");
+        regs.holder = None;
+        regs.history = Some(in_port);
         self.live_mask.clear(in_port.index());
         self.held_mask.clear(out.index());
         self.history_mask.set(out.index());
@@ -229,10 +240,11 @@ impl PseudoCircuitUnit {
     /// was restored; the caller is responsible for the downstream-credit
     /// check.
     pub fn try_restore(&mut self, out_port: PortIndex) -> bool {
-        if self.held[out_port.index()].is_some() {
+        let out = self.outs[out_port.index()];
+        if out.holder.is_some() {
             return false;
         }
-        let Some(h) = self.history[out_port.index()] else {
+        let Some(h) = out.history else {
             return false;
         };
         let reg = self.regs[h.index()];
@@ -240,29 +252,30 @@ impl PseudoCircuitUnit {
             return false;
         }
         self.regs[h.index()].valid = true;
-        self.held[out_port.index()] = Some(h);
+        self.outs[out_port.index()].holder = Some(h);
         self.live_mask.set(h.index());
         self.held_mask.set(out_port.index());
         true
     }
 
     /// Checks the one-per-port invariants and the three port masks against
-    /// the arrays they summarize; used by debug assertions and property
+    /// the records they summarize; used by debug assertions and property
     /// tests.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, reg) in self.regs.iter().enumerate() {
-            if reg.valid && self.held[reg.out_port.index()] != Some(PortIndex::new(i)) {
+            if reg.valid && self.outs[reg.out_port.index()].holder != Some(PortIndex::new(i)) {
                 return Err(format!("input {i} valid but output not held by it"));
             }
             if self.live_mask.get(i) != reg.valid {
                 return Err(format!("stale live_mask bit of input {i}"));
             }
         }
-        for (o, h) in self.held.iter().enumerate() {
+        for (o, out) in self.outs.iter().enumerate() {
+            let h = out.holder;
             if self.held_mask.get(o) != h.is_some() {
                 return Err(format!("stale held_mask bit of output {o}"));
             }
-            if self.history_mask.get(o) != self.history[o].is_some() {
+            if self.history_mask.get(o) != out.history.is_some() {
                 return Err(format!("stale history_mask bit of output {o}"));
             }
             if let Some(input) = h {
@@ -276,7 +289,7 @@ impl PseudoCircuitUnit {
                 // count is tiny, and this runs inside a per-step
                 // debug_assert, which must stay allocation-free
                 // (tests/zero_alloc.rs counts debug builds too).
-                if self.held[..o].contains(h) {
+                if self.outs[..o].iter().any(|earlier| earlier.holder == h) {
                     return Err(format!("input {input} holds two outputs"));
                 }
             }

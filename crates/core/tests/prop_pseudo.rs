@@ -121,7 +121,7 @@ mod summaries {
     use super::*;
     use noc_base::{
         Credit, FlitPool, Mask64, NodeId, PacketClass, PacketDescriptor, PacketId, RouteMode,
-        RouterId, RoutingPolicy, VaPolicy,
+        RouterId, RoutingPolicy, VaPolicy, VcPartition,
     };
     use noc_sim::{NetworkConfig, RouterModel, RouterOutputs};
     use noc_topology::{Mecs, Mesh, SharedTopology};
@@ -163,6 +163,10 @@ mod summaries {
         topo: SharedTopology,
         id: RouterId,
         vcs: usize,
+        /// The deadlock classes the input VCs are split into; a packet
+        /// arrives on a VC of its own class, as an interface would send it.
+        routing: RoutingPolicy,
+        partition: VcPartition,
         /// Free slots of each input VC's buffer, as its feeder counts them.
         upstream: Vec<u32>,
         /// The packet each input VC is in the middle of, and its next flit.
@@ -182,6 +186,8 @@ mod summaries {
             let pool = Arc::new(FlitPool::new(slots * config.buffer_depth as usize + 64, 1));
             Self {
                 router: PcHooks::router(id, topo.clone(), config, Scheme::pseudo_ps_bb(), pool),
+                routing: config.routing,
+                partition: config.partition_for(topo.as_ref()),
                 topo,
                 id,
                 vcs,
@@ -216,7 +222,9 @@ mod summaries {
                     });
                     let mut flit = desc.flit(seq);
                     flit.vc = VcIndex::new(slot % self.vcs);
-                    flit.mode = RouteMode::XY;
+                    flit.class = self.partition.class_of_vc(flit.vc);
+                    flit.mode = [RouteMode::XY, RouteMode::YX][usize::from(flit.class)];
+                    debug_assert_eq!(self.routing.class_of(flit.mode), flit.class);
                     flit.route = self.topo.route(self.id, flit.dst, flit.mode);
                     if seq + 1 < desc.len {
                         self.open[slot] = Some((desc, seq + 1));
@@ -260,15 +268,17 @@ mod summaries {
     pub fn check_summaries_hold(
         topo: SharedTopology,
         id: RouterId,
+        routing: RoutingPolicy,
         va_policy: VaPolicy,
         calls: &[Call],
     ) -> Result<(), TestCaseError> {
-        // Two-flit buffers on two VCs: a handful of flits exhausts a
-        // sub-channel's credits, so circuits terminate and restore often.
+        // Two-flit buffers on two VCs per deadlock class: a handful of
+        // flits exhausts a sub-channel's credits, so circuits terminate and
+        // restore often.
         let config = NetworkConfig {
-            vcs_per_port: 2,
+            vcs_per_port: 2 * routing.num_classes(),
             buffer_depth: 2,
-            routing: RoutingPolicy::Xy,
+            routing,
             va_policy,
         };
         let mut harness = Harness::new(topo, id, config);
@@ -292,6 +302,13 @@ mod summaries {
         // and more input ports than output ports.
         (Arc::new(Mecs::new(4, 4, 1)), RouterId::new(5))
     }
+
+    pub fn cmesh() -> (SharedTopology, RouterId) {
+        // Router (1, 1) of the paper's 4x4 concentrated mesh: four local
+        // ports beside the four directions, the widest router the
+        // benchmark's `cmp_cmesh` workload steps.
+        (Arc::new(Mesh::new(4, 4, 4)), RouterId::new(5))
+    }
 }
 
 proptest! {
@@ -304,7 +321,7 @@ proptest! {
     ) {
         let (topo, id) = summaries::mesh();
         let va = if dynamic { noc_base::VaPolicy::Dynamic } else { noc_base::VaPolicy::Static };
-        summaries::check_summaries_hold(topo, id, va, &calls)?;
+        summaries::check_summaries_hold(topo, id, noc_base::RoutingPolicy::Xy, va, &calls)?;
     }
 
     #[test]
@@ -314,6 +331,23 @@ proptest! {
     ) {
         let (topo, id) = summaries::mecs();
         let va = if dynamic { noc_base::VaPolicy::Dynamic } else { noc_base::VaPolicy::Static };
-        summaries::check_summaries_hold(topo, id, va, &calls)?;
+        summaries::check_summaries_hold(topo, id, noc_base::RoutingPolicy::Xy, va, &calls)?;
+    }
+
+    /// The `cmp_cmesh` configuration: eight ports, O1TURN's two VC classes
+    /// (XY packets on the low VCs, YX on the high ones), dynamic VA choosing
+    /// among a class's free output VCs.
+    #[test]
+    fn port_summaries_hold_on_a_cmesh_router_under_o1turn(
+        calls in prop::collection::vec(summaries::call_strategy(), 1..400),
+    ) {
+        let (topo, id) = summaries::cmesh();
+        summaries::check_summaries_hold(
+            topo,
+            id,
+            noc_base::RoutingPolicy::O1Turn,
+            noc_base::VaPolicy::Dynamic,
+            &calls,
+        )?;
     }
 }

@@ -128,12 +128,12 @@ impl ShardOutbox {
 /// into execution shards.
 #[derive(Debug)]
 struct ShardLayout {
-    /// Routers per shard (the last shard may be short).
-    chunk: usize,
     /// Router-index range of each shard.
     ranges: Vec<Range<usize>>,
     /// Node indices whose attached router lies in each shard, ascending.
     ni_lists: Vec<Vec<usize>>,
+    /// Shard of each router (the lane an emission to it travels in).
+    router_shard: Vec<usize>,
     /// Shard of each node's attached router (for pending-mask marking on
     /// injection).
     node_shard: Vec<usize>,
@@ -147,25 +147,26 @@ impl ShardLayout {
             .map(|s| (s * chunk).min(num_routers)..((s + 1) * chunk).min(num_routers))
             .take_while(|r| !r.is_empty())
             .collect();
+        let router_shard: Vec<usize> = (0..num_routers).map(|r| r / chunk).collect();
         let mut ni_lists: Vec<Vec<usize>> = (0..ranges.len()).map(|_| Vec::new()).collect();
         let mut node_shard = Vec::with_capacity(num_nodes);
         for n in 0..num_nodes {
             let (router, _) = wiring.attach_of(NodeId::new(n));
-            let s = router.index() / chunk;
+            let s = router_shard[router.index()];
             ni_lists[s].push(n);
             node_shard.push(s);
         }
         Self {
-            chunk,
             ranges,
             ni_lists,
+            router_shard,
             node_shard,
         }
     }
 
     #[inline]
     fn dest_shard(&self, router: usize) -> usize {
-        router / self.chunk
+        self.router_shard[router]
     }
 
     fn shards(&self) -> usize {

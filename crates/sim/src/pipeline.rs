@@ -12,7 +12,7 @@
 //! [`PipelineKernel`] owns everything the paper's schemes have in common:
 //! input-VC state, output-port credit books and VC allocation, the separable
 //! round-robin VA and SA allocators with their per-port occupancy skip,
-//! ST-grant queues, the zero-allocation scratch storage, and the full
+//! ST-grant queues preallocated to their structural maximum, and the full
 //! stats/energy/metrics/trace plumbing. A scheme plugs in through
 //! [`SchemeHooks`]: the pseudo-circuit router (`pseudo-circuit` crate)
 //! implements circuit termination/reuse/bypass/speculation on top of the
@@ -20,18 +20,23 @@
 //! NVC/EVC split — each as a thin hook set rather than a second copy of the
 //! pipeline.
 //!
-//! # Structure-of-arrays state (DESIGN.md §15)
+//! # One record array per index space (DESIGN.md §15)
 //!
-//! Per-VC and per-output-VC state is stored in flat parallel arrays indexed
-//! by `in_port * vcs + vc` (and `out_port * vcs + vc` on the output side),
-//! not in nested per-port structs: the VA/SA mask loops re-check candidates
-//! by walking set bits of word-packed masks whose bit positions ARE those
-//! slot indices, so each re-check is a couple of contiguous array loads
-//! instead of two pointer chases. The layout is private; scheme hooks go
-//! through the accessor methods (`input_route`, `claim_input_vc`,
-//! `credits_available`, `claim_out_vc`, …), which also keep the incremental
-//! candidate masks coherent. Behavioral equivalence with the pre-SoA kernel
-//! is pinned by the byte-identical golden reports under `tests/golden/`.
+//! The kernel's state has four index spaces — input VC (`in_port * vcs +
+//! vc`), input port, output port, output VC (`out_port * vcs + vc`) — and
+//! keeps one array of records for each, not one array per field: the VA/SA
+//! mask loops re-check a candidate by reading three to five fields of the
+//! *same* slot, so a record is one bounds check and one cache line where
+//! parallel arrays were a pointer load and a bounds check per field. Every
+//! set over one router's ports or VCs is a one-word [`Mask64`] held in the
+//! struct or in a record (the per-cycle request sets of the allocators are
+//! locals); only the sets that span `in_ports × vcs` are [`WordMask`]s. A
+//! mask's bit index IS the index of the record it names. The layout is
+//! private; scheme hooks go through the accessor methods (`input_route`,
+//! `claim_input_vc`, `credits_available`, `claim_out_vc`, …), which also
+//! keep the incremental candidate masks coherent. Behavioral equivalence
+//! with the kernels before it is pinned by the byte-identical golden reports
+//! under `tests/golden/`.
 
 use crate::blocks::FifoBank;
 use crate::metrics::RouterObservation;
@@ -82,6 +87,12 @@ struct StGrant {
 /// freely; the kernel guarantees no internal borrow is held across a hook
 /// call. The claim/release accessors refresh the incremental candidate masks
 /// themselves, so hooks never touch tracked VC state behind the masks' back.
+///
+/// One thing a hook must not do: deliver events. `step` walks this cycle's
+/// arrivals and last cycle's grants in place and clears both queues after
+/// the walk, so [`PipelineKernel::receive_flit`] belongs to the engine's
+/// delivery phase, between steps — a flit handed over from inside a hook
+/// would be dropped (debug builds assert the queues did not grow).
 pub trait SchemeHooks {
     /// Runs before any traversal of the cycle.
     fn begin_cycle(&mut self, _k: &mut PipelineKernel, _cycle: u64) {}
@@ -154,8 +165,117 @@ pub trait SchemeHooks {
     }
 }
 
+/// Everything the kernel keeps per input VC, at slot `in_port * vcs + vc` —
+/// the per-packet claim the mask re-checks read together.
+#[derive(Copy, Clone, Debug)]
+struct InVc {
+    /// Route of the packet currently holding the VC (set when its header
+    /// traverses or is granted VA; cleared at the tail).
+    route: Option<RouteInfo>,
+    /// Output VC allocated to the current packet.
+    out_vc: Option<VcIndex>,
+    /// Cycle at which VA was granted (marks same-cycle SA requests as
+    /// speculative); `u64::MAX` when no grant is pending.
+    va_cycle: u64,
+    /// Express-hop budget the packet's flits carry out of this router (EVC:
+    /// `l_max - 1` for an express segment, 0 otherwise; decided at VA).
+    express: u8,
+    /// Whether the VC was claimed by an express stream latching through (no
+    /// flits buffered, but the output VC is held). Cleared whenever a flit
+    /// is buffered into the VC.
+    pass_through: bool,
+}
+
+impl InVc {
+    /// A VC no packet holds.
+    const FREE: Self = Self {
+        route: None,
+        out_vc: None,
+        va_cycle: u64::MAX,
+        express: 0,
+        pass_through: false,
+    };
+}
+
+/// An input port's first-stage SA winner: the VC, the connection it asks
+/// for and the output VC it holds.
+#[derive(Copy, Clone, Debug)]
+struct SaWinner {
+    vc: VcIndex,
+    route: RouteInfo,
+    out_vc: VcIndex,
+}
+
+/// Everything the kernel keeps per input port.
+#[derive(Clone, Debug)]
+struct InPort {
+    /// Bit `vc`: the VC holds flits, has route + output VC, and is not an
+    /// express pass-through claim — it may request SA. Maintained by
+    /// `refresh_vc_masks` at every VC state transition (DESIGN.md §14).
+    sa_cand: Mask64,
+    /// Bit `vc`: the claimed VC's gating credit counter
+    /// `(route.port, route.hops-1, out_vc)` is nonzero. Maintained exactly:
+    /// `refresh_credit_gate` recomputes it at every claim/release and
+    /// `note_credit_gate` propagates every 0↔1 transition of a counter to
+    /// its owner's bit, so the SA scan can AND it with `sa_cand` and skip
+    /// credit-starved VCs without visiting them — at saturation most
+    /// candidates are credit-blocked every cycle, which is exactly when the
+    /// scan is longest. Bits of unclaimed VCs are clear (never read: the
+    /// AND with `sa_cand` masks them out).
+    sa_credit: Mask64,
+    /// Buffered flits across all the port's VCs (written where a flit is
+    /// buffered or popped).
+    occupancy: u32,
+    /// Output port of the last header sent from this input (Fig. 1's
+    /// crossbar-connection locality).
+    last_connection: Option<PortIndex>,
+    /// Input-first SA stage: round-robin over the port's VCs.
+    arb: BitArbiter,
+    /// This cycle's first-stage winner. Meaningful only while the port's bit
+    /// sits in some output's SA request set — the output stage reads it
+    /// through that bit and nowhere else, so it is overwritten, never reset.
+    sa_winner: SaWinner,
+}
+
+/// Everything the kernel keeps per output port.
+#[derive(Clone, Debug)]
+struct OutPort {
+    /// This cycle's VA requests over the `in_ports * vcs` flattened input-VC
+    /// slots; empty between VA phases.
+    va_req: WordMask,
+    /// This cycle's second-stage SA requests over input ports, split by
+    /// whether the first-stage winner is speculative; empty between SA
+    /// phases.
+    sa_nonspec: Mask64,
+    sa_spec: Mask64,
+    /// VA: round-robin over the flattened (input port, VC) space.
+    va_arb: BitArbiter,
+    /// Output SA stage: round-robin over input ports.
+    sa_arb: BitArbiter,
+    /// Sub-channels are numbered across the router, `sub_base + sub` for
+    /// `sub < subs` (ports have differing sub-channel counts, so a per-port
+    /// base offset replaces a fixed stride).
+    sub_base: u32,
+    subs: u32,
+}
+
+/// Everything the kernel keeps per output VC, at slot `out_port * vcs + vc`.
+#[derive(Copy, Clone, Debug, Default)]
+struct OutVc {
+    /// The input VC the output VC is allocated to.
+    owner: Option<(PortIndex, VcIndex)>,
+    /// The lookahead route the last *header* sent through this connection
+    /// computed. Body/tail flits reuse it — wormhole ordering means a
+    /// packet's header traverses first on its claimed output VC, and
+    /// `dst`/`mode`/the connection's route are per-packet constants, so the
+    /// cached value is exact for the packet's remaining flits (they'd
+    /// recompute the identical `RouteInfo`). Saves two virtual topology
+    /// calls + coordinate arithmetic per non-header traversal.
+    lookahead: Option<RouteInfo>,
+}
+
 /// The shared speculative two-stage pipeline core. See the module docs for
-/// the kernel/hooks split and the structure-of-arrays layout.
+/// the kernel/hooks split and the record layout.
 pub struct PipelineKernel {
     /// This router's id.
     pub id: RouterId,
@@ -190,110 +310,49 @@ pub struct PipelineKernel {
     // cleared at the top of `step`, set by `mark_connection`.
     in_busy: Mask64,
     out_busy: Mask64,
-    // Buffered flits per input port across all its VCs, and the ports where
-    // that count is nonzero (written where a flit is buffered or popped).
-    in_occupancy: Vec<u32>,
+    // Input ports whose `occupancy` is nonzero.
     occupied_ports: Mask64,
-    // Input ports with a bit in `sa_cand[p] & sa_credit[p]`: the only ports
-    // the SA gather stage visits. Written by `refresh_sa_port`, which every
-    // write to either per-port mask is followed by.
+    // Input ports with a bit in `sa_cand & sa_credit`: the only ports the SA
+    // gather stage visits. Written by `refresh_sa_port`, which every write
+    // to either per-port mask is followed by.
     sa_ports: Mask64,
+    // Output ports where some sub-channel's credit sum is zero (a superset
+    // of the ports a held circuit is out of credit on). Kept by
+    // `consume_credit` / `receive_credit`.
+    creditless_ports: Mask64,
     // The shared flit slab; buffers and emissions move `FlitRef`s, flit
     // bodies are read/written in place through the pool.
     pool: Arc<FlitPool>,
-    // Input-VC state, structure-of-arrays over slot `in_port * vcs + vc`
-    // (DESIGN.md §15). Each array holds one field for every input VC, so
-    // the mask-loop re-checks touch only the arrays they need.
-    //
-    // Every VC's flit buffer, as one bank of fixed-stride ring buffers over
-    // two contiguous arrays (DESIGN.md §19) indexed by the same slot scheme.
+    // One record array per index space (DESIGN.md §15). A mask bit index IS
+    // the index of the record it stands for: bit `in_port * vcs + vc` of
+    // `va_cand` and of every `va_req` names `in_vcs[in_port * vcs + vc]` and
+    // slot `in_port * vcs + vc` of `bank`; bit `vc` of `inputs[p].sa_cand`
+    // names `in_vcs[p * vcs + vc]`; a bit of a port summary names `inputs[p]`
+    // or `outputs[p]`.
+    in_vcs: Vec<InVc>,
+    inputs: Vec<InPort>,
+    outputs: Vec<OutPort>,
+    out_vcs: Vec<OutVc>,
+    // Every input VC's flit buffer, as one bank of fixed-stride ring buffers
+    // over two contiguous arrays (DESIGN.md §19) indexed like `in_vcs`.
     bank: FifoBank,
-    // Route of the packet currently holding the VC (set when its header
-    // traverses or is granted VA; cleared at the tail).
-    routes: Vec<Option<RouteInfo>>,
-    // Output VC allocated to the current packet.
-    out_vcs: Vec<Option<VcIndex>>,
-    // Cycle at which VA was granted (marks same-cycle SA requests as
-    // speculative); `u64::MAX` when no grant is pending.
-    va_cycles: Vec<u64>,
-    // Express-hop budget the packet's flits carry out of this router (EVC:
-    // `l_max - 1` for an express segment, 0 otherwise; decided at VA).
-    express: Vec<u8>,
-    // Whether the VC was claimed by an express stream latching through (no
-    // flits buffered, but the output VC is held). Cleared whenever a flit
-    // is buffered into the VC.
-    pass_through: Vec<bool>,
-    // Output-side state, flattened. `out_owners` is indexed
-    // `out_port * vcs + vc`. Sub-channels are numbered across the router,
-    // `sub_base[out_port] + sub` (ports have differing sub-channel counts,
-    // so a per-port base offset replaces a fixed stride), with
-    // `sub_base[out_ports]` their total; the credit counters are indexed
-    // `(sub_base[out_port] + sub) * vcs + vc`.
-    out_owners: Vec<Option<(PortIndex, VcIndex)>>,
+    // Downstream credit counters. Sub-channel `s` (router-wide numbering,
+    // see `OutPort::sub_base`) owns the run `[s * (vcs + 1), (s + 1) * (vcs
+    // + 1))`: the sum over its VCs first, then one counter per VC — a
+    // returning credit updates both in one cache line.
     credits: Vec<u32>,
-    sub_base: Vec<usize>,
     credit_capacity: u32,
-    // Per sub-channel, the sum of its VC counters, and the output ports
-    // where some sub-channel sums to zero (a superset of the ports a held
-    // circuit is out of credit on). Both kept by `consume_credit` /
-    // `receive_credit`.
-    credit_sums: Vec<u32>,
-    creditless_ports: Mask64,
+    // This cycle's arrivals and last cycle's SA grants; `step` walks both in
+    // place and clears them (see the `SchemeHooks` contract).
     arrivals: Vec<(PortIndex, FlitRef)>,
     st_pending: Vec<StGrant>,
-    last_connection: Vec<Option<PortIndex>>,
-    // Per `(out_port, out_vc)` slot: the lookahead route the last *header*
-    // sent through that connection computed. Body/tail flits reuse it —
-    // wormhole ordering means a packet's header traverses first on its
-    // claimed output VC, and `dst`/`mode`/the connection's route are
-    // per-packet constants, so the cached value is exact for the packet's
-    // remaining flits (they'd recompute the identical `RouteInfo`). Saves
-    // two virtual topology calls + coordinate arithmetic per non-header
-    // traversal.
-    lookahead_cache: Vec<Option<RouteInfo>>,
-    in_arb: Vec<BitArbiter>,
-    va_arb: Vec<BitArbiter>,
-    out_arb: Vec<BitArbiter>,
-    // Incremental candidate masks (DESIGN.md §14). Maintained by
-    // `refresh_vc_masks` at every VC state transition, NOT rebuilt per
-    // cycle; the VA/SA scans iterate only their set bits. A stale bit here
-    // is a correctness bug (a candidate the allocators never see), which is
-    // why all writes to the tracked fields funnel through the kernel helpers
-    // and claim/release accessors.
-    //
     // Bit `in_port * vcs + vc`: the VC holds flits and no route/output VC —
-    // it may request VA once its head is ready.
+    // it may request VA once its head is ready. Maintained by
+    // `refresh_vc_masks` at every VC state transition, NOT rebuilt per
+    // cycle; a stale bit is a correctness bug (a candidate the allocator
+    // never sees), which is why all writes to the tracked fields funnel
+    // through the kernel helpers and claim/release accessors.
     va_cand: WordMask,
-    // Per input port, bit `vc`: the VC holds flits, has route + output VC,
-    // and is not an express pass-through claim — it may request SA.
-    sa_cand: Vec<Mask64>,
-    // Per input port, bit `vc`: the claimed VC's gating credit counter
-    // `(route.port, route.hops-1, out_vc)` is nonzero. Maintained exactly:
-    // `refresh_vc_masks` recomputes it on every VC state transition and
-    // `note_credit_gate` propagates every 0↔1 transition of a counter to
-    // its owner's bit, so the SA scan can AND it with `sa_cand` and skip
-    // credit-starved VCs without visiting them — at saturation most
-    // candidates are credit-blocked every cycle, which is exactly when the
-    // scan is longest. Bits of unclaimed VCs are clear (never read: the
-    // AND with `sa_cand` masks them out).
-    sa_credit: Vec<Mask64>,
-    // Reusable per-cycle working storage, so `step` never allocates once the
-    // queues reach steady-state capacity.
-    st_scratch: Vec<StGrant>,
-    arrivals_scratch: Vec<(PortIndex, FlitRef)>,
-    // Per output port, this cycle's VA request mask over `in_ports * vcs`
-    // flattened slots, plus the mask of output ports with any request.
-    va_req: Vec<WordMask>,
-    va_out_pending: WordMask,
-    sa_winners: Vec<Option<(VcIndex, RouteInfo, VcIndex, bool)>>,
-    sa_picks: Vec<(PortIndex, VcIndex, RouteInfo, VcIndex)>,
-    sa_vc_nonspec: WordMask,
-    sa_vc_spec: WordMask,
-    // Per output port, this cycle's second-stage SA request masks over input
-    // ports, plus the mask of output ports with any first-stage winner.
-    sa_out_nonspec: Vec<WordMask>,
-    sa_out_spec: Vec<WordMask>,
-    sa_out_pending: WordMask,
 }
 
 impl PipelineKernel {
@@ -323,28 +382,49 @@ impl PipelineKernel {
             );
         }
         let slots = in_ports * vcs;
-        // Per-port credit regions: `channel_len` sub-channels × `vcs`
-        // counters each, laid out back to back in output-port order.
-        let mut sub_base = Vec::with_capacity(out_ports + 1);
-        let mut total_subs = 0usize;
-        sub_base.push(0);
+        // Per-port credit regions: `channel_len` sub-channels, laid out back
+        // to back in output-port order.
         let sub_credits = config.buffer_depth * vcs as u32;
         let mut creditless_ports = Mask64::EMPTY;
-        for p in 0..out_ports {
-            let subs = topo.channel_len(id, PortIndex::new(p)) as usize;
-            creditless_ports.assign(p, subs > 0 && sub_credits == 0);
-            total_subs += subs;
-            sub_base.push(total_subs);
+        let mut total_subs = 0u32;
+        let outputs: Vec<OutPort> = (0..out_ports)
+            .map(|p| {
+                let subs = topo.channel_len(id, PortIndex::new(p)) as u32;
+                creditless_ports.assign(p, subs > 0 && sub_credits == 0);
+                let sub_base = total_subs;
+                total_subs += subs;
+                OutPort {
+                    va_req: WordMask::new(slots),
+                    sa_nonspec: Mask64::EMPTY,
+                    sa_spec: Mask64::EMPTY,
+                    va_arb: BitArbiter::new(slots),
+                    sa_arb: BitArbiter::new(in_ports),
+                    sub_base,
+                    subs,
+                }
+            })
+            .collect();
+        let mut credits = Vec::with_capacity(total_subs as usize * (vcs + 1));
+        for _ in 0..total_subs {
+            credits.push(sub_credits);
+            credits.extend(std::iter::repeat_n(config.buffer_depth, vcs));
         }
+        let input = InPort {
+            sa_cand: Mask64::EMPTY,
+            sa_credit: Mask64::EMPTY,
+            occupancy: 0,
+            last_connection: None,
+            arb: BitArbiter::new(vcs),
+            sa_winner: SaWinner {
+                vc: VcIndex::new(0),
+                route: RouteInfo::new(PortIndex::new(0)),
+                out_vc: VcIndex::new(0),
+            },
+        };
         Self {
             id,
             concentration: topo.concentration(),
             topo,
-            in_busy: Mask64::EMPTY,
-            out_busy: Mask64::EMPTY,
-            in_occupancy: vec![0; in_ports],
-            occupied_ports: Mask64::EMPTY,
-            sa_ports: Mask64::EMPTY,
             stats: RouterStats::default(),
             energy: EnergyCounters::default(),
             counters: None,
@@ -353,46 +433,24 @@ impl PipelineKernel {
             vcs,
             in_ports,
             out_ports,
-            pool,
-            bank: FifoBank::new(slots, config.buffer_depth as usize),
-            routes: vec![None; slots],
-            out_vcs: vec![None; slots],
-            va_cycles: vec![u64::MAX; slots],
-            express: vec![0; slots],
-            pass_through: vec![false; slots],
-            out_owners: vec![None; out_ports * vcs],
-            credits: vec![config.buffer_depth; total_subs * vcs],
-            sub_base,
-            credit_capacity: config.buffer_depth,
-            credit_sums: vec![sub_credits; total_subs],
+            in_busy: Mask64::EMPTY,
+            out_busy: Mask64::EMPTY,
+            occupied_ports: Mask64::EMPTY,
+            sa_ports: Mask64::EMPTY,
             creditless_ports,
-            // All per-cycle queues are reserved to their structural maxima so
-            // steady-state stepping never allocates (tests/zero_alloc.rs).
+            pool,
+            in_vcs: vec![InVc::FREE; slots],
+            inputs: vec![input; in_ports],
+            outputs,
+            out_vcs: vec![OutVc::default(); out_ports * vcs],
+            bank: FifoBank::new(slots, config.buffer_depth as usize),
+            credits,
+            credit_capacity: config.buffer_depth,
+            // Both per-cycle queues are reserved to their structural maximum
+            // so steady-state stepping never allocates (tests/zero_alloc.rs).
             arrivals: Vec::with_capacity(in_ports),
             st_pending: Vec::with_capacity(in_ports),
-            last_connection: vec![None; in_ports],
-            lookahead_cache: vec![None; out_ports * vcs],
-            in_arb: (0..in_ports).map(|_| BitArbiter::new(vcs)).collect(),
-            va_arb: (0..out_ports)
-                .map(|_| BitArbiter::new(in_ports * vcs))
-                .collect(),
-            out_arb: (0..out_ports).map(|_| BitArbiter::new(in_ports)).collect(),
-            va_cand: WordMask::new(in_ports * vcs),
-            sa_cand: vec![Mask64::EMPTY; in_ports],
-            sa_credit: vec![Mask64::EMPTY; in_ports],
-            st_scratch: Vec::with_capacity(in_ports),
-            arrivals_scratch: Vec::with_capacity(in_ports),
-            va_req: (0..out_ports)
-                .map(|_| WordMask::new(in_ports * vcs))
-                .collect(),
-            va_out_pending: WordMask::new(out_ports),
-            sa_winners: vec![None; in_ports],
-            sa_picks: Vec::with_capacity(out_ports),
-            sa_vc_nonspec: WordMask::new(vcs),
-            sa_vc_spec: WordMask::new(vcs),
-            sa_out_nonspec: (0..out_ports).map(|_| WordMask::new(in_ports)).collect(),
-            sa_out_spec: (0..out_ports).map(|_| WordMask::new(in_ports)).collect(),
-            sa_out_pending: WordMask::new(out_ports),
+            va_cand: WordMask::new(slots),
         }
     }
 
@@ -404,30 +462,30 @@ impl PipelineKernel {
         in_port.index() * self.vcs + vc.index()
     }
 
-    /// The flat slot of output VC `(out_port, vc)` in the owner table.
+    /// The flat slot of output VC `(out_port, vc)` in `out_vcs`.
     #[inline]
     fn out_slot(&self, out_port: PortIndex, vc: VcIndex) -> usize {
         debug_assert!(out_port.index() < self.out_ports && vc.index() < self.vcs);
         out_port.index() * self.vcs + vc.index()
     }
 
-    /// The router-wide number of sub-channel `sub` of `out_port`: its index
-    /// in the credit sums, and `vcs` times it the start of its counters.
+    /// The index in `credits` of the credit sum of `(out_port, sub)`; the
+    /// sub-channel's per-VC counters follow it.
     #[inline]
-    fn sub_slot(&self, out_port: PortIndex, sub: usize) -> usize {
-        let idx = self.sub_base[out_port.index()] + sub;
+    fn sum_slot(&self, out_port: PortIndex, sub: usize) -> usize {
+        let port = &self.outputs[out_port.index()];
         debug_assert!(
-            idx < self.sub_base[out_port.index() + 1],
+            sub < port.subs as usize,
             "sub-channel {sub} out of range on {out_port}"
         );
-        idx
+        (port.sub_base as usize + sub) * (self.vcs + 1)
     }
 
-    /// The flat index of the `(out_port, sub, vc)` credit counter.
+    /// The index in `credits` of the `(out_port, sub, vc)` credit counter.
     #[inline]
     fn credit_slot(&self, out_port: PortIndex, sub: usize, vc: VcIndex) -> usize {
         debug_assert!(vc.index() < self.vcs);
-        self.sub_slot(out_port, sub) * self.vcs + vc.index()
+        self.sum_slot(out_port, sub) + 1 + vc.index()
     }
 
     /// Re-derives the VA/SA candidate-mask bits of one input VC from its
@@ -440,11 +498,14 @@ impl PipelineKernel {
     fn refresh_vc_masks(&mut self, in_port: PortIndex, vc: VcIndex) {
         let slot = self.slot(in_port, vc);
         let has_flits = !self.bank.is_empty(slot);
-        let claimed = self.routes[slot].is_some() && self.out_vcs[slot].is_some();
-        let unclaimed = self.routes[slot].is_none() && self.out_vcs[slot].is_none();
+        let state = &self.in_vcs[slot];
+        let claimed = state.route.is_some() && state.out_vc.is_some();
+        let unclaimed = state.route.is_none() && state.out_vc.is_none();
+        let sa_cand = has_flits && claimed && !state.pass_through;
         self.va_cand.assign(slot, has_flits && unclaimed);
-        self.sa_cand[in_port.index()]
-            .assign(vc.index(), has_flits && claimed && !self.pass_through[slot]);
+        self.inputs[in_port.index()]
+            .sa_cand
+            .assign(vc.index(), sa_cand);
         self.refresh_sa_port(in_port);
     }
 
@@ -452,27 +513,29 @@ impl PipelineKernel {
     /// every write to the port's `sa_cand` or `sa_credit` mask.
     #[inline]
     fn refresh_sa_port(&mut self, in_port: PortIndex) {
-        let p = in_port.index();
-        self.sa_ports
-            .assign(p, (self.sa_cand[p] & self.sa_credit[p]).any());
+        let port = &self.inputs[in_port.index()];
+        let requests = (port.sa_cand & port.sa_credit).any();
+        self.sa_ports.assign(in_port.index(), requests);
     }
 
-    /// Writes bit `vc` of `in_port`'s [`sa_credit`](Self::sa_credit) mask.
+    /// Writes bit `vc` of `in_port`'s `sa_credit` mask.
     #[inline]
     fn set_credit_gate(&mut self, in_port: PortIndex, vc: VcIndex, credit_ok: bool) {
-        self.sa_credit[in_port.index()].assign(vc.index(), credit_ok);
+        self.inputs[in_port.index()]
+            .sa_credit
+            .assign(vc.index(), credit_ok);
         self.refresh_sa_port(in_port);
     }
 
-    /// Recomputes the [`sa_credit`](Self::sa_credit) bit of `(in_port, vc)`
-    /// from its claim's gating counter. Called at every claim/release of
-    /// the VC's route + output VC — NOT at buffer push/pop, which cannot
-    /// change the gating counter; 0↔1 counter transitions between claims
-    /// are propagated by [`note_credit_gate`](Self::note_credit_gate).
+    /// Recomputes the `sa_credit` bit of `(in_port, vc)` from its claim's
+    /// gating counter. Called at every claim/release of the VC's route +
+    /// output VC — NOT at buffer push/pop, which cannot change the gating
+    /// counter; 0↔1 counter transitions between claims are propagated by
+    /// [`note_credit_gate`](Self::note_credit_gate).
     #[inline]
     fn refresh_credit_gate(&mut self, in_port: PortIndex, vc: VcIndex) {
-        let slot = self.slot(in_port, vc);
-        let credit_ok = match (self.routes[slot], self.out_vcs[slot]) {
+        let state = &self.in_vcs[self.slot(in_port, vc)];
+        let credit_ok = match (state.route, state.out_vc) {
             (Some(route), Some(out_vc)) => {
                 self.credits_available(route.port, route.hops as usize - 1, out_vc) > 0
             }
@@ -505,19 +568,19 @@ impl PipelineKernel {
     /// Route held by input VC `(in_port, vc)`, if any.
     #[inline]
     pub fn input_route(&self, in_port: PortIndex, vc: VcIndex) -> Option<RouteInfo> {
-        self.routes[self.slot(in_port, vc)]
+        self.in_vcs[self.slot(in_port, vc)].route
     }
 
     /// Output VC held by input VC `(in_port, vc)`, if any.
     #[inline]
     pub fn input_out_vc(&self, in_port: PortIndex, vc: VcIndex) -> Option<VcIndex> {
-        self.out_vcs[self.slot(in_port, vc)]
+        self.in_vcs[self.slot(in_port, vc)].out_vc
     }
 
     /// Whether `(in_port, vc)` is held by an express pass-through claim.
     #[inline]
     pub fn input_pass_through(&self, in_port: PortIndex, vc: VcIndex) -> bool {
-        self.pass_through[self.slot(in_port, vc)]
+        self.in_vcs[self.slot(in_port, vc)].pass_through
     }
 
     /// Whether the buffer of `(in_port, vc)` is empty.
@@ -548,8 +611,9 @@ impl PipelineKernel {
         out_vc: VcIndex,
     ) {
         let slot = self.slot(in_port, vc);
-        self.routes[slot] = Some(route);
-        self.out_vcs[slot] = Some(out_vc);
+        let state = &mut self.in_vcs[slot];
+        state.route = Some(route);
+        state.out_vc = Some(out_vc);
         self.refresh_vc_masks(in_port, vc);
         self.refresh_credit_gate(in_port, vc);
     }
@@ -566,11 +630,8 @@ impl PipelineKernel {
         out_vc: VcIndex,
     ) {
         let slot = self.slot(in_port, vc);
-        self.routes[slot] = Some(route);
-        self.out_vcs[slot] = Some(out_vc);
-        self.pass_through[slot] = true;
-        self.refresh_vc_masks(in_port, vc);
-        self.refresh_credit_gate(in_port, vc);
+        self.in_vcs[slot].pass_through = true;
+        self.claim_input_vc(in_port, vc, route, out_vc);
     }
 
     /// Releases every per-packet claim of input VC `(in_port, vc)` (route,
@@ -580,20 +641,16 @@ impl PipelineKernel {
     /// [`release_out_vc`](Self::release_out_vc).
     pub fn release_input_vc(&mut self, in_port: PortIndex, vc: VcIndex) {
         let slot = self.slot(in_port, vc);
-        self.routes[slot] = None;
-        self.out_vcs[slot] = None;
-        self.va_cycles[slot] = u64::MAX;
-        self.express[slot] = 0;
-        self.pass_through[slot] = false;
+        self.in_vcs[slot] = InVc::FREE;
         // `refresh_vc_masks` re-derives the port's `sa_ports` bit.
-        self.sa_credit[in_port.index()].clear(vc.index());
+        self.inputs[in_port.index()].sa_credit.clear(vc.index());
         self.refresh_vc_masks(in_port, vc);
     }
 
     /// Whether output VC `(out_port, vc)` is unallocated.
     #[inline]
     pub fn out_vc_is_free(&self, out_port: PortIndex, vc: VcIndex) -> bool {
-        self.out_owners[self.out_slot(out_port, vc)].is_none()
+        self.out_vcs[self.out_slot(out_port, vc)].owner.is_none()
     }
 
     /// Allocates output VC `(out_port, vc)` to `owner`.
@@ -604,16 +661,16 @@ impl PipelineKernel {
     pub fn claim_out_vc(&mut self, out_port: PortIndex, vc: VcIndex, owner: (PortIndex, VcIndex)) {
         let slot = self.out_slot(out_port, vc);
         assert!(
-            self.out_owners[slot].is_none(),
+            self.out_vcs[slot].owner.is_none(),
             "output VC {vc} on {out_port} already allocated"
         );
-        self.out_owners[slot] = Some(owner);
+        self.out_vcs[slot].owner = Some(owner);
     }
 
     /// Frees output VC `(out_port, vc)` (idempotent).
     pub fn release_out_vc(&mut self, out_port: PortIndex, vc: VcIndex) {
         let slot = self.out_slot(out_port, vc);
-        self.out_owners[slot] = None;
+        self.out_vcs[slot].owner = None;
     }
 
     /// Downstream credits of `(out_port, sub, vc)`.
@@ -625,7 +682,7 @@ impl PipelineKernel {
     /// Total downstream credits across all VCs of `(out_port, sub)`.
     #[inline]
     pub fn credits_at_sub(&self, out_port: PortIndex, sub: usize) -> u32 {
-        self.credit_sums[self.sub_slot(out_port, sub)]
+        self.credits[self.sum_slot(out_port, sub)]
     }
 
     /// Output ports on which some sub-channel has no downstream credit on
@@ -668,6 +725,7 @@ impl PipelineKernel {
     ///
     /// Panics on credit underflow (a flow-control bug).
     pub fn consume_credit(&mut self, out_port: PortIndex, sub: usize, vc: VcIndex) {
+        let sum_slot = self.sum_slot(out_port, sub);
         let slot = self.credit_slot(out_port, sub, vc);
         assert!(
             self.credits[slot] > 0,
@@ -677,26 +735,24 @@ impl PipelineKernel {
         if self.credits[slot] == 0 {
             self.note_credit_gate(out_port, sub, vc, false);
         }
-        let sub_slot = self.sub_slot(out_port, sub);
-        let sum = &mut self.credit_sums[sub_slot];
-        *sum -= 1;
-        if *sum == 0 {
+        self.credits[sum_slot] -= 1;
+        if self.credits[sum_slot] == 0 {
             self.creditless_ports.set(out_port.index());
         }
     }
 
     /// Propagates a 0↔1 transition of the `(out_port, sub, vc)` credit
-    /// counter into the owning input VC's [`sa_credit`](Self::sa_credit)
-    /// bit — but only when that counter is the owner's gating counter (the
-    /// owner's route decides which sub-channel its flits traverse, so a
-    /// transition on another sub leaves the owner's bit untouched).
+    /// counter into the owning input VC's `sa_credit` bit — but only when
+    /// that counter is the owner's gating counter (the owner's route decides
+    /// which sub-channel its flits traverse, so a transition on another sub
+    /// leaves the owner's bit untouched).
     #[inline]
     fn note_credit_gate(&mut self, out_port: PortIndex, sub: usize, vc: VcIndex, avail: bool) {
-        let Some((ip, ivc)) = self.out_owners[self.out_slot(out_port, vc)] else {
+        let Some((ip, ivc)) = self.out_vcs[self.out_slot(out_port, vc)].owner else {
             return;
         };
-        let slot = self.slot(ip, ivc);
-        let (Some(route), Some(out_vc)) = (self.routes[slot], self.out_vcs[slot]) else {
+        let state = &self.in_vcs[self.slot(ip, ivc)];
+        let (Some(route), Some(out_vc)) = (state.route, state.out_vc) else {
             return; // output VC claimed, input-side claim not stored yet
         };
         if route.port == out_port && out_vc == vc && route.hops as usize - 1 == sub {
@@ -745,8 +801,9 @@ impl PipelineKernel {
         self.tracer.as_deref()
     }
 
-    /// Queues an arriving flit for this cycle's arrival phase. The router
-    /// takes ownership of the pool slot behind `flit`.
+    /// Queues an arriving flit for the next `step`'s arrival phase. The
+    /// router takes ownership of the pool slot behind `flit`. Called between
+    /// steps, never from a scheme hook (see [`SchemeHooks`]).
     pub fn receive_flit(&mut self, in_port: PortIndex, flit: FlitRef) {
         debug_assert!(in_port.index() < self.in_ports, "bad input port");
         self.arrivals.push((in_port, flit));
@@ -754,7 +811,9 @@ impl PipelineKernel {
 
     /// Returns a downstream credit to its (sub, VC) counter.
     pub fn receive_credit(&mut self, out_port: PortIndex, credit: Credit) {
-        let slot = self.credit_slot(out_port, credit.sub as usize, credit.vc);
+        let sub = credit.sub as usize;
+        let sum_slot = self.sum_slot(out_port, sub);
+        let slot = self.credit_slot(out_port, sub, credit.vc);
         assert!(
             self.credits[slot] < self.credit_capacity,
             "credit overflow at {out_port} sub {} {}",
@@ -763,17 +822,16 @@ impl PipelineKernel {
         );
         self.credits[slot] += 1;
         if self.credits[slot] == 1 {
-            self.note_credit_gate(out_port, credit.sub as usize, credit.vc, true);
+            self.note_credit_gate(out_port, sub, credit.vc, true);
         }
-        let sub_slot = self.sub_slot(out_port, credit.sub as usize);
-        let sum = &mut self.credit_sums[sub_slot];
-        *sum += 1;
-        if *sum == 1 {
+        self.credits[sum_slot] += 1;
+        if self.credits[sum_slot] == 1 {
             // The port leaves the mask only when no other sub-channel of it
             // is still at zero.
-            let subs = self.sub_base[out_port.index()]..self.sub_base[out_port.index() + 1];
-            self.creditless_ports
-                .assign(out_port.index(), self.credit_sums[subs].contains(&0));
+            let port = &self.outputs[out_port.index()];
+            let creditless = (port.sub_base..port.sub_base + port.subs)
+                .any(|sub| self.credits[sub as usize * (self.vcs + 1)] == 0);
+            self.creditless_ports.assign(out_port.index(), creditless);
         }
         debug_assert_eq!(self.check_summaries(), Ok(()));
     }
@@ -791,56 +849,67 @@ impl PipelineKernel {
     /// Recomputes every port summary — the candidate masks, the per-port
     /// occupancy and its mask, `sa_ports`, the per-sub-channel credit sums
     /// and `creditless_ports` — from the state it summarizes, and names the
-    /// first one that disagrees. A stale summary hides work from a phase
-    /// that pre-filters on it, so `step` and `receive_credit` assert this in
-    /// debug builds; allocation-free unless it fails.
+    /// first one that disagrees; also that no per-cycle request set outlived
+    /// its phase. A stale summary hides work from a phase that pre-filters
+    /// on it, so `step` and `receive_credit` assert this in debug builds;
+    /// allocation-free unless it fails.
     pub fn check_summaries(&self) -> Result<(), String> {
         let id = self.id;
-        for p in 0..self.in_ports {
+        for (p, port) in self.inputs.iter().enumerate() {
             let mut buffered = 0;
             let mut sa_cand = Mask64::EMPTY;
+            let mut sa_credit = Mask64::EMPTY;
             for vc in 0..self.vcs {
                 let slot = p * self.vcs + vc;
+                let state = &self.in_vcs[slot];
                 let has_flits = !self.bank.is_empty(slot);
-                let (routed, has_out_vc) =
-                    (self.routes[slot].is_some(), self.out_vcs[slot].is_some());
+                let (routed, has_out_vc) = (state.route.is_some(), state.out_vc.is_some());
                 buffered += self.bank.len(slot);
-                sa_cand.assign(
-                    vc,
-                    has_flits && routed && has_out_vc && !self.pass_through[slot],
-                );
+                sa_cand.assign(vc, has_flits && routed && has_out_vc && !state.pass_through);
+                if let (Some(route), Some(out_vc)) = (state.route, state.out_vc) {
+                    let gate = self.credits_available(route.port, route.hops as usize - 1, out_vc);
+                    sa_credit.assign(vc, gate > 0);
+                }
                 if self.va_cand.get(slot) != (has_flits && !routed && !has_out_vc) {
                     return Err(format!("{id}: stale va_cand bit of input {p} VC {vc}"));
                 }
             }
-            if self.sa_cand[p] != sa_cand {
+            if port.sa_cand != sa_cand {
                 return Err(format!("{id}: stale sa_cand mask of input {p}"));
             }
-            if self.in_occupancy[p] as usize != buffered {
+            // `sa_credit` is exact on the claimed VCs; the others' bits are
+            // never read.
+            if port.sa_cand & port.sa_credit != sa_cand & sa_credit {
+                return Err(format!("{id}: stale sa_credit mask of input {p}"));
+            }
+            if port.occupancy as usize != buffered {
                 return Err(format!(
                     "{id}: input {p} buffers {buffered} flits, not {}",
-                    self.in_occupancy[p]
+                    port.occupancy
                 ));
             }
             if self.occupied_ports.get(p) != (buffered > 0) {
                 return Err(format!("{id}: stale occupied_ports bit of input {p}"));
             }
-            if self.sa_ports.get(p) != (self.sa_cand[p] & self.sa_credit[p]).any() {
+            if self.sa_ports.get(p) != (sa_cand & sa_credit).any() {
                 return Err(format!("{id}: stale sa_ports bit of input {p}"));
             }
         }
-        for p in 0..self.out_ports {
+        for (p, port) in self.outputs.iter().enumerate() {
             let mut creditless = false;
-            for sub_slot in self.sub_base[p]..self.sub_base[p + 1] {
-                let counters = &self.credits[sub_slot * self.vcs..(sub_slot + 1) * self.vcs];
-                let sum: u32 = counters.iter().sum();
-                if self.credit_sums[sub_slot] != sum {
+            for sub in port.sub_base..port.sub_base + port.subs {
+                let run = &self.credits[sub as usize * (self.vcs + 1)..][..self.vcs + 1];
+                let sum: u32 = run[1..].iter().sum();
+                if run[0] != sum {
                     return Err(format!("{id}: stale credit sum on output {p}"));
                 }
                 creditless |= sum == 0;
             }
             if self.creditless_ports.get(p) != creditless {
                 return Err(format!("{id}: stale creditless_ports bit of output {p}"));
+            }
+            if port.va_req.any() || port.sa_nonspec.any() || port.sa_spec.any() {
+                return Err(format!("{id}: output {p} kept a request past its phase"));
             }
         }
         Ok(())
@@ -866,13 +935,14 @@ impl PipelineKernel {
             // Packet-granularity crossbar-connection locality (Fig. 1):
             // body/tail flits trivially follow their header, so only
             // consecutive packets are compared.
-            if let Some(prev) = self.last_connection[in_port.index()] {
+            let last = &mut self.inputs[in_port.index()].last_connection;
+            if let Some(prev) = *last {
                 self.stats.xbar_locality_total += 1;
                 if prev == route.port {
                     self.stats.xbar_locality_hits += 1;
                 }
             }
-            self.last_connection[in_port.index()] = Some(route.port);
+            *last = Some(route.port);
             if self.count_header_traversals {
                 self.stats.header_traversals += 1;
             }
@@ -895,12 +965,14 @@ impl PipelineKernel {
                     dst,
                     mode,
                 );
-                self.lookahead_cache[slot] = Some(la);
+                self.out_vcs[slot].lookahead = Some(la);
                 la
             } else {
                 // Wormhole ordering: this body/tail flit's header traversed
                 // this connection first and cached the packet's lookahead.
-                self.lookahead_cache[slot].expect("body flit before its header")
+                self.out_vcs[slot]
+                    .lookahead
+                    .expect("body flit before its header")
             }
         });
         self.pool.update(r, |f| {
@@ -933,24 +1005,20 @@ impl PipelineKernel {
         let (r, ready_at) = self.bank.pop(slot).expect("granted VC has a flit");
         debug_assert!(ready_at <= cycle, "flit traversed before ready");
         let kind = self.pool.get(r).kind;
+        let state = self.in_vcs[slot];
         if kind.is_head() {
-            debug_assert!(
-                self.routes[slot].is_some(),
-                "header traversing without a route"
-            );
+            debug_assert!(state.route.is_some(), "header traversing without a route");
         }
-        let route = self.routes[slot].expect("active VC has a route");
-        let out_vc = self.out_vcs[slot].expect("active VC has an output VC");
-        let va_cycle = self.va_cycles[slot];
-        let express_hops = self.express[slot];
+        let route = state.route.expect("active VC has a route");
+        let out_vc = state.out_vc.expect("active VC has an output VC");
+        let va_cycle = state.va_cycle;
         if kind.is_tail() {
-            self.routes[slot] = None;
-            self.out_vcs[slot] = None;
-            self.va_cycles[slot] = u64::MAX;
-            self.express[slot] = 0;
+            // A buffered flit cleared any pass-through mark on its way in.
+            debug_assert!(!state.pass_through);
+            self.in_vcs[slot] = InVc::FREE;
             self.release_out_vc(route.port, out_vc);
             // `refresh_vc_masks` below re-derives the port's `sa_ports` bit.
-            self.sa_credit[in_port.index()].clear(vc.index());
+            self.inputs[in_port.index()].sa_credit.clear(vc.index());
         }
         self.refresh_vc_masks(in_port, vc);
         if reuse {
@@ -960,8 +1028,9 @@ impl PipelineKernel {
                 self.stats.pc_header_reuses += 1;
             }
         }
-        self.in_occupancy[in_port.index()] -= 1;
-        if self.in_occupancy[in_port.index()] == 0 {
+        let occupancy = &mut self.inputs[in_port.index()].occupancy;
+        *occupancy -= 1;
+        if *occupancy == 0 {
             self.occupied_ports.clear(in_port.index());
         }
         self.energy.record(EnergyEvent::BufferRead);
@@ -1002,7 +1071,7 @@ impl PipelineKernel {
             self.trace(cycle, TraceEventKind::Hit, in_port, route.port);
         }
         out.credits.push((in_port, vc));
-        self.send_flit(r, in_port, route, out_vc, express_hops, out);
+        self.send_flit(r, in_port, route, out_vc, state.express, out);
     }
 
     /// Runs one cycle of the shared pipeline, dispatching to `hooks` at each
@@ -1015,14 +1084,15 @@ impl PipelineKernel {
 
         // Switch traversal of last cycle's grants (SA has priority over any
         // scheme reuse path: its resources were reserved at grant time).
-        // Swapped through the scratch buffer so both vectors retain their
-        // capacity.
-        std::mem::swap(&mut self.st_pending, &mut self.st_scratch);
-        for i in 0..self.st_scratch.len() {
-            let g = self.st_scratch[i];
+        // Walked by index so `self` stays free for the traversal; new grants
+        // are queued only by this cycle's SA phase, after the clear.
+        let grants = self.st_pending.len();
+        for i in 0..grants {
+            let g = self.st_pending[i];
             self.traverse_from_buffer(cycle, g.in_port, g.vc, false, out);
         }
-        self.st_scratch.clear();
+        debug_assert_eq!(self.st_pending.len(), grants);
+        self.st_pending.clear();
 
         hooks.drain_reuse(self, cycle, out);
         self.accept_arrivals(hooks, cycle, out);
@@ -1041,29 +1111,30 @@ impl PipelineKernel {
         cycle: u64,
         out: &mut RouterOutputs,
     ) {
-        // Swap into the scratch buffer (both retain capacity) and walk by
-        // index so `self` stays free for the intercept/buffer calls.
-        std::mem::swap(&mut self.arrivals, &mut self.arrivals_scratch);
-        for i in 0..self.arrivals_scratch.len() {
-            let (in_port, r) = self.arrivals_scratch[i];
+        // Walked by index so `self` stays free for the intercept/buffer
+        // calls; the engine delivers only between steps.
+        let arrivals = self.arrivals.len();
+        for i in 0..arrivals {
+            let (in_port, r) = self.arrivals[i];
             if hooks.try_arrival_intercept(self, cycle, in_port, r, out) {
                 continue;
             }
             self.energy.record(EnergyEvent::BufferWrite);
-            self.in_occupancy[in_port.index()] += 1;
+            self.inputs[in_port.index()].occupancy += 1;
             self.occupied_ports.set(in_port.index());
             let vc = self.pool.get(r).vc;
             let slot = self.slot(in_port, vc);
             // An express stream that stalls into the buffer continues
             // hop-by-hop; its pass-through claim becomes an ordinary
             // buffered packet claim.
-            self.pass_through[slot] = false;
+            self.in_vcs[slot].pass_through = false;
             self.bank
                 .push(slot, r, cycle + 1)
                 .expect("upstream credits bound buffer occupancy");
             self.refresh_vc_masks(in_port, vc);
         }
-        self.arrivals_scratch.clear();
+        debug_assert_eq!(self.arrivals.len(), arrivals);
+        self.arrivals.clear();
     }
 
     /// VC allocation for ready headers (separable, per output VC,
@@ -1076,9 +1147,8 @@ impl PipelineKernel {
         // (ready head, header kind) are the only ones re-checked here —
         // the stable part of the predicate (buffered flits, no route, no
         // output VC) is the mask invariant itself. The mask's bit index IS
-        // the SoA slot, so each re-check is a handful of flat array loads.
-        debug_assert!(!self.va_out_pending.any());
-        debug_assert!(self.va_req.iter().all(|r| !r.any()));
+        // the record slot.
+        let mut pending = Mask64::EMPTY;
         for wi in 0..self.va_cand.num_words() {
             // Word copied out so no borrow of the mask is held while the
             // request masks are written.
@@ -1088,8 +1158,8 @@ impl PipelineKernel {
                 word &= word - 1;
                 debug_assert!(
                     !self.bank.is_empty(slot)
-                        && self.routes[slot].is_none()
-                        && self.out_vcs[slot].is_none(),
+                        && self.in_vcs[slot].route.is_none()
+                        && self.in_vcs[slot].out_vc.is_none(),
                     "stale VA candidate bit (missed refresh_vc_masks)"
                 );
                 let Some(r) = self.bank.head_ready(slot, cycle) else {
@@ -1100,49 +1170,43 @@ impl PipelineKernel {
                     continue;
                 }
                 let out_port = head.route.port.index();
-                self.va_req[out_port].set(slot);
-                self.va_out_pending.set(out_port);
+                self.outputs[out_port].va_req.set(slot);
+                pending.set(out_port);
             }
         }
-        // Taken out of `self` so the grant loop can hand `&mut self` to the
-        // scheme hook; the masks keep their storage (`Vec::new` does not
-        // allocate, and the buffer is restored below).
-        let mut requests = std::mem::take(&mut self.va_req);
-        for wi in 0..self.va_out_pending.num_words() {
-            let mut word = self.va_out_pending.word(wi);
-            while word != 0 {
-                let out_port = wi * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                // Round-robin over the flattened (input port, VC) space.
-                while let Some(slot) = self.va_arb[out_port].grant(&requests[out_port]) {
-                    requests[out_port].clear(slot);
-                    let in_port = PortIndex::new(slot / vcs);
-                    let vc = VcIndex::new(slot % vcs);
-                    let flit = *self.pool.get(
-                        self.bank
-                            .head_ready(slot, cycle)
-                            .expect("request implies ready head"),
-                    );
-                    if let Some((out_vc, express_hops)) =
-                        hooks.allocate_out_vc(self, &flit, (in_port, vc))
-                    {
-                        self.routes[slot] = Some(flit.route);
-                        self.out_vcs[slot] = Some(out_vc);
-                        self.va_cycles[slot] = cycle;
-                        self.express[slot] = express_hops;
-                        self.refresh_vc_masks(in_port, vc);
-                        self.refresh_credit_gate(in_port, vc);
-                        self.stats.va_grants += 1;
-                        self.energy.record(EnergyEvent::Arbitration);
-                        if let Some(p) = self.counters.as_deref_mut() {
-                            p.on_va_grant(in_port);
-                        }
+        for out_port in pending {
+            // Round-robin over the flattened (input port, VC) space. Each
+            // grant leaves the request set before the scheme hook borrows
+            // the whole kernel, so the set drains to empty by itself.
+            loop {
+                let port = &mut self.outputs[out_port];
+                let Some(slot) = port.va_arb.grant(&port.va_req) else {
+                    break;
+                };
+                port.va_req.clear(slot);
+                let in_port = PortIndex::new(slot / vcs);
+                let vc = VcIndex::new(slot % vcs);
+                let flit = *self.pool.get(
+                    self.bank
+                        .head_ready(slot, cycle)
+                        .expect("request implies ready head"),
+                );
+                if let Some((out_vc, express)) = hooks.allocate_out_vc(self, &flit, (in_port, vc)) {
+                    let state = &mut self.in_vcs[slot];
+                    state.route = Some(flit.route);
+                    state.out_vc = Some(out_vc);
+                    state.va_cycle = cycle;
+                    state.express = express;
+                    self.refresh_vc_masks(in_port, vc);
+                    self.refresh_credit_gate(in_port, vc);
+                    self.stats.va_grants += 1;
+                    self.energy.record(EnergyEvent::Arbitration);
+                    if let Some(p) = self.counters.as_deref_mut() {
+                        p.on_va_grant(in_port);
                     }
                 }
             }
         }
-        self.va_req = requests;
-        self.va_out_pending.clear_all();
     }
 
     /// Separable switch arbitration. Non-speculative requests (VC held
@@ -1154,27 +1218,25 @@ impl PipelineKernel {
         // an SA-eligible, credit-backed VC (`sa_ports`) are visited, and
         // within a port only those VCs; the per-cycle conditions — ready
         // head, scheme skip, downstream credit — are the only ones
-        // re-checked per bit, against the flat SoA arrays. With no such port
+        // re-checked per bit, each against one record. With no such port
         // there is no request, no grant and no arbiter movement.
-        debug_assert!(!self.sa_out_pending.any());
-        if !self.sa_ports.any() {
-            return;
-        }
-        self.sa_winners.fill(None);
+        let mut pending = Mask64::EMPTY;
         for in_port in self.sa_ports {
             let in_port_i = PortIndex::new(in_port);
-            self.sa_vc_nonspec.clear_all();
-            self.sa_vc_spec.clear_all();
+            let port = &self.inputs[in_port];
+            let mut nonspec = Mask64::EMPTY;
+            let mut spec = Mask64::EMPTY;
             // Credit-starved VCs are masked out of the scan entirely (their
             // bit tracks the gating counter exactly); the per-bit credit
             // re-check below is the cross-checked safety net.
-            for vc in self.sa_cand[in_port] & self.sa_credit[in_port] {
+            for vc in port.sa_cand & port.sa_credit {
                 let slot = in_port * self.vcs + vc;
+                let state = &self.in_vcs[slot];
                 debug_assert!(
-                    !self.bank.is_empty(slot) && !self.pass_through[slot],
+                    !self.bank.is_empty(slot) && !state.pass_through,
                     "stale SA candidate bit (missed refresh_vc_masks)"
                 );
-                let (Some(route), Some(out_vc)) = (self.routes[slot], self.out_vcs[slot]) else {
+                let (Some(route), Some(out_vc)) = (state.route, state.out_vc) else {
                     unreachable!("SA candidate bit requires route and output VC")
                 };
                 if self.bank.head_ready(slot, cycle).is_none() {
@@ -1188,65 +1250,49 @@ impl PipelineKernel {
                     debug_assert!(false, "stale SA credit bit (missed note_credit_gate)");
                     continue;
                 }
-                if self.va_cycles[slot] == cycle {
-                    self.sa_vc_spec.set(vc);
+                if state.va_cycle == cycle {
+                    spec.set(vc);
                 } else {
-                    self.sa_vc_nonspec.set(vc);
+                    nonspec.set(vc);
                 }
             }
-            let pick = if self.sa_vc_nonspec.any() {
-                self.in_arb[in_port].grant(&self.sa_vc_nonspec)
-            } else {
-                self.in_arb[in_port].grant(&self.sa_vc_spec)
-            };
-            if let Some(vc) = pick {
-                let speculative = self.sa_vc_spec.get(vc);
-                let slot = in_port * self.vcs + vc;
-                let route = self.routes[slot].expect("winner has route");
-                self.sa_winners[in_port] = Some((
-                    VcIndex::new(vc),
+            let speculative = !nonspec.any();
+            let requests = if speculative { spec } else { nonspec };
+            let port = &mut self.inputs[in_port];
+            if let Some(vc) = port.arb.grant(&requests) {
+                let state = &self.in_vcs[in_port * self.vcs + vc];
+                let route = state.route.expect("winner has route");
+                port.sa_winner = SaWinner {
+                    vc: VcIndex::new(vc),
                     route,
-                    self.out_vcs[slot].expect("winner has output VC"),
-                    speculative,
-                ));
+                    out_vc: state.out_vc.expect("winner has output VC"),
+                };
                 let out_port = route.port.index();
                 if speculative {
-                    self.sa_out_spec[out_port].set(in_port);
+                    self.outputs[out_port].sa_spec.set(in_port);
                 } else {
-                    self.sa_out_nonspec[out_port].set(in_port);
+                    self.outputs[out_port].sa_nonspec.set(in_port);
                 }
-                self.sa_out_pending.set(out_port);
+                pending.set(out_port);
             }
         }
         // Output stage: one winner per output port, non-speculative first.
-        // Decisions depend only on `sa_winners` and each port's own arbiter,
-        // so they are computed for every port first and their effects (credit
-        // reservation, grant queueing, scheme hook) applied after — which
-        // lets the hook borrow the whole kernel. Only output ports with a
-        // first-stage winner are visited.
-        debug_assert!(self.sa_picks.is_empty());
-        let mut picks = std::mem::take(&mut self.sa_picks);
-        for wi in 0..self.sa_out_pending.num_words() {
-            let mut word = self.sa_out_pending.word(wi);
-            while word != 0 {
-                let out_port = wi * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                let pick = if self.sa_out_nonspec[out_port].any() {
-                    self.out_arb[out_port].grant(&self.sa_out_nonspec[out_port])
-                } else {
-                    self.out_arb[out_port].grant(&self.sa_out_spec[out_port])
-                };
-                if let Some(in_port) = pick {
-                    let (vc, route, out_vc, _) =
-                        self.sa_winners[in_port].expect("picked winner exists");
-                    picks.push((PortIndex::new(in_port), vc, route, out_vc));
-                }
-                self.sa_out_nonspec[out_port].clear_all();
-                self.sa_out_spec[out_port].clear_all();
-            }
-        }
-        self.sa_out_pending.clear_all();
-        for &(in_port, vc, route, out_vc) in picks.iter() {
+        // Only output ports with a first-stage winner are visited. A port's
+        // decision depends only on its own request sets and arbiter, both
+        // fixed by the input stage, so each grant takes effect (credit
+        // reservation, grant queueing, scheme hook) as it is decided, in
+        // ascending output-port order.
+        for out_port in pending {
+            let port = &mut self.outputs[out_port];
+            let nonspec = std::mem::take(&mut port.sa_nonspec);
+            let spec = std::mem::take(&mut port.sa_spec);
+            let requests = if nonspec.any() { nonspec } else { spec };
+            let in_port = port
+                .sa_arb
+                .grant(&requests)
+                .expect("a pending output has a requester");
+            let SaWinner { vc, route, out_vc } = self.inputs[in_port].sa_winner;
+            let in_port = PortIndex::new(in_port);
             self.consume_credit(route.port, route.hops as usize - 1, out_vc);
             self.st_pending.push(StGrant { in_port, vc });
             self.stats.sa_grants += 1;
@@ -1256,8 +1302,6 @@ impl PipelineKernel {
             }
             hooks.on_sa_grant(self, cycle, in_port, vc, route);
         }
-        picks.clear();
-        self.sa_picks = picks;
     }
 }
 

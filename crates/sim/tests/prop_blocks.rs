@@ -159,7 +159,7 @@ proptest! {
     ) {
         let mut scalar = RrArbiter::new(n);
         let mut bit = noc_base::BitArbiter::new(n);
-        for raw in masks {
+        for raw in &masks {
             // Resize the raw mask to the arbiter width, then mirror it into
             // both representations.
             let requests: Vec<bool> = (0..n).map(|i| raw.get(i).copied().unwrap_or(false)).collect();
@@ -179,6 +179,41 @@ proptest! {
                 bit.pointer(),
                 "RR pointer state diverged from the scalar reference"
             );
+        }
+
+        // The same sequences through every one-word width: the scalar
+        // reference, `BitArbiter` over a `WordMask` and `BitArbiter` over a
+        // `Mask64` (the kernel's per-port and per-VC request sets) agree on
+        // every grant and pointer. Each width first parks the pointer on its
+        // top requester and grants it, so the wrap is taken from the last
+        // bit — at n = 64 from pointer 63, where a `1 << 64` anywhere in the
+        // one-word path would overflow.
+        for n in 1..=noc_base::Mask64::WIDTH {
+            let top = |i: usize| i + 1 == n;
+            let wrap = [
+                (0..n).map(|i| i + 2 == n).collect::<Vec<bool>>(),
+                (0..n).map(|i| top(i) || i == 0).collect(),
+                (0..n).map(|i| top(i) || i == 0).collect(),
+            ];
+            let random = masks
+                .iter()
+                .map(|raw| (0..n).map(|i| raw.get(i).copied().unwrap_or(false)).collect());
+            let mut scalar = RrArbiter::new(n);
+            let mut wide = noc_base::BitArbiter::new(n);
+            let mut word = noc_base::BitArbiter::new(n);
+            for requests in wrap.into_iter().chain(random) {
+                let mut word_mask = noc_base::WordMask::new(n);
+                let mut mask64 = noc_base::Mask64::EMPTY;
+                for (i, &r) in requests.iter().enumerate() {
+                    word_mask.assign(i, r);
+                    mask64.assign(i, r);
+                }
+                let expected = scalar.grant(&requests);
+                prop_assert_eq!(expected, wide.grant(&word_mask), "WordMask grant, n = {}", n);
+                prop_assert_eq!(expected, word.grant(&mask64), "Mask64 grant, n = {}", n);
+                prop_assert_eq!(scalar.pointer(), wide.pointer(), "WordMask pointer, n = {}", n);
+                prop_assert_eq!(scalar.pointer(), word.pointer(), "Mask64 pointer, n = {}", n);
+            }
         }
     }
 

@@ -110,7 +110,7 @@ fn err(message: impl Into<String>) -> CliError {
 /// # Errors
 ///
 /// Returns a [`CliError`] describing the first unknown flag, missing value,
-/// or unparseable number.
+/// or unparseable number, or `--trace-routers` given without `--trace`.
 pub fn parse_run_args(args: &[String]) -> Result<RunArgs, CliError> {
     let mut out = RunArgs::default();
     let point = &mut out.point;
@@ -159,6 +159,11 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, CliError> {
             other => return Err(err(format!("unknown flag {other:?} (see `noc help`)"))),
         }
     }
+    if out.trace.is_none() && !out.trace_routers.is_empty() {
+        return Err(err(
+            "--trace-routers needs --trace PATH to write the trace to",
+        ));
+    }
     Ok(out)
 }
 
@@ -174,7 +179,8 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, CliError> {
 ///
 /// Returns a [`CliError`] when the topology or traffic spec is invalid, a
 /// value is out of range for the configuration (see
-/// [`noc_campaign::prepare`]), or a requested output file cannot be written.
+/// [`noc_campaign::prepare`]), a `--trace-routers` id names no router of the
+/// topology, or a requested output file cannot be written.
 pub fn run(args: &RunArgs) -> Result<SimReport, CliError> {
     let point = &args.point;
     let metrics = MetricsConfig {
@@ -185,6 +191,13 @@ pub fn run(args: &RunArgs) -> Result<SimReport, CliError> {
             .map(|_| TraceSpec::routers(args.trace_routers.clone())),
     };
     let (mut sim, threads) = build_simulation(point, metrics, args.threads)?;
+    let routers = sim.topology().num_routers();
+    if let Some(&id) = args.trace_routers.iter().find(|&&id| id >= routers) {
+        return Err(err(format!(
+            "--trace-routers: no router {id}, {} has {routers} routers",
+            point.topology
+        )));
+    }
     let spec = point.run_spec();
     let report = sim.run(spec);
     if let Some(path) = &args.manifest {
@@ -486,7 +499,8 @@ pub fn usage() -> &'static str {
        --manifest PATH           write the machine-readable run manifest (JSON)\n\
        --trace PATH              write router lifecycle events (circuit + EVC\n\
                                  latch) as Chrome-trace JSON (chrome://tracing)\n\
-       --trace-routers 0,5,12    restrict tracing to these routers (default all)"
+       --trace-routers 0,5,12    restrict tracing to these routers (default all;\n\
+                                 needs --trace, ids below the router count)"
 }
 
 #[cfg(test)]
@@ -631,6 +645,32 @@ mod tests {
             assert!(from_run.0.contains(field), "{flags:?}: {from_run}");
             assert!(!from_run.0.contains('\n'), "{flags:?}: {from_run}");
         }
+        // A traced-router id past the topology's last router used to select
+        // nothing and write an empty trace with exit 0; the count is known
+        // once the simulation is built, and nothing is written.
+        let trace = std::env::temp_dir().join(format!("noc-cli-range-{}.json", std::process::id()));
+        let trace = trace.to_string_lossy().into_owned();
+        let flags = [
+            "--topology",
+            "mesh8x8",
+            "--trace",
+            &trace,
+            "--trace-routers",
+            "0,999",
+        ];
+        let e = run(&parse_run_args(&args(&flags)).unwrap()).unwrap_err();
+        assert!(
+            e.0.contains("no router 999") && e.0.contains("64 routers"),
+            "{e}"
+        );
+        assert!(!e.0.contains('\n'), "{e}");
+        assert!(!Path::new(&trace).exists(), "a rejected run wrote {trace}");
+        // Without `--trace` the selection had nowhere to go and was dropped
+        // silently: rejected where the flags are parsed, in either order.
+        let e = parse_run_args(&args(&["--trace-routers", "0,5"])).unwrap_err();
+        assert!(e.0.contains("--trace-routers needs --trace"), "{e}");
+        assert!(!e.0.contains('\n'), "{e}");
+        assert!(parse_run_args(&args(&["--trace-routers", "0,5", "--trace", &trace])).is_ok());
         // `--metrics edge` selected nothing `off` does not and is gone: an
         // unknown level like any other, rejected where the flag is parsed.
         let e = parse_run_args(&args(&["--metrics", "edge"])).unwrap_err();

@@ -14,7 +14,7 @@ use noc_base::{RouterId, RoutingPolicy, VaPolicy};
 use noc_evc::EvcRouterFactory;
 use noc_hybrid::HybridRouterFactory;
 use noc_sim::{NetworkConfig, Simulation};
-use noc_topology::{Mesh, Ring};
+use noc_topology::{Mesh, Ring, Topology};
 use noc_traffic::{SyntheticPattern, SyntheticTraffic};
 use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -99,6 +99,41 @@ fn paper_cmesh_sim() -> Simulation {
         &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
         9,
     )
+}
+
+#[test]
+fn construction_stays_within_its_allocation_budget() {
+    // Not a steady-state property but the other half of the same layout:
+    // the kernel keeps one record array per index space and its port/VC
+    // sets in words of the struct itself, so building a router is a couple
+    // of dozen allocations, not one per field per port. The budget counts
+    // everything `Simulation::new` builds per router — kernel, scheme
+    // state, interface, wiring, lanes — so density cannot erode silently
+    // (the one-vector-per-field layout needed 60).
+    let topo = Arc::new(Mesh::new(8, 8, 1));
+    let traffic = Box::new(SyntheticTraffic::new(
+        SyntheticPattern::UniformRandom,
+        8,
+        8,
+        5,
+        0.10,
+        7,
+    ));
+    let routers = topo.num_routers() as u64;
+    let allocs = count_allocs(|| {
+        drop(Simulation::new(
+            topo,
+            NetworkConfig::paper(),
+            traffic,
+            &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
+            9,
+        ));
+    });
+    assert!(
+        allocs <= 40 * routers,
+        "Simulation::new made {allocs} allocations for {routers} routers ({} per router)",
+        allocs / routers
+    );
 }
 
 #[test]
