@@ -54,7 +54,7 @@ impl FlitKind {
 
 /// The semantic class of a packet in the CMP traffic model; purely
 /// informational for statistics (the network treats all classes equally).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub enum PacketClass {
     /// Generic traffic (synthetic workloads).
     #[default]

@@ -6,6 +6,23 @@
 //! reproducibility to that crate's version, so the simulator core uses this
 //! self-contained PCG-XSH-RR 64/32 generator (O'Neill, 2014) with a SplitMix64
 //! seed sequencer for deriving independent per-component streams.
+//!
+//! # Bernoulli draws decide on the high word
+//!
+//! [`Pcg32::next_bool`] is *defined* as `next_f64() < p`, and the golden
+//! reports pin every decision it ever made; it is *computed* from the high
+//! output word. With `u = next_u64() >> 11 < 2⁵³`, `u as f64 * 2⁻⁵³` is exact,
+//! so the compare holds iff `u < p·2⁵³` over the reals. For `0 < p < 1` that
+//! product is exact in `f64` (a power-of-two scaling that cannot overflow and
+//! only widens a subnormal) and below 2⁵³, where `ceil` is exact too, and an
+//! integer is below a real iff it is below its ceiling: the draw is `u < T`,
+//! `T = ⌈p·2⁵³⌉`. Since `u = hi·2²¹ + (lo >> 11)` for the two 32-bit outputs,
+//! that is `hi < T>>21 ∨ (hi = T>>21 ∧ lo>>11 < T mod 2²¹)`: the low word
+//! matters only on a tie (probability 2⁻³²). Off the tie it is never permuted
+//! and both LCG steps are taken at once, `s ← s·a² + (a+1)·c`; either way the
+//! state ends where two `next_u32` calls leave it, so every stream consumed
+//! after a draw is unchanged (`tests/prop_base.rs` checks decision and state
+//! against the `f64` definition, ties forced).
 
 /// PCG-XSH-RR 64/32: 64-bit state, 32-bit output, period 2^64 per stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -16,6 +33,15 @@ pub struct Pcg32 {
 
 const PCG_MULT: u64 = 6364136223846793005;
 const PCG_DEFAULT_INC: u64 = 1442695040888963407;
+/// Two LCG steps in one: `(s·a + c)·a + c = s·a² + (a + 1)·c`.
+const PCG_MULT_SQUARED: u64 = PCG_MULT.wrapping_mul(PCG_MULT);
+
+/// The XSH-RR output permutation of one LCG state.
+#[inline]
+fn output(state: u64) -> u32 {
+    let xorshifted = (((state >> 18) ^ state) >> 27) as u32;
+    xorshifted.rotate_right((state >> 59) as u32)
+}
 
 impl Pcg32 {
     /// Creates a generator from a 64-bit seed using the default stream.
@@ -48,9 +74,7 @@ impl Pcg32 {
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
-        let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
-        let rot = (old >> 59) as u32;
-        xorshifted.rotate_right(rot)
+        output(old)
     }
 
     /// Returns the next 64 random bits.
@@ -99,7 +123,9 @@ impl Pcg32 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Returns `true` with probability `p` (clamped to `[0, 1]`).
+    /// Returns `true` with probability `p` (clamped to `[0, 1]`): exactly
+    /// `next_f64() < p`, decided on the high output word (module docs).
+    /// Consumes two outputs, or none when `p` is outside `(0, 1)`.
     #[inline]
     pub fn next_bool(&mut self, p: f64) -> bool {
         if p >= 1.0 {
@@ -108,7 +134,19 @@ impl Pcg32 {
         if p <= 0.0 {
             return false;
         }
-        self.next_f64() < p
+        // T = ⌈p·2⁵³⌉ by truncate-and-bump (`f64::ceil` is a libm call on
+        // baseline x86-64). A NaN truncates to 0: never true, like its compare.
+        let scaled = p * (1u64 << 53) as f64;
+        let floor = scaled as i64;
+        let threshold = (floor + i64::from((floor as f64) < scaled)) as u64;
+        let hi = output(self.state) as u64;
+        if hi != threshold >> 21 {
+            let inc = self.inc.wrapping_mul(PCG_MULT.wrapping_add(1));
+            self.state = self.state.wrapping_mul(PCG_MULT_SQUARED).wrapping_add(inc);
+            return hi < threshold >> 21;
+        }
+        self.next_u32(); // the tie: `hi` again, then the low word decides
+        ((self.next_u32() >> 11) as u64) < (threshold & ((1 << 21) - 1))
     }
 
     /// Fisher–Yates shuffles a slice in place.
@@ -123,7 +161,14 @@ impl Pcg32 {
     /// weights. Returns `None` when all weights are zero or the slice is
     /// empty.
     pub fn next_weighted(&mut self, weights: &[f64]) -> Option<usize> {
-        let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
+        let total = weights.iter().copied().filter(|w| *w > 0.0).sum();
+        self.next_weighted_of(weights, total)
+    }
+
+    /// [`next_weighted`](Self::next_weighted) for a caller that samples the
+    /// same `weights` repeatedly and keeps their `total`: the positive
+    /// weights, added in slice order.
+    pub fn next_weighted_of(&mut self, weights: &[f64], total: f64) -> Option<usize> {
         if total <= 0.0 {
             return None;
         }

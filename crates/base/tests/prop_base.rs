@@ -4,6 +4,84 @@ use noc_base::rng::Pcg32;
 use noc_base::{FlitKind, NodeId, PacketClass, PacketDescriptor, PacketId, VcPartition};
 use proptest::prelude::*;
 
+/// `Pcg32::next_bool` as it is defined: compare a 53-bit uniform `f64`.
+fn reference_bool(rng: &mut Pcg32, p: f64) -> bool {
+    if p >= 1.0 {
+        return true;
+    }
+    if p <= 0.0 {
+        return false;
+    }
+    rng.next_f64() < p
+}
+
+const TWO_POW_53: f64 = (1u64 << 53) as f64;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The high-word `next_bool` makes the decision of the `f64` definition
+    /// and leaves the generator in the same state, for every shape of `p`
+    /// the exactness argument (rng module docs) has a clause for.
+    #[test]
+    fn next_bool_is_the_f64_compare_and_consumes_the_same_stream(
+        seed in any::<u64>(),
+        stream in any::<u64>(),
+        warm in 0usize..8,
+        kind in 0usize..5,
+        raw in any::<u64>(),
+        delta in 0u64..5,
+    ) {
+        let mut fast = Pcg32::seed_with_stream(seed, stream);
+        for _ in 0..warm {
+            fast.next_u32();
+        }
+        let mut slow = fast.clone();
+        let p = match kind {
+            // Any multiple of 2^-53 in [0, 1).
+            0 => (raw >> 11) as f64 / TWO_POW_53,
+            // Any positive float below 1, subnormals included.
+            1 => f64::from_bits(raw % 1.0f64.to_bits()),
+            // The edges: within an ulp of 0 and of 1, outside (0, 1), NaN.
+            2 => [
+                f64::from_bits(1),
+                f64::from_bits(2),
+                f64::MIN_POSITIVE,
+                f64::from_bits(1.0f64.to_bits() - 1),
+                1.0,
+                f64::from_bits(1.0f64.to_bits() + 1),
+                0.0,
+                -0.0,
+                -f64::MIN_POSITIVE,
+                f64::NAN,
+            ][(raw % 10) as usize],
+            // k * 2^-53 and one ulp either side of it (below 1/2 an ulp is finer
+            // than 2^-53, so p * 2^53 has a fraction for `ceil` to round), for
+            // k around a drawn threshold T, or around the 53 bits about to be
+            // drawn: a forced tie, T >> 21 equal to the high word and T's low
+            // 21 bits at, just below or just above the low word's, so the
+            // first draw is decided by the low output.
+            _ => {
+                let k = if kind == 3 { raw >> 11 } else { fast.clone().next_u64() >> 11 };
+                let around = (k + delta).saturating_sub(2) as f64 / TWO_POW_53;
+                match raw & 3 {
+                    0 => f64::from_bits(around.to_bits().saturating_sub(1)),
+                    1 => f64::from_bits(around.to_bits() + 1),
+                    _ => around,
+                }
+            }
+        };
+        for draw in 0..16 {
+            prop_assert_eq!(
+                fast.next_bool(p),
+                reference_bool(&mut slow, p),
+                "draw {} at p = {:e} ({:#x})", draw, p, p.to_bits()
+            );
+            prop_assert_eq!(&fast, &slow, "state after draw {} at p = {:e}", draw, p);
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn next_below_always_in_range(seed in any::<u64>(), bound in 1u32..10_000) {

@@ -849,9 +849,11 @@ impl Simulation {
         self.traffic.generate(cycle, &mut |r| requests.push(r));
         for request in self.request_buf.drain(..) {
             assert!(
-                request.dst.index() < self.nis.len(),
-                "request to unknown node {}",
-                request.dst
+                request.src.index().max(request.dst.index()) < self.nis.len(),
+                "cycle {cycle}: request {} -> {} names an unknown node (the topology has {})",
+                request.src,
+                request.dst,
+                self.nis.len()
             );
             let id = PacketId::new(self.next_packet_id);
             self.next_packet_id += 1;

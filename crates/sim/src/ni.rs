@@ -7,8 +7,8 @@ use crate::blocks::CreditBook;
 use crate::NetworkConfig;
 use noc_base::rng::Pcg32;
 use noc_base::{
-    Credit, FlitPool, FlitRef, NodeId, PacketClass, PacketDescriptor, PacketId, RouteMode,
-    RouterId, VcIndex, VcPartition,
+    Credit, FlitPool, FlitRef, NodeId, PacketClass, PacketDescriptor, PacketId, RouteInfo,
+    RouteMode, RouterId, VcIndex, VcPartition,
 };
 use noc_topology::SharedTopology;
 use noc_traffic::{DeliveredPacket, PacketRequest};
@@ -69,10 +69,11 @@ struct QueuedPacket {
 
 #[derive(Debug)]
 struct CurrentPacket {
-    desc: PacketDescriptor,
-    mode: RouteMode,
-    class: u8,
+    packet: QueuedPacket,
     vc: VcIndex,
+    /// The attached router's route toward the destination, the same for
+    /// every flit of the packet.
+    route: RouteInfo,
     next_seq: u16,
 }
 
@@ -294,11 +295,10 @@ impl NetworkInterface {
         if self.current.is_none() {
             if let Some((class, dst)) = self.queue.front().map(|q| (q.class, q.desc.dst)) {
                 if let Some(vc) = self.pick_injection_vc(class, dst) {
-                    let queued = self.queue.pop_front().expect("front exists");
+                    let packet = self.queue.pop_front().expect("front exists");
                     self.current = Some(CurrentPacket {
-                        desc: queued.desc,
-                        mode: queued.mode,
-                        class: queued.class,
+                        route: self.topo.route(self.router, dst, packet.mode),
+                        packet,
                         vc,
                         next_seq: 0,
                     });
@@ -312,14 +312,14 @@ impl NetworkInterface {
         if self.credits.available(0, current.vc) == 0 {
             return; // back-pressure from the router's local input port
         }
-        let mut flit = current.desc.flit(current.next_seq);
+        let mut flit = current.packet.desc.flit(current.next_seq);
         flit.vc = current.vc;
-        flit.mode = current.mode;
-        flit.class = current.class;
-        flit.route = self.topo.route(self.router, flit.dst, current.mode);
+        flit.mode = current.packet.mode;
+        flit.class = current.packet.class;
+        flit.route = current.route;
         self.credits.consume(0, current.vc);
         current.next_seq += 1;
-        if current.next_seq == current.desc.len {
+        if current.next_seq == current.packet.desc.len {
             self.current = None;
         }
         self.stats.injected_flits += 1;

@@ -43,7 +43,7 @@ use crate::metrics::RouterObservation;
 use crate::metrics::{MetricsConfig, MetricsLevel, PipelineStage, TraceEventKind, TraceRing};
 use crate::probe::{Probe, RouterCounters};
 use crate::router::{RouterModel, RouterOutputs, RouterStats, SentFlit};
-use crate::{lookahead_route, NetworkConfig};
+use crate::NetworkConfig;
 use noc_base::{BitArbiter, Mask64, WordMask};
 use noc_base::{Credit, Flit, FlitPool, FlitRef, PortIndex, RouteInfo, RouterId, VcIndex};
 use noc_energy::{EnergyCounters, EnergyEvent};
@@ -269,8 +269,8 @@ struct OutVc {
     /// packet's header traverses first on its claimed output VC, and
     /// `dst`/`mode`/the connection's route are per-packet constants, so the
     /// cached value is exact for the packet's remaining flits (they'd
-    /// recompute the identical `RouteInfo`). Saves two virtual topology
-    /// calls + coordinate arithmetic per non-header traversal.
+    /// recompute the identical `RouteInfo`). Saves the virtual `route` call
+    /// and its coordinate arithmetic per non-header traversal.
     lookahead: Option<RouteInfo>,
 }
 
@@ -342,6 +342,9 @@ pub struct PipelineKernel {
     // returning credit updates both in one cache line.
     credits: Vec<u32>,
     credit_capacity: u32,
+    // The router each sub-channel lands at, numbered like the credit runs:
+    // `topo.link`, asked when the first header leaves by it.
+    far_routers: Vec<Option<RouterId>>,
     // This cycle's arrivals and last cycle's SA grants; `step` walks both in
     // place and clears them (see the `SchemeHooks` contract).
     arrivals: Vec<(PortIndex, FlitRef)>,
@@ -446,6 +449,7 @@ impl PipelineKernel {
             bank: FifoBank::new(slots, config.buffer_depth as usize),
             credits,
             credit_capacity: config.buffer_depth,
+            far_routers: vec![None; total_subs as usize],
             // Both per-cycle queues are reserved to their structural maximum
             // so steady-state stepping never allocates (tests/zero_alloc.rs).
             arrivals: Vec::with_capacity(in_ports),
@@ -957,14 +961,14 @@ impl PipelineKernel {
         let lookahead = (route.port.index() >= self.concentration).then(|| {
             let slot = self.out_slot(route.port, out_vc);
             if is_head {
-                let la = lookahead_route(
-                    self.topo.as_ref(),
-                    self.id,
-                    route.port,
-                    route.hops,
-                    dst,
-                    mode,
-                );
+                let port = &self.outputs[route.port.index()];
+                debug_assert!((1..=port.subs).contains(&(route.hops as u32)));
+                let far = &mut self.far_routers[port.sub_base as usize + route.hops as usize - 1];
+                let next = *far.get_or_insert_with(|| {
+                    let end = self.topo.link(self.id, route.port, route.hops);
+                    end.expect("a header leaves by a connected channel").router
+                });
+                let la = self.topo.route(next, dst, mode);
                 self.out_vcs[slot].lookahead = Some(la);
                 la
             } else {

@@ -5,7 +5,7 @@ use noc_base::{NodeId, PacketClass, RoutingPolicy, VaPolicy};
 use noc_sim::test_model::WireRouterFactory;
 use noc_sim::{NetworkConfig, RunSpec, Simulation};
 use noc_topology::Mesh;
-use noc_traffic::{PacketRequest, TrafficModel};
+use noc_traffic::{PacketRequest, TraceRecord, TraceReplay, TrafficModel};
 use std::sync::Arc;
 
 struct Silence;
@@ -155,5 +155,20 @@ fn out_of_range_destination_is_rejected() {
         &WireRouterFactory::default(),
         1,
     );
+    let _ = s.run(RunSpec::new(0, 5, 10));
+}
+
+#[test]
+#[should_panic(expected = "cycle 3: request n7 -> n1 names an unknown node (the topology has 4)")]
+fn replayed_record_from_an_unknown_source_is_rejected() {
+    // A trace recorded on a larger topology: the source has no interface.
+    let record = TraceRecord {
+        cycle: 3,
+        src: NodeId::new(7),
+        dst: NodeId::new(1),
+        len: 1,
+        class: PacketClass::Data,
+    };
+    let mut s = sim(Box::new(TraceReplay::new("foreign", vec![record])));
     let _ = s.run(RunSpec::new(0, 5, 10));
 }

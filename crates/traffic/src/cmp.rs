@@ -19,7 +19,7 @@
 
 use crate::{BenchmarkProfile, DeliveredPacket, PacketRequest, TrafficModel};
 use noc_base::rng::Pcg32;
-use noc_base::{NodeId, PacketClass};
+use noc_base::{NodeId, PacketClass, WordMask};
 use noc_topology::Topology;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -252,9 +252,15 @@ pub struct CmpTraffic {
     rng: Pcg32,
     cores: Vec<CoreState>,
     bank_weights: Vec<f64>,
-    pending: BinaryHeap<Reverse<(u64, u64)>>,
-    pending_payload: std::collections::HashMap<u64, PacketRequest>,
+    /// `bank_weights` (all positive) summed once, in `next_weighted`'s order.
+    bank_total: f64,
+    /// Scheduled replies and coherence messages, earliest `(cycle, scheduling
+    /// order)` first; the order number is unique, so requests never compare.
+    pending: BinaryHeap<Reverse<(u64, u64, PacketRequest)>>,
     next_event: u64,
+    /// The sharers of the invalidation burst being drawn (ascending
+    /// iteration keeps the burst's order deterministic); empty between bursts.
+    sharers: WordMask,
     in_flight: u64,
     stats: CmpStats,
 }
@@ -270,19 +276,20 @@ impl CmpTraffic {
             };
             layout.num_cores()
         ];
-        let bank_weights = (0..layout.num_banks())
+        let bank_weights: Vec<f64> = (0..layout.num_banks())
             .map(|i| 1.0 / (1.0 + i as f64).powf(profile.hotspot_skew))
             .collect();
         Self {
             cfg,
-            layout,
             profile,
             rng: Pcg32::seed_with_stream(seed, 0xc39),
             cores,
+            bank_total: bank_weights.iter().sum(),
             bank_weights,
             pending: BinaryHeap::new(),
-            pending_payload: std::collections::HashMap::new(),
             next_event: 0,
+            sharers: WordMask::new(layout.num_cores()),
+            layout,
             in_flight: 0,
             stats: CmpStats::default(),
         }
@@ -328,11 +335,16 @@ impl CmpTraffic {
         &self.layout
     }
 
-    fn schedule(&mut self, at: u64, request: PacketRequest) {
-        let id = self.next_event;
+    /// Queues a `len`-flit `class` packet from `src` to `dst` for cycle `at`.
+    fn schedule(&mut self, at: u64, src: NodeId, dst: NodeId, len: u16, class: PacketClass) {
+        let request = PacketRequest {
+            src,
+            dst,
+            len,
+            class,
+        };
+        self.pending.push(Reverse((at, self.next_event, request)));
         self.next_event += 1;
-        self.pending.push(Reverse((at, id)));
-        self.pending_payload.insert(id, request);
     }
 
     fn pick_bank(&mut self, core: usize) -> usize {
@@ -342,7 +354,7 @@ impl CmpTraffic {
             }
         }
         self.rng
-            .next_weighted(&self.bank_weights)
+            .next_weighted_of(&self.bank_weights, self.bank_total)
             .expect("bank weights are positive")
     }
 
@@ -364,23 +376,18 @@ impl CmpTraffic {
         self.cores[core].free_mshrs -= 1;
         let src = self.layout.core(core);
         let dst = self.layout.bank(bank);
-        let write = self.rng.next_bool(self.profile.write_fraction);
-        let request = if write {
+        let (len, class) = if self.rng.next_bool(self.profile.write_fraction) {
             self.stats.writes += 1;
-            PacketRequest {
-                src,
-                dst,
-                len: self.cfg.data_flits,
-                class: PacketClass::WriteRequest,
-            }
+            (self.cfg.data_flits, PacketClass::WriteRequest)
         } else {
             self.stats.reads += 1;
-            PacketRequest {
-                src,
-                dst,
-                len: self.cfg.addr_flits,
-                class: PacketClass::ReadRequest,
-            }
+            (self.cfg.addr_flits, PacketClass::ReadRequest)
+        };
+        let request = PacketRequest {
+            src,
+            dst,
+            len,
+            class,
         };
         self.emit(request, sink);
     }
@@ -422,23 +429,15 @@ impl TrafficModel for CmpTraffic {
 
     fn generate(&mut self, cycle: u64, sink: &mut dyn FnMut(PacketRequest)) {
         // Emit scheduled bank responses and coherence messages that are due.
-        while let Some(&Reverse((at, id))) = self.pending.peek() {
-            if at > cycle {
-                break;
-            }
-            self.pending.pop();
-            let request = self
-                .pending_payload
-                .remove(&id)
-                .expect("scheduled payload present");
+        while matches!(self.pending.peek(), Some(Reverse((at, ..))) if *at <= cycle) {
+            let Reverse((_, _, request)) = self.pending.pop().expect("peeked");
             self.emit(request, sink);
         }
 
         // Core-side issue with MSHR self-throttling and burst modulation.
-        let issue_p = self.issue_probability();
+        let (issue_p, stay) = (self.issue_probability(), self.profile.burstiness);
         for core in 0..self.cores.len() {
-            if self.profile.burstiness > 0.0 {
-                let stay = self.profile.burstiness;
+            if stay > 0.0 {
                 let state = self.cores[core].bursting;
                 let flip = !self.rng.next_bool(stay);
                 if flip {
@@ -461,80 +460,49 @@ impl TrafficModel for CmpTraffic {
 
     fn deliver(&mut self, cycle: u64, packet: &DeliveredPacket) {
         self.in_flight = self.in_flight.saturating_sub(1);
+        // A reply leaves the node the packet arrived at, for its sender.
+        let (here, sender) = (packet.dst, packet.src);
+        let (addr, data) = (self.cfg.addr_flits, self.cfg.data_flits);
         match packet.class {
             PacketClass::ReadRequest => {
-                let latency = self.bank_latency();
-                self.schedule(
-                    cycle + latency,
-                    PacketRequest {
-                        src: packet.dst,
-                        dst: packet.src,
-                        len: self.cfg.data_flits,
-                        class: PacketClass::ReadResponse,
-                    },
-                );
+                let at = cycle + self.bank_latency();
+                self.schedule(at, here, sender, data, PacketClass::ReadResponse);
             }
             PacketClass::WriteRequest => {
-                let latency = self.bank_latency();
-                self.schedule(
-                    cycle + latency,
-                    PacketRequest {
-                        src: packet.dst,
-                        dst: packet.src,
-                        len: self.cfg.addr_flits,
-                        class: PacketClass::WriteAck,
-                    },
-                );
+                let at = cycle + self.bank_latency();
+                self.schedule(at, here, sender, addr, PacketClass::WriteAck);
                 if self.rng.next_bool(self.profile.coherence_fraction) {
-                    let writer = self.core_of(packet.src);
+                    let writer = self.core_of(sender);
                     let sharers = self.sample_sharers();
-                    // BTreeSet keeps invalidation order deterministic.
-                    let mut chosen = std::collections::BTreeSet::new();
                     let candidates = self.layout.num_cores();
                     let mut guard = 0;
-                    while chosen.len() < sharers && guard < 16 * candidates {
+                    while (self.sharers.popcount() as usize) < sharers && guard < 16 * candidates {
                         guard += 1;
                         let c = self.rng.next_index(candidates);
                         if Some(c) != writer {
-                            chosen.insert(c);
+                            self.sharers.set(c);
                         }
                     }
-                    for c in chosen {
+                    let at = cycle + self.cfg.l2_latency;
+                    while let Some(c) = self.sharers.first_set_from(0) {
+                        self.sharers.clear(c);
                         self.stats.invalidations += 1;
-                        self.schedule(
-                            cycle + self.cfg.l2_latency,
-                            PacketRequest {
-                                src: packet.dst,
-                                dst: self.layout.core(c),
-                                len: self.cfg.addr_flits,
-                                class: PacketClass::Coherence,
-                            },
-                        );
+                        self.schedule(at, here, self.layout.core(c), addr, PacketClass::Coherence);
                     }
                 }
             }
             PacketClass::ReadResponse | PacketClass::WriteAck => {
-                if let Some(core) = self.core_of(packet.dst) {
+                if let Some(core) = self.core_of(here) {
                     self.cores[core].free_mshrs =
                         (self.cores[core].free_mshrs + 1).min(self.cfg.mshrs_per_core);
                 }
             }
-            PacketClass::Coherence => {
-                // Invalidation arriving at a core: acknowledge to the bank.
-                // Acks arriving back at the bank terminate silently.
-                if self.core_of(packet.dst).is_some() {
-                    self.schedule(
-                        cycle + 1,
-                        PacketRequest {
-                            src: packet.dst,
-                            dst: packet.src,
-                            len: self.cfg.addr_flits,
-                            class: PacketClass::Coherence,
-                        },
-                    );
-                }
+            // Invalidation arriving at a core: acknowledge to the bank.
+            // Acks arriving back at the bank terminate silently.
+            PacketClass::Coherence if self.core_of(here).is_some() => {
+                self.schedule(cycle + 1, here, sender, addr, PacketClass::Coherence);
             }
-            PacketClass::Data => {}
+            PacketClass::Coherence | PacketClass::Data => {}
         }
     }
 

@@ -34,7 +34,7 @@ pub use trace::{read_trace, write_trace, TraceError, TraceRecord, TraceRecorder,
 use noc_base::{NodeId, PacketClass, PacketId};
 
 /// A request to inject one packet, produced by a traffic model.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct PacketRequest {
     /// Source endpoint.
     pub src: NodeId,

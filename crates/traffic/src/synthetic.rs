@@ -177,20 +177,30 @@ impl SyntheticTraffic {
     /// ascending node order — the single source of the RNG call sequence for
     /// both `generate` and the fast-forward lookahead.
     fn draw_cycle(&mut self, sink: &mut dyn FnMut(PacketRequest)) {
-        for src in 0..self.num_nodes() {
-            if self.rng.next_bool(self.start_prob) {
-                let dst = self
-                    .pattern
-                    .destination(src, self.cols, self.rows, &mut self.rng);
-                debug_assert_ne!(dst, src, "synthetic pattern self-send");
-                sink(PacketRequest {
-                    src: NodeId::new(src),
-                    dst: NodeId::new(dst),
-                    len: self.packet_len,
-                    class: PacketClass::Data,
-                });
+        // A local generator, and the misses in a loop of their own: from
+        // miss to miss nothing runs but the draw, its state in a register.
+        let (nodes, p, mut rng) = (self.num_nodes(), self.start_prob, self.rng.clone());
+        let mut src = 0;
+        loop {
+            while src < nodes && !rng.next_bool(p) {
+                src += 1;
             }
+            if src == nodes {
+                break;
+            }
+            let dst = self
+                .pattern
+                .destination(src, self.cols, self.rows, &mut rng);
+            debug_assert_ne!(dst, src, "synthetic pattern self-send");
+            sink(PacketRequest {
+                src: NodeId::new(src),
+                dst: NodeId::new(dst),
+                len: self.packet_len,
+                class: PacketClass::Data,
+            });
+            src += 1;
         }
+        self.rng = rng;
     }
 
     /// The pattern in use.

@@ -9,7 +9,11 @@
 //!
 //! The on-disk format is a plain text line format —
 //! `cycle src dst len class` — chosen over a serde format so the workspace
-//! needs no serialization dependency (DESIGN.md §8).
+//! needs no serialization dependency (DESIGN.md §8 states the grammar, the
+//! limits and the error contract). The codec works on bytes: a trace is
+//! read once per configuration of every sweep, so [`read_trace`] takes its
+//! lines straight out of the reader's buffer and [`write_trace`] formats
+//! into one reused line, neither allocating per record.
 
 use crate::{PacketRequest, TrafficModel};
 use noc_base::{NodeId, PacketClass};
@@ -32,25 +36,25 @@ pub struct TraceRecord {
     pub class: PacketClass,
 }
 
-fn class_code(class: PacketClass) -> &'static str {
+fn class_code(class: PacketClass) -> &'static [u8] {
     match class {
-        PacketClass::Data => "D",
-        PacketClass::ReadRequest => "RQ",
-        PacketClass::ReadResponse => "RS",
-        PacketClass::WriteRequest => "WQ",
-        PacketClass::WriteAck => "WA",
-        PacketClass::Coherence => "C",
+        PacketClass::Data => b"D",
+        PacketClass::ReadRequest => b"RQ",
+        PacketClass::ReadResponse => b"RS",
+        PacketClass::WriteRequest => b"WQ",
+        PacketClass::WriteAck => b"WA",
+        PacketClass::Coherence => b"C",
     }
 }
 
-fn class_from_code(code: &str) -> Option<PacketClass> {
+fn class_from_code(code: &[u8]) -> Option<PacketClass> {
     Some(match code {
-        "D" => PacketClass::Data,
-        "RQ" => PacketClass::ReadRequest,
-        "RS" => PacketClass::ReadResponse,
-        "WQ" => PacketClass::WriteRequest,
-        "WA" => PacketClass::WriteAck,
-        "C" => PacketClass::Coherence,
+        b"D" => PacketClass::Data,
+        b"RQ" => PacketClass::ReadRequest,
+        b"RS" => PacketClass::ReadResponse,
+        b"WQ" => PacketClass::WriteRequest,
+        b"WA" => PacketClass::WriteAck,
+        b"C" => PacketClass::Coherence,
         _ => return None,
     })
 }
@@ -95,83 +99,154 @@ impl From<io::Error> for TraceError {
     }
 }
 
+/// Appends `value` in decimal.
+fn push_decimal(line: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    line.extend_from_slice(&digits[at..]);
+}
+
 /// Writes records in the line format. Lines beginning with `#` are comments.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
 pub fn write_trace<W: Write>(mut w: W, records: &[TraceRecord]) -> io::Result<()> {
-    writeln!(w, "# pseudo-circuit packet trace: cycle src dst len class")?;
+    w.write_all(b"# pseudo-circuit packet trace: cycle src dst len class\n")?;
+    let mut line = Vec::with_capacity(64);
     for r in records {
-        writeln!(
-            w,
-            "{} {} {} {} {}",
+        line.clear();
+        for value in [
             r.cycle,
-            r.src.index(),
-            r.dst.index(),
-            r.len,
-            class_code(r.class)
-        )?;
+            r.src.index() as u64,
+            r.dst.index() as u64,
+            r.len as u64,
+        ] {
+            push_decimal(&mut line, value);
+            line.push(b' ');
+        }
+        line.extend_from_slice(class_code(r.class));
+        line.push(b'\n');
+        w.write_all(&line)?;
     }
     Ok(())
 }
 
-/// Reads records from the line format.
+/// A numeric field — what `u64::from_str` accepts, decimal digits after an
+/// optional `+` — no larger than `max`.
+fn number(field: &[u8], what: &str, max: u64) -> Result<u64, String> {
+    let digits = field.strip_prefix(b"+").unwrap_or(field);
+    let value = digits
+        .iter()
+        .try_fold(0u64, |value, &b| {
+            let digit = b.is_ascii_digit().then(|| (b - b'0') as u64)?;
+            value.checked_mul(10)?.checked_add(digit)
+        })
+        .filter(|_| !digits.is_empty())
+        .ok_or_else(|| format!("bad {what}: {:?}", String::from_utf8_lossy(field)))?;
+    if value > max {
+        return Err(format!("{what} {value} out of range (max {max})"));
+    }
+    Ok(value)
+}
+
+/// Parses one line (without its `\n`): a record, `None` for a blank or
+/// comment line, or what is wrong with it. Fields are separated by what
+/// `str::split_whitespace` splits ASCII text on; a non-ASCII byte never
+/// separates, it is part of a field.
+fn parse_line(line: &[u8], last_cycle: &mut u64) -> Result<Option<TraceRecord>, String> {
+    let is_space = |b: &u8| matches!(b, b' ' | b'\t'..=b'\r');
+    let mut fields = [&[][..]; 5];
+    let mut found = 0;
+    for field in line.split(is_space).filter(|f| !f.is_empty()) {
+        if found == 0 && field[0] == b'#' {
+            break;
+        }
+        if let Some(slot) = fields.get_mut(found) {
+            *slot = field;
+        }
+        found += 1;
+    }
+    if found == 0 {
+        return Ok(None);
+    }
+    if found != 5 {
+        return Err(format!("expected 5 fields, found {found}"));
+    }
+    let [cycle, src, dst, len, class] = fields;
+    let cycle = number(cycle, "cycle", u64::MAX)?;
+    if cycle < *last_cycle {
+        return Err(format!("cycle {cycle} out of order (last {last_cycle})"));
+    }
+    *last_cycle = cycle;
+    let len = number(len, "length", u16::MAX as u64)? as u16;
+    if len == 0 {
+        return Err("zero-length packet".into());
+    }
+    let class = class_from_code(class)
+        .ok_or_else(|| format!("unknown class {:?}", String::from_utf8_lossy(class)))?;
+    Ok(Some(TraceRecord {
+        cycle,
+        src: NodeId::new(number(src, "src", u32::MAX as u64)? as usize),
+        dst: NodeId::new(number(dst, "dst", u32::MAX as u64)? as usize),
+        len,
+        class,
+    }))
+}
+
+/// Reads records from the line format, streaming: lines are parsed where
+/// they lie in the reader's buffer, and only a line that spans two buffer
+/// fills is copied (into one reused carry buffer).
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::Parse`] on a malformed line (wrong field count,
-/// non-numeric field, unknown class code, zero length, or cycles out of
+/// Returns [`TraceError::Parse`], naming the 1-based line, on a malformed
+/// line (wrong field count, non-numeric field, unknown class code, zero or
+/// over-long length, node id that does not fit 32 bits, or cycles out of
 /// order) and [`TraceError::Io`] on reader failure.
-pub fn read_trace<R: BufRead>(r: R) -> Result<Vec<TraceRecord>, TraceError> {
+pub fn read_trace<R: BufRead>(mut r: R) -> Result<Vec<TraceRecord>, TraceError> {
     let mut records = Vec::new();
-    let mut last_cycle = 0u64;
-    for (idx, line) in r.lines().enumerate() {
-        let line = line?;
-        let line_no = idx + 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let parse = |s: &str, what: &str| -> Result<u64, TraceError> {
-            s.parse().map_err(|_| TraceError::Parse {
-                line: line_no,
-                message: format!("bad {what}: {s:?}"),
-            })
+    let (mut line_no, mut last_cycle) = (0, 0);
+    let mut parse = |text: &[u8]| {
+        line_no += 1;
+        let line = line_no;
+        parse_line(text, &mut last_cycle).map_err(|message| TraceError::Parse { line, message })
+    };
+    let mut carry = Vec::new();
+    loop {
+        let chunk = match r.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
         };
-        let fields: Vec<&str> = trimmed.split_whitespace().collect();
-        if fields.len() != 5 {
-            return Err(TraceError::Parse {
-                line: line_no,
-                message: format!("expected 5 fields, found {}", fields.len()),
-            });
+        let mut rest = chunk;
+        while let Some(end) = rest.iter().position(|&b| b == b'\n') {
+            if carry.is_empty() {
+                records.extend(parse(&rest[..end])?);
+            } else {
+                carry.extend_from_slice(&rest[..end]);
+                records.extend(parse(&carry)?);
+                carry.clear();
+            }
+            rest = &rest[end + 1..];
         }
-        let cycle = parse(fields[0], "cycle")?;
-        if cycle < last_cycle {
-            return Err(TraceError::Parse {
-                line: line_no,
-                message: format!("cycle {cycle} out of order (last {last_cycle})"),
-            });
+        carry.extend_from_slice(rest);
+        let consumed = chunk.len();
+        r.consume(consumed);
+        if consumed == 0 {
+            break;
         }
-        last_cycle = cycle;
-        let len = parse(fields[3], "length")? as u16;
-        if len == 0 {
-            return Err(TraceError::Parse {
-                line: line_no,
-                message: "zero-length packet".into(),
-            });
-        }
-        let class = class_from_code(fields[4]).ok_or_else(|| TraceError::Parse {
-            line: line_no,
-            message: format!("unknown class {:?}", fields[4]),
-        })?;
-        records.push(TraceRecord {
-            cycle,
-            src: NodeId::new(parse(fields[1], "src")? as usize),
-            dst: NodeId::new(parse(fields[2], "dst")? as usize),
-            len,
-            class,
-        });
+    }
+    if !carry.is_empty() {
+        records.extend(parse(&carry)?);
     }
     Ok(records)
 }
@@ -202,9 +277,13 @@ impl<T: TrafficModel> TraceRecorder<T> {
     }
 }
 
-impl<T: TrafficModel> TrafficModel for TraceRecorder<T> {
+impl<T: TrafficModel + 'static> TrafficModel for TraceRecorder<T> {
     fn name(&self) -> &str {
         self.inner.name()
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
     }
 
     fn generate(&mut self, cycle: u64, sink: &mut dyn FnMut(PacketRequest)) {
@@ -305,6 +384,238 @@ impl TrafficModel for TraceReplay {
 mod tests {
     use super::*;
     use crate::synthetic::{SyntheticPattern, SyntheticTraffic};
+    use proptest::prelude::*;
+
+    /// The line-based reader the byte codec replaced, kept as its reference:
+    /// `BufRead::lines`, `str::split_whitespace`, `str::parse`. Its three
+    /// silent truncations (`as u16`, `as usize` into a 32-bit id, non-UTF-8
+    /// as an anonymous I/O error) are what the codec rejects instead.
+    fn read_trace_by_lines<R: BufRead>(r: R) -> Result<Vec<TraceRecord>, TraceError> {
+        let mut records = Vec::new();
+        let mut last_cycle = 0u64;
+        for (idx, line) in r.lines().enumerate() {
+            let line = line?;
+            let line_no = idx + 1;
+            let trimmed = line.trim();
+            if trimmed.is_empty() || trimmed.starts_with('#') {
+                continue;
+            }
+            let parse = |s: &str, what: &str| -> Result<u64, TraceError> {
+                s.parse().map_err(|_| TraceError::Parse {
+                    line: line_no,
+                    message: format!("bad {what}: {s:?}"),
+                })
+            };
+            let fields: Vec<&str> = trimmed.split_whitespace().collect();
+            if fields.len() != 5 {
+                return Err(TraceError::Parse {
+                    line: line_no,
+                    message: format!("expected 5 fields, found {}", fields.len()),
+                });
+            }
+            let cycle = parse(fields[0], "cycle")?;
+            if cycle < last_cycle {
+                return Err(TraceError::Parse {
+                    line: line_no,
+                    message: format!("cycle {cycle} out of order (last {last_cycle})"),
+                });
+            }
+            last_cycle = cycle;
+            let len = parse(fields[3], "length")? as u16;
+            if len == 0 {
+                return Err(TraceError::Parse {
+                    line: line_no,
+                    message: "zero-length packet".into(),
+                });
+            }
+            let class = class_from_code(fields[4].as_bytes()).ok_or_else(|| TraceError::Parse {
+                line: line_no,
+                message: format!("unknown class {:?}", fields[4]),
+            })?;
+            records.push(TraceRecord {
+                cycle,
+                src: NodeId::new(parse(fields[1], "src")? as usize),
+                dst: NodeId::new(parse(fields[2], "dst")? as usize),
+                len,
+                class,
+            });
+        }
+        Ok(records)
+    }
+
+    /// The `writeln!` writer the byte codec replaced.
+    fn write_trace_by_writeln<W: Write>(mut w: W, records: &[TraceRecord]) -> io::Result<()> {
+        writeln!(w, "# pseudo-circuit packet trace: cycle src dst len class")?;
+        for r in records {
+            let class = std::str::from_utf8(class_code(r.class)).expect("ascii code");
+            let (src, dst) = (r.src.index(), r.dst.index());
+            writeln!(w, "{} {src} {dst} {} {class}", r.cycle, r.len)?;
+        }
+        Ok(())
+    }
+
+    const CLASSES: [PacketClass; 6] = [
+        PacketClass::Data,
+        PacketClass::ReadRequest,
+        PacketClass::ReadResponse,
+        PacketClass::WriteRequest,
+        PacketClass::WriteAck,
+        PacketClass::Coherence,
+    ];
+
+    /// Sorted records that reach every limit of the format: `cycle =
+    /// u64::MAX`, `len = 65535`, 32-bit node ids, every class code.
+    fn limit_records() -> impl Strategy<Value = Vec<TraceRecord>> {
+        let field = |limit: u64| {
+            (0u64..4, 0..=limit).prop_map(move |(pick, v)| match pick {
+                0 => limit,
+                1 => v % 100,
+                _ => v,
+            })
+        };
+        let record = (
+            field(u64::MAX),
+            field(u32::MAX as u64),
+            field(u32::MAX as u64),
+            field(u16::MAX as u64 - 1),
+            0..CLASSES.len(),
+        );
+        prop::collection::vec(record, 0..24).prop_map(|mut raw| {
+            raw.sort_by_key(|r| r.0);
+            raw.into_iter()
+                .map(|(cycle, src, dst, len, class)| TraceRecord {
+                    cycle,
+                    src: NodeId::new(src as usize),
+                    dst: NodeId::new(dst as usize),
+                    len: len as u16 + 1,
+                    class: CLASSES[class],
+                })
+                .collect()
+        })
+    }
+
+    fn outcome(result: Result<Vec<TraceRecord>, TraceError>) -> Result<Vec<TraceRecord>, String> {
+        result.map_err(|e| e.to_string())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The byte codec against the line-based one: same bytes written,
+        /// and over decorated, corrupted, truncated and chunked input the
+        /// same records or the same error (line and message).
+        #[test]
+        fn byte_codec_matches_the_line_based_reference(
+            records in limit_records(),
+            decorations in prop::collection::vec(0usize..8, 1..6),
+            corrupt_line in 0usize..24,
+            corrupt_kind in 0usize..10,
+            noise in any::<u64>(),
+            cut in 0usize..2048,
+            capacity in 0usize..3,
+        ) {
+            let mut written = Vec::new();
+            write_trace(&mut written, &records).unwrap();
+            let mut reference = Vec::new();
+            write_trace_by_writeln(&mut reference, &records).unwrap();
+            prop_assert_eq!(&written, &reference);
+
+            let mut text = Vec::new();
+            for (i, line) in written.split(|&b| b == b'\n').enumerate() {
+                if i == written.iter().filter(|&&b| b == b'\n').count() {
+                    break; // the empty piece after the final newline
+                }
+                let mut fields: Vec<Vec<u8>> = line
+                    .split(|&b| b == b' ')
+                    .map(<[u8]>::to_vec)
+                    .collect();
+                if i == 1 + corrupt_line && fields.len() == 5 {
+                    let at = noise as usize % 4;
+                    match corrupt_kind {
+                        0 => drop(fields.remove(at)),
+                        1 => fields.insert(at, fields[at].clone()),
+                        2 => fields[at] = b"x7".to_vec(),
+                        3 => fields[at] = b"3141592653589793238462643".to_vec(),
+                        4 => fields[0] = (noise >> 8).to_string().into_bytes(),
+                        5 => fields[4] = b"ZZ".to_vec(),
+                        6 => fields[3] = b"0".to_vec(),
+                        7 => fields.insert(1 + at, b"#late".to_vec()),
+                        _ => {}
+                    }
+                }
+                let (indent, separator, ending): (&[u8], &[u8], &[u8]) =
+                    match decorations[i % decorations.len()] {
+                        0 => (b"", b" ", b"\r\n"),
+                        1 => (b" \t", b"\t ", b" \n"),
+                        2 => (b"\n", b" ", b"\n"),
+                        3 => (b"# note 1 2 3\n", b" ", b"\n"),
+                        4 => (b"  \r\n", b"  ", b"\x0b\x0c\n"),
+                        _ => (b"", b" ", b"\n"),
+                    };
+                text.extend_from_slice(indent);
+                text.extend_from_slice(&fields.join(separator));
+                text.extend_from_slice(ending);
+            }
+            text.truncate(cut.max(1).min(text.len()));
+
+            let capacity = [3, 7, 8192][capacity];
+            let parsed = read_trace(io::BufReader::with_capacity(capacity, &text[..]));
+            let expected = read_trace_by_lines(&text[..]);
+            prop_assert_eq!(outcome(parsed), outcome(expected));
+        }
+    }
+
+    #[test]
+    fn long_trace_crosses_reader_buffers() {
+        let records: Vec<TraceRecord> = (0..3_000u64)
+            .map(|i| TraceRecord {
+                cycle: i * i,
+                src: NodeId::new((i * 7 % 64) as usize),
+                dst: NodeId::new((i * 13 % 64) as usize),
+                len: 1 + (i % 5) as u16,
+                class: CLASSES[(i % 6) as usize],
+            })
+            .collect();
+        let mut written = Vec::new();
+        write_trace(&mut written, &records).unwrap();
+        assert!(written.len() > 4 * 8192, "spans several reader buffers");
+        let mut reference = Vec::new();
+        write_trace_by_writeln(&mut reference, &records).unwrap();
+        assert_eq!(written, reference);
+        for capacity in [3, 64, 8192] {
+            let reader = io::BufReader::with_capacity(capacity, &written[..]);
+            assert_eq!(read_trace(reader).unwrap(), records);
+        }
+    }
+
+    #[test]
+    fn silent_truncations_are_parse_errors_naming_line_and_field() {
+        for (text, line, field) in [
+            (&b"0 1 2 65537 D\n"[..], 1, "length 65537 out of range"),
+            (b"# h\n0 1 2 65536 D\n", 2, "length 65536 out of range"),
+            (b"0 4294967296 2 1 D\n", 1, "src 4294967296 out of range"),
+            (
+                b"0 1 2 1 D\n1 1 4294967297 1 D\n",
+                2,
+                "dst 4294967297 out of range",
+            ),
+            (b"\n0 1 \xff\xfe 1 D\n", 2, "bad dst"),
+            (b"0 1 2 1 \xc3\x28\n", 1, "unknown class"),
+        ] {
+            match read_trace(text) {
+                Err(TraceError::Parse { line: at, message }) => {
+                    assert_eq!(at, line, "{message}");
+                    assert!(message.contains(field), "{message}");
+                }
+                other => panic!("{:?} parsed as {other:?}", String::from_utf8_lossy(text)),
+            }
+        }
+        // The limits themselves are legal.
+        let edge = b"18446744073709551615 4294967295 0 65535 C";
+        let parsed = read_trace(&edge[..]).unwrap();
+        assert_eq!((parsed[0].cycle, parsed[0].len), (u64::MAX, u16::MAX));
+        assert_eq!(parsed[0].src.index(), u32::MAX as usize);
+    }
 
     fn sample_records() -> Vec<TraceRecord> {
         vec![

@@ -8,19 +8,22 @@
 //! (`Simulation::new`), the level below `noc_campaign::build_simulation`.
 //!
 //! Run with: `cargo run --release --example trace_replay [path]`
-//! (optionally writes the trace to `path` in the line format)
+//! (optionally writes the trace to `path` in the line format and reads the
+//! file back, checking it against the records)
 
 use noc_base::{RoutingPolicy, VaPolicy};
 use noc_sim::{NetworkConfig, RunSpec, Simulation};
 use noc_topology::{Mesh, SharedTopology};
-use noc_traffic::{trace, BenchmarkProfile, CmpTraffic, TraceRecorder, TraceReplay, TrafficModel};
+use noc_traffic::{trace, BenchmarkProfile, CmpTraffic, TraceRecorder, TraceReplay};
 use pseudo_circuit::{PcRouterFactory, Scheme};
+use std::fs::File;
+use std::io::{BufReader, BufWriter, Write};
 use std::sync::Arc;
 
 fn main() {
     let topo: SharedTopology = Arc::new(Mesh::new(4, 4, 4));
     let bench = *BenchmarkProfile::by_name("equake").expect("profile exists");
-    let equake = || CmpTraffic::for_topology(topo.as_ref(), bench, 3).expect("cmesh floorplan");
+    let equake = CmpTraffic::for_topology(topo.as_ref(), bench, 3).expect("cmesh floorplan");
     let config = NetworkConfig {
         routing: RoutingPolicy::Xy,
         va_policy: VaPolicy::Static,
@@ -33,30 +36,35 @@ fn main() {
     let mut sim = Simulation::new(
         topo.clone(),
         config,
-        Box::new(TraceRecorder::new(equake())),
+        Box::new(TraceRecorder::new(equake)),
         &PcRouterFactory::new(Scheme::baseline()),
         1,
     );
     for _ in 0..20_000 {
         sim.step();
     }
-    // The recorder lives inside the simulation; re-record standalone instead
-    // for a self-contained trace (generation is deterministic by seed).
-    let mut recorder = TraceRecorder::new(equake());
-    let mut sink = |_r| {};
-    for cycle in 0..20_000 {
-        recorder.generate(cycle, &mut sink);
-    }
-    let (_, records) = recorder.into_parts();
+    // The recorder is the simulation's traffic model: downcast to read it.
+    let records = sim
+        .traffic_model()
+        .as_any()
+        .and_then(|model| model.downcast_ref::<TraceRecorder<CmpTraffic>>())
+        .expect("the traffic model is the recorder")
+        .records()
+        .to_vec();
     println!(
         "captured {} packet injections over 20k cycles",
         records.len()
     );
 
     if let Some(path) = std::env::args().nth(1) {
-        let file = std::fs::File::create(&path).expect("create trace file");
-        trace::write_trace(std::io::BufWriter::new(file), &records).expect("write trace");
-        println!("trace written to {path}");
+        let file = File::create(&path).expect("create trace file");
+        let mut writer = BufWriter::new(file);
+        trace::write_trace(&mut writer, &records).expect("write trace");
+        writer.flush().expect("flush trace file");
+        let file = File::open(&path).expect("reopen trace file");
+        let reread = trace::read_trace(BufReader::new(file)).expect("parse trace file");
+        assert_eq!(reread, records, "the file replays what was recorded");
+        println!("trace written to {path} and read back identically");
     }
 
     // Phase 2: replay the identical trace through every configuration.

@@ -39,6 +39,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items --offlin
 echo "==> cargo run --example quickstart (smoke)"
 cargo run --release --offline --example quickstart >/dev/null
 
+# Trace-file smoke: the one place the trace codec meets a real file — the
+# example writes its recording to a path, reads it back through
+# `BufReader<File>` (chunk boundaries the unit tests only imitate) and
+# asserts the records are the ones it wrote.
+echo "==> cargo run --example trace_replay <tmpfile> (smoke)"
+tracefile=$(mktemp)
+cargo run --release --offline --example trace_replay "$tracefile" >/dev/null
+rm -f "$tracefile"
+
 # EVC smoke: the comparator scheme must run end-to-end through the CLI,
 # including the kernel-provided observability surface.
 echo "==> noc run --scheme evc (smoke)"

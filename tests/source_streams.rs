@@ -1,0 +1,77 @@
+//! The source side's request streams, pinned: the first 10 000 requests of
+//! the two generators every figure is driven by, hashed at seed 1. The
+//! constants were recorded from the `f64`-compare `next_bool`, the
+//! `HashMap`-backed CMP reply queue and the per-call `bank_weights` sum, so a
+//! faster generator that moves one draw, one decision or one emission order
+//! fails here before it reaches a golden report.
+
+use noc_base::{NodeId, PacketId};
+use noc_sim::manifest::fnv1a64;
+use noc_topology::Mesh;
+use noc_traffic::{
+    BenchmarkProfile, CmpTraffic, DeliveredPacket, PacketRequest, SyntheticPattern,
+    SyntheticTraffic, TrafficModel,
+};
+use std::collections::VecDeque;
+
+const REQUESTS: usize = 10_000;
+/// Cycles between a request's emission and its `deliver` callback.
+const ECHO_LATENCY: u64 = 10;
+
+/// Drives `traffic` cycle by cycle, echoing every request back through
+/// `deliver` a fixed latency later, and hashes `(cycle, src, dst, len, class)`
+/// of the first [`REQUESTS`] requests.
+fn stream_hash(traffic: &mut dyn TrafficModel) -> u64 {
+    let mut bytes = Vec::with_capacity(REQUESTS * 19);
+    let mut echo: VecDeque<(u64, PacketRequest)> = VecDeque::new();
+    let mut emitted = 0usize;
+    let mut cycle = 0u64;
+    while emitted < REQUESTS {
+        while echo.front().is_some_and(|(due, _)| *due <= cycle) {
+            let (due, r) = echo.pop_front().expect("front exists");
+            traffic.deliver(
+                cycle,
+                &DeliveredPacket {
+                    id: PacketId::new(0),
+                    src: r.src,
+                    dst: r.dst,
+                    len: r.len,
+                    class: r.class,
+                    injected_at: due - ECHO_LATENCY,
+                    delivered_at: cycle,
+                },
+            );
+        }
+        traffic.generate(cycle, &mut |r| {
+            if emitted < REQUESTS {
+                bytes.extend_from_slice(&cycle.to_le_bytes());
+                for node in [r.src, r.dst] {
+                    bytes.extend_from_slice(&(NodeId::index(node) as u32).to_le_bytes());
+                }
+                bytes.extend_from_slice(&r.len.to_le_bytes());
+                bytes.push(r.class as u8);
+            }
+            emitted += 1;
+            echo.push_back((cycle + ECHO_LATENCY, r));
+        });
+        cycle += 1;
+    }
+    fnv1a64(&bytes)
+}
+
+#[test]
+fn uniform_random_stream_is_pinned() {
+    let mut traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, 8, 8, 4, 0.22, 1);
+    assert_eq!(stream_hash(&mut traffic), UNIFORM_HASH);
+}
+
+#[test]
+fn cmp_fft_stream_is_pinned() {
+    let profile = *BenchmarkProfile::by_name("fft").expect("profile exists");
+    let mut traffic =
+        CmpTraffic::for_topology(&Mesh::new(4, 4, 4), profile, 1).expect("cmesh floorplan");
+    assert_eq!(stream_hash(&mut traffic), CMP_FFT_HASH);
+}
+
+const UNIFORM_HASH: u64 = 0xba5925851406f3d4;
+const CMP_FFT_HASH: u64 = 0x037ecd4b99e1fde1;
