@@ -12,6 +12,28 @@
 //! contiguous allocation sized from structural maxima at construction, so
 //! the zero-steady-state-allocation invariant extends to flit storage.
 //!
+//! # Capacity is reserved, not touched
+//!
+//! The structural maximum is a safety bound (DESIGN.md §19) far above what a
+//! run uses: a 32×32 mesh reserves ~98 k slots and keeps 3–6 k flits live. So
+//! the slab is allocated *uninitialised* and the free list is a **bump mark
+//! plus a LIFO of recycled indices**: a slot leaves it off the recycled stack
+//! (most recently freed first) or, when that is empty, by advancing the mark
+//! past a slot never handed out before. Live flits therefore stay dense at
+//! the bottom of the slab — the highest index ever issued is bounded by peak
+//! demand, not by capacity — and the pages above are never written, so the
+//! kernel never maps them.
+//!
+//! No slot is read before it was written: indices enter circulation only
+//! through the mark; an index reaches a reader only as a [`FlitRef`] minted
+//! by `alloc*`, which writes the slot first; and every dereference (`get`,
+//! `update`) first checks `index < issued` — in release builds too, where it
+//! replaces the slice bounds check — so a forged, foreign or
+//! [`FlitRef::INVALID`] handle panics instead of reading an unwritten slot.
+//! (`free` reads nothing and, in release builds, checks nothing; `alloc*`
+//! bounds-checks the index it writes, so a forged free ends in a panic too.)
+//! A recycled slot holds its previous flit: stale, but initialised.
+//!
 //! # Ownership discipline and thread safety
 //!
 //! `FlitPool` is shared (`Arc`) between the simulation driver, every router,
@@ -45,8 +67,9 @@
 //! byte is zero) and pay nothing.
 
 use crate::flit::Flit;
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::fmt;
+use std::mem::MaybeUninit;
 
 /// Low 24 bits of a [`FlitRef`] are the slot index; high 8 the generation.
 const INDEX_BITS: u32 = 24;
@@ -58,15 +81,18 @@ const INDEX_MASK: u32 = (1 << INDEX_BITS) - 1;
 /// the slab. Packing: low 24 bits slot index (so pools hold up to 2^24
 /// flits), high 8 bits the debug-only generation tag (zero in release).
 #[derive(Copy, Clone, PartialEq, Eq, Hash)]
+#[repr(transparent)]
 pub struct FlitRef(u32);
 
-// The whole point of the ref is that a hop copies 4 bytes; pin it.
+// The whole point of the ref is that a hop copies 4 bytes; pin it (the ring
+// buffers of `noc_sim::blocks::FifoBank` also lay refs out by hand).
 const _: () = assert!(std::mem::size_of::<FlitRef>() == 4);
+const _: () = assert!(std::mem::align_of::<FlitRef>() == 4);
 
 impl FlitRef {
-    /// A placeholder that dereferences to nothing; used to fill ring-buffer
-    /// slots that length counters mark as vacant. Dereferencing it through a
-    /// pool is a bug caught by the bounds/generation checks.
+    /// A placeholder that dereferences to nothing, for arrays of refs whose
+    /// real entries arrive later. Dereferencing it through a pool panics: its
+    /// index is above every pool's bump mark.
     pub const INVALID: FlitRef = FlitRef(u32::MAX);
 
     /// The slot index within the owning pool.
@@ -100,56 +126,71 @@ struct FreeStack(UnsafeCell<Vec<u32>>);
 /// A fixed-capacity slab of [`Flit`]s with per-shard free lists.
 ///
 /// See the [module docs](self) for the ownership discipline that makes the
-/// lock-free sharing sound, and for the generation-tag scheme.
+/// lock-free sharing sound, for why no slot is read before it was written,
+/// and for the generation-tag scheme.
 pub struct FlitPool {
-    slots: Vec<UnsafeCell<Flit>>,
+    /// Uninitialised at construction; slot `i` is written by the `alloc*`
+    /// call that first issues it, and only slots below `issued` are read.
+    slots: Box<[UnsafeCell<MaybeUninit<Flit>>]>,
     #[cfg(debug_assertions)]
     gens: Vec<UnsafeCell<u8>>,
     /// Per-shard free stacks, popped lock-free by the owning shard during
     /// the parallel phase. Sized to the maximum possible shard count at
     /// construction so the outer `Vec` never moves.
     locals: Vec<FreeStack>,
-    /// The global free list: all frees land here (serial phase), and
-    /// [`replenish`](Self::replenish) moves indices out to shard stacks.
-    global: UnsafeCell<Vec<u32>>,
+    /// The recycled half of the global free list: frees land here (serial
+    /// phase) and leave before the mark advances. Reserved to `capacity`
+    /// entries (untouched until used), so a free never allocates.
+    recycled: UnsafeCell<Vec<u32>>,
+    /// The bump mark: slots `issued..capacity` were never handed out.
+    /// Advanced only by the serial driver and read by everyone — a plain
+    /// word, not an atomic, so that the check every dereference makes
+    /// against it optimises like the slice bounds check it replaces; the
+    /// epoch barrier that publishes the slots publishes the mark with them.
+    issued: Cell<u32>,
 }
 
 // SAFETY: all interior mutability follows the single-owner discipline in the
 // module docs — a slot is touched only by the component owning its ref, a
 // local free stack only by its shard (parallel phase) or the driver (serial
-// phase), and the global list only by the serial driver. Cross-thread
-// visibility is provided by the worker pool's epoch barrier, exactly as for
-// the engine's `ShardCtx`.
+// phase), and the recycled list and the mark are written only by the serial
+// driver. Cross-thread visibility is provided by the worker pool's epoch
+// barrier, exactly as for the engine's `ShardCtx`.
 unsafe impl Sync for FlitPool {}
 
 impl FlitPool {
+    /// The largest capacity a pool can have: what the 24-bit slot index of a
+    /// [`FlitRef`] can name, less the index [`FlitRef::INVALID`] carries.
+    pub const MAX_CAPACITY: usize = INDEX_MASK as usize;
+
     /// Creates a pool of `capacity` slots whose free list can be partitioned
-    /// across up to `max_shards` shards.
+    /// across up to `max_shards` shards. Reserves the slab and the free list
+    /// without writing either.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero or ≥ 2^24 (the `FlitRef` index width),
+    /// Panics if `capacity` is zero or above [`MAX_CAPACITY`](Self::MAX_CAPACITY),
     /// or if `max_shards` is zero.
     pub fn new(capacity: usize, max_shards: usize) -> Self {
         assert!(capacity > 0, "flit pool capacity must be nonzero");
         assert!(
-            capacity < (1 << INDEX_BITS) as usize,
+            capacity <= Self::MAX_CAPACITY,
             "flit pool capacity {capacity} exceeds the 24-bit FlitRef index"
         );
         assert!(max_shards > 0, "flit pool needs at least one shard");
-        let placeholder = placeholder_flit();
-        // All slots start free, on the global list, in descending index
-        // order so the first allocations walk the slab from index 0 up.
+        // SAFETY: `MaybeUninit<Flit>` has no validity requirement and
+        // `UnsafeCell` is `repr(transparent)`, so an uninitialised
+        // `UnsafeCell<MaybeUninit<Flit>>` is a valid value of its type.
+        let slots = unsafe { Box::new_uninit_slice(capacity).assume_init() };
         Self {
-            slots: (0..capacity)
-                .map(|_| UnsafeCell::new(placeholder))
-                .collect(),
+            slots,
             #[cfg(debug_assertions)]
             gens: (0..capacity).map(|_| UnsafeCell::new(0)).collect(),
             locals: (0..max_shards)
                 .map(|_| FreeStack(UnsafeCell::new(Vec::new())))
                 .collect(),
-            global: UnsafeCell::new((0..capacity as u32).rev().collect()),
+            recycled: UnsafeCell::new(Vec::with_capacity(capacity)),
+            issued: Cell::new(0),
         }
     }
 
@@ -158,25 +199,37 @@ impl FlitPool {
         self.slots.len()
     }
 
-    /// Free slots currently on the global list (diagnostics; excludes
-    /// shard-local stacks). Serial phase only.
+    /// Slots handed out at least once: every index a [`FlitRef`] of this
+    /// pool ever carried is below it.
+    pub fn issued(&self) -> usize {
+        self.issued.get() as usize
+    }
+
+    /// Free slots on the global list — recycled ones plus those the mark
+    /// has not reached (diagnostics; excludes shard-local stacks). Serial
+    /// phase only.
     pub fn global_free(&self) -> usize {
         // SAFETY: serial phase — the driver is the only thread running.
-        unsafe { (*self.global.get()).len() }
+        let recycled = unsafe { (*self.recycled.get()).len() };
+        recycled + self.capacity() - self.issued()
     }
 
     /// Free slots across the global list and every shard stack.
     /// Serial phase only.
     pub fn total_free(&self) -> usize {
         // SAFETY: serial phase — the driver is the only thread running.
-        unsafe {
-            (*self.global.get()).len()
-                + self
-                    .locals
-                    .iter()
-                    .map(|l| (*l.0.get()).len())
-                    .sum::<usize>()
-        }
+        let local: usize = unsafe { self.locals.iter().map(|l| (*l.0.get()).len()).sum() };
+        self.global_free() + local
+    }
+
+    /// Writes `flit` into the free slot `idx` and mints its ref. The index
+    /// is bounds-checked: in release builds `free` takes its argument on
+    /// trust, so a free list can hold anything a caller forged.
+    #[inline]
+    fn fill(&self, idx: u32, flit: Flit) -> FlitRef {
+        // SAFETY: a slot just taken off a free list has no other owner.
+        unsafe { (*self.slots[idx as usize].get()).write(flit) };
+        self.make_ref(idx)
     }
 
     /// Stamps the current generation of `idx` into a ref.
@@ -192,15 +245,15 @@ impl FlitPool {
         FlitRef(idx)
     }
 
-    /// Bounds- and generation-checks `r`, returning the slot index.
+    /// Checks `r` against the bump mark (and, in debug builds, its
+    /// generation) and returns the slot it names, which `fill` has written.
     #[inline]
-    fn check(&self, r: FlitRef) -> usize {
+    fn slot(&self, r: FlitRef) -> *mut Flit {
         let idx = r.index();
-        debug_assert!(
-            idx < self.slots.len(),
-            "dangling {r:?} (pool capacity {})",
-            self.slots.len()
-        );
+        // Not a debug assertion: memory safety rests on it.
+        if idx >= self.issued() {
+            self.dangling(r);
+        }
         #[cfg(debug_assertions)]
         {
             // SAFETY: the owner of `r` is the only accessor of this slot.
@@ -210,7 +263,21 @@ impl FlitPool {
                 "stale {r:?}: slot generation is {g} (use-after-free)"
             );
         }
-        idx
+        // SAFETY: `idx < issued <= capacity`, and every slot below the mark
+        // was initialised by the `fill` that first issued it.
+        unsafe { (*self.slots.get_unchecked(idx).get()).as_mut_ptr() }
+    }
+
+    /// The failure of [`slot`](Self::slot)'s check, out of line so the check
+    /// costs its callers a compare and a never-taken branch.
+    #[cold]
+    #[inline(never)]
+    fn dangling(&self, r: FlitRef) -> ! {
+        panic!(
+            "dangling {r:?} (pool issued {} of {} slots)",
+            self.issued(),
+            self.slots.len()
+        )
     }
 
     /// Allocates a slot from `shard`'s free stack and writes `flit` into it.
@@ -242,16 +309,20 @@ impl FlitPool {
     /// Panics if the global list is empty.
     pub fn alloc_serial(&self, flit: Flit) -> FlitRef {
         // SAFETY: serial phase — the driver is the only thread running.
-        let idx = unsafe { (*self.global.get()).pop() }.unwrap_or_else(|| {
-            panic!(
+        let recycled = unsafe { (*self.recycled.get()).pop() };
+        let idx = recycled.unwrap_or_else(|| {
+            // The next never-issued slot; past the last one `fill` panics.
+            let issued = self.issued.get();
+            assert!(
+                (issued as usize) < self.slots.len(),
                 "flit pool exhausted (capacity {}): \
                  structural bound violated — credit accounting bug",
                 self.slots.len()
-            )
+            );
+            self.issued.set(issued + 1);
+            issued
         });
-        // SAFETY: a freshly popped free slot has no other owner.
-        unsafe { *self.slots[idx as usize].get() = flit };
-        self.make_ref(idx)
+        self.fill(idx, flit)
     }
 
     /// Like [`alloc`](Self::alloc) but returns `None` on an empty stack.
@@ -260,10 +331,7 @@ impl FlitPool {
         // SAFETY: `shard`'s stack is owned by the calling shard during the
         // parallel phase; the outer `locals` Vec is never resized.
         let stack = unsafe { &mut *self.locals[shard].0.get() };
-        let idx = stack.pop()?;
-        // SAFETY: a freshly popped free slot has no other owner.
-        unsafe { *self.slots[idx as usize].get() = flit };
-        Some(self.make_ref(idx))
+        Some(self.fill(stack.pop()?, flit))
     }
 
     /// Reads the flit behind `r`.
@@ -273,18 +341,16 @@ impl FlitPool {
     /// discipline, not a runtime property).
     #[inline]
     pub fn get(&self, r: FlitRef) -> &Flit {
-        let idx = self.check(r);
         // SAFETY: the owner of `r` is the only accessor of this slot.
-        unsafe { &*self.slots[idx].get() }
+        unsafe { &*self.slot(r) }
     }
 
     /// Mutates the flit behind `r` in place.
     #[inline]
     pub fn update(&self, r: FlitRef, f: impl FnOnce(&mut Flit)) {
-        let idx = self.check(r);
         // SAFETY: the owner of `r` is the only accessor of this slot, and
         // the &mut is confined to the closure call.
-        f(unsafe { &mut *self.slots[idx].get() });
+        f(unsafe { &mut *self.slot(r) });
     }
 
     /// Returns `r`'s slot to the global free list. Serial phase only.
@@ -294,17 +360,18 @@ impl FlitPool {
     /// the generation check.
     #[inline]
     pub fn free(&self, r: FlitRef) {
-        let idx = self.check(r);
         #[cfg(debug_assertions)]
         {
-            // SAFETY: serial phase; bumping invalidates all existing refs.
+            self.slot(r); // the mark and generation checks
+                          // SAFETY: serial phase; bumping invalidates all existing refs.
             unsafe {
-                let g = self.gens[idx].get();
+                let g = self.gens[r.index()].get();
                 *g = (*g).wrapping_add(1);
             }
         }
-        // SAFETY: serial phase — the driver is the only thread running.
-        unsafe { (*self.global.get()).push(idx as u32) };
+        // SAFETY: serial phase — the driver is the only thread running. The
+        // list was reserved to `capacity`, so the push does not allocate.
+        unsafe { (*self.recycled.get()).push(r.index() as u32) };
     }
 
     /// Tops `shard`'s free stack up to at least `target` entries from the
@@ -320,13 +387,19 @@ impl FlitPool {
             if stack.capacity() < target {
                 stack.reserve(target - stack.len());
             }
-            let global = &mut *self.global.get();
+            let recycled = &mut *self.recycled.get();
             while stack.len() < target {
-                match global.pop() {
+                match recycled.pop() {
                     Some(idx) => stack.push(idx),
                     None => break,
                 }
             }
+            // The rest comes from above the mark, in one step.
+            let issued = self.issued.get();
+            let fresh =
+                (target.saturating_sub(stack.len()) as u32).min(self.slots.len() as u32 - issued);
+            stack.extend(issued..issued + fresh);
+            self.issued.set(issued + fresh);
         }
     }
 
@@ -338,9 +411,9 @@ impl FlitPool {
     pub fn reclaim_locals(&self) {
         // SAFETY: serial phase — the driver is the only thread running.
         unsafe {
-            let global = &mut *self.global.get();
+            let recycled = &mut *self.recycled.get();
             for l in &self.locals {
-                global.append(&mut *l.0.get());
+                recycled.append(&mut *l.0.get());
             }
         }
     }
@@ -350,13 +423,13 @@ impl fmt::Debug for FlitPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FlitPool")
             .field("capacity", &self.slots.len())
+            .field("issued", &self.issued())
             .field("max_shards", &self.locals.len())
             .finish_non_exhaustive()
     }
 }
 
-/// The value free slots hold; never observable through a valid ref. Public
-/// because test harnesses use it as a neutral baseline flit to splat fields
+/// A neutral baseline flit for test harnesses and drivers to splat fields
 /// over.
 pub fn placeholder_flit() -> Flit {
     use crate::flit::{FlitKind, PacketClass, RouteInfo};
@@ -454,6 +527,44 @@ mod tests {
         pool.replenish(1, 4);
         let r = pool.alloc(1, flit(7));
         assert_eq!(pool.get(r).src, NodeId::new(7));
+    }
+
+    #[test]
+    fn the_mark_follows_demand_and_recycled_slots_go_first() {
+        // A large reservation costs nothing until used: two live flits
+        // issue two slots, and churn reuses them instead of climbing.
+        let pool = FlitPool::new(1 << 20, 1);
+        assert_eq!((pool.issued(), pool.total_free()), (0, 1 << 20));
+        let a = pool.alloc_serial(flit(1));
+        let mut b = pool.alloc_serial(flit(2));
+        assert_eq!((a.index(), b.index(), pool.issued()), (0, 1, 2));
+        for round in 0..100 {
+            pool.free(b);
+            b = pool.alloc_serial(flit(round));
+            assert_eq!(b.index(), 1, "the freed slot is the next one issued");
+        }
+        assert_eq!(pool.get(a).src, NodeId::new(1));
+        assert_eq!((pool.issued(), pool.total_free()), (2, (1 << 20) - 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "dangling")]
+    fn a_ref_above_the_mark_is_refused_in_every_build() {
+        // Slot 3 exists but was never written; reading it would be reading
+        // uninitialised memory, so the check is not a debug assertion.
+        let big = FlitPool::new(8, 1);
+        let refs: Vec<FlitRef> = (0..4).map(|i| big.alloc_serial(flit(i))).collect();
+        let small = FlitPool::new(8, 1);
+        let _ = small.alloc_serial(flit(0));
+        let _ = small.get(refs[3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dangling")]
+    fn the_invalid_ref_is_refused() {
+        let pool = FlitPool::new(8, 1);
+        let _ = pool.alloc_serial(flit(0));
+        let _ = pool.get(FlitRef::INVALID);
     }
 
     #[test]

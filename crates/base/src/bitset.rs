@@ -5,9 +5,9 @@
 //! `input ports × VCs` in a [`WordMask`], all maintained incrementally at
 //! state transitions; its arbiters are [`BitArbiter`]s whose grant is a
 //! masked `trailing_zeros` scan over either kind of [`RequestSet`] instead
-//! of a per-element `&[bool]` walk. The scalar
-//! [`RrArbiter`](https://docs.rs/..) in `noc_sim::blocks` remains the
-//! behavioural reference: `BitArbiter::grant` is provably (and
+//! of a per-element `&[bool]` walk. The scalar `RrArbiter` the routers used
+//! to run on is kept as the behavioural reference in
+//! `crates/sim/tests/prop_blocks.rs`: `BitArbiter::grant` is provably (and
 //! property-tested to be) grant-for-grant identical to it, including the
 //! rotating-priority pointer state.
 
@@ -16,21 +16,54 @@ const WORD_BITS: usize = u64::BITS as usize;
 
 /// A fixed-size bitset packed into `u64` words.
 ///
-/// Construction allocates the word storage once; every other operation is
-/// allocation-free, so masks embedded in router state preserve the engine's
-/// zero-allocation steady state (`tests/zero_alloc.rs`).
+/// A mask over at most 64 positions keeps its one word in the struct and
+/// owns no heap memory (the pipeline kernel's `in_ports × vcs` sets: 20 bits
+/// on a mesh router, where a heap word was an allocation and a cache line
+/// apiece); wider masks allocate their words once at construction. Every
+/// other operation is allocation-free, so masks embedded in router state
+/// preserve the engine's zero-allocation steady state
+/// (`tests/zero_alloc.rs`).
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct WordMask {
-    words: Vec<u64>,
+    /// The only word of a mask over at most [`WORD_BITS`] positions; zero
+    /// and unused otherwise.
+    inline: u64,
+    /// Every word of a wider mask; empty (no allocation) otherwise.
+    heap: Box<[u64]>,
     bits: usize,
 }
 
 impl WordMask {
     /// Creates an all-clear mask over `bits` bit positions.
     pub fn new(bits: usize) -> Self {
+        let heap = if bits > WORD_BITS {
+            vec![0; bits.div_ceil(WORD_BITS)].into()
+        } else {
+            Box::default()
+        };
         Self {
-            words: vec![0; bits.div_ceil(WORD_BITS).max(1)],
+            inline: 0,
+            heap,
             bits,
+        }
+    }
+
+    /// The storage words, wherever they live.
+    #[inline]
+    fn words(&self) -> &[u64] {
+        if self.heap.is_empty() {
+            std::slice::from_ref(&self.inline)
+        } else {
+            &self.heap
+        }
+    }
+
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        if self.heap.is_empty() {
+            std::slice::from_mut(&mut self.inline)
+        } else {
+            &mut self.heap
         }
     }
 
@@ -54,21 +87,21 @@ impl WordMask {
     #[inline]
     pub fn set(&mut self, bit: usize) {
         self.check(bit);
-        self.words[bit / WORD_BITS] |= 1u64 << (bit % WORD_BITS);
+        self.words_mut()[bit / WORD_BITS] |= 1u64 << (bit % WORD_BITS);
     }
 
     /// Clears bit `bit`.
     #[inline]
     pub fn clear(&mut self, bit: usize) {
         self.check(bit);
-        self.words[bit / WORD_BITS] &= !(1u64 << (bit % WORD_BITS));
+        self.words_mut()[bit / WORD_BITS] &= !(1u64 << (bit % WORD_BITS));
     }
 
     /// Sets or clears bit `bit`.
     #[inline]
     pub fn assign(&mut self, bit: usize, value: bool) {
         self.check(bit);
-        let word = &mut self.words[bit / WORD_BITS];
+        let word = &mut self.words_mut()[bit / WORD_BITS];
         let mask = 1u64 << (bit % WORD_BITS);
         if value {
             *word |= mask;
@@ -81,25 +114,25 @@ impl WordMask {
     #[inline]
     pub fn get(&self, bit: usize) -> bool {
         self.check(bit);
-        self.words[bit / WORD_BITS] & (1u64 << (bit % WORD_BITS)) != 0
+        self.words()[bit / WORD_BITS] & (1u64 << (bit % WORD_BITS)) != 0
     }
 
     /// Clears every bit.
     #[inline]
     pub fn clear_all(&mut self) {
-        self.words.fill(0);
+        self.words_mut().fill(0);
     }
 
     /// Whether any bit is set.
     #[inline]
     pub fn any(&self) -> bool {
-        self.words.iter().any(|&w| w != 0)
+        self.words().iter().any(|&w| w != 0)
     }
 
     /// Number of set bits.
     #[inline]
     pub fn popcount(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
+        self.words().iter().map(|w| w.count_ones()).sum()
     }
 
     /// ORs `other` into `self` word-by-word. Both masks must have the same
@@ -108,23 +141,9 @@ impl WordMask {
     #[inline]
     pub fn union_with(&mut self, other: &WordMask) {
         debug_assert_eq!(self.bits, other.bits, "union of differently-sized masks");
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
+        for (w, o) in self.words_mut().iter_mut().zip(other.words()) {
             *w |= o;
         }
-    }
-
-    /// The raw word at `index` (bits `index * 64 ..`). Lets callers iterate
-    /// set bits from a *copied* word while mutating other state — the pattern
-    /// the pipeline kernel's scans use to avoid holding a borrow of the mask.
-    #[inline]
-    pub fn word(&self, index: usize) -> u64 {
-        self.words[index]
-    }
-
-    /// Number of storage words.
-    #[inline]
-    pub fn num_words(&self) -> usize {
-        self.words.len()
     }
 
     /// Index of the lowest set bit at or above `start`, if any.
@@ -133,18 +152,19 @@ impl WordMask {
         if start >= self.bits {
             return None;
         }
+        let words = self.words();
         let mut wi = start / WORD_BITS;
         // Mask off the bits below `start` in its own word.
-        let mut word = self.words[wi] & (!0u64 << (start % WORD_BITS));
+        let mut word = words[wi] & (!0u64 << (start % WORD_BITS));
         loop {
             if word != 0 {
                 return Some(wi * WORD_BITS + word.trailing_zeros() as usize);
             }
             wi += 1;
-            if wi >= self.words.len() {
+            if wi >= words.len() {
                 return None;
             }
-            word = self.words[wi];
+            word = words[wi];
         }
     }
 
@@ -153,7 +173,7 @@ impl WordMask {
     /// `i` still has work. `keep` sees each bit that was set on entry once.
     #[inline]
     pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        for (wi, stored) in self.words.iter_mut().enumerate() {
+        for (wi, stored) in self.words_mut().iter_mut().enumerate() {
             let mut word = *stored;
             while word != 0 {
                 let bit = word.trailing_zeros() as usize;
@@ -167,9 +187,10 @@ impl WordMask {
 
     /// Iterates the set bits in ascending order.
     pub fn iter(&self) -> SetBits<'_> {
+        let words = self.words();
         SetBits {
-            mask: self,
-            word: self.words[0],
+            words,
+            word: words[0],
             word_index: 0,
         }
     }
@@ -187,7 +208,7 @@ impl<'a> IntoIterator for &'a WordMask {
 /// Ascending iterator over the set bits of a [`WordMask`].
 #[derive(Clone, Debug)]
 pub struct SetBits<'a> {
-    mask: &'a WordMask,
+    words: &'a [u64],
     word: u64,
     word_index: usize,
 }
@@ -199,10 +220,7 @@ impl Iterator for SetBits<'_> {
     fn next(&mut self) -> Option<usize> {
         while self.word == 0 {
             self.word_index += 1;
-            if self.word_index >= self.mask.words.len() {
-                return None;
-            }
-            self.word = self.mask.words[self.word_index];
+            self.word = *self.words.get(self.word_index)?;
         }
         let bit = self.word.trailing_zeros() as usize;
         self.word &= self.word - 1; // strip lowest set bit
@@ -354,21 +372,22 @@ impl RequestSet for Mask64 {
 
 /// A work-conserving round-robin arbiter over a [`RequestSet`].
 ///
-/// Semantics are identical to the scalar `RrArbiter` in `noc_sim::blocks`
-/// (the retained reference implementation): the grant is the first requesting
-/// index at or after the rotating-priority pointer, wrapping once; the
-/// pointer then moves one past the winner. An all-clear request set returns
-/// `None` and leaves the pointer untouched. The linear scan is replaced by at
-/// most two `first_set_from` probes (mask off the bits below the pointer +
-/// count trailing zeros) — one or two word operations on a [`Mask64`], a
-/// word walk on a [`WordMask`].
+/// Semantics are identical to the scalar `RrArbiter` (the reference
+/// implementation retained in `crates/sim/tests/prop_blocks.rs`): the grant
+/// is the first requesting index at or after the rotating-priority pointer,
+/// wrapping once; the pointer then moves one past the winner. An all-clear
+/// request set returns `None` and leaves the pointer untouched. The linear
+/// scan is replaced by at most two `first_set_from` probes (mask off the bits
+/// below the pointer + count trailing zeros) — one or two word operations on
+/// a [`Mask64`], a word walk on a [`WordMask`].
 ///
-/// Both fields are `u32` so an arbiter embedded in a per-port record of the
-/// pipeline kernel costs one word.
+/// Both fields are `u16` (a router has at most 64 × 64 input VCs) so an
+/// arbiter embedded in a per-port record of the pipeline kernel costs half a
+/// word.
 #[derive(Clone, Debug)]
 pub struct BitArbiter {
-    next: u32,
-    n: u32,
+    next: u16,
+    n: u16,
 }
 
 impl BitArbiter {
@@ -376,10 +395,10 @@ impl BitArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or does not fit `u32`.
+    /// Panics if `n` is zero or does not fit `u16`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "arbiter needs at least one requester");
-        let n = u32::try_from(n).expect("arbiter width fits u32");
+        let n = u16::try_from(n).expect("arbiter width fits u16");
         Self { next: 0, n }
     }
 
@@ -404,7 +423,7 @@ impl BitArbiter {
             .or_else(|| requests.first_set_from(0))?;
         // `winner < n`, so the increment cannot overflow; the compare wraps
         // the pointer without a division.
-        let next = winner as u32 + 1;
+        let next = winner as u16 + 1;
         self.next = if next == self.n { 0 } else { next };
         Some(winner)
     }
@@ -519,6 +538,27 @@ mod tests {
             again.set(5);
             again
         });
+    }
+
+    #[test]
+    fn the_inline_word_and_the_heap_words_behave_alike() {
+        // 64 positions is the widest mask that owns no heap word.
+        for bits in [1, 63, 64, 65, 128, 129] {
+            let mut m = WordMask::new(bits);
+            let top = bits - 1;
+            m.set(top);
+            m.set(0);
+            assert!(m.get(top) && m.get(0) && m.any());
+            assert_eq!(m.first_set_from(1), (top > 0).then_some(top));
+            assert_eq!(m.iter().last(), Some(top));
+            let mut other = WordMask::new(bits);
+            other.union_with(&m);
+            assert_eq!(other, m);
+            m.retain(|b| b == top);
+            assert_eq!(m.popcount(), 1);
+            m.clear_all();
+            assert!(!m.any());
+        }
     }
 
     #[test]

@@ -139,11 +139,23 @@ impl Checkpoint {
         })
     }
 
-    /// Reads the checkpoint from a campaign directory, if one is present
-    /// and well-formed.
-    pub fn load(campaign_dir: &Path) -> Option<Self> {
-        let text = std::fs::read_to_string(Self::path(campaign_dir)).ok()?;
-        Self::from_json(&text).ok()
+    /// Reads the checkpoint from a campaign directory; `None` when the
+    /// directory has none.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`Error`] naming the file when it exists but is unreadable
+    /// or not a checkpoint document — which is not "no campaign here".
+    pub fn load(campaign_dir: &Path) -> Result<Option<Self>, Error> {
+        let path = Self::path(campaign_dir);
+        let unreadable = |why: String| Error(format!("{} is unreadable: {why}", path.display()));
+        match std::fs::read_to_string(&path) {
+            Ok(text) => Self::from_json(&text)
+                .map(Some)
+                .map_err(|e| unreadable(e.0)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(unreadable(e.to_string())),
+        }
     }
 
     fn store(&self, campaign_dir: &Path) -> Result<(), Error> {

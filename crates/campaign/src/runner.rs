@@ -10,7 +10,7 @@
 
 use crate::spec::{routing_name, PointSpec, SchemeChoice};
 use crate::Error;
-use noc_base::{Mask64, RouterId};
+use noc_base::{FlitPool, Mask64, RouterId};
 use noc_sim::{auto_threads, config_hash, MetricsConfig, SimReport, Simulation, ThreadDecision};
 use noc_topology::{FlattenedButterfly, HierRing, Mecs, Mesh, Ring, SharedTopology, Topology};
 use noc_traffic::{BenchmarkProfile, CmpTraffic, SyntheticPattern, SyntheticTraffic, TrafficModel};
@@ -184,7 +184,9 @@ pub struct PreparedPoint {
 /// Returns an [`Error`] naming the field and the rule: VCs, buffer depth and
 /// packet length at least 1; at most [`Mask64::WIDTH`] VCs per port and
 /// input or output ports per router (the routers keep one-word masks over
-/// them); load in `(0, 1]`; the VC count divisible by the deadlock-class
+/// them); buffers the flit slab can index ([`Simulation::flit_capacity`] at
+/// most [`FlitPool::MAX_CAPACITY`]); load in `(0, 1]`; the VC count divisible
+/// by the deadlock-class
 /// count of the routing policy on this topology; and for `evc` a single
 /// deadlock class and an even VC count.
 pub fn validate(point: &PointSpec, topo: &dyn Topology) -> Result<(), Error> {
@@ -213,6 +215,17 @@ pub fn validate(point: &PointSpec, topo: &dyn Topology) -> Result<(), Error> {
     }
     if point.buffer == 0 {
         return fail("buffer: must be at least 1".into());
+    }
+    let flits = Simulation::flit_capacity(topo, &point.network_config());
+    if flits > FlitPool::MAX_CAPACITY as u64 {
+        return fail(format!(
+            "buffer: {} flits on each of {} VCs make room for {flits} flits in flight on {}, \
+             at most {} are supported",
+            point.buffer,
+            point.vcs,
+            topo.name(),
+            FlitPool::MAX_CAPACITY
+        ));
     }
     if point.packet == 0 {
         return fail("packet: must be at least 1".into());

@@ -122,7 +122,9 @@ fn interrupted_campaign_resumes_to_the_uninterrupted_report() {
         assert_eq!(outcome.completed, round == 3, "round {round}");
         assert_eq!(outcome.cache_hits, round, "resume skips finished points");
         // The checkpoint ledger tracks progress across interruptions.
-        let cp = Checkpoint::load(&resumed_dir).expect("checkpoint");
+        let cp = Checkpoint::load(&resumed_dir)
+            .expect("readable")
+            .expect("checkpoint");
         assert_eq!(cp.spec_hash, spec.spec_hash());
         assert_eq!((cp.total, cp.done), (4, round as u64 + 1));
     }

@@ -76,13 +76,22 @@ struct OutputRegs {
     history: Option<PortIndex>,
 }
 
-/// Pseudo-circuit state for one router: one record per input port, one per
-/// output port.
+/// The registers of input port `p` and the state of output port `p`. The
+/// two are unrelated (the port counts need not agree); they share a record so
+/// the unit is one allocation — 70 bytes on a 5-port router.
+#[derive(Copy, Clone, Debug)]
+struct PortRegs {
+    input: PcRegisters,
+    output: OutputRegs,
+}
+
+/// Pseudo-circuit state for one router: one record per port index.
 #[derive(Clone, Debug)]
 pub struct PseudoCircuitUnit {
-    regs: Vec<PcRegisters>,
-    outs: Vec<OutputRegs>,
-    // One-word summaries of the two arrays, written beside them by
+    ports: Box<[PortRegs]>,
+    in_ports: u8,
+    out_ports: u8,
+    // One-word summaries of the records, written beside them by
     // `establish` / `terminate` / `try_restore`: input ports whose register
     // is valid, output ports with a holder, output ports with a history
     // entry. The per-cycle scans of the circuit datapath intersect these
@@ -110,9 +119,14 @@ impl PseudoCircuitUnit {
                 Mask64::WIDTH
             );
         }
+        let port = PortRegs {
+            input: PcRegisters::empty(),
+            output: OutputRegs::default(),
+        };
         Self {
-            regs: vec![PcRegisters::empty(); in_ports],
-            outs: vec![OutputRegs::default(); out_ports],
+            ports: vec![port; in_ports.max(out_ports)].into(),
+            in_ports: in_ports as u8,
+            out_ports: out_ports as u8,
             live_mask: Mask64::EMPTY,
             held_mask: Mask64::EMPTY,
             history_mask: Mask64::EMPTY,
@@ -123,24 +137,27 @@ impl PseudoCircuitUnit {
 
     /// The registers of an input port (live or stale).
     pub fn registers(&self, in_port: PortIndex) -> PcRegisters {
-        self.regs[in_port.index()]
+        debug_assert!(in_port.index() < usize::from(self.in_ports));
+        self.ports[in_port.index()].input
     }
 
     /// The live pseudo-circuit at `in_port`, if any.
     pub fn live(&self, in_port: PortIndex) -> Option<PcRegisters> {
-        let r = self.regs[in_port.index()];
+        let r = self.registers(in_port);
         r.valid.then_some(r)
     }
 
     /// The input port holding `out_port`'s crossbar connection, if any.
     pub fn holder(&self, out_port: PortIndex) -> Option<PortIndex> {
-        self.outs[out_port.index()].holder
+        debug_assert!(out_port.index() < usize::from(self.out_ports));
+        self.ports[out_port.index()].output.holder
     }
 
     /// The speculation history register of `out_port`: the input port of the
     /// most recently terminated pseudo-circuit there.
     pub fn history(&self, out_port: PortIndex) -> Option<PortIndex> {
-        self.outs[out_port.index()].history
+        debug_assert!(out_port.index() < usize::from(self.out_ports));
+        self.ports[out_port.index()].output.history
     }
 
     /// Input ports with a live pseudo-circuit.
@@ -192,20 +209,20 @@ impl PseudoCircuitUnit {
             }
         }
         // Terminate whichever circuit currently holds the output port.
-        if let Some(holder) = self.outs[out_port.index()].holder {
+        if let Some(holder) = self.holder(out_port) {
             if holder != in_port {
                 self.terminate(holder, Termination::Conflict);
                 outcome.terminated[1] = Some((holder, out_port));
             }
         }
-        outcome.created = self.outs[out_port.index()].holder != Some(in_port);
-        self.regs[in_port.index()] = PcRegisters {
+        outcome.created = self.holder(out_port) != Some(in_port);
+        self.ports[in_port.index()].input = PcRegisters {
             valid: true,
             in_vc,
             out_port,
             hops,
         };
-        self.outs[out_port.index()].holder = Some(in_port);
+        self.ports[out_port.index()].output.holder = Some(in_port);
         self.live_mask.set(in_port.index());
         self.held_mask.set(out_port.index());
         outcome
@@ -214,13 +231,13 @@ impl PseudoCircuitUnit {
     /// Terminates the live pseudo-circuit at `in_port` (no-op when none),
     /// recording it in the output port's history register.
     pub fn terminate(&mut self, in_port: PortIndex, why: Termination) {
-        let reg = &mut self.regs[in_port.index()];
+        let reg = &mut self.ports[in_port.index()].input;
         if !reg.valid {
             return;
         }
         reg.valid = false;
         let out = reg.out_port;
-        let regs = &mut self.outs[out.index()];
+        let regs = &mut self.ports[out.index()].output;
         debug_assert_eq!(regs.holder, Some(in_port), "hold desync");
         regs.holder = None;
         regs.history = Some(in_port);
@@ -240,19 +257,18 @@ impl PseudoCircuitUnit {
     /// was restored; the caller is responsible for the downstream-credit
     /// check.
     pub fn try_restore(&mut self, out_port: PortIndex) -> bool {
-        let out = self.outs[out_port.index()];
-        if out.holder.is_some() {
+        if self.holder(out_port).is_some() {
             return false;
         }
-        let Some(h) = out.history else {
+        let Some(h) = self.history(out_port) else {
             return false;
         };
-        let reg = self.regs[h.index()];
+        let reg = self.registers(h);
         if reg.valid || reg.out_port != out_port {
             return false;
         }
-        self.regs[h.index()].valid = true;
-        self.outs[out_port.index()].holder = Some(h);
+        self.ports[h.index()].input.valid = true;
+        self.ports[out_port.index()].output.holder = Some(h);
         self.live_mask.set(h.index());
         self.held_mask.set(out_port.index());
         true
@@ -262,34 +278,36 @@ impl PseudoCircuitUnit {
     /// the records they summarize; used by debug assertions and property
     /// tests.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (i, reg) in self.regs.iter().enumerate() {
-            if reg.valid && self.outs[reg.out_port.index()].holder != Some(PortIndex::new(i)) {
+        for i in 0..usize::from(self.in_ports) {
+            let reg = self.registers(PortIndex::new(i));
+            if reg.valid && self.holder(reg.out_port) != Some(PortIndex::new(i)) {
                 return Err(format!("input {i} valid but output not held by it"));
             }
             if self.live_mask.get(i) != reg.valid {
                 return Err(format!("stale live_mask bit of input {i}"));
             }
         }
-        for (o, out) in self.outs.iter().enumerate() {
-            let h = out.holder;
+        for o in 0..usize::from(self.out_ports) {
+            let h = self.holder(PortIndex::new(o));
             if self.held_mask.get(o) != h.is_some() {
                 return Err(format!("stale held_mask bit of output {o}"));
             }
-            if self.history_mask.get(o) != out.history.is_some() {
+            if self.history_mask.get(o) != self.history(PortIndex::new(o)).is_some() {
                 return Err(format!("stale history_mask bit of output {o}"));
             }
             if let Some(input) = h {
-                if !self.regs[input.index()].valid {
+                let reg = self.registers(input);
+                if !reg.valid {
                     return Err(format!("output {o} held by invalid input {input}"));
                 }
-                if self.regs[input.index()].out_port.index() != o {
+                if reg.out_port.index() != o {
                     return Err(format!("output {o} holder points elsewhere"));
                 }
                 // Quadratic duplicate scan instead of a hash set: the port
                 // count is tiny, and this runs inside a per-step
                 // debug_assert, which must stay allocation-free
                 // (tests/zero_alloc.rs counts debug builds too).
-                if self.outs[..o].iter().any(|earlier| earlier.holder == h) {
+                if (0..o).any(|earlier| self.holder(PortIndex::new(earlier)) == h) {
                     return Err(format!("input {input} holds two outputs"));
                 }
             }

@@ -1,11 +1,9 @@
-//! Reusable router microarchitecture building blocks.
-//!
-//! The pseudo-circuit router (`pseudo-circuit` crate) and the EVC comparison
-//! router (`noc-evc` crate) are assembled from the same primitives: a bank of
-//! bounded ring-buffer FIFOs with pipeline-stage readiness ([`FifoBank`]),
-//! round-robin arbiters, and per-channel credit books.
+//! The router's flit buffers: a bank of bounded ring-buffer FIFOs with
+//! pipeline-stage readiness ([`FifoBank`]), one run of words per input VC.
+//! Every router scheme buffers through it (it is the pipeline kernel's
+//! input-VC state), and it is the one ring implementation in the workspace.
 
-use noc_base::{FlitRef, VcIndex};
+use noc_base::FlitRef;
 use std::error::Error;
 use std::fmt;
 
@@ -22,76 +20,146 @@ impl fmt::Display for FifoFullError {
 
 impl Error for FifoFullError {}
 
-/// Every input-VC buffer of one router, as fixed-stride ring buffers over two
-/// contiguous backing arrays.
+/// One cache line of backing store: the bank's runs are carved out of an
+/// array of these, so the store starts on a line boundary and a run that
+/// fills a line (the paper's depth of 4) never straddles two.
+#[derive(Copy, Clone, Debug)]
+#[repr(C, align(64))]
+struct Line([u64; 8]);
+
+/// Words of a run before its ready cycles: the cursor and the tag.
+const RUN_HEADER: usize = 2;
+
+/// Every input-VC buffer of one router: one contiguous **run** of `u64` words
+/// per slot, all in one allocation. Slot `s` (the kernel's `slot = in_port *
+/// vcs + vc` scheme) owns words `[s * stride, (s + 1) * stride)`:
 ///
-/// Slot `s` (the kernel's `slot = in_port * vcs + vc` scheme) owns the range
-/// `[s * depth, (s + 1) * depth)` of the parallel `refs` / `ready` arrays:
-/// the buffered [`FlitRef`] and the first cycle it may leave (the cycle after
-/// its buffer-write stage). Per-slot `head` / `len` cursors make each range a
-/// ring buffer, so a push or pop is two or three array writes into memory
-/// shared with every other buffer of the router — no per-VC `VecDeque`, no
-/// pointer chasing, no per-flit allocation.
+/// | words | content |
+/// |---|---|
+/// | 0 | ring cursor: `head` in the low half, `len` in the high half |
+/// | 1 | the slot's *tag*, a word its owner keeps beside the ring ([`tag`](Self::tag)) |
+/// | 2 .. 2 + depth | the first cycle each buffered flit may leave (the cycle after its buffer-write stage) — a full `u64` each, fast-forwarding jumps the clock arbitrarily far |
+/// | 2 + depth .. | the buffered [`FlitRef`]s, two to a word |
+///
+/// So a push, a pop or a readiness test on a VC, and its owner's read of
+/// what it knows about that VC, touch one cache line (64 bytes at depth 4)
+/// where an array per field touched one line per field. No per-VC
+/// `VecDeque`, no pointer chasing, no per-flit allocation.
+///
+/// # The unchecked ring access
+///
+/// Every accessor takes its run from [`run`](Self::run), whose one *checked*
+/// comparison `slot < slots`, with the store's construction-time size
+/// (`slots * stride` words, never resized), puts all `stride` words of the
+/// run in bounds. Inside the run a position is `head + offset` wrapped once,
+/// with `head < depth` a ring invariant (`new` zeroes it, `pop` wraps it) and
+/// `offset <= len <= depth`, so every ready word and ref addressed lies in
+/// the run; debug builds assert both. The store is zeroed at construction,
+/// and a ref is read only below `len`, after `push` wrote it.
 #[derive(Clone, Debug)]
 pub struct FifoBank {
-    refs: Vec<FlitRef>,
-    ready: Vec<u64>,
-    head: Vec<u32>,
-    len: Vec<u32>,
+    store: Box<[Line]>,
+    slots: usize,
     depth: usize,
+    /// Words per run.
+    stride: usize,
 }
 
 impl FifoBank {
-    /// Creates `slots` ring buffers of `depth` flits each.
+    /// Creates `slots` ring buffers of `depth` flits each, all tags zero.
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is zero.
+    /// Panics if `depth` is zero or does not fit the 32-bit cursor.
     pub fn new(slots: usize, depth: usize) -> Self {
         assert!(depth > 0, "buffer depth must be nonzero");
+        assert!(
+            u32::try_from(depth).is_ok(),
+            "buffer depth {depth} too deep"
+        );
+        let stride = RUN_HEADER + depth + depth.div_ceil(2);
+        let words = slots.checked_mul(stride).expect("bank size overflows");
         Self {
-            refs: vec![FlitRef::INVALID; slots * depth],
-            ready: vec![0; slots * depth],
-            head: vec![0; slots],
-            len: vec![0; slots],
+            store: vec![Line([0; 8]); words.div_ceil(8)].into(),
+            slots,
             depth,
+            stride,
         }
     }
 
-    /// Position of the `offset`-th occupied entry of `slot` in the backing
-    /// arrays. `offset` is always < `depth` (it indexes an occupied entry),
-    /// so the ring wrap is one conditional subtract, not a division — this
-    /// sits on the per-flit hot path.
-    ///
-    /// SAFETY contract (callers are in this impl only): `slot` has already
-    /// been bounds-checked against `len`/`head` (all four vectors are sized
-    /// together at construction and never resized), and the returned
-    /// position is `< refs.len()`: `head[slot] < depth` is a ring invariant
-    /// (`new` zeroes it, `pop` wraps it), so `o < depth` and
-    /// `slot * depth + o < (slot + 1) * depth <= refs.len()`.
+    /// Word offset of `slot`'s run in the store: the one checked comparison
+    /// every accessor starts with (its failure out of line, so the check is
+    /// a compare and a never-taken branch).
     #[inline]
-    fn pos(&self, slot: usize, offset: usize) -> usize {
-        // SAFETY: see above — every public caller indexes `self.len[slot]`
-        // first, whose panic proves `slot` in range here.
-        let h = unsafe { *self.head.get_unchecked(slot) } as usize;
-        debug_assert!(h < self.depth && offset < self.depth);
-        let mut o = h + offset;
+    fn offset(&self, slot: usize) -> usize {
+        #[cold]
+        #[inline(never)]
+        fn out_of_range(slot: usize, slots: usize) -> ! {
+            panic!("slot {slot} out of range ({slots} slots)")
+        }
+        if slot >= self.slots {
+            out_of_range(slot, self.slots);
+        }
+        slot * self.stride
+    }
+
+    /// The first word of `slot`'s run.
+    #[inline]
+    fn run(&self, slot: usize) -> *const u64 {
+        // SAFETY: the store holds at least `slots * stride` words (`new`)
+        // and `offset` checked `slot < slots`, so the whole run is inside
+        // the allocation.
+        unsafe { self.store.as_ptr().cast::<u64>().add(self.offset(slot)) }
+    }
+
+    /// [`run`](Self::run), for writing.
+    #[inline]
+    fn run_mut(&mut self, slot: usize) -> *mut u64 {
+        let offset = self.offset(slot);
+        // SAFETY: as in `run`.
+        unsafe { self.store.as_mut_ptr().cast::<u64>().add(offset) }
+    }
+
+    /// `(head, len)` of the run at `run`.
+    #[inline]
+    fn cursor(&self, run: *const u64) -> (usize, usize) {
+        // SAFETY: word 0 of a run that `run`/`run_mut` returned.
+        let word = unsafe { *run };
+        let (head, len) = (word as u32 as usize, (word >> 32) as usize);
+        debug_assert!(head < self.depth && len <= self.depth);
+        (head, len)
+    }
+
+    /// Ring position `head + offset`, wrapped. `offset <= depth`, so the wrap
+    /// is one conditional subtract, not a division — this sits on the
+    /// per-flit hot path.
+    #[inline]
+    fn wrap(&self, head: usize, offset: usize) -> usize {
+        debug_assert!(head < self.depth && offset <= self.depth);
+        let o = head + offset;
         if o >= self.depth {
-            o -= self.depth;
+            o - self.depth
+        } else {
+            o
         }
-        slot * self.depth + o
     }
 
-    /// Reads `(refs[pos], ready[pos])` without re-checking bounds.
+    /// Reads the `(ref, ready_at)` at ring position `o` of the run at `run`.
+    ///
+    /// # Safety
+    ///
+    /// `run` came from [`run`](Self::run) or [`run_mut`](Self::run_mut), `o <
+    /// depth`, and `push` has written the entry.
     #[inline]
-    fn entry(&self, pos: usize) -> (FlitRef, u64) {
-        debug_assert!(pos < self.refs.len());
-        // SAFETY: `pos` came from `pos()`, which proves the range above.
+    unsafe fn entry(&self, run: *const u64, o: usize) -> (FlitRef, u64) {
+        debug_assert!(o < self.depth);
+        // SAFETY: the ready cycles are words `2..2 + depth` of the run and
+        // the refs fill the `ceil(depth / 2)` words after them, so both
+        // reads stay inside the run for `o < depth`; a `FlitRef` is a
+        // transparent `u32`, aligned wherever a half-word is.
         unsafe {
-            (
-                *self.refs.get_unchecked(pos),
-                *self.ready.get_unchecked(pos),
-            )
+            let refs = run.add(RUN_HEADER + self.depth).cast::<FlitRef>();
+            (*refs.add(o), *run.add(RUN_HEADER + o))
         }
     }
 
@@ -102,230 +170,91 @@ impl FifoBank {
     /// Returns [`FifoFullError`] when the ring is full.
     #[inline]
     pub fn push(&mut self, slot: usize, r: FlitRef, ready_at: u64) -> Result<(), FifoFullError> {
-        let len = self.len[slot] as usize;
+        let run = self.run_mut(slot);
+        let (head, len) = self.cursor(run);
         if len >= self.depth {
             return Err(FifoFullError);
         }
-        let pos = self.pos(slot, len);
-        debug_assert!(pos < self.refs.len());
-        // SAFETY: `pos()` proves the range (see its contract); `slot` was
-        // bounds-checked by the `self.len[slot]` read above.
+        let o = self.wrap(head, len);
+        // SAFETY: `o < depth` (`wrap`), so both stores land where `entry`
+        // reads them, inside the run; word 0 is the cursor, whose high half
+        // is `len`.
         unsafe {
-            *self.refs.get_unchecked_mut(pos) = r;
-            *self.ready.get_unchecked_mut(pos) = ready_at;
-            *self.len.get_unchecked_mut(slot) += 1;
+            *run.add(RUN_HEADER + o) = ready_at;
+            *run.add(RUN_HEADER + self.depth).cast::<FlitRef>().add(o) = r;
+            *run += 1 << 32;
         }
         Ok(())
+    }
+
+    /// The head `(ref, ready_at)` of `slot`, if any.
+    #[inline]
+    fn head(&self, slot: usize) -> Option<(FlitRef, u64)> {
+        let run = self.run(slot);
+        let (head, len) = self.cursor(run);
+        // SAFETY: `head < depth` is the ring invariant, and the head entry
+        // is below `len`.
+        (len > 0).then(|| unsafe { self.entry(run, head) })
     }
 
     /// The head flit ref of `slot`, if any (ready or not).
     #[inline]
     pub fn head_ref(&self, slot: usize) -> Option<FlitRef> {
-        (self.len[slot] > 0).then(|| self.entry(self.pos(slot, 0)).0)
+        self.head(slot).map(|(r, _)| r)
     }
 
     /// The head flit ref of `slot` if it is ready at `cycle`.
     #[inline]
     pub fn head_ready(&self, slot: usize, cycle: u64) -> Option<FlitRef> {
-        if self.len[slot] == 0 {
-            return None;
-        }
-        let (r, ready_at) = self.entry(self.pos(slot, 0));
-        (ready_at <= cycle).then_some(r)
+        self.head(slot)
+            .filter(|&(_, ready_at)| ready_at <= cycle)
+            .map(|(r, _)| r)
     }
 
     /// Removes and returns the head `(ref, ready_at)` of `slot`.
     #[inline]
     pub fn pop(&mut self, slot: usize) -> Option<(FlitRef, u64)> {
-        if self.len[slot] == 0 {
+        let run = self.run_mut(slot);
+        let (head, len) = self.cursor(run);
+        if len == 0 {
             return None;
         }
-        let pos = self.pos(slot, 0);
-        let out = self.entry(pos);
-        let next = self.head[slot] as usize + 1;
-        // SAFETY: `pos()` proves `pos < refs.len()`; `slot` was
-        // bounds-checked by the `self.len[slot]` read above.
+        // SAFETY: `head < depth` is the ring invariant and the head entry is
+        // below `len`; word 0 is the cursor, rewritten with the head
+        // advanced (wrapped) and `len - 1`.
         unsafe {
-            *self.refs.get_unchecked_mut(pos) = FlitRef::INVALID;
-            *self.head.get_unchecked_mut(slot) = if next >= self.depth { 0 } else { next } as u32;
-            *self.len.get_unchecked_mut(slot) -= 1;
+            let out = self.entry(run, head);
+            *run = self.wrap(head, 1) as u64 | ((len - 1) as u64) << 32;
+            Some(out)
         }
-        Some(out)
     }
 
     /// Number of flits buffered in `slot`.
     #[inline]
     pub fn len(&self, slot: usize) -> usize {
-        self.len[slot] as usize
+        self.cursor(self.run(slot)).1
     }
 
     /// Whether `slot` is empty.
     #[inline]
     pub fn is_empty(&self, slot: usize) -> bool {
-        self.len[slot] == 0
+        self.len(slot) == 0
     }
 
-    /// Whether `slot` is full.
+    /// The word `slot`'s owner keeps beside its ring, zero until set. The
+    /// bank never interprets it: it is there so per-VC state read together
+    /// with the ring (the pipeline kernel's packet claim) shares its line.
     #[inline]
-    pub fn is_full(&self, slot: usize) -> bool {
-        self.len[slot] as usize >= self.depth
+    pub fn tag(&self, slot: usize) -> u64 {
+        // SAFETY: word 1 of the run.
+        unsafe { *self.run(slot).add(1) }
     }
 
-    /// Per-slot capacity in flits.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Number of ring buffers in the bank.
-    pub fn slots(&self) -> usize {
-        self.head.len()
-    }
-}
-
-/// A work-conserving round-robin arbiter over `n` requesters.
-#[derive(Clone, Debug)]
-pub struct RrArbiter {
-    next: usize,
-    n: usize,
-}
-
-impl RrArbiter {
-    /// Creates an arbiter over `n` requesters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "arbiter needs at least one requester");
-        Self { next: 0, n }
-    }
-
-    /// Grants one of the requesting indices (where `requests[i]` is true),
-    /// rotating priority so the winner moves to lowest priority.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len() != n`.
-    pub fn grant(&mut self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.n, "request vector size mismatch");
-        for offset in 0..self.n {
-            let i = (self.next + offset) % self.n;
-            if requests[i] {
-                self.next = (i + 1) % self.n;
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    /// Number of requesters.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Always false; arbiters are non-empty by construction.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The rotating-priority pointer. `RrArbiter` is the behavioural
-    /// reference for [`noc_base::BitArbiter`]; the equivalence property
-    /// tests compare this state, not just the grant sequences.
-    pub fn pointer(&self) -> usize {
-        self.next
-    }
-}
-
-/// Per-output-channel credit counters: one counter per (drop position, VC).
-///
-/// `sub` indexes the drop position of a multidrop channel (always 0 for
-/// point-to-point links).
-#[derive(Clone, Debug)]
-pub struct CreditBook {
-    credits: Vec<u32>,
-    subs: usize,
-    vcs: usize,
-    capacity: u32,
-}
-
-impl CreditBook {
-    /// Creates a credit book for `subs` drop positions × `vcs` VCs, each
-    /// starting with `capacity` credits (the downstream buffer depth).
-    ///
-    /// `subs == 0` creates an unconnected book (all queries return 0).
-    pub fn new(subs: usize, vcs: usize, capacity: u32) -> Self {
-        Self {
-            credits: vec![capacity; subs * vcs],
-            subs,
-            vcs,
-            capacity,
-        }
-    }
-
+    /// Sets `slot`'s [`tag`](Self::tag).
     #[inline]
-    fn slot(&self, sub: usize, vc: VcIndex) -> usize {
-        debug_assert!(sub < self.subs, "sub {sub} out of range");
-        debug_assert!(vc.index() < self.vcs, "vc {vc} out of range");
-        sub * self.vcs + vc.index()
-    }
-
-    /// Credits available for (`sub`, `vc`); 0 for unconnected books.
-    pub fn available(&self, sub: usize, vc: VcIndex) -> u32 {
-        if self.subs == 0 {
-            return 0;
-        }
-        self.credits[self.slot(sub, vc)]
-    }
-
-    /// Consumes one credit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no credit is available — that is a flow-control bug.
-    pub fn consume(&mut self, sub: usize, vc: VcIndex) {
-        let slot = self.slot(sub, vc);
-        assert!(self.credits[slot] > 0, "credit underflow at sub {sub} {vc}");
-        self.credits[slot] -= 1;
-    }
-
-    /// Returns one credit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the counter would exceed the configured capacity.
-    pub fn refill(&mut self, sub: usize, vc: VcIndex) {
-        let capacity = self.capacity;
-        let slot = self.slot(sub, vc);
-        assert!(
-            self.credits[slot] < capacity,
-            "credit overflow at sub {sub} {vc}"
-        );
-        self.credits[slot] += 1;
-    }
-
-    /// Total credits across every (sub, vc) pair.
-    pub fn total_available(&self) -> u32 {
-        self.credits.iter().sum()
-    }
-
-    /// Credits summed across VCs at one drop position.
-    pub fn available_at_sub(&self, sub: usize) -> u32 {
-        if self.subs == 0 {
-            return 0;
-        }
-        (0..self.vcs)
-            .map(|v| self.credits[sub * self.vcs + v])
-            .sum()
-    }
-
-    /// Number of drop positions.
-    pub fn subs(&self) -> usize {
-        self.subs
-    }
-
-    /// Per-(sub, VC) capacity.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
+    pub fn set_tag(&mut self, slot: usize, tag: u64) {
+        // SAFETY: word 1 of the run.
+        unsafe { *self.run_mut(slot).add(1) = tag };
     }
 }
 
@@ -354,7 +283,7 @@ mod tests {
         let mut f = FifoBank::new(2, 2);
         f.push(1, r[0], 1).unwrap();
         f.push(1, r[1], 2).unwrap();
-        assert!(f.is_full(1));
+        assert_eq!(f.len(1), 2);
         assert!(f.is_empty(0), "slots are independent");
         assert_eq!(f.push(1, r[2], 3), Err(FifoFullError));
         assert_eq!(f.pop(1).unwrap().0, r[0]);
@@ -387,57 +316,5 @@ mod tests {
             }
         }
         assert!(f.is_empty(0));
-    }
-
-    #[test]
-    fn arbiter_is_round_robin_fair() {
-        let mut a = RrArbiter::new(3);
-        let all = [true, true, true];
-        let grants: Vec<usize> = (0..6).map(|_| a.grant(&all).unwrap()).collect();
-        assert_eq!(grants, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn arbiter_skips_idle_requesters() {
-        let mut a = RrArbiter::new(4);
-        assert_eq!(a.grant(&[false, false, true, false]), Some(2));
-        // Priority rotates past the winner.
-        assert_eq!(a.grant(&[true, false, true, false]), Some(0));
-        assert_eq!(a.grant(&[false, false, false, false]), None);
-    }
-
-    #[test]
-    fn credit_book_consume_refill_roundtrip() {
-        let mut b = CreditBook::new(2, 4, 4);
-        assert_eq!(b.available(1, VcIndex::new(3)), 4);
-        b.consume(1, VcIndex::new(3));
-        assert_eq!(b.available(1, VcIndex::new(3)), 3);
-        b.refill(1, VcIndex::new(3));
-        assert_eq!(b.available(1, VcIndex::new(3)), 4);
-        assert_eq!(b.total_available(), 2 * 4 * 4);
-        assert_eq!(b.available_at_sub(0), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn credit_underflow_is_a_bug() {
-        let mut b = CreditBook::new(1, 1, 1);
-        b.consume(0, VcIndex::new(0));
-        b.consume(0, VcIndex::new(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "overflow")]
-    fn credit_overflow_is_a_bug() {
-        let mut b = CreditBook::new(1, 1, 1);
-        b.refill(0, VcIndex::new(0));
-    }
-
-    #[test]
-    fn unconnected_credit_book_reports_zero() {
-        let b = CreditBook::new(0, 4, 4);
-        assert_eq!(b.available(0, VcIndex::new(0)), 0);
-        assert_eq!(b.total_available(), 0);
-        assert_eq!(b.available_at_sub(0), 0);
     }
 }

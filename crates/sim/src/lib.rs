@@ -5,8 +5,7 @@
 //!
 //! This crate provides the machinery every router scheme plugs into:
 //!
-//! - [`blocks`] — reusable microarchitecture primitives (input-VC FIFOs,
-//!   round-robin arbiters, credit books, output-VC allocation state);
+//! - [`blocks`] — the input-VC flit buffers ([`blocks::FifoBank`]);
 //! - [`pipeline`] — the speculative two-stage pipeline kernel
 //!   ([`PipelineKernel`]) every router scheme shares, parameterized by
 //!   [`SchemeHooks`], and the [`KernelRouter`] shell that makes a kernel +
@@ -23,28 +22,10 @@
 //!
 //! # Example
 //!
-//! Drive a 2×2 mesh of trivially-forwarding test routers (the real router
-//! lives in the `pseudo-circuit` crate):
-//!
-//! ```
-//! use noc_sim::{NetworkConfig, RunSpec, Simulation, test_model::WireRouterFactory};
-//! use noc_traffic::{SyntheticPattern, SyntheticTraffic};
-//! use noc_topology::Mesh;
-//! use std::sync::Arc;
-//!
-//! let topo = Arc::new(Mesh::new(2, 2, 1));
-//! let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, 2, 2, 1, 0.05, 7);
-//! let mut sim = Simulation::new(
-//!     topo,
-//!     NetworkConfig::paper(),
-//!     Box::new(traffic),
-//!     &WireRouterFactory::default(),
-//!     42,
-//! );
-//! let report = sim.run(RunSpec::new(100, 400, 1_000));
-//! assert!(report.drained);
-//! assert!(report.avg_latency > 0.0);
-//! ```
+//! `examples/quickstart.rs` at the workspace root builds simulations from
+//! `noc_campaign::PointSpec`s and compares the schemes; a router model only
+//! the engine's own tests need — an ideal fixed-delay wire — lives with them
+//! under `crates/sim/tests/test_model/`.
 
 pub mod blocks;
 pub mod manifest;
@@ -55,7 +36,6 @@ pub mod pipeline;
 pub mod probe;
 pub mod router;
 pub mod stats;
-pub mod test_model;
 
 pub use manifest::{config_hash, git_rev, RunManifest, MANIFEST_SCHEMA};
 pub use metrics::{
@@ -71,9 +51,7 @@ pub use router::{
 };
 pub use stats::{LatencyHistogram, SimReport, SimStats};
 
-use noc_base::{
-    NodeId, PortIndex, RouteInfo, RouteMode, RouterId, RoutingPolicy, VaPolicy, VcPartition,
-};
+use noc_base::{RoutingPolicy, VaPolicy, VcPartition};
 use noc_topology::Topology;
 
 /// Network-wide structural parameters shared by routers and interfaces.
@@ -153,30 +131,9 @@ impl RunSpec {
     }
 }
 
-/// Computes the lookahead route a flit must carry when leaving a router:
-/// the output port it will need at the *next* router.
-///
-/// # Panics
-///
-/// Panics if `(router, out_port, hops)` is not a connected channel position.
-pub fn lookahead_route(
-    topo: &dyn Topology,
-    router: RouterId,
-    out_port: PortIndex,
-    hops: u8,
-    dst: NodeId,
-    mode: RouteMode,
-) -> RouteInfo {
-    let end = topo.link(router, out_port, hops).unwrap_or_else(|| {
-        panic!("lookahead over dead channel {router} port {out_port} hop {hops}")
-    });
-    topo.route(end.router, dst, mode)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_topology::Mesh;
 
     #[test]
     fn paper_config_partitions() {
@@ -190,46 +147,5 @@ mod tests {
         };
         assert_eq!(xy.partition().num_classes(), 1);
         assert_eq!(xy.partition().vcs_per_class(), 4);
-    }
-
-    #[test]
-    fn lookahead_is_next_routers_route() {
-        let mesh = Mesh::new(4, 4, 1);
-        // Router 0 sends east toward node 2: next router is 1, whose XY route
-        // toward node 2 is east again (port concentration + 1 = 2).
-        let route = lookahead_route(
-            &mesh,
-            RouterId::new(0),
-            PortIndex::new(2),
-            1,
-            NodeId::new(2),
-            RouteMode::XY,
-        );
-        assert_eq!(route.port, PortIndex::new(2));
-        // Toward node 1 the next router *is* the destination: local port 0.
-        let route = lookahead_route(
-            &mesh,
-            RouterId::new(0),
-            PortIndex::new(2),
-            1,
-            NodeId::new(1),
-            RouteMode::XY,
-        );
-        assert_eq!(route.port, PortIndex::new(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "dead channel")]
-    fn lookahead_rejects_dead_channels() {
-        let mesh = Mesh::new(2, 2, 1);
-        // Router 0 has no west link (port 1+3 = 4).
-        let _ = lookahead_route(
-            &mesh,
-            RouterId::new(0),
-            PortIndex::new(4),
-            1,
-            NodeId::new(1),
-            RouteMode::XY,
-        );
     }
 }

@@ -55,7 +55,7 @@ use noc_base::bitset::WordMask;
 use noc_base::rng::{Pcg32, SeedStream};
 use noc_base::{Credit, FlitPool, FlitRef, NodeId, PacketId, PortIndex, RouterId};
 use noc_energy::EnergyCounters;
-use noc_topology::{FlatWiring, PortFeeder, SharedTopology};
+use noc_topology::{FlatWiring, PortFeeder, SharedTopology, Topology};
 use noc_traffic::TrafficModel;
 use std::ops::Range;
 use std::sync::Arc;
@@ -489,6 +489,25 @@ impl Simulation {
         Self::with_metrics(topo, config, MetricsConfig::off(), traffic, factory, seed)
     }
 
+    /// The structural maximum of simultaneously live flits, which the flit
+    /// slab is sized to (in `u64`: the inputs are user-supplied, and
+    /// [`FlitPool::MAX_CAPACITY`] is what bounds them). Credit-based flow
+    /// control caps buffered-plus-in-flight flits at the total router buffer
+    /// capacity (a flit on a link holds a reserved downstream slot); an
+    /// interface's credit window plus one slot of slack per node covers
+    /// injection lanes, ejection lanes and per-shard free-list hoarding
+    /// (DESIGN.md §19 walks the bound).
+    pub fn flit_capacity(topo: &dyn Topology, config: &NetworkConfig) -> u64 {
+        let per_vc = u64::from(config.vcs_per_port) * u64::from(config.buffer_depth);
+        let in_ports: u64 = (0..topo.num_routers())
+            .map(|r| topo.in_ports(RouterId::new(r)) as u64)
+            .sum();
+        let nodes = topo.num_nodes() as u64;
+        in_ports
+            .saturating_mul(per_vc)
+            .saturating_add(nodes.saturating_mul(per_vc + 1))
+    }
+
     /// Builds a simulation: validates the topology, constructs one router
     /// per topology node via `factory` (passing `metrics` through the build
     /// context so instrumented models can enable their counters/tracers),
@@ -513,20 +532,8 @@ impl Simulation {
             .unwrap_or_else(|e| panic!("invalid topology {}: {e}", topo.name()));
         let seeds = SeedStream::new(seed);
 
-        // Size the flit slab to the structural maximum of simultaneously
-        // live flits. Credit-based flow control caps buffered-plus-in-flight
-        // flits at the total router buffer capacity (a flit on a link holds
-        // a reserved downstream slot); each interface serializes at most one
-        // flit per cycle and reassembly copies bodies out on receipt, so the
-        // interface-side term plus one slot of slack per node covers
-        // injection lanes, ejection lanes and per-shard free-list hoarding
-        // (DESIGN.md §19 walks the bound).
-        let vcs = config.vcs_per_port as usize;
-        let depth = config.buffer_depth as usize;
-        let router_slots: usize = (0..topo.num_routers())
-            .map(|r| topo.in_ports(RouterId::new(r)) * vcs * depth)
-            .sum();
-        let capacity = router_slots + topo.num_nodes() * vcs * depth + topo.num_nodes();
+        let capacity = usize::try_from(Self::flit_capacity(topo.as_ref(), &config))
+            .expect("the flit capacity fits usize (noc_campaign::validate bounds it)");
         let pool = Arc::new(FlitPool::new(capacity, topo.num_routers().max(1)));
 
         let routers: Vec<Box<dyn RouterModel>> = (0..topo.num_routers())

@@ -3,7 +3,6 @@
 //! port (paper §III.A: the sender NI splits a packet into flits and injects
 //! them serially; the receiver NI restores the packet once all flits arrive).
 
-use crate::blocks::CreditBook;
 use crate::NetworkConfig;
 use noc_base::rng::Pcg32;
 use noc_base::{
@@ -15,12 +14,17 @@ use noc_traffic::{DeliveredPacket, PacketRequest};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Initial source-queue capacity. An open-loop injection queue has no hard
-/// structural bound (offered load above saturation grows it without limit),
-/// so this is the steady-state budget below saturation: deeper backlogs are
-/// rare enough that the occasional regrow is off the measured path, and the
-/// zero-alloc suite gates the common case.
-const QUEUE_RESERVE: usize = 64;
+/// Source-queue entries reserved across the whole network, split evenly over
+/// its interfaces, and the bounds on an interface's share. An open-loop
+/// injection queue has no structural bound (offered load above saturation
+/// grows it without limit): below saturation it holds one or two packets,
+/// near it a few dozen. A network of up to 64 nodes reserves for the latter,
+/// 64 entries each, and the zero-alloc suite holds it to never growing a
+/// queue once warm; at 64 entries the idle queues of a 1024-node mesh were
+/// 2.6 MB, so there each interface reserves for the former and a deeper
+/// backlog grows its queue, amortised, to what the run needs.
+const QUEUE_BUDGET: usize = 4096;
+const QUEUE_RESERVE: (usize, usize) = (8, 64);
 
 /// Per-interface statistics.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -96,7 +100,8 @@ pub struct NetworkInterface {
     pool: Arc<FlitPool>,
     queue: VecDeque<QueuedPacket>,
     current: Option<CurrentPacket>,
-    credits: CreditBook,
+    /// Free slots in each VC buffer of the router's local input port.
+    credits: Vec<u32>,
     pending_ejection_credits: Vec<VcIndex>,
     // In-progress reassemblies, searched linearly: VC flow control bounds
     // concurrent packets at one ejection port to the VC count, so the flat
@@ -121,7 +126,8 @@ impl NetworkInterface {
         let router = topo.router_of(node);
         let partition = config.partition_for(topo.as_ref());
         let vcs = config.vcs_per_port as usize;
-        let credits = CreditBook::new(1, vcs, config.buffer_depth);
+        let queue_reserve =
+            (QUEUE_BUDGET / topo.num_nodes().max(1)).clamp(QUEUE_RESERVE.0, QUEUE_RESERVE.1);
         Self {
             node,
             router,
@@ -130,14 +136,16 @@ impl NetworkInterface {
             config,
             rng: Pcg32::seed_with_stream(seed, 0x41 ^ node.index() as u64),
             pool,
-            queue: VecDeque::with_capacity(QUEUE_RESERVE),
+            queue: VecDeque::with_capacity(queue_reserve),
             current: None,
-            credits,
+            credits: vec![config.buffer_depth; vcs],
             // One ejected flit per cycle at most, and pending credits are
             // drained every step; `vcs` is comfortable slack.
             pending_ejection_credits: Vec::with_capacity(vcs),
             reassembly: Vec::with_capacity(vcs),
-            delivered: Vec::with_capacity(vcs),
+            // At most one packet completes per cycle, and the driver drains
+            // the buffer every cycle.
+            delivered: Vec::with_capacity(1),
             last_dst: None,
             stats: NiStats::default(),
         }
@@ -282,8 +290,16 @@ impl NetworkInterface {
     }
 
     /// Accepts an injection credit returned by the router's local input port.
+    /// A credit for a slot the interface never filled is a flow-control bug.
     pub fn receive_credit(&mut self, credit: Credit) {
-        self.credits.refill(0, credit.vc);
+        let credits = &mut self.credits[credit.vc.index()];
+        assert!(
+            *credits < self.config.buffer_depth,
+            "credit overflow at {} {}",
+            self.node,
+            credit.vc
+        );
+        *credits += 1;
     }
 
     /// Runs one cycle of injection/ejection housekeeping. `shard` is the
@@ -309,15 +325,16 @@ impl NetworkInterface {
         let Some(current) = self.current.as_mut() else {
             return;
         };
-        if self.credits.available(0, current.vc) == 0 {
+        let credits = &mut self.credits[current.vc.index()];
+        if *credits == 0 {
             return; // back-pressure from the router's local input port
         }
+        *credits -= 1;
         let mut flit = current.packet.desc.flit(current.next_seq);
         flit.vc = current.vc;
         flit.mode = current.packet.mode;
         flit.class = current.packet.class;
         flit.route = current.route;
-        self.credits.consume(0, current.vc);
         current.next_seq += 1;
         if current.next_seq == current.packet.desc.len {
             self.current = None;
@@ -338,14 +355,14 @@ impl NetworkInterface {
         match self.config.va_policy {
             noc_base::VaPolicy::Static => {
                 let vc = self.partition.static_vc(class, dst);
-                (self.credits.available(0, vc) > 0).then_some(vc)
+                (self.credits[vc.index()] > 0).then_some(vc)
             }
             noc_base::VaPolicy::Dynamic => self
                 .partition
                 .class_range(class)
                 .map(|v| VcIndex::new(v as usize))
-                .filter(|&v| self.credits.available(0, v) > 0)
-                .max_by_key(|&v| self.credits.available(0, v)),
+                .filter(|&v| self.credits[v.index()] > 0)
+                .max_by_key(|&v| self.credits[v.index()]),
         }
     }
 }
@@ -425,6 +442,13 @@ mod tests {
 
     fn out_vc(ni: &NetworkInterface) -> VcIndex {
         ni.partition.static_vc(0, NodeId::new(5))
+    }
+
+    #[test]
+    #[should_panic(expected = "credit overflow")]
+    fn a_credit_for_a_slot_never_filled_is_a_bug() {
+        let (mut ni, _pool) = ni(VaPolicy::Static);
+        ni.receive_credit(Credit::new(VcIndex::new(0)));
     }
 
     #[test]

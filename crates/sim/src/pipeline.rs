@@ -22,21 +22,29 @@
 //!
 //! # One record array per index space (DESIGN.md §15)
 //!
-//! The kernel's state has four index spaces — input VC (`in_port * vcs +
-//! vc`), input port, output port, output VC (`out_port * vcs + vc`) — and
-//! keeps one array of records for each, not one array per field: the VA/SA
-//! mask loops re-check a candidate by reading three to five fields of the
-//! *same* slot, so a record is one bounds check and one cache line where
-//! parallel arrays were a pointer load and a bounds check per field. Every
-//! set over one router's ports or VCs is a one-word [`Mask64`] held in the
-//! struct or in a record (the per-cycle request sets of the allocators are
-//! locals); only the sets that span `in_ports × vcs` are [`WordMask`]s. A
-//! mask's bit index IS the index of the record it names. The layout is
-//! private; scheme hooks go through the accessor methods (`input_route`,
-//! `claim_input_vc`, `credits_available`, `claim_out_vc`, …), which also
-//! keep the incremental candidate masks coherent. Behavioral equivalence
-//! with the kernels before it is pinned by the byte-identical golden reports
-//! under `tests/golden/`.
+//! The kernel keeps one array of records per index space, not one array per
+//! field, laid out so that what a step reads together shares a cache line:
+//!
+//! - **input VC** (`in_port * vcs + vc`): a slot of the [`FifoBank`] — ring
+//!   cursor, flit refs and ready cycles, with the per-packet claim
+//!   ([`InVc`]) in the slot's tag word; 64 bytes at the paper's depth of 4;
+//! - **port**: [`Port`] — input port `p`'s [`InPort`] (SA candidate masks,
+//!   occupancy, the input-first arbiter) and output port `p`'s [`OutPort`]
+//!   (VA/SA request sets, the output-side arbiters, the grant awaiting ST);
+//! - **output VC per drop position** (`(out_port * sub_stride + sub) * vcs +
+//!   vc`): [`OutVc`] — the credit counter and, at `sub == 0`, the owner and
+//!   cached lookahead of output VC `(out_port, vc)`;
+//! - **sub-channel** (`out_port * sub_stride + sub`): [`SubChannel`] — the
+//!   credit sum over its VCs and the router at its far end.
+//!
+//! Every set over one router's ports or VCs is a one-word [`Mask64`]; only
+//! the sets that span `in_ports × vcs` are [`WordMask`]s (one inline word up
+//! to 64 input VCs). A mask's bit index IS the index of the record it names.
+//! The layout is private; scheme hooks go through the accessor methods
+//! (`input_route`, `claim_input_vc`, `credits_available`, `claim_out_vc`,
+//! …), which also keep the incremental candidate masks coherent. The golden
+//! reports under `tests/golden/` pin the behaviour, `tests/zero_alloc.rs`
+//! the bytes a router costs.
 
 use crate::blocks::FifoBank;
 use crate::metrics::RouterObservation;
@@ -49,13 +57,6 @@ use noc_base::{Credit, Flit, FlitPool, FlitRef, PortIndex, RouteInfo, RouterId, 
 use noc_energy::{EnergyCounters, EnergyEvent};
 use noc_topology::SharedTopology;
 use std::sync::Arc;
-
-/// A switch-arbitration grant waiting for its switch-traversal cycle.
-#[derive(Copy, Clone, Debug)]
-struct StGrant {
-    in_port: PortIndex,
-    vc: VcIndex,
-}
 
 /// Scheme-specific extension points of the pipeline kernel.
 ///
@@ -165,18 +166,16 @@ pub trait SchemeHooks {
     }
 }
 
-/// Everything the kernel keeps per input VC, at slot `in_port * vcs + vc` —
-/// the per-packet claim the mask re-checks read together.
-#[derive(Copy, Clone, Debug)]
+/// The per-packet claim of one input VC — what the mask re-checks read
+/// together — packed by [`pack`](Self::pack) into the tag word of the VC's
+/// [`FifoBank`] slot (`in_port * vcs + vc`), beside the ring it gates.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 struct InVc {
     /// Route of the packet currently holding the VC (set when its header
     /// traverses or is granted VA; cleared at the tail).
     route: Option<RouteInfo>,
     /// Output VC allocated to the current packet.
     out_vc: Option<VcIndex>,
-    /// Cycle at which VA was granted (marks same-cycle SA requests as
-    /// speculative); `u64::MAX` when no grant is pending.
-    va_cycle: u64,
     /// Express-hop budget the packet's flits carry out of this router (EVC:
     /// `l_max - 1` for an express segment, 0 otherwise; decided at VA).
     express: u8,
@@ -187,23 +186,43 @@ struct InVc {
 }
 
 impl InVc {
-    /// A VC no packet holds.
+    /// A VC no packet holds; packs to the zero tag a fresh bank starts with.
     const FREE: Self = Self {
         route: None,
         out_vc: None,
-        va_cycle: u64::MAX,
         express: 0,
         pass_through: false,
     };
-}
 
-/// An input port's first-stage SA winner: the VC, the connection it asks
-/// for and the output VC it holds.
-#[derive(Copy, Clone, Debug)]
-struct SaWinner {
-    vc: VcIndex,
-    route: RouteInfo,
-    out_vc: VcIndex,
+    const HAS_OUT_VC: u64 = 1 << 32;
+    const PASS_THROUGH: u64 = 1 << 48;
+
+    /// Bits 0–15 the route's port, 16–23 its drop distance (at least 1, so 0
+    /// says "no route"), 24–31 the output VC, 40–47 the express budget.
+    #[inline]
+    fn pack(self) -> u64 {
+        let route = self.route.map_or(0, |r| {
+            debug_assert!(r.hops > 0, "a route drops off after at least one position");
+            r.port.index() as u64 | u64::from(r.hops) << 16
+        });
+        let out_vc = self
+            .out_vc
+            .map_or(0, |v| (v.index() as u64) << 24 | Self::HAS_OUT_VC);
+        let flags = u64::from(self.express) << 40 | u64::from(self.pass_through) << 48;
+        route | out_vc | flags
+    }
+
+    #[inline]
+    fn unpack(tag: u64) -> Self {
+        let (port, hops) = (PortIndex::new(tag as u16 as usize), (tag >> 16) as u8);
+        let out_vc = VcIndex::new((tag >> 24) as u8 as usize);
+        Self {
+            route: (hops > 0).then_some(RouteInfo { port, hops }),
+            out_vc: (tag & Self::HAS_OUT_VC != 0).then_some(out_vc),
+            express: (tag >> 40) as u8,
+            pass_through: tag & Self::PASS_THROUGH != 0,
+        }
+    }
 }
 
 /// Everything the kernel keeps per input port.
@@ -232,9 +251,10 @@ struct InPort {
     /// Input-first SA stage: round-robin over the port's VCs.
     arb: BitArbiter,
     /// This cycle's first-stage winner. Meaningful only while the port's bit
-    /// sits in some output's SA request set — the output stage reads it
-    /// through that bit and nowhere else, so it is overwritten, never reset.
-    sa_winner: SaWinner,
+    /// sits in some output's SA request set — the output stage reads its
+    /// claim through that bit and nowhere else, so it is overwritten, never
+    /// reset.
+    sa_winner: VcIndex,
 }
 
 /// Everything the kernel keeps per output port.
@@ -252,16 +272,31 @@ struct OutPort {
     va_arb: BitArbiter,
     /// Output SA stage: round-robin over input ports.
     sa_arb: BitArbiter,
-    /// Sub-channels are numbered across the router, `sub_base + sub` for
-    /// `sub < subs` (ports have differing sub-channel counts, so a per-port
-    /// base offset replaces a fixed stride).
-    sub_base: u32,
-    subs: u32,
+    /// The input VC SA granted this port last cycle, traversing this cycle.
+    /// Meaningful only while the port's bit sits in `st_ports`.
+    st_grant: (PortIndex, VcIndex),
+    /// Drop positions of the port's channel (0 when unconnected): its
+    /// sub-channels are `out_port * sub_stride + sub` for `sub < subs`.
+    subs: u8,
 }
 
-/// Everything the kernel keeps per output VC, at slot `out_port * vcs + vc`.
+/// Input port `p`'s record and output port `p`'s. The two are unrelated (the
+/// port counts need not agree); they share a record to share an allocation.
+#[derive(Clone, Debug)]
+struct Port {
+    input: InPort,
+    output: OutPort,
+}
+
+/// One output VC at one drop position, at slot `(out_port * sub_stride +
+/// sub) * vcs + vc`: the credit counter of `(out_port, sub, vc)` and — at
+/// `sub == 0` only, an output VC is allocated per port — who holds output VC
+/// `(out_port, vc)`. One record, because VA asks "free, and how many
+/// credits" and a returning credit asks "whose gate is this".
 #[derive(Copy, Clone, Debug, Default)]
 struct OutVc {
+    /// Downstream credits of `(out_port, sub, vc)`.
+    credits: u32,
     /// The input VC the output VC is allocated to.
     owner: Option<(PortIndex, VcIndex)>,
     /// The lookahead route the last *header* sent through this connection
@@ -272,6 +307,16 @@ struct OutVc {
     /// recompute the identical `RouteInfo`). Saves the virtual `route` call
     /// and its coordinate arithmetic per non-header traversal.
     lookahead: Option<RouteInfo>,
+}
+
+/// One drop position of one output channel, at `out_port * sub_stride + sub`.
+#[derive(Copy, Clone, Debug)]
+struct SubChannel {
+    /// Sum of the sub-channel's per-VC credit counters.
+    credit_sum: u32,
+    /// The router at the far end: `topo.link`, asked when the first header
+    /// leaves by it.
+    far_router: Option<RouterId>,
 }
 
 /// The shared speculative two-stage pipeline core. See the module docs for
@@ -320,35 +365,30 @@ pub struct PipelineKernel {
     // of the ports a held circuit is out of credit on). Kept by
     // `consume_credit` / `receive_credit`.
     creditless_ports: Mask64,
+    // Output ports holding last cycle's SA grant (`OutPort::st_grant`): set
+    // by the SA output stage, taken by the next step's ST drain.
+    st_ports: Mask64,
     // The shared flit slab; buffers and emissions move `FlitRef`s, flit
     // bodies are read/written in place through the pool.
     pool: Arc<FlitPool>,
-    // One record array per index space (DESIGN.md §15). A mask bit index IS
-    // the index of the record it stands for: bit `in_port * vcs + vc` of
-    // `va_cand` and of every `va_req` names `in_vcs[in_port * vcs + vc]` and
-    // slot `in_port * vcs + vc` of `bank`; bit `vc` of `inputs[p].sa_cand`
-    // names `in_vcs[p * vcs + vc]`; a bit of a port summary names `inputs[p]`
-    // or `outputs[p]`.
-    in_vcs: Vec<InVc>,
-    inputs: Vec<InPort>,
-    outputs: Vec<OutPort>,
-    out_vcs: Vec<OutVc>,
-    // Every input VC's flit buffer, as one bank of fixed-stride ring buffers
-    // over two contiguous arrays (DESIGN.md §19) indexed like `in_vcs`.
+    // One record array per index space (module docs, DESIGN.md §15). A mask
+    // bit index IS the index of the record it stands for: bit `in_port * vcs
+    // + vc` of `va_cand`, `va_now` and every `va_req` names slot `in_port * vcs
+    // + vc` of `bank`; bit `vc` of `ports[p].input.sa_cand` names slot `p * vcs
+    // + vc`; a bit of a port summary names `ports[p].input` or `.output`.
+    //
+    // Every input VC: its flit ring, and its claim (`InVc`) in the tag.
     bank: FifoBank,
-    // Downstream credit counters. Sub-channel `s` (router-wide numbering,
-    // see `OutPort::sub_base`) owns the run `[s * (vcs + 1), (s + 1) * (vcs
-    // + 1))`: the sum over its VCs first, then one counter per VC — a
-    // returning credit updates both in one cache line.
-    credits: Vec<u32>,
+    ports: Box<[Port]>,
+    out_vcs: Box<[OutVc]>,
+    sub_channels: Box<[SubChannel]>,
+    // Sub-channel records per output port: the widest channel's drop count
+    // (1 on point-to-point topologies); narrower ports leave theirs unused.
+    sub_stride: usize,
     credit_capacity: u32,
-    // The router each sub-channel lands at, numbered like the credit runs:
-    // `topo.link`, asked when the first header leaves by it.
-    far_routers: Vec<Option<RouterId>>,
-    // This cycle's arrivals and last cycle's SA grants; `step` walks both in
-    // place and clears them (see the `SchemeHooks` contract).
+    // This cycle's arrivals; `step` walks them in place and clears them
+    // (see the `SchemeHooks` contract).
     arrivals: Vec<(PortIndex, FlitRef)>,
-    st_pending: Vec<StGrant>,
     // Bit `in_port * vcs + vc`: the VC holds flits and no route/output VC —
     // it may request VA once its head is ready. Maintained by
     // `refresh_vc_masks` at every VC state transition, NOT rebuilt per
@@ -356,6 +396,10 @@ pub struct PipelineKernel {
     // never sees), which is why all writes to the tracked fields funnel
     // through the kernel helpers and claim/release accessors.
     va_cand: WordMask,
+    // Bit `in_port * vcs + vc`: this cycle's VA phase granted the VC, which
+    // makes its SA request of the same cycle speculative. Rewritten by every
+    // VA phase and read only by the SA phase after it.
+    va_now: WordMask,
 }
 
 impl PipelineKernel {
@@ -385,44 +429,52 @@ impl PipelineKernel {
             );
         }
         let slots = in_ports * vcs;
-        // Per-port credit regions: `channel_len` sub-channels, laid out back
-        // to back in output-port order.
-        let sub_credits = config.buffer_depth * vcs as u32;
-        let mut creditless_ports = Mask64::EMPTY;
-        let mut total_subs = 0u32;
-        let outputs: Vec<OutPort> = (0..out_ports)
-            .map(|p| {
-                let subs = topo.channel_len(id, PortIndex::new(p)) as u32;
-                creditless_ports.assign(p, subs > 0 && sub_credits == 0);
-                let sub_base = total_subs;
-                total_subs += subs;
-                OutPort {
-                    va_req: WordMask::new(slots),
-                    sa_nonspec: Mask64::EMPTY,
-                    sa_spec: Mask64::EMPTY,
-                    va_arb: BitArbiter::new(slots),
-                    sa_arb: BitArbiter::new(in_ports),
-                    sub_base,
-                    subs,
-                }
-            })
-            .collect();
-        let mut credits = Vec::with_capacity(total_subs as usize * (vcs + 1));
-        for _ in 0..total_subs {
-            credits.push(sub_credits);
-            credits.extend(std::iter::repeat_n(config.buffer_depth, vcs));
-        }
+        let sub_credits = config
+            .buffer_depth
+            .checked_mul(vcs as u32)
+            .expect("a sub-channel's credits fit u32 (noc_campaign::validate bounds the product)");
         let input = InPort {
             sa_cand: Mask64::EMPTY,
             sa_credit: Mask64::EMPTY,
             occupancy: 0,
             last_connection: None,
             arb: BitArbiter::new(vcs),
-            sa_winner: SaWinner {
-                vc: VcIndex::new(0),
-                route: RouteInfo::new(PortIndex::new(0)),
-                out_vc: VcIndex::new(0),
-            },
+            sa_winner: VcIndex::new(0),
+        };
+        let ports: Box<[Port]> = (0..in_ports.max(out_ports))
+            .map(|p| {
+                // A port index past the output ports is an unconnected one.
+                let subs = if p < out_ports {
+                    topo.channel_len(id, PortIndex::new(p))
+                } else {
+                    0
+                };
+                Port {
+                    input: input.clone(),
+                    output: OutPort {
+                        va_req: WordMask::new(slots),
+                        sa_nonspec: Mask64::EMPTY,
+                        sa_spec: Mask64::EMPTY,
+                        va_arb: BitArbiter::new(slots),
+                        sa_arb: BitArbiter::new(in_ports),
+                        st_grant: (PortIndex::new(0), VcIndex::new(0)),
+                        subs,
+                    },
+                }
+            })
+            .collect();
+        let sub_stride = ports
+            .iter()
+            .map(|p| usize::from(p.output.subs))
+            .max()
+            .unwrap_or(0);
+        let out_vc = OutVc {
+            credits: config.buffer_depth,
+            ..OutVc::default()
+        };
+        let sub_channel = SubChannel {
+            credit_sum: sub_credits,
+            far_router: None,
         };
         Self {
             id,
@@ -440,21 +492,23 @@ impl PipelineKernel {
             out_busy: Mask64::EMPTY,
             occupied_ports: Mask64::EMPTY,
             sa_ports: Mask64::EMPTY,
-            creditless_ports,
+            // `FifoBank::new` below refuses a zero depth, so every connected
+            // sub-channel starts with credit.
+            creditless_ports: Mask64::EMPTY,
+            st_ports: Mask64::EMPTY,
             pool,
-            in_vcs: vec![InVc::FREE; slots],
-            inputs: vec![input; in_ports],
-            outputs,
-            out_vcs: vec![OutVc::default(); out_ports * vcs],
             bank: FifoBank::new(slots, config.buffer_depth as usize),
-            credits,
+            ports,
+            out_vcs: vec![out_vc; out_ports * sub_stride * vcs].into(),
+            sub_channels: vec![sub_channel; out_ports * sub_stride].into(),
+            sub_stride,
             credit_capacity: config.buffer_depth,
-            far_routers: vec![None; total_subs as usize],
-            // Both per-cycle queues are reserved to their structural maximum
-            // so steady-state stepping never allocates (tests/zero_alloc.rs).
+            // Reserved to its structural maximum (one flit per input port
+            // per cycle) so steady-state stepping never allocates
+            // (tests/zero_alloc.rs).
             arrivals: Vec::with_capacity(in_ports),
-            st_pending: Vec::with_capacity(in_ports),
             va_cand: WordMask::new(slots),
+            va_now: WordMask::new(slots),
         }
     }
 
@@ -466,30 +520,43 @@ impl PipelineKernel {
         in_port.index() * self.vcs + vc.index()
     }
 
-    /// The flat slot of output VC `(out_port, vc)` in `out_vcs`.
+    /// The record of `in_port`, for writing.
     #[inline]
-    fn out_slot(&self, out_port: PortIndex, vc: VcIndex) -> usize {
-        debug_assert!(out_port.index() < self.out_ports && vc.index() < self.vcs);
-        out_port.index() * self.vcs + vc.index()
+    fn input_mut(&mut self, in_port: PortIndex) -> &mut InPort {
+        &mut self.ports[in_port.index()].input
     }
 
-    /// The index in `credits` of the credit sum of `(out_port, sub)`; the
-    /// sub-channel's per-VC counters follow it.
+    /// The claim of the input VC at `slot`, unpacked from its bank tag.
     #[inline]
-    fn sum_slot(&self, out_port: PortIndex, sub: usize) -> usize {
-        let port = &self.outputs[out_port.index()];
+    fn in_vc(&self, slot: usize) -> InVc {
+        InVc::unpack(self.bank.tag(slot))
+    }
+
+    /// Stores the claim of the input VC at `slot`. Callers refresh the
+    /// candidate masks.
+    #[inline]
+    fn set_in_vc(&mut self, slot: usize, state: InVc) {
+        self.bank.set_tag(slot, state.pack());
+    }
+
+    /// The index in `sub_channels` of drop position `sub` of `out_port`.
+    #[inline]
+    fn sub_slot(&self, out_port: PortIndex, sub: usize) -> usize {
         debug_assert!(
-            sub < port.subs as usize,
+            sub < usize::from(self.ports[out_port.index()].output.subs),
             "sub-channel {sub} out of range on {out_port}"
         );
-        (port.sub_base as usize + sub) * (self.vcs + 1)
+        out_port.index() * self.sub_stride + sub
     }
 
-    /// The index in `credits` of the `(out_port, sub, vc)` credit counter.
+    /// The index in `out_vcs` of the `(out_port, sub, vc)` record: its credit
+    /// counter, and at `sub == 0` the allocation state of output VC
+    /// `(out_port, vc)`.
     #[inline]
-    fn credit_slot(&self, out_port: PortIndex, sub: usize, vc: VcIndex) -> usize {
-        debug_assert!(vc.index() < self.vcs);
-        self.sum_slot(out_port, sub) + 1 + vc.index()
+    fn out_slot(&self, out_port: PortIndex, sub: usize, vc: VcIndex) -> usize {
+        debug_assert!(out_port.index() < self.out_ports && vc.index() < self.vcs);
+        debug_assert!(sub < self.sub_stride);
+        (out_port.index() * self.sub_stride + sub) * self.vcs + vc.index()
     }
 
     /// Re-derives the VA/SA candidate-mask bits of one input VC from its
@@ -502,14 +569,12 @@ impl PipelineKernel {
     fn refresh_vc_masks(&mut self, in_port: PortIndex, vc: VcIndex) {
         let slot = self.slot(in_port, vc);
         let has_flits = !self.bank.is_empty(slot);
-        let state = &self.in_vcs[slot];
+        let state = self.in_vc(slot);
         let claimed = state.route.is_some() && state.out_vc.is_some();
         let unclaimed = state.route.is_none() && state.out_vc.is_none();
         let sa_cand = has_flits && claimed && !state.pass_through;
         self.va_cand.assign(slot, has_flits && unclaimed);
-        self.inputs[in_port.index()]
-            .sa_cand
-            .assign(vc.index(), sa_cand);
+        self.input_mut(in_port).sa_cand.assign(vc.index(), sa_cand);
         self.refresh_sa_port(in_port);
     }
 
@@ -517,7 +582,7 @@ impl PipelineKernel {
     /// every write to the port's `sa_cand` or `sa_credit` mask.
     #[inline]
     fn refresh_sa_port(&mut self, in_port: PortIndex) {
-        let port = &self.inputs[in_port.index()];
+        let port = &self.ports[in_port.index()].input;
         let requests = (port.sa_cand & port.sa_credit).any();
         self.sa_ports.assign(in_port.index(), requests);
     }
@@ -525,7 +590,7 @@ impl PipelineKernel {
     /// Writes bit `vc` of `in_port`'s `sa_credit` mask.
     #[inline]
     fn set_credit_gate(&mut self, in_port: PortIndex, vc: VcIndex, credit_ok: bool) {
-        self.inputs[in_port.index()]
+        self.input_mut(in_port)
             .sa_credit
             .assign(vc.index(), credit_ok);
         self.refresh_sa_port(in_port);
@@ -538,7 +603,7 @@ impl PipelineKernel {
     /// [`note_credit_gate`](Self::note_credit_gate).
     #[inline]
     fn refresh_credit_gate(&mut self, in_port: PortIndex, vc: VcIndex) {
-        let state = &self.in_vcs[self.slot(in_port, vc)];
+        let state = self.in_vc(self.slot(in_port, vc));
         let credit_ok = match (state.route, state.out_vc) {
             (Some(route), Some(out_vc)) => {
                 self.credits_available(route.port, route.hops as usize - 1, out_vc) > 0
@@ -548,43 +613,28 @@ impl PipelineKernel {
         self.set_credit_gate(in_port, vc, credit_ok);
     }
 
-    /// Virtual channels per port.
-    pub fn vcs(&self) -> usize {
-        self.vcs
-    }
-
     /// The shared flit slab this router references into.
     #[inline]
     pub fn pool(&self) -> &Arc<FlitPool> {
         &self.pool
     }
 
-    /// Input ports of this router.
-    pub fn num_in_ports(&self) -> usize {
-        self.in_ports
-    }
-
-    /// Output ports of this router.
-    pub fn num_out_ports(&self) -> usize {
-        self.out_ports
-    }
-
     /// Route held by input VC `(in_port, vc)`, if any.
     #[inline]
     pub fn input_route(&self, in_port: PortIndex, vc: VcIndex) -> Option<RouteInfo> {
-        self.in_vcs[self.slot(in_port, vc)].route
+        self.in_vc(self.slot(in_port, vc)).route
     }
 
     /// Output VC held by input VC `(in_port, vc)`, if any.
     #[inline]
     pub fn input_out_vc(&self, in_port: PortIndex, vc: VcIndex) -> Option<VcIndex> {
-        self.in_vcs[self.slot(in_port, vc)].out_vc
+        self.in_vc(self.slot(in_port, vc)).out_vc
     }
 
     /// Whether `(in_port, vc)` is held by an express pass-through claim.
     #[inline]
     pub fn input_pass_through(&self, in_port: PortIndex, vc: VcIndex) -> bool {
-        self.in_vcs[self.slot(in_port, vc)].pass_through
+        self.in_vc(self.slot(in_port, vc)).pass_through
     }
 
     /// Whether the buffer of `(in_port, vc)` is empty.
@@ -615,9 +665,12 @@ impl PipelineKernel {
         out_vc: VcIndex,
     ) {
         let slot = self.slot(in_port, vc);
-        let state = &mut self.in_vcs[slot];
-        state.route = Some(route);
-        state.out_vc = Some(out_vc);
+        let state = InVc {
+            route: Some(route),
+            out_vc: Some(out_vc),
+            ..self.in_vc(slot)
+        };
+        self.set_in_vc(slot, state);
         self.refresh_vc_masks(in_port, vc);
         self.refresh_credit_gate(in_port, vc);
     }
@@ -634,27 +687,38 @@ impl PipelineKernel {
         out_vc: VcIndex,
     ) {
         let slot = self.slot(in_port, vc);
-        self.in_vcs[slot].pass_through = true;
+        self.bank
+            .set_tag(slot, self.bank.tag(slot) | InVc::PASS_THROUGH);
         self.claim_input_vc(in_port, vc, route, out_vc);
     }
 
     /// Releases every per-packet claim of input VC `(in_port, vc)` (route,
-    /// output VC, VA cycle, express budget, pass-through) and refreshes the
+    /// output VC, express budget, pass-through) and refreshes the
     /// candidate masks. The tail-flit counterpart of the claim accessors;
     /// the output-VC allocation itself is released separately via
     /// [`release_out_vc`](Self::release_out_vc).
     pub fn release_input_vc(&mut self, in_port: PortIndex, vc: VcIndex) {
         let slot = self.slot(in_port, vc);
-        self.in_vcs[slot] = InVc::FREE;
+        self.free_in_vc(slot);
         // `refresh_vc_masks` re-derives the port's `sa_ports` bit.
-        self.inputs[in_port.index()].sa_credit.clear(vc.index());
+        self.input_mut(in_port).sa_credit.clear(vc.index());
         self.refresh_vc_masks(in_port, vc);
+    }
+
+    /// Frees the claim at `slot`, and the VA-grant cycle kept beside the
+    /// `--metrics full` counters with it.
+    #[inline]
+    fn free_in_vc(&mut self, slot: usize) {
+        self.set_in_vc(slot, InVc::FREE);
+        if let Some(p) = self.counters.as_deref_mut() {
+            p.va_granted_at[slot] = u64::MAX;
+        }
     }
 
     /// Whether output VC `(out_port, vc)` is unallocated.
     #[inline]
     pub fn out_vc_is_free(&self, out_port: PortIndex, vc: VcIndex) -> bool {
-        self.out_vcs[self.out_slot(out_port, vc)].owner.is_none()
+        self.out_vcs[self.out_slot(out_port, 0, vc)].owner.is_none()
     }
 
     /// Allocates output VC `(out_port, vc)` to `owner`.
@@ -663,7 +727,7 @@ impl PipelineKernel {
     ///
     /// Panics if the VC is already allocated.
     pub fn claim_out_vc(&mut self, out_port: PortIndex, vc: VcIndex, owner: (PortIndex, VcIndex)) {
-        let slot = self.out_slot(out_port, vc);
+        let slot = self.out_slot(out_port, 0, vc);
         assert!(
             self.out_vcs[slot].owner.is_none(),
             "output VC {vc} on {out_port} already allocated"
@@ -673,20 +737,20 @@ impl PipelineKernel {
 
     /// Frees output VC `(out_port, vc)` (idempotent).
     pub fn release_out_vc(&mut self, out_port: PortIndex, vc: VcIndex) {
-        let slot = self.out_slot(out_port, vc);
+        let slot = self.out_slot(out_port, 0, vc);
         self.out_vcs[slot].owner = None;
     }
 
     /// Downstream credits of `(out_port, sub, vc)`.
     #[inline]
     pub fn credits_available(&self, out_port: PortIndex, sub: usize, vc: VcIndex) -> u32 {
-        self.credits[self.credit_slot(out_port, sub, vc)]
+        self.out_vcs[self.out_slot(out_port, sub, vc)].credits
     }
 
     /// Total downstream credits across all VCs of `(out_port, sub)`.
     #[inline]
     pub fn credits_at_sub(&self, out_port: PortIndex, sub: usize) -> u32 {
-        self.credits[self.sum_slot(out_port, sub)]
+        self.sub_channels[self.sub_slot(out_port, sub)].credit_sum
     }
 
     /// Output ports on which some sub-channel has no downstream credit on
@@ -729,18 +793,18 @@ impl PipelineKernel {
     ///
     /// Panics on credit underflow (a flow-control bug).
     pub fn consume_credit(&mut self, out_port: PortIndex, sub: usize, vc: VcIndex) {
-        let sum_slot = self.sum_slot(out_port, sub);
-        let slot = self.credit_slot(out_port, sub, vc);
+        let counter = &mut self.out_vcs[self.out_slot(out_port, sub, vc)].credits;
         assert!(
-            self.credits[slot] > 0,
+            *counter > 0,
             "credit underflow at {out_port} sub {sub} {vc}"
         );
-        self.credits[slot] -= 1;
-        if self.credits[slot] == 0 {
+        *counter -= 1;
+        if *counter == 0 {
             self.note_credit_gate(out_port, sub, vc, false);
         }
-        self.credits[sum_slot] -= 1;
-        if self.credits[sum_slot] == 0 {
+        let sum = &mut self.sub_channels[self.sub_slot(out_port, sub)].credit_sum;
+        *sum -= 1;
+        if *sum == 0 {
             self.creditless_ports.set(out_port.index());
         }
     }
@@ -752,10 +816,10 @@ impl PipelineKernel {
     /// leaves the owner's bit untouched).
     #[inline]
     fn note_credit_gate(&mut self, out_port: PortIndex, sub: usize, vc: VcIndex, avail: bool) {
-        let Some((ip, ivc)) = self.out_vcs[self.out_slot(out_port, vc)].owner else {
+        let Some((ip, ivc)) = self.out_vcs[self.out_slot(out_port, 0, vc)].owner else {
             return;
         };
-        let state = &self.in_vcs[self.slot(ip, ivc)];
+        let state = self.in_vc(self.slot(ip, ivc));
         let (Some(route), Some(out_vc)) = (state.route, state.out_vc) else {
             return; // output VC claimed, input-side claim not stored yet
         };
@@ -769,11 +833,9 @@ impl PipelineKernel {
     /// selected by the trace spec. Call before the first `step`.
     pub fn enable_metrics(&mut self, metrics: &MetricsConfig) {
         if metrics.level == MetricsLevel::Full {
-            self.counters = Some(Box::new(RouterCounters::new(
-                self.id.index(),
-                self.in_ports,
-                self.out_ports,
-            )));
+            let mut counters = RouterCounters::new(self.id.index(), self.in_ports, self.out_ports);
+            counters.va_granted_at = vec![u64::MAX; self.in_ports * self.vcs];
+            self.counters = Some(Box::new(counters));
         }
         if let Some(spec) = &metrics.trace {
             if spec.selects(self.id.index()) {
@@ -816,25 +878,27 @@ impl PipelineKernel {
     /// Returns a downstream credit to its (sub, VC) counter.
     pub fn receive_credit(&mut self, out_port: PortIndex, credit: Credit) {
         let sub = credit.sub as usize;
-        let sum_slot = self.sum_slot(out_port, sub);
-        let slot = self.credit_slot(out_port, sub, credit.vc);
+        let capacity = self.credit_capacity;
+        let counter = &mut self.out_vcs[self.out_slot(out_port, sub, credit.vc)].credits;
         assert!(
-            self.credits[slot] < self.credit_capacity,
+            *counter < capacity,
             "credit overflow at {out_port} sub {} {}",
             credit.sub,
             credit.vc
         );
-        self.credits[slot] += 1;
-        if self.credits[slot] == 1 {
+        *counter += 1;
+        if *counter == 1 {
             self.note_credit_gate(out_port, sub, credit.vc, true);
         }
-        self.credits[sum_slot] += 1;
-        if self.credits[sum_slot] == 1 {
+        let sum = &mut self.sub_channels[self.sub_slot(out_port, sub)].credit_sum;
+        *sum += 1;
+        if *sum == 1 {
             // The port leaves the mask only when no other sub-channel of it
             // is still at zero.
-            let port = &self.outputs[out_port.index()];
-            let creditless = (port.sub_base..port.sub_base + port.subs)
-                .any(|sub| self.credits[sub as usize * (self.vcs + 1)] == 0);
+            let subs = usize::from(self.ports[out_port.index()].output.subs);
+            let creditless = self.sub_channels[out_port.index() * self.sub_stride..][..subs]
+                .iter()
+                .any(|sub| sub.credit_sum == 0);
             self.creditless_ports.assign(out_port.index(), creditless);
         }
         debug_assert_eq!(self.check_summaries(), Ok(()));
@@ -847,7 +911,7 @@ impl PipelineKernel {
     /// with cycle-driven state of their own add their clause through
     /// [`SchemeHooks::is_idle`]; [`KernelRouter`] ANDs the two.
     pub fn is_idle_base(&self) -> bool {
-        self.arrivals.is_empty() && self.st_pending.is_empty() && !self.occupied_ports.any()
+        self.arrivals.is_empty() && !self.st_ports.any() && !self.occupied_ports.any()
     }
 
     /// Recomputes every port summary — the candidate masks, the per-port
@@ -859,13 +923,14 @@ impl PipelineKernel {
     /// allocation-free unless it fails.
     pub fn check_summaries(&self) -> Result<(), String> {
         let id = self.id;
-        for (p, port) in self.inputs.iter().enumerate() {
+        for p in 0..self.in_ports {
+            let port = &self.ports[p].input;
             let mut buffered = 0;
             let mut sa_cand = Mask64::EMPTY;
             let mut sa_credit = Mask64::EMPTY;
             for vc in 0..self.vcs {
                 let slot = p * self.vcs + vc;
-                let state = &self.in_vcs[slot];
+                let state = self.in_vc(slot);
                 let has_flits = !self.bank.is_empty(slot);
                 let (routed, has_out_vc) = (state.route.is_some(), state.out_vc.is_some());
                 buffered += self.bank.len(slot);
@@ -899,12 +964,16 @@ impl PipelineKernel {
                 return Err(format!("{id}: stale sa_ports bit of input {p}"));
             }
         }
-        for (p, port) in self.outputs.iter().enumerate() {
+        for p in 0..self.out_ports {
+            let port = &self.ports[p].output;
             let mut creditless = false;
-            for sub in port.sub_base..port.sub_base + port.subs {
-                let run = &self.credits[sub as usize * (self.vcs + 1)..][..self.vcs + 1];
-                let sum: u32 = run[1..].iter().sum();
-                if run[0] != sum {
+            for sub in 0..usize::from(port.subs) {
+                let channel = p * self.sub_stride + sub;
+                let sum: u32 = self.out_vcs[channel * self.vcs..][..self.vcs]
+                    .iter()
+                    .map(|vc| vc.credits)
+                    .sum();
+                if self.sub_channels[channel].credit_sum != sum {
                     return Err(format!("{id}: stale credit sum on output {p}"));
                 }
                 creditless |= sum == 0;
@@ -914,6 +983,16 @@ impl PipelineKernel {
             }
             if port.va_req.any() || port.sa_nonspec.any() || port.sa_spec.any() {
                 return Err(format!("{id}: output {p} kept a request past its phase"));
+            }
+            if self.st_ports.get(p) {
+                let (in_port, vc) = port.st_grant;
+                let slot = self.slot(in_port, vc);
+                let routed_here = self.in_vc(slot).route.map(|r| r.port.index()) == Some(p);
+                if self.bank.is_empty(slot) || !routed_here {
+                    return Err(format!(
+                        "{id}: output {p} holds an SA grant for a VC with no flit routed to it"
+                    ));
+                }
             }
         }
         Ok(())
@@ -939,7 +1018,7 @@ impl PipelineKernel {
             // Packet-granularity crossbar-connection locality (Fig. 1):
             // body/tail flits trivially follow their header, so only
             // consecutive packets are compared.
-            let last = &mut self.inputs[in_port.index()].last_connection;
+            let last = &mut self.ports[in_port.index()].input.last_connection;
             if let Some(prev) = *last {
                 self.stats.xbar_locality_total += 1;
                 if prev == route.port {
@@ -959,11 +1038,10 @@ impl PipelineKernel {
         self.mark_connection(in_port, route.port);
 
         let lookahead = (route.port.index() >= self.concentration).then(|| {
-            let slot = self.out_slot(route.port, out_vc);
+            let slot = self.out_slot(route.port, 0, out_vc);
             if is_head {
-                let port = &self.outputs[route.port.index()];
-                debug_assert!((1..=port.subs).contains(&(route.hops as u32)));
-                let far = &mut self.far_routers[port.sub_base as usize + route.hops as usize - 1];
+                let channel = self.sub_slot(route.port, route.hops as usize - 1);
+                let far = &mut self.sub_channels[channel].far_router;
                 let next = *far.get_or_insert_with(|| {
                     let end = self.topo.link(self.id, route.port, route.hops);
                     end.expect("a header leaves by a connected channel").router
@@ -1009,20 +1087,25 @@ impl PipelineKernel {
         let (r, ready_at) = self.bank.pop(slot).expect("granted VC has a flit");
         debug_assert!(ready_at <= cycle, "flit traversed before ready");
         let kind = self.pool.get(r).kind;
-        let state = self.in_vcs[slot];
+        let state = self.in_vc(slot);
         if kind.is_head() {
             debug_assert!(state.route.is_some(), "header traversing without a route");
         }
         let route = state.route.expect("active VC has a route");
         let out_vc = state.out_vc.expect("active VC has an output VC");
-        let va_cycle = state.va_cycle;
+        // When the VA phase granted this packet (`u64::MAX`: a reuse-path
+        // claim); kept, and read, only at `--metrics full`.
+        let va_cycle = self
+            .counters
+            .as_deref()
+            .map_or(u64::MAX, |p| p.va_granted_at[slot]);
         if kind.is_tail() {
             // A buffered flit cleared any pass-through mark on its way in.
             debug_assert!(!state.pass_through);
-            self.in_vcs[slot] = InVc::FREE;
+            self.free_in_vc(slot);
             self.release_out_vc(route.port, out_vc);
             // `refresh_vc_masks` below re-derives the port's `sa_ports` bit.
-            self.inputs[in_port.index()].sa_credit.clear(vc.index());
+            self.input_mut(in_port).sa_credit.clear(vc.index());
         }
         self.refresh_vc_masks(in_port, vc);
         if reuse {
@@ -1032,7 +1115,7 @@ impl PipelineKernel {
                 self.stats.pc_header_reuses += 1;
             }
         }
-        let occupancy = &mut self.inputs[in_port.index()].occupancy;
+        let occupancy = &mut self.input_mut(in_port).occupancy;
         *occupancy -= 1;
         if *occupancy == 0 {
             self.occupied_ports.clear(in_port.index());
@@ -1087,16 +1170,13 @@ impl PipelineKernel {
         hooks.begin_cycle(self, cycle);
 
         // Switch traversal of last cycle's grants (SA has priority over any
-        // scheme reuse path: its resources were reserved at grant time).
-        // Walked by index so `self` stays free for the traversal; new grants
-        // are queued only by this cycle's SA phase, after the clear.
-        let grants = self.st_pending.len();
-        for i in 0..grants {
-            let g = self.st_pending[i];
-            self.traverse_from_buffer(cycle, g.in_port, g.vc, false, out);
+        // scheme reuse path: its resources were reserved at grant time), in
+        // the ascending output-port order they were decided in. New grants
+        // are recorded only by this cycle's SA phase, after the take.
+        for out_port in std::mem::take(&mut self.st_ports) {
+            let (in_port, vc) = self.ports[out_port].output.st_grant;
+            self.traverse_from_buffer(cycle, in_port, vc, false, out);
         }
-        debug_assert_eq!(self.st_pending.len(), grants);
-        self.st_pending.clear();
 
         hooks.drain_reuse(self, cycle, out);
         self.accept_arrivals(hooks, cycle, out);
@@ -1124,14 +1204,15 @@ impl PipelineKernel {
                 continue;
             }
             self.energy.record(EnergyEvent::BufferWrite);
-            self.inputs[in_port.index()].occupancy += 1;
+            self.input_mut(in_port).occupancy += 1;
             self.occupied_ports.set(in_port.index());
             let vc = self.pool.get(r).vc;
             let slot = self.slot(in_port, vc);
             // An express stream that stalls into the buffer continues
             // hop-by-hop; its pass-through claim becomes an ordinary
             // buffered packet claim.
-            self.in_vcs[slot].pass_through = false;
+            self.bank
+                .set_tag(slot, self.bank.tag(slot) & !InVc::PASS_THROUGH);
             self.bank
                 .push(slot, r, cycle + 1)
                 .expect("upstream credits bound buffer occupancy");
@@ -1146,6 +1227,7 @@ impl PipelineKernel {
     /// delegated to [`SchemeHooks::allocate_out_vc`].
     fn allocate_vcs<H: SchemeHooks>(&mut self, hooks: &mut H, cycle: u64) {
         let vcs = self.vcs;
+        self.va_now.clear_all();
         // Gather requests grouped by output port. Only the set bits of the
         // incremental candidate mask are visited; the per-cycle conditions
         // (ready head, header kind) are the only ones re-checked here —
@@ -1153,28 +1235,18 @@ impl PipelineKernel {
         // output VC) is the mask invariant itself. The mask's bit index IS
         // the record slot.
         let mut pending = Mask64::EMPTY;
-        for wi in 0..self.va_cand.num_words() {
-            // Word copied out so no borrow of the mask is held while the
-            // request masks are written.
-            let mut word = self.va_cand.word(wi);
-            while word != 0 {
-                let slot = wi * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                debug_assert!(
-                    !self.bank.is_empty(slot)
-                        && self.in_vcs[slot].route.is_none()
-                        && self.in_vcs[slot].out_vc.is_none(),
-                    "stale VA candidate bit (missed refresh_vc_masks)"
-                );
-                let Some(r) = self.bank.head_ready(slot, cycle) else {
-                    continue;
-                };
-                let head = self.pool.get(r);
-                if !head.kind.is_head() {
-                    continue;
-                }
+        for slot in &self.va_cand {
+            debug_assert!(
+                !self.bank.is_empty(slot) && self.in_vc(slot) == InVc::FREE,
+                "stale VA candidate bit (missed refresh_vc_masks)"
+            );
+            let Some(r) = self.bank.head_ready(slot, cycle) else {
+                continue;
+            };
+            let head = self.pool.get(r);
+            if head.kind.is_head() {
                 let out_port = head.route.port.index();
-                self.outputs[out_port].va_req.set(slot);
+                self.ports[out_port].output.va_req.set(slot);
                 pending.set(out_port);
             }
         }
@@ -1183,7 +1255,7 @@ impl PipelineKernel {
             // grant leaves the request set before the scheme hook borrows
             // the whole kernel, so the set drains to empty by itself.
             loop {
-                let port = &mut self.outputs[out_port];
+                let port = &mut self.ports[out_port].output;
                 let Some(slot) = port.va_arb.grant(&port.va_req) else {
                     break;
                 };
@@ -1196,16 +1268,20 @@ impl PipelineKernel {
                         .expect("request implies ready head"),
                 );
                 if let Some((out_vc, express)) = hooks.allocate_out_vc(self, &flit, (in_port, vc)) {
-                    let state = &mut self.in_vcs[slot];
-                    state.route = Some(flit.route);
-                    state.out_vc = Some(out_vc);
-                    state.va_cycle = cycle;
-                    state.express = express;
+                    let state = InVc {
+                        route: Some(flit.route),
+                        out_vc: Some(out_vc),
+                        express,
+                        ..self.in_vc(slot)
+                    };
+                    self.set_in_vc(slot, state);
+                    self.va_now.set(slot);
                     self.refresh_vc_masks(in_port, vc);
                     self.refresh_credit_gate(in_port, vc);
                     self.stats.va_grants += 1;
                     self.energy.record(EnergyEvent::Arbitration);
                     if let Some(p) = self.counters.as_deref_mut() {
+                        p.va_granted_at[slot] = cycle;
                         p.on_va_grant(in_port);
                     }
                 }
@@ -1227,7 +1303,7 @@ impl PipelineKernel {
         let mut pending = Mask64::EMPTY;
         for in_port in self.sa_ports {
             let in_port_i = PortIndex::new(in_port);
-            let port = &self.inputs[in_port];
+            let port = &self.ports[in_port].input;
             let mut nonspec = Mask64::EMPTY;
             let mut spec = Mask64::EMPTY;
             // Credit-starved VCs are masked out of the scan entirely (their
@@ -1235,7 +1311,7 @@ impl PipelineKernel {
             // re-check below is the cross-checked safety net.
             for vc in port.sa_cand & port.sa_credit {
                 let slot = in_port * self.vcs + vc;
-                let state = &self.in_vcs[slot];
+                let state = self.in_vc(slot);
                 debug_assert!(
                     !self.bank.is_empty(slot) && !state.pass_through,
                     "stale SA candidate bit (missed refresh_vc_masks)"
@@ -1254,7 +1330,7 @@ impl PipelineKernel {
                     debug_assert!(false, "stale SA credit bit (missed note_credit_gate)");
                     continue;
                 }
-                if state.va_cycle == cycle {
+                if self.va_now.get(slot) {
                     spec.set(vc);
                 } else {
                     nonspec.set(vc);
@@ -1262,20 +1338,15 @@ impl PipelineKernel {
             }
             let speculative = !nonspec.any();
             let requests = if speculative { spec } else { nonspec };
-            let port = &mut self.inputs[in_port];
+            let port = &mut self.ports[in_port].input;
             if let Some(vc) = port.arb.grant(&requests) {
-                let state = &self.in_vcs[in_port * self.vcs + vc];
-                let route = state.route.expect("winner has route");
-                port.sa_winner = SaWinner {
-                    vc: VcIndex::new(vc),
-                    route,
-                    out_vc: state.out_vc.expect("winner has output VC"),
-                };
-                let out_port = route.port.index();
+                port.sa_winner = VcIndex::new(vc);
+                let route = self.in_vc(in_port * self.vcs + vc).route;
+                let out_port = route.expect("winner has route").port.index();
                 if speculative {
-                    self.outputs[out_port].sa_spec.set(in_port);
+                    self.ports[out_port].output.sa_spec.set(in_port);
                 } else {
-                    self.outputs[out_port].sa_nonspec.set(in_port);
+                    self.ports[out_port].output.sa_nonspec.set(in_port);
                 }
                 pending.set(out_port);
             }
@@ -1284,10 +1355,10 @@ impl PipelineKernel {
         // Only output ports with a first-stage winner are visited. A port's
         // decision depends only on its own request sets and arbiter, both
         // fixed by the input stage, so each grant takes effect (credit
-        // reservation, grant queueing, scheme hook) as it is decided, in
+        // reservation, grant recording, scheme hook) as it is decided, in
         // ascending output-port order.
         for out_port in pending {
-            let port = &mut self.outputs[out_port];
+            let port = &mut self.ports[out_port].output;
             let nonspec = std::mem::take(&mut port.sa_nonspec);
             let spec = std::mem::take(&mut port.sa_spec);
             let requests = if nonspec.any() { nonspec } else { spec };
@@ -1295,10 +1366,16 @@ impl PipelineKernel {
                 .sa_arb
                 .grant(&requests)
                 .expect("a pending output has a requester");
-            let SaWinner { vc, route, out_vc } = self.inputs[in_port].sa_winner;
+            // The winner's claim is as the input stage saw it: no grant of
+            // this loop changes an input VC's claim.
+            let vc = self.ports[in_port].input.sa_winner;
+            let state = self.in_vc(in_port * self.vcs + vc.index());
+            let route = state.route.expect("winner has route");
+            let out_vc = state.out_vc.expect("winner has output VC");
             let in_port = PortIndex::new(in_port);
             self.consume_credit(route.port, route.hops as usize - 1, out_vc);
-            self.st_pending.push(StGrant { in_port, vc });
+            self.ports[out_port].output.st_grant = (in_port, vc);
+            self.st_ports.set(out_port);
             self.stats.sa_grants += 1;
             self.energy.record(EnergyEvent::Arbitration);
             if let Some(p) = self.counters.as_deref_mut() {
@@ -1393,5 +1470,34 @@ impl<H: SchemeHooks + Send> RouterModel for KernelRouter<H> {
 
     fn tracer(&self) -> Option<&TraceRing> {
         self.kernel.trace_ring()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_claim_survives_its_tag_word() {
+        assert_eq!(InVc::FREE.pack(), 0, "a fresh bank's zero tag is a free VC");
+        let routes = [
+            None,
+            Some(RouteInfo::new(PortIndex::new(0))),
+            Some(RouteInfo::multidrop(PortIndex::new(63), 255)),
+        ];
+        let out_vcs = [None, Some(VcIndex::new(0)), Some(VcIndex::new(63))];
+        for route in routes {
+            for out_vc in out_vcs {
+                for (express, pass_through) in [(0, false), (255, true), (1, false)] {
+                    let claim = InVc {
+                        route,
+                        out_vc,
+                        express,
+                        pass_through,
+                    };
+                    assert_eq!(InVc::unpack(claim.pack()), claim);
+                }
+            }
+        }
     }
 }

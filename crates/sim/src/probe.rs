@@ -82,6 +82,13 @@ pub struct RouterCounters {
     term_credit: Vec<u64>,
     restores: Vec<u64>,
     stages: StageHistograms,
+    /// Per input-VC slot, the cycle the kernel's VA phase granted the packet
+    /// holding the VC its output VC (`u64::MAX`: none, or a reuse-path
+    /// claim). Not a counter: the VA/SA stage samples are measured from it,
+    /// and nothing else reads it, so it lives here — allocated with the
+    /// counters — rather than in every router's per-VC state. Sized by
+    /// [`crate::PipelineKernel::enable_metrics`].
+    pub(crate) va_granted_at: Vec<u64>,
 }
 
 impl RouterCounters {
@@ -99,6 +106,7 @@ impl RouterCounters {
             term_credit: vec![0; in_ports],
             restores: vec![0; out_ports],
             stages: StageHistograms::default(),
+            va_granted_at: Vec::new(),
         }
     }
 

@@ -1,12 +1,14 @@
 //! Engine edge cases: degenerate run specifications, empty traffic, tiny
 //! topologies, and report consistency.
 
+mod test_model;
+
 use noc_base::{NodeId, PacketClass, RoutingPolicy, VaPolicy};
-use noc_sim::test_model::WireRouterFactory;
 use noc_sim::{NetworkConfig, RunSpec, Simulation};
 use noc_topology::Mesh;
 use noc_traffic::{PacketRequest, TraceRecord, TraceReplay, TrafficModel};
 use std::sync::Arc;
+use test_model::WireRouterFactory;
 
 struct Silence;
 

@@ -1,10 +1,72 @@
 //! Property-based tests of the microarchitecture building blocks against
 //! reference models.
 
-use noc_base::{Flit, FlitPool, FlitRef, VcIndex};
-use noc_sim::blocks::{CreditBook, FifoBank, RrArbiter};
+use noc_base::{Flit, FlitPool, FlitRef};
+use noc_sim::blocks::FifoBank;
 use proptest::prelude::*;
 use std::collections::VecDeque;
+
+/// A work-conserving round-robin arbiter over `n` requesters, one `bool` at
+/// a time: the behavioural reference [`noc_base::BitArbiter`] is tested
+/// against (it lived in `noc_sim::blocks` while routers still ran on it).
+#[derive(Clone, Debug)]
+struct RrArbiter {
+    next: usize,
+    n: usize,
+}
+
+impl RrArbiter {
+    /// Creates an arbiter over `n` requesters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    fn new(n: usize) -> Self {
+        assert!(n > 0, "arbiter needs at least one requester");
+        Self { next: 0, n }
+    }
+
+    /// Grants one of the requesting indices (where `requests[i]` is true),
+    /// rotating priority so the winner moves to lowest priority.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests.len() != n`.
+    fn grant(&mut self, requests: &[bool]) -> Option<usize> {
+        assert_eq!(requests.len(), self.n, "request vector size mismatch");
+        for offset in 0..self.n {
+            let i = (self.next + offset) % self.n;
+            if requests[i] {
+                self.next = (i + 1) % self.n;
+                return Some(i);
+            }
+        }
+        None
+    }
+
+    /// The rotating-priority pointer: the equivalence tests compare this
+    /// state, not just the grant sequences.
+    fn pointer(&self) -> usize {
+        self.next
+    }
+}
+
+#[test]
+fn reference_arbiter_is_round_robin_fair() {
+    let mut a = RrArbiter::new(3);
+    let all = [true, true, true];
+    let grants: Vec<usize> = (0..6).map(|_| a.grant(&all).unwrap()).collect();
+    assert_eq!(grants, vec![0, 1, 2, 0, 1, 2]);
+}
+
+#[test]
+fn reference_arbiter_skips_idle_requesters() {
+    let mut a = RrArbiter::new(4);
+    assert_eq!(a.grant(&[false, false, true, false]), Some(2));
+    // Priority rotates past the winner.
+    assert_eq!(a.grant(&[true, false, true, false]), Some(0));
+    assert_eq!(a.grant(&[false, false, false, false]), None);
+}
 
 fn flit(tag: u16) -> Flit {
     Flit {
@@ -15,10 +77,11 @@ fn flit(tag: u16) -> Flit {
 
 proptest! {
     /// Every [`FifoBank`] slot behaves exactly like an independent bounded
-    /// VecDeque: push acceptance, pop order, head identity, readiness
-    /// timing, and the full/empty edge predicates all agree op-for-op while
+    /// VecDeque: push acceptance (full or not), pop order, head identity,
+    /// readiness timing, length and emptiness all agree op-for-op while
     /// random interleavings drive each ring cursor around its range many
-    /// times (the 1..4 depths against up to 200 ops guarantee wraparound).
+    /// times (the 1..4 depths against up to 200 ops guarantee wraparound),
+    /// and each slot's tag survives all of it.
     #[test]
     fn fifo_bank_matches_reference_model(
         slots in 1usize..4,
@@ -36,6 +99,12 @@ proptest! {
         let pool = FlitPool::new(ops.len() + 1, 1);
         let mut bank = FifoBank::new(slots, depth);
         let mut reference: Vec<VecDeque<(FlitRef, u64)>> = vec![VecDeque::new(); slots];
+        // Each slot's tag word shares its run with the ring; neither may
+        // write over the other.
+        for s in 0..slots {
+            prop_assert_eq!(bank.tag(s), 0, "a fresh tag is zero");
+            bank.set_tag(s, !(s as u64));
+        }
         for (i, (raw_slot, op)) in ops.into_iter().enumerate() {
             let slot = raw_slot % slots;
             match op {
@@ -61,9 +130,9 @@ proptest! {
             // Every slot (touched or not this op) must agree with its model.
             let cycle = i as u64 % 50;
             for (s, model) in reference.iter().enumerate() {
+                prop_assert_eq!(bank.tag(s), !(s as u64));
                 prop_assert_eq!(bank.len(s), model.len());
                 prop_assert_eq!(bank.is_empty(s), model.is_empty());
-                prop_assert_eq!(bank.is_full(s), model.len() == depth);
                 prop_assert_eq!(bank.head_ref(s), model.front().map(|&(r, _)| r));
                 prop_assert_eq!(
                     bank.head_ready(s, cycle),
@@ -73,6 +142,64 @@ proptest! {
                         .map(|&(r, _)| r)
                 );
             }
+        }
+    }
+
+    /// The ring keeps every ready cycle exactly, wherever the clock is and
+    /// however deep the ring: fast-forwarding jumps the cycle counter
+    /// arbitrarily far, so a flit pushed at `c` (ready at `c + 1`) must not
+    /// be ready at `c`, must be at `c + 1`, and must pop with the `ready_at`
+    /// it was pushed with — around 2³², 2⁴⁰ and the top of the range, where
+    /// a ready cycle stored truncated or relative to anything would alias.
+    /// Depth 1 wraps the cursor on every operation and depth 300 takes it
+    /// past what a byte holds; both run against the same `VecDeque` model.
+    #[test]
+    fn fifo_bank_keeps_ready_cycles_exactly_at_any_depth(
+        base in prop_oneof![
+            Just(1u64 << 32),
+            Just(1u64 << 40),
+            Just(u64::MAX - 1),
+            any::<u64>(),
+        ],
+        back in 0u64..600,
+        depth in prop_oneof![Just(1usize), Just(300usize), 1usize..9],
+        ops in prop::collection::vec(any::<bool>(), 1..700),
+    ) {
+        let pool = FlitPool::new(ops.len() + 1, 1);
+        let mut bank = FifoBank::new(2, depth);
+        let mut model: VecDeque<(FlitRef, u64)> = VecDeque::new();
+        // The clock starts a little before `base` and ticks once per
+        // operation, crossing it (saturating at the top of the range).
+        let mut cycle = base.saturating_sub(back);
+        for (i, push) in ops.into_iter().enumerate() {
+            if push && model.len() < depth {
+                let r = pool.alloc_serial(flit(i as u16));
+                let ready_at = cycle.saturating_add(1);
+                prop_assert!(bank.push(1, r, ready_at).is_ok());
+                model.push_back((r, ready_at));
+                if model.len() == 1 && ready_at > cycle {
+                    prop_assert_eq!(bank.head_ready(1, cycle), None, "ready the cycle it was written");
+                    prop_assert_eq!(bank.head_ready(1, ready_at), Some(r));
+                }
+            } else if push {
+                let r = pool.alloc_serial(flit(i as u16));
+                prop_assert!(bank.push(1, r, cycle).is_err(), "push into a full ring");
+                pool.free(r);
+            } else {
+                let popped = bank.pop(1);
+                prop_assert_eq!(popped, model.pop_front(), "pop diverged at cycle {}", cycle);
+                if let Some((r, _)) = popped {
+                    pool.free(r);
+                }
+            }
+            prop_assert_eq!(bank.len(1), model.len());
+            prop_assert_eq!(
+                bank.head_ready(1, cycle),
+                model.front().filter(|&&(_, ready)| ready <= cycle).map(|&(r, _)| r)
+            );
+            prop_assert!(bank.is_empty(0), "the neighbouring slot was written");
+            prop_assert_eq!(bank.tag(1), 0, "the ring wrote over the slot's tag");
+            cycle = cycle.saturating_add(1);
         }
     }
 
@@ -215,43 +342,5 @@ proptest! {
                 prop_assert_eq!(scalar.pointer(), word.pointer(), "Mask64 pointer, n = {}", n);
             }
         }
-    }
-
-    /// Credit books conserve credits under arbitrary consume/refill orders
-    /// that respect the protocol.
-    #[test]
-    fn credit_book_conserves(
-        subs in 1usize..4,
-        vcs in 1usize..5,
-        capacity in 1u32..6,
-        ops in prop::collection::vec((any::<bool>(), 0usize..4, 0usize..5), 1..200),
-    ) {
-        let mut book = CreditBook::new(subs, vcs, capacity);
-        let mut outstanding = vec![0u32; subs * vcs];
-        for (consume, sub, vc) in ops {
-            let sub = sub % subs;
-            let vc = vc % vcs;
-            let slot = sub * vcs + vc;
-            let vc_i = VcIndex::new(vc);
-            if consume {
-                if book.available(sub, vc_i) > 0 {
-                    book.consume(sub, vc_i);
-                    outstanding[slot] += 1;
-                }
-            } else if outstanding[slot] > 0 {
-                book.refill(sub, vc_i);
-                outstanding[slot] -= 1;
-            }
-            prop_assert_eq!(
-                book.available(sub, vc_i) + outstanding[slot],
-                capacity,
-                "credits + outstanding must equal capacity"
-            );
-        }
-        let total_outstanding: u32 = outstanding.iter().sum();
-        prop_assert_eq!(
-            book.total_available() + total_outstanding,
-            capacity * (subs * vcs) as u32
-        );
     }
 }

@@ -48,6 +48,13 @@ tracefile=$(mktemp)
 cargo run --release --offline --example trace_replay "$tracefile" >/dev/null
 rm -f "$tracefile"
 
+# Step-cost smoke: the sizing experiment behind the router's memory layout
+# (EXPERIMENTS.md, "Cost of a step against network size") on its two
+# smallest meshes — it must keep building, draining and counting bytes; it
+# is not a measurement here.
+echo "==> cargo run --example step_cost 12 16 (smoke)"
+cargo run --release --offline --example step_cost 12 16 >/dev/null
+
 # EVC smoke: the comparator scheme must run end-to-end through the CLI,
 # including the kernel-provided observability surface.
 echo "==> noc run --scheme evc (smoke)"

@@ -345,7 +345,7 @@ pub fn run_campaign_command(command: &CampaignCommand) -> Result<String, CliErro
         }
         CampaignCommand::Status { out } => {
             let dir = Path::new(out);
-            let Some(cp) = Checkpoint::load(dir) else {
+            let Some(cp) = Checkpoint::load(dir)? else {
                 return Ok(format!("no campaign checkpoint in {out}"));
             };
             let report = if dir.join("report.json").is_file() {
@@ -631,6 +631,13 @@ mod tests {
             (&["--topology", "mesh2x2c61"], "65 ports"),
             (&["--vcs", "1", "--routing", "o1turn"], "vcs"),
             (&["--buffer", "0"], "buffer"),
+            // Both used to build the whole network and die in
+            // `FlitPool::new`; the first wrapped a `u32` product on the way.
+            (
+                &["--buffer", "4294967295"],
+                "buffer: 4294967295 flits on each of 4 VCs",
+            ),
+            (&["--vcs", "64", "--buffer", "1024"], "in flight on mesh8x8"),
             (&["--packet", "0"], "packet"),
             (&["--load", "-1"], "load"),
             (&["--load", "5"], "load"),
@@ -971,14 +978,28 @@ mod tests {
             text.contains("2 points | cache hits 2 | executed 0"),
             "{text}"
         );
-        let status = run_campaign_command(&CampaignCommand::Status {
-            out: out.to_string_lossy().into_owned(),
-        })
-        .unwrap();
+        let status_of = |dir: &Path| {
+            run_campaign_command(&CampaignCommand::Status {
+                out: dir.to_string_lossy().into_owned(),
+            })
+        };
+        let status = status_of(&out).unwrap();
         assert!(
             status.contains("smoke") && status.contains("2/2"),
             "{status}"
         );
+        // A checkpoint cut short mid-write used to read as "no campaign
+        // checkpoint" with exit 0; only a missing file may say that.
+        let checkpoint = out.join("checkpoint.json");
+        let whole = std::fs::read_to_string(&checkpoint).unwrap();
+        std::fs::write(&checkpoint, &whole[..whole.len() / 2]).unwrap();
+        let e = status_of(&out).unwrap_err();
+        assert!(
+            e.0.contains("checkpoint.json is unreadable: checkpoint:") && !e.0.contains('\n'),
+            "{e}"
+        );
+        let none = status_of(&dir.join("nowhere")).unwrap();
+        assert!(none.contains("no campaign checkpoint"), "{none}");
         let expand = run_campaign_command(&CampaignCommand::Expand {
             spec: spec_path.to_string_lossy().into_owned(),
         })

@@ -6,17 +6,23 @@
 //!
 //! A counting `#[global_allocator]` (each file under `tests/` is its own
 //! binary, so this does not leak into other tests) counts `alloc`/`realloc`
-//! calls while enabled. The run is fully deterministic (fixed seeds), so the
-//! assertion is stable: if a code change reintroduces a per-cycle
-//! allocation, this test fails every time.
+//! calls, and the bytes they ask for, while enabled. The run is fully
+//! deterministic (fixed seeds), so the assertion is stable: if a code change
+//! reintroduces a per-cycle allocation, this test fails every time.
+//!
+//! The same counter holds the construction budget: allocations per router
+//! of a whole `Simulation::new`, and the bytes of one router and one
+//! interface — the working set a step walks, which at a thousand routers is
+//! what a cycle costs (EXPERIMENTS.md, "Cost of a step against network
+//! size").
 
-use noc_base::{RouterId, RoutingPolicy, VaPolicy};
+use noc_base::{FlitPool, NodeId, RouterId, RoutingPolicy, VaPolicy};
 use noc_evc::EvcRouterFactory;
 use noc_hybrid::HybridRouterFactory;
-use noc_sim::{NetworkConfig, Simulation};
-use noc_topology::{Mesh, Ring, Topology};
+use noc_sim::{NetworkConfig, NetworkInterface, Simulation};
+use noc_topology::{Mesh, Ring, SharedTopology};
 use noc_traffic::{SyntheticPattern, SyntheticTraffic};
-use pseudo_circuit::{PcRouterFactory, Scheme};
+use pseudo_circuit::{PcHooks, PcRouterFactory, Scheme};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -29,6 +35,7 @@ struct CountingAlloc;
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 // Worker-pool threads are not test threads, so their allocations are counted
@@ -38,11 +45,12 @@ thread_local! {
 static WORKER_COUNTING: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 static WORKER_ALLOCS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-fn note_alloc() {
+fn note_alloc(bytes: usize) {
     // try_with: the TLS slot may already be gone during thread teardown.
     let _ = COUNTING.try_with(|c| {
         if c.get() {
             let _ = ALLOC_CALLS.try_with(|n| n.set(n.get() + 1));
+            let _ = ALLOC_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
             if PANIC_ON_ALLOC.load(std::sync::atomic::Ordering::Relaxed) {
                 c.set(false); // avoid recursing through the panic machinery
                 panic!("alloc in counted region");
@@ -58,7 +66,7 @@ fn note_alloc() {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -67,7 +75,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(new_size.saturating_sub(layout.size()));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -82,11 +90,18 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     if std::env::var_os("NOC_ALLOC_PANIC").is_some() {
         PANIC_ON_ALLOC.store(true, std::sync::atomic::Ordering::Relaxed);
     }
+    count_bytes(f).0
+}
+
+/// Counts the allocations the current thread makes during `f` and the bytes
+/// they request (a `realloc` counts what it grows by).
+fn count_bytes(f: impl FnOnce()) -> (u64, u64) {
     ALLOC_CALLS.with(|n| n.set(0));
+    ALLOC_BYTES.with(|n| n.set(0));
     COUNTING.with(|c| c.set(true));
     f();
     COUNTING.with(|c| c.set(false));
-    ALLOC_CALLS.with(|n| n.get())
+    (ALLOC_CALLS.with(|n| n.get()), ALLOC_BYTES.with(|n| n.get()))
 }
 
 fn paper_cmesh_sim() -> Simulation {
@@ -104,13 +119,15 @@ fn paper_cmesh_sim() -> Simulation {
 #[test]
 fn construction_stays_within_its_allocation_budget() {
     // Not a steady-state property but the other half of the same layout:
-    // the kernel keeps one record array per index space and its port/VC
-    // sets in words of the struct itself, so building a router is a couple
-    // of dozen allocations, not one per field per port. The budget counts
-    // everything `Simulation::new` builds per router — kernel, scheme
-    // state, interface, wiring, lanes — so density cannot erode silently
-    // (the one-vector-per-field layout needed 60).
-    let topo = Arc::new(Mesh::new(8, 8, 1));
+    // the kernel keeps one record array per index space, every input VC's
+    // state in one run of one bank, and its port/VC sets in words of the
+    // struct itself, so building a router is a handful of allocations, not
+    // one per field per port. The budget counts everything
+    // `Simulation::new` builds per router — kernel, scheme state,
+    // interface, wiring, lanes — so density cannot erode silently (the
+    // one-vector-per-field layout needed 60, one record array per index
+    // space with parallel buffer arrays 26).
+    let topo: SharedTopology = Arc::new(Mesh::new(8, 8, 1));
     let traffic = Box::new(SyntheticTraffic::new(
         SyntheticPattern::UniformRandom,
         8,
@@ -120,9 +137,10 @@ fn construction_stays_within_its_allocation_budget() {
         7,
     ));
     let routers = topo.num_routers() as u64;
+    let whole = topo.clone();
     let allocs = count_allocs(|| {
         drop(Simulation::new(
-            topo,
+            whole,
             NetworkConfig::paper(),
             traffic,
             &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
@@ -130,10 +148,56 @@ fn construction_stays_within_its_allocation_budget() {
         ));
     });
     assert!(
-        allocs <= 40 * routers,
+        allocs <= 14 * routers,
         "Simulation::new made {allocs} allocations for {routers} routers ({} per router)",
         allocs / routers
     );
+
+    // The byte rows: what one inner router (five ports, every one wired)
+    // and one interface keep, heap and inline together — the boxed value is
+    // itself an allocation, so the counter sees both. These are the bytes a
+    // cycle walks per router; at 1024 routers they decide whether a step's
+    // state is still in cache when its turn comes round again. Of the
+    // router's 2 794, 1 280 are the twenty input VCs at one 64-byte line
+    // each (4 refs, 4 full-width ready cycles, cursor, claim) — the floor
+    // while a ready cycle is an exact `u64`.
+    let pool = Arc::new(FlitPool::new(64, 1));
+    let (_, router_bytes) = count_bytes(|| {
+        let router = PcHooks::router(
+            RouterId::new(27),
+            topo.clone(),
+            NetworkConfig::paper(),
+            Scheme::pseudo_ps_bb(),
+            pool.clone(),
+        );
+        drop(std::hint::black_box(Box::new(router)));
+    });
+    assert!(
+        router_bytes <= 2_800,
+        "an inner mesh8x8 router is {router_bytes} bytes (3 422 before the per-VC runs)"
+    );
+    // An interface's source queue takes its share of a network-wide
+    // reservation: 64 entries of 40 bytes on this 64-node mesh, 8 on a
+    // 1024-node one, where 1024 idle queues were the single largest item of
+    // the simulation's memory.
+    let large: SharedTopology = Arc::new(Mesh::new(32, 32, 1));
+    for (topo, budget) in [(&topo, 3_100), (&large, 1_000)] {
+        let (_, ni_bytes) = count_bytes(|| {
+            let ni = NetworkInterface::new(
+                NodeId::new(27),
+                topo.clone(),
+                NetworkConfig::paper(),
+                9,
+                pool.clone(),
+            );
+            drop(std::hint::black_box(Box::new(ni)));
+        });
+        assert!(
+            ni_bytes <= budget,
+            "an interface of {} is {ni_bytes} bytes (3 240 before), budget {budget}",
+            topo.name()
+        );
+    }
 }
 
 #[test]
