@@ -45,8 +45,9 @@
 //! - A `FlitRef` is *owned* by exactly one component at a time (a FIFO slot,
 //!   an outbox entry, a lane entry, an NI). Only the owner may read or write
 //!   the referenced slot. Ownership transfers ride the engine's existing
-//!   happens-before edges: the epoch barrier between cycles and the
-//!   ascending-source lane merge within one.
+//!   happens-before edges: the worker pool's batch (published and drained
+//!   under one mutex) between cycles and the ascending-source lane merge
+//!   within one.
 //! - Allocation is per-shard: [`FlitPool::alloc`] pops from the calling
 //!   shard's private free stack, which no other shard touches. The driver
 //!   tops these stacks up from the global free list *between* parallel
@@ -146,7 +147,7 @@ pub struct FlitPool {
     /// Advanced only by the serial driver and read by everyone — a plain
     /// word, not an atomic, so that the check every dereference makes
     /// against it optimises like the slice bounds check it replaces; the
-    /// epoch barrier that publishes the slots publishes the mark with them.
+    /// pool batch that publishes the slots publishes the mark with them.
     issued: Cell<u32>,
 }
 

@@ -22,8 +22,8 @@
 //!   ([`rng::SeedStream`]) so that every experiment in the reproduction is
 //!   bit-for-bit repeatable regardless of external crate versions;
 //! - a persistent fork/join worker pool ([`pool::WorkerPool`]) shared by the
-//!   multi-threaded cycle loop and the bench sweep scheduler, built on the
-//!   park/wake and adaptive-spin primitives in [`sync`].
+//!   multi-threaded cycle loop and the campaign and figure sweeps, and the
+//!   host's thread budget ([`pool::host_threads`]).
 //!
 //! # Example
 //!
@@ -45,7 +45,6 @@ pub mod ids;
 pub mod policy;
 pub mod pool;
 pub mod rng;
-pub mod sync;
 
 pub use arena::{FlitPool, FlitRef};
 pub use bitset::{BitArbiter, Mask64, RequestSet, WordMask};

@@ -16,8 +16,8 @@ use pseudo_circuit::Scheme;
 /// Runs `point` and reads the core-side counters off its traffic model (a
 /// report does not carry them).
 fn cmp_stats(point: &PointSpec) -> CmpStats {
-    let (mut sim, _) =
-        build_simulation(point, MetricsConfig::off(), 1).unwrap_or_else(|e| panic!("{point}: {e}"));
+    let mut sim =
+        build_simulation(point, MetricsConfig::off()).unwrap_or_else(|e| panic!("{point}: {e}"));
     let _ = sim.run(point.run_spec());
     sim.traffic_model()
         .as_any()

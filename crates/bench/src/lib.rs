@@ -15,13 +15,14 @@
 //! with a run manifest (`--manifest`), a longer window (`--measure`) or more
 //! seeds (a campaign `seed` axis). Phases and seeds are fixed here so the
 //! printed tables are the ones EXPERIMENTS.md records. `NOC_THREADS` caps
-//! the sweep worker count (default: all cores).
+//! the sweep worker count (default: all CPUs).
 
 use noc_base::{RoutingPolicy, VaPolicy};
 use noc_campaign::{prepare, run_point, PointSpec, SchemeChoice};
 use noc_sim::{RunSpec, SimReport};
 use pseudo_circuit::Scheme;
 use std::fmt::Write as _;
+use std::sync::Mutex;
 
 /// Warmup / measure / drain cycles for closed-loop CMP runs.
 pub const CMP_PHASES: RunSpec = RunSpec {
@@ -37,64 +38,41 @@ pub const SYNTH_PHASES: RunSpec = RunSpec {
     drain: 80_000,
 };
 
-/// The sweep thread budget: `NOC_THREADS` when set to a positive integer,
-/// otherwise every available core ([`std::thread::available_parallelism`]).
-pub fn sweep_threads() -> usize {
-    noc_base::pool::default_threads()
-}
-
-/// Index-keyed result slots written concurrently by pool workers. Each batch
-/// index writes its own slot exactly once, so the cells never alias.
-struct ResultSlots<R>(*mut Option<R>);
-unsafe impl<R: Send> Sync for ResultSlots<R> {}
-
-impl<R> ResultSlots<R> {
-    /// Pointer to slot `i`. A method (not direct field access) so closures
-    /// capture the `Sync` wrapper rather than the raw pointer field.
-    fn slot(&self, i: usize) -> *mut Option<R> {
-        // Safety contract is the caller's: `i` must be in bounds.
-        unsafe { self.0.add(i) }
-    }
-}
-
 /// Runs `f` over `items` on the process-global worker pool
 /// ([`noc_base::pool::global`]), preserving order. Items are claimed
 /// dynamically, so a sweep whose points have wildly different runtimes (a
 /// saturated config next to a light one) stays load-balanced; results land
 /// in index-keyed slots, so ordering is independent of which worker ran
-/// what. The thread budget comes from [`sweep_threads`] (`NOC_THREADS`
-/// override, all cores by default).
+/// what. The thread budget is the host's
+/// ([`noc_base::pool::host_threads`]: every CPU, capped by `NOC_THREADS`).
 ///
 /// The pool is shared with the simulation engine's sharded cycle loop: a
 /// sweep point that itself runs a multi-threaded simulation executes its
 /// shards inline on whichever thread runs the sweep point — a pool worker
 /// or the submitting thread itself — so nested submissions never deadlock.
+///
+/// # Panics
+///
+/// Panics when `NOC_THREADS` is set to anything but a positive integer.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let slots = ResultSlots(results.as_mut_ptr());
-    let f = &f;
-    // Sweep points run whole simulations — always worth waking parked
-    // workers for (eager), unlike the engine's per-cycle micro-batches.
-    noc_base::pool::global().run_limited_eager(n, sweep_threads(), &|i| {
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let threads = noc_base::pool::host_threads().unwrap_or_else(|e| panic!("{e}"));
+    noc_base::pool::global().run_limited(items.len(), threads, &|i| {
         let value = f(&items[i]);
-        // Safety: index i is claimed by exactly one worker per batch, and
-        // run_limited_eager does not return until every index completed, so
-        // each slot is written once with no concurrent access.
-        unsafe { slots.slot(i).write(Some(value)) };
+        *slots[i].lock().expect("a slot has one writer") = Some(value);
     });
-    results
+    slots
         .into_iter()
-        .map(|r| r.expect("worker filled every slot"))
+        .map(|slot| {
+            slot.into_inner()
+                .expect("a slot has one writer")
+                .expect("the pool ran every index")
+        })
         .collect()
 }
 
@@ -260,20 +238,6 @@ mod tests {
         // Fewer items than threads: excess workers simply never join.
         assert_eq!(parallel_map(&[7u64], |&x| x + 1), vec![8]);
         assert_eq!(parallel_map(&[1u64, 2, 3], |&x| x * x), vec![1, 4, 9]);
-    }
-
-    #[test]
-    fn sweep_threads_respects_noc_threads_override() {
-        // The override rules are asserted through the pure parser — mutating
-        // NOC_THREADS here would race other tests' getenv calls in this
-        // binary (undefined behavior on glibc). sweep_threads delegates to
-        // default_threads, so checking that delegation plus the parser
-        // covers the override path without touching the environment.
-        assert_eq!(noc_base::pool::parse_thread_cap(Some("5")), Some(5));
-        assert_eq!(noc_base::pool::parse_thread_cap(Some("0")), None);
-        assert_eq!(noc_base::pool::parse_thread_cap(None), None);
-        assert_eq!(sweep_threads(), noc_base::pool::default_threads());
-        assert!(sweep_threads() >= 1);
     }
 
     #[test]

@@ -166,8 +166,8 @@ impl Checkpoint {
 /// Knobs for one [`run_campaign`] invocation.
 #[derive(Clone, Default, Debug)]
 pub struct CampaignOptions {
-    /// Worker-thread budget for across-point parallelism; `0` means one
-    /// simulation per available core (capped by `NOC_THREADS`). Each point's
+    /// Worker-thread budget for across-point parallelism; `0` means the host
+    /// budget ([`noc_base::pool::host_threads`]). Each point's
     /// simulation always runs single-threaded, so this never affects results
     /// — only wall-clock.
     pub threads: usize,
@@ -214,13 +214,18 @@ pub struct CampaignOutcome {
 /// Returns an [`Error`] when a point's specs don't resolve, when two points
 /// collapse onto one configuration hash (e.g. a `packet` axis swept under
 /// benchmark traffic, which ignores packet length — the cache could not
-/// tell such points apart), or on I/O failure in the cache, checkpoint, or
+/// tell such points apart), when `options.threads` is 0 and `NOC_THREADS`
+/// is not a positive integer, or on I/O failure in the cache, checkpoint, or
 /// report.
 pub fn run_campaign(
     spec: &CampaignSpec,
     campaign_dir: &Path,
     options: &CampaignOptions,
 ) -> Result<CampaignOutcome, Error> {
+    let threads = match options.threads {
+        0 => noc_base::pool::host_threads().map_err(Error)?,
+        n => n,
+    };
     let git_rev = options.git_rev.clone().unwrap_or_else(noc_sim::git_rev);
     let points = spec.expand();
     let prepared: Vec<PreparedPoint> = points.iter().map(prepare).collect::<Result<_, _>>()?;
@@ -279,10 +284,6 @@ pub fn run_campaign(
     // loses at most the in-flight points.
     let slots: Vec<Mutex<Option<PointResult>>> = pending.iter().map(|_| Mutex::new(None)).collect();
     let failures: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let threads = match options.threads {
-        0 => runner::host_threads(),
-        n => n,
-    };
     let job = |i: usize| {
         let point = &prepared[pending[i]];
         let step = run_point(point).and_then(|report| {
@@ -301,9 +302,7 @@ pub fn run_campaign(
                 .push(format!("{}: {e}", point.spec));
         }
     };
-    // Campaign points run whole simulations — always worth waking parked
-    // workers for, unlike the engine's per-cycle micro-batches.
-    noc_base::pool::global().run_limited_eager(pending.len(), threads, &job);
+    noc_base::pool::global().run_limited(pending.len(), threads, &job);
 
     let failures = failures.into_inner().unwrap();
     if !failures.is_empty() {

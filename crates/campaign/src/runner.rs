@@ -11,7 +11,7 @@
 use crate::spec::{routing_name, PointSpec, SchemeChoice};
 use crate::Error;
 use noc_base::{FlitPool, Mask64, RouterId};
-use noc_sim::{auto_threads, config_hash, MetricsConfig, SimReport, Simulation, ThreadDecision};
+use noc_sim::{config_hash, MetricsConfig, SimReport, Simulation};
 use noc_topology::{FlattenedButterfly, HierRing, Mecs, Mesh, Ring, SharedTopology, Topology};
 use noc_traffic::{BenchmarkProfile, CmpTraffic, SyntheticPattern, SyntheticTraffic, TrafficModel};
 use std::sync::Arc;
@@ -291,41 +291,24 @@ pub fn prepare(point: &PointSpec) -> Result<PreparedPoint, Error> {
     })
 }
 
-/// The host's thread budget: its CPUs, capped by `NOC_THREADS`. Resolved
-/// here once so the budget a manifest reports, the one the engine applies
-/// (`Simulation::set_threads` clamps by the same variable) and a campaign's
-/// default worker count agree.
-pub(crate) fn host_threads() -> usize {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    noc_base::pool::env_thread_cap().map_or(cpus, |cap| cpus.min(cap))
-}
-
 /// Builds the simulation of one point: the single point→[`Simulation`]
-/// path, shared by [`run_point`] and `noc run`. `threads` is a budget —
-/// clamped through [`auto_threads`] against the host budget (CPUs capped by
-/// `NOC_THREADS`) and the network size, with the decision returned for the
-/// manifest; it never affects results.
+/// path, shared by [`run_point`] and `noc run`. The simulation is serial; a
+/// caller that wants the sharded engine calls
+/// [`Simulation::set_threads`] on the result (it never affects results).
 ///
 /// # Errors
 ///
 /// As [`prepare`].
-pub fn build_simulation(
-    point: &PointSpec,
-    metrics: MetricsConfig,
-    threads: usize,
-) -> Result<(Simulation, ThreadDecision), Error> {
+pub fn build_simulation(point: &PointSpec, metrics: MetricsConfig) -> Result<Simulation, Error> {
     let (topo, traffic) = resolve(point)?;
-    let decision = auto_threads(threads, host_threads(), topo.num_routers());
-    let mut sim = Simulation::with_metrics(
+    Ok(Simulation::with_metrics(
         topo,
         point.network_config(),
         metrics,
         traffic,
         point.scheme.factory().as_ref(),
         point.seed,
-    );
-    sim.set_threads(decision.effective);
-    Ok((sim, decision))
+    ))
 }
 
 /// Runs one prepared point to completion and returns its report.
@@ -341,7 +324,7 @@ pub fn build_simulation(
 /// Returns an [`Error`] when the specs fail to rebuild (they were already
 /// validated by [`prepare`], so this is effectively unreachable).
 pub fn run_point(prepared: &PreparedPoint) -> Result<SimReport, Error> {
-    let (mut sim, _) = build_simulation(&prepared.spec, MetricsConfig::off(), 1)?;
+    let mut sim = build_simulation(&prepared.spec, MetricsConfig::off())?;
     Ok(sim.run(prepared.spec.run_spec()))
 }
 

@@ -42,7 +42,7 @@ pub use metrics::{
     chrome_trace_json, MetricsConfig, MetricsLevel, ObservabilityReport, PipelineStage,
     RouterObservation, StageHistograms, TraceEvent, TraceEventKind, TraceRing, TraceSpec,
 };
-pub use network::{auto_threads, Simulation, ThreadDecision, MIN_ROUTERS_PER_SHARD};
+pub use network::Simulation;
 pub use ni::{NetworkInterface, NiOutputs, NiStats};
 pub use pipeline::{KernelRouter, PipelineKernel, SchemeHooks};
 pub use probe::{Probe, RouterCounters, Termination};

@@ -9,7 +9,6 @@
 //! via the `"schema"` field; see `docs/METRICS.md` for the field contract.
 
 use crate::metrics::{CoordinationStats, MetricsLevel, RouterObservation};
-use crate::network::ThreadDecision;
 use crate::{NetworkConfig, RunSpec, SimReport};
 use std::fmt::Write as _;
 use std::io;
@@ -40,10 +39,10 @@ pub struct RunManifest {
     pub config: NetworkConfig,
     /// Run phases (warmup / measure / drain).
     pub spec: RunSpec,
-    /// Thread-count decision the runner applied ([`crate::auto_threads`]),
-    /// when the caller recorded one. Execution-only — excluded from the
-    /// config hash like the thread count itself.
-    pub threads: Option<ThreadDecision>,
+    /// Thread count the engine ran with ([`crate::Simulation::threads`]),
+    /// when the caller recorded it. Execution-only — excluded from the
+    /// config hash.
+    pub threads: Option<usize>,
     /// Headline results copied from the report.
     pub summary: ManifestSummary,
     /// Per-router counter dump (present only at [`MetricsLevel::Full`]).
@@ -136,10 +135,10 @@ impl RunManifest {
         self
     }
 
-    /// Attaches the runner's thread-count decision. Thread counts never
+    /// Attaches the thread count the engine ran with. Thread counts never
     /// affect results, so this does NOT rehash the configuration.
-    pub fn with_threads(mut self, decision: ThreadDecision) -> Self {
-        self.threads = Some(decision);
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = Some(threads);
         self
     }
 
@@ -177,11 +176,8 @@ impl RunManifest {
         json_u64(&mut s, "buffer_depth", self.config.buffer_depth as u64);
         json_str(&mut s, "routing", &format!("{:?}", self.config.routing));
         json_str(&mut s, "va_policy", &format!("{:?}", self.config.va_policy));
-        if let Some(t) = &self.threads {
-            json_u64(&mut s, "threads_requested", t.requested as u64);
-            json_u64(&mut s, "threads_effective", t.effective as u64);
-            json_u64(&mut s, "host_cpus", t.host_cpus as u64);
-            json_str(&mut s, "threads_reason", t.reason);
+        if let Some(threads) = self.threads {
+            json_u64(&mut s, "threads", threads as u64);
         }
         if let Some(c) = &self.coordination {
             json_u64(&mut s, "coord_epochs", c.epochs);
@@ -484,23 +480,17 @@ mod tests {
     }
 
     #[test]
-    fn thread_decision_is_recorded_but_never_hashed() {
+    fn thread_count_is_recorded_but_never_hashed() {
         let cfg = NetworkConfig::paper();
         let spec = RunSpec::new(0, 10, 10);
         let plain = RunManifest::capture(&report(None), &cfg, spec, 7, MetricsLevel::Off);
-        assert!(!plain.to_json().contains("threads_requested"));
-        let decided = plain
-            .clone()
-            .with_threads(crate::network::auto_threads(8, 4, 64));
+        assert!(!plain.to_json().contains("\"threads\""));
+        let threaded = plain.clone().with_threads(4);
         assert_eq!(
-            plain.config_hash, decided.config_hash,
-            "thread decision is execution-only"
+            plain.config_hash, threaded.config_hash,
+            "the thread count is execution-only"
         );
-        let json = decided.to_json();
-        assert!(json.contains("\"threads_requested\": 8"));
-        assert!(json.contains("\"threads_effective\": 4"));
-        assert!(json.contains("\"host_cpus\": 4"));
-        assert!(json.contains("\"threads_reason\": \"capped to host cpus\""));
+        assert!(threaded.to_json().contains("\"threads\": 4"));
     }
 
     #[test]

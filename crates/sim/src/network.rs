@@ -20,9 +20,9 @@
 //! intra-cycle dependencies between routers. The engine exploits this by
 //! partitioning routers into contiguous index shards ([`ShardLayout`]) and
 //! stepping the shards in parallel on a persistent worker pool
-//! ([`noc_base::pool`]). A cycle costs **one** synchronization point — the
-//! pool's epoch barrier — because everything else is fused into the shard
-//! scan itself:
+//! ([`noc_base::pool`]). A cycle costs **one** synchronization point —
+//! waiting for its pool batch to drain — because everything else is fused
+//! into the shard scan itself:
 //!
 //! - **Fused merge over double-buffered lanes.** Cross-shard traffic travels
 //!   through a flat `shards × shards` matrix of [`LanePair`]s: at cycle `c`
@@ -36,7 +36,7 @@
 //! - **Quiescent-shard skip.** Each shard records which shards its emissions
 //!   target (a word-packed [`WordMask`]) plus whether its own routers/NIs
 //!   still hold work; the driver unions these into a pending mask and the
-//!   next epoch covers only pending shards. A shard with no inbound lanes
+//!   next batch covers only pending shards. A shard with no inbound lanes
 //!   and no retained work is provably a no-op and never wakes a worker —
 //!   composing with full-network quiescence fast-forwarding.
 //!
@@ -711,11 +711,11 @@ impl Simulation {
         self.quiescent = self.scan_quiescent();
     }
 
-    /// Sets the thread budget for the parallel stepping phase and re-shards
-    /// the network accordingly. A `NOC_THREADS` environment override caps the
-    /// budget process-wide (read once here — never in the hot loop). Thread
-    /// count never affects results: the golden `SimReport` is byte-identical
-    /// for any value, including 1.
+    /// Sets the thread count of the parallel stepping phase (at least 1) and
+    /// re-shards the network accordingly. A command, not a request: nothing
+    /// here looks at the host — a caller with a budget to respect (`noc run`)
+    /// caps the count before it calls. Thread count never affects results:
+    /// the golden `SimReport` is byte-identical for any value, including 1.
     ///
     /// # Panics
     ///
@@ -733,8 +733,7 @@ impl Simulation {
             !self.events_in_flight,
             "set_threads requires no in-flight events (call it between runs)"
         );
-        let cap = noc_base::pool::env_thread_cap().unwrap_or(usize::MAX);
-        let threads = threads.clamp(1, cap);
+        let threads = threads.max(1);
         if threads == self.threads {
             return; // already sharded for this budget (construction: 1)
         }
@@ -912,12 +911,8 @@ impl Simulation {
             // set bit) and ctx's pointers cover the full vectors; see
             // `ShardCtx`.
             let job = |i: usize| unsafe { step_shard(&ctx, worklist[i]) };
-            let pool = noc_base::pool::global();
-            if self.coordination.is_some() {
-                submitter_wait = pool.run_limited_timed(worklist.len(), self.threads, &job);
-            } else {
-                pool.run_limited(worklist.len(), self.threads, &job);
-            }
+            submitter_wait =
+                noc_base::pool::global().run_limited_timed(worklist.len(), self.threads, &job);
         }
 
         // Recompute the pending mask from the shards that ran: their fresh
@@ -1166,102 +1161,5 @@ impl Simulation {
                 obs
             }),
         }
-    }
-}
-
-/// Fewest routers a shard should hold before parallel stepping pays for its
-/// coordination overhead (2× over-partitioned shards, so at `t` threads a
-/// router count below `2 t × this` triggers the serial clamp).
-pub const MIN_ROUTERS_PER_SHARD: usize = 4;
-
-/// Outcome of the automatic thread-budget selection, recorded in the run
-/// manifest so every artifact states how its thread count was chosen.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ThreadDecision {
-    /// The budget the caller asked for (`--threads`).
-    pub requested: usize,
-    /// The budget actually applied.
-    pub effective: usize,
-    /// Host CPUs the decision was sized against (after any `NOC_THREADS`
-    /// cap, which the engine applies too).
-    pub host_cpus: usize,
-    /// Routers in the network the decision was sized against.
-    pub routers: usize,
-    /// Why `effective` differs from (or equals) `requested`.
-    pub reason: &'static str,
-}
-
-/// Picks the thread budget to actually run with instead of trusting the
-/// requested count verbatim.
-///
-/// Two clamps apply, in order: the budget never exceeds `host_cpus`
-/// (oversubscription only adds scheduler churn), and when the resulting 2×
-/// over-partitioned shards would each hold fewer than
-/// [`MIN_ROUTERS_PER_SHARD`] routers the decision falls back to fully serial
-/// — per-shard coordination would cost more than the parallelism returns on
-/// a network that small. Thread count never affects simulation results
-/// (tests/determinism_threads.rs), so the clamp is always safe.
-pub fn auto_threads(requested: usize, host_cpus: usize, num_routers: usize) -> ThreadDecision {
-    let requested = requested.max(1);
-    let host_cpus = host_cpus.max(1);
-    let capped = requested.min(host_cpus);
-    let (effective, reason) = if capped > 1 {
-        let shards = (capped * 2).min(num_routers.max(1));
-        if num_routers.div_ceil(shards) < MIN_ROUTERS_PER_SHARD {
-            (1, "network too small for parallel shards")
-        } else if capped < requested {
-            (capped, "capped to host cpus")
-        } else {
-            (capped, "as requested")
-        }
-    } else if capped < requested {
-        (capped, "capped to host cpus")
-    } else {
-        (capped, "as requested")
-    };
-    ThreadDecision {
-        requested,
-        effective,
-        host_cpus,
-        routers: num_routers,
-        reason,
-    }
-}
-
-#[cfg(test)]
-mod auto_thread_tests {
-    use super::*;
-
-    #[test]
-    fn small_networks_clamp_to_serial() {
-        // 16 routers at 4 threads -> 8 shards -> 2 routers/shard: serial.
-        let d = auto_threads(4, 16, 16);
-        assert_eq!(d.effective, 1);
-        assert_eq!(d.reason, "network too small for parallel shards");
-        // 16 routers at 2 threads -> 4 shards -> 4 routers/shard: allowed.
-        assert_eq!(auto_threads(2, 16, 16).effective, 2);
-    }
-
-    #[test]
-    fn large_networks_keep_the_request_up_to_host_cpus() {
-        let d = auto_threads(4, 16, 64);
-        assert_eq!(d.effective, 4);
-        assert_eq!(d.reason, "as requested");
-        let d = auto_threads(32, 8, 1024);
-        assert_eq!(d.effective, 8);
-        assert_eq!(d.reason, "capped to host cpus");
-        // A host capped to one thread (`NOC_THREADS=1`: the caller passes
-        // the capped count) runs serial however large the network — the
-        // engine's own clamp would otherwise undercut the reported budget.
-        let d = auto_threads(4, 1, 1024);
-        assert_eq!((d.effective, d.host_cpus), (1, 1));
-        assert_eq!(d.reason, "capped to host cpus");
-    }
-
-    #[test]
-    fn degenerate_inputs_normalize() {
-        let d = auto_threads(0, 0, 0);
-        assert_eq!(d.effective, 1);
-        assert_eq!(d.requested, 1);
     }
 }

@@ -13,7 +13,7 @@ use noc_traffic::BenchmarkProfile;
 use pseudo_circuit::Scheme;
 
 fn run(point: &PointSpec) -> SimReport {
-    let (mut sim, _) = build_simulation(point, MetricsConfig::off(), 1).expect("a legal point");
+    let mut sim = build_simulation(point, MetricsConfig::off()).expect("a legal point");
     sim.run(point.run_spec())
 }
 

@@ -22,8 +22,7 @@ fn main() {
             seed: 21,
             ..PointSpec::default()
         };
-        let (mut sim, _) =
-            build_simulation(&point, MetricsConfig::off(), 1).expect("a legal point");
+        let mut sim = build_simulation(&point, MetricsConfig::off()).expect("a legal point");
         let report = sim.run(point.run_spec());
         e2e += report.end_to_end_locality;
         xbar += report.xbar_locality();

@@ -27,8 +27,7 @@ fn main() {
                 drain: 50_000,
                 ..PointSpec::default()
             };
-            let (mut sim, _) =
-                build_simulation(&point, MetricsConfig::off(), 1).expect("a legal point");
+            let mut sim = build_simulation(&point, MetricsConfig::off()).expect("a legal point");
             let report = sim.run(point.run_spec());
             let base = *baseline_latency.get_or_insert(report.avg_latency);
             println!(

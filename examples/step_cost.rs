@@ -101,7 +101,7 @@ fn router_bytes(side: usize) -> usize {
 /// router per cycle)`.
 fn run_once(side: usize) -> (f64, f64, f64) {
     let spec = point(side);
-    let (mut sim, _) = build_simulation(&spec, MetricsConfig::off(), 1).expect("a legal point");
+    let mut sim = build_simulation(&spec, MetricsConfig::off()).expect("a legal point");
     let start = Instant::now();
     let report = sim.run(spec.run_spec());
     let ns = start.elapsed().as_nanos() as f64;

@@ -25,8 +25,7 @@ fn main() {
                 drain: 150_000,
                 ..PointSpec::default()
             };
-            let (mut sim, _) =
-                build_simulation(&point, MetricsConfig::off(), 1).expect("a legal point");
+            let mut sim = build_simulation(&point, MetricsConfig::off()).expect("a legal point");
             sim.run(point.run_spec())
         };
         let base = run(Scheme::baseline());

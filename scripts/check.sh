@@ -17,16 +17,18 @@ cargo build --release --offline
 echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
 
-# Second pass with a capped thread budget: every test that builds a
-# simulation or calls parallel_map now runs through the sharded engine and
-# worker pool (NOC_THREADS caps both), so the determinism matrix in
-# tests/determinism_threads.rs, the golden report and the worker pool's own
-# epoch-barrier tests are exercised with the pool genuinely engaged.
+# Second pass with the host budget capped at two: what reads the budget
+# (noc_base::pool::host_threads — a campaign's default worker count,
+# parallel_map, the CLI's ceiling on --threads) runs exactly two wide
+# whatever the host, so the sweep tests drive the worker pool in the
+# submitter-plus-one-worker shape the benchmark measures. The engine's own
+# thread count is a command (Simulation::set_threads) that reads no
+# environment: tests/determinism_threads.rs shards at 2, 4 and 7 either way.
 echo "==> NOC_THREADS=2 cargo test -q --workspace"
 NOC_THREADS=2 cargo test -q --offline --workspace
 
 # One lint pass over every target of every member: the facade, the unsafe
-# lifetime erasure and epoch barrier of noc-base's worker pool, both sides
+# lifetime erasure of noc-base's worker pool, both sides
 # of the kernel/hooks contract (noc-sim and the three scheme crates), the
 # campaign engine's hand-rolled TOML/JSON parsing, and noc-bench's figure
 # harnesses. vendor/proptest is an implicit member and not ours to lint.
@@ -141,6 +143,22 @@ cmp -s "$campdir/out/report.json" "$campdir/report.first.json" || {
     exit 1
 }
 
+# Hostile thread budget: a NOC_THREADS that is not a positive integer ends
+# `noc run` and `noc campaign run` in one line on stderr and exit 1 — the
+# unit tests cover the parser, only a real environment covers the wiring.
+echo "==> NOC_THREADS=lots noc run / noc campaign run (must be refused)"
+for cmd in "run --measure 10" "campaign run --spec $campdir/sweep.toml --out $campdir/out"; do
+    # shellcheck disable=SC2086
+    if refusal=$(NOC_THREADS=lots ./target/release/noc $cmd 2>&1 >/dev/null); then
+        echo "hostile NOC_THREADS: noc $cmd exited 0" >&2
+        exit 1
+    fi
+    [ "$refusal" = 'error: NOC_THREADS must be a positive integer, got "lots"' ] || {
+        echo "hostile NOC_THREADS: noc $cmd said: $refusal" >&2
+        exit 1
+    }
+done
+
 # Script-level gates: the bench-compare fixture tests and the docs link
 # check (dangling relative links, anchors, and DESIGN.md § references).
 echo "==> scripts/test_bench_compare.sh"
@@ -151,5 +169,9 @@ scripts/check_links.sh
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+# Not a gate: the size numbers ROADMAP.md tracks, for the PR description.
+echo "==> scripts/budget.sh"
+scripts/budget.sh
 
 echo "All checks passed."

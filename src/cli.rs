@@ -37,6 +37,7 @@
 //! including `--scheme evc` — both router families run on the shared
 //! pipeline kernel and carry the same observability plumbing.
 
+use noc_base::pool::host_threads;
 use noc_campaign::{
     build_simulation, parse_routing, parse_va, CampaignOptions, CampaignSpec, Checkpoint,
     PointSpec, SchemeChoice,
@@ -54,11 +55,11 @@ pub struct RunArgs {
     /// What to simulate (`--topology` … `--seed`): exactly a campaign point,
     /// so the CLI and a campaign hash the same struct.
     pub point: PointSpec,
-    /// Engine thread budget (`--threads`; default: all physical cores, with
-    /// a `NOC_THREADS` environment override). Never affects results — the
-    /// report is byte-identical for any value. Treated as a budget, not a
-    /// command: [`run`] clamps it through [`noc_sim::auto_threads`] and
-    /// records the decision in the manifest.
+    /// Engine threads requested (`--threads`; default 1, the fastest choice
+    /// for the 16–64-router networks of the paper). Never affects results —
+    /// the report is byte-identical for any value. [`run`] caps it by the
+    /// host budget ([`noc_base::pool::host_threads`]) and records the count
+    /// it ran with in the manifest.
     pub threads: usize,
     /// Observability level (`--metrics off|full`).
     pub metrics: MetricsLevel,
@@ -74,7 +75,7 @@ impl Default for RunArgs {
     fn default() -> Self {
         Self {
             point: PointSpec::default(),
-            threads: noc_base::pool::default_threads(),
+            threads: 1,
             metrics: MetricsLevel::Off,
             manifest: None,
             trace: None,
@@ -180,9 +181,11 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, CliError> {
 /// Returns a [`CliError`] when the topology or traffic spec is invalid, a
 /// value is out of range for the configuration (see
 /// [`noc_campaign::prepare`]), a `--trace-routers` id names no router of the
-/// topology, or a requested output file cannot be written.
+/// topology, `NOC_THREADS` is set to something other than a positive
+/// integer, or a requested output file cannot be written.
 pub fn run(args: &RunArgs) -> Result<SimReport, CliError> {
     let point = &args.point;
+    let threads = args.threads.min(host_threads().map_err(CliError)?);
     let metrics = MetricsConfig {
         level: args.metrics,
         trace: args
@@ -190,7 +193,8 @@ pub fn run(args: &RunArgs) -> Result<SimReport, CliError> {
             .as_ref()
             .map(|_| TraceSpec::routers(args.trace_routers.clone())),
     };
-    let (mut sim, threads) = build_simulation(point, metrics, args.threads)?;
+    let mut sim = build_simulation(point, metrics)?;
+    sim.set_threads(threads);
     let routers = sim.topology().num_routers();
     if let Some(&id) = args.trace_routers.iter().find(|&&id| id >= routers) {
         return Err(err(format!(
@@ -227,7 +231,7 @@ pub enum CampaignCommand {
         spec: String,
         /// Campaign directory (cache + checkpoint + report).
         out: String,
-        /// Across-point worker budget (`0` = one sim per core).
+        /// Across-point worker budget (`0` = the host budget).
         threads: usize,
         /// Stop after this many uncached points (deterministic interrupt).
         max_points: Option<usize>,
@@ -302,8 +306,9 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, CliError>
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] for unreadable/invalid specs and any execution
-/// failure (see [`noc_campaign::run_campaign`]).
+/// Returns a [`CliError`] for unreadable/invalid specs, a `NOC_THREADS` that
+/// is not a positive integer (`run` only), and any execution failure (see
+/// [`noc_campaign::run_campaign`]).
 pub fn run_campaign_command(command: &CampaignCommand) -> Result<String, CliError> {
     match command {
         CampaignCommand::Run {
@@ -312,6 +317,7 @@ pub fn run_campaign_command(command: &CampaignCommand) -> Result<String, CliErro
             threads,
             max_points,
         } => {
+            host_threads().map_err(CliError)?;
             let spec = CampaignSpec::load(Path::new(spec))?;
             let options = CampaignOptions {
                 threads: *threads,
@@ -488,11 +494,10 @@ pub fn usage() -> &'static str {
        --scheme pseudo+ps+bb --routing xy        --va static\n\
        --vcs 4               --buffer 4\n\
        --warmup 1000         --measure 10000     --drain 100000 --seed 1\n\
-       --threads <cores>     engine thread budget (results are identical for\n\
-                             any value; NOC_THREADS caps it process-wide; the\n\
-                             runner clamps to host CPUs and runs serially when\n\
-                             the network is too small to shard profitably —\n\
-                             the manifest records the decision)\n\
+       --threads 1           engine threads (results are identical for any\n\
+                             value; capped by the host's CPUs and NOC_THREADS;\n\
+                             sharding pays on ~1000 routers and up, not on the\n\
+                             paper's 16-64; the manifest records the count)\n\
      \n\
      OBSERVABILITY (defaults off; see docs/METRICS.md):\n\
        --metrics off|full        per-router counters + stage histograms (full)\n\
@@ -564,11 +569,7 @@ mod tests {
     fn threads_flag_parses_and_rejects_zero() {
         let parsed = parse_run_args(&args(&["--threads", "4"])).unwrap();
         assert_eq!(parsed.threads, 4);
-        assert_eq!(
-            RunArgs::default().threads,
-            noc_base::pool::default_threads(),
-            "default thread budget comes from the pool's core detection"
-        );
+        assert_eq!(RunArgs::default().threads, 1, "the default run is serial");
         assert!(parse_run_args(&args(&["--threads", "0"]))
             .unwrap_err()
             .0
@@ -595,6 +596,17 @@ mod tests {
             .contains("warp"));
         assert!(parse_run_args(&args(&["--routing", "zigzag"])).is_err());
         assert!(parse_run_args(&args(&["--va", "lucky"])).is_err());
+        // A hostile NOC_THREADS ends `run` and `campaign run` with this one
+        // line. Checked on the pure function they hand the variable to:
+        // setting it here would race the getenv of the tests running beside
+        // this one (scripts/check.sh drives the real environment).
+        for hostile in ["lots", "0", "-2"] {
+            let e = noc_base::pool::host_threads_from(Some(hostile)).unwrap_err();
+            assert_eq!(
+                e,
+                format!("NOC_THREADS must be a positive integer, got {hostile:?}")
+            );
+        }
     }
 
     #[test]
@@ -769,12 +781,50 @@ mod tests {
         let manifest = std::fs::read_to_string(&manifest_path).unwrap();
         assert!(manifest.contains("\"schema\": \"noc-run-manifest/1\""));
         assert!(manifest.contains("\"scheme\": \"Pseudo+PS+BB\""));
-        // A 2x2 mesh is too small to shard: the runner's thread decision is
-        // recorded and must have clamped to serial execution.
-        assert!(manifest.contains("\"threads_effective\": 1"));
-        assert!(manifest.contains("\"threads_reason\""));
+        assert!(
+            manifest.contains("\"threads\": 1"),
+            "a default run is serial"
+        );
         let trace = std::fs::read_to_string(&trace_path).unwrap();
         assert!(trace.contains("\"traceEvents\""));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn threads_request_is_capped_by_the_host_budget_and_recorded() {
+        // Nothing second-guesses the request but the host budget: a 2x2 mesh
+        // at `--threads 3` is sharded if the host has the threads, the
+        // manifest says how many the engine got, and the report is the
+        // serial one.
+        let dir = std::env::temp_dir().join(format!("noc-cli-threads-{}", std::process::id()));
+        let manifest_path = dir.join("run.json");
+        let serial = RunArgs {
+            point: PointSpec {
+                topology: "mesh2x2".into(),
+                load: 0.05,
+                packet: 2,
+                warmup: 100,
+                measure: 500,
+                drain: 5_000,
+                ..PointSpec::default()
+            },
+            ..RunArgs::default()
+        };
+        let threaded = RunArgs {
+            threads: 3,
+            manifest: Some(manifest_path.to_string_lossy().into_owned()),
+            ..serial.clone()
+        };
+        assert_eq!(
+            format!("{:?}", run(&threaded).unwrap()),
+            format!("{:?}", run(&serial).unwrap())
+        );
+        let manifest = std::fs::read_to_string(&manifest_path).unwrap();
+        let ran_with = 3.min(host_threads().unwrap());
+        assert!(
+            manifest.contains(&format!("\"threads\": {ran_with},")),
+            "{manifest}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -220,10 +220,7 @@ fn set_threads_between_runs_is_transparent() {
         &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
     );
     sim.set_threads(4);
-    assert_eq!(
-        sim.threads(),
-        noc_base::pool::env_thread_cap().map_or(4, |c| c.min(4))
-    );
+    assert_eq!(sim.threads(), 4);
     assert!(sim.shards() >= 1);
     let report = sim.run(PHASES);
 

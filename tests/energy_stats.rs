@@ -21,7 +21,7 @@ fn run(scheme: Scheme, seed: u64) -> noc_sim::SimReport {
         drain: 50_000,
         ..PointSpec::default()
     };
-    let (mut sim, _) = build_simulation(&point, MetricsConfig::off(), 1).unwrap();
+    let mut sim = build_simulation(&point, MetricsConfig::off()).unwrap();
     sim.run(point.run_spec())
 }
 

@@ -90,7 +90,7 @@ proptest! {
                 drain: 30_000,
                 ..PointSpec::default()
             };
-            let (mut sim, _) = build_simulation(&point, MetricsConfig::off(), 1).unwrap();
+            let mut sim = build_simulation(&point, MetricsConfig::off()).unwrap();
             sim.run(point.run_spec())
         };
         let base = run(Scheme::baseline());

@@ -233,10 +233,9 @@ fn multi_threaded_steady_state_does_not_allocate_on_any_thread() {
     // driver (counted thread-locally, including its inline share of shard
     // jobs) and each pool worker (counted globally via WORKER_ALLOCS).
     // Pool startup and shard-outbox growth happen during set_threads and
-    // warmup, before counting begins. Eager waking forces workers to
-    // actually participate in the epochs even on a single-core host, so the
+    // warmup, before counting begins. Every published batch wakes the
+    // parked workers, so they take part even on a single-core host and the
     // worker-side assertion is never vacuous.
-    noc_base::pool::global().set_eager_wake(true);
     let mut sim = paper_cmesh_sim();
     sim.set_threads(4);
     assert!(sim.shards() > 1, "expected a multi-shard partition");
