@@ -220,19 +220,6 @@ impl SeedStream {
     pub fn interface(self, index: usize) -> u64 {
         splitmix64(self.root ^ 0xabcd ^ ((index as u64) << 17))
     }
-
-    /// An independent generator for execution shard `index`.
-    ///
-    /// Shard streams exist for engine-internal randomized decisions (for
-    /// example tie-breaking in future schedulers) that must not perturb the
-    /// router/interface streams; they are keyed by shard index so resharding
-    /// with a different thread count yields streams from the same family.
-    pub fn shard_rng(self, index: usize) -> Pcg32 {
-        Pcg32::seed_with_stream(
-            splitmix64(self.root ^ 0x5a4d ^ (index as u64).wrapping_mul(0xc2b2_ae3d)),
-            0x70 ^ index as u64,
-        )
-    }
 }
 
 /// SplitMix64 finalizer — used to decorrelate seeds and streams.
@@ -362,10 +349,6 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), len, "derived seeds should be distinct");
-        let mut a = s.shard_rng(0);
-        let mut b = s.shard_rng(1);
-        let same = (0..100).filter(|_| a.next_u32() == b.next_u32()).count();
-        assert!(same < 3, "shard streams should differ, {same} collisions");
     }
 
     #[test]

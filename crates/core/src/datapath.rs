@@ -22,7 +22,7 @@ use noc_base::{
     Flit, Mask64, NodeId, PortIndex, RouteInfo, RouterId, VaPolicy, VcIndex, VcPartition,
 };
 use noc_energy::EnergyEvent;
-use noc_sim::{NetworkConfig, PipelineKernel, Probe, RouterOutputs, TraceEventKind};
+use noc_sim::{NetworkConfig, PipelineKernel, RouterOutputs, TraceEventKind};
 use noc_topology::Topology;
 
 /// The circuit registers of one router plus the VC-allocation policy that

@@ -13,9 +13,10 @@
 //!   terminated pseudo-circuit (the speculation history register).
 
 use noc_base::{Mask64, PortIndex, RouteInfo, VcIndex};
-// `Termination` lives next to the `Probe` trait that carries it (the kernel's
-// observability surface in `noc-sim`); re-exported here so the circuit state
-// machine and its termination causes stay importable from one place.
+// `Termination` lives next to the `RouterCounters` that count it (the
+// kernel's observability surface in `noc-sim`); re-exported here so the
+// circuit state machine and its termination causes stay importable from one
+// place.
 pub use noc_sim::Termination;
 
 /// What an [`PseudoCircuitUnit::establish`] call did, reported so the router

@@ -32,8 +32,8 @@ use crate::datapath::CircuitDatapath;
 use crate::pseudo::PseudoCircuitUnit;
 use noc_base::{Flit, FlitPool, FlitRef, Mask64, PortIndex, RouteInfo, RouterId, VcIndex};
 use noc_sim::{
-    KernelRouter, NetworkConfig, PipelineKernel, PipelineStage, Probe, RouterBuildContext,
-    RouterFactory, RouterModel, RouterOutputs, SchemeHooks, TraceEventKind,
+    KernelRouter, NetworkConfig, PipelineKernel, PipelineStage, RouterBuildContext, RouterFactory,
+    RouterModel, RouterOutputs, SchemeHooks, TraceEventKind,
 };
 use noc_topology::SharedTopology;
 use std::sync::Arc;

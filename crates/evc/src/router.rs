@@ -11,8 +11,8 @@ use noc_base::{
     Flit, FlitPool, FlitRef, NodeId, PortIndex, RouteInfo, RouterId, VaPolicy, VcIndex,
 };
 use noc_sim::{
-    KernelRouter, NetworkConfig, PipelineKernel, PipelineStage, Probe, RouterBuildContext,
-    RouterFactory, RouterModel, RouterOutputs, SchemeHooks, TraceEventKind,
+    KernelRouter, NetworkConfig, PipelineKernel, PipelineStage, RouterBuildContext, RouterFactory,
+    RouterModel, RouterOutputs, SchemeHooks, TraceEventKind,
 };
 use noc_topology::SharedTopology;
 use std::sync::Arc;

@@ -10,8 +10,8 @@
 //!   ([`PipelineKernel`]) every router scheme shares, parameterized by
 //!   [`SchemeHooks`], and the [`KernelRouter`] shell that makes a kernel +
 //!   hooks pair a [`RouterModel`];
-//! - [`probe`] — observability hooks ([`Probe`]) and the per-port
-//!   [`RouterCounters`] the kernel drives at `--metrics=full`;
+//! - [`probe`] — the per-port [`RouterCounters`] the kernel and the scheme
+//!   hooks bump at `--metrics=full`;
 //! - [`RouterModel`] / [`RouterFactory`] — the cycle-level router interface
 //!   the engine drives (the pseudo-circuit router lives in the
 //!   `pseudo-circuit` crate, the EVC comparator in `noc-evc`);
@@ -45,7 +45,7 @@ pub use metrics::{
 pub use network::Simulation;
 pub use ni::{NetworkInterface, NiOutputs, NiStats};
 pub use pipeline::{KernelRouter, PipelineKernel, SchemeHooks};
-pub use probe::{Probe, RouterCounters, Termination};
+pub use probe::{RouterCounters, Termination};
 pub use router::{
     RouterBuildContext, RouterFactory, RouterModel, RouterOutputs, RouterStats, SentFlit,
 };
@@ -77,16 +77,6 @@ impl NetworkConfig {
             routing: RoutingPolicy::O1Turn,
             va_policy: VaPolicy::Dynamic,
         }
-    }
-
-    /// The VC partition implied by the routing policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VC count cannot be split evenly across the policy's
-    /// deadlock classes.
-    pub fn partition(&self) -> VcPartition {
-        VcPartition::new(self.vcs_per_port, self.routing.num_classes())
     }
 
     /// The VC partition on `topo`: the policy's deadlock classes widened to
@@ -134,18 +124,20 @@ impl RunSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_topology::Mesh;
 
     #[test]
     fn paper_config_partitions() {
+        let mesh = Mesh::new(4, 4, 1);
         let cfg = NetworkConfig::paper();
-        let p = cfg.partition();
+        let p = cfg.partition_for(&mesh);
         assert_eq!(p.num_classes(), 2); // O1TURN
         assert_eq!(p.vcs_per_class(), 2);
         let xy = NetworkConfig {
             routing: RoutingPolicy::Xy,
             ..cfg
         };
-        assert_eq!(xy.partition().num_classes(), 1);
-        assert_eq!(xy.partition().vcs_per_class(), 4);
+        assert_eq!(xy.partition_for(&mesh).num_classes(), 1);
+        assert_eq!(xy.partition_for(&mesh).vcs_per_class(), 4);
     }
 }

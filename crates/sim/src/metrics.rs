@@ -13,10 +13,10 @@
 //! paper figure it validates — lives in `docs/METRICS.md`.
 //!
 //! Layering: this module defines the *data* types (snapshots, histograms,
-//! the trace ring) that the engine aggregates; the router-side recording
-//! hooks (the [`crate::Probe`] trait and its [`crate::RouterCounters`]
-//! implementation) live in [`crate::probe`], next to the pipeline kernel
-//! ([`crate::pipeline`]) whose increment sites fire them.
+//! the trace ring) that the engine aggregates; the router-side recorder,
+//! [`crate::RouterCounters`] (one [`RouterObservation`] its event methods
+//! bump), lives in [`crate::probe`], next to the pipeline kernel
+//! ([`crate::pipeline`]) whose increment sites call it.
 
 use crate::stats::LatencyHistogram;
 use std::fmt;
@@ -144,21 +144,10 @@ impl StageHistograms {
 
     /// Accumulates another set of histograms into this one.
     pub fn merge(&mut self, other: &StageHistograms) {
-        for (mine, theirs) in [
-            (&mut self.bw, &other.bw),
-            (&mut self.va, &other.va),
-            (&mut self.sa, &other.sa),
-            (&mut self.st, &other.st),
-        ] {
-            for (bound, count) in theirs.iter() {
-                // Re-record at the bucket's representative value: bounds are
-                // exclusive powers of two, so `bound - 1` (or 0 for the
-                // lowest bucket) lands back in the same bucket.
-                for _ in 0..count {
-                    mine.record(bound.saturating_sub(1));
-                }
-            }
-        }
+        self.bw.merge(&other.bw);
+        self.va.merge(&other.va);
+        self.sa.merge(&other.sa);
+        self.st.merge(&other.st);
     }
 }
 
@@ -548,6 +537,21 @@ mod tests {
         let direct: Vec<_> = b.sa.iter().collect();
         let merged: Vec<_> = a.sa.iter().collect();
         assert_eq!(direct, merged, "merge must land in identical buckets");
+    }
+
+    #[test]
+    fn stage_merge_is_bucket_wise() {
+        // 40 self-merges double one sample to 2^40: a merge that re-records
+        // sample by sample could not finish.
+        let mut h = StageHistograms::default();
+        h.record(PipelineStage::Bw, 5);
+        for _ in 0..40 {
+            let copy = h.clone();
+            h.merge(&copy);
+        }
+        assert_eq!(h.bw.count(), 1 << 40);
+        assert_eq!(h.bw.iter().collect::<Vec<_>>(), vec![(8, 1 << 40)]);
+        assert_eq!(h.va.count(), 0);
     }
 
     #[test]

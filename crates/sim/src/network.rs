@@ -52,7 +52,7 @@ use crate::router::{RouterBuildContext, RouterFactory, RouterModel, RouterOutput
 use crate::stats::{energy_breakdown_of, SimReport, SimStats};
 use crate::{NetworkConfig, RunSpec};
 use noc_base::bitset::WordMask;
-use noc_base::rng::{Pcg32, SeedStream};
+use noc_base::rng::SeedStream;
 use noc_base::{Credit, FlitPool, FlitRef, NodeId, PacketId, PortIndex, RouterId};
 use noc_energy::EnergyCounters;
 use noc_topology::{FlatWiring, PortFeeder, SharedTopology, Topology};
@@ -174,13 +174,11 @@ impl ShardLayout {
     }
 }
 
-/// Per-shard mutable scratch: reusable emission buffers, an independent RNG
-/// stream for engine-internal randomized decisions, the shard's worklists,
-/// and its contribution to next cycle's pending mask.
+/// Per-shard mutable scratch: reusable emission buffers, the shard's
+/// worklists, and its contribution to next cycle's pending mask.
 struct ShardScratch {
     router_out: RouterOutputs,
     ni_out: NiOutputs,
-    rng: Pcg32,
     /// Routers of this shard (by router index) whose `step` must run: bit
     /// set when an event is delivered to the router, and kept after a step
     /// while the router does not certify [`RouterModel::is_idle`]. A router
@@ -422,8 +420,6 @@ pub struct Simulation {
     traffic: Box<dyn TrafficModel>,
     /// Flattened forward/reverse wiring (links, credit sinks, attachments).
     wiring: FlatWiring,
-    /// Per-component seed derivation from the experiment seed.
-    seeds: SeedStream,
     /// Thread budget for the parallel stepping phase (1 = fully serial).
     threads: usize,
     /// Router/interface partition driving the parallel phase.
@@ -574,7 +570,6 @@ impl Simulation {
             nis,
             traffic,
             wiring,
-            seeds,
             threads: 1,
             layout,
             now: Vec::new(),
@@ -659,7 +654,6 @@ impl Simulation {
                 ShardScratch {
                     router_out,
                     ni_out: NiOutputs::default(),
-                    rng: self.seeds.shard_rng(s),
                     router_work,
                     ni_work,
                     busy: false,
@@ -749,17 +743,6 @@ impl Simulation {
     /// The number of execution shards the routers are partitioned into.
     pub fn shards(&self) -> usize {
         self.layout.shards()
-    }
-
-    /// The independent RNG stream owned by execution shard `shard`, for
-    /// engine-internal randomized decisions that must not perturb the
-    /// per-router and per-interface streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= self.shards()`.
-    pub fn shard_rng(&mut self, shard: usize) -> &mut Pcg32 {
-        &mut self.scratch[shard].rng
     }
 
     /// The current cycle.

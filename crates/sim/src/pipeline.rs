@@ -49,7 +49,7 @@
 use crate::blocks::FifoBank;
 use crate::metrics::RouterObservation;
 use crate::metrics::{MetricsConfig, MetricsLevel, PipelineStage, TraceEventKind, TraceRing};
-use crate::probe::{Probe, RouterCounters};
+use crate::probe::RouterCounters;
 use crate::router::{RouterModel, RouterOutputs, RouterStats, SentFlit};
 use crate::NetworkConfig;
 use noc_base::{BitArbiter, Mask64, WordMask};

@@ -23,6 +23,16 @@ impl LatencyHistogram {
         self.buckets[bucket] += 1;
     }
 
+    /// Adds every sample of `other` to this histogram, bucket by bucket.
+    pub fn merge(&mut self, other: &LatencyHistogram) {
+        if self.buckets.len() < other.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+    }
+
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()

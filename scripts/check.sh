@@ -74,17 +74,6 @@ echo "==> noc run --topology hring2x8 --scheme pseudo+ps+bb (smoke)"
 ./target/release/noc run --topology hring2x8 --scheme pseudo+ps+bb \
     --load 0.05 --warmup 200 --measure 1000 --drain 10000 >/dev/null
 
-# Engine-bench smoke: one short release-mode single-threaded sample per
-# case, no snapshot write — proves the benched hot path (bitset VA/SA,
-# incremental masks) executes in release mode; it is not a measurement.
-echo "==> NOC_BENCH_SMOKE=1 cargo bench --bench engine (smoke)"
-NOC_BENCH_SMOKE=1 cargo bench -q -p noc-bench --bench engine --offline >/dev/null
-
-# FIFO micro-bench smoke: the FifoBank-vs-VecDeque attribution harness
-# (DESIGN.md §19) must keep running; one short sample, no snapshot write.
-echo "==> NOC_BENCH_SMOKE=1 cargo bench --bench fifo_micro (smoke)"
-NOC_BENCH_SMOKE=1 cargo bench -q -p noc-bench --bench fifo_micro --offline >/dev/null
-
 # Figure-harness smoke: three of the figure/table harnesses executed once,
 # so one that panics at start-up fails here. fig08_overall is the headline
 # sweep; ablation_vc_count drives `validate`'s VC-class rule through a
@@ -96,12 +85,15 @@ for harness in fig08_overall ablation_vc_count ext_patterns; do
     cargo bench -q -p noc-bench --offline --bench "$harness" >/dev/null
 done
 
-# Benchmark smoke: all five workloads of the repository benchmark at 1/100
-# size, through the code path the measured run takes, with the benchmark's
-# own gate — equal report_hash across repetitions, threads=2 == threads=1,
-# fast-forward on == off, cold/warm sweep byte-identity — so a kernel change
-# is checked by the benchmark before it is measured by it. (Its own package:
-# builds into crates/bench/benchmark/target.)
+# Release-mode hot-path smoke: all five workloads of the repository
+# benchmark at 1/100 size, optimised, through the code path the measured run
+# takes — the bitset VA/SA, the port-summary masks and worklists, the FIFO
+# runs, the flit pool, the sharded engine at 2 threads and the campaign
+# cache — with the benchmark's own gate: equal report_hash across
+# repetitions, threads=2 == threads=1, fast-forward on == off, cold/warm
+# sweep byte-identity. A kernel change is checked by the benchmark before it
+# is measured by it; this is not a measurement. (Its own package: builds
+# into crates/bench/benchmark/target.)
 echo "==> noc-benchmark --smoke"
 cargo run --release --offline --quiet \
     --manifest-path crates/bench/benchmark/Cargo.toml -- --smoke >/dev/null
@@ -159,11 +151,8 @@ for cmd in "run --measure 10" "campaign run --spec $campdir/sweep.toml --out $ca
     }
 done
 
-# Script-level gates: the bench-compare fixture tests and the docs link
-# check (dangling relative links, anchors, and DESIGN.md § references).
-echo "==> scripts/test_bench_compare.sh"
-scripts/test_bench_compare.sh >/dev/null
-
+# Docs link check: dangling relative links, anchors, and DESIGN.md §
+# references.
 echo "==> scripts/check_links.sh"
 scripts/check_links.sh
 
