@@ -187,10 +187,21 @@ pub struct PreparedPoint {
 /// them); buffers the flit slab can index ([`Simulation::flit_capacity`] at
 /// most [`FlitPool::MAX_CAPACITY`]); load in `(0, 1]`; the VC count divisible
 /// by the deadlock-class
-/// count of the routing policy on this topology; and for `evc` a single
-/// deadlock class and an even VC count.
+/// count of the routing policy on this topology; for `evc` a single
+/// deadlock class and an even VC count; and run phases whose total fits the
+/// 64-bit cycle counter.
 pub fn validate(point: &PointSpec, topo: &dyn Topology) -> Result<(), Error> {
     let fail = |message: String| Err(Error(message));
+    let (warmup, measure, drain) = (point.warmup, point.measure, point.drain);
+    let cycles = warmup
+        .checked_add(measure)
+        .and_then(|c| c.checked_add(drain));
+    if cycles.is_none() {
+        return fail(format!(
+            "warmup + measure + drain: {warmup} + {measure} + {drain} cycles overflow \
+             the 64-bit cycle counter"
+        ));
+    }
     if point.vcs == 0 {
         return fail("vcs: must be at least 1".into());
     }

@@ -94,13 +94,13 @@ pub struct PseudoCircuitUnit {
     out_ports: u8,
     // One-word summaries of the records, written beside them by
     // `establish` / `terminate` / `try_restore`: input ports whose register
-    // is valid, output ports with a holder, output ports with a history
-    // entry. The per-cycle scans of the circuit datapath intersect these
+    // is valid, output ports with a holder, output ports `try_restore` would
+    // reconnect. The per-cycle scans of the circuit datapath intersect these
     // (with each other and with the kernel's port summaries) instead of
     // walking every port.
     live_mask: Mask64,
     held_mask: Mask64,
-    history_mask: Mask64,
+    restorable_mask: Mask64,
     terminations_conflict: u64,
     terminations_credit: u64,
 }
@@ -130,7 +130,7 @@ impl PseudoCircuitUnit {
             out_ports: out_ports as u8,
             live_mask: Mask64::EMPTY,
             held_mask: Mask64::EMPTY,
-            history_mask: Mask64::EMPTY,
+            restorable_mask: Mask64::EMPTY,
             terminations_conflict: 0,
             terminations_credit: 0,
         }
@@ -173,10 +173,12 @@ impl PseudoCircuitUnit {
         self.held_mask
     }
 
-    /// Output ports whose history register names a terminated circuit.
+    /// Output ports [`try_restore`](Self::try_restore) would reconnect: no
+    /// holder, and the history register names an input whose stale
+    /// registers still point here.
     #[inline]
-    pub fn history_mask(&self) -> Mask64 {
-        self.history_mask
+    pub fn restorable_mask(&self) -> Mask64 {
+        self.restorable_mask
     }
 
     /// Conflict terminations so far.
@@ -217,6 +219,13 @@ impl PseudoCircuitUnit {
             }
         }
         outcome.created = self.holder(out_port) != Some(in_port);
+        // A live register restores nothing: the output its stale contents
+        // pointed at loses the restore if its history names this input.
+        let stale = self.ports[in_port.index()].input.out_port;
+        if self.history(stale) == Some(in_port) {
+            self.restorable_mask.clear(stale.index());
+        }
+        self.restorable_mask.clear(out_port.index());
         self.ports[in_port.index()].input = PcRegisters {
             valid: true,
             in_vc,
@@ -244,7 +253,7 @@ impl PseudoCircuitUnit {
         regs.history = Some(in_port);
         self.live_mask.clear(in_port.index());
         self.held_mask.clear(out.index());
-        self.history_mask.set(out.index());
+        self.restorable_mask.set(out.index());
         match why {
             Termination::Conflict => self.terminations_conflict += 1,
             Termination::CreditExhausted => self.terminations_credit += 1,
@@ -258,21 +267,28 @@ impl PseudoCircuitUnit {
     /// was restored; the caller is responsible for the downstream-credit
     /// check.
     pub fn try_restore(&mut self, out_port: PortIndex) -> bool {
-        if self.holder(out_port).is_some() {
+        if !self.restorable_mask.get(out_port.index()) {
             return false;
         }
-        let Some(h) = self.history(out_port) else {
-            return false;
-        };
-        let reg = self.registers(h);
-        if reg.valid || reg.out_port != out_port {
-            return false;
-        }
+        let h = self
+            .history(out_port)
+            .expect("a restorable output has history");
         self.ports[h.index()].input.valid = true;
         self.ports[out_port.index()].output.holder = Some(h);
         self.live_mask.set(h.index());
         self.held_mask.set(out_port.index());
+        self.restorable_mask.clear(out_port.index());
         true
+    }
+
+    /// The restore predicate [`restorable_mask`](Self::restorable_mask)
+    /// summarizes, evaluated on the records.
+    fn restorable(&self, out_port: PortIndex) -> bool {
+        self.holder(out_port).is_none()
+            && self.history(out_port).is_some_and(|h| {
+                let reg = self.registers(h);
+                !reg.valid && reg.out_port == out_port
+            })
     }
 
     /// Checks the one-per-port invariants and the three port masks against
@@ -293,8 +309,8 @@ impl PseudoCircuitUnit {
             if self.held_mask.get(o) != h.is_some() {
                 return Err(format!("stale held_mask bit of output {o}"));
             }
-            if self.history_mask.get(o) != self.history(PortIndex::new(o)).is_some() {
-                return Err(format!("stale history_mask bit of output {o}"));
+            if self.restorable_mask.get(o) != self.restorable(PortIndex::new(o)) {
+                return Err(format!("stale restorable_mask bit of output {o}"));
             }
             if let Some(input) = h {
                 let reg = self.registers(input);

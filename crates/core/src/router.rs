@@ -30,7 +30,7 @@
 use crate::config::Scheme;
 use crate::datapath::CircuitDatapath;
 use crate::pseudo::PseudoCircuitUnit;
-use noc_base::{Flit, FlitPool, FlitRef, Mask64, PortIndex, RouteInfo, RouterId, VcIndex};
+use noc_base::{Flit, FlitPool, FlitRef, PortIndex, RouteInfo, RouterId, VcIndex};
 use noc_sim::{
     KernelRouter, NetworkConfig, PipelineKernel, PipelineStage, RouterBuildContext, RouterFactory,
     RouterModel, RouterOutputs, SchemeHooks, TraceEventKind,
@@ -145,40 +145,29 @@ impl PcHooks {
     }
 
     /// The input port whose terminated circuit phase G would restore on
-    /// `port` this cycle (§IV.A): the port is idle, its history register
-    /// names a stale circuit still pointing at it, and the circuit's drop
-    /// position has downstream credit.
+    /// the restorable output `port` this cycle (§IV.A): the one its history
+    /// register names, when the circuit's drop position has downstream
+    /// credit.
     #[inline(always)]
-    fn restorable(&self, k: &PipelineKernel, port: PortIndex) -> Option<PortIndex> {
+    fn credited_history(&self, k: &PipelineKernel, port: PortIndex) -> Option<PortIndex> {
         let pcu = &self.circuits.pcu;
-        if pcu.holder(port).is_some() {
-            return None;
-        }
         let h = pcu.history(port)?;
-        let reg = pcu.registers(h);
-        (!reg.valid && reg.out_port == port && k.credits_at_sub(port, reg.hops as usize - 1) > 0)
-            .then_some(h)
-    }
-
-    /// The output ports [`restorable`](Self::restorable) can name a circuit
-    /// on: a history entry and no holder.
-    #[inline(always)]
-    fn restore_candidates(&self) -> Mask64 {
-        self.circuits.pcu.history_mask() & !self.circuits.pcu.held_mask()
+        (k.credits_at_sub(port, pcu.registers(h).hops as usize - 1) > 0).then_some(h)
     }
 
     /// Phase G: pseudo-circuit speculation — restore the most recently
     /// terminated circuit of every idle output port with downstream credit
     /// (§IV.A).
     fn speculate(&mut self, k: &mut PipelineKernel, cycle: u64) {
-        // A restore takes only the visited port out of the candidates.
-        for out_port in self.restore_candidates() {
+        // A restore takes only the visited port out of the mask: the
+        // restored input's stale registers pointed at no other output.
+        for out_port in self.circuits.pcu.restorable_mask() {
             let port = PortIndex::new(out_port);
-            let Some(h) = self.restorable(k, port) else {
+            let Some(h) = self.credited_history(k, port) else {
                 continue;
             };
             let restored = self.circuits.pcu.try_restore(port);
-            debug_assert!(restored, "preconditions checked above");
+            debug_assert!(restored, "the port was in the restorable mask");
             k.stats.pc_speculative_restores += 1;
             if let Some(p) = k.counters.as_deref_mut() {
                 p.on_pc_restored(port);
@@ -263,9 +252,11 @@ impl SchemeHooks for PcHooks {
         (!self.scheme.pseudo_circuit || self.circuits.is_idle(k))
             && (!self.scheme.speculation
                 || self
-                    .restore_candidates()
+                    .circuits
+                    .pcu
+                    .restorable_mask()
                     .into_iter()
-                    .all(|p| self.restorable(k, PortIndex::new(p)).is_none()))
+                    .all(|p| self.credited_history(k, PortIndex::new(p)).is_none()))
     }
 }
 

@@ -78,6 +78,62 @@ proptest! {
         }
     }
 
+    /// The restorable mask `speculate` iterates is maintained incrementally;
+    /// here it is recomputed from the records after every operation, and
+    /// `try_restore` (which reads only the mask) must succeed exactly on
+    /// the outputs the predicate names. Unequal port counts, so stale
+    /// registers and history entries index the two sides differently.
+    #[test]
+    fn restorable_mask_is_exactly_the_restore_predicate(
+        in_ports in 1u8..8,
+        out_ports in 1u8..8,
+        ops in prop::collection::vec(op_strategy(8), 1..200),
+    ) {
+        let mut unit = PseudoCircuitUnit::new(in_ports as usize, out_ports as usize);
+        let restorable = |unit: &PseudoCircuitUnit, o: usize| {
+            let port = PortIndex::new(o);
+            unit.holder(port).is_none()
+                && unit.history(port).is_some_and(|h| {
+                    let reg = unit.registers(h);
+                    !reg.valid && reg.out_port == port
+                })
+        };
+        for op in ops {
+            match op {
+                Op::Establish { in_port, vc, out_port } => {
+                    unit.establish(
+                        PortIndex::new((in_port % in_ports) as usize),
+                        VcIndex::new(vc as usize),
+                        PortIndex::new((out_port % out_ports) as usize),
+                        1,
+                    );
+                }
+                Op::Terminate { in_port, credit } => {
+                    let why = if credit {
+                        Termination::CreditExhausted
+                    } else {
+                        Termination::Conflict
+                    };
+                    unit.terminate(PortIndex::new((in_port % in_ports) as usize), why);
+                }
+                Op::Restore { out_port } => {
+                    let o = (out_port % out_ports) as usize;
+                    let expected = restorable(&unit, o);
+                    prop_assert_eq!(unit.try_restore(PortIndex::new(o)), expected);
+                }
+            }
+            for o in 0..out_ports as usize {
+                prop_assert_eq!(
+                    unit.restorable_mask().get(o),
+                    restorable(&unit, o),
+                    "output {} after {:?}",
+                    o,
+                    op
+                );
+            }
+        }
+    }
+
     #[test]
     fn termination_counters_are_monotonic(
         ops in prop::collection::vec(op_strategy(4), 1..100),

@@ -43,7 +43,7 @@ pub use metrics::{
     RouterObservation, StageHistograms, TraceEvent, TraceEventKind, TraceRing, TraceSpec,
 };
 pub use network::Simulation;
-pub use ni::{NetworkInterface, NiOutputs, NiStats};
+pub use ni::{NetworkInterface, NiStats};
 pub use pipeline::{KernelRouter, PipelineKernel, SchemeHooks};
 pub use probe::{RouterCounters, Termination};
 pub use router::{

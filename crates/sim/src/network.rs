@@ -47,7 +47,7 @@
 use crate::metrics::{
     chrome_trace_json, CoordinationStats, MetricsConfig, MetricsLevel, ObservabilityReport,
 };
-use crate::ni::{NetworkInterface, NiOutputs};
+use crate::ni::NetworkInterface;
 use crate::router::{RouterBuildContext, RouterFactory, RouterModel, RouterOutputs};
 use crate::stats::{energy_breakdown_of, SimReport, SimStats};
 use crate::{NetworkConfig, RunSpec};
@@ -178,16 +178,15 @@ impl ShardLayout {
 /// worklists, and its contribution to next cycle's pending mask.
 struct ShardScratch {
     router_out: RouterOutputs,
-    ni_out: NiOutputs,
     /// Routers of this shard (by router index) whose `step` must run: bit
-    /// set when an event is delivered to the router, and kept after a step
-    /// while the router does not certify [`RouterModel::is_idle`]. A router
-    /// changes state only through `receive_*` and `step`, so a clear bit
-    /// means the idleness it certified after its last step still holds.
+    /// set when a flit is delivered to the router or a credit leaves it no
+    /// longer [`RouterModel::is_idle`], and kept after a step while the
+    /// router does not certify idleness. A router changes state only
+    /// through `receive_*` and `step`, so a clear bit means the idleness it
+    /// certified after its last step, or after its last credit, still holds.
     router_work: WordMask,
     /// Interfaces of this shard (by node index) whose `step` must run: bit
-    /// set by the driver on `enqueue` and on flit receipt (which owes an
-    /// ejection credit), and kept after a step while
+    /// set by the driver on `enqueue`, and kept after a step while
     /// [`NetworkInterface::has_step_work`] holds.
     ni_work: WordMask,
     /// Set by the shard's step when either worklist is non-empty afterwards
@@ -260,7 +259,7 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
     let now = &mut *ctx.now.add(s);
     let next = &mut *ctx.next.add(s);
     let scratch = &mut *ctx.scratch.add(s);
-    let (router_out, ni_out) = (&mut scratch.router_out, &mut scratch.ni_out);
+    let router_out = &mut scratch.router_out;
     let (router_work, ni_work) = (&mut scratch.router_work, &mut scratch.ni_work);
     next.dest_mask.clear_all();
     let mut lanes_merged = 0u64;
@@ -287,13 +286,24 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
         }
     }
 
-    // Inbound credits, same ordering.
+    // Inbound credits, same ordering. A credit wakes its router only when
+    // the router stops certifying idleness: one left off the worklist
+    // certified that its next step is a no-op, and a credit that keeps that
+    // true (it refills a counter no flit or circuit waits on) changes
+    // nothing the step would do. Checking after every credit means the last
+    // check sees the state the step would start from.
     if ctx.count_lanes && !now.ni_credits.is_empty() {
         lanes_merged += 1;
     }
+    let mut deliver_credit = |router: RouterId, out_port: PortIndex, credit: Credit| {
+        let model = &mut *ctx.routers.add(router.index());
+        model.receive_credit(out_port, credit);
+        if !router_work.get(router.index()) && !model.is_idle() {
+            router_work.set(router.index());
+        }
+    };
     for (router, out_port, credit) in now.ni_credits.drain(..) {
-        router_work.set(router.index());
-        (*ctx.routers.add(router.index())).receive_credit(out_port, credit);
+        deliver_credit(router, out_port, credit);
     }
     for src in 0..shards {
         let lane = &mut *ctx.lanes_now.add(src * shards + s);
@@ -301,14 +311,13 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
             lanes_merged += 1;
         }
         for (router, out_port, credit) in lane.credits.drain(..) {
-            router_work.set(router.index());
-            (*ctx.routers.add(router.index())).receive_credit(out_port, credit);
+            deliver_credit(router, out_port, credit);
         }
     }
 
-    // Interface injection and ejection-credit return, for the interfaces
-    // that have either to do, in ascending node order. The others' `step`
-    // would emit nothing and change nothing.
+    // Interface injection, for the interfaces with a packet to send, in
+    // ascending node order. The others' `step` would emit nothing and
+    // change nothing.
     for &n in &layout.ni_lists[s] {
         debug_assert!(
             ni_work.get(n) || !(*ctx.nis.add(n)).has_step_work(),
@@ -317,14 +326,9 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
     }
     ni_work.retain(|n| {
         let ni = &mut *ctx.nis.add(n);
-        ni_out.clear();
-        ni.step(cycle, s, ni_out);
-        let (router, local) = wiring.attach_of(ni.node());
-        if let Some(flit) = ni_out.flit.take() {
+        if let Some(flit) = ni.step(cycle, s) {
+            let (router, local) = wiring.attach_of(ni.node());
             next.ni_flits.push((router, local, flit));
-        }
-        for vc in ni_out.credits.drain(..) {
-            next.ni_credits.push((router, local, Credit::new(vc)));
         }
         // An interface still holding injection work must step again next
         // cycle even if no event reaches this shard in between.
@@ -394,10 +398,11 @@ unsafe fn step_shard(ctx: &ShardCtx<'_>, s: usize) {
         !model.is_idle()
     });
 
-    // Intra-shard emissions (NI injections, ejections, node credits) are
-    // consumed by this shard itself — node lanes via the driver's serial
-    // phase 1 feeding interfaces that then owe ejection credits, NI lanes
-    // via this shard's own scan — so any of them pending marks this shard.
+    // Intra-shard emissions (NI injections, ejection credits, ejections,
+    // node credits) are consumed by this shard itself — node lanes via the
+    // driver's serial phase 1, which fills this shard's ejection-credit lane
+    // before the shard steps, NI lanes via this shard's own scan — so any of
+    // them pending marks this shard.
     if !next.is_empty() {
         next.dest_mask.set(s);
     }
@@ -653,7 +658,6 @@ impl Simulation {
                 }
                 ShardScratch {
                     router_out,
-                    ni_out: NiOutputs::default(),
                     router_work,
                     ni_work,
                     busy: false,
@@ -808,17 +812,19 @@ impl Simulation {
         // intra-shard, but interface receipt feeds reassembly and delivery
         // statistics, so they stay on the driver thread; scanning shards
         // ascending reproduces the serial engine's ascending router-index
-        // emission order. (The producing shard already marked itself pending
-        // for this cycle when it filled these lanes, so the ejection credits
-        // these receipts create are returned by this cycle's phase 3.)
+        // emission order. Each receipt's ejection credit goes straight into
+        // the shard's outgoing interface-credit lane, for delivery next
+        // cycle. (The producing shard already marked itself pending for this
+        // cycle when it filled these lanes, so its step this cycle sees the
+        // credits and keeps itself pending for their delivery.)
         {
             let nis = &mut self.nis;
-            for (outbox, scratch) in self.now.iter_mut().zip(&mut self.scratch) {
+            for (outbox, next) in self.now.iter_mut().zip(&mut self.next) {
                 for (node, flit) in outbox.node_flits.drain(..) {
-                    // The receipt owes the router an ejection credit, which
-                    // the interface's next step returns.
-                    scratch.ni_work.set(node.index());
-                    if nis[node.index()].receive_flit(cycle, flit) {
+                    let (vc, completed) = nis[node.index()].receive_flit(cycle, flit);
+                    let (router, local) = self.wiring.attach_of(node);
+                    next.ni_credits.push((router, local, Credit::new(vc)));
+                    if completed {
                         self.delivered.set(node.index());
                     }
                 }
@@ -1067,10 +1073,19 @@ impl Simulation {
     /// fast-forward path: a measured packet still in flight keeps some
     /// interface or router non-quiescent until it is delivered, at which
     /// point the loop exits.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if the measurement window ends past `u64::MAX` cycles
+    /// (`noc_campaign::validate` rejects such phases as input).
     pub fn run(&mut self, spec: RunSpec) -> SimReport {
         let start = self.cycle;
-        self.stats = SimStats::new(start + spec.warmup, start + spec.warmup + spec.measure);
-        self.advance(spec.warmup + spec.measure);
+        let close = start
+            .checked_add(spec.warmup)
+            .and_then(|open| open.checked_add(spec.measure))
+            .expect("the measurement window ends within the 64-bit cycle counter");
+        self.stats = SimStats::new(close - spec.measure, close);
+        self.advance(close - start);
         let mut drained_cycles = 0;
         while self.stats.measured_in_flight() > 0 && drained_cycles < spec.drain {
             self.step();

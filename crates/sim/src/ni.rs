@@ -46,24 +46,6 @@ pub struct NiStats {
     pub peak_queue: usize,
 }
 
-/// One cycle's interface emissions.
-#[derive(Default, Debug)]
-pub struct NiOutputs {
-    /// At most one flit injected toward the router's local input port,
-    /// freshly written into the pool by the interface.
-    pub flit: Option<FlitRef>,
-    /// Ejection credits returned to the router's local output port.
-    pub credits: Vec<VcIndex>,
-}
-
-impl NiOutputs {
-    /// Clears the emissions, retaining allocations.
-    pub fn clear(&mut self) {
-        self.flit = None;
-        self.credits.clear();
-    }
-}
-
 #[derive(Debug)]
 struct QueuedPacket {
     desc: PacketDescriptor,
@@ -102,7 +84,6 @@ pub struct NetworkInterface {
     current: Option<CurrentPacket>,
     /// Free slots in each VC buffer of the router's local input port.
     credits: Vec<u32>,
-    pending_ejection_credits: Vec<VcIndex>,
     // In-progress reassemblies, searched linearly: VC flow control bounds
     // concurrent packets at one ejection port to the VC count, so the flat
     // pairs beat a hash map on the steady-state path (no hashing, no heap
@@ -139,9 +120,6 @@ impl NetworkInterface {
             queue: VecDeque::with_capacity(queue_reserve),
             current: None,
             credits: vec![config.buffer_depth; vcs],
-            // One ejected flit per cycle at most, and pending credits are
-            // drained every step; `vcs` is comfortable slack.
-            pending_ejection_credits: Vec::with_capacity(vcs),
             reassembly: Vec::with_capacity(vcs),
             // At most one packet completes per cycle, and the driver drains
             // the buffer every cycle.
@@ -168,29 +146,25 @@ impl NetworkInterface {
     }
 
     /// Exact step-is-no-op predicate for the fast-forward quiescence check:
-    /// nothing queued or serializing (no injection), no ejection credits
-    /// waiting to return, no partially reassembled packet expecting flits,
-    /// and no delivered packet awaiting the driver's drain. A `step` in this
-    /// state emits nothing and changes no observable state.
+    /// nothing queued or serializing (no injection), no partially
+    /// reassembled packet expecting flits, and no delivered packet awaiting
+    /// the driver's drain. A `step` in this state emits nothing and changes
+    /// no observable state.
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty()
             && self.current.is_none()
-            && self.pending_ejection_credits.is_empty()
             && self.reassembly.is_empty()
             && self.delivered.is_empty()
     }
 
     /// Exact step-is-no-op predicate for the quiescent-shard skip: `step`
-    /// touches only the source queue, the serializing packet and the pending
-    /// ejection credits, so with all three empty a `step` emits nothing and
-    /// changes no state. Weaker than [`is_idle`](Self::is_idle) — reassembly
-    /// and delivered-packet state don't participate in `step` (delivered
-    /// packets are drained serially by the driver every cycle regardless of
-    /// shard skipping).
+    /// touches only the source queue and the serializing packet, so with
+    /// both empty a `step` emits nothing and changes no state. Weaker than
+    /// [`is_idle`](Self::is_idle) — reassembly and delivered-packet state
+    /// don't participate in `step` (delivered packets are drained serially
+    /// by the driver every cycle regardless of shard skipping).
     pub fn has_step_work(&self) -> bool {
-        !self.queue.is_empty()
-            || self.current.is_some()
-            || !self.pending_ejection_credits.is_empty()
+        !self.queue.is_empty() || self.current.is_some()
     }
 
     /// Accepts a packet request at `cycle`, assigning it `id`.
@@ -236,14 +210,14 @@ impl NetworkInterface {
     /// Accepts a flit ejected by the router's local output port. The flit
     /// dies here: its fields are copied out and its pool slot recycled (this
     /// runs in the driver's serial delivery phase, the pool's one free
-    /// point). Returns whether the flit completed a packet, which then waits
-    /// in [`drain_delivered`](Self::drain_delivered).
-    pub fn receive_flit(&mut self, cycle: u64, r: FlitRef) -> bool {
+    /// point). Returns the VC of the router's local output port that the
+    /// freed slot owes an ejection credit to, and whether the flit completed
+    /// a packet, which then waits in [`drain_delivered`](Self::drain_delivered).
+    pub fn receive_flit(&mut self, cycle: u64, r: FlitRef) -> (VcIndex, bool) {
         let flit = *self.pool.get(r);
         self.pool.free(r);
         debug_assert_eq!(flit.dst, self.node, "flit ejected at wrong node");
         self.stats.ejected_flits += 1;
-        self.pending_ejection_credits.push(flit.vc);
         let idx = match self
             .reassembly
             .iter()
@@ -286,7 +260,7 @@ impl NetworkInterface {
                 delivered_at: cycle,
             });
         }
-        completed
+        (flit.vc, completed)
     }
 
     /// Accepts an injection credit returned by the router's local input port.
@@ -302,12 +276,11 @@ impl NetworkInterface {
         *credits += 1;
     }
 
-    /// Runs one cycle of injection/ejection housekeeping. `shard` is the
-    /// shard this interface is stepped under, selecting the pool free stack
-    /// an injected flit's slot is drawn from.
-    pub fn step(&mut self, _cycle: u64, shard: usize, out: &mut NiOutputs) {
-        out.credits.append(&mut self.pending_ejection_credits);
-
+    /// Runs one cycle of injection: returns the flit injected toward the
+    /// router's local input port, if any, freshly written into the pool.
+    /// `shard` is the shard this interface is stepped under, selecting the
+    /// pool free stack the flit's slot is drawn from.
+    pub fn step(&mut self, _cycle: u64, shard: usize) -> Option<FlitRef> {
         if self.current.is_none() {
             if let Some((class, dst)) = self.queue.front().map(|q| (q.class, q.desc.dst)) {
                 if let Some(vc) = self.pick_injection_vc(class, dst) {
@@ -322,12 +295,10 @@ impl NetworkInterface {
             }
         }
 
-        let Some(current) = self.current.as_mut() else {
-            return;
-        };
+        let current = self.current.as_mut()?;
         let credits = &mut self.credits[current.vc.index()];
         if *credits == 0 {
-            return; // back-pressure from the router's local input port
+            return None; // back-pressure from the router's local input port
         }
         *credits -= 1;
         let mut flit = current.packet.desc.flit(current.next_seq);
@@ -340,7 +311,7 @@ impl NetworkInterface {
             self.current = None;
         }
         self.stats.injected_flits += 1;
-        out.flit = Some(self.pool.alloc(shard, flit));
+        Some(self.pool.alloc(shard, flit))
     }
 
     /// Removes and returns packets fully delivered this cycle. Draining in
@@ -402,12 +373,9 @@ mod tests {
     fn serial_injection_one_flit_per_cycle() {
         let (mut ni, pool) = ni(VaPolicy::Dynamic);
         ni.enqueue(0, &request(5, 3), PacketId::new(1));
-        let mut out = NiOutputs::default();
         let mut flits = Vec::new();
         for cycle in 0..5 {
-            out.clear();
-            ni.step(cycle, 0, &mut out);
-            if let Some(r) = out.flit.take() {
+            if let Some(r) = ni.step(cycle, 0) {
                 flits.push(*pool.get(r));
             }
         }
@@ -425,19 +393,11 @@ mod tests {
         let (mut ni, _pool) = ni(VaPolicy::Static);
         // Static VA pins the VC; buffer_depth = 4 credits available.
         ni.enqueue(0, &request(5, 6), PacketId::new(1));
-        let mut out = NiOutputs::default();
-        let mut sent = 0;
-        for cycle in 0..10 {
-            out.clear();
-            ni.step(cycle, 0, &mut out);
-            sent += usize::from(out.flit.is_some());
-        }
+        let sent = (0..10).filter(|&cycle| ni.step(cycle, 0).is_some()).count();
         assert_eq!(sent, 4, "exactly buffer_depth flits without credit return");
         // Returning credits resumes injection.
         ni.receive_credit(Credit::new(out_vc(&ni)));
-        out.clear();
-        ni.step(11, 0, &mut out);
-        assert!(out.flit.is_some());
+        assert!(ni.step(11, 0).is_some());
     }
 
     fn out_vc(ni: &NetworkInterface) -> VcIndex {
@@ -457,12 +417,9 @@ mod tests {
         ni.enqueue(0, &request(5, 1), PacketId::new(1));
         ni.enqueue(0, &request(5, 1), PacketId::new(2));
         ni.enqueue(0, &request(6, 1), PacketId::new(3));
-        let mut out = NiOutputs::default();
         let mut vcs = Vec::new();
         for cycle in 0..6 {
-            out.clear();
-            ni.step(cycle, 0, &mut out);
-            if let Some(r) = out.flit.take() {
+            if let Some(r) = ni.step(cycle, 0) {
                 let f = pool.get(r);
                 vcs.push((f.dst, f.vc));
             }
@@ -517,14 +474,12 @@ mod tests {
         };
         let mut f = desc.flit(0);
         f.vc = VcIndex::new(2);
-        ni.receive_flit(5, pool.alloc_serial(f));
-        let mut out = NiOutputs::default();
-        ni.step(6, 0, &mut out);
-        assert_eq!(out.credits, vec![VcIndex::new(2)]);
-        // Credits are drained, not duplicated.
-        out.clear();
-        ni.step(7, 0, &mut out);
-        assert!(out.credits.is_empty());
+        // The receipt names the credit it owes; nothing is left for a step.
+        assert_eq!(
+            ni.receive_flit(5, pool.alloc_serial(f)),
+            (VcIndex::new(2), true)
+        );
+        assert!(!ni.has_step_work());
     }
 
     #[test]
@@ -545,10 +500,9 @@ mod tests {
         ni.enqueue(0, &request(5, 2), PacketId::new(1));
         ni.enqueue(0, &request(6, 2), PacketId::new(2));
         assert_eq!(ni.backlog(), 2);
-        let mut out = NiOutputs::default();
-        ni.step(0, 0, &mut out); // starts packet 1, sends flit 0
+        ni.step(0, 0); // starts packet 1, sends flit 0
         assert_eq!(ni.backlog(), 2, "current packet still counts");
-        ni.step(1, 0, &mut out); // tail of packet 1
+        ni.step(1, 0); // tail of packet 1
         assert_eq!(ni.backlog(), 1);
         assert_eq!(ni.stats().peak_queue, 2);
     }

@@ -151,6 +151,22 @@ for cmd in "run --measure 10" "campaign run --spec $campdir/sweep.toml --out $ca
     }
 done
 
+# Run phases past the 64-bit cycle counter: refused by validation in one
+# line, where a release build used to wrap `warmup + measure` into a short
+# run that exited 0.
+echo "==> noc run --warmup u64::MAX (must be refused)"
+status=0
+refusal=$(./target/release/noc run --warmup 18446744073709551615 --measure 1000 2>&1 >/dev/null) ||
+    status=$?
+[ "$status" -eq 1 ] || {
+    echo "overflowing --warmup: noc run exited $status" >&2
+    exit 1
+}
+[ "$refusal" = 'error: warmup + measure + drain: 18446744073709551615 + 1000 + 100000 cycles overflow the 64-bit cycle counter' ] || {
+    echo "overflowing --warmup: noc run said: $refusal" >&2
+    exit 1
+}
+
 # Docs link check: dangling relative links, anchors, and DESIGN.md §
 # references.
 echo "==> scripts/check_links.sh"

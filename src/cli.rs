@@ -655,6 +655,12 @@ mod tests {
             (&["--load", "5"], "load"),
             (&["--topology", "mesh0x4"], "mesh"),
             (&["--topology", "ring8c0"], "concentration"),
+            // Used to wrap `warmup + measure` in release (a 999-cycle run,
+            // exit 0) and to panic on the addition in debug.
+            (
+                &["--warmup", "18446744073709551615", "--measure", "1000"],
+                "warmup + measure + drain: 18446744073709551615 + 1000 + 100000",
+            ),
         ];
         for (flags, field) in table {
             let run_args = parse_run_args(&args(flags)).unwrap();

@@ -4,12 +4,15 @@
 //! behaviour (DESIGN.md §13). For every scheme the predicate is
 //! `PipelineKernel::is_idle_base() && SchemeHooks::is_idle()`; this test
 //! pins it against the reference that never skips anything — the same
-//! routers behind a wrapper that always answers `false`.
+//! routers behind a wrapper that always answers `false` — which is also the
+//! reference for the wake rule, since the wrapper makes every credit wake
+//! its router.
 //!
-//! The engine asks a router once, after each of its steps, and skips it
-//! until its next event while the answer was `true` (DESIGN.md §10); the
-//! second test pins which cycles that leaves a router stepped in when its
-//! only work is scheme state.
+//! The engine asks a router after each of its steps, and again after each
+//! credit it delivers to a router the last answer skipped; it skips the
+//! router until its next flit while the answer is `true` (DESIGN.md §10).
+//! The second test pins which cycles that leaves a router stepped in when
+//! its only work is scheme state.
 
 use noc_base::{
     Credit, FlitRef, NodeId, PacketClass, PortIndex, RouterId, RoutingPolicy, VaPolicy,
@@ -234,9 +237,11 @@ fn scheme_state_alone_keeps_a_router_stepping_exactly_as_long_as_it_changes() {
     // bypasses. Cycle 5, unscheduled: the creditless circuit is terminated,
     // and with no credit its history register is not restorable, so the
     // router certifies idleness and cycle 6 skips it. Cycle 7: the first
-    // credit arrives, which schedules the step that restores the circuit; a
-    // held circuit with credit is no work. Cycle 8: the second credit's
-    // step. Skipped from then on.
+    // credit arrives and makes the history register restorable, so the
+    // router is no longer idle and steps to restore the circuit; a held
+    // circuit with credit is no work. Cycle 8: the second credit only
+    // refills a counter of an idle router, so it schedules no step. Skipped
+    // from then on.
     assert_eq!(stats.buffer_bypasses, 1);
-    assert_eq!(log.lock().unwrap()[0], [1, 2, 3, 4, 5, 7, 8]);
+    assert_eq!(log.lock().unwrap()[0], [1, 2, 3, 4, 5, 7]);
 }
