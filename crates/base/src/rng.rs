@@ -23,6 +23,15 @@
 //! state ends where two `next_u32` calls leave it, so every stream consumed
 //! after a draw is unchanged (`tests/prop_base.rs` checks decision and state
 //! against the `f64` definition, ties forced).
+//!
+//! # Four idle draws per round
+//!
+//! [`Pcg32::skip_false`] makes the same draws four at a time while they are
+//! idle. A high word above `⌊p·2³²⌋` makes a draw false (`hi·2²¹ > p·2⁵³`)
+//! and moves the state two steps, so the next four draws read the high words
+//! of `s·a^(2k) + c·(1 + a + … + a^(2k−1))`, `k < 4`: independent products of
+//! `s`. All four above the cut, the state jumps eight steps, where four draws
+//! leave it; otherwise `next_bool` itself makes the round's draws.
 
 /// PCG-XSH-RR 64/32: 64-bit state, 32-bit output, period 2^64 per stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,6 +44,18 @@ const PCG_MULT: u64 = 6364136223846793005;
 const PCG_DEFAULT_INC: u64 = 1442695040888963407;
 /// Two LCG steps in one: `(s·a + c)·a + c = s·a² + (a + 1)·c`.
 const PCG_MULT_SQUARED: u64 = PCG_MULT.wrapping_mul(PCG_MULT);
+/// `2k` LCG steps in one, for `k` in `0..=4`: `s ← s·m + c·i` with `(m, i) =
+/// LANES[k]`.
+const LANES: [(u64, u64); 5] = {
+    let (a2, mut lanes, mut k) = (PCG_MULT_SQUARED, [(1u64, 0u64); 5], 1);
+    while k < 5 {
+        let (m, i) = lanes[k - 1];
+        lanes[k].0 = m.wrapping_mul(a2);
+        lanes[k].1 = i.wrapping_mul(a2).wrapping_add(PCG_MULT + 1);
+        k += 1;
+    }
+    lanes
+};
 
 /// The XSH-RR output permutation of one LCG state.
 #[inline]
@@ -147,6 +168,35 @@ impl Pcg32 {
         }
         self.next_u32(); // the tie: `hi` again, then the low word decides
         ((self.next_u32() >> 11) as u64) < (threshold & ((1 << 21) - 1))
+    }
+
+    /// Draws `next_bool(p)` until one is true or `max` have been false, and
+    /// returns how many were false: exactly `let mut n = 0; while n < max &&
+    /// !self.next_bool(p) { n += 1 }`, in count and in final state.
+    #[inline]
+    pub fn skip_false(&mut self, p: f64, max: usize) -> usize {
+        if p >= 1.0 || p <= 0.0 {
+            return if p >= 1.0 { 0 } else { max };
+        }
+        let (cut, inc) = ((p * (1u64 << 32) as f64) as u64, self.inc);
+        let jump = |s: u64, (m, i): (u64, u64)| s.wrapping_mul(m).wrapping_add(i.wrapping_mul(inc));
+        let mut n = 0;
+        while n < max {
+            let s = self.state;
+            let idle = LANES[..4].iter().map(|&lane| output(jump(s, lane))).min();
+            if max - n >= 4 && idle.is_some_and(|hi| hi as u64 > cut) {
+                self.state = jump(s, LANES[4]);
+                n += 4;
+                continue;
+            }
+            for _ in 0..(max - n).min(4) {
+                if self.next_bool(p) {
+                    return n;
+                }
+                n += 1;
+            }
+        }
+        n
     }
 
     /// Fisher–Yates shuffles a slice in place.

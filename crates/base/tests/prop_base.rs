@@ -113,6 +113,65 @@ proptest! {
             prop_assert_eq!(&fast, &slow, "state after draw {} at p = {:e}", draw, p);
         }
     }
+
+    /// `skip_false` is the scalar loop `while n < max && !next_bool(p)` in
+    /// count and final state, over the same shapes of `p`, with a tie forced
+    /// at any of the next eight draws, inside a four-draw round or at its
+    /// edge.
+    #[test]
+    fn skip_false_is_the_scalar_next_bool_loop(
+        seed in any::<u64>(),
+        stream in any::<u64>(),
+        max in 0usize..300,
+        kind in 0usize..6,
+        raw in any::<u64>(),
+        delta in 0u64..5,
+        tie_at in 0usize..8,
+    ) {
+        let mut fast = Pcg32::seed_with_stream(seed, stream);
+        let mut slow = fast.clone();
+        let p = match kind {
+            0 => [0.0, 1.0, f64::NAN, -1.0, 2.0][(raw % 5) as usize],
+            // Subnormals and the smallest normals: T = 1, `T >> 21` = 0.
+            1 => f64::from_bits(raw % (f64::MIN_POSITIVE.to_bits() * 2)),
+            // 1 − ε and its neighbours: every high word is at or below `T >> 21`.
+            2 => f64::from_bits(1.0f64.to_bits() - 1 - raw % 4),
+            // Loads a synthetic source draws at: one round in four or fewer
+            // holds a hit.
+            3 => (raw % 1000) as f64 / 16_000.0,
+            // k·2^-53 ± 1 ulp for a drawn k, or for the 53 bits of the draw
+            // `tie_at` ahead: a forced tie there.
+            _ => {
+                let k = if kind == 4 {
+                    raw >> 11
+                } else {
+                    let mut ahead = fast.clone();
+                    for _ in 0..tie_at {
+                        ahead.next_u64();
+                    }
+                    ahead.next_u64() >> 11
+                };
+                let around = (k + delta).saturating_sub(2) as f64 / TWO_POW_53;
+                match raw & 3 {
+                    0 => f64::from_bits(around.to_bits().saturating_sub(1)),
+                    1 => f64::from_bits(around.to_bits() + 1),
+                    _ => around,
+                }
+            }
+        };
+        for call in 0..3 {
+            let mut n = 0;
+            while n < max && !slow.next_bool(p) {
+                n += 1;
+            }
+            prop_assert_eq!(
+                fast.skip_false(p, max),
+                n,
+                "call {} at p = {:e} ({:#x}), max {}", call, p, p.to_bits(), max
+            );
+            prop_assert_eq!(&fast, &slow, "state after call {} at p = {:e}", call, p);
+        }
+    }
 }
 
 proptest! {

@@ -328,13 +328,17 @@ mod tests {
 
     #[test]
     fn point_result_json_roundtrips_exactly() {
-        let result = sample();
-        let json = result.to_json();
-        let back = PointResult::from_json(&json).unwrap();
-        assert_eq!(back, result);
-        // Bytes are reproducible from the parsed form — the merged-report
-        // byte-identity guarantee.
-        assert_eq!(back.to_json(), json);
+        let mut widest = sample();
+        widest.spec.seed = u64::MAX;
+        widest.cycles = u64::MAX;
+        for result in [sample(), widest] {
+            let json = result.to_json();
+            let back = PointResult::from_json(&json).unwrap();
+            assert_eq!(back, result);
+            // Bytes are reproducible from the parsed form — the merged-report
+            // byte-identity guarantee.
+            assert_eq!(back.to_json(), json);
+        }
     }
 
     #[test]

@@ -707,6 +707,32 @@ load = [0.05, 0.1]
     }
 
     #[test]
+    fn seeds_span_the_u64_range_in_toml_and_json() {
+        let toml = CampaignSpec::parse_toml_str("[axes]\nseed = [0, 18446744073709551615]\n");
+        let json =
+            CampaignSpec::parse_json_str("{\"axes\": {\"seed\": [0, 18446744073709551615]}}");
+        assert_eq!(toml.as_ref().unwrap().axes.seed, vec![0, u64::MAX]);
+        assert_eq!(json.unwrap(), toml.unwrap());
+        for (err, needle) in [
+            (
+                CampaignSpec::parse_toml_str("[axes]\nseed = [18446744073709551616]\n"),
+                "cannot parse value \"18446744073709551616\"",
+            ),
+            (
+                CampaignSpec::parse_json_str("{\"axes\": {\"seed\": 18446744073709551616}}"),
+                "cannot parse number \"18446744073709551616\"",
+            ),
+            (
+                CampaignSpec::parse_toml_str("[axes]\nseed = -1\n"),
+                "integers in [0, 18446744073709551615], got -1",
+            ),
+        ] {
+            let err = err.unwrap_err().0;
+            assert!(err.contains(needle) && !err.contains('\n'), "{err}");
+        }
+    }
+
+    #[test]
     fn scheme_choice_roundtrips_and_labels() {
         // SCHEME_NAMES is the one shared vocabulary table: every entry must
         // round-trip through parse/canonical, and the variants must cover it

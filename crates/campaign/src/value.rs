@@ -26,8 +26,9 @@ use std::fmt;
 pub enum Value {
     /// A string.
     Str(String),
-    /// An integer (no decimal point or exponent in the source).
-    Int(i64),
+    /// An integer (no decimal point or exponent in the source), anywhere in
+    /// `i64::MIN..=u64::MAX`: a seed may be any `u64`.
+    Int(i128),
     /// A float.
     Float(f64),
     /// A boolean.
@@ -53,7 +54,7 @@ impl Value {
     /// The value as an unsigned integer, if it is a non-negative `Int`.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Int(i) if *i >= 0 => Some(*i as u64),
+            Value::Int(i) => u64::try_from(*i).ok(),
             _ => None,
         }
     }
@@ -265,10 +266,11 @@ fn parse_toml_scalar(s: &str) -> Result<Value, ParseError> {
 /// Parses a bare token as `Int` when it has no `.`/exponent, else `Float`.
 fn parse_number(s: &str) -> Option<Value> {
     if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-        if let Ok(i) = s.parse::<i64>() {
-            return Some(Value::Int(i));
-        }
-        return None;
+        return s
+            .parse::<i128>()
+            .ok()
+            .filter(|i| (i64::MIN as i128..=u64::MAX as i128).contains(i))
+            .map(Value::Int);
     }
     s.parse::<f64>().ok().map(Value::Float)
 }

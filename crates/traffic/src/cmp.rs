@@ -236,12 +236,6 @@ impl CmpStats {
             self.mshr_stall_cycles as f64 / self.active_cycles as f64
         }
     }
-
-    /// A relative core-progress proxy: the fraction of active cycles in
-    /// which a core could issue if it wanted to (1 − stall fraction).
-    pub fn progress_proxy(&self) -> f64 {
-        1.0 - self.stall_fraction()
-    }
 }
 
 /// The closed-loop CMP workload generator.
@@ -361,13 +355,10 @@ impl CmpTraffic {
     /// Samples the number of sharers to invalidate: geometric with mean
     /// `avg_sharers`, clamped to the available cores.
     fn sample_sharers(&mut self) -> usize {
-        let mean = self.profile.avg_sharers.max(1.0);
-        let p = 1.0 / mean;
-        let mut k = 1;
-        while k < self.layout.num_cores() - 1 && !self.rng.next_bool(p) {
-            k += 1;
-        }
-        k
+        let p = 1.0 / self.profile.avg_sharers.max(1.0);
+        1 + self
+            .rng
+            .skip_false(p, self.layout.num_cores().saturating_sub(2))
     }
 
     fn issue_from_core(&mut self, core: usize, sink: &mut dyn FnMut(PacketRequest)) {

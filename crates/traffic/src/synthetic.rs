@@ -91,19 +91,22 @@ impl SyntheticPattern {
                 y * cols + (x + 1) % cols
             }
             SyntheticPattern::Hotspot { fraction, spots } => {
-                if !spots.is_empty() && rng.next_bool(*fraction) {
-                    let d = spots[rng.next_index(spots.len())].index();
-                    if d == src {
-                        uniform_other(rng)
-                    } else {
-                        d
-                    }
-                } else {
-                    uniform_other(rng)
+                match hotspot(*fraction, spots, rng).filter(|&d| d != src) {
+                    Some(d) => d,
+                    None => uniform_other(rng),
                 }
             }
         }
     }
+}
+
+/// With probability `fraction`, one of `spots`. Out of line: inlined, its
+/// threshold is hoisted out of `draw_cycle`'s loop and computed on whatever
+/// bytes another pattern leaves in `fraction` (a subnormal is slow).
+#[inline(never)]
+fn hotspot(fraction: f64, spots: &[NodeId], rng: &mut Pcg32) -> Option<usize> {
+    (!spots.is_empty() && rng.next_bool(fraction))
+        .then(|| spots[rng.next_index(spots.len())].index())
 }
 
 /// An open-loop synthetic workload over a `cols × rows` logical node grid.
@@ -177,14 +180,12 @@ impl SyntheticTraffic {
     /// ascending node order — the single source of the RNG call sequence for
     /// both `generate` and the fast-forward lookahead.
     fn draw_cycle(&mut self, sink: &mut dyn FnMut(PacketRequest)) {
-        // A local generator, and the misses in a loop of their own: from
-        // miss to miss nothing runs but the draw, its state in a register.
+        // A local generator, and the misses skipped four draws per round:
+        // from hit to hit nothing runs but the draws.
         let (nodes, p, mut rng) = (self.num_nodes(), self.start_prob, self.rng.clone());
         let mut src = 0;
         loop {
-            while src < nodes && !rng.next_bool(p) {
-                src += 1;
-            }
+            src += rng.skip_false(p, nodes - src);
             if src == nodes {
                 break;
             }
@@ -201,11 +202,6 @@ impl SyntheticTraffic {
             src += 1;
         }
         self.rng = rng;
-    }
-
-    /// The pattern in use.
-    pub fn pattern(&self) -> &SyntheticPattern {
-        &self.pattern
     }
 
     /// Number of nodes on the grid.

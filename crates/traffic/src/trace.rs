@@ -11,9 +11,10 @@
 //! `cycle src dst len class` — chosen over a serde format so the workspace
 //! needs no serialization dependency (DESIGN.md §8 states the grammar, the
 //! limits and the error contract). The codec works on bytes: a trace is
-//! read once per configuration of every sweep, so [`read_trace`] takes its
-//! lines straight out of the reader's buffer and [`write_trace`] formats
-//! into one reused line, neither allocating per record.
+//! read once per configuration of every sweep, so [`read_trace`] tokenizes
+//! its lines in one pass straight out of the reader's buffer and
+//! [`write_trace`] formats into one reused 64 KiB block, neither allocating
+//! per record.
 
 use crate::{PacketRequest, TrafficModel};
 use noc_base::{NodeId, PacketClass};
@@ -99,112 +100,167 @@ impl From<io::Error> for TraceError {
     }
 }
 
-/// Appends `value` in decimal.
-fn push_decimal(line: &mut Vec<u8>, mut value: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (value % 10) as u8;
-        value /= 10;
-        if value == 0 {
-            break;
+/// The size of the blocks [`write_trace`] hands its writer.
+const BLOCK: usize = 64 * 1024;
+
+/// `n < 100` in two decimal digits, at `DIGIT_PAIRS[2n..2n + 2]`.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Writes `value` in decimal at the start of `out`, two digits per table
+/// lookup, and returns its length.
+fn put_decimal(out: &mut [u8], mut value: u64) -> usize {
+    let len = value.checked_ilog10().map_or(1, |log| log as usize + 1);
+    for at in (0..len).rev().step_by(2) {
+        let pair = 2 * (value % 100) as usize;
+        out[at] = DIGIT_PAIRS[pair + 1];
+        if at > 0 {
+            out[at - 1] = DIGIT_PAIRS[pair];
         }
+        value /= 100;
     }
-    line.extend_from_slice(&digits[at..]);
+    len
 }
 
 /// Writes records in the line format. Lines beginning with `#` are comments.
+/// The lines are formatted into one reused block, handed to `w` whole
+/// [`BLOCK`] bytes at a time: one `write_all` per block, not per record.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
 pub fn write_trace<W: Write>(mut w: W, records: &[TraceRecord]) -> io::Result<()> {
-    w.write_all(b"# pseudo-circuit packet trace: cycle src dst len class\n")?;
-    let mut line = Vec::with_capacity(64);
+    let header = b"# pseudo-circuit packet trace: cycle src dst len class\n";
+    // Past the block's end, room for the longest line (52 bytes).
+    let mut block = vec![0u8; BLOCK + 64];
+    block[..header.len()].copy_from_slice(header);
+    let mut at = header.len();
     for r in records {
-        line.clear();
         for value in [
             r.cycle,
             r.src.index() as u64,
             r.dst.index() as u64,
             r.len as u64,
         ] {
-            push_decimal(&mut line, value);
-            line.push(b' ');
+            at += put_decimal(&mut block[at..], value);
+            block[at] = b' ';
+            at += 1;
         }
-        line.extend_from_slice(class_code(r.class));
-        line.push(b'\n');
-        w.write_all(&line)?;
+        for &b in class_code(r.class).iter().chain(b"\n") {
+            block[at] = b;
+            at += 1;
+        }
+        if at >= BLOCK {
+            w.write_all(&block[..BLOCK])?;
+            block.copy_within(BLOCK..at, 0);
+            at -= BLOCK;
+        }
     }
-    Ok(())
+    w.write_all(&block[..at])
 }
 
-/// A numeric field — what `u64::from_str` accepts, decimal digits after an
-/// optional `+` — no larger than `max`.
-fn number(field: &[u8], what: &str, max: u64) -> Result<u64, String> {
-    let digits = field.strip_prefix(b"+").unwrap_or(field);
-    let value = digits
-        .iter()
-        .try_fold(0u64, |value, &b| {
-            let digit = b.is_ascii_digit().then(|| (b - b'0') as u64)?;
-            value.checked_mul(10)?.checked_add(digit)
-        })
-        .filter(|_| !digits.is_empty())
-        .ok_or_else(|| format!("bad {what}: {:?}", String::from_utf8_lossy(field)))?;
-    if value > max {
-        return Err(format!("{what} {value} out of range (max {max})"));
+/// The next field of a line, past the white space at `*at` (what
+/// `str::split_whitespace` splits ASCII text on), summed as its digits go by:
+/// its start, its end, and its value if `u64::from_str` accepts it. `*at`
+/// moves to its end; at the line's end it stops on the `\n` and gives `None`.
+#[inline(always)]
+fn field(text: &[u8], at: &mut usize) -> Option<(usize, usize, Option<u64>)> {
+    let space = |i: usize| matches!(text.get(i).copied(), Some(b' ' | b'\t'..=b'\r'));
+    while space(*at) && text[*at] != b'\n' {
+        *at += 1;
     }
-    Ok(value)
+    let start = *at;
+    let mut i = start + usize::from(text.get(start).filter(|&&b| b != b'\n')? == &b'+');
+    let (digits, mut value) = (i, 0u64);
+    while let Some(digit @ 0..=9) = text.get(i).map(|b| b.wrapping_sub(b'0')) {
+        value = value.wrapping_mul(10).wrapping_add(digit as u64);
+        i += 1;
+    }
+    let number = i > digits && (i == text.len() || space(i));
+    while i < text.len() && !space(i) {
+        i += 1;
+    }
+    *at = i;
+    // Nineteen digits cannot overflow; more are summed again, checked.
+    let value = match i - digits {
+        _ if !number => None,
+        ..=19 => Some(value),
+        _ => text[digits..i].iter().try_fold(0u64, |v, &b| {
+            v.checked_mul(10)?.checked_add((b - b'0') as u64)
+        }),
+    };
+    Some((start, i, value))
 }
 
-/// Parses one line (without its `\n`): a record, `None` for a blank or
-/// comment line, or what is wrong with it. Fields are separated by what
-/// `str::split_whitespace` splits ASCII text on; a non-ASCII byte never
-/// separates, it is part of a field.
-fn parse_line(line: &[u8], last_cycle: &mut u64) -> Result<Option<TraceRecord>, String> {
-    let is_space = |b: &u8| matches!(b, b' ' | b'\t'..=b'\r');
-    let mut fields = [&[][..]; 5];
-    let mut found = 0;
-    for field in line.split(is_space).filter(|f| !f.is_empty()) {
-        if found == 0 && field[0] == b'#' {
+/// Reads the line at the start of `text` if it ends there (at a `\n`) and
+/// returns its end: its record goes to `records`, or the first failing check
+/// in the order the error contract fixes (DESIGN.md §8) is the error.
+#[inline]
+fn read_line(
+    text: &[u8],
+    last_cycle: &mut u64,
+    records: &mut Vec<TraceRecord>,
+) -> Result<Option<usize>, String> {
+    let (mut at, mut found, mut fields) = (0, 0, [(0, 0, None); 5]);
+    while let Some(next) = field(text, &mut at) {
+        if found == 0 && text[next.0] == b'#' {
+            let end = text[at..].iter().position(|&b| b == b'\n');
+            at = end.map_or(text.len(), |end| at + end);
             break;
         }
         if let Some(slot) = fields.get_mut(found) {
-            *slot = field;
+            *slot = next;
         }
         found += 1;
     }
-    if found == 0 {
-        return Ok(None);
+    match found {
+        _ if at == text.len() => return Ok(None),
+        0 => return Ok(Some(at)),
+        5 => {}
+        found => return Err(format!("expected 5 fields, found {found}")),
     }
-    if found != 5 {
-        return Err(format!("expected 5 fields, found {found}"));
-    }
-    let [cycle, src, dst, len, class] = fields;
-    let cycle = number(cycle, "cycle", u64::MAX)?;
+    let number = |k: usize, what: &str, max: u64| match fields[k] {
+        (_, _, Some(value)) if value <= max => Ok(value),
+        (start, end, value) => Err(bad_number(&text[start..end], value, what, max)),
+    };
+    let cycle = number(0, "cycle", u64::MAX)?;
     if cycle < *last_cycle {
         return Err(format!("cycle {cycle} out of order (last {last_cycle})"));
     }
     *last_cycle = cycle;
-    let len = number(len, "length", u16::MAX as u64)? as u16;
+    let len = number(3, "length", u16::MAX as u64)? as u16;
     if len == 0 {
         return Err("zero-length packet".into());
     }
-    let class = class_from_code(class)
-        .ok_or_else(|| format!("unknown class {:?}", String::from_utf8_lossy(class)))?;
-    Ok(Some(TraceRecord {
+    let code = &text[fields[4].0..fields[4].1];
+    let class = class_from_code(code)
+        .ok_or_else(|| format!("unknown class {:?}", String::from_utf8_lossy(code)))?;
+    records.push(TraceRecord {
         cycle,
-        src: NodeId::new(number(src, "src", u32::MAX as u64)? as usize),
-        dst: NodeId::new(number(dst, "dst", u32::MAX as u64)? as usize),
+        src: NodeId::new(number(1, "src", u32::MAX as u64)? as usize),
+        dst: NodeId::new(number(2, "dst", u32::MAX as u64)? as usize),
         len,
         class,
-    }))
+    });
+    Ok(Some(at))
 }
 
-/// Reads records from the line format, streaming: lines are parsed where
-/// they lie in the reader's buffer, and only a line that spans two buffer
-/// fills is copied (into one reused carry buffer).
+/// What is wrong with a numeric field: not a number, or above `max`.
+#[cold]
+fn bad_number(field: &[u8], value: Option<u64>, what: &str, max: u64) -> String {
+    match value {
+        Some(value) => format!("{what} {value} out of range (max {max})"),
+        None => format!("bad {what}: {:?}", String::from_utf8_lossy(field)),
+    }
+}
+
+/// Reads records from the line format, streaming: each line is tokenized
+/// where it lies in the reader's buffer, in the same pass that finds its
+/// end, and only a line that spans two buffer fills is copied (into one
+/// reused carry buffer).
 ///
 /// # Errors
 ///
@@ -213,40 +269,44 @@ fn parse_line(line: &[u8], last_cycle: &mut u64) -> Result<Option<TraceRecord>, 
 /// over-long length, node id that does not fit 32 bits, or cycles out of
 /// order) and [`TraceError::Io`] on reader failure.
 pub fn read_trace<R: BufRead>(mut r: R) -> Result<Vec<TraceRecord>, TraceError> {
-    let mut records = Vec::new();
-    let (mut line_no, mut last_cycle) = (0, 0);
-    let mut parse = |text: &[u8]| {
-        line_no += 1;
-        let line = line_no;
-        parse_line(text, &mut last_cycle).map_err(|message| TraceError::Parse { line, message })
+    let (mut records, mut carry, mut line, mut last_cycle) = (Vec::new(), Vec::new(), 0, 0);
+    let mut take = |text: &[u8]| {
+        let read = read_line(text, &mut last_cycle, &mut records);
+        line += usize::from(read != Ok(None));
+        read.map_err(|message| TraceError::Parse { line, message })
     };
-    let mut carry = Vec::new();
     loop {
         let chunk = match r.fill_buf() {
             Ok(chunk) => chunk,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
         };
+        if chunk.is_empty() {
+            break;
+        }
         let mut rest = chunk;
-        while let Some(end) = rest.iter().position(|&b| b == b'\n') {
-            if carry.is_empty() {
-                records.extend(parse(&rest[..end])?);
-            } else {
-                carry.extend_from_slice(&rest[..end]);
-                records.extend(parse(&carry)?);
+        if !carry.is_empty() {
+            // The line the previous fill ended inside, up to its end if
+            // this fill has it.
+            let end = rest.iter().position(|&b| b == b'\n');
+            let end = end.map_or(rest.len(), |end| end + 1);
+            carry.extend_from_slice(&rest[..end]);
+            rest = &rest[end..];
+            if carry.ends_with(b"\n") {
+                take(&carry)?;
                 carry.clear();
             }
+        }
+        while let Some(end) = take(rest)? {
             rest = &rest[end + 1..];
         }
         carry.extend_from_slice(rest);
         let consumed = chunk.len();
         r.consume(consumed);
-        if consumed == 0 {
-            break;
-        }
     }
     if !carry.is_empty() {
-        records.extend(parse(&carry)?);
+        carry.push(b'\n'); // the last line, which has none
+        take(&carry)?;
     }
     Ok(records)
 }
@@ -385,57 +445,63 @@ mod tests {
     use super::*;
     use crate::synthetic::{SyntheticPattern, SyntheticTraffic};
     use proptest::prelude::*;
+    use std::ops::Range;
 
-    /// The line-based reader the byte codec replaced, kept as its reference:
-    /// `BufRead::lines`, `str::split_whitespace`, `str::parse`. Its three
-    /// silent truncations (`as u16`, `as usize` into a 32-bit id, non-UTF-8
-    /// as an anonymous I/O error) are what the codec rejects instead.
+    /// The grammar and its limits (DESIGN.md §8) stated line by line, the
+    /// reference the one-pass reader is compared against: `BufRead::split`
+    /// into lines, a split on ASCII white space into fields, `str::parse`
+    /// for numbers and `try_from` for the limits.
     fn read_trace_by_lines<R: BufRead>(r: R) -> Result<Vec<TraceRecord>, TraceError> {
         let mut records = Vec::new();
         let mut last_cycle = 0u64;
-        for (idx, line) in r.lines().enumerate() {
+        for (idx, line) in r.split(b'\n').enumerate() {
             let line = line?;
-            let line_no = idx + 1;
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
+            let fail = |message: String| TraceError::Parse {
+                line: idx + 1,
+                message,
+            };
+            let fields: Vec<&[u8]> = line
+                .split(|b| b" \t\n\x0b\x0c\r".contains(b))
+                .filter(|f| !f.is_empty())
+                .collect();
+            if fields.first().is_none_or(|f| f[0] == b'#') {
                 continue;
             }
-            let parse = |s: &str, what: &str| -> Result<u64, TraceError> {
-                s.parse().map_err(|_| TraceError::Parse {
-                    line: line_no,
-                    message: format!("bad {what}: {s:?}"),
-                })
-            };
-            let fields: Vec<&str> = trimmed.split_whitespace().collect();
             if fields.len() != 5 {
-                return Err(TraceError::Parse {
-                    line: line_no,
-                    message: format!("expected 5 fields, found {}", fields.len()),
-                });
+                return Err(fail(format!("expected 5 fields, found {}", fields.len())));
             }
+            let shown = |f: &[u8]| String::from_utf8_lossy(f).into_owned();
+            let parse = |f: &[u8], what: &str| {
+                std::str::from_utf8(f)
+                    .ok()
+                    .and_then(|s| s.parse::<u64>().ok())
+                    .ok_or_else(|| fail(format!("bad {what}: {:?}", shown(f))))
+            };
+            let node = |f: &[u8], what: &str| {
+                let id = parse(f, what)?;
+                let id = u32::try_from(id)
+                    .map_err(|_| fail(format!("{what} {id} out of range (max {})", u32::MAX)))?;
+                Ok::<_, TraceError>(NodeId::new(id as usize))
+            };
             let cycle = parse(fields[0], "cycle")?;
             if cycle < last_cycle {
-                return Err(TraceError::Parse {
-                    line: line_no,
-                    message: format!("cycle {cycle} out of order (last {last_cycle})"),
-                });
+                return Err(fail(format!(
+                    "cycle {cycle} out of order (last {last_cycle})"
+                )));
             }
             last_cycle = cycle;
-            let len = parse(fields[3], "length")? as u16;
+            let len = parse(fields[3], "length")?;
+            let len = u16::try_from(len)
+                .map_err(|_| fail(format!("length {len} out of range (max {})", u16::MAX)))?;
             if len == 0 {
-                return Err(TraceError::Parse {
-                    line: line_no,
-                    message: "zero-length packet".into(),
-                });
+                return Err(fail("zero-length packet".into()));
             }
-            let class = class_from_code(fields[4].as_bytes()).ok_or_else(|| TraceError::Parse {
-                line: line_no,
-                message: format!("unknown class {:?}", fields[4]),
-            })?;
+            let class = class_from_code(fields[4])
+                .ok_or_else(|| fail(format!("unknown class {:?}", shown(fields[4]))))?;
             records.push(TraceRecord {
                 cycle,
-                src: NodeId::new(parse(fields[1], "src")? as usize),
-                dst: NodeId::new(parse(fields[2], "dst")? as usize),
+                src: node(fields[1], "src")?,
+                dst: node(fields[2], "dst")?,
                 len,
                 class,
             });
@@ -463,9 +529,9 @@ mod tests {
         PacketClass::Coherence,
     ];
 
-    /// Sorted records that reach every limit of the format: `cycle =
+    /// `count` sorted records that reach every limit of the format: `cycle =
     /// u64::MAX`, `len = 65535`, 32-bit node ids, every class code.
-    fn limit_records() -> impl Strategy<Value = Vec<TraceRecord>> {
+    fn limit_records(count: Range<usize>) -> impl Strategy<Value = Vec<TraceRecord>> {
         let field = |limit: u64| {
             (0u64..4, 0..=limit).prop_map(move |(pick, v)| match pick {
                 0 => limit,
@@ -480,7 +546,7 @@ mod tests {
             field(u16::MAX as u64 - 1),
             0..CLASSES.len(),
         );
-        prop::collection::vec(record, 0..24).prop_map(|mut raw| {
+        prop::collection::vec(record, count).prop_map(|mut raw| {
             raw.sort_by_key(|r| r.0);
             raw.into_iter()
                 .map(|(cycle, src, dst, len, class)| TraceRecord {
@@ -506,7 +572,7 @@ mod tests {
         /// same records or the same error (line and message).
         #[test]
         fn byte_codec_matches_the_line_based_reference(
-            records in limit_records(),
+            records in limit_records(0..24),
             decorations in prop::collection::vec(0usize..8, 1..6),
             corrupt_line in 0usize..24,
             corrupt_kind in 0usize..10,
@@ -563,6 +629,106 @@ mod tests {
             let expected = read_trace_by_lines(&text[..]);
             prop_assert_eq!(outcome(parsed), outcome(expected));
         }
+
+        /// Hostile bytes: a valid trace with bytes flipped, inserted and
+        /// deleted, `\r` before a `\n`, `+` before a field and a tab for a
+        /// space ends in the reference's records or in its error, line and
+        /// message alike.
+        #[test]
+        fn mutated_bytes_read_like_the_reference(
+            records in limit_records(0..24),
+            edits in prop::collection::vec((0usize..6, any::<usize>(), any::<u8>()), 1..8),
+            capacity in 0usize..3,
+        ) {
+            let mut text = Vec::new();
+            write_trace(&mut text, &records).unwrap();
+            for (kind, at, byte) in edits {
+                let at = at % (text.len() + 1);
+                let next = |b: u8| text[at..].iter().position(|&c| c == b).map(|i| at + i);
+                match kind {
+                    0 if at < text.len() => text[at] ^= byte.max(1),
+                    1 => text.insert(at, byte),
+                    2 if at < text.len() => drop(text.remove(at)),
+                    3 => {
+                        if let Some(i) = next(b'\n') {
+                            text.insert(i, b'\r');
+                        }
+                    }
+                    4 => {
+                        if let Some(i) = next(b' ') {
+                            text.insert(i + 1, b'+');
+                        }
+                    }
+                    _ => {
+                        if let Some(i) = next(b' ') {
+                            text[i] = b'\t';
+                        }
+                    }
+                }
+            }
+            let capacity = [3, 7, 8192][capacity];
+            let parsed = read_trace(io::BufReader::with_capacity(capacity, &text[..]));
+            let expected = read_trace_by_lines(&text[..]);
+            prop_assert_eq!(outcome(parsed), outcome(expected));
+        }
+    }
+
+    /// A writer that counts the calls it gets.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Record sets that straddle one or two block edges are written
+        /// byte for byte as `writeln!` writes them, in whole blocks: at most
+        /// ⌈bytes / 64 KiB⌉ writes.
+        #[test]
+        fn blocks_are_whole_and_byte_identical(records in limit_records(1200..5000)) {
+            let mut counted = CountingWriter::default();
+            write_trace(&mut counted, &records).unwrap();
+            let mut reference = Vec::new();
+            write_trace_by_writeln(&mut reference, &records).unwrap();
+            prop_assert_eq!(&counted.bytes, &reference);
+            prop_assert!(
+                counted.writes <= reference.len().div_ceil(BLOCK),
+                "{} writes for {} bytes", counted.writes, reference.len()
+            );
+        }
+    }
+
+    #[test]
+    fn a_trace_of_exactly_one_block_is_one_write() {
+        // The 55-byte header, 6 547 ten-byte `D` lines and one eleven-byte
+        // `RQ` line: 65 536 bytes.
+        let record = |class| TraceRecord {
+            cycle: 0,
+            src: NodeId::new(0),
+            dst: NodeId::new(0),
+            len: 1,
+            class,
+        };
+        let mut records = vec![record(PacketClass::Data); 6_547];
+        records.push(record(PacketClass::ReadRequest));
+        let mut counted = CountingWriter::default();
+        write_trace(&mut counted, &records).unwrap();
+        assert_eq!((counted.bytes.len(), counted.writes), (BLOCK, 1));
+        assert_eq!(read_trace(&counted.bytes[..]).unwrap(), records);
     }
 
     #[test]
@@ -601,6 +767,8 @@ mod tests {
             ),
             (b"\n0 1 \xff\xfe 1 D\n", 2, "bad dst"),
             (b"0 1 2 1 \xc3\x28\n", 1, "unknown class"),
+            // Twenty digits, one past `u64::MAX`: the checked second sum.
+            (b"18446744073709551616 1 2 1 D\n", 1, "bad cycle"),
         ] {
             match read_trace(text) {
                 Err(TraceError::Parse { line: at, message }) => {
@@ -610,11 +778,12 @@ mod tests {
                 other => panic!("{:?} parsed as {other:?}", String::from_utf8_lossy(text)),
             }
         }
-        // The limits themselves are legal.
-        let edge = b"18446744073709551615 4294967295 0 65535 C";
+        // The limits themselves are legal, leading zeros too.
+        let edge = b"18446744073709551615 4294967295 0 65535 C\n000018446744073709551615 0 0 1 D";
         let parsed = read_trace(&edge[..]).unwrap();
         assert_eq!((parsed[0].cycle, parsed[0].len), (u64::MAX, u16::MAX));
         assert_eq!(parsed[0].src.index(), u32::MAX as usize);
+        assert_eq!(parsed[1].cycle, u64::MAX);
     }
 
     fn sample_records() -> Vec<TraceRecord> {

@@ -151,6 +151,33 @@ for cmd in "run --measure 10" "campaign run --spec $campdir/sweep.toml --out $ca
     }
 done
 
+# The widest seed: `noc run --seed` takes any u64, and so must a spec and the
+# cache entry its point leaves — the first run executes the point, the second
+# must find it in the cache.
+echo "==> noc campaign run with seed = u64::MAX, then cached"
+cat > "$campdir/seed.toml" <<'EOF'
+name = "check-seed"
+
+[phases]
+warmup = 50
+measure = 200
+drain = 2000
+
+[axes]
+topology = "mesh2x2"
+packet = 2
+load = 0.05
+seed = [18446744073709551615]
+EOF
+./target/release/noc campaign run --spec "$campdir/seed.toml" \
+    --out "$campdir/seed" --max-points 1 >/dev/null
+rerun=$(./target/release/noc campaign run --spec "$campdir/seed.toml" \
+    --out "$campdir/seed" --max-points 1)
+grep -q "cache hits 1 | executed 0" <<< "$rerun" || {
+    echo "u64::MAX seed: the re-run missed the cache: $rerun" >&2
+    exit 1
+}
+
 # Run phases past the 64-bit cycle counter: refused by validation in one
 # line, where a release build used to wrap `warmup + measure` into a short
 # run that exited 0.
