@@ -156,14 +156,14 @@ impl PointResult {
             scheme: SchemeChoice::parse(get_str(t, "scheme")?)?,
             routing: crate::spec::parse_routing(get_str(t, "routing")?)?,
             va: crate::spec::parse_va(get_str(t, "va")?)?,
-            vcs: get_u64(t, "vcs")? as u8,
-            buffer: get_u64(t, "buffer")? as u32,
-            packet: get_u64(t, "packet")? as u16,
+            vcs: get_int(t, "vcs")?,
+            buffer: get_int(t, "buffer")?,
+            packet: get_int(t, "packet")?,
             load: get_f64(t, "load")?,
-            seed: get_u64(t, "seed")?,
-            warmup: get_u64(t, "warmup")?,
-            measure: get_u64(t, "measure")?,
-            drain: get_u64(t, "drain")?,
+            seed: get_int(t, "seed")?,
+            warmup: get_int(t, "warmup")?,
+            measure: get_int(t, "measure")?,
+            drain: get_int(t, "drain")?,
         };
         Ok(Self {
             spec,
@@ -171,13 +171,13 @@ impl PointResult {
             git_rev: get_str(t, "git_rev")?.to_string(),
             topology_name: get_str(t, "topology_name")?.to_string(),
             traffic_name: get_str(t, "traffic_name")?.to_string(),
-            cycles: get_u64(t, "cycles")?,
+            cycles: get_int(t, "cycles")?,
             avg_latency: get_f64(t, "avg_latency")?,
-            p99_latency: get_u64(t, "p99_latency")?,
+            p99_latency: get_int(t, "p99_latency")?,
             avg_hops: get_f64(t, "avg_hops")?,
             throughput: get_f64(t, "throughput")?,
-            measured_injected: get_u64(t, "measured_injected")?,
-            measured_delivered: get_u64(t, "measured_delivered")?,
+            measured_injected: get_int(t, "measured_injected")?,
+            measured_delivered: get_int(t, "measured_delivered")?,
             reusability: get_f64(t, "reusability")?,
             bypass_rate: get_f64(t, "bypass_rate")?,
             energy_pj: get_f64(t, "energy_pj")?,
@@ -195,10 +195,13 @@ fn get_str<'a>(t: &'a BTreeMap<String, Value>, key: &str) -> Result<&'a str, Err
         .ok_or_else(|| Error(format!("point result: missing string {key:?}")))
 }
 
-fn get_u64(t: &BTreeMap<String, Value>, key: &str) -> Result<u64, Error> {
-    t.get(key)
+/// An integer field, refused (not wrapped) when it does not fit `T`.
+fn get_int<T: TryFrom<u64>>(t: &BTreeMap<String, Value>, key: &str) -> Result<T, Error> {
+    let n = t
+        .get(key)
         .and_then(Value::as_u64)
-        .ok_or_else(|| Error(format!("point result: missing integer {key:?}")))
+        .ok_or_else(|| Error(format!("point result: missing integer {key:?}")))?;
+    T::try_from(n).map_err(|_| Error(format!("point result: {key} {n} out of range")))
 }
 
 fn get_f64(t: &BTreeMap<String, Value>, key: &str) -> Result<f64, Error> {
@@ -238,13 +241,20 @@ impl ResultCache {
     ///
     /// Returns an [`Error`] when the directory cannot be created.
     pub fn open(campaign_dir: &Path, git_rev: &str) -> Result<Self, Error> {
-        let dir = campaign_dir.join("cache");
-        std::fs::create_dir_all(&dir)
+        let cache = Self::at(campaign_dir, git_rev);
+        let dir = &cache.dir;
+        std::fs::create_dir_all(dir)
             .map_err(|e| Error(format!("cannot create cache dir {}: {e}", dir.display())))?;
-        Ok(Self {
-            dir,
+        Ok(cache)
+    }
+
+    /// The cache under a campaign directory, for lookups only: nothing is
+    /// created, and a directory that does not exist is all misses.
+    pub(crate) fn at(campaign_dir: &Path, git_rev: &str) -> Self {
+        Self {
+            dir: campaign_dir.join("cache"),
             git_rev: git_rev.to_string(),
-        })
+        }
     }
 
     /// The file a given configuration hash is stored under.
@@ -348,6 +358,9 @@ mod tests {
         assert!(PointResult::from_json(&json.replace("\"load\"", "\"lode\"")).is_err());
         assert!(PointResult::from_json("{").is_err());
         assert!(PointResult::from_json("[1,2]").is_err());
+        // Out-of-range integers are refused, not wrapped into another point.
+        let err = PointResult::from_json(&json.replace("\"vcs\": 4", "\"vcs\": 260")).unwrap_err();
+        assert_eq!(err.0, "point result: vcs 260 out of range");
     }
 
     #[test]
@@ -364,6 +377,9 @@ mod tests {
         assert!(other.lookup(&result.config_hash).is_none());
         // Corruption is a miss, not an error.
         std::fs::write(cache.entry_path(&result.config_hash), b"{ nope").unwrap();
+        assert!(cache.lookup(&result.config_hash).is_none());
+        // So is nesting deep enough to overflow a recursive reader's stack.
+        std::fs::write(cache.entry_path(&result.config_hash), "[".repeat(100_000)).unwrap();
         assert!(cache.lookup(&result.config_hash).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -4,8 +4,7 @@
 //! A campaign is a cartesian product over up to ten axes — topology,
 //! traffic, scheme, routing, VC allocation, VC count, buffer depth, packet
 //! length, offered load, and seed — plus one set of run phases shared by
-//! every point. Specs are written in TOML or JSON (decided by file
-//! extension; both map onto the same [`crate::value::Value`] tree):
+//! every point. Specs are written in TOML:
 //!
 //! ```toml
 //! name = "fig12-mesh"
@@ -32,7 +31,7 @@
 //! the cartesian product cannot contain two identical points. Both
 //! properties are pinned by property tests (`tests/prop_campaign.rs`).
 
-use crate::value::{parse_json, parse_toml, Value};
+use crate::value::{parse_toml, Value};
 use crate::Error;
 use noc_base::{RoutingPolicy, VaPolicy};
 use noc_evc::EvcRouterFactory;
@@ -346,21 +345,7 @@ impl CampaignSpec {
         Self::from_table(&table)
     }
 
-    /// Parses a spec from JSON text (same schema, `{"axes": {...}}`).
-    ///
-    /// # Errors
-    ///
-    /// As [`CampaignSpec::parse_toml_str`].
-    pub fn parse_json_str(text: &str) -> Result<Self, Error> {
-        let value = parse_json(text).map_err(|e| Error(format!("spec: {e}")))?;
-        let table = value
-            .as_table()
-            .ok_or_else(|| Error("spec: JSON document must be an object".into()))?;
-        Self::from_table(table)
-    }
-
-    /// Parses a spec file, picking the format by extension (`.json` is JSON,
-    /// anything else TOML).
+    /// Parses a TOML spec file.
     ///
     /// # Errors
     ///
@@ -368,11 +353,7 @@ impl CampaignSpec {
     pub fn load(path: &std::path::Path) -> Result<Self, Error> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| Error(format!("cannot read spec {}: {e}", path.display())))?;
-        if path.extension().is_some_and(|e| e == "json") {
-            Self::parse_json_str(&text)
-        } else {
-            Self::parse_toml_str(&text)
-        }
+        Self::parse_toml_str(&text)
     }
 
     fn from_table(table: &BTreeMap<String, Value>) -> Result<Self, Error> {
@@ -528,17 +509,6 @@ impl CampaignSpec {
             * a.load.len()
             * a.seed.len()
     }
-
-    /// A stable identity for the expanded point set, used by the checkpoint
-    /// file to detect that a resume is continuing the *same* campaign.
-    pub fn spec_hash(&self) -> String {
-        let rendered = format!(
-            "{:?}|{:?}",
-            (self.warmup, self.measure, self.drain),
-            self.axes
-        );
-        format!("{:016x}", noc_sim::manifest::fnv1a64(rendered.as_bytes()))
-    }
 }
 
 impl Axes {
@@ -558,18 +528,10 @@ impl Axes {
             }
             Ok(())
         }
-        let lowered: Vec<String> = self
-            .topology
-            .iter()
-            .map(|s| s.to_ascii_lowercase())
-            .collect();
-        check("topology", &lowered)?;
-        let lowered: Vec<String> = self
-            .traffic
-            .iter()
-            .map(|s| s.to_ascii_lowercase())
-            .collect();
-        check("traffic", &lowered)?;
+        let lower =
+            |v: &[String]| -> Vec<String> { v.iter().map(|s| s.to_ascii_lowercase()).collect() };
+        check("topology", &lower(&self.topology))?;
+        check("traffic", &lower(&self.traffic))?;
         check("scheme", &self.scheme)?;
         check("routing", &self.routing)?;
         check("va", &self.va)?;
@@ -654,19 +616,6 @@ load = [0.05, 0.1]
     }
 
     #[test]
-    fn json_spec_parses_identically() {
-        let json = "{\"name\": \"t\", \
-                     \"phases\": {\"warmup\": 10, \"measure\": 20, \"drain\": 30}, \
-                     \"axes\": {\"topology\": \"mesh2x2\", \
-                                \"scheme\": [\"baseline\", \"evc\"], \
-                                \"load\": [0.05, 0.1]}}";
-        assert_eq!(
-            CampaignSpec::parse_json_str(json).unwrap(),
-            CampaignSpec::parse_toml_str(SPEC).unwrap()
-        );
-    }
-
-    #[test]
     fn expansion_order_is_fixed_and_complete() {
         let spec = CampaignSpec::parse_toml_str(SPEC).unwrap();
         let points = spec.expand();
@@ -707,20 +656,13 @@ load = [0.05, 0.1]
     }
 
     #[test]
-    fn seeds_span_the_u64_range_in_toml_and_json() {
+    fn seeds_span_the_u64_range() {
         let toml = CampaignSpec::parse_toml_str("[axes]\nseed = [0, 18446744073709551615]\n");
-        let json =
-            CampaignSpec::parse_json_str("{\"axes\": {\"seed\": [0, 18446744073709551615]}}");
-        assert_eq!(toml.as_ref().unwrap().axes.seed, vec![0, u64::MAX]);
-        assert_eq!(json.unwrap(), toml.unwrap());
+        assert_eq!(toml.unwrap().axes.seed, vec![0, u64::MAX]);
         for (err, needle) in [
             (
                 CampaignSpec::parse_toml_str("[axes]\nseed = [18446744073709551616]\n"),
                 "cannot parse value \"18446744073709551616\"",
-            ),
-            (
-                CampaignSpec::parse_json_str("{\"axes\": {\"seed\": 18446744073709551616}}"),
-                "cannot parse number \"18446744073709551616\"",
             ),
             (
                 CampaignSpec::parse_toml_str("[axes]\nseed = -1\n"),
@@ -754,18 +696,5 @@ load = [0.05, 0.1]
         );
         assert_eq!(SchemeChoice::Evc.label(), "EVC");
         assert_eq!(SchemeChoice::Hybrid.label(), "Hybrid");
-    }
-
-    #[test]
-    fn spec_hash_tracks_the_point_set() {
-        let a = CampaignSpec::parse_toml_str(SPEC).unwrap();
-        let b = CampaignSpec::parse_toml_str(&SPEC.replace("0.05", "0.07")).unwrap();
-        let renamed = CampaignSpec::parse_toml_str(&SPEC.replace("\"t\"", "\"u\"")).unwrap();
-        assert_ne!(a.spec_hash(), b.spec_hash());
-        assert_eq!(
-            a.spec_hash(),
-            renamed.spec_hash(),
-            "the name is not part of the point-set identity"
-        );
     }
 }

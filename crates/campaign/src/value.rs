@@ -2,15 +2,17 @@
 //! readers for it.
 //!
 //! The workspace deliberately carries no serde/toml/json dependency (see
-//! DESIGN.md §8), so campaign specs and cached point results are parsed by
-//! the two small recursive-descent readers in this module. Both accept only
-//! the subset of their format the campaign layer emits or documents:
+//! DESIGN.md §8), so campaign specs (TOML) and cached point results (JSON)
+//! are parsed by the two small recursive-descent readers in this module;
+//! the repository benchmark reads its result and trace JSON with the same
+//! `parse_json`. Both accept only the subset of their format that is
+//! emitted or documented here, and both fail with a one-line [`Error`]:
 //!
 //! - **TOML** (`parse_toml`): `key = value` pairs, `[table]` headers one
 //!   level deep, `#` comments, and values that are strings, integers,
 //!   floats, booleans, or single-line arrays thereof.
 //! - **JSON** (`parse_json`): objects, arrays, strings, numbers, booleans
-//!   and `null`, with the usual escape sequences.
+//!   and `null`, with the usual escape sequences, nested at most 64 deep.
 //!
 //! Numbers keep the integer/float distinction (`Value::Int` vs
 //! `Value::Float`) so integer fields round-trip exactly and floats
@@ -18,6 +20,7 @@
 //! which `str::parse::<f64>` inverts losslessly — the property the cache's
 //! byte-identical re-merge guarantee rests on.
 
+use crate::Error;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -92,14 +95,6 @@ impl Value {
             _ => std::slice::from_ref(self).iter(),
         }
     }
-
-    /// Number of elements `as_array` yields.
-    pub fn array_len(&self) -> usize {
-        match self {
-            Value::Array(a) => a.len(),
-            _ => 1,
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -116,20 +111,8 @@ impl fmt::Display for Value {
     }
 }
 
-/// A parse error with a human-readable message (line-numbered for TOML).
-#[derive(Debug, PartialEq, Eq)]
-pub struct ParseError(pub String);
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-fn perr(msg: impl Into<String>) -> ParseError {
-    ParseError(msg.into())
+fn perr(msg: impl Into<String>) -> Error {
+    Error(msg.into())
 }
 
 // ---------------------------------------------------------------------------
@@ -142,9 +125,9 @@ fn perr(msg: impl Into<String>) -> ParseError {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] naming the offending line for malformed headers,
+/// Returns an [`Error`] naming the offending line for malformed headers,
 /// missing `=`, unterminated strings/arrays, or duplicate keys.
-pub fn parse_toml(text: &str) -> Result<BTreeMap<String, Value>, ParseError> {
+pub fn parse_toml(text: &str) -> Result<BTreeMap<String, Value>, Error> {
     let mut root: BTreeMap<String, Value> = BTreeMap::new();
     let mut section: Option<String> = None;
     for (idx, raw) in text.lines().enumerate() {
@@ -206,7 +189,7 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn parse_toml_value(s: &str) -> Result<Value, ParseError> {
+fn parse_toml_value(s: &str) -> Result<Value, Error> {
     if let Some(rest) = s.strip_prefix('[') {
         let body = rest
             .strip_suffix(']')
@@ -243,7 +226,7 @@ fn split_top_level(s: &str) -> Vec<&str> {
     parts
 }
 
-fn parse_toml_scalar(s: &str) -> Result<Value, ParseError> {
+fn parse_toml_scalar(s: &str) -> Result<Value, Error> {
     if let Some(rest) = s.strip_prefix('"') {
         let body = rest
             .strip_suffix('"')
@@ -284,11 +267,12 @@ fn parse_number(s: &str) -> Option<Value> {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] for malformed documents or trailing garbage.
-pub fn parse_json(text: &str) -> Result<Value, ParseError> {
+/// Returns an [`Error`] for malformed documents, nesting deeper than 64
+/// levels, or trailing garbage.
+pub fn parse_json(text: &str) -> Result<Value, Error> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = json_value(bytes, &mut pos)?;
+    let value = json_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(perr(format!("trailing garbage at byte {pos}")));
@@ -302,10 +286,18 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn json_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+/// Deepest `[`/`{` nesting `parse_json` accepts. The documents read here
+/// nest a handful of levels; the limit keeps a damaged or hostile one from
+/// overflowing the stack of the recursive reader.
+const MAX_DEPTH: usize = 64;
+
+fn json_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(perr("unexpected end of document")),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(perr(format!(
+            "nested deeper than {MAX_DEPTH} levels at byte {pos}"
+        ))),
         Some(b'{') => {
             *pos += 1;
             let mut table = BTreeMap::new();
@@ -316,7 +308,7 @@ fn json_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match json_value(b, pos)? {
+                let key = match json_value(b, pos, depth + 1)? {
                     Value::Str(s) => s,
                     other => return Err(perr(format!("object key must be a string, got {other}"))),
                 };
@@ -325,7 +317,7 @@ fn json_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                     return Err(perr(format!("expected ':' at byte {pos}")));
                 }
                 *pos += 1;
-                let value = json_value(b, pos)?;
+                let value = json_value(b, pos, depth + 1)?;
                 table.insert(key, value);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -347,7 +339,7 @@ fn json_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(json_value(b, pos)?);
+                items.push(json_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -389,7 +381,7 @@ fn json_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     }
 }
 
-fn json_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
+fn json_string(b: &[u8], pos: &mut usize) -> Result<String, Error> {
     debug_assert_eq!(b[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
@@ -421,7 +413,10 @@ fn json_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                         );
                         *pos += 4;
                     }
-                    other => return Err(perr(format!("unsupported escape \\{}", *other as char))),
+                    other => {
+                        let other = (*other as char).escape_debug();
+                        return Err(perr(format!("unsupported escape \\{other}")));
+                    }
                 }
             }
             _ => {
@@ -472,7 +467,7 @@ mod tests {
                 Value::Float(0.1)
             ])
         );
-        assert_eq!(axes["scheme"].array_len(), 2);
+        assert_eq!(axes["scheme"].as_array().count(), 2);
         assert_eq!(axes["seed"].as_array().count(), 1, "scalars act as 1-axes");
         assert_eq!(axes["flag"], Value::Bool(true));
     }
@@ -531,6 +526,24 @@ mod tests {
         assert!(parse_json("[1 2]").is_err());
         assert!(parse_json("{} x").unwrap_err().0.contains("trailing"));
         assert!(parse_json("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn json_errors_are_one_line_and_nesting_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&deep(MAX_DEPTH)).is_ok());
+        for text in [
+            deep(MAX_DEPTH + 1),
+            "[".repeat(100_000),
+            "{\"a\":".repeat(100_000),
+        ] {
+            let err = parse_json(&text).unwrap_err().0;
+            assert!(err.starts_with("nested deeper than 64 levels"), "{err}");
+            assert!(!err.contains('\n'), "{err}");
+        }
+        // A raw control byte after a backslash stays on the message's one line.
+        let err = parse_json("\"\\\n\"").unwrap_err().0;
+        assert_eq!(err, "unsupported escape \\\\n");
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Property tests for campaign expansion: for arbitrary valid axes the
 //! expansion is deterministic, duplicate-free, exactly the cartesian
-//! product's size, and ordered by the documented fixed nesting.
+//! product's size, and ordered by the documented fixed nesting. And for
+//! hostile bytes: a damaged cache entry or spec file ends in `Ok` or a
+//! one-line `Err`, never a panic.
 
-use noc_campaign::{Axes, CampaignSpec, SchemeChoice};
+use noc_campaign::{Axes, CampaignSpec, PointResult, PointSpec, ResultCache, SchemeChoice};
 use proptest::prelude::*;
 
 /// A duplicate-free, non-empty subset of `values` selected by a bitmask
@@ -127,10 +129,99 @@ proptest! {
     }
 
     #[test]
-    fn spec_hash_is_stable_and_sensitive(spec in arb_spec()) {
-        prop_assert_eq!(spec.spec_hash(), spec.clone().spec_hash());
-        let mut grown = spec.clone();
-        grown.axes.seed.push(991);
-        prop_assert_ne!(spec.spec_hash(), grown.spec_hash());
+    fn damaged_cache_entries_are_misses_not_panics(edits in arb_edits()) {
+        let valid = sample_result();
+        let bytes = mutate(valid.to_json().into_bytes(), &edits);
+        let parsed = PointResult::from_json(&String::from_utf8_lossy(&bytes));
+        if let Err(e) = &parsed {
+            prop_assert!(!e.0.contains('\n'), "{}", e);
+        }
+        let dir = std::env::temp_dir().join(format!("noc-campaign-hostile-{}", std::process::id()));
+        let cache = ResultCache::open(&dir, &valid.git_rev).unwrap();
+        std::fs::write(cache.entry_path(&valid.config_hash), &bytes).unwrap();
+        if let Some(hit) = cache.lookup(&valid.config_hash) {
+            prop_assert_eq!(&hit.config_hash, &valid.config_hash);
+            prop_assert!(parsed.is_ok());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    #[test]
+    fn damaged_specs_parse_or_fail_in_one_line(edits in arb_edits()) {
+        let bytes = mutate(SPEC.as_bytes().to_vec(), &edits);
+        if let Err(e) = CampaignSpec::parse_toml_str(&String::from_utf8_lossy(&bytes)) {
+            prop_assert!(!e.0.contains('\n'), "{}", e);
+        }
+    }
+}
+
+/// A spec that sets every key the schema knows.
+const SPEC: &str = "\
+name = \"hostile\"  # comment
+[phases]
+warmup = 50
+measure = 200
+drain = 2000
+[axes]
+topology = [\"mesh2x2\", \"ring4\"]
+traffic = \"ur\"
+scheme = [\"baseline\", \"pseudo+ps+bb\", \"evc\"]
+routing = \"xy\"
+va = [\"static\", \"dynamic\"]
+vcs = [2, 4]
+buffer = 4
+packet = 2
+load = [0.02, 0.05]
+seed = [1, 18446744073709551615]
+";
+
+fn sample_result() -> PointResult {
+    PointResult {
+        spec: PointSpec::default(),
+        config_hash: "00ddba11c0ffee00".into(),
+        git_rev: "hostile".into(),
+        topology_name: "mesh-8x8".into(),
+        traffic_name: "uniform@0.10".into(),
+        cycles: 111_000,
+        avg_latency: 21.5,
+        p99_latency: 64,
+        avg_hops: 5.25,
+        throughput: 0.0987,
+        measured_injected: 12_800,
+        measured_delivered: 12_800,
+        reusability: 1.0 / 3.0,
+        bypass_rate: 0.125,
+        energy_pj: 98_765.4,
+        drained: true,
+    }
+}
+
+/// Up to six edits: (kind, position, byte).
+fn arb_edits() -> impl Strategy<Value = Vec<(u8, usize, u8)>> {
+    prop::collection::vec((0u8..5, any::<usize>(), any::<u8>()), 1..6)
+}
+
+/// Applies the edits: flip bits of a byte, insert a byte, delete a byte,
+/// truncate, or prefix the document with `[` nesting — shallow, or far
+/// past any reader's recursion budget.
+fn mutate(mut text: Vec<u8>, edits: &[(u8, usize, u8)]) -> Vec<u8> {
+    for &(kind, at, byte) in edits {
+        let at = at % (text.len() + 1);
+        match kind {
+            0 if at < text.len() => text[at] ^= byte.max(1),
+            1 => text.insert(at, byte),
+            2 if at < text.len() => drop(text.remove(at)),
+            3 => text.truncate(at),
+            4 => {
+                let depth = if byte % 2 == 0 {
+                    100_000
+                } else {
+                    usize::from(byte)
+                };
+                text.splice(0..0, std::iter::repeat_n(b'[', depth));
+            }
+            _ => {}
+        }
+    }
+    text
 }

@@ -101,8 +101,10 @@ cargo run --release --offline --quiet \
 # Campaign smoke: a tiny 2-scheme × 2-load sweep, interrupted after one
 # point (--max-points, the deterministic stand-in for a kill), resumed to
 # completion, then re-run — the re-run must execute 0 points and the report
-# must be byte-identical to the post-resume one (docs/CAMPAIGNS.md).
-echo "==> noc campaign run / interrupt / resume / cached re-run (smoke)"
+# must be byte-identical to the post-resume one (docs/CAMPAIGNS.md). The
+# cache is the campaign's only state: `status` counts its hits, and a cache
+# entry damaged past any parser's recursion budget is one more miss.
+echo "==> noc campaign run / status / interrupt / resume / cached re-run (smoke)"
 campdir=$(mktemp -d)
 trap 'rm -rf "$campdir"' EXIT
 cat > "$campdir/sweep.toml" <<'EOF'
@@ -119,19 +121,41 @@ scheme = ["baseline", "pseudo+ps+bb"]
 packet = 2
 load = [0.02, 0.05]
 EOF
-./target/release/noc campaign run --spec "$campdir/sweep.toml" \
-    --out "$campdir/out" --max-points 1 >/dev/null
-./target/release/noc campaign run --spec "$campdir/sweep.toml" \
-    --out "$campdir/out" >/dev/null
-cp "$campdir/out/report.json" "$campdir/report.first.json"
-rerun=$(./target/release/noc campaign run --spec "$campdir/sweep.toml" \
-    --out "$campdir/out")
-grep -q "cache hits 4 | executed 0" <<< "$rerun" || {
-    echo "campaign smoke: cached re-run executed points: $rerun" >&2
-    exit 1
+campaign() {
+    ./target/release/noc campaign "$1" --spec "$campdir/sweep.toml" --out "$campdir/out" "${@:2}"
 }
+expect() { # expect LABEL NEEDLE TEXT
+    grep -qF -- "$2" <<< "$3" || {
+        echo "campaign smoke: $1: $3" >&2
+        exit 1
+    }
+}
+campaign run --max-points 1 >/dev/null
+expect "status after one point" "1/4 points cached | no report yet" "$(campaign status)"
+campaign run >/dev/null
+expect "status after completion" "4/4 points cached | report.json present" "$(campaign status)"
+cp "$campdir/out/report.json" "$campdir/report.first.json"
+expect "cached re-run executed points" "cache hits 4 | executed 0" "$(campaign run)"
 cmp -s "$campdir/out/report.json" "$campdir/report.first.json" || {
     echo "campaign smoke: cached re-run changed report bytes" >&2
+    exit 1
+}
+# 1 MB of `[` in place of one cache entry: a miss that re-executes one
+# point, not a stack overflow, and the same report.
+entry=$(find "$campdir/out/cache" -name '*.json' | head -n 1)
+head -c 1048576 /dev/zero | tr '\0' '[' > "$entry"
+expect "re-run over a damaged entry" "cache hits 3 | executed 1" "$(campaign run)"
+cmp -s "$campdir/out/report.json" "$campdir/report.first.json" || {
+    echo "campaign smoke: re-running a damaged entry changed report bytes" >&2
+    exit 1
+}
+# Specs are TOML only: a JSON spec is one TOML error line and exit 1.
+echo '{"axes": {"load": [0.02, 0.05]}}' > "$campdir/sweep.json"
+status=0
+refusal=$(./target/release/noc campaign run --spec "$campdir/sweep.json" \
+    --out "$campdir/json" 2>&1 >/dev/null) || status=$?
+[ "$status" -eq 1 ] && [ "$refusal" = 'error: spec: line 1: expected `key = value`' ] || {
+    echo "campaign smoke: a JSON spec exited $status saying: $refusal" >&2
     exit 1
 }
 

@@ -16,7 +16,7 @@
 //!         [--metrics off|full] [--manifest PATH]
 //!         [--trace PATH] [--trace-routers 0,5,12]
 //! noc campaign run --spec FILE --out DIR [--threads N] [--max-points N]
-//! noc campaign status --out DIR
+//! noc campaign status --spec FILE --out DIR
 //! noc campaign expand --spec FILE
 //! noc list            # available traffic names and topologies
 //! ```
@@ -26,7 +26,8 @@
 //! [`noc_campaign::build_simulation`], so a flag value and a campaign axis
 //! value are parsed, validated, built and hashed by the same code. The
 //! `campaign` subcommand drives [`noc_campaign::run_campaign`]: cached,
-//! resumable sweeps documented in `docs/CAMPAIGNS.md`.
+//! resumable sweeps documented in `docs/CAMPAIGNS.md`, whose only state is
+//! the result cache under `--out`; `campaign status` counts its hits.
 //!
 //! `--metrics=full` attaches per-router counters and pipeline-stage
 //! histograms to the report (see `docs/METRICS.md`); `--manifest` writes the
@@ -39,7 +40,7 @@
 
 use noc_base::pool::host_threads;
 use noc_campaign::{
-    build_simulation, parse_routing, parse_va, CampaignOptions, CampaignSpec, Checkpoint,
+    build_simulation, cache_pass, parse_routing, parse_va, CampaignOptions, CampaignSpec,
     PointSpec, SchemeChoice,
 };
 use noc_sim::{MetricsConfig, MetricsLevel, RunManifest, SimReport, TraceSpec};
@@ -227,17 +228,19 @@ pub fn run(args: &RunArgs) -> Result<SimReport, CliError> {
 pub enum CampaignCommand {
     /// `campaign run`: execute (or resume) a sweep.
     Run {
-        /// Spec file path (`.toml` or `.json`).
+        /// TOML spec file path.
         spec: String,
-        /// Campaign directory (cache + checkpoint + report).
+        /// Campaign directory (cache + report).
         out: String,
         /// Across-point worker budget (`0` = the host budget).
         threads: usize,
         /// Stop after this many uncached points (deterministic interrupt).
         max_points: Option<usize>,
     },
-    /// `campaign status`: report checkpoint progress without running.
+    /// `campaign status`: count the spec's cached points without running.
     Status {
+        /// TOML spec file path.
+        spec: String,
         /// Campaign directory.
         out: String,
     },
@@ -294,7 +297,10 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, CliError>
             threads,
             max_points,
         }),
-        "status" => Ok(CampaignCommand::Status { out: need_out()? }),
+        "status" => Ok(CampaignCommand::Status {
+            spec: need_spec()?,
+            out: need_out()?,
+        }),
         "expand" => Ok(CampaignCommand::Expand { spec: need_spec()? }),
         other => Err(err(format!(
             "unknown campaign verb {other:?} (run, status, expand)"
@@ -308,7 +314,7 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, CliError>
 ///
 /// Returns a [`CliError`] for unreadable/invalid specs, a `NOC_THREADS` that
 /// is not a positive integer (`run` only), and any execution failure (see
-/// [`noc_campaign::run_campaign`]).
+/// [`noc_campaign::run_campaign`] and [`noc_campaign::cache_pass`]).
 pub fn run_campaign_command(command: &CampaignCommand) -> Result<String, CliError> {
     match command {
         CampaignCommand::Run {
@@ -329,16 +335,16 @@ pub fn run_campaign_command(command: &CampaignCommand) -> Result<String, CliErro
                 "{} points | cache hits {} | executed {}",
                 outcome.total, outcome.cache_hits, outcome.executed
             );
-            match (&outcome.report, &outcome.report_path) {
-                (Some(report), Some(path)) => {
+            match &outcome.report {
+                Some(report) => {
                     let _ = write!(
                         text,
                         "\nreport: {}\n{}",
-                        path.display(),
+                        Path::new(out).join("report.json").display(),
                         report.render_summary()
                     );
                 }
-                _ => {
+                None => {
                     let _ = write!(
                         text,
                         "\nstopped early (--max-points): {} point(s) still pending; \
@@ -349,19 +355,21 @@ pub fn run_campaign_command(command: &CampaignCommand) -> Result<String, CliErro
             }
             Ok(text)
         }
-        CampaignCommand::Status { out } => {
+        CampaignCommand::Status { spec, out } => {
+            let spec = CampaignSpec::load(Path::new(spec))?;
             let dir = Path::new(out);
-            let Some(cp) = Checkpoint::load(dir)? else {
-                return Ok(format!("no campaign checkpoint in {out}"));
-            };
+            let git_rev = noc_sim::git_rev();
+            let (_, results) = cache_pass(&spec, dir, &git_rev)?;
             let report = if dir.join("report.json").is_file() {
                 "report.json present"
             } else {
                 "no report yet"
             };
             Ok(format!(
-                "campaign {} @ {}: {}/{} points done | {}",
-                cp.name, cp.git_rev, cp.done, cp.total, report
+                "campaign {} @ {git_rev}: {}/{} points cached | {report}",
+                spec.name,
+                results.iter().flatten().count(),
+                results.len()
             ))
         }
         CampaignCommand::Expand { spec } => {
@@ -484,7 +492,8 @@ pub fn usage() -> &'static str {
        noc run [flags]     run one experiment and print its report\n\
        noc campaign run --spec FILE --out DIR [--threads N] [--max-points N]\n\
                            run/resume a cached sweep (docs/CAMPAIGNS.md)\n\
-       noc campaign status --out DIR     checkpoint progress of a sweep\n\
+       noc campaign status --spec FILE --out DIR\n\
+                           count the sweep's points already cached\n\
        noc campaign expand --spec FILE   print the expanded point set\n\
        noc list            list traffic models, topologies and schemes\n\
        noc help            this text\n\
@@ -981,13 +990,20 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_campaign_args(&args(&["status", "--out", "d"])).unwrap(),
-            CampaignCommand::Status { out: "d".into() }
+            parse_campaign_args(&args(&["status", "--spec", "s.toml", "--out", "d"])).unwrap(),
+            CampaignCommand::Status {
+                spec: "s.toml".into(),
+                out: "d".into()
+            }
         );
+        assert!(parse_campaign_args(&args(&["status", "--out", "d"]))
+            .unwrap_err()
+            .0
+            .contains("--spec"));
         assert_eq!(
-            parse_campaign_args(&args(&["expand", "--spec", "s.json"])).unwrap(),
+            parse_campaign_args(&args(&["expand", "--spec", "s.toml"])).unwrap(),
             CampaignCommand::Expand {
-                spec: "s.json".into()
+                spec: "s.toml".into()
             }
         );
         assert!(parse_campaign_args(&[]).unwrap_err().0.contains("verb"));
@@ -1036,26 +1052,34 @@ mod tests {
         );
         let status_of = |dir: &Path| {
             run_campaign_command(&CampaignCommand::Status {
+                spec: spec_path.to_string_lossy().into_owned(),
                 out: dir.to_string_lossy().into_owned(),
             })
+            .unwrap()
         };
-        let status = status_of(&out).unwrap();
+        let status = status_of(&out);
         assert!(
-            status.contains("smoke") && status.contains("2/2"),
+            status.starts_with("campaign smoke @ ")
+                && status.ends_with(": 2/2 points cached | report.json present"),
             "{status}"
         );
-        // A checkpoint cut short mid-write used to read as "no campaign
-        // checkpoint" with exit 0; only a missing file may say that.
-        let checkpoint = out.join("checkpoint.json");
-        let whole = std::fs::read_to_string(&checkpoint).unwrap();
-        std::fs::write(&checkpoint, &whole[..whole.len() / 2]).unwrap();
-        let e = status_of(&out).unwrap_err();
+        // A cache entry cut short mid-write is a miss, not an error.
+        let entry = std::fs::read_dir(out.join("cache"))
+            .unwrap()
+            .next()
+            .unwrap();
+        let entry = entry.unwrap().path();
+        let whole = std::fs::read_to_string(&entry).unwrap();
+        std::fs::write(&entry, &whole[..whole.len() / 2]).unwrap();
+        assert!(status_of(&out).contains(": 1/2 points cached"));
+        // Status only reads: a directory that is not there stays absent.
+        let nowhere = dir.join("nowhere");
+        let none = status_of(&nowhere);
         assert!(
-            e.0.contains("checkpoint.json is unreadable: checkpoint:") && !e.0.contains('\n'),
-            "{e}"
+            none.ends_with(": 0/2 points cached | no report yet"),
+            "{none}"
         );
-        let none = status_of(&dir.join("nowhere")).unwrap();
-        assert!(none.contains("no campaign checkpoint"), "{none}");
+        assert!(!nowhere.exists(), "status created {}", nowhere.display());
         let expand = run_campaign_command(&CampaignCommand::Expand {
             spec: spec_path.to_string_lossy().into_owned(),
         })
