@@ -1,21 +1,25 @@
-//! The content-addressed on-disk result cache.
+//! The run record and the content-addressed on-disk result cache.
 //!
-//! Every executed point leaves one JSON file (`noc-campaign-point/1`) in
-//! `<campaign dir>/cache/`, named by its **cache key**:
+//! [`PointResult`] is the one record of a finished run (`noc-point/1`): the
+//! point's coordinates, its configuration hash, the git revision and the
+//! headline results. `noc run --manifest` writes it with the fields only a
+//! single run has ([`PointResult::run_json`]); the cache stores it as every
+//! executed point's file in `<campaign dir>/cache/` ([`PointResult::to_json`],
+//! the same bytes as a serial `--metrics off` manifest), named by its
+//! **cache key**:
 //!
 //! ```text
 //! <config_hash>-<git_rev>.json
 //! ```
 //!
-//! `config_hash` is the `noc-run-manifest/1` configuration hash — FNV-1a
-//! over topology, traffic, scheme, network parameters, run phases, and seed
-//! (results excluded; see `docs/CAMPAIGNS.md` for exactly what is and isn't
-//! hashed). The git revision rides alongside because the hash deliberately
-//! ignores engine behaviour: two revisions can disagree about the *result*
-//! of the same configuration, so results are only reused within the
-//! revision that produced them. The seed is already inside `config_hash`;
-//! the key spells the triple `config_hash + git rev + seed` with the seed
-//! folded into the hash.
+//! `config_hash` is FNV-1a over everything that decides the point's result
+//! — topology, traffic, scheme, network parameters, run phases, seed and,
+//! for synthetic traffic, load and packet length (results excluded; see
+//! `docs/CAMPAIGNS.md` for exactly what is and isn't hashed). The git
+//! revision rides alongside because the hash deliberately ignores engine
+//! behaviour: two revisions can disagree about the *result* of the same
+//! configuration, so results are only reused within the revision that
+//! produced them.
 //!
 //! Cache writes are atomic (temp file + rename), so a campaign killed
 //! mid-write never leaves a truncated entry — at worst the in-flight
@@ -28,21 +32,22 @@ use crate::spec::{routing_name, va_name, PointSpec, SchemeChoice};
 use crate::value::{parse_json, Value};
 use crate::Error;
 use noc_sim::manifest::escape_json;
-use noc_sim::SimReport;
+use noc_sim::{MetricsLevel, ObservabilityReport, RouterObservation, SimReport};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Schema identifier stamped into every cached point result.
-pub const POINT_SCHEMA: &str = "noc-campaign-point/1";
+/// Schema identifier stamped into every run record.
+pub const POINT_SCHEMA: &str = "noc-point/1";
 
-/// One simulated point's coordinates and headline results — the unit the
-/// cache stores and the merged report aggregates.
+/// One simulated point's coordinates and headline results — the record of a
+/// run: what `noc run --manifest` writes, the cache stores and the merged
+/// report aggregates.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PointResult {
     /// The point's coordinates (spec strings, canonical case).
     pub spec: PointSpec,
-    /// The manifest-compatible configuration hash (the cache address).
+    /// The configuration hash (the cache address).
     pub config_hash: String,
     /// Git revision that produced this result.
     pub git_rev: String,
@@ -97,10 +102,26 @@ impl PointResult {
         }
     }
 
-    /// Serializes the result as a `noc-campaign-point/1` JSON document.
-    /// Deterministic: the same result always produces the same bytes.
+    /// Serializes the result as the cache entry: the record of a serial run
+    /// at `--metrics off`, which is how [`crate::run_point`] runs every
+    /// campaign point. Deterministic: the same result always produces the
+    /// same bytes.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(640);
+        self.run_json(1, None)
+    }
+
+    /// Serializes the record of a run on `threads` engine threads, with the
+    /// `--metrics full` payload of `observability` when given: the engine's
+    /// coordination scalars and the per-router counter dump. Neither enters
+    /// the configuration hash — they describe how the point was run, not
+    /// which point. At one thread without `observability` this is
+    /// [`Self::to_json`], byte for byte.
+    pub fn run_json(&self, threads: usize, observability: Option<&ObservabilityReport>) -> String {
+        let metrics = match observability {
+            Some(_) => MetricsLevel::Full,
+            None => MetricsLevel::Off,
+        };
+        let mut s = String::with_capacity(720 + observability.map_or(0, |o| o.routers.len() * 256));
         s.push_str("{\n");
         str_field(&mut s, "schema", POINT_SCHEMA);
         str_field(&mut s, "config_hash", &self.config_hash);
@@ -118,6 +139,14 @@ impl PointResult {
         u64_field(&mut s, "warmup", self.spec.warmup);
         u64_field(&mut s, "measure", self.spec.measure);
         u64_field(&mut s, "drain", self.spec.drain);
+        str_field(&mut s, "metrics", metrics.name());
+        u64_field(&mut s, "threads", threads as u64);
+        if let Some(c) = observability.and_then(|o| o.coordination.as_ref()) {
+            u64_field(&mut s, "coord_epochs", c.epochs);
+            u64_field(&mut s, "coord_skipped_epochs", c.skipped_epochs);
+            u64_field(&mut s, "coord_wait_ns_total", c.wait_ns_total);
+            u64_field(&mut s, "coord_lanes_merged_total", c.lanes_merged_total);
+        }
         str_field(&mut s, "topology_name", &self.topology_name);
         str_field(&mut s, "traffic_name", &self.traffic_name);
         u64_field(&mut s, "cycles", self.cycles);
@@ -130,11 +159,22 @@ impl PointResult {
         f64_field(&mut s, "reusability", self.reusability);
         f64_field(&mut s, "bypass_rate", self.bypass_rate);
         f64_field(&mut s, "energy_pj", self.energy_pj);
-        let _ = write!(s, "  \"drained\": {}\n}}\n", self.drained);
+        let _ = write!(s, "  \"drained\": {}", self.drained);
+        if let Some(o) = observability {
+            s.push_str(",\n  \"routers\": [");
+            for (i, r) in o.routers.iter().enumerate() {
+                s.push_str(if i == 0 { "\n" } else { ",\n" });
+                write_router_json(&mut s, r);
+            }
+            s.push_str(if o.routers.is_empty() { "]" } else { "\n  ]" });
+        }
+        s.push_str("\n}\n");
         s
     }
 
-    /// Parses a `noc-campaign-point/1` JSON document.
+    /// Parses a `noc-point/1` JSON document — a cache entry or a `noc run`
+    /// manifest; the fields only a single run has are not part of the
+    /// record and are skipped.
     ///
     /// # Errors
     ///
@@ -224,6 +264,39 @@ fn f64_field(s: &mut String, key: &str, value: f64) {
     } else {
         let _ = writeln!(s, "  \"{key}\": null,");
     }
+}
+
+/// One line of the per-router dump: the router's per-port counters and its
+/// pseudo-circuit summary.
+fn write_router_json(s: &mut String, r: &RouterObservation) {
+    let _ = write!(s, "    {{\"router\": {}", r.router);
+    let arrays: [(&str, &[u64]); 9] = [
+        ("traversals", &r.traversals),
+        ("sa_grants", &r.sa_grants),
+        ("va_grants", &r.va_grants),
+        ("pc_hits", &r.pc_hits),
+        ("pc_creations", &r.pc_creations),
+        ("buffer_bypasses", &r.buffer_bypasses),
+        ("term_conflict", &r.term_conflict),
+        ("term_credit", &r.term_credit),
+        ("restores", &r.restores),
+    ];
+    for (name, values) in arrays {
+        let _ = write!(s, ", \"{name}\": [");
+        for (i, v) in values.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            let _ = write!(s, "{v}");
+        }
+        s.push(']');
+    }
+    let (tc, tx) = r.terminations();
+    let _ = write!(
+        s,
+        ", \"hit_rate\": {:?}, \"terminations_conflict\": {tc}, \"terminations_credit\": {tx}}}",
+        r.hit_rate()
+    );
 }
 
 /// The on-disk cache: a directory of point-result files keyed by
@@ -361,6 +434,48 @@ mod tests {
         // Out-of-range integers are refused, not wrapped into another point.
         let err = PointResult::from_json(&json.replace("\"vcs\": 4", "\"vcs\": 260")).unwrap_err();
         assert_eq!(err.0, "point result: vcs 260 out of range");
+    }
+
+    #[test]
+    fn run_record_adds_only_execution_fields() {
+        let result = sample();
+        assert_eq!(result.run_json(1, None), result.to_json());
+        let threaded = result.run_json(4, None);
+        assert!(threaded.contains("\"metrics\": \"off\",\n  \"threads\": 4,"));
+        assert_eq!(PointResult::from_json(&threaded).unwrap(), result);
+
+        let mut router = RouterObservation::zeroed(3, 2, 2);
+        router.traversals = vec![8, 2];
+        router.pc_hits = vec![4, 0];
+        router.term_conflict = vec![1, 0];
+        let mut full = ObservabilityReport::from_routers(vec![router]);
+        full.coordination = Some(noc_sim::metrics::CoordinationStats {
+            epochs: 40,
+            skipped_epochs: 2,
+            wait_ns_total: 12_345,
+            lanes_merged_total: 90,
+            ..Default::default()
+        });
+        let json = result.run_json(1, Some(&full));
+        for needle in [
+            "\"metrics\": \"full\"",
+            "\"coord_epochs\": 40,",
+            "\"coord_skipped_epochs\": 2,",
+            "\"coord_wait_ns_total\": 12345,",
+            "\"coord_lanes_merged_total\": 90,",
+            "\"drained\": true,\n  \"routers\": [\n    {\"router\": 3",
+            "\"traversals\": [8,2]",
+            "\"hit_rate\": 0.4",
+            "\"terminations_conflict\": 1",
+        ] {
+            assert!(json.contains(needle), "{needle} missing from {json}");
+        }
+        assert_eq!(PointResult::from_json(&json).unwrap(), result);
+        let empty = ObservabilityReport::from_routers(Vec::new());
+        let json = result.run_json(1, Some(&empty));
+        assert!(json.ends_with("\"routers\": []\n}\n"), "{json}");
+        assert!(!json.contains("coord_"), "{json}");
+        assert_eq!(PointResult::from_json(&json).unwrap(), result);
     }
 
     #[test]

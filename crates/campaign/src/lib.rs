@@ -9,18 +9,20 @@
 //! ([`report`]).
 //!
 //! The engine is built around a content-addressed result cache ([`cache`]):
-//! every executed point is stored under its `noc-run-manifest/1`
-//! configuration hash plus the git revision, so re-running a campaign
-//! executes only points whose configuration (or engine revision) changed —
-//! an unchanged spec re-run executes **zero** simulations and re-emits a
-//! byte-identical report. The cache is the campaign's only state, and point
-//! writes are atomic, which is what makes a campaign killable: on resume,
-//! finished points are cache hits and only interrupted work re-runs. `docs/CAMPAIGNS.md` is the user-facing
+//! every executed point is stored as its run record — the document `noc run
+//! --manifest` writes — under its configuration hash plus the git revision,
+//! so re-running a campaign executes only points whose configuration (or
+//! engine revision) changed — an unchanged spec re-run executes **zero**
+//! simulations and re-emits a byte-identical report. The cache is the
+//! campaign's only state, and point writes are atomic, which is what makes a
+//! campaign killable: on resume, finished points are cache hits and only
+//! interrupted work re-runs. `docs/CAMPAIGNS.md` is the user-facing
 //! contract; `tests/campaign_cache.rs` pins it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::Mutex;
@@ -112,11 +114,9 @@ pub fn cache_pass(
 ) -> Result<(Vec<PreparedPoint>, Vec<Option<PointResult>>), Error> {
     let points = spec.expand();
     let prepared = points.iter().map(prepare).collect::<Result<Vec<_>, _>>()?;
-    for (i, p) in prepared.iter().enumerate() {
-        if let Some(first) = prepared[..i]
-            .iter()
-            .find(|q| q.config_hash == p.config_hash)
-        {
+    let mut seen = HashMap::with_capacity(prepared.len());
+    for p in &prepared {
+        if let Some(first) = seen.insert(&p.config_hash, p) {
             return Err(Error(format!(
                 "points {} and {} share config hash {} — an axis the configuration \
                  ignores is being swept (e.g. packet or load under benchmark traffic); \

@@ -11,7 +11,8 @@
 use crate::spec::{routing_name, PointSpec, SchemeChoice};
 use crate::Error;
 use noc_base::{FlitPool, Mask64, RouterId};
-use noc_sim::{config_hash, MetricsConfig, SimReport, Simulation};
+use noc_sim::manifest::fnv1a64;
+use noc_sim::{MetricsConfig, SimReport, Simulation};
 use noc_topology::{FlattenedButterfly, HierRing, Mecs, Mesh, Ring, SharedTopology, Topology};
 use noc_traffic::{BenchmarkProfile, CmpTraffic, SyntheticPattern, SyntheticTraffic, TrafficModel};
 use std::sync::Arc;
@@ -156,10 +157,10 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, Error> {
 }
 
 /// A point whose spec strings have been resolved — topology and traffic
-/// build, the display names are known, and the manifest-compatible
-/// `config_hash` is computed. Preparing does **not** run anything; it is
-/// the cheap step the cache lookup needs. Carries only plain data so
-/// prepared points can cross worker threads.
+/// build, the display names are known, and the `config_hash` is computed.
+/// Preparing does **not** run anything; it is the cheap step the cache
+/// lookup needs. Carries only plain data so prepared points can cross
+/// worker threads.
 #[derive(Clone, Debug)]
 pub struct PreparedPoint {
     /// The point's coordinates.
@@ -168,8 +169,8 @@ pub struct PreparedPoint {
     pub topology_name: String,
     /// The resolved traffic display name (`TrafficModel::name`).
     pub traffic_name: String,
-    /// The `noc-run-manifest/1` configuration hash of this point — the
-    /// cache's content address.
+    /// The configuration hash of this point (see [`prepare`]) — the cache's
+    /// content address.
     pub config_hash: String,
 }
 
@@ -286,20 +287,38 @@ fn resolve(point: &PointSpec) -> Result<(SharedTopology, Box<dyn TrafficModel>),
 /// value is out of range for the configuration.
 pub fn prepare(point: &PointSpec) -> Result<PreparedPoint, Error> {
     let (topo, traffic) = resolve(point)?;
-    let hash = config_hash(
-        topo.name(),
-        traffic.name(),
-        Some(&point.scheme.label()),
-        &point.network_config(),
-        point.run_spec(),
-        point.seed,
-    );
     Ok(PreparedPoint {
         spec: point.clone(),
         topology_name: topo.name().to_string(),
         traffic_name: traffic.name().to_string(),
-        config_hash: hash,
+        config_hash: config_hash(point, topo.name(), traffic.as_ref()),
     })
+}
+
+/// The `config_hash` of a resolved point: FNV-1a over the topology and
+/// traffic display names, the scheme label, the network parameters, the run
+/// phases and the seed — and, for synthetic traffic, the exact load and the
+/// packet length, which its display name rounds (`UR@0.07`) or leaves out.
+/// A CMP profile ignores both, so its key leaves them out: a campaign that
+/// sweeps them under benchmark traffic is refused as a duplicate hash by
+/// [`crate::cache_pass`]. Results never enter the key, so a configuration
+/// hashes the same across engine changes; the cache pairs it with the git
+/// revision for that reason.
+fn config_hash(point: &PointSpec, topology: &str, traffic: &dyn TrafficModel) -> String {
+    let (scheme, config, phases, seed) = (
+        point.scheme.label(),
+        point.network_config(),
+        point.run_spec(),
+        point.seed,
+    );
+    let name = traffic.name();
+    let key = if traffic.as_any().is_some_and(|t| t.is::<CmpTraffic>()) {
+        format!("{topology}|{name}|{scheme}|{config:?}|{phases:?}|{seed}")
+    } else {
+        let (load, packet) = (point.load, point.packet);
+        format!("{topology}|{name}|{scheme}|{config:?}|{phases:?}|{seed}|{load:?}|{packet}")
+    };
+    format!("{:016x}", fnv1a64(key.as_bytes()))
 }
 
 /// Builds the simulation of one point: the single point→[`Simulation`]
@@ -399,23 +418,69 @@ mod tests {
     }
 
     #[test]
-    fn prepare_hashes_match_the_run_manifest() {
-        // The cache key must be exactly what `noc run --manifest` would
-        // stamp for the same configuration.
+    fn prepare_resolves_the_display_names() {
         let point = tiny_point();
         let prepared = prepare(&point).unwrap();
         let report = run_point(&prepared).unwrap();
-        let manifest = noc_sim::RunManifest::capture(
-            &report,
-            &point.network_config(),
-            point.run_spec(),
-            point.seed,
-            noc_sim::MetricsLevel::Off,
-        )
-        .with_scheme(point.scheme.label());
-        assert_eq!(prepared.config_hash, manifest.config_hash);
         assert_eq!(prepared.topology_name, report.topology);
         assert_eq!(prepared.traffic_name, report.traffic);
+        assert_eq!(prepared.config_hash.len(), 16);
+    }
+
+    /// The hash `noc run --topology cmesh4x4 --traffic fft` has always
+    /// stamped: a CMP key carries neither load nor packet length.
+    const CMP_FFT_HASH: &str = "3609c0457302a01c";
+
+    fn hash_of(point: &PointSpec) -> String {
+        prepare(point).unwrap().config_hash
+    }
+
+    #[test]
+    fn synthetic_hashes_cover_exact_load_and_packet_length() {
+        // Both pairs share the traffic display name `UR@0.07`.
+        let base = PointSpec {
+            topology: "mesh4x4".into(),
+            load: 0.07,
+            ..PointSpec::default()
+        };
+        let longer = PointSpec {
+            packet: 3,
+            ..base.clone()
+        };
+        assert_ne!(hash_of(&base), hash_of(&longer), "packet length");
+        let at = |load| PointSpec {
+            load,
+            ..base.clone()
+        };
+        assert_ne!(hash_of(&at(0.071)), hash_of(&at(0.074)), "exact load");
+        // The same point always hashes the same; any other coordinate moves it.
+        assert_eq!(hash_of(&base), hash_of(&base.clone()));
+        let reseeded = PointSpec {
+            seed: 2,
+            ..base.clone()
+        };
+        assert_ne!(hash_of(&base), hash_of(&reseeded), "seed");
+    }
+
+    #[test]
+    fn cmp_hashes_ignore_load_and_packet_length() {
+        let fft = PointSpec {
+            topology: "cmesh4x4".into(),
+            traffic: "fft".into(),
+            ..PointSpec::default()
+        };
+        let longer = PointSpec {
+            packet: 9,
+            ..fft.clone()
+        };
+        let hotter = PointSpec {
+            load: 0.3,
+            ..fft.clone()
+        };
+        assert_eq!(hash_of(&fft), hash_of(&longer));
+        assert_eq!(hash_of(&fft), hash_of(&hotter));
+        // The key of a CMP point is the one it always had.
+        assert_eq!(hash_of(&fft), CMP_FFT_HASH);
     }
 
     #[test]

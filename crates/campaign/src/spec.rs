@@ -305,6 +305,11 @@ impl Default for Axes {
     }
 }
 
+/// The most points a spec may expand to. The expansion is materialised (and
+/// every point prepared) before anything runs, so a spec past this is refused
+/// where it is parsed.
+pub const MAX_POINTS: usize = 1 << 20;
+
 /// A parsed, validated campaign specification.
 #[derive(Clone, PartialEq, Debug)]
 pub struct CampaignSpec {
@@ -456,7 +461,7 @@ impl CampaignSpec {
     /// duplicate-free by construction.
     pub fn expand(&self) -> Vec<PointSpec> {
         let a = &self.axes;
-        let mut points = Vec::with_capacity(self.num_points());
+        let mut points = Vec::with_capacity(self.num_points().min(MAX_POINTS));
         for topology in &a.topology {
             for traffic in &a.traffic {
                 for &scheme in &a.scheme {
@@ -495,26 +500,46 @@ impl CampaignSpec {
         points
     }
 
-    /// The size of the expansion (product of axis lengths).
+    /// The size of the expansion (product of axis lengths; `usize::MAX`
+    /// when the product overflows — a parsed spec is at most
+    /// [`MAX_POINTS`]).
     pub fn num_points(&self) -> usize {
-        let a = &self.axes;
-        a.topology.len()
-            * a.traffic.len()
-            * a.scheme.len()
-            * a.routing.len()
-            * a.va.len()
-            * a.vcs.len()
-            * a.buffer.len()
-            * a.packet.len()
-            * a.load.len()
-            * a.seed.len()
+        self.axes.num_points().unwrap_or(usize::MAX)
     }
 }
 
 impl Axes {
-    /// Rejects empty axes and duplicate values within an axis (duplicates
-    /// would make the cartesian product repeat points).
+    /// The product of the axis lengths, `None` when it overflows.
+    fn num_points(&self) -> Option<usize> {
+        [
+            self.topology.len(),
+            self.traffic.len(),
+            self.scheme.len(),
+            self.routing.len(),
+            self.va.len(),
+            self.vcs.len(),
+            self.buffer.len(),
+            self.packet.len(),
+            self.load.len(),
+            self.seed.len(),
+        ]
+        .into_iter()
+        .try_fold(1usize, usize::checked_mul)
+    }
+
+    /// Rejects an expansion above [`MAX_POINTS`], empty axes, and duplicate
+    /// values within an axis (duplicates would make the cartesian product
+    /// repeat points).
     fn validate(&self) -> Result<(), Error> {
+        match self.num_points() {
+            Some(n) if n <= MAX_POINTS => {}
+            n => {
+                let count = n.map_or(format!("more than {}", usize::MAX), |n| n.to_string());
+                return Err(Error(format!(
+                    "spec: the axes expand to {count} points, at most {MAX_POINTS} are supported"
+                )));
+            }
+        }
         fn check<T: PartialEq + fmt::Debug>(name: &str, values: &[T]) -> Result<(), Error> {
             if values.is_empty() {
                 return Err(Error(format!("spec: axis {name:?} is empty")));
@@ -653,6 +678,44 @@ load = [0.05, 0.1]
             let err = CampaignSpec::parse_toml_str(text).expect_err(text);
             assert!(err.0.contains(needle), "{text:?} -> {err}");
         }
+    }
+
+    #[test]
+    fn oversized_specs_are_refused_at_parse_time() {
+        // Six axes of 64-100 values: a 3 KB spec whose expansion used to be
+        // pre-allocated in full (66 TB) and abort the process.
+        let list = |n: u64, scale: f64| {
+            let values: Vec<String> = (1..=n).map(|v| (v as f64 * scale).to_string()).collect();
+            values.join(", ")
+        };
+        let text = format!(
+            "[axes]\nvcs = [{}]\nbuffer = [{}]\npacket = [{}]\nseed = [{}]\n\
+             load = [{}]\ntopology = [{}]\n",
+            list(64, 1.0),
+            list(100, 1.0),
+            list(100, 1.0),
+            list(100, 1.0),
+            list(100, 0.01),
+            (1..=100)
+                .map(|n| format!("\"ring{}\"", n + 1))
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
+        let err = CampaignSpec::parse_toml_str(&text).unwrap_err().0;
+        assert_eq!(
+            err,
+            "spec: the axes expand to 640000000000 points, at most 1048576 are supported"
+        );
+        // Right at the limit is fine; one axis value past it is not.
+        let at = |seeds: u64| {
+            CampaignSpec::parse_toml_str(&format!(
+                "[axes]\nbuffer = [{}]\nseed = [{}]\n",
+                list(1024, 1.0),
+                list(seeds, 1.0)
+            ))
+        };
+        assert_eq!(at(1024).unwrap().num_points(), MAX_POINTS);
+        assert!(at(1025).unwrap_err().0.contains("1049600 points"));
     }
 
     #[test]

@@ -152,3 +152,29 @@ fn colliding_points_are_rejected_not_cached_wrongly() {
     assert!(err.0.contains("share config hash"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn packet_length_and_exact_load_sweeps_run_under_synthetic_traffic() {
+    // Packet length and load change a synthetic run, so the points get
+    // their own hashes: the packet-size ablation (UR, 1/5/9-flit packets)
+    // and loads that round to one display name (`UR@0.07`) both run.
+    for (axis, tag) in [
+        ("packet = [1, 5, 9]", "packets"),
+        ("load = [0.071, 0.074]", "loads"),
+    ] {
+        let dir = temp_dir(tag);
+        let spec = CampaignSpec::parse_toml_str(&format!(
+            "[phases]\nwarmup = 50\nmeasure = 200\ndrain = 2000\n\
+             [axes]\ntopology = \"mesh2x2\"\ntraffic = \"ur\"\n{axis}\n"
+        ))
+        .unwrap();
+        let outcome = run_campaign(&spec, &dir, &options()).unwrap();
+        assert!(outcome.completed, "{axis}");
+        let n = spec.num_points();
+        assert_eq!((outcome.total, outcome.executed), (n, n), "{axis}");
+        let report = outcome.report.unwrap();
+        let merged: usize = report.curves.iter().map(|c| c.series.len()).sum();
+        assert_eq!(merged, n, "{axis}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

@@ -37,7 +37,7 @@ pub mod probe;
 pub mod router;
 pub mod stats;
 
-pub use manifest::{config_hash, git_rev, RunManifest, MANIFEST_SCHEMA};
+pub use manifest::git_rev;
 pub use metrics::{
     chrome_trace_json, MetricsConfig, MetricsLevel, ObservabilityReport, PipelineStage,
     RouterObservation, StageHistograms, TraceEvent, TraceEventKind, TraceRing, TraceSpec,

@@ -121,8 +121,10 @@ scheme = ["baseline", "pseudo+ps+bb"]
 packet = 2
 load = [0.02, 0.05]
 EOF
+# The revision is pinned so the cache entries have known names.
 campaign() {
-    ./target/release/noc campaign "$1" --spec "$campdir/sweep.toml" --out "$campdir/out" "${@:2}"
+    NOC_GIT_REV=check-smoke ./target/release/noc campaign "$1" \
+        --spec "$campdir/sweep.toml" --out "$campdir/out" "${@:2}"
 }
 expect() { # expect LABEL NEEDLE TEXT
     grep -qF -- "$2" <<< "$3" || {
@@ -135,6 +137,16 @@ expect "status after one point" "1/4 points cached | no report yet" "$(campaign 
 campaign run >/dev/null
 expect "status after completion" "4/4 points cached | report.json present" "$(campaign status)"
 cp "$campdir/out/report.json" "$campdir/report.first.json"
+# One record of a run: `noc run` with the flags of a swept point writes that
+# point's cache entry, byte for byte.
+NOC_GIT_REV=check-smoke ./target/release/noc run --topology mesh2x2 --scheme baseline \
+    --packet 2 --load 0.05 --warmup 50 --measure 200 --drain 2000 \
+    --manifest "$campdir/manifest/run.json" >/dev/null
+hash=$(sed -n 's/^  "config_hash": "\([0-9a-f]*\)",$/\1/p' "$campdir/manifest/run.json")
+cmp "$campdir/manifest/run.json" "$campdir/out/cache/$hash-check-smoke.json" || {
+    echo "campaign smoke: the manifest is not the point's cache entry" >&2
+    exit 1
+}
 expect "cached re-run executed points" "cache hits 4 | executed 0" "$(campaign run)"
 cmp -s "$campdir/out/report.json" "$campdir/report.first.json" || {
     echo "campaign smoke: cached re-run changed report bytes" >&2
@@ -156,6 +168,58 @@ refusal=$(./target/release/noc campaign run --spec "$campdir/sweep.json" \
     --out "$campdir/json" 2>&1 >/dev/null) || status=$?
 [ "$status" -eq 1 ] && [ "$refusal" = 'error: spec: line 1: expected `key = value`' ] || {
     echo "campaign smoke: a JSON spec exited $status saying: $refusal" >&2
+    exit 1
+}
+
+# Packet length is part of a synthetic point's hash: the packet-size
+# ablation (UR, 1/5/9-flit packets) runs as a campaign.
+echo "==> noc campaign run with packet = [1, 5, 9] under ur"
+cat > "$campdir/packets.toml" <<'EOF'
+name = "check-packets"
+
+[phases]
+warmup = 50
+measure = 200
+drain = 2000
+
+[axes]
+topology = "mesh2x2"
+traffic = "ur"
+packet = [1, 5, 9]
+load = 0.05
+EOF
+./target/release/noc campaign run --spec "$campdir/packets.toml" --out "$campdir/packets" >/dev/null
+expect "packet sweep" "3/3 points cached | report.json present" \
+    "$(./target/release/noc campaign status --spec "$campdir/packets.toml" --out "$campdir/packets")"
+
+# A reader that stops early: output cut off by a closed pipe ends the
+# process quietly with exit 0. The expansion is 10 000 lines, far past a
+# pipe buffer, so its write really meets the closed pipe.
+echo "==> noc list | head -n 1, noc campaign expand | head -n 1"
+printf '[axes]\nload = [%s]\nseed = [%s]\n' "$(seq -s, -f '%ge-2' 1 100)" \
+    "$(seq -s, 1 100)" > "$campdir/long.toml"
+for cmd in "list" "campaign expand --spec $campdir/long.toml"; do
+    # shellcheck disable=SC2086
+    ./target/release/noc $cmd 2>"$campdir/stderr" | head -n 1 >/dev/null
+    codes="${PIPESTATUS[*]}"
+    [ "$codes" = "0 0" ] && [ ! -s "$campdir/stderr" ] || {
+        echo "closed pipe: noc $cmd exited ${codes%% *}: $(cat "$campdir/stderr")" >&2
+        exit 1
+    }
+done
+
+# A spec past the point limit is refused where it is parsed, in one line
+# (six axes of 64-100 values used to abort the process, which tried to
+# allocate the whole expansion).
+echo "==> noc campaign expand over an oversized spec (must be refused)"
+printf '[axes]\nvcs = [%s]\nbuffer = [%s]\npacket = [%s]\nseed = [%s]\nload = [%s]\ntopology = [%s]\n' \
+    "$(seq -s, 1 64)" "$(seq -s, 1 100)" "$(seq -s, 1 100)" "$(seq -s, 1 100)" \
+    "$(seq -s, -f '%ge-2' 1 100)" "$(seq -s, -f '"ring%g"' 2 101)" > "$campdir/huge.toml"
+status=0
+refusal=$(./target/release/noc campaign expand --spec "$campdir/huge.toml" 2>&1 >/dev/null) ||
+    status=$?
+[ "$status" -eq 1 ] && [ "$refusal" = 'error: spec: the axes expand to 640000000000 points, at most 1048576 are supported' ] || {
+    echo "oversized spec: noc campaign expand exited $status saying: $refusal" >&2
     exit 1
 }
 

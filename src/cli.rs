@@ -31,19 +31,21 @@
 //!
 //! `--metrics=full` attaches per-router counters and pipeline-stage
 //! histograms to the report (see `docs/METRICS.md`); `--manifest` writes the
-//! machine-readable reproducibility manifest; `--trace` writes a
-//! Chrome-trace-format JSON of router lifecycle events (pseudo-circuit
-//! establish/terminate/hit, EVC express latches) for the routers named by
-//! `--trace-routers` (default: all). All three apply to every scheme,
-//! including `--scheme evc` — both router families run on the shared
-//! pipeline kernel and carry the same observability plumbing.
+//! run's record, [`noc_campaign::PointResult`] — the document a campaign
+//! caches for the same point, byte for byte at `--metrics off --threads 1`
+//! — plus the thread count and, at `--metrics full`, the per-router dump;
+//! `--trace` writes a Chrome-trace-format JSON of router lifecycle events
+//! (pseudo-circuit establish/terminate/hit, EVC express latches) for the
+//! routers named by `--trace-routers` (default: all). All three apply to
+//! every scheme, including `--scheme evc` — both router families run on the
+//! shared pipeline kernel and carry the same observability plumbing.
 
 use noc_base::pool::host_threads;
 use noc_campaign::{
-    build_simulation, cache_pass, parse_routing, parse_va, CampaignOptions, CampaignSpec,
-    PointSpec, SchemeChoice,
+    build_simulation, cache_pass, parse_routing, parse_va, prepare, write_atomic, CampaignOptions,
+    CampaignSpec, PointResult, PointSpec, SchemeChoice,
 };
-use noc_sim::{MetricsConfig, MetricsLevel, RunManifest, SimReport, TraceSpec};
+use noc_sim::{MetricsConfig, MetricsLevel, SimReport, TraceSpec};
 use noc_traffic::BenchmarkProfile;
 use std::fmt;
 use std::fmt::Write as _;
@@ -174,8 +176,10 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, CliError> {
         .map_err(|_| err(format!("{flag}: cannot parse {s:?}")))
 }
 
-/// Runs a parsed experiment to completion, writing the run manifest and
-/// Chrome trace as side effects when `--manifest` / `--trace` were given.
+/// Runs a parsed experiment to completion, writing the run record (see
+/// [`PointResult::run_json`]; atomically, creating missing parent
+/// directories) and the Chrome trace as side effects when `--manifest` /
+/// `--trace` were given.
 ///
 /// # Errors
 ///
@@ -203,14 +207,16 @@ pub fn run(args: &RunArgs) -> Result<SimReport, CliError> {
             point.topology
         )));
     }
-    let spec = point.run_spec();
-    let report = sim.run(spec);
+    let report = sim.run(point.run_spec());
     if let Some(path) = &args.manifest {
-        RunManifest::capture(&report, sim.config(), spec, point.seed, args.metrics)
-            .with_scheme(point.scheme.label())
-            .with_threads(threads)
-            .write(Path::new(path))
-            .map_err(|e| err(format!("cannot write manifest {path}: {e}")))?;
+        let record = PointResult::from_report(&prepare(point)?, &noc_sim::git_rev(), &report);
+        let path = Path::new(path);
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| err(format!("cannot create {}: {e}", dir.display())))?;
+        }
+        let json = record.run_json(threads, report.observability.as_ref());
+        write_atomic(path, json.as_bytes())?;
     }
     if let Some(path) = &args.trace {
         // Every scheme's routers carry the kernel tracer; the empty-document
@@ -510,7 +516,9 @@ pub fn usage() -> &'static str {
      \n\
      OBSERVABILITY (defaults off; see docs/METRICS.md):\n\
        --metrics off|full        per-router counters + stage histograms (full)\n\
-       --manifest PATH           write the machine-readable run manifest (JSON)\n\
+       --manifest PATH           write the run's record (JSON): its flags, git\n\
+                                 revision, config hash and results; the same\n\
+                                 record a campaign caches for the point\n\
        --trace PATH              write router lifecycle events (circuit + EVC\n\
                                  latch) as Chrome-trace JSON (chrome://tracing)\n\
        --trace-routers 0,5,12    restrict tracing to these routers (default all;\n\
@@ -794,8 +802,8 @@ mod tests {
         assert!(text.contains("network hit rate"));
 
         let manifest = std::fs::read_to_string(&manifest_path).unwrap();
-        assert!(manifest.contains("\"schema\": \"noc-run-manifest/1\""));
-        assert!(manifest.contains("\"scheme\": \"Pseudo+PS+BB\""));
+        assert!(manifest.contains("\"schema\": \"noc-point/1\""));
+        assert!(manifest.contains("\"scheme\": \"pseudo+ps+bb\""));
         assert!(
             manifest.contains("\"threads\": 1"),
             "a default run is serial"
@@ -803,6 +811,73 @@ mod tests {
         let trace = std::fs::read_to_string(&trace_path).unwrap();
         assert!(trace.contains("\"traceEvents\""));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn full_metrics_manifest_is_the_points_cache_record() {
+        // `noc run --manifest` and the campaign cache write one record: a
+        // `--metrics full` manifest parses to the cache entry of its point,
+        // and a serial `--metrics off` one is that entry, byte for byte.
+        let dir = std::env::temp_dir().join(format!("noc-cli-record-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let point = PointSpec {
+            topology: "mesh2x2".into(),
+            load: 0.071,
+            packet: 3,
+            warmup: 100,
+            measure: 500,
+            drain: 5_000,
+            ..PointSpec::default()
+        };
+        let manifest_at = |metrics, name: &str| {
+            let path = dir.join("runs").join(name);
+            let run_args = RunArgs {
+                point: point.clone(),
+                metrics,
+                manifest: Some(path.to_string_lossy().into_owned()),
+                ..RunArgs::default()
+            };
+            run(&run_args).unwrap();
+            std::fs::read_to_string(path).unwrap()
+        };
+        let full = manifest_at(MetricsLevel::Full, "full.json");
+        let off = manifest_at(MetricsLevel::Off, "off.json");
+        for key in [
+            "\"metrics\": \"full\"",
+            "\"threads\": 1,",
+            "\"coord_epochs\"",
+            "\"routers\": [",
+        ] {
+            assert!(full.contains(key), "{key} missing from {full}");
+        }
+        let record = PointResult::from_json(&full).unwrap();
+
+        let spec = CampaignSpec {
+            warmup: point.warmup,
+            measure: point.measure,
+            drain: point.drain,
+            axes: noc_campaign::Axes {
+                topology: vec![point.topology.clone()],
+                load: vec![point.load],
+                packet: vec![point.packet],
+                ..noc_campaign::Axes::default()
+            },
+            ..CampaignSpec::default()
+        };
+        let options = CampaignOptions {
+            threads: 1,
+            max_points: None,
+            git_rev: Some(record.git_rev.clone()),
+        };
+        let out = dir.join("campaign");
+        noc_campaign::run_campaign(&spec, &out, &options).unwrap();
+        let entry = noc_campaign::ResultCache::open(&out, &record.git_rev)
+            .unwrap()
+            .entry_path(&record.config_hash);
+        let entry = std::fs::read_to_string(entry).unwrap();
+        assert_eq!(PointResult::from_json(&entry).unwrap(), record);
+        assert_eq!(off, entry);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -917,7 +992,7 @@ mod tests {
         assert!(text.contains("per-router metrics"));
 
         let manifest = std::fs::read_to_string(&manifest_path).unwrap();
-        assert!(manifest.contains("\"scheme\": \"EVC\""));
+        assert!(manifest.contains("\"scheme\": \"evc\""));
         let trace = std::fs::read_to_string(&trace_path).unwrap();
         assert!(trace.contains("\"express-latch\""), "no latch trace events");
         std::fs::remove_dir_all(&dir).ok();

@@ -1,7 +1,8 @@
 //! Thread-count invariance: the multi-threaded sharded engine must produce a
-//! byte-identical `SimReport` — and an identical manifest configuration hash
-//! — for any thread budget, including non-power-of-two counts whose shard
-//! partition has a short tail shard.
+//! byte-identical `SimReport` for any thread budget, including
+//! non-power-of-two counts whose shard partition has a short tail shard.
+//! (The configuration hash is computed from the point before any
+//! `Simulation` exists, so it cannot see the thread count.)
 //!
 //! This is the determinism contract of DESIGN.md §12: because every link
 //! carries one cycle of latency, a cycle's router computation depends only
@@ -11,7 +12,7 @@
 use noc_base::{RoutingPolicy, VaPolicy};
 use noc_evc::EvcRouterFactory;
 use noc_hybrid::HybridRouterFactory;
-use noc_sim::{MetricsLevel, NetworkConfig, RouterFactory, RunManifest, RunSpec, Simulation};
+use noc_sim::{NetworkConfig, RouterFactory, RunSpec, Simulation};
 use noc_topology::{Mecs, Mesh, Ring, SharedTopology};
 use noc_traffic::{BenchmarkProfile, CmpTraffic};
 use pseudo_circuit::{PcRouterFactory, Scheme};
@@ -32,7 +33,7 @@ fn golden_sim(
     routing: RoutingPolicy,
     va_policy: VaPolicy,
     factory: &dyn RouterFactory,
-) -> (Simulation, NetworkConfig) {
+) -> Simulation {
     let profile = *BenchmarkProfile::by_name("fft").unwrap();
     let traffic = CmpTraffic::for_topology(topo.as_ref(), profile, SEED ^ 0x77).unwrap();
     let config = NetworkConfig {
@@ -40,51 +41,44 @@ fn golden_sim(
         va_policy,
         ..NetworkConfig::paper()
     };
-    let sim = Simulation::new(topo, config, Box::new(traffic), factory, SEED);
-    (sim, config)
+    Simulation::new(topo, config, Box::new(traffic), factory, SEED)
 }
 
-/// Runs a golden configuration at a thread budget; returns the report text
-/// and the manifest configuration hash under scheme label `scheme`.
+/// Runs a golden configuration at a thread budget; returns the report text.
 fn run_at(
     threads: usize,
     topo: SharedTopology,
     routing: RoutingPolicy,
     va_policy: VaPolicy,
     factory: &dyn RouterFactory,
-    scheme: &str,
-) -> (String, String) {
-    let (mut sim, config) = golden_sim(topo, routing, va_policy, factory);
+) -> String {
+    let mut sim = golden_sim(topo, routing, va_policy, factory);
     sim.set_threads(threads);
     let report = sim.run(PHASES);
-    let manifest =
-        RunManifest::capture(&report, &config, PHASES, SEED, MetricsLevel::Off).with_scheme(scheme);
-    (format!("{report:#?}\n"), manifest.config_hash)
+    format!("{report:#?}\n")
 }
 
 /// The paper-config golden (4×4 CMesh, O1TURN + dynamic VA, full scheme).
-fn golden_run(threads: usize) -> (String, String) {
+fn golden_run(threads: usize) -> String {
     run_at(
         threads,
         Arc::new(Mesh::new(4, 4, 4)),
         RoutingPolicy::O1Turn,
         VaPolicy::Dynamic,
         &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
-        "pseudo+ps+bb",
     )
 }
 
 /// The EVC golden-report configuration (tests/golden_report.rs),
 /// parameterized by thread budget. EVC routers must satisfy the same
 /// thread-count-invariance contract as the pseudo-circuit scheme.
-fn evc_run(threads: usize) -> (String, String) {
+fn evc_run(threads: usize) -> String {
     run_at(
         threads,
         Arc::new(Mesh::new(4, 4, 1)),
         RoutingPolicy::Xy,
         VaPolicy::Dynamic,
         &EvcRouterFactory::default(),
-        "evc",
     )
 }
 
@@ -96,43 +90,33 @@ fn topo_run(threads: usize, topo: SharedTopology) -> String {
         RoutingPolicy::Xy,
         VaPolicy::Static,
         &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
-        "pseudo+ps+bb",
     )
-    .0
 }
 
 #[test]
 fn golden_report_is_byte_identical_across_thread_counts() {
-    let (serial, serial_hash) = golden_run(1);
+    let serial = golden_run(1);
     // 7 threads on 16 routers is deliberate: ceil-division sharding leaves a
     // short tail shard, exercising uneven ranges and the inline fast path of
     // partially-filled batches.
     for threads in [2usize, 4, 7] {
-        let (report, hash) = golden_run(threads);
         assert_eq!(
-            serial, report,
+            serial,
+            golden_run(threads),
             "SimReport diverged between 1 and {threads} threads"
-        );
-        assert_eq!(
-            serial_hash, hash,
-            "manifest config hash must not depend on thread count"
         );
     }
 }
 
 #[test]
 fn evc_report_is_byte_identical_across_thread_counts() {
-    let (serial, serial_hash) = evc_run(1);
+    let serial = evc_run(1);
     // 7 threads over 16 routers leaves a short tail shard (see above).
     for threads in [2usize, 4, 7] {
-        let (report, hash) = evc_run(threads);
         assert_eq!(
-            serial, report,
+            serial,
+            evc_run(threads),
             "EVC SimReport diverged between 1 and {threads} threads"
-        );
-        assert_eq!(
-            serial_hash, hash,
-            "manifest config hash must not depend on thread count"
         );
     }
 }
@@ -192,9 +176,7 @@ fn hybrid_run(threads: usize) -> String {
         RoutingPolicy::Xy,
         VaPolicy::Dynamic,
         &HybridRouterFactory::default(),
-        "hybrid",
     )
-    .0
 }
 
 #[test]
@@ -213,7 +195,7 @@ fn hybrid_report_is_byte_identical_across_thread_counts() {
 fn set_threads_between_runs_is_transparent() {
     // Re-sharding an existing simulation between runs must not perturb the
     // next run relative to a freshly built simulation at that thread count.
-    let (mut sim, _) = golden_sim(
+    let mut sim = golden_sim(
         Arc::new(Mesh::new(4, 4, 4)),
         RoutingPolicy::O1Turn,
         VaPolicy::Dynamic,
@@ -224,6 +206,6 @@ fn set_threads_between_runs_is_transparent() {
     assert!(sim.shards() >= 1);
     let report = sim.run(PHASES);
 
-    let (fresh, _) = golden_run(4);
+    let fresh = golden_run(4);
     assert_eq!(format!("{report:#?}\n"), fresh);
 }

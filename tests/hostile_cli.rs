@@ -1,0 +1,144 @@
+//! Hostile spec bytes through the `noc campaign` entry points: a damaged
+//! spec file handed to `noc campaign expand` or `noc campaign status` ends in
+//! `Ok` or a one-line `Err`, never a panic or an abort — and `status`
+//! creates nothing, whatever the spec says.
+
+use proptest::prelude::*;
+use pseudo_circuit_repro::cli::{parse_campaign_args, run_campaign_command};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A spec that sets every key the schema knows.
+const SPEC: &str = "\
+name = \"hostile\"  # comment
+[phases]
+warmup = 50
+measure = 200
+drain = 2000
+[axes]
+topology = [\"mesh2x2\", \"ring4\"]
+traffic = \"ur\"
+scheme = [\"baseline\", \"pseudo+ps+bb\", \"hybrid\"]
+routing = \"xy\"
+va = [\"static\", \"dynamic\"]
+vcs = [2, 4]
+buffer = 4
+packet = [1, 5]
+load = [0.02, 0.05]
+seed = [1, 18446744073709551615]
+";
+
+/// A spec file of this test process; `case` numbers them.
+fn scratch(case: usize) -> PathBuf {
+    let name = format!("noc-hostile-cli-{}-{case}.toml", std::process::id());
+    std::env::temp_dir().join(name)
+}
+
+/// Runs `noc campaign expand` and `noc campaign status` over the spec file
+/// at `path`, returning both outcomes after checking that every error is
+/// one line and that `status` left its `--out` directory uncreated.
+fn drive(path: &Path) -> Vec<Result<String, String>> {
+    let spec = path.to_string_lossy().into_owned();
+    let out = path.with_extension("out");
+    let out = out.to_string_lossy().into_owned();
+    let verbs: [&[&str]; 2] = [
+        &["expand", "--spec", &spec],
+        &["status", "--spec", &spec, "--out", &out],
+    ];
+    let outcomes: Vec<_> = verbs
+        .iter()
+        .map(|argv| {
+            let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+            parse_campaign_args(&argv)
+                .and_then(|command| run_campaign_command(&command))
+                .map_err(|e| e.0)
+        })
+        .collect();
+    for outcome in &outcomes {
+        if let Err(e) = outcome {
+            assert!(!e.contains('\n'), "a multi-line error: {e}");
+        }
+    }
+    assert!(!Path::new(&out).exists(), "status created {out}");
+    outcomes
+}
+
+/// Up to six edits: (kind, position, byte).
+fn arb_edits() -> impl Strategy<Value = Vec<(u8, usize, u8)>> {
+    prop::collection::vec((0u8..4, any::<usize>(), any::<u8>()), 1..6)
+}
+
+/// Applies the edits: flip bits of a byte, insert a byte, delete a byte, or
+/// truncate.
+fn mutate(mut text: Vec<u8>, edits: &[(u8, usize, u8)]) -> Vec<u8> {
+    for &(kind, at, byte) in edits {
+        let at = at % (text.len() + 1);
+        match kind {
+            0 if at < text.len() => text[at] ^= byte.max(1),
+            1 => text.insert(at, byte),
+            2 if at < text.len() => drop(text.remove(at)),
+            3 => text.truncate(at),
+            _ => {}
+        }
+    }
+    text
+}
+
+static CASE: AtomicUsize = AtomicUsize::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn damaged_specs_end_in_ok_or_one_line_through_expand_and_status(edits in arb_edits()) {
+        let path = scratch(CASE.fetch_add(1, Ordering::Relaxed));
+        std::fs::write(&path, mutate(SPEC.as_bytes().to_vec(), &edits)).unwrap();
+        drive(&path);
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+#[test]
+fn the_undamaged_spec_expands_and_counts_nothing_cached() {
+    let path = scratch(usize::MAX);
+    std::fs::write(&path, SPEC).unwrap();
+    let outcomes = drive(&path);
+    assert!(outcomes[0]
+        .as_ref()
+        .unwrap()
+        .starts_with("hostile: 192 point(s)"));
+    let status = outcomes[1].as_ref().unwrap();
+    assert!(
+        status.ends_with(": 0/192 points cached | no report yet"),
+        "{status}"
+    );
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn an_oversized_spec_is_one_line_not_an_abort() {
+    // Six axes of 64-100 values, 3 KB of TOML: the expansion used to be
+    // allocated in full (66 TB) and abort `expand` and `status`.
+    let list = |n: usize, value: &dyn Fn(usize) -> String| {
+        (1..=n).map(value).collect::<Vec<_>>().join(", ")
+    };
+    let text = format!(
+        "[axes]\nvcs = [{}]\nbuffer = [{}]\npacket = [{}]\nseed = [{}]\nload = [{}]\n\
+         topology = [{}]\n",
+        list(64, &|v| v.to_string()),
+        list(100, &|v| v.to_string()),
+        list(100, &|v| v.to_string()),
+        list(100, &|v| v.to_string()),
+        list(100, &|v| format!("{:?}", v as f64 / 100.0)),
+        list(100, &|v| format!("\"ring{}\"", v + 1)),
+    );
+    let path = scratch(usize::MAX - 1);
+    std::fs::write(&path, text).unwrap();
+    for outcome in drive(&path) {
+        assert_eq!(
+            outcome.unwrap_err(),
+            "spec: the axes expand to 640000000000 points, at most 1048576 are supported"
+        );
+    }
+    std::fs::remove_file(&path).unwrap();
+}
