@@ -34,10 +34,8 @@
 use crate::value::{parse_toml, Value};
 use crate::Error;
 use noc_base::{RoutingPolicy, VaPolicy};
-use noc_evc::EvcRouterFactory;
-use noc_hybrid::HybridRouterFactory;
 use noc_sim::{NetworkConfig, RouterFactory, RunSpec};
-use pseudo_circuit::{PcRouterFactory, Scheme};
+use pseudo_circuit::{EvcRouterFactory, HybridRouterFactory, PcRouterFactory, Scheme};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -117,7 +115,7 @@ impl SchemeChoice {
     pub fn factory(&self) -> Box<dyn RouterFactory> {
         match *self {
             SchemeChoice::Pc(scheme) => Box::new(PcRouterFactory::new(scheme)),
-            SchemeChoice::Evc => Box::new(EvcRouterFactory::default()),
+            SchemeChoice::Evc => Box::new(EvcRouterFactory),
             SchemeChoice::Hybrid => Box::new(HybridRouterFactory::default()),
         }
     }

@@ -9,30 +9,33 @@
 //! the profiled hybrid) owns one and decides only *when* to call it.
 //!
 //! The per-cycle methods are `#[inline]`: their callers are the scheme hooks
-//! inside `PipelineKernel::step::<H>`, instantiated in another codegen unit
-//! (another crate, for the hybrid), and without the hint every SA candidate
-//! pays a call — 8–13 % of a low-load run. The idle predicate runs after
-//! every router step and is a visible share of a near-quiescent run, so its
-//! pieces (`creditless_candidates`, `creditless_holder` and `is_idle` here,
-//! `PcHooks::{is_idle, restorable}`) are `#[inline(always)]`: the plain hint
-//! still left them 8–20 % slower there.
+//! inside `PipelineKernel::step::<H>`, an instantiation that may land in
+//! another codegen unit than this module, and without the hint every SA
+//! candidate paid a call — 8–13 % of a low-load run, measured when the
+//! kernel and the hybrid hooks still lived in other crates. The idle
+//! predicate runs after every router step and is a visible share of a
+//! near-quiescent run, so its pieces (`creditless_candidates`,
+//! `creditless_holder` and `is_idle` here, `PcHooks::{is_idle,
+//! credited_history}`) are `#[inline(always)]`: the plain hint still left
+//! them 8–20 % slower there.
 
+use crate::pipeline::PipelineKernel;
 use crate::pseudo::{PcRegisters, PseudoCircuitUnit, Termination};
 use noc_base::{
     Flit, Mask64, NodeId, PortIndex, RouteInfo, RouterId, VaPolicy, VcIndex, VcPartition,
 };
 use noc_energy::EnergyEvent;
-use noc_sim::{NetworkConfig, PipelineKernel, RouterOutputs, TraceEventKind};
+use noc_sim::{NetworkConfig, RouterOutputs, TraceEventKind};
 use noc_topology::Topology;
 
 /// The circuit registers of one router plus the VC-allocation policy that
 /// headers riding a circuit are allocated under.
-pub struct CircuitDatapath {
+pub(crate) struct CircuitDatapath {
     va_policy: VaPolicy,
     partition: VcPartition,
     /// The circuit registers (read by white-box tests; schemes drive the
     /// transitions this datapath does not own, e.g. speculative restores).
-    pub pcu: PseudoCircuitUnit,
+    pub(crate) pcu: PseudoCircuitUnit,
 }
 
 impl CircuitDatapath {
@@ -42,7 +45,7 @@ impl CircuitDatapath {
     ///
     /// Panics if the VC count cannot be split evenly across the deadlock
     /// classes (see [`NetworkConfig::partition_for`]).
-    pub fn new(id: RouterId, topo: &dyn Topology, config: &NetworkConfig) -> Self {
+    pub(crate) fn new(id: RouterId, topo: &dyn Topology, config: &NetworkConfig) -> Self {
         Self {
             va_policy: config.va_policy,
             partition: config.partition_for(topo),
@@ -54,7 +57,7 @@ impl CircuitDatapath {
     /// allocation fail unless the chosen VC has a downstream credit — used by
     /// the reuse/bypass paths that traverse the same cycle.
     #[inline]
-    pub fn allocate_vc(
+    pub(crate) fn allocate_vc(
         &self,
         k: &mut PipelineKernel,
         route: RouteInfo,
@@ -86,7 +89,7 @@ impl CircuitDatapath {
 
     /// Terminates the live circuit at `in_port` (no-op when none), reporting
     /// it to the per-port counters and the tracer.
-    pub fn terminate(
+    pub(crate) fn terminate(
         &mut self,
         k: &mut PipelineKernel,
         cycle: u64,
@@ -132,7 +135,7 @@ impl CircuitDatapath {
     /// Phase A: terminates circuits whose output has no downstream credit at
     /// the held drop position (buffer-overflow protection, §III.C).
     #[inline]
-    pub fn terminate_creditless(&mut self, k: &mut PipelineKernel, cycle: u64) {
+    pub(crate) fn terminate_creditless(&mut self, k: &mut PipelineKernel, cycle: u64) {
         for out_port in self.creditless_candidates(k) {
             if let Some(holder) = self.creditless_holder(k, PortIndex::new(out_port)) {
                 self.terminate(k, cycle, holder, Termination::CreditExhausted);
@@ -144,7 +147,7 @@ impl CircuitDatapath {
     /// that [`terminate_creditless`](Self::terminate_creditless) would
     /// terminate.
     #[inline(always)]
-    pub fn is_idle(&self, k: &PipelineKernel) -> bool {
+    pub(crate) fn is_idle(&self, k: &PipelineKernel) -> bool {
         self.creditless_candidates(k)
             .into_iter()
             .all(|p| self.creditless_holder(k, PortIndex::new(p)).is_none())
@@ -160,7 +163,7 @@ impl CircuitDatapath {
     /// A's business). `None` sends the flit down the baseline pipeline at no
     /// penalty.
     #[inline]
-    pub fn admit(
+    pub(crate) fn admit(
         &self,
         k: &mut PipelineKernel,
         in_port: PortIndex,
@@ -196,7 +199,7 @@ impl CircuitDatapath {
     /// head-of-VC flit that the live circuit [`admit`](Self::admit)s
     /// traverses immediately, bypassing SA.
     #[inline]
-    pub fn reuse(&mut self, k: &mut PipelineKernel, cycle: u64, out: &mut RouterOutputs) {
+    pub(crate) fn reuse(&mut self, k: &mut PipelineKernel, cycle: u64, out: &mut RouterOutputs) {
         // Reuse only drains buffered flits, and only through a live circuit.
         // Neither mask changes under the loop except at the visited port.
         for in_port in k.occupied_ports() & self.pcu.live_mask() {
@@ -224,7 +227,7 @@ impl CircuitDatapath {
     /// (§III.B, "the following flits coming to the same VC can bypass SA ...
     /// until the pseudo-circuit is terminated").
     #[inline]
-    pub fn covers(&self, in_port: PortIndex, vc: VcIndex, route: RouteInfo) -> bool {
+    pub(crate) fn covers(&self, in_port: PortIndex, vc: VcIndex, route: RouteInfo) -> bool {
         self.pcu
             .live(in_port)
             .is_some_and(|pc| pc.in_vc == vc && pc.route() == route)
@@ -233,7 +236,7 @@ impl CircuitDatapath {
     /// (Re)establishes the circuit of a granted connection, terminating the
     /// circuits it conflicts with on either port, and reports all of it.
     #[inline]
-    pub fn establish(
+    pub(crate) fn establish(
         &mut self,
         k: &mut PipelineKernel,
         cycle: u64,
@@ -261,7 +264,7 @@ impl CircuitDatapath {
     /// End of cycle: mirrors the termination counters into the router
     /// statistics and checks the one-circuit-per-port invariants.
     #[inline]
-    pub fn mirror_stats(&self, k: &mut PipelineKernel) {
+    pub(crate) fn mirror_stats(&self, k: &mut PipelineKernel) {
         k.stats.pc_terminations_conflict = self.pcu.terminations_conflict();
         k.stats.pc_terminations_credit = self.pcu.terminations_credit();
         debug_assert!(self.pcu.check_invariants().is_ok());

@@ -15,17 +15,29 @@
 //! (skip the buffer-write stage through a write-through latch) — push per-hop
 //! router delay from 3 cycles down to 1 on a hit.
 //!
-//! This crate provides:
+//! This crate is the router: one speculative two-stage pipeline kernel
+//! (wormhole switching, credit-based flow control, lookahead routing) and the
+//! three schemes that edit it, each a crate-private set of hooks over the
+//! kernel. It provides:
 //!
-//! - [`PcRouter`] — a cycle-accurate speculative two-stage VC router
-//!   (wormhole switching, credit-based flow control, lookahead routing)
-//!   implementing all five configurations of the paper
-//!   ([`Scheme::paper_lineup`]);
-//! - [`PseudoCircuitUnit`] — the register/history state machine of §III–IV,
-//!   and [`CircuitDatapath`], which drives it against the shared pipeline
-//!   kernel (also for the profiled hybrid scheme of `noc-hybrid`);
-//! - [`PcRouterFactory`] — the [`noc_sim::RouterFactory`] that plugs a
-//!   [`Scheme`] into [`noc_sim::Simulation`].
+//! - [`PcRouter`] — the pseudo-circuit router, implementing all five
+//!   configurations of the paper ([`Scheme::paper_lineup`]), the baseline
+//!   among them; its [`PseudoCircuitUnit`] is the register/history state
+//!   machine of §III–IV;
+//! - [`EvcRouter`] ([`evc`]) — the Express Virtual Channels comparator of
+//!   §VII.B;
+//! - [`HybridRouter`] ([`hybrid`]) — He & Cao's profiled hybrid switching,
+//!   a second comparator, which holds circuits through the same datapath as
+//!   the pseudo-circuit router;
+//! - [`PcRouterFactory`], [`EvcRouterFactory`] and [`HybridRouterFactory`] —
+//!   the [`noc_sim::RouterFactory`]s that plug a scheme into
+//!   [`noc_sim::Simulation`].
+//!
+//! The kernel and the hook contract between it and the schemes are private
+//! to the crate (docs/ARCHITECTURE.md, "Adding a scheme"). What tests and
+//! figure harnesses reach from outside is the router itself: the
+//! `RouterModel` methods, `hooks()`, `pool()`, `enable_metrics()` and
+//! [`PcHooks::pseudo_unit`].
 //!
 //! An experiment is described one of two ways (docs/ARCHITECTURE.md,
 //! "Describing an experiment: two levels"): by name, as a
@@ -62,12 +74,17 @@
 //! assert!(pseudo.reusability() > 0.0);
 //! ```
 
-pub mod config;
-pub mod datapath;
-pub mod pseudo;
-pub mod router;
+mod config;
+mod datapath;
+pub mod evc;
+pub mod hybrid;
+mod pipeline;
+mod probe;
+mod pseudo;
+mod router;
 
 pub use config::Scheme;
-pub use datapath::CircuitDatapath;
+pub use evc::{EvcRouter, EvcRouterFactory};
+pub use hybrid::{HybridRouter, HybridRouterFactory};
 pub use pseudo::{EstablishOutcome, PcRegisters, PseudoCircuitUnit, Termination};
 pub use router::{PcHooks, PcRouter, PcRouterFactory};

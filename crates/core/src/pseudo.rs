@@ -13,11 +13,16 @@
 //!   terminated pseudo-circuit (the speculation history register).
 
 use noc_base::{Mask64, PortIndex, RouteInfo, VcIndex};
-// `Termination` lives next to the `RouterCounters` that count it (the
-// kernel's observability surface in `noc-sim`); re-exported here so the
-// circuit state machine and its termination causes stay importable from one
-// place.
-pub use noc_sim::Termination;
+
+/// Why a pseudo-circuit was terminated (statistics).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Termination {
+    /// A switch-arbitration grant claimed one of its ports, or the incoming
+    /// flit's route mismatched.
+    Conflict,
+    /// The downstream router ran out of credits.
+    CreditExhausted,
+}
 
 /// What an [`PseudoCircuitUnit::establish`] call did, reported so the router
 /// can fire per-port observability hooks without a callback.

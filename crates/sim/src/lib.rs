@@ -5,16 +5,14 @@
 //!
 //! This crate provides the machinery every router scheme plugs into:
 //!
-//! - [`blocks`] — the input-VC flit buffers ([`blocks::FifoBank`]);
-//! - [`pipeline`] — the speculative two-stage pipeline kernel
-//!   ([`PipelineKernel`]) every router scheme shares, parameterized by
-//!   [`SchemeHooks`], and the [`KernelRouter`] shell that makes a kernel +
-//!   hooks pair a [`RouterModel`];
-//! - [`probe`] — the per-port [`RouterCounters`] the kernel and the scheme
-//!   hooks bump at `--metrics=full`;
 //! - [`RouterModel`] / [`RouterFactory`] — the cycle-level router interface
-//!   the engine drives (the pseudo-circuit router lives in the
-//!   `pseudo-circuit` crate, the EVC comparator in `noc-evc`);
+//!   the engine drives (the routers themselves — the pipeline kernel and the
+//!   pseudo-circuit, EVC and hybrid schemes over it — live in the
+//!   `pseudo-circuit` crate);
+//! - [`blocks`] — the input-VC flit buffers ([`blocks::FifoBank`]) the
+//!   kernel's input VCs are runs of;
+//! - [`metrics`] — the observability types a router reports through
+//!   ([`RouterObservation`], [`TraceRing`], [`StageHistograms`]);
 //! - [`NetworkInterface`] — packetization, serial injection, reassembly and
 //!   end-to-end locality measurement;
 //! - [`Simulation`] — topology-driven wiring with one-cycle links and credit
@@ -32,8 +30,6 @@ pub mod manifest;
 pub mod metrics;
 pub mod network;
 pub mod ni;
-pub mod pipeline;
-pub mod probe;
 pub mod router;
 pub mod stats;
 
@@ -44,8 +40,6 @@ pub use metrics::{
 };
 pub use network::Simulation;
 pub use ni::{NetworkInterface, NiStats};
-pub use pipeline::{KernelRouter, PipelineKernel, SchemeHooks};
-pub use probe::{RouterCounters, Termination};
 pub use router::{
     RouterBuildContext, RouterFactory, RouterModel, RouterOutputs, RouterStats, SentFlit,
 };

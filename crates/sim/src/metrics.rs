@@ -14,9 +14,9 @@
 //!
 //! Layering: this module defines the *data* types (snapshots, histograms,
 //! the trace ring) that the engine aggregates; the router-side recorder,
-//! [`crate::RouterCounters`] (one [`RouterObservation`] its event methods
-//! bump), lives in [`crate::probe`], next to the pipeline kernel
-//! ([`crate::pipeline`]) whose increment sites call it.
+//! `RouterCounters` (one [`RouterObservation`] its event methods bump),
+//! lives in the `pseudo-circuit` crate, next to the pipeline kernel whose
+//! increment sites call it.
 
 use crate::stats::LatencyHistogram;
 use std::fmt;

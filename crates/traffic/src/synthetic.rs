@@ -12,6 +12,9 @@ use noc_base::rng::Pcg32;
 use noc_base::{NodeId, PacketClass};
 
 /// A destination-selection rule over a logical `cols × rows` grid of nodes.
+///
+/// A node a pattern maps to itself sends to a uniformly random other node
+/// instead: a synthetic packet never addresses its own source.
 #[derive(Clone, PartialEq, Debug)]
 pub enum SyntheticPattern {
     /// Every node sends to a uniformly random other node.
@@ -20,9 +23,8 @@ pub enum SyntheticPattern {
     /// this is the classic bit-complement permutation. Longest average
     /// Manhattan distance of the three paper patterns.
     BitComplement,
-    /// Matrix transpose: node `(x, y)` sends to `(y, x)`; nodes on the
-    /// diagonal send uniformly at random (they would otherwise self-send).
-    /// Requires a square grid.
+    /// Matrix transpose: node `(x, y)` sends to `(y, x)`. Requires a square
+    /// grid.
     Transpose,
     /// Node `(x, y)` sends to `((x + ⌈cols/2⌉ - 1) mod cols, y)` — adversarial
     /// for rings, mild on meshes. Extension beyond the paper.
@@ -30,8 +32,9 @@ pub enum SyntheticPattern {
     /// Node `(x, y)` sends to its east neighbor `((x+1) mod cols, y)`.
     /// Extension beyond the paper.
     Neighbor,
-    /// With probability `fraction`, send to one of `spots`; otherwise
-    /// uniformly random. Extension beyond the paper.
+    /// With probability `fraction`, send to one of `spots`; otherwise (and
+    /// from the drawn spot itself) uniformly random. Extension beyond the
+    /// paper.
     Hotspot {
         /// Probability of targeting a hotspot.
         fraction: f64,
@@ -53,48 +56,26 @@ impl SyntheticPattern {
         }
     }
 
-    /// Picks the destination for a packet from `src`.
+    /// Picks the destination for a packet from `src`: the pattern's target,
+    /// or a uniformly random other node when the pattern maps `src` to
+    /// itself (transpose's diagonal, the centre of an odd×odd complement, a
+    /// one-column neighbor or tornado, a hotspot's own spot, a missed
+    /// hotspot draw).
     fn destination(&self, src: usize, cols: usize, rows: usize, rng: &mut Pcg32) -> usize {
-        let n = cols * rows;
-        let uniform_other = |rng: &mut Pcg32| {
-            let mut d = rng.next_index(n - 1);
-            if d >= src {
-                d += 1;
-            }
-            d
+        let (x, y) = (src % cols, src / cols);
+        let target = match self {
+            SyntheticPattern::UniformRandom => None,
+            SyntheticPattern::BitComplement => Some((rows - 1 - y) * cols + (cols - 1 - x)),
+            SyntheticPattern::Transpose => Some(x * cols + y),
+            SyntheticPattern::Tornado => Some(y * cols + (x + cols.div_ceil(2) - 1) % cols),
+            SyntheticPattern::Neighbor => Some(y * cols + (x + 1) % cols),
+            SyntheticPattern::Hotspot { fraction, spots } => hotspot(*fraction, spots, rng),
         };
-        match self {
-            SyntheticPattern::UniformRandom => uniform_other(rng),
-            SyntheticPattern::BitComplement => {
-                let (x, y) = (src % cols, src / cols);
-                (rows - 1 - y) * cols + (cols - 1 - x)
-            }
-            SyntheticPattern::Transpose => {
-                let (x, y) = (src % cols, src / cols);
-                if x == y {
-                    uniform_other(rng)
-                } else {
-                    x * cols + y
-                }
-            }
-            SyntheticPattern::Tornado => {
-                let (x, y) = (src % cols, src / cols);
-                let dx = (x + cols.div_ceil(2) - 1) % cols;
-                if dx == x {
-                    uniform_other(rng)
-                } else {
-                    y * cols + dx
-                }
-            }
-            SyntheticPattern::Neighbor => {
-                let (x, y) = (src % cols, src / cols);
-                y * cols + (x + 1) % cols
-            }
-            SyntheticPattern::Hotspot { fraction, spots } => {
-                match hotspot(*fraction, spots, rng).filter(|&d| d != src) {
-                    Some(d) => d,
-                    None => uniform_other(rng),
-                }
+        match target.filter(|&d| d != src) {
+            Some(d) => d,
+            None => {
+                let d = rng.next_index(cols * rows - 1);
+                d + usize::from(d >= src)
             }
         }
     }

@@ -28,10 +28,10 @@ echo "==> NOC_THREADS=2 cargo test -q --workspace"
 NOC_THREADS=2 cargo test -q --offline --workspace
 
 # One lint pass over every target of every member: the facade, the unsafe
-# lifetime erasure of noc-base's worker pool, both sides
-# of the kernel/hooks contract (noc-sim and the three scheme crates), the
-# campaign engine's hand-rolled TOML/JSON parsing, and noc-bench's figure
-# harnesses. vendor/proptest is an implicit member and not ours to lint.
+# lifetime erasure of noc-base's worker pool, the pipeline kernel and its
+# three crate-private hook sets (pseudo-circuit), the campaign engine's
+# hand-rolled TOML/JSON parsing, and noc-bench's figure harnesses.
+# vendor/proptest is an implicit member and not ours to lint.
 echo "==> cargo clippy --workspace --exclude proptest --all-targets -- -D warnings"
 cargo clippy --workspace --exclude proptest --all-targets --offline -- -D warnings
 
@@ -290,7 +290,9 @@ scripts/check_links.sh
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-# Not a gate: the size numbers ROADMAP.md tracks, for the PR description.
+# The size numbers ROADMAP.md tracks, for the PR description; a gate on the
+# ones with a ceiling (workspace crates, public items, NOC_* variables,
+# `unsafe` uses).
 echo "==> scripts/budget.sh"
 scripts/budget.sh
 

@@ -11,11 +11,10 @@
 pub use noc_base as base;
 pub use noc_campaign as campaign;
 pub use noc_energy as energy;
-pub use noc_evc as evc;
-pub use noc_hybrid as hybrid;
 pub use noc_sim as sim;
 pub use noc_topology as topology;
 pub use noc_traffic as traffic;
 pub use pseudo_circuit as core;
+pub use pseudo_circuit::{evc, hybrid};
 
 pub mod cli;

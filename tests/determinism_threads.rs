@@ -10,12 +10,10 @@
 //! the serial engine's per-receiver event order exactly.
 
 use noc_base::{RoutingPolicy, VaPolicy};
-use noc_evc::EvcRouterFactory;
-use noc_hybrid::HybridRouterFactory;
 use noc_sim::{NetworkConfig, RouterFactory, RunSpec, Simulation};
 use noc_topology::{Mecs, Mesh, Ring, SharedTopology};
 use noc_traffic::{BenchmarkProfile, CmpTraffic};
-use pseudo_circuit::{PcRouterFactory, Scheme};
+use pseudo_circuit::{EvcRouterFactory, HybridRouterFactory, PcRouterFactory, Scheme};
 use std::sync::Arc;
 
 const SEED: u64 = 0x5eed;
@@ -78,7 +76,7 @@ fn evc_run(threads: usize) -> String {
         Arc::new(Mesh::new(4, 4, 1)),
         RoutingPolicy::Xy,
         VaPolicy::Dynamic,
-        &EvcRouterFactory::default(),
+        &EvcRouterFactory,
     )
 }
 

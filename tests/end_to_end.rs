@@ -3,11 +3,10 @@
 
 use noc_base::{RoutingPolicy, VaPolicy};
 use noc_campaign::{PointSpec, SchemeChoice, SCHEME_NAMES};
-use noc_evc::EvcRouterFactory;
 use noc_sim::{NetworkConfig, RunSpec, Simulation};
 use noc_topology::{FlattenedButterfly, Mecs, Mesh, Ring, SharedTopology};
 use noc_traffic::{BenchmarkProfile, CmpTraffic, SyntheticPattern, SyntheticTraffic};
-use pseudo_circuit::{PcRouterFactory, Scheme};
+use pseudo_circuit::{EvcRouterFactory, PcRouterFactory, Scheme};
 use std::sync::Arc;
 
 /// What most tests here run with: XY routing + static VA on the paper's
@@ -145,7 +144,7 @@ fn evc_router_integrates_with_the_builder() {
         va_policy: VaPolicy::Dynamic,
         ..XY_STATIC
     };
-    let factory = EvcRouterFactory::default();
+    let factory = EvcRouterFactory;
     let report = Simulation::new(topo, config, Box::new(traffic), &factory, SEED).run(PHASES);
     assert!(report.drained);
     assert!(report.router_stats.express_bypasses > 0);

@@ -11,14 +11,12 @@
 //! Regenerate deliberately with `NOC_BLESS=1 cargo test --test golden_report`.
 
 use noc_base::{RoutingPolicy, VaPolicy};
-use noc_evc::EvcRouterFactory;
-use noc_hybrid::HybridRouterFactory;
 use noc_sim::{
     MetricsConfig, MetricsLevel, NetworkConfig, RouterFactory, RunSpec, SimReport, Simulation,
 };
 use noc_topology::{FlattenedButterfly, Mecs, Mesh, Ring, SharedTopology};
 use noc_traffic::{BenchmarkProfile, CmpTraffic};
-use pseudo_circuit::{PcRouterFactory, Scheme};
+use pseudo_circuit::{EvcRouterFactory, HybridRouterFactory, PcRouterFactory, Scheme};
 use std::sync::Arc;
 
 const GOLDEN_PATH: &str = "tests/golden/cmp4x4_pseudo_fft.txt";
@@ -113,7 +111,7 @@ fn evc_golden_run_at(metrics: MetricsLevel) -> String {
         Arc::new(Mesh::new(4, 4, 1)),
         RoutingPolicy::Xy,
         VaPolicy::Dynamic,
-        &EvcRouterFactory::default(),
+        &EvcRouterFactory,
         metrics,
     ))
 }

@@ -65,6 +65,32 @@ fn uniform_random_stream_is_pinned() {
     assert_eq!(stream_hash(&mut traffic), UNIFORM_HASH);
 }
 
+/// Every synthetic pattern on an 8×8 grid. The grid has no fixed point
+/// outside transpose's diagonal and a hotspot's own spots, so the rule that
+/// sends a node its pattern maps to itself to a uniform other node moved no
+/// draw here; the constants were recorded before that rule replaced the
+/// per-pattern special cases.
+#[test]
+fn every_synthetic_pattern_stream_is_pinned() {
+    let hotspot = SyntheticPattern::Hotspot {
+        fraction: 0.3,
+        spots: vec![NodeId::new(0), NodeId::new(27)],
+    };
+    let pinned = [
+        (SyntheticPattern::UniformRandom, UNIFORM_HASH),
+        (SyntheticPattern::BitComplement, 0x8e4c02d4da77878c),
+        (SyntheticPattern::Transpose, 0x06fc38c9d89fbd90),
+        (SyntheticPattern::Tornado, 0x176c128ed52b17b4),
+        (SyntheticPattern::Neighbor, 0xd5b19813eb145460),
+        (hotspot, 0x89fadfb1f1d6a2e8),
+    ];
+    for (pattern, expected) in pinned {
+        let label = pattern.label();
+        let mut traffic = SyntheticTraffic::new(pattern, 8, 8, 4, 0.22, 1);
+        assert_eq!(stream_hash(&mut traffic), expected, "{label}");
+    }
+}
+
 #[test]
 fn cmp_fft_stream_is_pinned() {
     let profile = *BenchmarkProfile::by_name("fft").expect("profile exists");
