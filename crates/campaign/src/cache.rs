@@ -1,6 +1,6 @@
 //! The run record and the content-addressed on-disk result cache.
 //!
-//! [`PointResult`] is the one record of a finished run (`noc-point/1`): the
+//! [`PointResult`] is the one record of a finished run (`noc-point/2`): the
 //! point's coordinates, its configuration hash, the git revision and the
 //! headline results. `noc run --manifest` writes it with the fields only a
 //! single run has ([`PointResult::run_json`]); the cache stores it as every
@@ -38,7 +38,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Schema identifier stamped into every run record.
-pub const POINT_SCHEMA: &str = "noc-point/1";
+pub const POINT_SCHEMA: &str = "noc-point/2";
 
 /// One simulated point's coordinates and headline results — the record of a
 /// run: what `noc run --manifest` writes, the cache stores and the merged
@@ -75,6 +75,11 @@ pub struct PointResult {
     pub bypass_rate: f64,
     /// Total router energy in picojoules.
     pub energy_pj: f64,
+    /// Flits that traversed a router crossbar, over the whole run (the
+    /// denominator of per-flit energy).
+    pub flit_traversals: u64,
+    /// Fraction of header-flit traversals that reused a pseudo-circuit.
+    pub header_hit_rate: f64,
     /// Whether every measured packet drained.
     pub drained: bool,
 }
@@ -98,6 +103,8 @@ impl PointResult {
             reusability: report.reusability(),
             bypass_rate: report.bypass_rate(),
             energy_pj: report.energy_pj(),
+            flit_traversals: report.router_stats.flit_traversals,
+            header_hit_rate: report.router_stats.header_hit_rate(),
             drained: report.drained,
         }
     }
@@ -159,6 +166,8 @@ impl PointResult {
         f64_field(&mut s, "reusability", self.reusability);
         f64_field(&mut s, "bypass_rate", self.bypass_rate);
         f64_field(&mut s, "energy_pj", self.energy_pj);
+        u64_field(&mut s, "flit_traversals", self.flit_traversals);
+        f64_field(&mut s, "header_hit_rate", self.header_hit_rate);
         let _ = write!(s, "  \"drained\": {}", self.drained);
         if let Some(o) = observability {
             s.push_str(",\n  \"routers\": [");
@@ -172,7 +181,7 @@ impl PointResult {
         s
     }
 
-    /// Parses a `noc-point/1` JSON document — a cache entry or a `noc run`
+    /// Parses a `noc-point/2` JSON document — a cache entry or a `noc run`
     /// manifest; the fields only a single run has are not part of the
     /// record and are skipped.
     ///
@@ -221,6 +230,8 @@ impl PointResult {
             reusability: get_f64(t, "reusability")?,
             bypass_rate: get_f64(t, "bypass_rate")?,
             energy_pj: get_f64(t, "energy_pj")?,
+            flit_traversals: get_int(t, "flit_traversals")?,
+            header_hit_rate: get_f64(t, "header_hit_rate")?,
             drained: t
                 .get("drained")
                 .and_then(Value::as_bool)
@@ -405,6 +416,8 @@ mod tests {
             reusability: 1.0 / 3.0,
             bypass_rate: 0.125,
             energy_pj: 1234.5,
+            flit_traversals: 96,
+            header_hit_rate: 0.25,
             drained: true,
         }
     }

@@ -34,7 +34,9 @@ pub mod spec;
 pub mod value;
 
 pub use cache::{write_atomic, PointResult, ResultCache, POINT_SCHEMA};
-pub use report::{CampaignReport, Crossover, Curve, REPORT_SCHEMA, SATURATION_FACTOR};
+pub use report::{
+    CampaignReport, Crossover, Curve, Interval, SeedGroup, REPORT_SCHEMA, SATURATION_FACTOR,
+};
 pub use runner::{
     build_simulation, build_topology, build_traffic, prepare, run_point, validate, PreparedPoint,
     TOPOLOGY_FORMS,

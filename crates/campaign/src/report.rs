@@ -1,9 +1,11 @@
 //! Merging point results into the campaign report.
 //!
-//! The report (`noc-campaign-report/1`) is the campaign's one consumable
-//! artifact: per-curve latency/throughput/energy series ready for plotting,
-//! plus two derived observations the paper's figure family leans on —
-//! per-curve **saturation load** and cross-scheme **crossover load**.
+//! The report (`noc-campaign-report/2`) is the campaign's one consumable
+//! artifact: per-curve latency/throughput/energy series ready for plotting;
+//! **seed groups**, the curves that differ only in seed, with a per-load mean
+//! latency and its 95 % t-interval; and two derived observations the paper's
+//! figure family leans on — per-curve **saturation load** and cross-scheme
+//! **crossover load** between seed groups.
 //!
 //! The merge is a pure function of the point results: the same results in
 //! any discovery order produce byte-identical report text. Combined with
@@ -15,24 +17,25 @@
 use crate::cache::PointResult;
 use crate::spec::PointSpec;
 use noc_sim::manifest::escape_json;
+use std::cmp::Ordering;
 use std::fmt::Write as _;
 
 /// Schema identifier stamped into every campaign report.
-pub const REPORT_SCHEMA: &str = "noc-campaign-report/1";
+pub const REPORT_SCHEMA: &str = "noc-campaign-report/2";
 
 /// One latency–throughput curve: every point sharing all coordinates except
 /// load, ordered by ascending load.
 #[derive(Clone, Debug)]
 pub struct Curve {
-    /// The shared coordinates (see [`PointSpec::curve_key`]).
+    /// The shared coordinates (`PointSpec::key(true, true)`).
     pub key: String,
     /// Representative point spec (coordinates other than load).
     pub spec: PointSpec,
     /// Points ordered by ascending load.
     pub series: Vec<PointResult>,
-    /// The first sampled load at which the curve saturates, if any:
-    /// the run failed to drain, or mean latency exceeded
-    /// [`SATURATION_FACTOR`] × the curve's lowest-load latency.
+    /// The first sampled load at which the curve saturates, if any: the run
+    /// failed to drain, or mean latency exceeded [`SATURATION_FACTOR`] × the
+    /// latency of the curve's lowest-load point with a measured delivery.
     pub saturation_load: Option<f64>,
 }
 
@@ -42,14 +45,73 @@ pub struct Curve {
 /// load is a stable, slightly conservative knee estimate.
 pub const SATURATION_FACTOR: f64 = 3.0;
 
-/// A detected latency crossover between two schemes that share every other
-/// coordinate: the smallest sampled load at which the scheme ordering
-/// flips relative to the previous shared load.
+/// Two-sided 95 % Student-t critical values, `t(0.975, df)` for df = 1..=30.
+const T95: [f64; 30] = [
+    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
+    2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
+    2.052, 2.048, 2.045, 2.042,
+];
+
+/// A sample mean with its two-sided 95 % Student-t interval.
+#[derive(Copy, Clone, PartialEq, Debug)]
+pub struct Interval {
+    /// Samples.
+    pub n: usize,
+    /// Their mean.
+    pub mean: f64,
+    /// Lower end: `mean − t(0.975, n − 1) · s / √n`.
+    pub lo: f64,
+    /// Upper end: `mean + t(0.975, n − 1) · s / √n`.
+    pub hi: f64,
+}
+
+impl Interval {
+    /// The interval of `samples`, `None` when there are none. One sample has
+    /// a zero-width interval; above 30 degrees of freedom the df = 30 value
+    /// of t is used.
+    pub fn of(samples: &[f64]) -> Option<Self> {
+        let n = samples.len();
+        if n == 0 {
+            return None;
+        }
+        let mean = samples.iter().sum::<f64>() / n as f64;
+        let half = if n == 1 {
+            0.0
+        } else {
+            let ss: f64 = samples.iter().map(|x| (x - mean) * (x - mean)).sum();
+            T95[(n - 2).min(T95.len() - 1)] * (ss / (n - 1) as f64 / n as f64).sqrt()
+        };
+        Some(Self {
+            n,
+            mean,
+            lo: mean - half,
+            hi: mean + half,
+        })
+    }
+}
+
+/// The curves that share every coordinate but the seed, as one
+/// configuration measured over seeds.
+#[derive(Clone, Debug)]
+pub struct SeedGroup {
+    /// The shared coordinates (`PointSpec::key(true, false)`).
+    pub key: String,
+    /// Representative point spec (the first curve's).
+    pub spec: PointSpec,
+    /// Per sampled load, ascending: the latency over the seeds whose point
+    /// delivered a measured packet. A load no seed delivered at is left out.
+    pub latency: Vec<(f64, Interval)>,
+}
+
+/// A detected latency crossover between two seed groups that share every
+/// other coordinate: the smallest sampled load at which their latency
+/// intervals separate in the opposite order to the last load where they
+/// separated.
 #[derive(Clone, Debug)]
 pub struct Crossover {
-    /// Curve key of the pair *without* the scheme coordinate.
+    /// The pair's shared coordinates (`PointSpec::key(false, false)`).
     pub group: String,
-    /// Scheme of the curve that was faster at the previous shared load.
+    /// Scheme of the group that was faster at the previous separated load.
     pub was_faster: String,
     /// Scheme that is faster from `load` on.
     pub now_faster: String,
@@ -64,8 +126,10 @@ pub struct CampaignReport {
     pub name: String,
     /// Git revision the results were produced at.
     pub git_rev: String,
-    /// All curves, in first-appearance order of the expansion.
+    /// All curves, one per seed, in first-appearance order of the expansion.
     pub curves: Vec<Curve>,
+    /// The curves grouped over seeds, in first-appearance order.
+    pub groups: Vec<SeedGroup>,
     /// Detected cross-scheme crossovers, in deterministic order.
     pub crossovers: Vec<Crossover>,
 }
@@ -76,7 +140,7 @@ impl CampaignReport {
     pub fn merge(name: &str, git_rev: &str, results: &[PointResult]) -> Self {
         let mut curves: Vec<Curve> = Vec::new();
         for result in results {
-            let key = result.spec.curve_key();
+            let key = result.spec.key(true, true);
             match curves.iter_mut().find(|c| c.key == key) {
                 Some(curve) => curve.series.push(result.clone()),
                 None => curves.push(Curve {
@@ -93,16 +157,18 @@ impl CampaignReport {
                 .sort_by(|a, b| a.spec.load.total_cmp(&b.spec.load));
             curve.saturation_load = saturation_load(&curve.series);
         }
-        let crossovers = find_crossovers(&curves);
+        let groups = seed_groups(&curves);
+        let crossovers = find_crossovers(&groups);
         Self {
             name: name.to_string(),
             git_rev: git_rev.to_string(),
             curves,
+            groups,
             crossovers,
         }
     }
 
-    /// Serializes the report as a `noc-campaign-report/1` JSON document.
+    /// Serializes the report as a `noc-campaign-report/2` JSON document.
     /// Deterministic: byte-identical for identical inputs.
     pub fn to_json(&self) -> String {
         let total: usize = self.curves.iter().map(|c| c.series.len()).sum();
@@ -121,6 +187,14 @@ impl CampaignReport {
             write_curve(&mut s, curve);
         }
         if !self.curves.is_empty() {
+            s.push_str("\n  ");
+        }
+        s.push_str("],\n  \"groups\": [");
+        for (i, group) in self.groups.iter().enumerate() {
+            s.push_str(if i == 0 { "\n" } else { ",\n" });
+            write_group(&mut s, group);
+        }
+        if !self.groups.is_empty() {
             s.push_str("\n  ");
         }
         s.push_str("],\n  \"crossovers\": [");
@@ -202,7 +276,8 @@ fn write_curve(s: &mut String, curve: &Curve) {
             "\n      {{\"load\": {:?}, \"config_hash\": \"{}\", \"avg_latency\": {}, \
              \"p99_latency\": {}, \"avg_hops\": {}, \"throughput\": {}, \
              \"reusability\": {}, \"bypass_rate\": {}, \"energy_pj\": {}, \
-             \"cycles\": {}, \"delivered\": {}, \"drained\": {}}}",
+             \"flit_traversals\": {}, \"header_hit_rate\": {}, \"cycles\": {}, \
+             \"delivered\": {}, \"drained\": {}}}",
             r.spec.load,
             escape_json(&r.config_hash),
             json_f64(r.avg_latency),
@@ -212,6 +287,8 @@ fn write_curve(s: &mut String, curve: &Curve) {
             json_f64(r.reusability),
             json_f64(r.bypass_rate),
             json_f64(r.energy_pj),
+            r.flit_traversals,
+            json_f64(r.header_hit_rate),
             r.cycles,
             r.measured_delivered,
             r.drained
@@ -231,77 +308,135 @@ fn json_f64(value: f64) -> String {
     }
 }
 
-/// The knee of one load-ordered series, per the criterion on
-/// [`SATURATION_FACTOR`]. An undrained point saturates regardless of its
-/// (censored) measured latency.
-fn saturation_load(series: &[PointResult]) -> Option<f64> {
-    let base = series.first()?;
-    if !base.drained {
-        return Some(base.spec.load);
+fn write_group(s: &mut String, group: &SeedGroup) {
+    let _ = write!(
+        s,
+        "    {{\"key\": \"{}\", \"series\": [",
+        escape_json(&group.key)
+    );
+    for (i, (load, x)) in group.latency.iter().enumerate() {
+        let _ = write!(
+            s,
+            "{}\n      {{\"load\": {load:?}, \"n\": {}, \"mean\": {}, \"lo\": {}, \"hi\": {}}}",
+            if i == 0 { "" } else { "," },
+            x.n,
+            json_f64(x.mean),
+            json_f64(x.lo),
+            json_f64(x.hi)
+        );
     }
-    let threshold = base.avg_latency * SATURATION_FACTOR;
+    s.push_str(if group.latency.is_empty() {
+        "]}"
+    } else {
+        "\n    ]}"
+    });
+}
+
+/// The knee of one load-ordered series, per the criterion on
+/// [`SATURATION_FACTOR`]. The reference is the lowest-load point with a
+/// measured delivery (one without has no latency to multiply); an undrained
+/// point saturates regardless of its (censored) measured latency.
+fn saturation_load(series: &[PointResult]) -> Option<f64> {
+    let threshold = series
+        .iter()
+        .find(|p| p.measured_delivered > 0)
+        .map_or(f64::INFINITY, |p| p.avg_latency * SATURATION_FACTOR);
     series
         .iter()
         .find(|p| !p.drained || p.avg_latency > threshold)
         .map(|p| p.spec.load)
 }
 
-/// Group key for crossover detection: the curve key with the scheme
-/// coordinate removed.
-fn schemeless_key(p: &PointSpec) -> String {
-    format!(
-        "{}/{}/{}/{}/vcs{}/buf{}/pkt{}/seed{}",
-        p.topology,
-        p.traffic,
-        crate::spec::routing_name(p.routing),
-        crate::spec::va_name(p.va),
-        p.vcs,
-        p.buffer,
-        p.packet,
-        p.seed
-    )
+/// Groups the curves over seeds and summarises each group's latency per
+/// load; points without a measured delivery stay out of the summary.
+fn seed_groups(curves: &[Curve]) -> Vec<SeedGroup> {
+    let mut members: Vec<(String, Vec<&Curve>)> = Vec::new();
+    for curve in curves {
+        let key = curve.spec.key(true, false);
+        match members.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, group)) => group.push(curve),
+            None => members.push((key, vec![curve])),
+        }
+    }
+    members
+        .into_iter()
+        .map(|(key, group)| {
+            let mut loads: Vec<f64> = group
+                .iter()
+                .flat_map(|c| c.series.iter().map(|p| p.spec.load))
+                .collect();
+            loads.sort_by(f64::total_cmp);
+            loads.dedup_by(|a, b| a.to_bits() == b.to_bits());
+            let latency = loads
+                .into_iter()
+                .filter_map(|load| {
+                    let samples: Vec<f64> = group
+                        .iter()
+                        .flat_map(|c| &c.series)
+                        .filter(|p| p.spec.load.to_bits() == load.to_bits())
+                        .filter(|p| p.measured_delivered > 0)
+                        .map(|p| p.avg_latency)
+                        .collect();
+                    Some((load, Interval::of(&samples)?))
+                })
+                .collect();
+            SeedGroup {
+                key,
+                spec: group[0].spec.clone(),
+                latency,
+            }
+        })
+        .collect()
 }
 
-/// Detects latency crossovers between every pair of curves that differ only
-/// in scheme. Curves are visited in report order, loads ascending, so the
-/// output order is deterministic.
-fn find_crossovers(curves: &[Curve]) -> Vec<Crossover> {
+/// `Less` when interval `a` lies wholly below `b`, `Greater` when wholly
+/// above, `None` while the two overlap.
+fn separation(a: &Interval, b: &Interval) -> Option<Ordering> {
+    if a.hi < b.lo {
+        Some(Ordering::Less)
+    } else if a.lo > b.hi {
+        Some(Ordering::Greater)
+    } else {
+        None
+    }
+}
+
+/// Detects latency crossovers between every pair of seed groups that differ
+/// only in scheme, at the loads both sampled where their intervals separate.
+/// Groups are visited in report order, loads ascending, so the output order
+/// is deterministic.
+fn find_crossovers(groups: &[SeedGroup]) -> Vec<Crossover> {
+    let keys: Vec<String> = groups.iter().map(|g| g.spec.key(false, false)).collect();
     let mut out = Vec::new();
-    for (i, a) in curves.iter().enumerate() {
-        for b in &curves[i + 1..] {
-            if schemeless_key(&a.spec) != schemeless_key(&b.spec) {
+    for (i, a) in groups.iter().enumerate() {
+        for (j, b) in groups.iter().enumerate().skip(i + 1) {
+            if keys[i] != keys[j] {
                 continue;
             }
-            // Walk the loads sampled by both curves in ascending order.
-            let mut prev: Option<(f64, std::cmp::Ordering)> = None;
-            for pa in &a.series {
-                let Some(pb) = b
-                    .series
+            let mut prev = None;
+            for (load, la) in &a.latency {
+                let Some(order) = b
+                    .latency
                     .iter()
-                    .find(|p| p.spec.load.to_bits() == pa.spec.load.to_bits())
+                    .find(|(l, _)| l.to_bits() == load.to_bits())
+                    .and_then(|(_, lb)| separation(la, lb))
                 else {
                     continue;
                 };
-                let order = pa.avg_latency.total_cmp(&pb.avg_latency);
-                if order == std::cmp::Ordering::Equal {
-                    continue;
+                if prev.is_some_and(|p| p != order) {
+                    let (was, now) = match order {
+                        Ordering::Less => (b, a),
+                        _ => (a, b),
+                    };
+                    out.push(Crossover {
+                        group: keys[i].clone(),
+                        was_faster: was.spec.scheme.canonical().to_string(),
+                        now_faster: now.spec.scheme.canonical().to_string(),
+                        load: *load,
+                    });
+                    break;
                 }
-                if let Some((_, prev_order)) = prev {
-                    if order != prev_order {
-                        let (was, now) = match order {
-                            std::cmp::Ordering::Less => (&b.spec, &a.spec),
-                            _ => (&a.spec, &b.spec),
-                        };
-                        out.push(Crossover {
-                            group: schemeless_key(&a.spec),
-                            was_faster: was.scheme.canonical().to_string(),
-                            now_faster: now.scheme.canonical().to_string(),
-                            load: pa.spec.load,
-                        });
-                        break;
-                    }
-                }
-                prev = Some((pa.spec.load, order));
+                prev = Some(order);
             }
         }
     }
@@ -334,9 +469,18 @@ mod tests {
             reusability: 0.4,
             bypass_rate: 0.2,
             energy_pj: 100.0 * load,
+            flit_traversals: 5000,
+            header_hit_rate: 0.15,
             drained,
             spec: point,
         }
+    }
+
+    /// `fake` at another seed.
+    fn seeded(seed: u64, scheme: &str, load: f64, latency: f64) -> PointResult {
+        let mut result = fake(scheme, load, latency, true);
+        result.spec.seed = seed;
+        result
     }
 
     #[test]
@@ -379,6 +523,121 @@ mod tests {
         ];
         let report = CampaignReport::merge("t", "rev", &flat);
         assert_eq!(report.curves[0].saturation_load, None);
+    }
+
+    #[test]
+    fn a_point_without_measured_packets_does_not_poison_the_knee() {
+        // mesh4x4/ur at loads 0.0001, 0.01, 0.05 over a 50-cycle window: the
+        // lowest load delivers nothing, so its latency reads 0.0.
+        let mut empty = fake("pseudo", 0.0001, 0.0, true);
+        empty.measured_injected = 0;
+        empty.measured_delivered = 0;
+        let results = vec![
+            empty.clone(),
+            fake("pseudo", 0.01, 18.0, true),
+            fake("pseudo", 0.05, 20.0, true),
+        ];
+        let report = CampaignReport::merge("t", "rev", &results);
+        assert_eq!(report.curves[0].saturation_load, None);
+        // The knee is measured from the first point that delivered.
+        let results = vec![
+            empty.clone(),
+            fake("pseudo", 0.01, 18.0, true),
+            fake("pseudo", 0.05, 60.0, true),
+        ];
+        let report = CampaignReport::merge("t", "rev", &results);
+        assert_eq!(report.curves[0].saturation_load, Some(0.05));
+        // No measured point leaves it to the drain test alone.
+        let report = CampaignReport::merge("t", "rev", &[empty.clone()]);
+        assert_eq!(report.curves[0].saturation_load, None);
+
+        // Out of the group mean, and so out of crossover comparisons.
+        let mut late = empty.clone();
+        late.spec.seed = 2;
+        late.spec.load = 0.01;
+        let results = vec![fake("pseudo", 0.01, 18.0, true), late];
+        let report = CampaignReport::merge("t", "rev", &results);
+        assert_eq!(report.groups.len(), 1);
+        let (load, x) = report.groups[0].latency[0];
+        assert_eq!((load, x.n, x.mean), (0.01, 1, 18.0));
+        let baseline = fake("baseline", 0.0001, 5.0, true);
+        let report = CampaignReport::merge("t", "rev", &[empty, baseline]);
+        assert!(report.groups[0].latency.is_empty());
+        assert!(report.crossovers.is_empty());
+    }
+
+    #[test]
+    fn interval_is_the_student_t_interval_of_the_mean() {
+        assert_eq!(Interval::of(&[]), None);
+        let one = Interval::of(&[7.5]).unwrap();
+        assert_eq!((one.n, one.mean, one.lo, one.hi), (1, 7.5, 7.5, 7.5));
+        // 1..=5: mean 3, s = √2.5, t(0.975, 4) = 2.776.
+        let five = Interval::of(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
+        let half = 2.776 * (2.5f64 / 5.0).sqrt();
+        assert_eq!((five.n, five.mean), (5, 3.0));
+        assert!((five.lo - (3.0 - half)).abs() < 1e-12 && (five.hi - (3.0 + half)).abs() < 1e-12);
+        // Past df = 30 the df = 30 value holds.
+        let many: Vec<f64> = (0..40).map(|i| (i % 2) as f64).collect();
+        let wide = Interval::of(&many).unwrap();
+        let s = (10.0f64 / 39.0).sqrt();
+        assert!((wide.hi - 0.5 - 2.042 * s / 40f64.sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn seed_groups_summarise_curves_that_differ_only_in_seed() {
+        let results = vec![
+            seeded(1, "baseline", 0.1, 10.0),
+            seeded(2, "baseline", 0.1, 12.0),
+            seeded(1, "baseline", 0.2, 20.0),
+            seeded(1, "evc", 0.1, 30.0),
+        ];
+        let report = CampaignReport::merge("t", "rev", &results);
+        assert_eq!(report.curves.len(), 3, "curves stay one per seed");
+        assert_eq!(report.groups.len(), 2);
+        let base = &report.groups[0];
+        assert_eq!(base.key, "mesh8x8/ur/baseline/xy/static/vcs4/buf4/pkt5");
+        let (load, x) = base.latency[0];
+        assert_eq!((load, x.n, x.mean), (0.1, 2, 11.0));
+        // s = √2, so the half-width is t(0.975, 1) · √2 / √2.
+        assert!((x.hi - 11.0 - 12.706).abs() < 1e-9, "{x:?}");
+        assert_eq!(base.latency[1].1.n, 1);
+        let json = report.to_json();
+        assert!(json.contains("\"groups\": [\n    {\"key\": \"mesh8x8/ur/baseline/"));
+        assert!(json.contains("{\"load\": 0.1, \"n\": 2, \"mean\": 11.0, "));
+    }
+
+    #[test]
+    fn crossovers_need_separated_intervals() {
+        // Three seeds each. At 0.1 pseudo is clearly faster; at 0.2 the
+        // intervals overlap; at 0.3 baseline is clearly faster.
+        let mut results = Vec::new();
+        let mut add = |load: f64, base: [f64; 3], pseudo: [f64; 3]| {
+            for seed in 1..=3 {
+                let i = seed as usize - 1;
+                results.push(seeded(seed, "baseline", load, base[i]));
+                results.push(seeded(seed, "pseudo", load, pseudo[i]));
+            }
+        };
+        add(0.1, [20.0, 20.5, 21.0], [10.0, 10.5, 11.0]);
+        add(0.2, [20.0, 25.0, 30.0], [25.0, 25.5, 26.0]);
+        add(0.3, [30.0, 30.5, 31.0], [40.0, 40.5, 41.0]);
+        let report = CampaignReport::merge("t", "rev", &results);
+        assert_eq!(report.crossovers.len(), 1);
+        let x = &report.crossovers[0];
+        assert_eq!(x.group, "mesh8x8/ur/xy/static/vcs4/buf4/pkt5");
+        assert_eq!(
+            (x.was_faster.as_str(), x.now_faster.as_str(), x.load),
+            ("pseudo", "baseline", 0.3)
+        );
+        // Overlap at 0.3 too: no flip is shown.
+        results.retain(|r| r.spec.load != 0.3);
+        for (seed, base) in [(1, 30.0), (2, 40.0), (3, 50.0)] {
+            results.push(seeded(seed, "baseline", 0.3, base));
+            results.push(seeded(seed, "pseudo", 0.3, 40.5));
+        }
+        assert!(CampaignReport::merge("t", "rev", &results)
+            .crossovers
+            .is_empty());
     }
 
     #[test]
@@ -425,7 +684,7 @@ mod tests {
         let ra = CampaignReport::merge("t", "rev", &a).to_json();
         let rb = CampaignReport::merge("t", "rev", &b).to_json();
         assert_eq!(ra, rb);
-        assert!(ra.contains("\"schema\": \"noc-campaign-report/1\""));
+        assert!(ra.contains("\"schema\": \"noc-campaign-report/2\""));
         assert!(ra.contains("\"points\": 3"));
         // The document parses back with the crate's own JSON reader.
         assert!(crate::value::parse_json(&ra).is_ok());

@@ -235,27 +235,40 @@ impl PointSpec {
         RunSpec::new(self.warmup, self.measure, self.drain)
     }
 
-    /// The point's curve key: every coordinate except load. Points sharing a
-    /// curve key form one latency–throughput curve in the merged report.
-    pub fn curve_key(&self) -> String {
+    /// The point's coordinates other than load, `/`-separated, with the
+    /// scheme and the seed only when asked for — the one key format of the
+    /// merged report. `key(true, true)` is the curve key (points sharing it
+    /// form one latency–throughput curve), `key(true, false)` the seed-group
+    /// key (curves sharing it are one configuration over seeds), and
+    /// `key(false, false)` the crossover key (groups sharing it differ only in
+    /// scheme).
+    pub fn key(&self, scheme: bool, seed: bool) -> String {
+        let scheme = if scheme {
+            format!("{}/", self.scheme.canonical())
+        } else {
+            String::new()
+        };
+        let seed = if seed {
+            format!("/seed{}", self.seed)
+        } else {
+            String::new()
+        };
         format!(
-            "{}/{}/{}/{}/{}/vcs{}/buf{}/pkt{}/seed{}",
+            "{}/{}/{scheme}{}/{}/vcs{}/buf{}/pkt{}{seed}",
             self.topology,
             self.traffic,
-            self.scheme.canonical(),
             routing_name(self.routing),
             va_name(self.va),
             self.vcs,
             self.buffer,
-            self.packet,
-            self.seed
+            self.packet
         )
     }
 }
 
 impl fmt::Display for PointSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} load{:?}", self.curve_key(), self.load)
+        write!(f, "{} load{:?}", self.key(true, true), self.load)
     }
 }
 
@@ -649,8 +662,21 @@ load = [0.05, 0.1]
         assert_eq!(points[1].load, 0.1);
         assert_eq!(points[2].scheme.canonical(), "evc");
         assert_eq!(points[0].warmup, 10);
-        assert_eq!(points[0].curve_key(), points[1].curve_key());
-        assert_ne!(points[0].curve_key(), points[2].curve_key());
+        assert_eq!(points[0].key(true, true), points[1].key(true, true));
+        assert_ne!(points[0].key(true, true), points[2].key(true, true));
+        assert_eq!(
+            points[0].key(true, true),
+            "mesh2x2/ur/baseline/xy/static/vcs4/buf4/pkt5/seed1"
+        );
+        assert_eq!(
+            points[0].key(true, false),
+            "mesh2x2/ur/baseline/xy/static/vcs4/buf4/pkt5"
+        );
+        assert_eq!(points[0].key(false, false), points[2].key(false, false));
+        assert_eq!(
+            points[0].key(false, false),
+            "mesh2x2/ur/xy/static/vcs4/buf4/pkt5"
+        );
     }
 
     #[test]

@@ -192,6 +192,8 @@ fn sample_result() -> PointResult {
         reusability: 1.0 / 3.0,
         bypass_rate: 0.125,
         energy_pj: 98_765.4,
+        flit_traversals: 64_000,
+        header_hit_rate: 0.25,
         drained: true,
     }
 }
