@@ -22,8 +22,8 @@
 //!   ([`rng::SeedStream`]) so that every experiment in the reproduction is
 //!   bit-for-bit repeatable regardless of external crate versions;
 //! - a persistent fork/join worker pool ([`pool::WorkerPool`]) shared by the
-//!   multi-threaded cycle loop and the campaign and figure sweeps, and the
-//!   host's thread budget ([`pool::host_threads`]).
+//!   multi-threaded cycle loop and campaign sweeps, and the host's thread
+//!   budget ([`pool::host_threads`]).
 //!
 //! # Example
 //!

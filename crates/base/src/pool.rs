@@ -1,12 +1,12 @@
 //! A persistent worker pool for deterministic fork/join parallelism.
 //!
 //! The sharded cycle loop in `noc-sim` (thousands of tiny fork/joins per
-//! second) and the campaign / figure-harness sweeps (a handful of long jobs)
-//! share one process-global pool of worker threads instead of spawning per
-//! call. A batch is an indexed job set `0..len`; threads claim indices one
-//! at a time as they become free, so callers get load balancing while
-//! *result* placement stays index-keyed and therefore deterministic: which
-//! thread runs which index is unspecified, nothing else is.
+//! second) and campaign sweeps (a handful of long jobs) share one
+//! process-global pool of worker threads instead of spawning per call. A
+//! batch is an indexed job set `0..len`; threads claim indices one at a time
+//! as they become free, so callers get load balancing while *result*
+//! placement stays index-keyed and therefore deterministic: which thread
+//! runs which index is unspecified, nothing else is.
 //!
 //! # How a batch runs
 //!
@@ -63,8 +63,8 @@ fn host_cpus() -> usize {
 }
 
 /// The host's thread budget: its CPUs, capped by `NOC_THREADS`. The one
-/// reading of the variable: a campaign's default worker count, the figure
-/// harnesses' sweep width and the ceiling on `noc run --threads`.
+/// reading of the variable: a campaign's default worker count (and so the
+/// width of the figure specs' runs) and the ceiling on `noc run --threads`.
 ///
 /// # Errors
 ///

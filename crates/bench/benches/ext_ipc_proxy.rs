@@ -7,7 +7,7 @@
 //! reports the MSHR-stall fraction of active core cycles per scheme — a
 //! first-order proxy for the IPC impact the authors deferred to future work.
 
-use noc_bench::{banner, cmp_point, parallel_map, pct, Table};
+use noc_bench::{banner, cmp_point, pct, Table};
 use noc_campaign::{build_simulation, PointSpec, SchemeChoice};
 use noc_sim::MetricsConfig;
 use noc_traffic::{BenchmarkProfile, CmpStats, CmpTraffic};
@@ -44,7 +44,7 @@ fn main() {
             });
         }
     }
-    let stats = parallel_map(&points, cmp_stats);
+    let stats: Vec<CmpStats> = points.iter().map(cmp_stats).collect();
 
     let mut table = Table::new([
         "benchmark",

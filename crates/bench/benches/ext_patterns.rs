@@ -7,7 +7,7 @@
 //! like UR on a mesh.
 
 use noc_base::{NodeId, RoutingPolicy, VaPolicy};
-use noc_bench::{banner, parallel_map, pct, run_points, synth_point, Table, SYNTH_PHASES};
+use noc_bench::{banner, pct, run, synth_point, Table};
 use noc_campaign::{PointSpec, SchemeChoice};
 use noc_sim::{NetworkConfig, Simulation};
 use noc_topology::{Mesh, SharedTopology};
@@ -37,7 +37,7 @@ fn main() {
             }
         }
     }
-    let mut reports = run_points(&points);
+    let mut reports: Vec<_> = points.iter().map(run).collect();
 
     // A hotspot pattern carries a node list, which the traffic vocabulary
     // cannot name: these rows are built at object level, on the mesh,
@@ -58,10 +58,11 @@ fn main() {
             cells.push((load, scheme));
         }
     }
-    reports.extend(parallel_map(&cells, |&(load, scheme)| {
+    reports.extend(cells.iter().map(|&(load, scheme)| {
         let traffic = SyntheticTraffic::new(hotspot.clone(), 8, 8, 5, load, SEED);
         let factory = PcRouterFactory::new(scheme);
-        Simulation::new(topo.clone(), config, Box::new(traffic), &factory, SEED).run(SYNTH_PHASES)
+        let phases = synth_point("hotspot", load).run_spec();
+        Simulation::new(topo.clone(), config, Box::new(traffic), &factory, SEED).run(phases)
     }));
 
     let mut table = Table::new([

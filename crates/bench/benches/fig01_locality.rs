@@ -7,7 +7,7 @@
 //! pseudo-circuit scheme exploits.
 
 use noc_base::VaPolicy;
-use noc_bench::{banner, cmp_point, pct, run_points, Table};
+use noc_bench::{banner, cmp_point, pct, run, Table};
 use noc_campaign::{PointSpec, SchemeChoice};
 use noc_traffic::BenchmarkProfile;
 use pseudo_circuit::Scheme;
@@ -26,7 +26,7 @@ fn main() {
             ..cmp_point(bench.name)
         })
         .collect();
-    let reports = run_points(&points);
+    let reports: Vec<_> = points.iter().map(run).collect();
 
     let mut table = Table::new(["benchmark", "end-to-end", "crossbar connection"]);
     let (mut e2e_sum, mut xbar_sum) = (0.0, 0.0);

@@ -75,10 +75,9 @@ pub struct PointResult {
     pub bypass_rate: f64,
     /// Total router energy in picojoules.
     pub energy_pj: f64,
-    /// Flits that traversed a router crossbar, over the whole run (the
-    /// denominator of per-flit energy).
+    /// Crossbar traversals over the whole run (per-flit energy divides by it).
     pub flit_traversals: u64,
-    /// Fraction of header-flit traversals that reused a pseudo-circuit.
+    /// Fraction of header traversals that reused a pseudo-circuit.
     pub header_hit_rate: f64,
     /// Whether every measured packet drained.
     pub drained: bool,

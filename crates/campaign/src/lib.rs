@@ -34,9 +34,7 @@ pub mod spec;
 pub mod value;
 
 pub use cache::{write_atomic, PointResult, ResultCache, POINT_SCHEMA};
-pub use report::{
-    CampaignReport, Crossover, Curve, Interval, SeedGroup, REPORT_SCHEMA, SATURATION_FACTOR,
-};
+pub use report::{CampaignReport, Curve, Interval, SeedGroup};
 pub use runner::{
     build_simulation, build_topology, build_traffic, prepare, run_point, validate, PreparedPoint,
     TOPOLOGY_FORMS,

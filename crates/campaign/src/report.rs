@@ -7,17 +7,13 @@
 //! figure family leans on — per-curve **saturation load** and cross-scheme
 //! **crossover load** between seed groups.
 //!
-//! The merge is a pure function of the point results: the same results in
-//! any discovery order produce byte-identical report text. Combined with
-//! the cache's exact round-trip (`PointResult::to_json` ∘ `from_json` is
-//! the identity), a fully-cached re-run re-emits the first run's report
-//! byte-for-byte — pinned by `tests/campaign_cache.rs` and the check.sh
-//! smoke.
+//! The merge is a pure function of the point results, so a fully-cached
+//! re-run re-emits the first run's report byte-for-byte — pinned by
+//! `tests/campaign_cache.rs` and the check.sh smoke.
 
 use crate::cache::PointResult;
 use crate::spec::PointSpec;
 use noc_sim::manifest::escape_json;
-use std::cmp::Ordering;
 use std::fmt::Write as _;
 
 /// Schema identifier stamped into every campaign report.
@@ -71,22 +67,15 @@ impl Interval {
     /// of t is used.
     pub fn of(samples: &[f64]) -> Option<Self> {
         let n = samples.len();
-        if n == 0 {
-            return None;
-        }
         let mean = samples.iter().sum::<f64>() / n as f64;
-        let half = if n == 1 {
-            0.0
-        } else {
-            let ss: f64 = samples.iter().map(|x| (x - mean) * (x - mean)).sum();
-            T95[(n - 2).min(T95.len() - 1)] * (ss / (n - 1) as f64 / n as f64).sqrt()
+        let ss: f64 = samples.iter().map(|x| (x - mean) * (x - mean)).sum();
+        let half = match n {
+            0 => return None,
+            1 => 0.0,
+            _ => T95[(n - 2).min(T95.len() - 1)] * (ss / ((n - 1) * n) as f64).sqrt(),
         };
-        Some(Self {
-            n,
-            mean,
-            lo: mean - half,
-            hi: mean + half,
-        })
+        let (lo, hi) = (mean - half, mean + half);
+        Some(Self { n, mean, lo, hi })
     }
 }
 
@@ -178,44 +167,23 @@ impl CampaignReport {
         let _ = writeln!(s, "  \"name\": \"{}\",", escape_json(&self.name));
         let _ = writeln!(s, "  \"git_rev\": \"{}\",", escape_json(&self.git_rev));
         let _ = writeln!(s, "  \"points\": {total},");
-        s.push_str("  \"curves\": [");
-        for (i, curve) in self.curves.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('\n');
-            write_curve(&mut s, curve);
-        }
-        if !self.curves.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("],\n  \"groups\": [");
-        for (i, group) in self.groups.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            write_group(&mut s, group);
-        }
-        if !self.groups.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("],\n  \"crossovers\": [");
-        for (i, x) in self.crossovers.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
+        s.push_str("  \"curves\": ");
+        write_array(&mut s, &self.curves, "  ", write_curve);
+        s.push_str(",\n  \"groups\": ");
+        write_array(&mut s, &self.groups, "  ", write_group);
+        s.push_str(",\n  \"crossovers\": ");
+        write_array(&mut s, &self.crossovers, "  ", |s, x| {
             let _ = write!(
                 s,
-                "\n    {{\"group\": \"{}\", \"was_faster\": \"{}\", \"now_faster\": \"{}\", \
+                "    {{\"group\": \"{}\", \"was_faster\": \"{}\", \"now_faster\": \"{}\", \
                  \"load\": {:?}}}",
                 escape_json(&x.group),
                 escape_json(&x.was_faster),
                 escape_json(&x.now_faster),
                 x.load
             );
-        }
-        if !self.crossovers.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
+        });
+        s.push_str("\n}\n");
         s
     }
 
@@ -223,13 +191,17 @@ impl CampaignReport {
     pub fn render_summary(&self) -> String {
         let mut out = format!("campaign {}: {} curve(s)", self.name, self.curves.len());
         for curve in &self.curves {
-            let _ = write!(out, "\n  {}  points {}  ", curve.key, curve.series.len());
-            match curve.saturation_load {
-                Some(load) => {
-                    let _ = write!(out, "saturates @ load {load:?}");
-                }
-                None => out.push_str("no saturation observed"),
-            }
+            let knee = curve
+                .saturation_load
+                .map_or("no saturation observed".into(), |load| {
+                    format!("saturates @ load {load:?}")
+                });
+            let _ = write!(
+                out,
+                "\n  {}  points {}  {knee}",
+                curve.key,
+                curve.series.len()
+            );
         }
         for x in &self.crossovers {
             let _ = write!(
@@ -242,13 +214,28 @@ impl CampaignReport {
     }
 }
 
+/// Writes `items` as a JSON array, one item per line, the closing bracket
+/// at `indent`.
+fn write_array<T>(s: &mut String, items: &[T], indent: &str, item: impl Fn(&mut String, &T)) {
+    s.push('[');
+    for (i, x) in items.iter().enumerate() {
+        s.push_str(if i == 0 { "\n" } else { ",\n" });
+        item(s, x);
+    }
+    if !items.is_empty() {
+        s.push('\n');
+        s.push_str(indent);
+    }
+    s.push(']');
+}
+
 fn write_curve(s: &mut String, curve: &Curve) {
     let p = &curve.spec;
     let _ = write!(
         s,
         "    {{\"key\": \"{}\", \"topology\": \"{}\", \"traffic\": \"{}\", \
          \"scheme\": \"{}\", \"routing\": \"{}\", \"va\": \"{}\", \"vcs\": {}, \
-         \"buffer\": {}, \"packet\": {}, \"seed\": {}, \"saturation_load\": ",
+         \"buffer\": {}, \"packet\": {}, \"seed\": {}, \"saturation_load\": {}, \"series\": ",
         escape_json(&curve.key),
         escape_json(&p.topology),
         escape_json(&p.traffic),
@@ -258,22 +245,13 @@ fn write_curve(s: &mut String, curve: &Curve) {
         p.vcs,
         p.buffer,
         p.packet,
-        p.seed
+        p.seed,
+        curve.saturation_load.map_or("null".into(), json_f64)
     );
-    match curve.saturation_load {
-        Some(load) => {
-            let _ = write!(s, "{load:?}");
-        }
-        None => s.push_str("null"),
-    }
-    s.push_str(", \"series\": [");
-    for (i, r) in curve.series.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
+    write_array(s, &curve.series, "    ", |s, r| {
         let _ = write!(
             s,
-            "\n      {{\"load\": {:?}, \"config_hash\": \"{}\", \"avg_latency\": {}, \
+            "      {{\"load\": {:?}, \"config_hash\": \"{}\", \"avg_latency\": {}, \
              \"p99_latency\": {}, \"avg_hops\": {}, \"throughput\": {}, \
              \"reusability\": {}, \"bypass_rate\": {}, \"energy_pj\": {}, \
              \"flit_traversals\": {}, \"header_hit_rate\": {}, \"cycles\": {}, \
@@ -293,11 +271,21 @@ fn write_curve(s: &mut String, curve: &Curve) {
             r.measured_delivered,
             r.drained
         );
-    }
-    if !curve.series.is_empty() {
-        s.push_str("\n    ");
-    }
-    s.push_str("]}");
+    });
+    s.push('}');
+}
+
+fn write_group(s: &mut String, group: &SeedGroup) {
+    let key = escape_json(&group.key);
+    let _ = write!(s, "    {{\"key\": \"{key}\", \"series\": ");
+    write_array(s, &group.latency, "    ", |s, (load, x)| {
+        let (n, mean, lo, hi) = (x.n, json_f64(x.mean), json_f64(x.lo), json_f64(x.hi));
+        let _ = write!(
+            s,
+            "      {{\"load\": {load:?}, \"n\": {n}, \"mean\": {mean}, \"lo\": {lo}, \"hi\": {hi}}}"
+        );
+    });
+    s.push('}');
 }
 
 fn json_f64(value: f64) -> String {
@@ -306,30 +294,6 @@ fn json_f64(value: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-fn write_group(s: &mut String, group: &SeedGroup) {
-    let _ = write!(
-        s,
-        "    {{\"key\": \"{}\", \"series\": [",
-        escape_json(&group.key)
-    );
-    for (i, (load, x)) in group.latency.iter().enumerate() {
-        let _ = write!(
-            s,
-            "{}\n      {{\"load\": {load:?}, \"n\": {}, \"mean\": {}, \"lo\": {}, \"hi\": {}}}",
-            if i == 0 { "" } else { "," },
-            x.n,
-            json_f64(x.mean),
-            json_f64(x.lo),
-            json_f64(x.hi)
-        );
-    }
-    s.push_str(if group.latency.is_empty() {
-        "]}"
-    } else {
-        "\n    ]}"
-    });
 }
 
 /// The knee of one load-ordered series, per the criterion on
@@ -350,55 +314,31 @@ fn saturation_load(series: &[PointResult]) -> Option<f64> {
 /// Groups the curves over seeds and summarises each group's latency per
 /// load; points without a measured delivery stay out of the summary.
 fn seed_groups(curves: &[Curve]) -> Vec<SeedGroup> {
-    let mut members: Vec<(String, Vec<&Curve>)> = Vec::new();
+    let mut groups: Vec<(SeedGroup, Vec<&PointResult>)> = Vec::new();
     for curve in curves {
         let key = curve.spec.key(true, false);
-        match members.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, group)) => group.push(curve),
-            None => members.push((key, vec![curve])),
+        let i = match groups.iter().position(|(g, _)| g.key == key) {
+            Some(i) => i,
+            None => {
+                let spec = curve.spec.clone();
+                let latency = Vec::new();
+                groups.push((SeedGroup { key, spec, latency }, Vec::new()));
+                groups.len() - 1
+            }
+        };
+        let delivered = curve.series.iter().filter(|p| p.measured_delivered > 0);
+        groups[i].1.extend(delivered);
+    }
+    for (group, points) in &mut groups {
+        // A stable sort: each load's points stay in curve order.
+        points.sort_by(|a, b| a.spec.load.total_cmp(&b.spec.load));
+        for same in points.chunk_by(|a, b| a.spec.load.to_bits() == b.spec.load.to_bits()) {
+            let samples: Vec<f64> = same.iter().map(|p| p.avg_latency).collect();
+            let x = Interval::of(&samples).expect("a chunk is never empty");
+            group.latency.push((same[0].spec.load, x));
         }
     }
-    members
-        .into_iter()
-        .map(|(key, group)| {
-            let mut loads: Vec<f64> = group
-                .iter()
-                .flat_map(|c| c.series.iter().map(|p| p.spec.load))
-                .collect();
-            loads.sort_by(f64::total_cmp);
-            loads.dedup_by(|a, b| a.to_bits() == b.to_bits());
-            let latency = loads
-                .into_iter()
-                .filter_map(|load| {
-                    let samples: Vec<f64> = group
-                        .iter()
-                        .flat_map(|c| &c.series)
-                        .filter(|p| p.spec.load.to_bits() == load.to_bits())
-                        .filter(|p| p.measured_delivered > 0)
-                        .map(|p| p.avg_latency)
-                        .collect();
-                    Some((load, Interval::of(&samples)?))
-                })
-                .collect();
-            SeedGroup {
-                key,
-                spec: group[0].spec.clone(),
-                latency,
-            }
-        })
-        .collect()
-}
-
-/// `Less` when interval `a` lies wholly below `b`, `Greater` when wholly
-/// above, `None` while the two overlap.
-fn separation(a: &Interval, b: &Interval) -> Option<Ordering> {
-    if a.hi < b.lo {
-        Some(Ordering::Less)
-    } else if a.lo > b.hi {
-        Some(Ordering::Greater)
-    } else {
-        None
-    }
+    groups.into_iter().map(|(group, _)| group).collect()
 }
 
 /// Detects latency crossovers between every pair of seed groups that differ
@@ -415,19 +355,20 @@ fn find_crossovers(groups: &[SeedGroup]) -> Vec<Crossover> {
             }
             let mut prev = None;
             for (load, la) in &a.latency {
-                let Some(order) = b
+                let Some((_, lb)) = b
                     .latency
                     .iter()
                     .find(|(l, _)| l.to_bits() == load.to_bits())
-                    .and_then(|(_, lb)| separation(la, lb))
                 else {
                     continue;
                 };
-                if prev.is_some_and(|p| p != order) {
-                    let (was, now) = match order {
-                        Ordering::Less => (b, a),
-                        _ => (a, b),
-                    };
+                let a_faster = match (la.hi < lb.lo, la.lo > lb.hi) {
+                    (true, _) => true,
+                    (_, true) => false,
+                    _ => continue,
+                };
+                if prev.is_some_and(|was| was != a_faster) {
+                    let (was, now) = if a_faster { (b, a) } else { (a, b) };
                     out.push(Crossover {
                         group: keys[i].clone(),
                         was_faster: was.spec.scheme.canonical().to_string(),
@@ -436,7 +377,7 @@ fn find_crossovers(groups: &[SeedGroup]) -> Vec<Crossover> {
                     });
                     break;
                 }
-                prev = Some(order);
+                prev = Some(a_faster);
             }
         }
     }

@@ -243,25 +243,19 @@ impl PointSpec {
     /// `key(false, false)` the crossover key (groups sharing it differ only in
     /// scheme).
     pub fn key(&self, scheme: bool, seed: bool) -> String {
-        let scheme = if scheme {
-            format!("{}/", self.scheme.canonical())
-        } else {
-            String::new()
-        };
-        let seed = if seed {
-            format!("/seed{}", self.seed)
-        } else {
-            String::new()
-        };
+        let scheme = scheme.then(|| format!("{}/", self.scheme.canonical()));
+        let seed = seed.then(|| format!("/seed{}", self.seed));
         format!(
-            "{}/{}/{scheme}{}/{}/vcs{}/buf{}/pkt{}{seed}",
+            "{}/{}/{}{}/{}/vcs{}/buf{}/pkt{}{}",
             self.topology,
             self.traffic,
+            scheme.unwrap_or_default(),
             routing_name(self.routing),
             va_name(self.va),
             self.vcs,
             self.buffer,
-            self.packet
+            self.packet,
+            seed.unwrap_or_default()
         )
     }
 }
@@ -574,22 +568,8 @@ impl Axes {
         check("vcs", &self.vcs)?;
         check("buffer", &self.buffer)?;
         check("packet", &self.packet)?;
-        // Loads compare by bit pattern (exact duplicates only) but the
-        // duplicate error must name the value as the user wrote it, not
-        // its bits.
-        struct LoadBits(f64);
-        impl PartialEq for LoadBits {
-            fn eq(&self, other: &Self) -> bool {
-                self.0.to_bits() == other.0.to_bits()
-            }
-        }
-        impl fmt::Debug for LoadBits {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "{:?}", self.0)
-            }
-        }
-        let loads: Vec<LoadBits> = self.load.iter().map(|&l| LoadBits(l)).collect();
-        check("load", &loads)?;
+        // Loads are in (0, 1], where `==` is bit equality (no NaN, no -0.0).
+        check("load", &self.load)?;
         check("seed", &self.seed)
     }
 }

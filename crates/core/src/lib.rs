@@ -42,7 +42,7 @@
 //! An experiment is described one of two ways (docs/ARCHITECTURE.md,
 //! "Describing an experiment: two levels"): by name, as a
 //! `noc_campaign::PointSpec` built with `noc_campaign::build_simulation`
-//! (what `noc run`, campaigns and the figure harnesses do), or — for what
+//! (what `noc run`, campaigns and the harnesses do), or — for what
 //! the vocabulary cannot name — by handing live objects to
 //! [`noc_sim::Simulation::new`], as below.
 //!

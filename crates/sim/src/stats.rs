@@ -1,5 +1,5 @@
 //! Simulation-level statistics: measurement windows, latency accounting, and
-//! the report consumed by the figure harnesses.
+//! the report the CLI, campaigns and harnesses read.
 
 use crate::metrics::ObservabilityReport;
 use crate::router::RouterStats;

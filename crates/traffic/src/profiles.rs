@@ -38,8 +38,8 @@ pub struct BenchmarkProfile {
 }
 
 impl BenchmarkProfile {
-    /// The full 12-application suite used by the figure harnesses, in the
-    /// order the paper's figures list them.
+    /// The full 12-application suite, in the order the paper's figures list
+    /// them.
     pub fn suite() -> &'static [BenchmarkProfile] {
         SUITE
     }

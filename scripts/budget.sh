@@ -11,7 +11,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 max_crates=9
-max_public_items=577
+max_public_items=533
 max_noc_vars=4
 max_unsafe=30
 

@@ -18,10 +18,10 @@ echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
 
 # Second pass with the host budget capped at two: what reads the budget
-# (noc_base::pool::host_threads — a campaign's default worker count,
-# parallel_map, the CLI's ceiling on --threads) runs exactly two wide
-# whatever the host, so the sweep tests drive the worker pool in the
-# submitter-plus-one-worker shape the benchmark measures. The engine's own
+# (noc_base::pool::host_threads — a campaign's default worker count, and so
+# the figure-spec smoke of tests/figures.rs; the CLI's ceiling on --threads)
+# runs exactly two wide whatever the host, so the sweep tests drive the
+# worker pool in the submitter-plus-one-worker shape the benchmark measures. The engine's own
 # thread count is a command (Simulation::set_threads) that reads no
 # environment: tests/determinism_threads.rs shards at 2, 4 and 7 either way.
 echo "==> NOC_THREADS=2 cargo test -q --workspace"
@@ -74,16 +74,12 @@ echo "==> noc run --topology hring2x8 --scheme pseudo+ps+bb (smoke)"
 ./target/release/noc run --topology hring2x8 --scheme pseudo+ps+bb \
     --load 0.05 --warmup 200 --measure 1000 --drain 10000 >/dev/null
 
-# Figure-harness smoke: three of the figure/table harnesses executed once,
-# so one that panics at start-up fails here. fig08_overall is the headline
-# sweep; ablation_vc_count drives `validate`'s VC-class rule through a
-# harness; ext_patterns is the one harness with object-level rows (the
-# hotspot pattern the traffic vocabulary cannot name). Phases are fixed, so
-# these are seconds apiece in release.
-for harness in fig08_overall ablation_vc_count ext_patterns; do
-    echo "==> cargo bench --bench $harness (smoke)"
-    cargo bench -q -p noc-bench --offline --bench "$harness" >/dev/null
-done
+# Harness smoke: ext_patterns executed once, so a harness that panics at
+# start-up fails here. It is the one harness with object-level rows (the
+# hotspot pattern the traffic vocabulary cannot name); the sweep figures are
+# campaign specs, smoke-run by tests/figures.rs in the test passes above.
+echo "==> cargo bench --bench ext_patterns (smoke)"
+cargo bench -q -p noc-bench --offline --bench ext_patterns >/dev/null
 
 # Release-mode hot-path smoke: all five workloads of the repository
 # benchmark at 1/100 size, optimised, through the code path the measured run

@@ -823,27 +823,27 @@ const CLAIMS: &[Claim] = &[
     claim!("fig08_11", fig8_magnitude_is_about_half_the_papers, true),
     claim!("fig08_11", fig8_bb_adds_to_pseudo, true),
     claim!("fig08_11", fig8_ps_adds_almost_nothing, true),
-    claim!("fig08_11", fig8_jbb_alone_does_not_win, true),
+    claim!("fig08_11", fig8_jbb_alone_does_not_win, false),
     claim!("fig08_11", fig8_reusability_in_the_papers_band, true),
     claim!("fig08_11", fig9_dor_beats_o1turn, true),
-    claim!("fig08_11", fig9_static_beats_dynamic, true),
+    claim!("fig08_11", fig9_static_beats_dynamic, false),
     claim!("fig08_11", fig9_jbb_favors_o1turn, true),
     claim!("fig08_11", fig9_xy_close_to_yx, true),
     claim!("fig08_11", fig10_static_dor_maximizes_reuse, true),
-    claim!("fig08_11", fig10_policy_shifts_every_benchmark, true),
-    claim!("fig08_11", fig10_yx_static_above_xy_static, true),
+    claim!("fig08_11", fig10_policy_shifts_every_benchmark, false),
+    claim!("fig08_11", fig10_yx_static_above_xy_static, false),
     claim!("fig08_11", fig11_pseudo_and_ps_save_nothing, true),
     claim!("fig08_11", fig11_bb_saves, true),
     claim!("fig08_11", fig11_saving_tracks_bypass_rate, true),
     claim!("fig12", fig12_low_load_gain_on_every_pattern, true),
-    claim!("fig12", fig12_low_load_gain_matches_the_papers, true),
-    claim!("fig12", fig12_knee_shifts_right, true),
+    claim!("fig12", fig12_low_load_gain_matches_the_papers, false),
+    claim!("fig12", fig12_knee_shifts_right, false),
     claim!("fig12", fig12_scheme_helps_before_saturation, true),
     claim!("fig13", fig13_scheme_helps_on_every_topology, true),
     claim!("fig13", fig13_best_combination_halves_mesh_latency, true),
     claim!("fig14", fig14_evc_helps_on_the_mesh, true),
     claim!("fig14", fig14_pseudo_beats_evc_on_the_mesh, true),
-    claim!("fig14", fig14_evc_does_not_help_on_the_cmesh, true),
+    claim!("fig14", fig14_evc_does_not_help_on_the_cmesh, false),
     claim!("fig14", fig14_evc_gain_shrinks_on_the_cmesh, true),
     claim!("fig14", fig14_pseudo_helps_on_the_cmesh, true),
     claim!(
@@ -856,7 +856,7 @@ const CLAIMS: &[Claim] = &[
         buffer_advantage_grows_as_buffers_shrink,
         true
     ),
-    claim!("ablation_vc_count", vc_reuse_falls_as_vcs_grow, true),
+    claim!("ablation_vc_count", vc_reuse_falls_as_vcs_grow, false),
     claim!("ablation_vc_count", vc_advantage_shrinks_as_vcs_grow, true),
     claim!("ablation_packet_size", packet_reuse_rises_with_length, true),
     claim!(
@@ -865,7 +865,7 @@ const CLAIMS: &[Claim] = &[
         true
     ),
     claim!("fig08_11", va_keying_static_beats_dynamic, true),
-    claim!("fig08_11", va_keying_costs_the_baseline_little, true),
+    claim!("fig08_11", va_keying_costs_the_baseline_little, false),
 ];
 
 /// Every spec under `figures/`, by file stem, in name order.
