@@ -1,6 +1,6 @@
 //! The run record and the content-addressed on-disk result cache.
 //!
-//! [`PointResult`] is the one record of a finished run (`noc-point/2`): the
+//! [`PointResult`] is the one record of a finished run (`noc-point/3`): the
 //! point's coordinates, its configuration hash, the git revision and the
 //! headline results. `noc run --manifest` writes it with the fields only a
 //! single run has ([`PointResult::run_json`]); the cache stores it as every
@@ -38,7 +38,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Schema identifier stamped into every run record.
-pub const POINT_SCHEMA: &str = "noc-point/2";
+pub const POINT_SCHEMA: &str = "noc-point/3";
 
 /// One simulated point's coordinates and headline results — the record of a
 /// run: what `noc run --manifest` writes, the cache stores and the merged
@@ -79,6 +79,13 @@ pub struct PointResult {
     pub flit_traversals: u64,
     /// Fraction of header traversals that reused a pseudo-circuit.
     pub header_hit_rate: f64,
+    /// Crossbar-connection locality: the fraction of flit traversals that
+    /// took the same output port as the previous traversal from the same
+    /// input port (Fig. 1).
+    pub xbar_locality: f64,
+    /// End-to-end locality: the fraction of packets sent to the same
+    /// destination as their source's previous packet (Fig. 1).
+    pub end_to_end_locality: f64,
     /// Whether every measured packet drained.
     pub drained: bool,
 }
@@ -104,6 +111,8 @@ impl PointResult {
             energy_pj: report.energy_pj(),
             flit_traversals: report.router_stats.flit_traversals,
             header_hit_rate: report.router_stats.header_hit_rate(),
+            xbar_locality: report.xbar_locality(),
+            end_to_end_locality: report.end_to_end_locality,
             drained: report.drained,
         }
     }
@@ -167,6 +176,8 @@ impl PointResult {
         f64_field(&mut s, "energy_pj", self.energy_pj);
         u64_field(&mut s, "flit_traversals", self.flit_traversals);
         f64_field(&mut s, "header_hit_rate", self.header_hit_rate);
+        f64_field(&mut s, "xbar_locality", self.xbar_locality);
+        f64_field(&mut s, "end_to_end_locality", self.end_to_end_locality);
         let _ = write!(s, "  \"drained\": {}", self.drained);
         if let Some(o) = observability {
             s.push_str(",\n  \"routers\": [");
@@ -180,7 +191,7 @@ impl PointResult {
         s
     }
 
-    /// Parses a `noc-point/2` JSON document — a cache entry or a `noc run`
+    /// Parses a `noc-point/3` JSON document — a cache entry or a `noc run`
     /// manifest; the fields only a single run has are not part of the
     /// record and are skipped.
     ///
@@ -231,6 +242,8 @@ impl PointResult {
             energy_pj: get_f64(t, "energy_pj")?,
             flit_traversals: get_int(t, "flit_traversals")?,
             header_hit_rate: get_f64(t, "header_hit_rate")?,
+            xbar_locality: get_f64(t, "xbar_locality")?,
+            end_to_end_locality: get_f64(t, "end_to_end_locality")?,
             drained: t
                 .get("drained")
                 .and_then(Value::as_bool)
@@ -417,6 +430,8 @@ mod tests {
             energy_pj: 1234.5,
             flit_traversals: 96,
             header_hit_rate: 0.25,
+            xbar_locality: 0.375,
+            end_to_end_locality: 0.1875,
             drained: true,
         }
     }

@@ -1,6 +1,6 @@
 //! Merging point results into the campaign report.
 //!
-//! The report (`noc-campaign-report/2`) is the campaign's one consumable
+//! The report (`noc-campaign-report/3`) is the campaign's one consumable
 //! artifact: per-curve latency/throughput/energy series ready for plotting;
 //! **seed groups**, the curves that differ only in seed, with a per-load mean
 //! latency and its 95 % t-interval; and two derived observations the paper's
@@ -17,7 +17,7 @@ use noc_sim::manifest::escape_json;
 use std::fmt::Write as _;
 
 /// Schema identifier stamped into every campaign report.
-pub const REPORT_SCHEMA: &str = "noc-campaign-report/2";
+pub const REPORT_SCHEMA: &str = "noc-campaign-report/3";
 
 /// One latency–throughput curve: every point sharing all coordinates except
 /// load, ordered by ascending load.
@@ -157,7 +157,7 @@ impl CampaignReport {
         }
     }
 
-    /// Serializes the report as a `noc-campaign-report/2` JSON document.
+    /// Serializes the report as a `noc-campaign-report/3` JSON document.
     /// Deterministic: byte-identical for identical inputs.
     pub fn to_json(&self) -> String {
         let total: usize = self.curves.iter().map(|c| c.series.len()).sum();
@@ -254,8 +254,8 @@ fn write_curve(s: &mut String, curve: &Curve) {
             "      {{\"load\": {:?}, \"config_hash\": \"{}\", \"avg_latency\": {}, \
              \"p99_latency\": {}, \"avg_hops\": {}, \"throughput\": {}, \
              \"reusability\": {}, \"bypass_rate\": {}, \"energy_pj\": {}, \
-             \"flit_traversals\": {}, \"header_hit_rate\": {}, \"cycles\": {}, \
-             \"delivered\": {}, \"drained\": {}}}",
+             \"flit_traversals\": {}, \"header_hit_rate\": {}, \"xbar_locality\": {}, \
+             \"end_to_end_locality\": {}, \"cycles\": {}, \"delivered\": {}, \"drained\": {}}}",
             r.spec.load,
             escape_json(&r.config_hash),
             json_f64(r.avg_latency),
@@ -267,6 +267,8 @@ fn write_curve(s: &mut String, curve: &Curve) {
             json_f64(r.energy_pj),
             r.flit_traversals,
             json_f64(r.header_hit_rate),
+            json_f64(r.xbar_locality),
+            json_f64(r.end_to_end_locality),
             r.cycles,
             r.measured_delivered,
             r.drained
@@ -412,6 +414,8 @@ mod tests {
             energy_pj: 100.0 * load,
             flit_traversals: 5000,
             header_hit_rate: 0.15,
+            xbar_locality: 0.3,
+            end_to_end_locality: 0.2,
             drained,
             spec: point,
         }
@@ -625,7 +629,7 @@ mod tests {
         let ra = CampaignReport::merge("t", "rev", &a).to_json();
         let rb = CampaignReport::merge("t", "rev", &b).to_json();
         assert_eq!(ra, rb);
-        assert!(ra.contains("\"schema\": \"noc-campaign-report/2\""));
+        assert!(ra.contains("\"schema\": \"noc-campaign-report/3\""));
         assert!(ra.contains("\"points\": 3"));
         // The document parses back with the crate's own JSON reader.
         assert!(crate::value::parse_json(&ra).is_ok());

@@ -190,7 +190,8 @@ pub struct PreparedPoint {
 /// by the deadlock-class
 /// count of the routing policy on this topology; for `evc` a single
 /// deadlock class and an even VC count; and run phases whose total fits the
-/// 64-bit cycle counter.
+/// 64-bit cycle counter, with a measurement window of at least one cycle (a
+/// zero-length window measures nothing and would report an empty result).
 pub fn validate(point: &PointSpec, topo: &dyn Topology) -> Result<(), Error> {
     let fail = |message: String| Err(Error(message));
     let (warmup, measure, drain) = (point.warmup, point.measure, point.drain);
@@ -202,6 +203,9 @@ pub fn validate(point: &PointSpec, topo: &dyn Topology) -> Result<(), Error> {
             "warmup + measure + drain: {warmup} + {measure} + {drain} cycles overflow \
              the 64-bit cycle counter"
         ));
+    }
+    if measure == 0 {
+        return fail("measure: must be at least 1 cycle".into());
     }
     if point.vcs == 0 {
         return fail("vcs: must be at least 1".into());

@@ -194,6 +194,8 @@ fn sample_result() -> PointResult {
         energy_pj: 98_765.4,
         flit_traversals: 64_000,
         header_hit_rate: 0.25,
+        xbar_locality: 0.375,
+        end_to_end_locality: 0.1875,
         drained: true,
     }
 }

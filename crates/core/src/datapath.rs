@@ -87,8 +87,9 @@ impl CircuitDatapath {
         Some(chosen)
     }
 
-    /// Terminates the live circuit at `in_port` (no-op when none), reporting
-    /// it to the per-port counters and the tracer.
+    /// Terminates the live circuit at `in_port` (no-op when none), counting
+    /// it in the router statistics and reporting it to the per-port counters
+    /// and the tracer.
     pub(crate) fn terminate(
         &mut self,
         k: &mut PipelineKernel,
@@ -99,10 +100,9 @@ impl CircuitDatapath {
         let Some(pc) = self.pcu.live(in_port) else {
             return;
         };
-        self.pcu.terminate(in_port, why);
-        if let Some(p) = k.counters.as_deref_mut() {
-            p.on_pc_terminated(in_port, why);
-        }
+        self.pcu.terminate(in_port);
+        debug_assert!(self.pcu.check_invariants().is_ok());
+        count_termination(k, in_port, why);
         let kind = match why {
             Termination::Conflict => TraceEventKind::TerminateConflict,
             Termination::CreditExhausted => TraceEventKind::TerminateCredit,
@@ -245,11 +245,12 @@ impl CircuitDatapath {
         route: RouteInfo,
     ) {
         let outcome = self.pcu.establish(in_port, vc, route.port, route.hops);
+        debug_assert!(self.pcu.check_invariants().is_ok());
+        for (victim, _) in outcome.terminated.into_iter().flatten() {
+            count_termination(k, victim, Termination::Conflict);
+        }
         if let Some(p) = k.counters.as_deref_mut() {
             p.on_pc_established(in_port, outcome.created);
-            for (victim, _) in outcome.terminated.into_iter().flatten() {
-                p.on_pc_terminated(victim, Termination::Conflict);
-            }
         }
         if k.tracer.is_some() {
             for (victim, victim_out) in outcome.terminated.into_iter().flatten() {
@@ -260,13 +261,17 @@ impl CircuitDatapath {
             }
         }
     }
+}
 
-    /// End of cycle: mirrors the termination counters into the router
-    /// statistics and checks the one-circuit-per-port invariants.
-    #[inline]
-    pub(crate) fn mirror_stats(&self, k: &mut PipelineKernel) {
-        k.stats.pc_terminations_conflict = self.pcu.terminations_conflict();
-        k.stats.pc_terminations_credit = self.pcu.terminations_credit();
-        debug_assert!(self.pcu.check_invariants().is_ok());
+/// Counts one termination of the circuit at `in_port`, once, where it
+/// happens: in the router statistics and, when on, the per-port counters.
+#[inline]
+fn count_termination(k: &mut PipelineKernel, in_port: PortIndex, why: Termination) {
+    match why {
+        Termination::Conflict => k.stats.pc_terminations_conflict += 1,
+        Termination::CreditExhausted => k.stats.pc_terminations_credit += 1,
+    }
+    if let Some(p) = k.counters.as_deref_mut() {
+        p.on_pc_terminated(in_port, why);
     }
 }

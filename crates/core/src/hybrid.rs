@@ -232,10 +232,6 @@ impl SchemeHooks for HybridHooks {
         self.circuits.establish(k, cycle, in_port, vc, route);
     }
 
-    fn end_cycle(&mut self, k: &mut PipelineKernel, _cycle: u64) {
-        self.circuits.mirror_stats(k);
-    }
-
     /// No held circuit the credit check would terminate. A pending freeze
     /// does not block idling — an idle router has no flits, so freezing now
     /// or at its next busy cycle produces the same table and the same

@@ -34,15 +34,14 @@
 //!   [`noc_sim::Simulation`].
 //!
 //! The kernel and the hook contract between it and the schemes are private
-//! to the crate (docs/ARCHITECTURE.md, "Adding a scheme"). What tests and
-//! figure harnesses reach from outside is the router itself: the
-//! `RouterModel` methods, `hooks()`, `pool()`, `enable_metrics()` and
-//! [`PcHooks::pseudo_unit`].
+//! to the crate (docs/ARCHITECTURE.md, "Adding a scheme"). What tests reach
+//! from outside is the router itself: the `RouterModel` methods, `hooks()`,
+//! `pool()`, `enable_metrics()` and [`PcHooks::pseudo_unit`].
 //!
 //! An experiment is described one of two ways (docs/ARCHITECTURE.md,
 //! "Describing an experiment: two levels"): by name, as a
 //! `noc_campaign::PointSpec` built with `noc_campaign::build_simulation`
-//! (what `noc run`, campaigns and the harnesses do), or — for what
+//! (what `noc run`, campaigns and the figure specs do), or — for what
 //! the vocabulary cannot name — by handing live objects to
 //! [`noc_sim::Simulation::new`], as below.
 //!
@@ -86,5 +85,5 @@ mod router;
 pub use config::Scheme;
 pub use evc::{EvcRouter, EvcRouterFactory};
 pub use hybrid::{HybridRouter, HybridRouterFactory};
-pub use pseudo::{EstablishOutcome, PcRegisters, PseudoCircuitUnit, Termination};
+pub use pseudo::{EstablishOutcome, PcRegisters, PseudoCircuitUnit};
 pub use router::{PcHooks, PcRouter, PcRouterFactory};

@@ -79,7 +79,7 @@ use std::sync::Arc;
 ///    [`sa_skip`](Self::sa_skip) filtering candidates and
 ///    [`on_sa_grant`](Self::on_sa_grant) fired per grant (phase F);
 /// 7. [`end_cycle`](Self::end_cycle) — after all allocation (phase G:
-///    speculation, stat mirrors, invariant checks).
+///    pseudo-circuit speculation).
 ///
 /// The eighth hook, [`is_idle`](Self::is_idle), is not a phase: it is the
 /// scheme's half of the predicate that lets the engine skip `step` entirely.
@@ -153,8 +153,8 @@ pub(crate) trait SchemeHooks {
     ) {
     }
 
-    /// Runs after all allocation of the cycle (pseudo-circuit: speculation,
-    /// termination-counter mirrors, invariant checks).
+    /// Runs after all allocation of the cycle (pseudo-circuit: speculative
+    /// restores).
     fn end_cycle(&mut self, _k: &mut PipelineKernel, _cycle: u64) {}
 
     /// The scheme's clause of the exact step-is-no-op predicate

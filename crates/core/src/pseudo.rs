@@ -14,9 +14,10 @@
 
 use noc_base::{Mask64, PortIndex, RouteInfo, VcIndex};
 
-/// Why a pseudo-circuit was terminated (statistics).
+/// Why a pseudo-circuit was terminated: the cause the router statistics, the
+/// per-port counters and the tracer file a termination under.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Termination {
+pub(crate) enum Termination {
     /// A switch-arbitration grant claimed one of its ports, or the incoming
     /// flit's route mismatched.
     Conflict,
@@ -106,8 +107,6 @@ pub struct PseudoCircuitUnit {
     live_mask: Mask64,
     held_mask: Mask64,
     restorable_mask: Mask64,
-    terminations_conflict: u64,
-    terminations_credit: u64,
 }
 
 impl PseudoCircuitUnit {
@@ -136,8 +135,6 @@ impl PseudoCircuitUnit {
             live_mask: Mask64::EMPTY,
             held_mask: Mask64::EMPTY,
             restorable_mask: Mask64::EMPTY,
-            terminations_conflict: 0,
-            terminations_credit: 0,
         }
     }
 
@@ -186,16 +183,6 @@ impl PseudoCircuitUnit {
         self.restorable_mask
     }
 
-    /// Conflict terminations so far.
-    pub fn terminations_conflict(&self) -> u64 {
-        self.terminations_conflict
-    }
-
-    /// Credit-exhaustion terminations so far.
-    pub fn terminations_credit(&self) -> u64 {
-        self.terminations_credit
-    }
-
     /// Establishes (or refreshes) the pseudo-circuit for a granted crossbar
     /// connection, terminating any live circuits that conflict on the input
     /// or output port. Returns what happened (conflict terminations, whether
@@ -212,14 +199,14 @@ impl PseudoCircuitUnit {
         // different).
         if let Some(prev) = self.live(in_port) {
             if prev.out_port != out_port {
-                self.terminate(in_port, Termination::Conflict);
+                self.terminate(in_port);
                 outcome.terminated[0] = Some((in_port, prev.out_port));
             }
         }
         // Terminate whichever circuit currently holds the output port.
         if let Some(holder) = self.holder(out_port) {
             if holder != in_port {
-                self.terminate(holder, Termination::Conflict);
+                self.terminate(holder);
                 outcome.terminated[1] = Some((holder, out_port));
             }
         }
@@ -245,7 +232,7 @@ impl PseudoCircuitUnit {
 
     /// Terminates the live pseudo-circuit at `in_port` (no-op when none),
     /// recording it in the output port's history register.
-    pub fn terminate(&mut self, in_port: PortIndex, why: Termination) {
+    pub fn terminate(&mut self, in_port: PortIndex) {
         let reg = &mut self.ports[in_port.index()].input;
         if !reg.valid {
             return;
@@ -259,10 +246,6 @@ impl PseudoCircuitUnit {
         self.live_mask.clear(in_port.index());
         self.held_mask.clear(out.index());
         self.restorable_mask.set(out.index());
-        match why {
-            Termination::Conflict => self.terminations_conflict += 1,
-            Termination::CreditExhausted => self.terminations_credit += 1,
-        }
     }
 
     /// Attempts the speculative restoration of `out_port`'s most recent
@@ -366,10 +349,10 @@ mod tests {
         // Fig. 4(c): a new flit at a different input claims the same output.
         let mut u = PseudoCircuitUnit::new(4, 4);
         u.establish(p(0), v(0), p(3), 1);
-        u.establish(p(1), v(1), p(3), 1);
+        let steal = u.establish(p(1), v(1), p(3), 1);
         assert!(u.live(p(0)).is_none(), "previous circuit terminated");
         assert_eq!(u.holder(p(3)), Some(p(1)));
-        assert_eq!(u.terminations_conflict(), 1);
+        assert_eq!(steal.terminated, [None, Some((p(0), p(3)))]);
         // Registers persist after invalidation.
         let stale = u.registers(p(0));
         assert!(!stale.valid);
@@ -392,19 +375,19 @@ mod tests {
     fn refresh_same_connection_is_not_a_termination() {
         let mut u = PseudoCircuitUnit::new(4, 4);
         u.establish(p(0), v(0), p(2), 1);
-        u.establish(p(0), v(1), p(2), 1); // same ports, new VC
-        assert_eq!(u.terminations_conflict(), 0);
+        let refresh = u.establish(p(0), v(1), p(2), 1); // same ports, new VC
+        assert_eq!(refresh.terminated, [None, None]);
         assert_eq!(u.live(p(0)).unwrap().in_vc, v(1));
         u.check_invariants().unwrap();
     }
 
     #[test]
-    fn credit_termination_updates_history() {
+    fn termination_updates_history() {
         let mut u = PseudoCircuitUnit::new(4, 4);
         u.establish(p(2), v(0), p(1), 1);
-        u.terminate(p(2), Termination::CreditExhausted);
-        assert_eq!(u.terminations_credit(), 1);
+        u.terminate(p(2));
         assert_eq!(u.history(p(1)), Some(p(2)));
+        assert_eq!(u.holder(p(1)), None);
         assert!(u.live(p(2)).is_none());
         u.check_invariants().unwrap();
     }
@@ -412,8 +395,10 @@ mod tests {
     #[test]
     fn terminate_without_live_circuit_is_noop() {
         let mut u = PseudoCircuitUnit::new(2, 2);
-        u.terminate(p(0), Termination::Conflict);
-        assert_eq!(u.terminations_conflict(), 0);
+        u.terminate(p(0));
+        assert_eq!(u.history(p(0)), None);
+        assert!(!u.restorable_mask().any());
+        u.check_invariants().unwrap();
     }
 
     #[test]
@@ -421,7 +406,7 @@ mod tests {
         // Fig. 5(a): the output reconnects to the input it last served.
         let mut u = PseudoCircuitUnit::new(4, 4);
         u.establish(p(0), v(3), p(2), 1);
-        u.terminate(p(0), Termination::Conflict);
+        u.terminate(p(0));
         assert!(u.try_restore(p(2)));
         let live = u.live(p(0)).unwrap();
         assert_eq!(live.in_vc, v(3), "restored circuit keeps its stored VC");
@@ -435,7 +420,7 @@ mod tests {
         // registers still point here.
         let mut u = PseudoCircuitUnit::new(4, 4);
         u.establish(p(0), v(0), p(2), 1);
-        u.terminate(p(0), Termination::Conflict);
+        u.terminate(p(0));
         // The input has since formed a circuit elsewhere: its registers now
         // point to output 3, so output 2 must not restore.
         u.establish(p(0), v(0), p(3), 1);
@@ -452,7 +437,7 @@ mod tests {
         let mut u = PseudoCircuitUnit::new(4, 4);
         u.establish(p(0), v(0), p(2), 1);
         u.establish(p(1), v(0), p(2), 1); // terminates p0's circuit
-        u.terminate(p(1), Termination::Conflict);
+        u.terminate(p(1));
         assert_eq!(u.history(p(2)), Some(p(1)), "most recent wins");
         assert!(u.try_restore(p(2)));
         assert_eq!(u.holder(p(2)), Some(p(1)));

@@ -164,6 +164,7 @@ impl PcHooks {
             };
             let restored = self.circuits.pcu.try_restore(port);
             debug_assert!(restored, "the port was in the restorable mask");
+            debug_assert!(self.circuits.pcu.check_invariants().is_ok());
             k.stats.pc_speculative_restores += 1;
             if let Some(p) = k.counters.as_deref_mut() {
                 p.on_pc_restored(port);
@@ -238,7 +239,6 @@ impl SchemeHooks for PcHooks {
         if self.scheme.speculation {
             self.speculate(k, cycle);
         }
-        self.circuits.mirror_stats(k);
     }
 
     /// No live circuit that phase A would terminate for credit exhaustion,

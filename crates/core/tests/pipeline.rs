@@ -115,7 +115,9 @@ fn pseudo_circuit_hop_takes_two_cycles() {
     for c in 0..3 {
         step(&mut r, c);
     }
-    assert!(r.hooks().pseudo_unit().live(PortIndex::new(0)).is_some());
+    // Fig. 4(a): the traversal left input 0's VC connected to EAST.
+    let pc = r.hooks().pseudo_unit().live(PortIndex::new(0)).unwrap();
+    assert_eq!((pc.in_vc, pc.out_port), (VcIndex::new(STATIC_VC), EAST));
     // Second packet on the same VC and route: BW at 3, reuse-ST at 4.
     deliver(&mut r, PortIndex::new(0), single_flit(2, 0, STATIC_VC));
     assert!(step(&mut r, 3).is_empty(), "cycle 3 is BW");

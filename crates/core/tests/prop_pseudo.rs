@@ -4,12 +4,12 @@
 
 use noc_base::{PortIndex, VcIndex};
 use proptest::prelude::*;
-use pseudo_circuit::{PseudoCircuitUnit, Termination};
+use pseudo_circuit::PseudoCircuitUnit;
 
 #[derive(Clone, Debug)]
 enum Op {
     Establish { in_port: u8, vc: u8, out_port: u8 },
-    Terminate { in_port: u8, credit: bool },
+    Terminate { in_port: u8 },
     Restore { out_port: u8 },
 }
 
@@ -20,7 +20,7 @@ fn op_strategy(ports: u8) -> impl Strategy<Value = Op> {
             vc,
             out_port
         }),
-        (0..ports, any::<bool>()).prop_map(|(in_port, credit)| Op::Terminate { in_port, credit }),
+        (0..ports).prop_map(|in_port| Op::Terminate { in_port }),
         (0..ports).prop_map(|out_port| Op::Restore { out_port }),
     ]
 }
@@ -51,13 +51,8 @@ proptest! {
                         Some(PortIndex::new(in_port as usize))
                     );
                 }
-                Op::Terminate { in_port, credit } => {
-                    let why = if credit {
-                        Termination::CreditExhausted
-                    } else {
-                        Termination::Conflict
-                    };
-                    unit.terminate(PortIndex::new((in_port % ports) as usize), why);
+                Op::Terminate { in_port } => {
+                    unit.terminate(PortIndex::new((in_port % ports) as usize));
                 }
                 Op::Restore { out_port } => {
                     let port = PortIndex::new((out_port % ports) as usize);
@@ -108,13 +103,8 @@ proptest! {
                         1,
                     );
                 }
-                Op::Terminate { in_port, credit } => {
-                    let why = if credit {
-                        Termination::CreditExhausted
-                    } else {
-                        Termination::Conflict
-                    };
-                    unit.terminate(PortIndex::new((in_port % in_ports) as usize), why);
+                Op::Terminate { in_port } => {
+                    unit.terminate(PortIndex::new((in_port % in_ports) as usize));
                 }
                 Op::Restore { out_port } => {
                     let o = (out_port % out_ports) as usize;
@@ -134,37 +124,40 @@ proptest! {
         }
     }
 
+    /// Every termination is reported exactly once, by whichever call made
+    /// it — `terminate` on a live circuit, or `establish` through its
+    /// outcome — which is what lets the router count terminations where they
+    /// happen: the live circuits are always the creations and restores so
+    /// far minus those terminations.
     #[test]
-    fn termination_counters_are_monotonic(
+    fn terminations_are_reported_once_by_the_call_that_makes_them(
         ops in prop::collection::vec(op_strategy(4), 1..100),
     ) {
         let mut unit = PseudoCircuitUnit::new(4, 4);
-        let mut last = (0, 0);
+        let (mut opened, mut terminated) = (0i64, 0i64);
         for op in ops {
             match op {
                 Op::Establish { in_port, vc, out_port } => {
-                    let _ = unit.establish(
+                    let outcome = unit.establish(
                         PortIndex::new((in_port % 4) as usize),
                         VcIndex::new(vc as usize),
                         PortIndex::new((out_port % 4) as usize),
                         1,
                     );
+                    opened += i64::from(outcome.created);
+                    terminated += outcome.terminated.iter().flatten().count() as i64;
                 }
-                Op::Terminate { in_port, credit } => unit.terminate(
-                    PortIndex::new((in_port % 4) as usize),
-                    if credit {
-                        Termination::CreditExhausted
-                    } else {
-                        Termination::Conflict
-                    },
-                ),
+                Op::Terminate { in_port } => {
+                    let port = PortIndex::new((in_port % 4) as usize);
+                    terminated += i64::from(unit.live(port).is_some());
+                    unit.terminate(port);
+                }
                 Op::Restore { out_port } => {
-                    let _ = unit.try_restore(PortIndex::new((out_port % 4) as usize));
+                    opened += i64::from(unit.try_restore(PortIndex::new((out_port % 4) as usize)));
                 }
             }
-            let now = (unit.terminations_conflict(), unit.terminations_credit());
-            prop_assert!(now.0 >= last.0 && now.1 >= last.1);
-            last = now;
+            let live = (0..4).filter(|&i| unit.live(PortIndex::new(i)).is_some()).count();
+            prop_assert_eq!(live as i64, opened - terminated);
         }
     }
 }

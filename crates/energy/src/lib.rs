@@ -210,7 +210,11 @@ mod tests {
     #[test]
     fn table_ii_shares_are_reproduced() {
         let model = EnergyModel::paper_45nm();
-        let (buffer, crossbar, arbiter) = model.reference_shares().shares();
+        let per_hop = model.reference_shares();
+        // One flit through one router: buffer write + read, crossbar, arbiter.
+        let pj = (per_hop.buffer_pj, per_hop.crossbar_pj, per_hop.arbiter_pj);
+        assert_eq!(pj, (0.98 + 0.98, 6.38, 0.02));
+        let (buffer, crossbar, arbiter) = per_hop.shares();
         // Paper Table II: 23.4% / 76.22% / 0.24%.
         assert!((buffer - 0.234).abs() < 0.005, "buffer share {buffer}");
         assert!(

@@ -124,6 +124,8 @@ mod tests {
     fn paper_config_partitions() {
         let mesh = Mesh::new(4, 4, 1);
         let cfg = NetworkConfig::paper();
+        // Table I: 4 VCs per port, 4 flits of buffer per VC.
+        assert_eq!((cfg.vcs_per_port, cfg.buffer_depth), (4, 4));
         let p = cfg.partition_for(&mesh);
         assert_eq!(p.num_classes(), 2); // O1TURN
         assert_eq!(p.vcs_per_class(), 2);

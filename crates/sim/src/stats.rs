@@ -1,5 +1,5 @@
 //! Simulation-level statistics: measurement windows, latency accounting, and
-//! the report the CLI, campaigns and harnesses read.
+//! the report the CLI, campaigns and tests read.
 
 use crate::metrics::ObservabilityReport;
 use crate::router::RouterStats;

@@ -304,6 +304,10 @@ mod tests {
         let cmesh = Mesh::new(4, 4, 4);
         assert_eq!(mesh.num_nodes(), cmesh.num_nodes());
         assert!(average_min_hops(&cmesh) < average_min_hops(&mesh));
+        // Table I's 4x4 CMesh: router pairs are 2.5 links apart on average,
+        // and each of the 64 nodes sees 16 times the 256 router pairs, minus
+        // the 64 pairs of a node with itself.
+        assert_eq!(average_min_hops(&cmesh), 16.0 * 256.0 * 2.5 / (64.0 * 63.0));
     }
 
     #[test]

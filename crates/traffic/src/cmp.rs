@@ -553,6 +553,26 @@ mod tests {
         assert_eq!(l.role(NodeId::new(2)), NodeRole::Bank(0));
         assert_eq!(l.core(2), NodeId::new(4));
         assert_eq!(l.bank(2), NodeId::new(6));
+        // Fig. 7: router r's four ports attach cores 2r, 2r+1 and banks 2r,
+        // 2r+1, in that order.
+        for r in 0..16 {
+            let roles: Vec<NodeRole> = (0..4).map(|p| l.role(NodeId::new(4 * r + p))).collect();
+            let (c, b) = (NodeRole::Core, NodeRole::Bank);
+            assert_eq!(roles, [c(2 * r), c(2 * r + 1), b(2 * r), b(2 * r + 1)]);
+        }
+    }
+
+    #[test]
+    fn paper_config_is_table_one() {
+        // Table I, with the latencies the source text lost substituted as
+        // DESIGN.md §5 records.
+        let c = CmpConfig::paper();
+        let sizes = (c.mshrs_per_core, c.addr_flits, c.data_flits);
+        assert_eq!(sizes, (4, 1, 5));
+        assert_eq!(
+            (c.l2_latency, c.mem_latency, c.l2_miss_rate),
+            (6, 100, 0.10)
+        );
     }
 
     #[test]

@@ -10,8 +10,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-max_crates=9
-max_public_items=533
+max_crates=8
+max_public_items=521
 max_noc_vars=4
 max_unsafe=30
 

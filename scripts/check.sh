@@ -30,7 +30,7 @@ NOC_THREADS=2 cargo test -q --offline --workspace
 # One lint pass over every target of every member: the facade, the unsafe
 # lifetime erasure of noc-base's worker pool, the pipeline kernel and its
 # three crate-private hook sets (pseudo-circuit), the campaign engine's
-# hand-rolled TOML/JSON parsing, and noc-bench's figure harnesses.
+# hand-rolled TOML/JSON parsing, and the figure claims of tests/figures.rs.
 # vendor/proptest is an implicit member and not ours to lint.
 echo "==> cargo clippy --workspace --exclude proptest --all-targets -- -D warnings"
 cargo clippy --workspace --exclude proptest --all-targets --offline -- -D warnings
@@ -73,13 +73,6 @@ echo "==> noc run --topology ring8 --scheme hybrid (smoke)"
 echo "==> noc run --topology hring2x8 --scheme pseudo+ps+bb (smoke)"
 ./target/release/noc run --topology hring2x8 --scheme pseudo+ps+bb \
     --load 0.05 --warmup 200 --measure 1000 --drain 10000 >/dev/null
-
-# Harness smoke: ext_patterns executed once, so a harness that panics at
-# start-up fails here. It is the one harness with object-level rows (the
-# hotspot pattern the traffic vocabulary cannot name); the sweep figures are
-# campaign specs, smoke-run by tests/figures.rs in the test passes above.
-echo "==> cargo bench --bench ext_patterns (smoke)"
-cargo bench -q -p noc-bench --offline --bench ext_patterns >/dev/null
 
 # Release-mode hot-path smoke: all five workloads of the repository
 # benchmark at 1/100 size, optimised, through the code path the measured run

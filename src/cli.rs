@@ -802,7 +802,7 @@ mod tests {
         assert!(text.contains("network hit rate"));
 
         let manifest = std::fs::read_to_string(&manifest_path).unwrap();
-        assert!(manifest.contains("\"schema\": \"noc-point/2\""));
+        assert!(manifest.contains("\"schema\": \"noc-point/3\""));
         assert!(manifest.contains("\"scheme\": \"pseudo+ps+bb\""));
         assert!(
             manifest.contains("\"threads\": 1"),

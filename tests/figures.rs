@@ -1,9 +1,14 @@
-//! The paper's sweep figures as checked claims.
+//! The paper's measured figures and the extensions as checked claims.
 //!
-//! Every sweep figure and ablation is a campaign spec under `figures/`, and
-//! every "Shape" sentence EXPERIMENTS.md states about one is a [`Claim`]
-//! here: a predicate over the spec's merged report, decided on the 95 %
-//! t-interval over seeds ([`Interval`]) of the quantity it names. A quantity
+//! Fig. 1, every sweep figure, every ablation and the pattern extension is a
+//! campaign spec under `figures/`, and every "Shape" sentence EXPERIMENTS.md
+//! states about one is a [`Claim`] here: a predicate over the spec's merged
+//! report, decided on the 95 % t-interval over seeds ([`Interval`]) of the
+//! quantity it names. Two extensions measure what no spec string can name —
+//! a hotspot pattern's list of hot nodes, the CMP cores' MSHR stalls — so
+//! their claims build and run those points themselves, at the seeds, windows
+//! and loads of the spec they belong to, and decide on the same interval. A
+//! quantity
 //! that relates two points — a latency reduction, a normalized energy — is
 //! formed per seed between points of that seed, and a suite average is taken
 //! per seed over the benchmarks of the spec, before the interval is taken.
@@ -18,13 +23,16 @@
 //!   value with a tenth of its windows, and checks that every spec parses
 //!   and every claim finds its points and returns a verdict, whichever.
 
-use noc_base::{RoutingPolicy, VaPolicy};
+use noc_base::{NodeId, RoutingPolicy, VaPolicy};
 use noc_campaign::{
-    run_campaign, CampaignOptions, CampaignReport, CampaignSpec, Interval, PointResult, PointSpec,
-    SchemeChoice,
+    build_simulation, build_topology, run_campaign, CampaignOptions, CampaignReport, CampaignSpec,
+    Interval, PointResult, PointSpec, SchemeChoice,
 };
+use noc_sim::{MetricsConfig, MetricsLevel, RouterObservation, SimReport, Simulation};
+use noc_traffic::{CmpTraffic, SyntheticPattern, SyntheticTraffic};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use RoutingPolicy::{O1Turn, Xy, Yx};
 use VaPolicy::{Dynamic, Static};
@@ -92,6 +100,14 @@ impl Figure {
             .collect()
     }
 
+    /// `at` at every seed of the spec, in seed order.
+    fn seeded(&self, at: &PointSpec) -> Vec<PointSpec> {
+        let seeds = self.spec.axes.seed.iter();
+        seeds
+            .map(|&seed| PointSpec { seed, ..at.clone() })
+            .collect()
+    }
+
     /// The saturation load of `at`'s curve, one per seed (`INFINITY`: none
     /// within the sweep).
     fn knees(&self, at: &PointSpec) -> Result<Vec<f64>, String> {
@@ -115,6 +131,25 @@ impl Figure {
             .map(|g| g.latency.as_slice())
             .ok_or_else(|| format!("no seed group {key}"))
     }
+}
+
+/// `measure` of every point, for claims that build their runs themselves:
+/// the points spread over the host's threads the way a campaign spreads its
+/// own, and the values come back in the order of `points`.
+fn run_points(
+    points: &[PointSpec],
+    measure: fn(&PointSpec) -> Result<f64, String>,
+) -> Result<Vec<f64>, String> {
+    let slots: Vec<Mutex<Option<Result<f64, String>>>> =
+        points.iter().map(|_| Mutex::new(None)).collect();
+    let threads = noc_base::pool::host_threads()?;
+    noc_base::pool::global().run_limited(points.len(), threads, &|i| {
+        *slots[i].lock().unwrap() = Some(measure(&points[i]));
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap().expect("every point ran"))
+        .collect()
 }
 
 /// What a claim found: whether it holds, and the intervals it decided on.
@@ -215,6 +250,14 @@ fn energy_per_flit(r: &PointResult) -> f64 {
     r.energy_pj / r.flit_traversals as f64
 }
 
+fn xbar_locality(r: &PointResult) -> f64 {
+    r.xbar_locality
+}
+
+fn end_to_end_locality(r: &PointResult) -> f64 {
+    r.end_to_end_locality
+}
+
 /// Per seed, `at`'s latency reduction against `reference`'s:
 /// `1 − latency/reference latency`.
 fn reduction(fig: &Figure, at: &PointSpec, reference: &PointSpec) -> Result<Vec<f64>, String> {
@@ -238,6 +281,97 @@ fn suite(
         }
     }
     Ok(sum.into_iter().map(|s| s / traffics.len() as f64).collect())
+}
+
+// ---- Fig. 1 and the MSHR-stall extension (figures/fig01.toml) ----
+
+/// A Fig. 1 point: the baseline router on `traffic`.
+fn locality(fig: &Figure, traffic: &str) -> PointSpec {
+    PointSpec {
+        traffic: traffic.into(),
+        ..fig.base()
+    }
+}
+
+/// Fig. 1: crossbar-connection locality exceeds end-to-end locality — the
+/// headroom the scheme exploits — on every benchmark.
+fn fig1_xbar_above_end_to_end_on_every_benchmark(fig: &Figure) -> Result<Verdict, String> {
+    let mut verdicts = Vec::new();
+    for t in fig.traffics() {
+        let at = locality(fig, &t);
+        let gap = minus(
+            &fig.per_seed(&at, xbar_locality)?,
+            &fig.per_seed(&at, end_to_end_locality)?,
+        );
+        verdicts.push(above(&t, &gap, 0.0));
+    }
+    Ok(all(verdicts))
+}
+
+/// Fig. 1: the suite-average end-to-end locality is the paper's ~22 %,
+/// ±5 pp.
+fn fig1_end_to_end_locality_is_the_papers(fig: &Figure) -> Result<Verdict, String> {
+    let l = suite(fig, |t| {
+        fig.per_seed(&locality(fig, t), end_to_end_locality)
+    })?;
+    Ok(inside("end-to-end", &l, 0.17, 0.27))
+}
+
+/// Fig. 1: the suite-average crossbar-connection locality is the paper's
+/// ~31 %, ±5 pp.
+fn fig1_xbar_locality_is_the_papers(fig: &Figure) -> Result<Verdict, String> {
+    let l = suite(fig, |t| fig.per_seed(&locality(fig, t), xbar_locality))?;
+    Ok(inside("crossbar", &l, 0.26, 0.36))
+}
+
+/// Fig. 1: jbb, whose requests are skewed toward a few banks, has the highest
+/// crossbar-connection locality — above every other benchmark's.
+fn fig1_jbb_has_the_highest_xbar_locality(fig: &Figure) -> Result<Verdict, String> {
+    let jbb = fig.traffic("jbb")?;
+    let top = fig.per_seed(&locality(fig, &jbb), xbar_locality)?;
+    let mut verdicts = Vec::new();
+    for t in fig.traffics().into_iter().filter(|t| *t != jbb) {
+        let other = fig.per_seed(&locality(fig, &t), xbar_locality)?;
+        verdicts.push(above(&format!("jbb - {t}"), &minus(&top, &other), 0.0));
+    }
+    Ok(all(verdicts))
+}
+
+/// The fraction of active core cycles stalled on a full MSHR file at `at`.
+/// The count lives in the CMP traffic model, not in a run record, so the
+/// point is built and run here.
+fn mshr_stall_fraction(at: &PointSpec) -> Result<f64, String> {
+    let mut sim = build_simulation(at, MetricsConfig::off()).map_err(|e| format!("{at}: {e}"))?;
+    sim.run(at.run_spec());
+    let cmp = sim.traffic_model().as_any();
+    let cmp = cmp.and_then(|m| m.downcast_ref::<CmpTraffic>());
+    cmp.map(|c| c.stats().stall_fraction())
+        .ok_or_else(|| format!("{at}: not CMP traffic"))
+}
+
+/// Per seed, the suite average of the MSHR-stall fraction under `name` at
+/// XY + static VA.
+fn mshr_stalls(fig: &Figure, name: &str) -> Result<Vec<f64>, String> {
+    suite(fig, |t| {
+        let at = PointSpec {
+            scheme: scheme(name),
+            va: Static,
+            ..locality(fig, t)
+        };
+        run_points(&fig.seeded(&at), mshr_stall_fraction)
+    })
+}
+
+/// Extension (MSHR stalls, the paper's future-work IPC question): lower
+/// network latency frees MSHRs sooner — Pseudo+PS+BB's suite-average
+/// MSHR-stall fraction is below the baseline router's, both at XY + static
+/// VA.
+fn ext_full_scheme_cuts_mshr_stalls(fig: &Figure) -> Result<Verdict, String> {
+    let gap = minus(
+        &mshr_stalls(fig, "pseudo+ps+bb")?,
+        &mshr_stalls(fig, "baseline")?,
+    );
+    Ok(below("pseudo+ps+bb - baseline stall fraction", &gap, 0.0))
 }
 
 // ---- Figs. 8-11 and VA keying (figures/fig08_11.toml) ----
@@ -716,6 +850,114 @@ fn fig14_pseudo_helps_on_the_cmesh(fig: &Figure) -> Result<Verdict, String> {
     Ok(below("pseudo+ps+bb cmesh", &n, 1.0))
 }
 
+// ---- Extension: synthetic patterns (figures/ext_patterns.toml) ----
+
+/// Extension (patterns): Pseudo+PS+BB cuts latency on every pattern at every
+/// load.
+fn ext_scheme_cuts_latency_on_every_pattern(fig: &Figure) -> Result<Verdict, String> {
+    let mut verdicts = Vec::new();
+    for p in fig.traffics() {
+        for &load in &fig.spec.axes.load {
+            let full = synth(fig, &p, "pseudo+ps+bb", load);
+            let r = reduction(fig, &full, &synth(fig, &p, "baseline", load))?;
+            verdicts.push(above(&format!("{p}@{load}"), &r, 0.0));
+        }
+    }
+    Ok(all(verdicts))
+}
+
+/// Extension (patterns): nearest-neighbor traffic, where every source sends
+/// every packet along one route, approaches the reuse ceiling —
+/// Pseudo+PS+BB's reusability lies above 90 % at every load.
+fn ext_neighbor_approaches_the_reuse_ceiling(fig: &Figure) -> Result<Verdict, String> {
+    let neighbor = fig.traffic("neighbor")?;
+    let mut verdicts = Vec::new();
+    for &load in &fig.spec.axes.load {
+        let r = fig.per_seed(&synth(fig, &neighbor, "pseudo+ps+bb", load), reuse)?;
+        verdicts.push(above(&format!("neighbor@{load}"), &r, 0.9));
+    }
+    Ok(all(verdicts))
+}
+
+/// The hot nodes of the hotspot pattern on the spec's 8×8 mesh, four around
+/// the centre, and the fraction of packets sent to one of them.
+const HOT_SPOTS: [usize; 4] = [18, 21, 42, 45];
+const HOT_FRACTION: f64 = 0.2;
+
+/// `metric` of the hotspot pattern at `at`'s load, seed, packet length,
+/// network and windows, with the per-router counters at `level`. A list of
+/// hot nodes is not a traffic name, so the simulation is built from live
+/// objects.
+fn hotspot(
+    at: &PointSpec,
+    level: MetricsLevel,
+    metric: fn(&SimReport) -> f64,
+) -> Result<f64, String> {
+    if at.topology != "mesh8x8" {
+        return Err(format!("hotspot: no hot nodes named on {}", at.topology));
+    }
+    let pattern = SyntheticPattern::Hotspot {
+        fraction: HOT_FRACTION,
+        spots: HOT_SPOTS.map(NodeId::new).to_vec(),
+    };
+    let traffic = SyntheticTraffic::new(pattern, 8, 8, at.packet, at.load, at.seed);
+    let mut sim = Simulation::with_metrics(
+        build_topology(&at.topology).map_err(|e| e.0)?,
+        at.network_config(),
+        MetricsConfig::level(level),
+        Box::new(traffic),
+        at.scheme.factory().as_ref(),
+        at.seed,
+    );
+    Ok(metric(&sim.run(at.run_spec())))
+}
+
+/// The hot routers' share of all pseudo-circuit hits of a run.
+fn hot_hit_share(r: &SimReport) -> f64 {
+    let routers = &r.observability.as_ref().expect("full metrics").routers;
+    let hits = |o: &RouterObservation| o.pc_hits.iter().sum::<u64>() as f64;
+    let hot = routers.iter().filter(|o| HOT_SPOTS.contains(&o.router));
+    hot.map(hits).sum::<f64>() / routers.iter().map(hits).sum::<f64>()
+}
+
+/// Extension (patterns): Pseudo+PS+BB cuts latency under hotspot traffic at
+/// every load.
+fn ext_hotspot_scheme_cuts_latency(fig: &Figure) -> Result<Verdict, String> {
+    let (loads, n) = (&fig.spec.axes.load, fig.spec.axes.seed.len());
+    let points: Vec<PointSpec> = loads
+        .iter()
+        .flat_map(|&load| ["pseudo+ps+bb", "baseline"].map(|s| synth(fig, "hotspot", s, load)))
+        .flat_map(|at| fig.seeded(&at))
+        .collect();
+    let latency = run_points(&points, |at| {
+        hotspot(at, MetricsLevel::Off, |r| r.avg_latency)
+    })?;
+    let mut verdicts = Vec::new();
+    for (load, l) in loads.iter().zip(latency.chunks(2 * n)) {
+        let (full, base) = l.split_at(n);
+        let r: Vec<f64> = ratio(full, base).into_iter().map(|x| 1.0 - x).collect();
+        verdicts.push(above(&format!("hotspot@{load}"), &r, 0.0));
+    }
+    Ok(all(verdicts))
+}
+
+/// Extension (patterns): hotspot traffic concentrates circuits on the hot
+/// routers — their share of Pseudo+PS+BB's circuit hits lies above their
+/// share of the routers, 4/64, at every load.
+fn ext_hotspot_concentrates_circuits_on_the_hot_routers(fig: &Figure) -> Result<Verdict, String> {
+    let (loads, n) = (&fig.spec.axes.load, fig.spec.axes.seed.len());
+    let points: Vec<PointSpec> = loads
+        .iter()
+        .flat_map(|&load| fig.seeded(&synth(fig, "hotspot", "pseudo+ps+bb", load)))
+        .collect();
+    let share = run_points(&points, |at| hotspot(at, MetricsLevel::Full, hot_hit_share))?;
+    let mut verdicts = Vec::new();
+    for (load, share) in loads.iter().zip(share.chunks(n)) {
+        verdicts.push(above(&format!("hot share@{load}"), share, 4.0 / 64.0));
+    }
+    Ok(all(verdicts))
+}
+
 // ---- Ablations (figures/ablation_*.toml) ----
 
 /// Per seed, Pseudo+PS+BB's `metric` — or, for `None`, its latency
@@ -819,6 +1061,10 @@ macro_rules! claim {
 
 /// Every claim, by spec, in EXPERIMENTS.md's order.
 const CLAIMS: &[Claim] = &[
+    claim!("fig01", fig1_xbar_above_end_to_end_on_every_benchmark, true),
+    claim!("fig01", fig1_end_to_end_locality_is_the_papers, true),
+    claim!("fig01", fig1_xbar_locality_is_the_papers, true),
+    claim!("fig01", fig1_jbb_has_the_highest_xbar_locality, true),
     claim!("fig08_11", fig8_full_scheme_cuts_suite_latency, true),
     claim!("fig08_11", fig8_magnitude_is_about_half_the_papers, true),
     claim!("fig08_11", fig8_bb_adds_to_pseudo, true),
@@ -866,6 +1112,23 @@ const CLAIMS: &[Claim] = &[
     ),
     claim!("fig08_11", va_keying_static_beats_dynamic, true),
     claim!("fig08_11", va_keying_costs_the_baseline_little, false),
+    claim!(
+        "ext_patterns",
+        ext_scheme_cuts_latency_on_every_pattern,
+        true
+    ),
+    claim!(
+        "ext_patterns",
+        ext_neighbor_approaches_the_reuse_ceiling,
+        true
+    ),
+    claim!("ext_patterns", ext_hotspot_scheme_cuts_latency, true),
+    claim!(
+        "ext_patterns",
+        ext_hotspot_concentrates_circuits_on_the_hot_routers,
+        true
+    ),
+    claim!("fig01", ext_full_scheme_cuts_mshr_stalls, true),
 ];
 
 /// Every spec under `figures/`, by file stem, in name order.

@@ -1,10 +1,11 @@
 //! Hostile spec bytes through the `noc campaign` entry points: a damaged
 //! spec file handed to `noc campaign expand` or `noc campaign status` ends in
 //! `Ok` or a one-line `Err`, never a panic or an abort — and `status`
-//! creates nothing, whatever the spec says.
+//! creates nothing, whatever the spec says. Values a spec or a flag can name
+//! but no run can use are refused by both in the same one line.
 
 use proptest::prelude::*;
-use pseudo_circuit_repro::cli::{parse_campaign_args, run_campaign_command};
+use pseudo_circuit_repro::cli::{parse_campaign_args, parse_run_args, run, run_campaign_command};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -140,5 +141,41 @@ fn an_oversized_spec_is_one_line_not_an_abort() {
             "spec: the axes expand to 640000000000 points, at most 1048576 are supported"
         );
     }
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn a_zero_length_measurement_window_is_refused_by_flag_and_by_spec() {
+    // Both used to run a window that measured nothing: `noc run` printed
+    // `avg latency 0.00 cycles` and the campaign reported "no saturation
+    // observed", each exiting 0.
+    const REFUSAL: &str = "measure: must be at least 1 cycle";
+    let flags: Vec<String> = ["--topology", "mesh2x2", "--measure", "0"]
+        .iter()
+        .map(|a| a.to_string())
+        .collect();
+    let from_flag = parse_run_args(&flags).and_then(|args| run(&args).map(drop));
+    assert_eq!(from_flag.unwrap_err().0, REFUSAL);
+
+    let path = scratch(usize::MAX - 2);
+    let out = path.with_extension("out");
+    std::fs::write(
+        &path,
+        "[phases]\nwarmup = 50\nmeasure = 0\ndrain = 2000\n\
+         [axes]\ntopology = \"mesh2x2\"\nload = 0.05\n",
+    )
+    .unwrap();
+    let argv: Vec<String> = ["run", "--spec", path.to_str().unwrap()]
+        .into_iter()
+        .chain(["--out", out.to_str().unwrap()])
+        .map(String::from)
+        .collect();
+    let from_spec = parse_campaign_args(&argv).and_then(|command| run_campaign_command(&command));
+    assert_eq!(from_spec.unwrap_err().0, REFUSAL);
+    assert!(
+        !out.exists(),
+        "a refused campaign created {}",
+        out.display()
+    );
     std::fs::remove_file(&path).unwrap();
 }
