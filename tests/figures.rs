@@ -87,11 +87,10 @@ impl Figure {
         at: &PointSpec,
         metric: fn(&PointResult) -> f64,
     ) -> Result<Vec<f64>, String> {
-        let seeds = &self.spec.axes.seed;
-        seeds
+        self.seeded(at)
             .iter()
-            .map(|&seed| {
-                let key = PointSpec { seed, ..at.clone() }.to_string();
+            .map(|point| {
+                let key = point.to_string();
                 self.points
                     .get(&key)
                     .map(metric)
@@ -135,7 +134,9 @@ impl Figure {
 
 /// `measure` of every point, for claims that build their runs themselves:
 /// the points spread over the host's threads the way a campaign spreads its
-/// own, and the values come back in the order of `points`.
+/// own (run one after another, the hotspot runs alone would put the tier-1
+/// smoke past its 30 s budget), and the values come back in the order of
+/// `points`.
 fn run_points(
     points: &[PointSpec],
     measure: fn(&PointSpec) -> Result<f64, String>,
@@ -1063,7 +1064,7 @@ macro_rules! claim {
 const CLAIMS: &[Claim] = &[
     claim!("fig01", fig1_xbar_above_end_to_end_on_every_benchmark, true),
     claim!("fig01", fig1_end_to_end_locality_is_the_papers, true),
-    claim!("fig01", fig1_xbar_locality_is_the_papers, true),
+    claim!("fig01", fig1_xbar_locality_is_the_papers, false),
     claim!("fig01", fig1_jbb_has_the_highest_xbar_locality, true),
     claim!("fig08_11", fig8_full_scheme_cuts_suite_latency, true),
     claim!("fig08_11", fig8_magnitude_is_about_half_the_papers, true),
