@@ -1,7 +1,7 @@
 //! Slab-backed flit storage: every flit in flight lives exactly once in a
-//! [`FlitPool`], and everything else — input-VC ring buffers, NI staging,
-//! shard outboxes, the cross-shard lane matrix — moves a 4-byte [`FlitRef`]
-//! instead of the 40-byte [`Flit`].
+//! [`FlitPool`], and everything else — input-VC ring buffers, the engine's
+//! event vectors — moves a 4-byte [`FlitRef`] instead of the 40-byte
+//! [`Flit`].
 //!
 //! # Why a pool
 //!
@@ -36,28 +36,30 @@
 //!
 //! # Ownership discipline and thread safety
 //!
-//! `FlitPool` is shared (`Arc`) between the simulation driver, every router,
-//! and every network interface, and is accessed from worker threads during
-//! the parallel shard phase. It has **no internal locking**; soundness rests
-//! on the same ownership discipline as the engine's `ShardCtx`
-//! (DESIGN.md §12, §19):
+//! `FlitPool` is shared (`Arc`) between one simulation's driver, routers and
+//! network interfaces, all of which run on the thread stepping that
+//! simulation. It has **no internal locking**; soundness rests on an
+//! ownership discipline (DESIGN.md §19):
 //!
 //! - A `FlitRef` is *owned* by exactly one component at a time (a FIFO slot,
-//!   an outbox entry, a lane entry, an NI). Only the owner may read or write
-//!   the referenced slot. Ownership transfers ride the engine's existing
-//!   happens-before edges: the worker pool's batch (published and drained
-//!   under one mutex) between cycles and the ascending-source lane merge
-//!   within one.
-//! - Allocation is per-shard: [`FlitPool::alloc`] pops from the calling
-//!   shard's private free stack, which no other shard touches. The driver
-//!   tops these stacks up from the global free list *between* parallel
-//!   phases ([`FlitPool::replenish`]).
-//! - [`FlitPool::free`] is serial-phase only (flits die at NI ejection,
-//!   which the driver performs serially), pushing onto the global list.
+//!   an event-vector entry, an interface mid-receipt). Only the owner may
+//!   read or write the referenced slot.
+//! - Every method runs on the thread that steps the pool's simulation. The
+//!   pool is `Sync` only so that a whole simulation may move to a worker
+//!   thread (campaign points run one per worker); no two threads ever touch
+//!   one pool at once.
 //!
-//! So no atomic operation appears on the cycle path: shards pop their own
-//! stacks, the serial driver moves indices between stacks while workers are
-//! parked at the barrier.
+//! Interfaces allocate with [`FlitPool::alloc_serial`] and free with
+//! [`FlitPool::free`], both on the recycled list and the mark.
+//!
+//! # The shard-local stacks
+//!
+//! [`FlitPool::alloc`], [`FlitPool::try_alloc`], [`FlitPool::replenish`] and
+//! [`FlitPool::reclaim_locals`] keep per-shard free stacks that only a
+//! sharded engine needed. The engine no longer shards; they stay because the
+//! repository benchmark (`crates/bench/benchmark`, which changes on its own
+//! schedule) times `replenish` + `alloc` as its pool layer. Delete them with
+//! that driver.
 //!
 //! # Generation tags
 //!
@@ -119,15 +121,14 @@ impl fmt::Debug for FlitRef {
     }
 }
 
-/// One free stack; a thin wrapper so the per-shard stacks each sit behind
-/// their own `UnsafeCell` (the outer `Vec` is never resized while workers
-/// run, so shards only ever form references to *their own* inner stack).
+/// One free stack behind its own `UnsafeCell` (the outer `Vec` is never
+/// resized, so a reference to one stack never aliases another).
 struct FreeStack(UnsafeCell<Vec<u32>>);
 
-/// A fixed-capacity slab of [`Flit`]s with per-shard free lists.
+/// A fixed-capacity slab of [`Flit`]s with a recycling free list.
 ///
 /// See the [module docs](self) for the ownership discipline that makes the
-/// lock-free sharing sound, for why no slot is read before it was written,
+/// unlocked sharing sound, for why no slot is read before it was written,
 /// and for the generation-tag scheme.
 pub struct FlitPool {
     /// Uninitialised at construction; slot `i` is written by the `alloc*`
@@ -135,28 +136,24 @@ pub struct FlitPool {
     slots: Box<[UnsafeCell<MaybeUninit<Flit>>]>,
     #[cfg(debug_assertions)]
     gens: Vec<UnsafeCell<u8>>,
-    /// Per-shard free stacks, popped lock-free by the owning shard during
-    /// the parallel phase. Sized to the maximum possible shard count at
+    /// The shard-local free stacks (see the module docs), sized at
     /// construction so the outer `Vec` never moves.
     locals: Vec<FreeStack>,
-    /// The recycled half of the global free list: frees land here (serial
-    /// phase) and leave before the mark advances. Reserved to `capacity`
+    /// The recycled half of the global free list: frees land here and
+    /// leave before the mark advances. Reserved to `capacity`
     /// entries (untouched until used), so a free never allocates.
     recycled: UnsafeCell<Vec<u32>>,
-    /// The bump mark: slots `issued..capacity` were never handed out.
-    /// Advanced only by the serial driver and read by everyone — a plain
-    /// word, not an atomic, so that the check every dereference makes
-    /// against it optimises like the slice bounds check it replaces; the
-    /// pool batch that publishes the slots publishes the mark with them.
+    /// The bump mark: slots `issued..capacity` were never handed out. A
+    /// plain word, not an atomic, so that the check every dereference makes
+    /// against it optimises like the slice bounds check it replaces.
     issued: Cell<u32>,
 }
 
-// SAFETY: all interior mutability follows the single-owner discipline in the
-// module docs — a slot is touched only by the component owning its ref, a
-// local free stack only by its shard (parallel phase) or the driver (serial
-// phase), and the recycled list and the mark are written only by the serial
-// driver. Cross-thread visibility is provided by the worker pool's epoch
-// barrier, exactly as for the engine's `ShardCtx`.
+// SAFETY: all interior mutability follows the discipline in the module docs
+// — every holder of a pool belongs to one simulation, which one thread steps
+// at a time, and a slot is touched only by the component owning its ref.
+// Moving the simulation to another thread hands it the whole pool; the move
+// itself (a spawn or a pool batch, both synchronising) publishes its state.
 unsafe impl Sync for FlitPool {}
 
 impl FlitPool {
@@ -164,8 +161,8 @@ impl FlitPool {
     /// [`FlitRef`] can name, less the index [`FlitRef::INVALID`] carries.
     pub const MAX_CAPACITY: usize = INDEX_MASK as usize;
 
-    /// Creates a pool of `capacity` slots whose free list can be partitioned
-    /// across up to `max_shards` shards. Reserves the slab and the free list
+    /// Creates a pool of `capacity` slots with `max_shards` shard-local
+    /// stacks (module docs; the engine asks for one). Reserves the slab and the free list
     /// without writing either.
     ///
     /// # Panics
@@ -207,18 +204,16 @@ impl FlitPool {
     }
 
     /// Free slots on the global list — recycled ones plus those the mark
-    /// has not reached (diagnostics; excludes shard-local stacks). Serial
-    /// phase only.
+    /// has not reached (diagnostics; excludes shard-local stacks).
     pub fn global_free(&self) -> usize {
-        // SAFETY: serial phase — the driver is the only thread running.
+        // SAFETY: one thread uses the pool at a time (module docs).
         let recycled = unsafe { (*self.recycled.get()).len() };
         recycled + self.capacity() - self.issued()
     }
 
     /// Free slots across the global list and every shard stack.
-    /// Serial phase only.
     pub fn total_free(&self) -> usize {
-        // SAFETY: serial phase — the driver is the only thread running.
+        // SAFETY: one thread uses the pool at a time (module docs).
         let local: usize = unsafe { self.locals.iter().map(|l| (*l.0.get()).len()).sum() };
         self.global_free() + local
     }
@@ -281,15 +276,12 @@ impl FlitPool {
         )
     }
 
-    /// Allocates a slot from `shard`'s free stack and writes `flit` into it.
-    ///
-    /// Parallel phase: may be called concurrently for *distinct* shards.
+    /// Allocates a slot from `shard`'s free stack and writes `flit` into it
+    /// (a shard-local stack: see the module docs).
     ///
     /// # Panics
     ///
-    /// Panics if the shard stack is empty — the driver sizes the pool from
-    /// structural maxima and tops stacks up every cycle, so exhaustion means
-    /// a credit-accounting bug (a flit outlived its buffer reservation).
+    /// Panics if the shard stack is empty.
     #[inline]
     pub fn alloc(&self, shard: usize, flit: Flit) -> FlitRef {
         self.try_alloc(shard, flit).unwrap_or_else(|| {
@@ -301,15 +293,17 @@ impl FlitPool {
         })
     }
 
-    /// Allocates straight from the global free list. Serial phase only —
-    /// test harnesses and single-threaded drivers that have no per-shard
-    /// stock; the engine's cycle path uses [`alloc`](Self::alloc).
+    /// Allocates from the global free list — a recycled slot, most recently
+    /// freed first, or else the next one above the mark — and writes `flit`
+    /// into it. How the engine's interfaces inject.
     ///
     /// # Panics
     ///
-    /// Panics if the global list is empty.
+    /// Panics if the pool is exhausted: the engine sizes it from structural
+    /// maxima, so exhaustion there means a credit-accounting bug (a flit
+    /// outlived its buffer reservation).
     pub fn alloc_serial(&self, flit: Flit) -> FlitRef {
-        // SAFETY: serial phase — the driver is the only thread running.
+        // SAFETY: one thread uses the pool at a time (module docs).
         let recycled = unsafe { (*self.recycled.get()).pop() };
         let idx = recycled.unwrap_or_else(|| {
             // The next never-issued slot; past the last one `fill` panics.
@@ -329,8 +323,8 @@ impl FlitPool {
     /// Like [`alloc`](Self::alloc) but returns `None` on an empty stack.
     #[inline]
     pub fn try_alloc(&self, shard: usize, flit: Flit) -> Option<FlitRef> {
-        // SAFETY: `shard`'s stack is owned by the calling shard during the
-        // parallel phase; the outer `locals` Vec is never resized.
+        // SAFETY: one thread uses the pool at a time (module docs), and the
+        // outer `locals` Vec is never resized.
         let stack = unsafe { &mut *self.locals[shard].0.get() };
         Some(self.fill(stack.pop()?, flit))
     }
@@ -354,7 +348,7 @@ impl FlitPool {
         f(unsafe { &mut *self.slot(r) });
     }
 
-    /// Returns `r`'s slot to the global free list. Serial phase only.
+    /// Returns `r`'s slot to the global free list.
     ///
     /// In debug builds this bumps the slot generation, so any surviving
     /// copy of `r` (use-after-free) or a second `free` (double-free) trips
@@ -364,13 +358,14 @@ impl FlitPool {
         #[cfg(debug_assertions)]
         {
             self.slot(r); // the mark and generation checks
-                          // SAFETY: serial phase; bumping invalidates all existing refs.
+                          // SAFETY: one thread uses the pool at a time; bumping
+                          // invalidates all existing refs.
             unsafe {
                 let g = self.gens[r.index()].get();
                 *g = (*g).wrapping_add(1);
             }
         }
-        // SAFETY: serial phase — the driver is the only thread running. The
+        // SAFETY: one thread uses the pool at a time (module docs). The
         // list was reserved to `capacity`, so the push does not allocate.
         unsafe { (*self.recycled.get()).push(r.index() as u32) };
     }
@@ -378,11 +373,10 @@ impl FlitPool {
     /// Tops `shard`'s free stack up to at least `target` entries from the
     /// global list (stopping early if the global list runs dry — remaining
     /// demand then fails in [`alloc`] with the exhaustion panic).
-    /// Serial phase only.
     ///
     /// [`alloc`]: Self::alloc
     pub fn replenish(&self, shard: usize, target: usize) {
-        // SAFETY: serial phase — the driver is the only thread running.
+        // SAFETY: one thread uses the pool at a time (module docs).
         unsafe {
             let stack = &mut *self.locals[shard].0.get();
             if stack.capacity() < target {
@@ -404,13 +398,12 @@ impl FlitPool {
         }
     }
 
-    /// Drains every shard stack back into the global list, for
-    /// redistribution after a re-shard ([`replenish`] then refills the new
-    /// partition). Serial phase only, with no flits in flight.
+    /// Drains every shard stack back into the global list ([`replenish`]
+    /// then refills them).
     ///
     /// [`replenish`]: Self::replenish
     pub fn reclaim_locals(&self) {
-        // SAFETY: serial phase — the driver is the only thread running.
+        // SAFETY: one thread uses the pool at a time (module docs).
         unsafe {
             let recycled = &mut *self.recycled.get();
             for l in &self.locals {

@@ -135,17 +135,6 @@ impl WordMask {
         self.words().iter().map(|w| w.count_ones()).sum()
     }
 
-    /// ORs `other` into `self` word-by-word. Both masks must have the same
-    /// width — the sharded step loop unions per-shard destination masks into
-    /// the global pending-shard mask, all sized to the shard count.
-    #[inline]
-    pub fn union_with(&mut self, other: &WordMask) {
-        debug_assert_eq!(self.bits, other.bits, "union of differently-sized masks");
-        for (w, o) in self.words_mut().iter_mut().zip(other.words()) {
-            *w |= o;
-        }
-    }
-
     /// Index of the lowest set bit at or above `start`, if any.
     #[inline]
     pub fn first_set_from(&self, start: usize) -> Option<usize> {
@@ -551,9 +540,6 @@ mod tests {
             assert!(m.get(top) && m.get(0) && m.any());
             assert_eq!(m.first_set_from(1), (top > 0).then_some(top));
             assert_eq!(m.iter().last(), Some(top));
-            let mut other = WordMask::new(bits);
-            other.union_with(&m);
-            assert_eq!(other, m);
             m.retain(|b| b == top);
             assert_eq!(m.popcount(), 1);
             m.clear_all();
@@ -616,22 +602,6 @@ mod tests {
         let mut m = Mask64::EMPTY;
         m.set(4);
         let _ = BitArbiter::new(4).grant(&m);
-    }
-
-    #[test]
-    fn union_with_ors_across_word_boundaries() {
-        let mut a = WordMask::new(130);
-        let mut b = WordMask::new(130);
-        a.set(0);
-        a.set(64);
-        b.set(64);
-        b.set(129);
-        a.union_with(&b);
-        let bits: Vec<usize> = a.iter().collect();
-        assert_eq!(bits, vec![0, 64, 129]);
-        // Union with an empty mask is a no-op.
-        a.union_with(&WordMask::new(130));
-        assert_eq!(a.popcount(), 3);
     }
 
     #[test]

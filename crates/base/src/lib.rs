@@ -10,7 +10,7 @@
 //!   [`PacketDescriptor`]);
 //! - the slab-backed flit arena ([`arena::FlitPool`]) storing each in-flight
 //!   flit exactly once, addressed everywhere by a 4-byte [`arena::FlitRef`]
-//!   with per-shard free lists and debug-only generation tags;
+//!   with a recycling free list and debug-only generation tags;
 //! - routing and virtual-channel allocation policy enums shared between the
 //!   network interfaces and the routers ([`RouteMode`], [`RoutingPolicy`],
 //!   [`VaPolicy`], [`VcPartition`]);

@@ -1,12 +1,12 @@
 //! A persistent worker pool for deterministic fork/join parallelism.
 //!
-//! The sharded cycle loop in `noc-sim` (thousands of tiny fork/joins per
-//! second) and campaign sweeps (a handful of long jobs) share one
-//! process-global pool of worker threads instead of spawning per call. A
-//! batch is an indexed job set `0..len`; threads claim indices one at a time
-//! as they become free, so callers get load balancing while *result*
-//! placement stays index-keyed and therefore deterministic: which thread
-//! runs which index is unspecified, nothing else is.
+//! Campaign sweeps run their points on one process-global pool of worker
+//! threads instead of spawning per call; each point is one simulation,
+//! stepped serially by whichever thread claimed it. A batch is an indexed
+//! job set `0..len`; threads claim indices one at a time as they become
+//! free, so callers get load balancing while *result* placement stays
+//! index-keyed and therefore deterministic: which thread runs which index is
+//! unspecified, nothing else is.
 //!
 //! # How a batch runs
 //!
@@ -16,31 +16,19 @@
 //! the workers asleep on `work`. A worker that sees a batch it has not
 //! answered yet *joins* by taking one unit of the helper budget; with none
 //! left it is beyond the caller's thread cap and goes back to sleep — the
-//! cap is per call, so a `--threads 2` simulation occupies two threads
-//! however many workers an earlier, wider caller spawned. Submitter and
-//! joined workers alike *claim* the next index under the lock, run the job
-//! outside it, and retake the lock to retire the index and claim another.
-//! The submitter returns once it reads `unfinished == 0` under the lock (which
-//! hands it every worker's writes), parking on `done` if stragglers take
-//! long. No batch allocates (`tests/zero_alloc.rs`).
-//!
-//! # The spin
-//!
-//! Back-to-back cycle batches are microseconds apart and parking between
-//! them costs more than the work: a pool that parked every cycle ran the
-//! 1024-router benchmark at 0.80× serial speed, one that polls first at
-//! 1.13× (EXPERIMENTS.md, "Plain worker pool"). So before parking, a worker
-//! polls `published` and the submitter `unfinished`, a fixed number of times
-//! ([`spin_until`]). The poll is only a hint: both counters change only
-//! under the lock, and whether to sleep, join or return is decided on a
-//! value re-read under the lock, so there is no missed-wakeup protocol to
-//! get right. A worker turned away by the thread cap parks without polling:
-//! a narrow caller on a wide pool does not keep the excluded workers hot.
+//! cap is per call, so a `--threads 2` campaign occupies two threads however
+//! many workers an earlier, wider caller spawned. Submitter and joined
+//! workers alike *claim* the next index under the lock, run the job outside
+//! it, and retake the lock to retire the index and claim another. The
+//! submitter returns once it reads `unfinished == 0` under the lock (which
+//! hands it every worker's writes), parking on `done` while stragglers run.
+//! Every decision is taken on state read under the lock, so there is no
+//! missed-wakeup protocol to get right. No batch allocates
+//! (`tests/zero_alloc.rs`).
 
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -64,7 +52,7 @@ fn host_cpus() -> usize {
 
 /// The host's thread budget: its CPUs, capped by `NOC_THREADS`. The one
 /// reading of the variable: a campaign's default worker count (and so the
-/// width of the figure specs' runs) and the ceiling on `noc run --threads`.
+/// width of the figure specs' runs).
 ///
 /// # Errors
 ///
@@ -90,20 +78,6 @@ pub fn host_threads_from(raw: Option<&str>) -> Result<usize, String> {
     }
 }
 
-/// Polls `ready` a fixed number of times: a hint for when to take the lock,
-/// never a decision (see the module docs). Returns at once on a single-core
-/// host, where polling only steals time from the thread doing the work.
-fn spin_until(ready: impl Fn() -> bool) {
-    static BUDGET: OnceLock<u32> = OnceLock::new();
-    let budget = *BUDGET.get_or_init(|| if host_cpus() > 1 { 20_000 } else { 0 });
-    for _ in 0..budget {
-        if ready() {
-            return;
-        }
-        std::hint::spin_loop();
-    }
-}
-
 /// The batch in flight; between batches, the drained one (`next == len`).
 #[derive(Default)]
 struct Batch {
@@ -113,12 +87,16 @@ struct Batch {
     /// Indices in the batch, and the next unclaimed one.
     len: usize,
     next: usize,
+    /// Indices not yet retired (run, or abandoned after a panic).
+    unfinished: usize,
+    /// Batches published so far.
+    published: u64,
     /// Workers that may still join: `max_threads - 1`, less those that did.
     helpers: usize,
     /// First panic payload captured from a job of this batch.
     panic: Option<Box<dyn Any + Send>>,
     /// Workers asleep on `work`; the submitter asleep on `done`. A notify
-    /// nobody waits for is skipped: a system call, on every cycle's path.
+    /// nobody waits for is skipped.
     parked: usize,
     submitter_parked: bool,
     /// Workers spawned so far (grown on demand, never shrunk).
@@ -134,20 +112,7 @@ struct Shared {
     work: Condvar,
     /// The submitter parks here waiting out stragglers.
     done: Condvar,
-    /// Batches published so far, and indices of the current batch not yet
-    /// retired (run, or abandoned after a panic). Written, and decided on,
-    /// only with `batch` locked; the spin phases read them as a hint. Hence
-    /// `Relaxed`: the mutex publishes the batch and its results, not these.
-    published: OwnLine,
-    unfinished: AtomicUsize,
 }
-
-/// A counter on a cache line of its own: sharing one with the lock, the
-/// worker polling it slows every lock operation of the thread that works
-/// (an empty two-index batch took ~800 ns instead of ~600).
-#[derive(Default)]
-#[repr(align(64))]
-struct OwnLine(AtomicU64);
 
 /// Jobs run outside the lock and nothing inside it can panic.
 const UNPOISONED: &str = "no thread panics holding the pool lock";
@@ -179,7 +144,7 @@ fn run_indices<'a>(shared: &'a Shared, mut batch: MutexGuard<'a, Batch>) -> Mute
             batch.next = batch.len;
             batch.panic.get_or_insert(payload);
         }
-        shared.unfinished.fetch_sub(retired, Relaxed);
+        batch.unfinished -= retired;
     }
     batch
 }
@@ -219,7 +184,11 @@ impl WorkerPool {
     /// [`run_limited`](Self::run_limited), returning the nanoseconds the
     /// submitter waited for stragglers after running out of indices to claim
     /// (0, and no clock read, when the batch ran inline or drained before
-    /// that). Feeds the engine's `--metrics=full` coordination histograms.
+    /// that).
+    ///
+    /// Kept only because the repository benchmark (`crates/bench/benchmark`,
+    /// which changes on its own schedule) reports the wait as a per-layer
+    /// metric; fold it into `run_limited` when that metric goes.
     pub fn run_limited_timed(
         &self,
         len: usize,
@@ -257,24 +226,18 @@ impl WorkerPool {
             }
             batch.workers += 1;
         }
-        s.unfinished.store(len, Relaxed);
-        s.published.0.fetch_add(1, Relaxed);
+        batch.unfinished = len;
+        batch.published += 1;
         if batch.parked > 0 {
             s.work.notify_all();
         }
         // The submitter is one of the batch's threads; then it waits out
         // workers still running claimed indices.
         let mut batch = run_indices(s, batch);
-        let mut start = None;
-        if s.unfinished.load(Relaxed) != 0 {
-            drop(batch);
-            start = Some(Instant::now());
-            spin_until(|| s.unfinished.load(Relaxed) == 0);
-            batch = s.lock();
-            while s.unfinished.load(Relaxed) != 0 {
-                batch.submitter_parked = true;
-                batch = s.done.wait(batch).expect(UNPOISONED);
-            }
+        let start = (batch.unfinished != 0).then(Instant::now);
+        while batch.unfinished != 0 {
+            batch.submitter_parked = true;
+            batch = s.done.wait(batch).expect(UNPOISONED);
         }
         batch.job = None;
         let payload = batch.panic.take();
@@ -294,35 +257,30 @@ fn worker_loop(shared: &Shared) {
     // Batches this worker has answered. A fresh worker starts at zero and so
     // joins what is in flight: the batch that spawned it.
     let mut seen = 0;
-    let mut excluded = false;
+    let mut batch = shared.lock();
     loop {
-        if !excluded {
-            spin_until(|| shared.published.0.load(Relaxed) != seen);
-        }
-        let mut batch = shared.lock();
-        while shared.published.0.load(Relaxed) == seen {
+        while batch.published == seen {
             batch.parked += 1;
             batch = shared.work.wait(batch).expect(UNPOISONED);
             batch.parked -= 1;
         }
-        seen = shared.published.0.load(Relaxed);
-        // Beyond the caller's thread cap: sit this batch out, and park for
-        // the next one without polling first.
-        excluded = batch.helpers == 0;
-        if !excluded {
-            batch.helpers -= 1;
-            let mut batch = run_indices(shared, batch);
-            // Whoever retires the last index gets here with the lock still
-            // held, and wakes the submitter if it went to sleep.
-            if batch.submitter_parked && shared.unfinished.load(Relaxed) == 0 {
-                batch.submitter_parked = false;
-                shared.done.notify_one();
-            }
+        seen = batch.published;
+        // Beyond the caller's thread cap: sit this batch out.
+        if batch.helpers == 0 {
+            continue;
+        }
+        batch.helpers -= 1;
+        batch = run_indices(shared, batch);
+        // Whoever retires the last index gets here with the lock still held,
+        // and wakes the submitter if it went to sleep.
+        if batch.submitter_parked && batch.unfinished == 0 {
+            batch.submitter_parked = false;
+            shared.done.notify_one();
         }
     }
 }
 
-/// The process-global pool: the cycle loop's and the sweep schedulers'.
+/// The process-global pool: the campaign scheduler's.
 pub fn global() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
     POOL.get_or_init(WorkerPool::new)
@@ -331,7 +289,7 @@ pub fn global() -> &'static WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
     #[test]
     fn runs_every_index_exactly_once() {
@@ -345,9 +303,8 @@ mod tests {
 
     #[test]
     fn back_to_back_batches_stay_consistent() {
-        // The steady-state regime the cycle loop creates: thousands of tiny
-        // batches over the same pool, workers racing the submitter for
-        // indices.
+        // Thousands of tiny batches over the same pool, workers racing the
+        // submitter for indices.
         let pool = WorkerPool::new();
         let sum = AtomicU64::new(0);
         for round in 0..2_000u64 {
@@ -362,11 +319,10 @@ mod tests {
 
     #[test]
     fn growing_batches_run_every_index_once_and_only_inside_the_call() {
-        // Tiny back-to-back batches whose length keeps changing — the cycle
-        // loop's pending-shard worklists. A straggler from the drained batch
-        // must not be able to claim against the next batch's larger `len`
-        // before it is published: that would run an index twice and let the
-        // submitter return with a job in flight.
+        // Tiny back-to-back batches whose length keeps changing. A straggler
+        // from the drained batch must not be able to claim against the next
+        // batch's larger `len` before it is published: that would run an
+        // index twice and let the submitter return with a job in flight.
         let pool = WorkerPool::new();
         let hits: Vec<AtomicU32> = (0..8).map(|_| AtomicU32::new(0)).collect();
         let inside = AtomicBool::new(false);
@@ -417,18 +373,9 @@ mod tests {
     }
 
     #[test]
-    fn spinning_worker_joins_back_to_back_batches() {
-        let pool = WorkerPool::new();
-        for round in 0..50 {
-            batch_that_needs_both_threads(&pool, round);
-        }
-    }
-
-    #[test]
     fn parked_worker_is_woken() {
-        // Back-to-back rounds never leave the spin phase on a multi-core
-        // host. Here the worker is known to be asleep on the condvar before
-        // each round that needs it: a lost wakeup fails the round.
+        // The worker is known to be asleep on the condvar before each round
+        // that needs it: a lost wakeup fails the round.
         let pool = WorkerPool::new();
         for round in 0..10 {
             batch_that_needs_both_threads(&pool, round);
@@ -496,7 +443,7 @@ mod tests {
                     panic!("worker job failed");
                 }
                 let mut polls = 0u64;
-                while pool.0.unfinished.load(Ordering::SeqCst) > 1 {
+                while pool.0.lock().unfinished > 1 {
                     std::thread::yield_now();
                     polls += 1;
                     assert!(polls < 50_000_000, "index 1 never retired");

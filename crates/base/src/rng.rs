@@ -242,7 +242,7 @@ impl Pcg32 {
 /// Every generator in a simulation is derived from a single experiment seed
 /// through this splitter, so component seeds are a pure function of
 /// `(root seed, component kind, component index)` — independent of
-/// construction order, shard layout, and thread count. The derivation
+/// construction order. The derivation
 /// formulas are frozen: changing them would re-seed every component and
 /// invalidate the golden reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

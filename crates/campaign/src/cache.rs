@@ -122,16 +122,15 @@ impl PointResult {
     /// campaign point. Deterministic: the same result always produces the
     /// same bytes.
     pub fn to_json(&self) -> String {
-        self.run_json(1, None)
+        self.run_json(None)
     }
 
-    /// Serializes the record of a run on `threads` engine threads, with the
-    /// `--metrics full` payload of `observability` when given: the engine's
-    /// coordination scalars and the per-router counter dump. Neither enters
-    /// the configuration hash — they describe how the point was run, not
-    /// which point. At one thread without `observability` this is
-    /// [`Self::to_json`], byte for byte.
-    pub fn run_json(&self, threads: usize, observability: Option<&ObservabilityReport>) -> String {
+    /// Serializes the record of a run, with the `--metrics full` per-router
+    /// counter dump of `observability` when given. The dump does not enter
+    /// the configuration hash — it describes how the point was observed,
+    /// not which point. Without `observability` this is [`Self::to_json`],
+    /// byte for byte.
+    pub fn run_json(&self, observability: Option<&ObservabilityReport>) -> String {
         let metrics = match observability {
             Some(_) => MetricsLevel::Full,
             None => MetricsLevel::Off,
@@ -155,13 +154,6 @@ impl PointResult {
         u64_field(&mut s, "measure", self.spec.measure);
         u64_field(&mut s, "drain", self.spec.drain);
         str_field(&mut s, "metrics", metrics.name());
-        u64_field(&mut s, "threads", threads as u64);
-        if let Some(c) = observability.and_then(|o| o.coordination.as_ref()) {
-            u64_field(&mut s, "coord_epochs", c.epochs);
-            u64_field(&mut s, "coord_skipped_epochs", c.skipped_epochs);
-            u64_field(&mut s, "coord_wait_ns_total", c.wait_ns_total);
-            u64_field(&mut s, "coord_lanes_merged_total", c.lanes_merged_total);
-        }
         str_field(&mut s, "topology_name", &self.topology_name);
         str_field(&mut s, "traffic_name", &self.traffic_name);
         u64_field(&mut s, "cycles", self.cycles);
@@ -464,32 +456,26 @@ mod tests {
     }
 
     #[test]
-    fn run_record_adds_only_execution_fields() {
+    fn run_record_adds_only_the_router_dump() {
         let result = sample();
-        assert_eq!(result.run_json(1, None), result.to_json());
-        let threaded = result.run_json(4, None);
-        assert!(threaded.contains("\"metrics\": \"off\",\n  \"threads\": 4,"));
-        assert_eq!(PointResult::from_json(&threaded).unwrap(), result);
+        assert_eq!(result.run_json(None), result.to_json());
+        // A record written while it still carried the engine's thread count
+        // parses to the same result.
+        let legacy = result.to_json().replace(
+            "\"metrics\": \"off\",\n",
+            "\"metrics\": \"off\",\n  \"threads\": 4,\n",
+        );
+        assert_ne!(legacy, result.to_json());
+        assert_eq!(PointResult::from_json(&legacy).unwrap(), result);
 
         let mut router = RouterObservation::zeroed(3, 2, 2);
         router.traversals = vec![8, 2];
         router.pc_hits = vec![4, 0];
         router.term_conflict = vec![1, 0];
-        let mut full = ObservabilityReport::from_routers(vec![router]);
-        full.coordination = Some(noc_sim::metrics::CoordinationStats {
-            epochs: 40,
-            skipped_epochs: 2,
-            wait_ns_total: 12_345,
-            lanes_merged_total: 90,
-            ..Default::default()
-        });
-        let json = result.run_json(1, Some(&full));
+        let full = ObservabilityReport::from_routers(vec![router]);
+        let json = result.run_json(Some(&full));
         for needle in [
-            "\"metrics\": \"full\"",
-            "\"coord_epochs\": 40,",
-            "\"coord_skipped_epochs\": 2,",
-            "\"coord_wait_ns_total\": 12345,",
-            "\"coord_lanes_merged_total\": 90,",
+            "\"metrics\": \"full\",\n  \"topology_name\"",
             "\"drained\": true,\n  \"routers\": [\n    {\"router\": 3",
             "\"traversals\": [8,2]",
             "\"hit_rate\": 0.4",
@@ -499,9 +485,8 @@ mod tests {
         }
         assert_eq!(PointResult::from_json(&json).unwrap(), result);
         let empty = ObservabilityReport::from_routers(Vec::new());
-        let json = result.run_json(1, Some(&empty));
+        let json = result.run_json(Some(&empty));
         assert!(json.ends_with("\"routers\": []\n}\n"), "{json}");
-        assert!(!json.contains("coord_"), "{json}");
         assert_eq!(PointResult::from_json(&json).unwrap(), result);
     }
 

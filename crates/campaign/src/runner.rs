@@ -326,9 +326,9 @@ fn config_hash(point: &PointSpec, topology: &str, traffic: &dyn TrafficModel) ->
 }
 
 /// Builds the simulation of one point: the single point→[`Simulation`]
-/// path, shared by [`run_point`] and `noc run`. The simulation is serial; a
-/// caller that wants the sharded engine calls
-/// [`Simulation::set_threads`] on the result (it never affects results).
+/// path, shared by [`run_point`] and `noc run`. The engine is serial:
+/// parallelism is across points, one simulation per pool worker
+/// ([`crate::run_campaign`]).
 ///
 /// # Errors
 ///
@@ -347,11 +347,9 @@ pub fn build_simulation(point: &PointSpec, metrics: MetricsConfig) -> Result<Sim
 
 /// Runs one prepared point to completion and returns its report.
 ///
-/// The simulation itself always runs **single-threaded**: campaign
-/// parallelism is across points (one simulation per worker), which beats
-/// intra-simulation sharding for every network small enough to appear in a
-/// sweep. Determinism therefore never depends on the campaign's thread
-/// budget.
+/// The simulation runs on the calling thread: campaign parallelism is
+/// across points (one simulation per worker), so determinism never depends
+/// on the campaign's thread budget.
 ///
 /// # Errors
 ///

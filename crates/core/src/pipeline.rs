@@ -926,6 +926,14 @@ impl PipelineKernel {
         self.arrivals.is_empty() && !self.st_ports.any() && !self.occupied_ports.any()
     }
 
+    /// Flits this router owns between steps: the arrivals not yet stepped,
+    /// and every flit in the input-VC bank, counted from the rings rather
+    /// than from the occupancy summaries.
+    pub(crate) fn buffered_flits(&self) -> usize {
+        let slots = self.in_ports * self.vcs;
+        self.arrivals.len() + (0..slots).map(|s| self.bank.len(s)).sum::<usize>()
+    }
+
     /// Recomputes every port summary — the candidate masks, the per-port
     /// occupancy and its mask, `sa_ports`, the per-sub-channel credit sums
     /// and `creditless_ports` — from the state it summarizes, and names the
@@ -1473,6 +1481,10 @@ impl<H: SchemeHooks + Send> RouterModel for KernelRouter<H> {
     /// skipped step is bit-identical to an executed one (DESIGN.md §13).
     fn is_idle(&self) -> bool {
         self.kernel.is_idle_base() && self.hooks.is_idle(&self.kernel)
+    }
+
+    fn buffered_flits(&self) -> usize {
+        self.kernel.buffered_flits()
     }
 
     fn stats(&self) -> RouterStats {

@@ -238,46 +238,14 @@ impl RouterObservation {
     }
 }
 
-/// Per-cycle coordination cost of the sharded parallel stepping phase,
-/// collected only at `--metrics=full`. Purely passive: the engine's epochs,
-/// skips and lane merges are identical with metrics off (the golden suite
-/// pins Full == Off byte-identity), this struct just counts them.
-///
-/// An *epoch* is one published worker-pool batch (one per stepped cycle with
-/// at least one pending shard); a *skipped epoch* is a stepped cycle whose
-/// pending-shard mask was empty, so no batch was published at all.
-/// Fast-forwarded cycles appear in neither count.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct CoordinationStats {
-    /// Stepped cycles that published a shard batch.
-    pub epochs: u64,
-    /// Stepped cycles whose pending-shard mask was empty (no batch).
-    pub skipped_epochs: u64,
-    /// Total nanoseconds the submitter spent waiting out straggler workers
-    /// after exhausting its own claim loop.
-    pub wait_ns_total: u64,
-    /// Total non-empty inbound event lanes drained (fused-merged) by shard
-    /// scans across all epochs.
-    pub lanes_merged_total: u64,
-    /// Distribution of per-epoch submitter wait, in nanoseconds.
-    pub submitter_wait_ns: crate::stats::LatencyHistogram,
-    /// Distribution of non-empty lanes merged per epoch.
-    pub lanes_merged: crate::stats::LatencyHistogram,
-}
-
 /// The `--metrics=full` payload attached to a [`crate::SimReport`]: one
-/// [`RouterObservation`] per router plus network-wide stage histograms and,
-/// for engine-produced reports, the sharded stepping phase's coordination
-/// cost.
+/// [`RouterObservation`] per router plus network-wide stage histograms.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct ObservabilityReport {
     /// Per-router counter snapshots, in router-index order.
     pub routers: Vec<RouterObservation>,
     /// Stage histograms aggregated over every router.
     pub stages: StageHistograms,
-    /// Coordination cost of the parallel stepping phase; `None` for reports
-    /// assembled outside the engine (e.g. counter-only unit tests).
-    pub coordination: Option<CoordinationStats>,
 }
 
 impl ObservabilityReport {
@@ -287,11 +255,7 @@ impl ObservabilityReport {
         for r in &routers {
             stages.merge(&r.stages);
         }
-        Self {
-            routers,
-            stages,
-            coordination: None,
-        }
+        Self { routers, stages }
     }
 
     /// Network-wide terminations, split `(conflict, credit)`.

@@ -71,7 +71,15 @@ struct Reassembly {
     flits: u16,
 }
 
-/// The network interface of one endpoint.
+/// The network interface of one endpoint: the source queue and the
+/// serializing packet, the credit window toward the attached router's local
+/// input port, and reassembly of ejected flits.
+///
+/// An interface owns no pool slot between cycles: [`step`](Self::step)
+/// writes a flit into the pool as it emits it, and
+/// [`receive_flit`](Self::receive_flit) frees the slot as it receives one.
+/// The engine steps it only while [`has_step_work`](Self::has_step_work)
+/// holds.
 pub struct NetworkInterface {
     node: NodeId,
     router: RouterId,
@@ -157,12 +165,12 @@ impl NetworkInterface {
             && self.delivered.is_empty()
     }
 
-    /// Exact step-is-no-op predicate for the quiescent-shard skip: `step`
-    /// touches only the source queue and the serializing packet, so with
-    /// both empty a `step` emits nothing and changes no state. Weaker than
-    /// [`is_idle`](Self::is_idle) — reassembly and delivered-packet state
-    /// don't participate in `step` (delivered packets are drained serially
-    /// by the driver every cycle regardless of shard skipping).
+    /// Exact step-is-no-op predicate for the engine's interface worklist:
+    /// `step` touches only the source queue and the serializing packet, so
+    /// with both empty a `step` emits nothing and changes no state. Weaker
+    /// than [`is_idle`](Self::is_idle) — reassembly and delivered-packet
+    /// state don't participate in `step` (the driver drains delivered
+    /// packets every cycle).
     pub fn has_step_work(&self) -> bool {
         !self.queue.is_empty() || self.current.is_some()
     }
@@ -208,9 +216,8 @@ impl NetworkInterface {
     }
 
     /// Accepts a flit ejected by the router's local output port. The flit
-    /// dies here: its fields are copied out and its pool slot recycled (this
-    /// runs in the driver's serial delivery phase, the pool's one free
-    /// point). Returns the VC of the router's local output port that the
+    /// dies here: its fields are copied out and its pool slot recycled (the
+    /// pool's one free point). Returns the VC of the router's local output port that the
     /// freed slot owes an ejection credit to, and whether the flit completed
     /// a packet, which then waits in [`drain_delivered`](Self::drain_delivered).
     pub fn receive_flit(&mut self, cycle: u64, r: FlitRef) -> (VcIndex, bool) {
@@ -278,9 +285,7 @@ impl NetworkInterface {
 
     /// Runs one cycle of injection: returns the flit injected toward the
     /// router's local input port, if any, freshly written into the pool.
-    /// `shard` is the shard this interface is stepped under, selecting the
-    /// pool free stack the flit's slot is drawn from.
-    pub fn step(&mut self, _cycle: u64, shard: usize) -> Option<FlitRef> {
+    pub fn step(&mut self, _cycle: u64) -> Option<FlitRef> {
         if self.current.is_none() {
             if let Some((class, dst)) = self.queue.front().map(|q| (q.class, q.desc.dst)) {
                 if let Some(vc) = self.pick_injection_vc(class, dst) {
@@ -311,7 +316,7 @@ impl NetworkInterface {
             self.current = None;
         }
         self.stats.injected_flits += 1;
-        Some(self.pool.alloc(shard, flit))
+        Some(self.pool.alloc_serial(flit))
     }
 
     /// Removes and returns packets fully delivered this cycle. Draining in
@@ -353,9 +358,6 @@ mod tests {
             ..NetworkConfig::paper()
         };
         let pool = Arc::new(FlitPool::new(64, 1));
-        // Stock shard 0 for injection, keeping half the slab on the global
-        // list for the tests that mint arrival flits with `alloc_serial`.
-        pool.replenish(0, 32);
         let ni = NetworkInterface::new(NodeId::new(0), topo, config, 1, pool.clone());
         (ni, pool)
     }
@@ -375,7 +377,7 @@ mod tests {
         ni.enqueue(0, &request(5, 3), PacketId::new(1));
         let mut flits = Vec::new();
         for cycle in 0..5 {
-            if let Some(r) = ni.step(cycle, 0) {
+            if let Some(r) = ni.step(cycle) {
                 flits.push(*pool.get(r));
             }
         }
@@ -393,11 +395,11 @@ mod tests {
         let (mut ni, _pool) = ni(VaPolicy::Static);
         // Static VA pins the VC; buffer_depth = 4 credits available.
         ni.enqueue(0, &request(5, 6), PacketId::new(1));
-        let sent = (0..10).filter(|&cycle| ni.step(cycle, 0).is_some()).count();
+        let sent = (0..10).filter(|&cycle| ni.step(cycle).is_some()).count();
         assert_eq!(sent, 4, "exactly buffer_depth flits without credit return");
         // Returning credits resumes injection.
         ni.receive_credit(Credit::new(out_vc(&ni)));
-        assert!(ni.step(11, 0).is_some());
+        assert!(ni.step(11).is_some());
     }
 
     fn out_vc(ni: &NetworkInterface) -> VcIndex {
@@ -419,7 +421,7 @@ mod tests {
         ni.enqueue(0, &request(6, 1), PacketId::new(3));
         let mut vcs = Vec::new();
         for cycle in 0..6 {
-            if let Some(r) = ni.step(cycle, 0) {
+            if let Some(r) = ni.step(cycle) {
                 let f = pool.get(r);
                 vcs.push((f.dst, f.vc));
             }
@@ -500,9 +502,9 @@ mod tests {
         ni.enqueue(0, &request(5, 2), PacketId::new(1));
         ni.enqueue(0, &request(6, 2), PacketId::new(2));
         assert_eq!(ni.backlog(), 2);
-        ni.step(0, 0); // starts packet 1, sends flit 0
+        ni.step(0); // starts packet 1, sends flit 0
         assert_eq!(ni.backlog(), 2, "current packet still counts");
-        ni.step(1, 0); // tail of packet 1
+        ni.step(1); // tail of packet 1
         assert_eq!(ni.backlog(), 1);
         assert_eq!(ni.stats().peak_queue, 2);
     }

@@ -178,6 +178,11 @@ pub trait RouterModel: Send {
         false
     }
 
+    /// The flits whose pool slots this router owns between cycles: those
+    /// buffered, and those received but not yet stepped. The flit
+    /// conservation law [`crate::Simulation::audit`] checks counts them.
+    fn buffered_flits(&self) -> usize;
+
     /// Cumulative statistics.
     fn stats(&self) -> RouterStats;
 

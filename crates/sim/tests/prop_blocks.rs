@@ -205,8 +205,8 @@ proptest! {
 
     /// The [`FlitPool`] under arbitrary alloc/free interleavings: live refs
     /// read back exactly the flit written (stable across every other
-    /// operation), allocation hands out distinct slots, `try_alloc` reports
-    /// exhaustion cleanly as `None`, and frees make capacity reusable.
+    /// operation), allocation hands out distinct slots, a full pool counts
+    /// no free slot, and frees make capacity reusable.
     #[test]
     fn pool_survives_alloc_free_interleavings(
         capacity in 1usize..12,
@@ -216,17 +216,15 @@ proptest! {
         ], 1..200),
     ) {
         let pool = FlitPool::new(capacity, 1);
-        pool.replenish(0, capacity);
         // Live refs in allocation order, with the tag each slot must hold.
         let mut live: VecDeque<(FlitRef, u16)> = VecDeque::new();
         let mut next_tag = 0u16;
         for alloc in ops {
             if alloc {
-                let r = pool.try_alloc(0, flit(next_tag));
                 if live.len() == capacity {
-                    prop_assert_eq!(r, None, "alloc must fail when all slots are live");
+                    prop_assert_eq!(pool.total_free(), 0, "a full pool has a free slot");
                 } else {
-                    let r = r.expect("free capacity but try_alloc refused");
+                    let r = pool.alloc_serial(flit(next_tag));
                     prop_assert!(
                         live.iter().all(|&(l, _)| l.index() != r.index()),
                         "allocated a slot that is still live"
@@ -236,10 +234,6 @@ proptest! {
                 }
             } else if let Some((r, _)) = live.pop_front() {
                 pool.free(r);
-                // Frees land on the global list; restock the shard stack so
-                // the slot is allocatable again (as the driver does between
-                // parallel phases).
-                pool.replenish(0, capacity - live.len());
             }
             // Every live ref still reads back its own flit, untouched by
             // the surrounding churn.

@@ -87,6 +87,10 @@ impl RouterModel for WireRouter {
         // Ideal element: downstream flow control is ignored.
     }
 
+    fn buffered_flits(&self) -> usize {
+        self.staged.len() + self.pipeline.len()
+    }
+
     fn step(&mut self, cycle: u64, out: &mut RouterOutputs) {
         for (in_port, flit) in self.staged.drain(..) {
             self.energy.record(EnergyEvent::BufferWrite);

@@ -12,18 +12,17 @@ cargo build --release --offline
 # debug_assert! in the hot path is live — the flit pool's 8-bit generation
 # tags (use-after-free / double-free checks on every FlitRef deref,
 # DESIGN.md §19), the FifoBank ring-bounds checks, and the O(1) quiescence
-# flag's cross-check against a full shard scan all fire here and nowhere
-# else.
+# flag's cross-check against a full component scan all fire here and
+# nowhere else.
 echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
 
 # Second pass with the host budget capped at two: what reads the budget
 # (noc_base::pool::host_threads — a campaign's default worker count, and so
-# the figure-spec smoke of tests/figures.rs; the CLI's ceiling on --threads)
-# runs exactly two wide whatever the host, so the sweep tests drive the
-# worker pool in the submitter-plus-one-worker shape the benchmark measures. The engine's own
-# thread count is a command (Simulation::set_threads) that reads no
-# environment: tests/determinism_threads.rs shards at 2, 4 and 7 either way.
+# the figure-spec smoke of tests/figures.rs) runs exactly two wide whatever
+# the host, so the sweep tests drive the worker pool in the
+# submitter-plus-one-worker shape the benchmark measures. Each simulation is
+# serial and reads no environment.
 echo "==> NOC_THREADS=2 cargo test -q --workspace"
 NOC_THREADS=2 cargo test -q --offline --workspace
 
@@ -77,10 +76,10 @@ echo "==> noc run --topology hring2x8 --scheme pseudo+ps+bb (smoke)"
 # Release-mode hot-path smoke: all five workloads of the repository
 # benchmark at 1/100 size, optimised, through the code path the measured run
 # takes — the bitset VA/SA, the port-summary masks and worklists, the FIFO
-# runs, the flit pool, the sharded engine at 2 threads and the campaign
-# cache — with the benchmark's own gate: equal report_hash across
-# repetitions, threads=2 == threads=1, fast-forward on == off, cold/warm
-# sweep byte-identity. A kernel change is checked by the benchmark before it
+# runs, the flit pool and the campaign cache — with the benchmark's own
+# gate: equal report_hash across repetitions, threads=2 == threads=1 (a
+# request the serial engine accepts and ignores), fast-forward on == off,
+# cold/warm sweep byte-identity. A kernel change is checked by the benchmark before it
 # is measured by it; this is not a measurement. (Its own package: builds
 # into crates/bench/benchmark/target.)
 echo "==> noc-benchmark --smoke"
@@ -213,20 +212,19 @@ refusal=$(./target/release/noc campaign expand --spec "$campdir/huge.toml" 2>&1 
 }
 
 # Hostile thread budget: a NOC_THREADS that is not a positive integer ends
-# `noc run` and `noc campaign run` in one line on stderr and exit 1 — the
-# unit tests cover the parser, only a real environment covers the wiring.
-echo "==> NOC_THREADS=lots noc run / noc campaign run (must be refused)"
-for cmd in "run --measure 10" "campaign run --spec $campdir/sweep.toml --out $campdir/out"; do
-    # shellcheck disable=SC2086
-    if refusal=$(NOC_THREADS=lots ./target/release/noc $cmd 2>&1 >/dev/null); then
-        echo "hostile NOC_THREADS: noc $cmd exited 0" >&2
-        exit 1
-    fi
-    [ "$refusal" = 'error: NOC_THREADS must be a positive integer, got "lots"' ] || {
-        echo "hostile NOC_THREADS: noc $cmd said: $refusal" >&2
-        exit 1
-    }
-done
+# `noc campaign run`, the one command that reads it, in one line on stderr
+# and exit 1 — the unit tests cover the parser, only a real environment
+# covers the wiring.
+echo "==> NOC_THREADS=lots noc campaign run (must be refused)"
+if refusal=$(NOC_THREADS=lots ./target/release/noc campaign run \
+    --spec "$campdir/sweep.toml" --out "$campdir/out" 2>&1 >/dev/null); then
+    echo "hostile NOC_THREADS: noc campaign run exited 0" >&2
+    exit 1
+fi
+[ "$refusal" = 'error: NOC_THREADS must be a positive integer, got "lots"' ] || {
+    echo "hostile NOC_THREADS: noc campaign run said: $refusal" >&2
+    exit 1
+}
 
 # The widest seed: `noc run --seed` takes any u64, and so must a spec and the
 # cache entry its point leaves — the first run executes the point, the second

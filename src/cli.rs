@@ -12,7 +12,7 @@
 //!         [--routing xy|yx|o1turn] [--va static|dynamic]
 //!         [--vcs 4] [--buffer 4]
 //!         [--warmup 1000] [--measure 10000] [--drain 100000]
-//!         [--seed 1] [--threads N]
+//!         [--seed 1]
 //!         [--metrics off|full] [--manifest PATH]
 //!         [--trace PATH] [--trace-routers 0,5,12]
 //! noc campaign run --spec FILE --out DIR [--threads N] [--max-points N]
@@ -32,8 +32,8 @@
 //! `--metrics=full` attaches per-router counters and pipeline-stage
 //! histograms to the report (see `docs/METRICS.md`); `--manifest` writes the
 //! run's record, [`noc_campaign::PointResult`] — the document a campaign
-//! caches for the same point, byte for byte at `--metrics off --threads 1`
-//! — plus the thread count and, at `--metrics full`, the per-router dump;
+//! caches for the same point, byte for byte at `--metrics off` — plus, at
+//! `--metrics full`, the per-router dump;
 //! `--trace` writes a Chrome-trace-format JSON of router lifecycle events
 //! (pseudo-circuit establish/terminate/hit, EVC express latches) for the
 //! routers named by `--trace-routers` (default: all). All three apply to
@@ -58,12 +58,6 @@ pub struct RunArgs {
     /// What to simulate (`--topology` … `--seed`): exactly a campaign point,
     /// so the CLI and a campaign hash the same struct.
     pub point: PointSpec,
-    /// Engine threads requested (`--threads`; default 1, the fastest choice
-    /// for the 16–64-router networks of the paper). Never affects results —
-    /// the report is byte-identical for any value. [`run`] caps it by the
-    /// host budget ([`noc_base::pool::host_threads`]) and records the count
-    /// it ran with in the manifest.
-    pub threads: usize,
     /// Observability level (`--metrics off|full`).
     pub metrics: MetricsLevel,
     /// Run-manifest output path (`--manifest`), if requested.
@@ -78,7 +72,6 @@ impl Default for RunArgs {
     fn default() -> Self {
         Self {
             point: PointSpec::default(),
-            threads: 1,
             metrics: MetricsLevel::Off,
             manifest: None,
             trace: None,
@@ -139,12 +132,6 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, CliError> {
             "--measure" => point.measure = parse_num(&value()?, flag)?,
             "--drain" => point.drain = parse_num(&value()?, flag)?,
             "--seed" => point.seed = parse_num(&value()?, flag)?,
-            "--threads" => {
-                out.threads = parse_num(&value()?, flag)?;
-                if out.threads == 0 {
-                    return Err(err("--threads must be at least 1"));
-                }
-            }
             "--metrics" => {
                 let v = value()?;
                 out.metrics = MetricsLevel::parse(&v)
@@ -186,11 +173,9 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, CliError> {
 /// Returns a [`CliError`] when the topology or traffic spec is invalid, a
 /// value is out of range for the configuration (see
 /// [`noc_campaign::prepare`]), a `--trace-routers` id names no router of the
-/// topology, `NOC_THREADS` is set to something other than a positive
-/// integer, or a requested output file cannot be written.
+/// topology, or a requested output file cannot be written.
 pub fn run(args: &RunArgs) -> Result<SimReport, CliError> {
     let point = &args.point;
-    let threads = args.threads.min(host_threads().map_err(CliError)?);
     let metrics = MetricsConfig {
         level: args.metrics,
         trace: args
@@ -199,7 +184,6 @@ pub fn run(args: &RunArgs) -> Result<SimReport, CliError> {
             .map(|_| TraceSpec::routers(args.trace_routers.clone())),
     };
     let mut sim = build_simulation(point, metrics)?;
-    sim.set_threads(threads);
     let routers = sim.topology().num_routers();
     if let Some(&id) = args.trace_routers.iter().find(|&&id| id >= routers) {
         return Err(err(format!(
@@ -215,7 +199,7 @@ pub fn run(args: &RunArgs) -> Result<SimReport, CliError> {
             std::fs::create_dir_all(dir)
                 .map_err(|e| err(format!("cannot create {}: {e}", dir.display())))?;
         }
-        let json = record.run_json(threads, report.observability.as_ref());
+        let json = record.run_json(report.observability.as_ref());
         write_atomic(path, json.as_bytes())?;
     }
     if let Some(path) = &args.trace {
@@ -509,10 +493,12 @@ pub fn usage() -> &'static str {
        --scheme pseudo+ps+bb --routing xy        --va static\n\
        --vcs 4               --buffer 4\n\
        --warmup 1000         --measure 10000     --drain 100000 --seed 1\n\
-       --threads 1           engine threads (results are identical for any\n\
-                             value; capped by the host's CPUs and NOC_THREADS;\n\
-                             sharding pays on ~1000 routers and up, not on the\n\
-                             paper's 16-64; the manifest records the count)\n\
+     \n\
+     CAMPAIGN FLAGS (campaign run only):\n\
+       --threads N           points simulated at once, one per thread (default:\n\
+                             the host's CPUs, capped by NOC_THREADS); each\n\
+                             simulation is serial, so results never depend on it\n\
+       --max-points N        stop after N uncached points (re-run to resume)\n\
      \n\
      OBSERVABILITY (defaults off; see docs/METRICS.md):\n\
        --metrics off|full        per-router counters + stage histograms (full)\n\
@@ -584,13 +570,29 @@ mod tests {
 
     #[test]
     fn threads_flag_parses_and_rejects_zero() {
-        let parsed = parse_run_args(&args(&["--threads", "4"])).unwrap();
-        assert_eq!(parsed.threads, 4);
-        assert_eq!(RunArgs::default().threads, 1, "the default run is serial");
-        assert!(parse_run_args(&args(&["--threads", "0"]))
-            .unwrap_err()
-            .0
-            .contains("at least 1"));
+        // `--threads` is a campaign flag: `campaign run` takes it and refuses
+        // 0, and `noc run`, whose one simulation is serial, refuses it as the
+        // unknown flag it is.
+        let run = |threads: &str| {
+            parse_campaign_args(&args(&[
+                "run",
+                "--spec",
+                "s",
+                "--out",
+                "d",
+                "--threads",
+                threads,
+            ]))
+        };
+        assert!(matches!(
+            run("4").unwrap(),
+            CampaignCommand::Run { threads: 4, .. }
+        ));
+        assert!(run("0").unwrap_err().0.contains("at least 1"));
+        assert_eq!(
+            parse_run_args(&args(&["--threads", "4"])).unwrap_err().0,
+            "unknown flag \"--threads\" (see `noc help`)"
+        );
     }
 
     #[test]
@@ -613,10 +615,10 @@ mod tests {
             .contains("warp"));
         assert!(parse_run_args(&args(&["--routing", "zigzag"])).is_err());
         assert!(parse_run_args(&args(&["--va", "lucky"])).is_err());
-        // A hostile NOC_THREADS ends `run` and `campaign run` with this one
-        // line. Checked on the pure function they hand the variable to:
-        // setting it here would race the getenv of the tests running beside
-        // this one (scripts/check.sh drives the real environment).
+        // A hostile NOC_THREADS ends `campaign run` with this one line.
+        // Checked on the pure function it hands the variable to: setting it
+        // here would race the getenv of the tests running beside this one
+        // (scripts/check.sh drives the real environment).
         for hostile in ["lots", "0", "-2"] {
             let e = noc_base::pool::host_threads_from(Some(hostile)).unwrap_err();
             assert_eq!(
@@ -785,7 +787,6 @@ mod tests {
             manifest: Some(manifest_path.to_string_lossy().into_owned()),
             trace: Some(trace_path.to_string_lossy().into_owned()),
             trace_routers: vec![0, 3],
-            ..RunArgs::default()
         };
         let report = run(&run_args).unwrap();
 
@@ -804,10 +805,7 @@ mod tests {
         let manifest = std::fs::read_to_string(&manifest_path).unwrap();
         assert!(manifest.contains("\"schema\": \"noc-point/3\""));
         assert!(manifest.contains("\"scheme\": \"pseudo+ps+bb\""));
-        assert!(
-            manifest.contains("\"threads\": 1"),
-            "a default run is serial"
-        );
+        assert!(!manifest.contains("\"threads\""), "{manifest}");
         let trace = std::fs::read_to_string(&trace_path).unwrap();
         assert!(trace.contains("\"traceEvents\""));
         std::fs::remove_dir_all(&dir).ok();
@@ -842,14 +840,10 @@ mod tests {
         };
         let full = manifest_at(MetricsLevel::Full, "full.json");
         let off = manifest_at(MetricsLevel::Off, "off.json");
-        for key in [
-            "\"metrics\": \"full\"",
-            "\"threads\": 1,",
-            "\"coord_epochs\"",
-            "\"routers\": [",
-        ] {
+        for key in ["\"metrics\": \"full\"", "\"routers\": ["] {
             assert!(full.contains(key), "{key} missing from {full}");
         }
+        assert!(!full.contains("\"threads\""), "{full}");
         let record = PointResult::from_json(&full).unwrap();
 
         let spec = CampaignSpec {
@@ -878,44 +872,6 @@ mod tests {
         assert_eq!(PointResult::from_json(&entry).unwrap(), record);
         assert_eq!(off, entry);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn threads_request_is_capped_by_the_host_budget_and_recorded() {
-        // Nothing second-guesses the request but the host budget: a 2x2 mesh
-        // at `--threads 3` is sharded if the host has the threads, the
-        // manifest says how many the engine got, and the report is the
-        // serial one.
-        let dir = std::env::temp_dir().join(format!("noc-cli-threads-{}", std::process::id()));
-        let manifest_path = dir.join("run.json");
-        let serial = RunArgs {
-            point: PointSpec {
-                topology: "mesh2x2".into(),
-                load: 0.05,
-                packet: 2,
-                warmup: 100,
-                measure: 500,
-                drain: 5_000,
-                ..PointSpec::default()
-            },
-            ..RunArgs::default()
-        };
-        let threaded = RunArgs {
-            threads: 3,
-            manifest: Some(manifest_path.to_string_lossy().into_owned()),
-            ..serial.clone()
-        };
-        assert_eq!(
-            format!("{:?}", run(&threaded).unwrap()),
-            format!("{:?}", run(&serial).unwrap())
-        );
-        let manifest = std::fs::read_to_string(&manifest_path).unwrap();
-        let ran_with = 3.min(host_threads().unwrap());
-        assert!(
-            manifest.contains(&format!("\"threads\": {ran_with},")),
-            "{manifest}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -54,6 +54,17 @@ fn fft_report(
     factory: &dyn RouterFactory,
     metrics: MetricsLevel,
 ) -> SimReport {
+    fft_simulation(topo, routing, va_policy, factory, metrics).run(RunSpec::new(500, 2_000, 40_000))
+}
+
+/// The simulation [`fft_report`] runs.
+fn fft_simulation(
+    topo: SharedTopology,
+    routing: RoutingPolicy,
+    va_policy: VaPolicy,
+    factory: &dyn RouterFactory,
+    metrics: MetricsLevel,
+) -> Simulation {
     let profile = *BenchmarkProfile::by_name("fft").expect("fft profile exists");
     let traffic = CmpTraffic::for_topology(topo.as_ref(), profile, 0x5eed ^ 0x77)
         .expect("golden topologies have a CMP floorplan");
@@ -70,7 +81,6 @@ fn fft_report(
         factory,
         0x5eed,
     )
-    .run(RunSpec::new(500, 2_000, 40_000))
 }
 
 /// The golden text of a report. Observability is passive: stripping it must
@@ -281,23 +291,40 @@ fn full_metrics_do_not_perturb_the_evc_simulation() {
 }
 
 #[test]
-fn full_metrics_surface_coordination_stats() {
-    // `--metrics=full` must expose the engine's per-cycle coordination
-    // accounting: every stepped cycle publishes exactly one epoch (or counts
-    // as skipped when no shard is pending), and the lane-merge histogram
-    // observes actual inbound traffic.
-    let report = golden_report_at(MetricsLevel::Full);
-    let obs = report.observability.as_ref().expect("full metrics payload");
-    let coord = obs.coordination.as_ref().expect("coordination stats");
-    assert!(coord.epochs > 0, "a loaded run must publish epochs");
-    assert!(
-        coord.epochs + coord.skipped_epochs <= report.cycles,
-        "every epoch (published or skipped) maps to one stepped cycle"
-    );
-    assert!(
-        coord.lanes_merged_total > 0,
-        "a loaded run must merge inbound lanes"
-    );
-    assert_eq!(coord.lanes_merged.count(), coord.epochs);
-    assert_eq!(coord.submitter_wait_ns.count(), coord.epochs);
+fn every_golden_configuration_and_a_saturated_mesh_conserve_flits_every_cycle() {
+    // The flit law of `Simulation::audit`, checked between every two cycles
+    // of the six golden configurations (their 2 500-cycle window and a
+    // stretch of drain) and of a mesh8x8 past saturation, where every
+    // buffer fills and source queues grow.
+    let pc = PcRouterFactory::new(Scheme::pseudo_ps_bb());
+    let hybrid = HybridRouterFactory::default();
+    let (xy, o1turn) = (RoutingPolicy::Xy, RoutingPolicy::O1Turn);
+    let (st, dy) = (VaPolicy::Static, VaPolicy::Dynamic);
+    let goldens: [(SharedTopology, RoutingPolicy, VaPolicy, &dyn RouterFactory); 6] = [
+        (Arc::new(Mesh::new(4, 4, 4)), o1turn, dy, &pc),
+        (Arc::new(Mesh::new(4, 4, 1)), xy, dy, &EvcRouterFactory),
+        (Arc::new(FlattenedButterfly::new(4, 4, 4)), xy, st, &pc),
+        (Arc::new(Mecs::new(4, 4, 4)), xy, st, &pc),
+        (Arc::new(Ring::new(8, 1)), xy, st, &pc),
+        (Arc::new(Mesh::new(4, 4, 1)), xy, dy, &hybrid),
+    ];
+    let saturated = noc_campaign::PointSpec {
+        topology: "mesh8x8".into(),
+        load: 0.30,
+        ..noc_campaign::PointSpec::default()
+    };
+    let sims = goldens
+        .into_iter()
+        .map(|(topo, routing, va, factory)| {
+            fft_simulation(topo, routing, va, factory, MetricsLevel::Off)
+        })
+        .chain([noc_campaign::build_simulation(&saturated, MetricsConfig::off()).unwrap()]);
+    for mut sim in sims {
+        for _ in 0..3_000 {
+            sim.step();
+            if let Err(violation) = sim.audit() {
+                panic!("{}: {violation}", sim.topology().name());
+            }
+        }
+    }
 }

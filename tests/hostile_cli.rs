@@ -2,7 +2,8 @@
 //! spec file handed to `noc campaign expand` or `noc campaign status` ends in
 //! `Ok` or a one-line `Err`, never a panic or an abort — and `status`
 //! creates nothing, whatever the spec says. Values a spec or a flag can name
-//! but no run can use are refused by both in the same one line.
+//! but no run can use are refused by both in the same one line, and a flag
+//! of one command given to another (`noc run --threads`) is one line too.
 
 use proptest::prelude::*;
 use pseudo_circuit_repro::cli::{parse_campaign_args, parse_run_args, run, run_campaign_command};
@@ -177,5 +178,53 @@ fn a_zero_length_measurement_window_is_refused_by_flag_and_by_spec() {
         "a refused campaign created {}",
         out.display()
     );
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn threads_is_a_campaign_flag_and_an_unknown_one_for_run() {
+    // One simulation steps serially, so `noc run` has no thread count to
+    // take: `--threads` there is the one-line unknown-flag error, exit 1,
+    // before anything runs. Campaigns still spread points over threads.
+    let noc = |argv: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_noc"))
+            .args(argv)
+            .output()
+            .expect("the noc binary runs")
+    };
+    let refused = noc(&["run", "--topology", "mesh2x2", "--threads", "2"]);
+    assert_eq!(refused.status.code(), Some(1));
+    assert!(refused.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&refused.stderr),
+        "error: unknown flag \"--threads\" (see `noc help`)\n"
+    );
+
+    let path = scratch(usize::MAX - 3);
+    let out = path.with_extension("out");
+    std::fs::write(
+        &path,
+        "[phases]\nwarmup = 50\nmeasure = 200\ndrain = 2000\n\
+         [axes]\ntopology = \"mesh2x2\"\npacket = 2\nload = [0.02, 0.05]\n",
+    )
+    .unwrap();
+    let (spec, dir) = (path.to_str().unwrap(), out.to_str().unwrap());
+    let ran = noc(&[
+        "campaign",
+        "run",
+        "--spec",
+        spec,
+        "--out",
+        dir,
+        "--threads",
+        "2",
+    ]);
+    let stdout = String::from_utf8_lossy(&ran.stdout);
+    assert_eq!(ran.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.starts_with("2 points | cache hits 0 | executed 2\n"),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&out).unwrap();
     std::fs::remove_file(&path).unwrap();
 }

@@ -225,38 +225,64 @@ fn steady_state_step_does_not_allocate() {
 
 #[test]
 fn multi_threaded_steady_state_does_not_allocate_on_any_thread() {
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
-    // The sharded engine must stay allocation-free on every thread: the
-    // driver (counted thread-locally, including its inline share of shard
-    // jobs) and each pool worker (counted globally via WORKER_ALLOCS).
-    // Pool startup and shard-outbox growth happen during set_threads and
-    // warmup, before counting begins. Every published batch wakes the
-    // parked workers, so they take part even on a single-core host and the
-    // worker-side assertion is never vacuous.
-    let mut sim = paper_cmesh_sim();
-    sim.set_threads(4);
-    assert!(sim.shards() > 1, "expected a multi-shard partition");
-    for _ in 0..20_000 {
-        sim.step();
-    }
+    // Parallelism lives across simulations: a campaign steps one simulation
+    // per pool worker. Two warm simulations stepped as the two jobs of one
+    // batch must stay allocation-free on every thread — the submitter
+    // (counted thread-locally, including its own job) and the worker
+    // (counted globally via WORKER_ALLOCS). Each job waits until both have
+    // started, so the worker really runs one however the host schedules
+    // threads; a first batch spawns the worker before counting begins.
+    let sims: Vec<Mutex<Simulation>> = (0..2)
+        .map(|_| {
+            let mut sim = paper_cmesh_sim();
+            for _ in 0..20_000 {
+                sim.step();
+            }
+            Mutex::new(sim)
+        })
+        .collect();
+    let pool = noc_base::pool::global();
+    pool.run_limited(2, 2, &|_| {});
+    let started = AtomicUsize::new(0);
+    let on_worker = AtomicUsize::new(0);
+    let cycles = 2_000;
     WORKER_ALLOCS.store(0, Ordering::Relaxed);
     WORKER_COUNTING.store(true, Ordering::Relaxed);
-    let cycles = 2_000;
     let allocs = count_allocs(|| {
-        for _ in 0..cycles {
-            sim.step();
-        }
+        pool.run_limited(2, 2, &|i| {
+            started.fetch_add(1, Ordering::SeqCst);
+            let mut polls = 0u64;
+            while started.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+                polls += 1;
+                assert!(polls < 50_000_000, "the second job never started");
+            }
+            if noc_base::pool::is_worker_thread() {
+                on_worker.fetch_add(1, Ordering::SeqCst);
+            }
+            let mut sim = sims[i].lock().expect("each job locks its own simulation");
+            for _ in 0..cycles {
+                sim.step();
+            }
+        });
     });
     WORKER_COUNTING.store(false, Ordering::Relaxed);
     let worker_allocs = WORKER_ALLOCS.load(Ordering::Relaxed);
     assert_eq!(
+        on_worker.load(Ordering::SeqCst),
+        1,
+        "one job ran on the worker"
+    );
+    assert_eq!(
         allocs, 0,
-        "driver thread allocated {allocs} times over {cycles} threaded cycles"
+        "the submitting thread allocated {allocs} times over {cycles} cycles"
     );
     assert_eq!(
         worker_allocs, 0,
-        "pool workers allocated {worker_allocs} times over {cycles} threaded cycles"
+        "the pool worker allocated {worker_allocs} times over {cycles} cycles"
     );
 }
 
@@ -265,8 +291,8 @@ fn ni_reassembly_and_pool_recycling_do_not_allocate_under_churn() {
     // A heavy multi-flit workload keeps every layer the flit pool feeds in
     // constant churn: NI packet queues at their reserved bound, the flat
     // reassembly table cycling entries, and pool slots recycling through
-    // free -> global list -> replenish -> shard stack every cycle. None of
-    // it may allocate once warm. The load sits just under XY-mesh
+    // the free list every cycle. None of it may allocate once warm. The
+    // load sits just under XY-mesh
     // saturation: an oversaturated node's source queue would genuinely grow
     // forever, which is unbounded backlog, not an engine allocation bug.
     let topo = Arc::new(Mesh::new(8, 8, 1));
