@@ -9,6 +9,7 @@
 use crate::ids::{NodeId, VcIndex};
 use crate::rng::Pcg32;
 use std::fmt;
+use std::ops::Range;
 
 /// An opaque per-packet routing decision, interpreted by the topology that
 /// owns the network.
@@ -116,6 +117,32 @@ pub enum VaPolicy {
     Static,
 }
 
+impl VaPolicy {
+    /// The one VC choice of the interfaces and every router scheme: in
+    /// `range`, static VA takes the destination-keyed VC `range.start + dst %
+    /// range.len()` if `usable`, dynamic VA the usable VC with the most
+    /// `credits` (the highest-indexed one on a tie).
+    #[inline]
+    pub fn choose(
+        self,
+        range: Range<usize>,
+        dst: NodeId,
+        usable: impl Fn(VcIndex) -> bool,
+        credits: impl Fn(VcIndex) -> u32,
+    ) -> Option<VcIndex> {
+        match self {
+            VaPolicy::Static => {
+                let vc = VcIndex::new(range.start + dst.index() % range.len());
+                usable(vc).then_some(vc)
+            }
+            VaPolicy::Dynamic => range
+                .map(VcIndex::new)
+                .filter(|&v| usable(v))
+                .max_by_key(|&v| credits(v)),
+        }
+    }
+}
+
 impl fmt::Display for VaPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -177,7 +204,7 @@ impl VcPartition {
     ///
     /// Panics if `class` is out of range.
     #[inline]
-    pub fn class_range(&self, class: u8) -> std::ops::Range<u8> {
+    pub fn class_range(&self, class: u8) -> Range<u8> {
         assert!(class < self.num_classes, "class {class} out of range");
         let start = class * self.vcs_per_class;
         start..start + self.vcs_per_class
@@ -273,6 +300,35 @@ mod tests {
         assert_eq!(
             p.static_vc(0, NodeId::new(10)),
             p.static_vc(0, NodeId::new(10))
+        );
+    }
+
+    #[test]
+    fn choose_keys_static_by_destination_and_dynamic_by_credits() {
+        let credits = [3, 1, 3, 2];
+        let credits = |v: VcIndex| credits[v.index()];
+        let all = |_| true;
+        let dst = NodeId::new(7);
+        // Static: 2 + 7 % 2 = 3, whatever the credits say.
+        assert_eq!(
+            VaPolicy::Static.choose(2..4, dst, all, credits),
+            Some(VcIndex::new(3))
+        );
+        let not_3 = |v: VcIndex| v.index() != 3;
+        assert_eq!(VaPolicy::Static.choose(2..4, dst, not_3, credits), None);
+        // Dynamic: the most credits; of the tied VCs 0 and 2, the last.
+        assert_eq!(
+            VaPolicy::Dynamic.choose(0..4, dst, all, credits),
+            Some(VcIndex::new(2))
+        );
+        let not_2 = |v: VcIndex| v.index() != 2;
+        assert_eq!(
+            VaPolicy::Dynamic.choose(0..4, dst, not_2, credits),
+            Some(VcIndex::new(0))
+        );
+        assert_eq!(
+            VaPolicy::Dynamic.choose(0..4, dst, |_| false, credits),
+            None
         );
     }
 

@@ -225,32 +225,21 @@ impl SchemeHooks for EvcHooks {
         let sub = route.hops as usize - 1;
         let express = self.express_eligible(k, route, dst, flit.mode);
         let port = route.port;
-        let policy = self.va_policy;
-        let pick = |k: &PipelineKernel, range: std::ops::Range<usize>| match policy {
-            VaPolicy::Static => {
-                let vc = VcIndex::new(range.start + dst.index() % range.len());
-                k.out_vc_is_free(port, vc).then_some(vc)
-            }
-            VaPolicy::Dynamic => range
-                .map(VcIndex::new)
-                .filter(|&v| k.out_vc_is_free(port, v))
-                .max_by_key(|&v| k.credits_available(port, sub, v)),
+        let pick = |range, express_hops| {
+            let free = |v| k.out_vc_is_free(port, v);
+            let credits = |v| k.credits_available(port, sub, v);
+            let vc = self.va_policy.choose(range, dst, free, credits)?;
+            Some((vc, express_hops))
         };
-        // Local (ejection) ports have no express discipline: any VC.
-        if route.port.index() < k.concentration {
-            let vc = pick(k, 0..self.vcs)?;
-            k.claim_out_vc(port, vc, owner);
-            return Some((vc, 0));
-        }
-        if express {
-            if let Some(vc) = pick(k, self.nvcs..self.vcs) {
-                k.claim_out_vc(port, vc, owner);
-                return Some((vc, L_MAX - 1));
-            }
-        }
-        let vc = pick(k, 0..self.nvcs)?;
-        k.claim_out_vc(port, vc, owner);
-        Some((vc, 0))
+        let chosen = if route.port.index() < k.concentration {
+            // Local (ejection) ports have no express discipline: any VC.
+            pick(0..self.vcs, 0)
+        } else {
+            let express = express.then(|| pick(self.nvcs..self.vcs, L_MAX - 1));
+            express.flatten().or_else(|| pick(0..self.nvcs, 0))
+        }?;
+        k.claim_out_vc(port, chosen.0, owner);
+        Some(chosen)
     }
 }
 

@@ -17,8 +17,8 @@
 //!
 //! This crate is the router: one speculative two-stage pipeline kernel
 //! (wormhole switching, credit-based flow control, lookahead routing) and the
-//! three schemes that edit it, each a crate-private set of hooks over the
-//! kernel. It provides:
+//! schemes that edit it, through two crate-private sets of hooks over the
+//! kernel (the circuit schemes', the EVC comparator's). It provides:
 //!
 //! - [`PcRouter`] — the pseudo-circuit router, implementing all five
 //!   configurations of the paper ([`Scheme::paper_lineup`]), the baseline
@@ -26,9 +26,9 @@
 //!   machine of §III–IV;
 //! - [`EvcRouter`] ([`evc`]) — the Express Virtual Channels comparator of
 //!   §VII.B;
-//! - [`HybridRouter`] ([`hybrid`]) — He & Cao's profiled hybrid switching,
-//!   a second comparator, which holds circuits through the same datapath as
-//!   the pseudo-circuit router;
+//! - the profiled hybrid ([`hybrid`]) — He & Cao's profiled hybrid
+//!   switching, a second comparator: a [`PcRouter`] whose circuits only hot
+//!   flows may establish;
 //! - [`PcRouterFactory`], [`EvcRouterFactory`] and [`HybridRouterFactory`] —
 //!   the [`noc_sim::RouterFactory`]s that plug a scheme into
 //!   [`noc_sim::Simulation`].
@@ -74,7 +74,6 @@
 //! ```
 
 mod config;
-mod datapath;
 pub mod evc;
 pub mod hybrid;
 mod pipeline;
@@ -84,6 +83,6 @@ mod router;
 
 pub use config::Scheme;
 pub use evc::{EvcRouter, EvcRouterFactory};
-pub use hybrid::{HybridRouter, HybridRouterFactory};
+pub use hybrid::HybridRouterFactory;
 pub use pseudo::{EstablishOutcome, PcRegisters, PseudoCircuitUnit};
 pub use router::{PcHooks, PcRouter, PcRouterFactory};

@@ -1,5 +1,5 @@
 //! The generic speculative two-stage pipeline kernel shared by the crate's
-//! three router schemes.
+//! router schemes.
 //!
 //! # Pipeline (Peh & Dally, HPCA 2001; paper Figs. 2 and 6)
 //!
@@ -14,13 +14,13 @@
 //! round-robin VA and SA allocators with their per-port occupancy skip,
 //! ST-grant queues preallocated to their structural maximum, and the full
 //! stats/energy/metrics/trace plumbing. A scheme plugs in through
-//! [`SchemeHooks`]: the pseudo-circuit router ([`crate::router`])
-//! implements circuit termination/reuse/bypass/speculation on top of the
-//! kernel, the EVC router ([`crate::evc`]) the express latch and the NVC/EVC
-//! split, the hybrid router ([`crate::hybrid`]) a hot-flow-gated held
-//! circuit — each as a thin hook set rather than a second copy of the
-//! pipeline. Kernel and hooks are crate-private: outside the crate a router
-//! is a [`KernelRouter`] behind a factory.
+//! [`SchemeHooks`]: the circuit hooks ([`crate::router`]) implement
+//! circuit establishment/termination/reuse/bypass/speculation on top of the
+//! kernel, for the paper's schemes and, behind a hot-flow gate
+//! ([`crate::hybrid`]), the profiled hybrid; the EVC hooks ([`crate::evc`])
+//! the express latch and the NVC/EVC split — each a thin hook set rather
+//! than a second copy of the pipeline. Kernel and hooks are crate-private:
+//! outside the crate a router is a [`KernelRouter`] behind a factory.
 //!
 //! # One record array per index space (DESIGN.md §15)
 //!
@@ -65,23 +65,23 @@ use std::sync::Arc;
 /// [`PipelineKernel::step`] calls these in a fixed order (the phase letters
 /// mirror the pre-kernel routers):
 ///
-/// 1. [`begin_cycle`](Self::begin_cycle) — before any traversal (phase A:
-///    pseudo-circuit credit-exhaustion termination);
-/// 2. ST drain of last cycle's SA grants (kernel);
-/// 3. [`drain_reuse`](Self::drain_reuse) — scheme-driven traversals from the
-///    buffers (phase C: pseudo-circuit reuse);
-/// 4. arrival acceptance (kernel), each arrival first offered to
+/// 1. ST drain of last cycle's SA grants (kernel);
+/// 2. [`drain_reuse`](Self::drain_reuse) — scheme state changes ahead of
+///    this cycle's arrivals and traversals from the buffers (phases A and
+///    C: the hybrid's freeze, pseudo-circuit credit-exhaustion termination,
+///    reuse);
+/// 3. arrival acceptance (kernel), each arrival first offered to
 ///    [`try_arrival_intercept`](Self::try_arrival_intercept) (phase D:
 ///    buffer bypass / express latch);
-/// 5. VC allocation (kernel), candidate classification via
+/// 4. VC allocation (kernel), candidate classification via
 ///    [`allocate_out_vc`](Self::allocate_out_vc) (phase E);
-/// 6. switch arbitration (kernel), with
+/// 5. switch arbitration (kernel), with
 ///    [`sa_skip`](Self::sa_skip) filtering candidates and
 ///    [`on_sa_grant`](Self::on_sa_grant) fired per grant (phase F);
-/// 7. [`end_cycle`](Self::end_cycle) — after all allocation (phase G:
+/// 6. [`end_cycle`](Self::end_cycle) — after all allocation (phase G:
 ///    pseudo-circuit speculation).
 ///
-/// The eighth hook, [`is_idle`](Self::is_idle), is not a phase: it is the
+/// The seventh hook, [`is_idle`](Self::is_idle), is not a phase: it is the
 /// scheme's half of the predicate that lets the engine skip `step` entirely.
 ///
 /// Hooks receive `&mut PipelineKernel` and use its accessor methods and
@@ -97,11 +97,9 @@ use std::sync::Arc;
 /// delivery phase, between steps — a flit handed over from inside a hook
 /// would be dropped (debug builds assert the queues did not grow).
 pub(crate) trait SchemeHooks {
-    /// Runs before any traversal of the cycle.
-    fn begin_cycle(&mut self, _k: &mut PipelineKernel, _cycle: u64) {}
-
-    /// Runs after the ST drain, before arrivals: scheme-driven buffer
-    /// traversals that skip switch arbitration.
+    /// Runs after the ST drain (which changes no credit counter and no
+    /// scheme state), before arrivals: the scheme's start-of-cycle state
+    /// changes, then buffer traversals that skip switch arbitration.
     fn drain_reuse(&mut self, _k: &mut PipelineKernel, _cycle: u64, _out: &mut RouterOutputs) {}
 
     /// Offered each arriving flit before it is buffered. Returning `true`
@@ -158,7 +156,7 @@ pub(crate) trait SchemeHooks {
     fn end_cycle(&mut self, _k: &mut PipelineKernel, _cycle: u64) {}
 
     /// The scheme's clause of the exact step-is-no-op predicate
-    /// ([`RouterModel::is_idle`]): `false` whenever `begin_cycle` or
+    /// ([`RouterModel::is_idle`]): `false` whenever `drain_reuse` or
     /// `end_cycle` would change state on an otherwise empty router (a circuit
     /// termination, a speculative restore). Only consulted when
     /// [`PipelineKernel::is_idle_base`] holds, so the flit-driven hooks
@@ -934,6 +932,44 @@ impl PipelineKernel {
         self.arrivals.len() + (0..slots).map(|s| self.bank.len(s)).sum::<usize>()
     }
 
+    /// The ownership law between cycles, `Err` naming its first violation:
+    /// every owned output VC's owner input VC holds that output VC on a
+    /// route to its port, and every input VC holding one is its owner.
+    pub(crate) fn check_ownership(&self) -> Result<(), String> {
+        let owner = |port, vc| self.out_vcs[self.out_slot(port, 0, vc)].owner;
+        for (p, vc) in (0..self.out_ports).flat_map(|p| (0..self.vcs).map(move |v| (p, v))) {
+            let (port, vc) = (PortIndex::new(p), VcIndex::new(vc));
+            let Some((ip, ivc)) = owner(port, vc) else {
+                continue;
+            };
+            let held = self.in_vc(self.slot(ip, ivc));
+            if held.out_vc != Some(vc) || held.route.map(|r| r.port) != Some(port) {
+                let id = self.id;
+                return Err(format!(
+                    "{id}: output {p} VC {vc} is owned by input {ip} VC {ivc}, which does not hold it"
+                ));
+            }
+        }
+        for slot in 0..self.in_ports * self.vcs {
+            let state = self.in_vc(slot);
+            let Some(vc) = state.out_vc else {
+                continue;
+            };
+            let (ip, ivc) = (
+                PortIndex::new(slot / self.vcs),
+                VcIndex::new(slot % self.vcs),
+            );
+            let named = state.route.and_then(|r| owner(r.port, vc));
+            if named != Some((ip, ivc)) {
+                let id = self.id;
+                return Err(format!(
+                    "{id}: input {ip} VC {ivc} holds output VC {vc}, which names {named:?} as its owner"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Recomputes every port summary — the candidate masks, the per-port
     /// occupancy and its mask, `sa_ports`, the per-sub-channel credit sums
     /// and `creditless_ports` — from the state it summarizes, and names the
@@ -1192,8 +1228,6 @@ impl PipelineKernel {
         self.in_busy = Mask64::EMPTY;
         self.out_busy = Mask64::EMPTY;
 
-        hooks.begin_cycle(self, cycle);
-
         // Switch traversal of last cycle's grants (SA has priority over any
         // scheme reuse path: its resources were reserved at grant time), in
         // the ascending output-port order they were decided in. New grants
@@ -1449,6 +1483,11 @@ impl<H> KernelRouter<H> {
         &self.hooks
     }
 
+    /// The scheme state, for a factory that configures it after construction.
+    pub(crate) fn hooks_mut(&mut self) -> &mut H {
+        &mut self.hooks
+    }
+
     /// The kernel state, for the crate's white-box tests.
     #[cfg(test)]
     pub(crate) fn kernel(&self) -> &PipelineKernel {
@@ -1485,6 +1524,10 @@ impl<H: SchemeHooks + Send> RouterModel for KernelRouter<H> {
 
     fn buffered_flits(&self) -> usize {
         self.kernel.buffered_flits()
+    }
+
+    fn audit(&self) -> Result<(), String> {
+        self.kernel.check_ownership()
     }
 
     fn stats(&self) -> RouterStats {
@@ -1532,6 +1575,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn ownership_audit_catches_a_planted_leak() {
+        let topo: SharedTopology = Arc::new(Mesh::new(3, 3, 1));
+        let pool = Arc::new(noc_base::FlitPool::new(16, 1));
+        let mut k = PipelineKernel::new(RouterId::new(4), topo, NetworkConfig::paper(), true, pool);
+        let (east, vc) = (PortIndex::new(1), VcIndex::new(2));
+        let owner = (PortIndex::new(0), VcIndex::new(3));
+        // A consistent claim: both sides name each other.
+        k.claim_out_vc(east, vc, owner);
+        k.claim_input_vc(owner.0, owner.1, RouteInfo::new(east), vc);
+        k.check_ownership().unwrap();
+        // The input VC lets go, the output VC keeps its owner: a leak.
+        k.release_input_vc(owner.0, owner.1);
+        let err = k.check_ownership().unwrap_err();
+        assert!(err.contains("does not hold it"), "{err}");
+        // The reverse: an input VC holding an output VC that names no owner.
+        k.release_out_vc(east, vc);
+        k.check_ownership().unwrap();
+        k.claim_input_vc(owner.0, owner.1, RouteInfo::new(east), vc);
+        let err = k.check_ownership().unwrap_err();
+        assert!(err.contains("holds output VC"), "{err}");
     }
 
     // The kernel's flat-array accessors must agree with the documented

@@ -1,5 +1,7 @@
 //! The pseudo-circuit scheme as hooks over the shared pipeline kernel
-//! (also the baseline router when the scheme is [`Scheme::baseline`]).
+//! (also the baseline router when the scheme is [`Scheme::baseline`], and
+//! the profiled hybrid when a [`HotFlows`] gate rides along): the one set
+//! of hooks that holds crossbar connections.
 //!
 //! The speculative two-stage pipeline itself — BW, VA∥SA, ST, the separable
 //! round-robin allocators, credit bookkeeping and observability plumbing —
@@ -25,30 +27,42 @@
 //!   output port, guarded by the per-output history register (§IV.A);
 //! - the bypass latch forwards an arriving flit straight to the crossbar
 //!   when its VC buffer is empty and the circuit matches (§IV.B); bypassed
-//!   flits are charged no buffer read/write energy.
+//!   flits are charged no buffer read/write energy;
+//! - under the hybrid's gate ([`crate::hybrid`]) a grant establishes only
+//!   for a hot flow after the profile window; a cold grant after it tears
+//!   down the circuits it conflicts with and establishes none.
 
 use crate::config::Scheme;
-use crate::datapath::CircuitDatapath;
+use crate::hybrid::HotFlows;
 use crate::pipeline::{KernelRouter, PipelineKernel, SchemeHooks};
-use crate::pseudo::PseudoCircuitUnit;
-use noc_base::{Flit, FlitPool, FlitRef, PortIndex, RouteInfo, RouterId, VcIndex};
-use noc_sim::{
-    NetworkConfig, PipelineStage, RouterBuildContext, RouterFactory, RouterModel, RouterOutputs,
-    TraceEventKind,
+use crate::pseudo::{PcRegisters, PseudoCircuitUnit, Termination};
+use noc_base::{
+    Flit, FlitPool, FlitRef, PortIndex, RouteInfo, RouterId, VaPolicy, VcIndex, VcPartition,
 };
+use noc_energy::EnergyEvent;
+use noc_sim::{NetworkConfig, PipelineStage, RouterOutputs, TraceEventKind};
+use noc_sim::{RouterBuildContext, RouterFactory, RouterModel};
 use noc_topology::SharedTopology;
 use std::sync::Arc;
 
-/// The pseudo-circuit scheme's [`SchemeHooks`]: the shared circuit datapath
-/// gated by the [`Scheme`] switches, plus the paper's two §IV extensions
-/// (speculation, the bypass latch).
+/// The circuit scheme's [`SchemeHooks`]: the held-circuit datapath gated by
+/// the [`Scheme`] switches — establishment, drain, termination (§III) and
+/// the paper's two §IV extensions (speculation, the bypass latch) — and,
+/// for the profiled hybrid, a hot-flow gate on establishment.
 pub struct PcHooks {
     scheme: Scheme,
-    circuits: CircuitDatapath,
+    /// The VA policy of every header, circuit riders included.
+    va_policy: VaPolicy,
+    partition: VcPartition,
+    pcu: PseudoCircuitUnit,
+    /// The profiled hybrid's establishment gate (boxed: a router's bytes
+    /// are what a step walks); `None` for the paper's schemes.
+    hot: Option<Box<HotFlows>>,
 }
 
-/// The pseudo-circuit router (also the baseline router when the scheme is
-/// [`Scheme::baseline`]): the shared kernel running [`PcHooks`].
+/// The pseudo-circuit router — also the baseline ([`Scheme::baseline`]) and,
+/// behind [`HybridRouterFactory`](crate::HybridRouterFactory), the profiled
+/// hybrid: the shared kernel running [`PcHooks`].
 pub type PcRouter = KernelRouter<PcHooks>;
 
 impl PcHooks {
@@ -67,24 +81,239 @@ impl PcHooks {
         scheme.validate().unwrap_or_else(|e| panic!("{e}"));
         // The kernel first: its width check names the router.
         let kernel = PipelineKernel::new(id, topo, config, true, pool);
+        let topo = kernel.topo.as_ref();
         let hooks = PcHooks {
             scheme,
-            circuits: CircuitDatapath::new(id, kernel.topo.as_ref(), &config),
+            va_policy: config.va_policy,
+            partition: config.partition_for(topo),
+            pcu: PseudoCircuitUnit::new(topo.in_ports(id), topo.out_ports(id)),
+            hot: None,
         };
         KernelRouter::new(kernel, hooks)
     }
 
-    /// The pseudo-circuit unit (exposed for white-box tests).
-    pub fn pseudo_unit(&self) -> &PseudoCircuitUnit {
-        &self.circuits.pcu
+    /// Gates establishment by the hybrid profile `hot` ([`crate::hybrid`]).
+    pub(crate) fn gate(&mut self, hot: HotFlows) {
+        self.hot = Some(Box::new(hot));
     }
 
-    /// Attempts to forward an arriving flit through the bypass latch
-    /// (§IV.B). Returns whether the flit was consumed. `r` is the arriving
+    /// The pseudo-circuit unit (exposed for white-box tests).
+    pub fn pseudo_unit(&self) -> &PseudoCircuitUnit {
+        &self.pcu
+    }
+
+    /// Allocates an output VC for header `flit` (VA). `require_credit` makes
+    /// the allocation fail unless the chosen VC has a downstream credit —
+    /// used by the reuse/bypass paths that traverse the same cycle.
+    #[inline]
+    fn allocate_vc(
+        &self,
+        k: &mut PipelineKernel,
+        flit: &Flit,
+        owner: (PortIndex, VcIndex),
+        require_credit: bool,
+    ) -> Option<VcIndex> {
+        let (port, sub) = (flit.route.port, flit.route.hops as usize - 1);
+        let range = self.partition.class_range(flit.class);
+        let range = range.start.into()..range.end.into();
+        let kr = &*k;
+        let credits = |v| kr.credits_available(port, sub, v);
+        let usable = |v| kr.out_vc_is_free(port, v) && (!require_credit || credits(v) > 0);
+        let chosen = self.va_policy.choose(range, flit.dst, usable, credits)?;
+        k.claim_out_vc(port, chosen, owner);
+        Some(chosen)
+    }
+
+    /// Terminates the live circuit at `in_port` (no-op when none), counting
+    /// it in the router statistics and reporting it to the per-port counters
+    /// and the tracer.
+    fn terminate(
+        &mut self,
+        k: &mut PipelineKernel,
+        cycle: u64,
+        in_port: PortIndex,
+        why: Termination,
+    ) {
+        let Some(pc) = self.pcu.live(in_port) else {
+            return;
+        };
+        self.pcu.terminate(in_port);
+        debug_assert!(self.pcu.check_invariants().is_ok());
+        count_termination(k, in_port, why);
+        let kind = match why {
+            Termination::Conflict => TraceEventKind::TerminateConflict,
+            Termination::CreditExhausted => TraceEventKind::TerminateCredit,
+        };
+        k.trace(cycle, kind, in_port, pc.out_port);
+    }
+
+    /// The input port holding `port` through a circuit with no downstream
+    /// credit at its drop position — the circuit phase A (`drain_reuse`)
+    /// terminates. Only a held port with some drop position out of credit
+    /// (`held_mask() & creditless_ports()`, almost always empty) can have one.
+    #[inline(always)]
+    fn creditless_holder(&self, k: &PipelineKernel, port: PortIndex) -> Option<PortIndex> {
+        let holder = self.pcu.holder(port)?;
+        let sub = self.pcu.registers(holder).hops as usize - 1;
+        (k.credits_at_sub(port, sub) == 0).then_some(holder)
+    }
+
+    /// Decides whether `flit`, at the head of the circuit's input VC, may
+    /// ride the live circuit `pc` of `in_port` this cycle, and on which
+    /// output VC. A new packet's header must carry the circuit's route
+    /// (§III.B) and win an output VC with a downstream credit — VA runs in
+    /// parallel with the comparison — and then claims the input VC; a flit
+    /// of a packet already holding the VC must be routed along the circuit
+    /// and have a credit on its output VC (port-level exhaustion is phase
+    /// A's business). `None` sends the flit down the baseline pipeline at no
+    /// penalty.
+    #[inline]
+    fn admit(
+        &self,
+        k: &mut PipelineKernel,
+        in_port: PortIndex,
+        pc: PcRegisters,
+        flit: &Flit,
+    ) -> Option<VcIndex> {
+        let (vc, pc_route) = (pc.in_vc, pc.route());
+        if flit.kind.is_head() && k.input_route(in_port, vc).is_none() {
+            if flit.route != pc_route {
+                return None;
+            }
+            let out_vc = self.allocate_vc(k, flit, (in_port, vc), true)?;
+            k.claim_input_vc(in_port, vc, pc_route, out_vc);
+            k.stats.va_grants += 1;
+            k.energy.record(EnergyEvent::Arbitration);
+            if let Some(p) = k.counters.as_deref_mut() {
+                p.on_va_grant(in_port);
+            }
+            Some(out_vc)
+        } else {
+            if k.input_route(in_port, vc) != Some(pc_route) {
+                return None;
+            }
+            let out_vc = k
+                .input_out_vc(in_port, vc)
+                .expect("routed VC has an output VC");
+            (k.credits_available(pc.out_port, pc.hops as usize - 1, out_vc) > 0).then_some(out_vc)
+        }
+    }
+
+    /// (Re)establishes the circuit of a granted connection, terminating the
+    /// circuits it conflicts with on either port, and reports all of it.
+    #[inline]
+    fn establish(
+        &mut self,
+        k: &mut PipelineKernel,
+        cycle: u64,
+        in_port: PortIndex,
+        vc: VcIndex,
+        route: RouteInfo,
+    ) {
+        let outcome = self.pcu.establish(in_port, vc, route.port, route.hops);
+        debug_assert!(self.pcu.check_invariants().is_ok());
+        for (victim, _) in outcome.terminated.into_iter().flatten() {
+            count_termination(k, victim, Termination::Conflict);
+        }
+        if let Some(p) = k.counters.as_deref_mut() {
+            p.on_pc_established(in_port, outcome.created);
+        }
+        if k.tracer.is_some() {
+            for (victim, victim_out) in outcome.terminated.into_iter().flatten() {
+                k.trace(cycle, TraceEventKind::TerminateConflict, victim, victim_out);
+            }
+            if outcome.created {
+                k.trace(cycle, TraceEventKind::Establish, in_port, route.port);
+            }
+        }
+    }
+
+    /// The input port whose terminated circuit phase G would restore on
+    /// the restorable output `port` this cycle (§IV.A): the one its history
+    /// register names, when the circuit's drop position has downstream
+    /// credit.
+    #[inline(always)]
+    fn credited_history(&self, k: &PipelineKernel, port: PortIndex) -> Option<PortIndex> {
+        let h = self.pcu.history(port)?;
+        (k.credits_at_sub(port, self.pcu.registers(h).hops as usize - 1) > 0).then_some(h)
+    }
+
+    /// Phase G: pseudo-circuit speculation — restore the most recently
+    /// terminated circuit of every idle output port with downstream credit
+    /// (§IV.A).
+    fn speculate(&mut self, k: &mut PipelineKernel, cycle: u64) {
+        // A restore takes only the visited port out of the mask: the
+        // restored input's stale registers pointed at no other output.
+        for out_port in self.pcu.restorable_mask() {
+            let port = PortIndex::new(out_port);
+            let Some(h) = self.credited_history(k, port) else {
+                continue;
+            };
+            let restored = self.pcu.try_restore(port);
+            debug_assert!(restored, "the port was in the restorable mask");
+            debug_assert!(self.pcu.check_invariants().is_ok());
+            k.stats.pc_speculative_restores += 1;
+            if let Some(p) = k.counters.as_deref_mut() {
+                p.on_pc_restored(port);
+            }
+            k.trace(cycle, TraceEventKind::Restore, h, port);
+        }
+    }
+}
+
+// The per-cycle hooks and the datapath methods they call are `#[inline]`:
+// `PipelineKernel::step::<PcHooks>` may land in another codegen unit than
+// this module, and without the hint every SA candidate paid a call — 8–13 %
+// of a low-load run, measured when the kernel and the hooks still lived in
+// other crates. The idle predicate runs after every router step and is a
+// visible share of a near-quiescent run, so its pieces (`is_idle`,
+// `creditless_holder`, `credited_history`) are `#[inline(always)]`: the
+// plain hint still left them 8–20 % slower there.
+impl SchemeHooks for PcHooks {
+    /// Right after the ST drain, which changes no credit, circuit register or
+    /// profile count: the hybrid's freeze; phase A, which terminates the
+    /// circuits whose output has no downstream credit at the held drop
+    /// position (buffer-overflow protection, §III.C); and phase C, reuse: a
+    /// buffered, ready head-of-VC flit that its port's live circuit
+    /// [`admit`](PcHooks::admit)s traverses at once, bypassing SA.
+    #[inline]
+    fn drain_reuse(&mut self, k: &mut PipelineKernel, cycle: u64, out: &mut RouterOutputs) {
+        if let Some(hot) = &mut self.hot {
+            hot.freeze_at(cycle);
+        }
+        if !self.scheme.pseudo_circuit {
+            return;
+        }
+        for out_port in self.pcu.held_mask() & k.creditless_ports() {
+            if let Some(holder) = self.creditless_holder(k, PortIndex::new(out_port)) {
+                self.terminate(k, cycle, holder, Termination::CreditExhausted);
+            }
+        }
+        // Reuse only drains buffered flits, and only through a live circuit.
+        // Neither mask changes under the loop except at the visited port.
+        for in_port in k.occupied_ports() & self.pcu.live_mask() {
+            let in_port = PortIndex::new(in_port);
+            let Some(pc) = self.pcu.live(in_port) else {
+                continue;
+            };
+            if k.in_busy(in_port) || k.out_busy(pc.out_port) {
+                continue;
+            }
+            let Some(&flit) = k.input_head_ready(in_port, pc.in_vc, cycle) else {
+                continue;
+            };
+            if self.admit(k, in_port, pc, &flit).is_some() {
+                k.traverse_from_buffer(cycle, in_port, pc.in_vc, true, out);
+            }
+        }
+    }
+
+    /// The bypass latch (§IV.B): forwards an arriving flit whose VC buffer
+    /// is empty through the live circuit it matches. `r` is the arriving
     /// flit's pool slot; its body is read once (after the cheap port-state
     /// early-outs) and a consumed flit is forwarded by reference, never
     /// re-stored.
-    fn try_bypass(
+    fn try_arrival_intercept(
         &mut self,
         k: &mut PipelineKernel,
         cycle: u64,
@@ -95,7 +324,7 @@ impl PcHooks {
         if !self.scheme.buffer_bypass || k.in_busy(in_port) {
             return false;
         }
-        let Some(pc) = self.circuits.pcu.live(in_port) else {
+        let Some(pc) = self.pcu.live(in_port) else {
             return false;
         };
         if k.out_busy(pc.out_port) {
@@ -106,7 +335,7 @@ impl PcHooks {
         if pc.in_vc != vc || !k.input_empty(in_port, vc) {
             return false;
         }
-        let Some(out_vc) = self.circuits.admit(k, in_port, pc, &flit) else {
+        let Some(out_vc) = self.admit(k, in_port, pc, &flit) else {
             return false;
         };
         let pc_route = pc.route();
@@ -140,68 +369,8 @@ impl PcHooks {
         true
     }
 
-    /// The input port whose terminated circuit phase G would restore on
-    /// the restorable output `port` this cycle (§IV.A): the one its history
-    /// register names, when the circuit's drop position has downstream
-    /// credit.
-    #[inline(always)]
-    fn credited_history(&self, k: &PipelineKernel, port: PortIndex) -> Option<PortIndex> {
-        let pcu = &self.circuits.pcu;
-        let h = pcu.history(port)?;
-        (k.credits_at_sub(port, pcu.registers(h).hops as usize - 1) > 0).then_some(h)
-    }
-
-    /// Phase G: pseudo-circuit speculation — restore the most recently
-    /// terminated circuit of every idle output port with downstream credit
-    /// (§IV.A).
-    fn speculate(&mut self, k: &mut PipelineKernel, cycle: u64) {
-        // A restore takes only the visited port out of the mask: the
-        // restored input's stale registers pointed at no other output.
-        for out_port in self.circuits.pcu.restorable_mask() {
-            let port = PortIndex::new(out_port);
-            let Some(h) = self.credited_history(k, port) else {
-                continue;
-            };
-            let restored = self.circuits.pcu.try_restore(port);
-            debug_assert!(restored, "the port was in the restorable mask");
-            debug_assert!(self.circuits.pcu.check_invariants().is_ok());
-            k.stats.pc_speculative_restores += 1;
-            if let Some(p) = k.counters.as_deref_mut() {
-                p.on_pc_restored(port);
-            }
-            k.trace(cycle, TraceEventKind::Restore, h, port);
-        }
-    }
-}
-
-// `#[inline]` throughout, for the reason given in `crate::datapath`.
-impl SchemeHooks for PcHooks {
-    #[inline]
-    fn begin_cycle(&mut self, k: &mut PipelineKernel, cycle: u64) {
-        if self.scheme.pseudo_circuit {
-            self.circuits.terminate_creditless(k, cycle);
-        }
-    }
-
-    #[inline]
-    fn drain_reuse(&mut self, k: &mut PipelineKernel, cycle: u64, out: &mut RouterOutputs) {
-        if self.scheme.pseudo_circuit {
-            self.circuits.reuse(k, cycle, out);
-        }
-    }
-
-    #[inline]
-    fn try_arrival_intercept(
-        &mut self,
-        k: &mut PipelineKernel,
-        cycle: u64,
-        in_port: PortIndex,
-        r: FlitRef,
-        out: &mut RouterOutputs,
-    ) -> bool {
-        self.try_bypass(k, cycle, in_port, r, out)
-    }
-
+    /// VA for one header; before the hybrid's freeze also its profile
+    /// sample.
     #[inline]
     fn allocate_out_vc(
         &mut self,
@@ -209,17 +378,34 @@ impl SchemeHooks for PcHooks {
         flit: &Flit,
         owner: (PortIndex, VcIndex),
     ) -> Option<(VcIndex, u8)> {
-        self.circuits
-            .allocate_vc(k, flit.route, flit.class, flit.dst, owner, false)
-            .map(|vc| (vc, 0))
+        if let Some(hot) = &mut self.hot {
+            hot.sample(flit);
+        }
+        self.allocate_vc(k, flit, owner, false).map(|vc| (vc, 0))
     }
 
+    /// Flits covered by a live matching circuit bypass SA and drain through
+    /// the held connection in `drain_reuse` (§III.B, "the following flits
+    /// coming to the same VC can bypass SA ... until the pseudo-circuit is
+    /// terminated"). Whether the flit's flow is hot does not matter: the
+    /// hybrid's gate is on establishment, not on the drain.
     #[inline]
     fn sa_skip(&self, in_port: PortIndex, vc: VcIndex, route: RouteInfo) -> bool {
-        self.scheme.pseudo_circuit && self.circuits.covers(in_port, vc, route)
+        self.scheme.pseudo_circuit
+            && self
+                .pcu
+                .live(in_port)
+                .is_some_and(|pc| pc.in_vc == vc && pc.route() == route)
     }
 
-    /// Each grant (re)establishes the pseudo-circuit of its connection.
+    /// Each grant (re)establishes the pseudo-circuit of its connection. Under
+    /// the hybrid's gate a grant does nothing before the freeze, and after
+    /// it a grant of a cold flow only tears down the circuits it conflicts
+    /// with: SA reconfigured the crossbar, so a circuit holding either side
+    /// of the granted connection no longer exists physically — the output's
+    /// holder goes first, then the input port's own circuit. The granted
+    /// flit is still buffered at the head of its VC (it drains at the next
+    /// cycle's ST phase) and was ready this cycle.
     #[inline]
     fn on_sa_grant(
         &mut self,
@@ -229,8 +415,22 @@ impl SchemeHooks for PcHooks {
         vc: VcIndex,
         route: RouteInfo,
     ) {
-        if self.scheme.pseudo_circuit {
-            self.circuits.establish(k, cycle, in_port, vc, route);
+        if !self.scheme.pseudo_circuit {
+            return;
+        }
+        match &self.hot {
+            Some(hot) if !hot.frozen => {}
+            Some(hot)
+                if !k
+                    .input_head_ready(in_port, vc, cycle)
+                    .is_some_and(|f| hot.is_hot(f)) =>
+            {
+                if let Some(holder) = self.pcu.holder(route.port) {
+                    self.terminate(k, cycle, holder, Termination::Conflict);
+                }
+                self.terminate(k, cycle, in_port, Termination::Conflict);
+            }
+            _ => self.establish(k, cycle, in_port, vc, route),
         }
     }
 
@@ -243,16 +443,34 @@ impl SchemeHooks for PcHooks {
 
     /// No live circuit that phase A would terminate for credit exhaustion,
     /// and no history register that phase G would speculatively restore.
+    /// A pending hybrid freeze does not block idling: an idle router has no
+    /// flits, so freezing now or at its next busy cycle produces the same
+    /// counts and the same behaviour.
     #[inline(always)]
     fn is_idle(&self, k: &PipelineKernel) -> bool {
-        (!self.scheme.pseudo_circuit || self.circuits.is_idle(k))
+        (!self.scheme.pseudo_circuit
+            || (self.pcu.held_mask() & k.creditless_ports())
+                .into_iter()
+                .all(|p| self.creditless_holder(k, PortIndex::new(p)).is_none()))
             && (!self.scheme.speculation
                 || self
-                    .circuits
                     .pcu
                     .restorable_mask()
                     .into_iter()
                     .all(|p| self.credited_history(k, PortIndex::new(p)).is_none()))
+    }
+}
+
+/// Counts one termination of the circuit at `in_port`, once, where it
+/// happens: in the router statistics and, when on, the per-port counters.
+#[inline]
+fn count_termination(k: &mut PipelineKernel, in_port: PortIndex, why: Termination) {
+    match why {
+        Termination::Conflict => k.stats.pc_terminations_conflict += 1,
+        Termination::CreditExhausted => k.stats.pc_terminations_credit += 1,
+    }
+    if let Some(p) = k.counters.as_deref_mut() {
+        p.on_pc_terminated(in_port, why);
     }
 }
 
@@ -288,7 +506,8 @@ mod tests {
     //! Drives a [`PcRouter`] the way the engine does — flits under upstream
     //! credit, credits only for flits it sent, one step per cycle — so the
     //! kernel's port-summary masks can be checked against the state they
-    //! summarize after every call (DESIGN.md §14).
+    //! summarize, and its output-VC ownership law, after every call
+    //! (DESIGN.md §14).
 
     use super::*;
     use noc_base::{
@@ -431,6 +650,7 @@ mod tests {
 
         fn check(&self) -> Result<(), String> {
             self.router.kernel().check_summaries()?;
+            self.router.kernel().check_ownership()?;
             self.router.hooks().pseudo_unit().check_invariants()
         }
     }

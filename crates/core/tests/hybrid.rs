@@ -1,10 +1,17 @@
 //! Behavioural tests for the profiled-hybrid router: wormhole equivalence
 //! during the profile window, circuit formation for hot flows after the
-//! freeze, and the absence of circuits for cold traffic.
+//! freeze, the absence of circuits for cold traffic, and a cold grant
+//! tearing down the hot circuit it conflicts with.
 
-use noc_base::{NodeId, PacketClass, RoutingPolicy, VaPolicy};
-use noc_sim::{NetworkConfig, RunSpec, Simulation};
-use noc_topology::{Mesh, Ring};
+use noc_base::{
+    Flit, FlitKind, FlitPool, NodeId, PacketClass, PacketId, PortIndex, RouteInfo, RouteMode,
+    RouterId, RoutingPolicy, VaPolicy, VcIndex,
+};
+use noc_sim::{
+    MetricsConfig, MetricsLevel, NetworkConfig, RouterBuildContext, RouterFactory, RouterModel,
+    RouterOutputs, RunSpec, Simulation,
+};
+use noc_topology::{Mesh, Ring, SharedTopology};
 use noc_traffic::{PacketRequest, SyntheticPattern, SyntheticTraffic, TrafficModel};
 use pseudo_circuit::{HybridRouterFactory, PcRouterFactory, Scheme};
 use std::sync::Arc;
@@ -158,4 +165,96 @@ fn hybrid_rides_the_ring_topology() {
     assert_eq!(report.measured_delivered, 40);
     assert!(report.router_stats.pc_reuses > 0);
     assert!(report.drained);
+}
+
+/// A single-flit packet `src -> dst` on VC `vc`, leaving through `port`.
+fn single_flit(packet: u64, src: usize, dst: usize, vc: usize, port: PortIndex) -> Flit {
+    Flit {
+        packet: PacketId::new(packet),
+        kind: FlitKind::Single,
+        seq: 0,
+        src: NodeId::new(src),
+        dst: NodeId::new(dst),
+        vc: VcIndex::new(vc),
+        route: RouteInfo::new(port),
+        mode: RouteMode::XY,
+        class: 0,
+        injected_at: 0,
+        packet_class: PacketClass::Data,
+        express_hops: 0,
+    }
+}
+
+/// After the freeze, a grant of a cold flow whose connection conflicts with
+/// a hot flow's held circuit tears that circuit down and establishes none
+/// of its own; before the freeze, a grant establishes nothing.
+#[test]
+fn a_cold_grant_terminates_the_hot_circuit_it_conflicts_with() {
+    // Router 0 of a 2x1 mesh with concentration 2: local ports 0 and 1,
+    // the east port 3 toward nodes 2 and 3.
+    const EAST: PortIndex = PortIndex::new(3);
+    let topo: SharedTopology = Arc::new(Mesh::new(2, 1, 2));
+    let pool = Arc::new(FlitPool::new(64, 1));
+    let factory = HybridRouterFactory {
+        profile_cycles: 10,
+        hot_threshold: 1,
+    };
+    let mut router = factory.build(RouterBuildContext {
+        id: RouterId::new(0),
+        topology: &topo,
+        config: &NetworkConfig {
+            va_policy: VaPolicy::Static,
+            ..config()
+        },
+        seed: 0,
+        metrics: &MetricsConfig::level(MetricsLevel::Full),
+        pool: &pool,
+    });
+    let mut cycle = 0;
+    let mut run_to = |router: &mut Box<dyn RouterModel>, end: u64| {
+        while cycle < end {
+            let mut out = RouterOutputs::default();
+            router.step(cycle, &mut out);
+            for sent in out.flits {
+                pool.free(sent.flit);
+            }
+            cycle += 1;
+        }
+    };
+    let creations = |router: &dyn RouterModel| router.observation().unwrap().pc_creations;
+
+    // Profile window: node 0 -> node 2 (static VC 2) becomes hot; its grant
+    // establishes nothing yet.
+    router.receive_flit(
+        PortIndex::new(0),
+        pool.alloc_serial(single_flit(1, 0, 2, 2, EAST)),
+    );
+    run_to(&mut router, 12);
+    assert_eq!(router.stats().flit_traversals, 1);
+    assert_eq!(creations(router.as_ref()), [0; 6]);
+
+    // After the freeze the hot flow's grant holds input 0 -> EAST.
+    router.receive_flit(
+        PortIndex::new(0),
+        pool.alloc_serial(single_flit(2, 0, 2, 2, EAST)),
+    );
+    run_to(&mut router, 15);
+    assert_eq!(creations(router.as_ref()), [1, 0, 0, 0, 0, 0]);
+    assert_eq!(router.stats().pc_terminations_conflict, 0);
+
+    // Node 1 -> node 3 (static VC 3) was never profiled: cold. Its grant
+    // of input 1 -> EAST terminates the hot circuit and holds nothing.
+    router.receive_flit(
+        PortIndex::new(1),
+        pool.alloc_serial(single_flit(3, 1, 3, 3, EAST)),
+    );
+    run_to(&mut router, 18);
+    let stats = router.stats();
+    assert_eq!(stats.flit_traversals, 3);
+    assert_eq!(stats.sa_grants, 3);
+    assert_eq!(stats.pc_terminations_conflict, 1);
+    assert_eq!(stats.pc_terminations_credit, 0);
+    assert_eq!(creations(router.as_ref()), [1, 0, 0, 0, 0, 0]);
+    let observed = router.observation().unwrap();
+    assert_eq!(observed.term_conflict, [1, 0, 0, 0, 0, 0]);
 }

@@ -330,8 +330,9 @@ impl Simulation {
     /// (issued less free) is owned by exactly one holder — a router (buffered,
     /// or received and not yet stepped) or an event vector (in transit on a
     /// link). Interfaces hold none between cycles: one writes a flit into the
-    /// pool as it emits it and frees the slot as it receives one. Returns
-    /// the violation, naming the counts, or `Ok` when the law holds.
+    /// pool as it emits it and frees the slot as it receives one. Then each
+    /// router's own laws ([`RouterModel::audit`]). Returns the first
+    /// violation, or `Ok` when every law holds.
     ///
     /// A full scan of every router's buffers: for tests, never called from
     /// [`step`](Self::step).
@@ -352,7 +353,9 @@ impl Simulation {
                 self.cycle
             ));
         }
-        Ok(())
+        let cycle = self.cycle;
+        let routers = self.routers.iter().try_for_each(|r| r.audit());
+        routers.map_err(|e| format!("cycle {cycle}: {e}"))
     }
 
     /// Advances the simulation one cycle.

@@ -328,18 +328,11 @@ impl NetworkInterface {
     }
 
     fn pick_injection_vc(&self, class: u8, dst: NodeId) -> Option<VcIndex> {
-        match self.config.va_policy {
-            noc_base::VaPolicy::Static => {
-                let vc = self.partition.static_vc(class, dst);
-                (self.credits[vc.index()] > 0).then_some(vc)
-            }
-            noc_base::VaPolicy::Dynamic => self
-                .partition
-                .class_range(class)
-                .map(|v| VcIndex::new(v as usize))
-                .filter(|&v| self.credits[v.index()] > 0)
-                .max_by_key(|&v| self.credits[v.index()]),
-        }
+        let range = self.partition.class_range(class);
+        let range = range.start.into()..range.end.into();
+        let credits = |v: VcIndex| self.credits[v.index()];
+        let usable = |v| credits(v) > 0;
+        self.config.va_policy.choose(range, dst, usable, credits)
     }
 }
 

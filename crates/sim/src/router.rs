@@ -183,6 +183,12 @@ pub trait RouterModel: Send {
     /// conservation law [`crate::Simulation::audit`] checks counts them.
     fn buffered_flits(&self) -> usize;
 
+    /// The router's own laws between cycles, for
+    /// [`crate::Simulation::audit`]: `Err` names the first one violated.
+    fn audit(&self) -> Result<(), String> {
+        Ok(())
+    }
+
     /// Cumulative statistics.
     fn stats(&self) -> RouterStats;
 

@@ -28,7 +28,7 @@ NOC_THREADS=2 cargo test -q --offline --workspace
 
 # One lint pass over every target of every member: the facade, the unsafe
 # lifetime erasure of noc-base's worker pool, the pipeline kernel and its
-# three crate-private hook sets (pseudo-circuit), the campaign engine's
+# two crate-private hook sets (pseudo-circuit), the campaign engine's
 # hand-rolled TOML/JSON parsing, and the figure claims of tests/figures.rs.
 # vendor/proptest is an implicit member and not ours to lint.
 echo "==> cargo clippy --workspace --exclude proptest --all-targets -- -D warnings"

@@ -474,41 +474,43 @@ pub fn render_list() -> String {
     out
 }
 
-/// The `noc help` text.
+/// The `noc help` text. Written flush left: a `\` line continuation would
+/// strip each line's leading spaces, and with them the columns.
 pub fn usage() -> &'static str {
-    "noc — pseudo-circuit NoC experiment runner\n\
-     \n\
-     USAGE:\n\
-       noc run [flags]     run one experiment and print its report\n\
-       noc campaign run --spec FILE --out DIR [--threads N] [--max-points N]\n\
-                           run/resume a cached sweep (docs/CAMPAIGNS.md)\n\
-       noc campaign status --spec FILE --out DIR\n\
-                           count the sweep's points already cached\n\
-       noc campaign expand --spec FILE   print the expanded point set\n\
-       noc list            list traffic models, topologies and schemes\n\
-       noc help            this text\n\
-     \n\
-     FLAGS (with defaults):\n\
-       --topology mesh8x8    --traffic ur        --load 0.10    --packet 5\n\
-       --scheme pseudo+ps+bb --routing xy        --va static\n\
-       --vcs 4               --buffer 4\n\
-       --warmup 1000         --measure 10000     --drain 100000 --seed 1\n\
-     \n\
-     CAMPAIGN FLAGS (campaign run only):\n\
-       --threads N           points simulated at once, one per thread (default:\n\
-                             the host's CPUs, capped by NOC_THREADS); each\n\
-                             simulation is serial, so results never depend on it\n\
-       --max-points N        stop after N uncached points (re-run to resume)\n\
-     \n\
-     OBSERVABILITY (defaults off; see docs/METRICS.md):\n\
-       --metrics off|full        per-router counters + stage histograms (full)\n\
-       --manifest PATH           write the run's record (JSON): its flags, git\n\
-                                 revision, config hash and results; the same\n\
-                                 record a campaign caches for the point\n\
-       --trace PATH              write router lifecycle events (circuit + EVC\n\
-                                 latch) as Chrome-trace JSON (chrome://tracing)\n\
-       --trace-routers 0,5,12    restrict tracing to these routers (default all;\n\
-                                 needs --trace, ids below the router count)"
+    "\
+noc — pseudo-circuit NoC experiment runner
+
+USAGE:
+  noc run [flags]     run one experiment and print its report
+  noc campaign run --spec FILE --out DIR [--threads N] [--max-points N]
+                      run/resume a cached sweep (docs/CAMPAIGNS.md)
+  noc campaign status --spec FILE --out DIR
+                      count the sweep's points already cached
+  noc campaign expand --spec FILE   print the expanded point set
+  noc list            list traffic models, topologies and schemes
+  noc help            this text
+
+FLAGS (with defaults):
+  --topology mesh8x8    --traffic ur        --load 0.10    --packet 5
+  --scheme pseudo+ps+bb --routing xy        --va static
+  --vcs 4               --buffer 4
+  --warmup 1000         --measure 10000     --drain 100000 --seed 1
+
+CAMPAIGN FLAGS (campaign run only):
+  --threads N           points simulated at once, one per thread (default:
+                        the host's CPUs, capped by NOC_THREADS); each
+                        simulation is serial, so results never depend on it
+  --max-points N        stop after N uncached points (re-run to resume)
+
+OBSERVABILITY (defaults off; see docs/METRICS.md):
+  --metrics off|full        per-router counters + stage histograms (full)
+  --manifest PATH           write the run's record (JSON): its flags, git
+                            revision, config hash and results; the same
+                            record a campaign caches for the point
+  --trace PATH              write router lifecycle events (circuit + EVC
+                            latch) as Chrome-trace JSON (chrome://tracing)
+  --trace-routers 0,5,12    restrict tracing to these routers (default all;
+                            needs --trace, ids below the router count)"
 }
 
 #[cfg(test)]
@@ -978,6 +980,21 @@ mod tests {
             "hybrid never held a circuit: {:?}",
             report.router_stats
         );
+    }
+
+    #[test]
+    fn usage_keeps_its_columns() {
+        let text = usage();
+        for line in ["noc run [flags]", "--topology mesh8x8", "--threads N"] {
+            assert!(
+                text.contains(&format!("\n  {line}")),
+                "{line:?} lost its indent"
+            );
+        }
+        // A continuation line sits in the description column of the line
+        // above it.
+        let continuation = " ".repeat(22) + "run/resume a cached sweep";
+        assert!(text.contains(&format!("\n{continuation}")), "{text}");
     }
 
     #[test]

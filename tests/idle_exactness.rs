@@ -107,9 +107,9 @@ fn skipping_idle_routers_never_changes_a_report() {
             // two-flit buffers under moderate load, a reuse or bypass
             // traversal now and then spends a port's last credit as it
             // empties the router: idle by the kernel's clause, but the next
-            // step must terminate the circuit (dropping that clause from
-            // `PcHooks::is_idle` fails the third case, from
-            // `HybridHooks::is_idle` the fourth).
+            // step must terminate the circuit (dropping the credit clause
+            // from `PcHooks::is_idle` fails the third case, and dropping it
+            // for the hybrid only, which runs the same hooks, the fourth).
             for (traffic, load, buffer) in [
                 ("ur", 0.02, 4),
                 ("bc", 0.03, 4),
