@@ -98,14 +98,9 @@ pub struct PseudoCircuitUnit {
     ports: Box<[PortRegs]>,
     in_ports: u8,
     out_ports: u8,
-    // One-word summaries of the records, written beside them by
-    // `establish` / `terminate` / `try_restore`: input ports whose register
-    // is valid, output ports with a holder, output ports `try_restore` would
-    // reconnect. The per-cycle scans of the circuit datapath intersect these
-    // (with each other and with the kernel's port summaries) instead of
-    // walking every port.
-    live_mask: Mask64,
-    held_mask: Mask64,
+    // Output ports `try_restore` would reconnect, written beside the records
+    // by `establish` / `terminate` / `try_restore`: speculation and the idle
+    // predicate visit these instead of every output's history.
     restorable_mask: Mask64,
 }
 
@@ -132,8 +127,6 @@ impl PseudoCircuitUnit {
             ports: vec![port; in_ports.max(out_ports)].into(),
             in_ports: in_ports as u8,
             out_ports: out_ports as u8,
-            live_mask: Mask64::EMPTY,
-            held_mask: Mask64::EMPTY,
             restorable_mask: Mask64::EMPTY,
         }
     }
@@ -161,18 +154,6 @@ impl PseudoCircuitUnit {
     pub fn history(&self, out_port: PortIndex) -> Option<PortIndex> {
         debug_assert!(out_port.index() < usize::from(self.out_ports));
         self.ports[out_port.index()].output.history
-    }
-
-    /// Input ports with a live pseudo-circuit.
-    #[inline]
-    pub fn live_mask(&self) -> Mask64 {
-        self.live_mask
-    }
-
-    /// Output ports whose crossbar connection a live circuit holds.
-    #[inline]
-    pub fn held_mask(&self) -> Mask64 {
-        self.held_mask
     }
 
     /// Output ports [`try_restore`](Self::try_restore) would reconnect: no
@@ -225,8 +206,6 @@ impl PseudoCircuitUnit {
             hops,
         };
         self.ports[out_port.index()].output.holder = Some(in_port);
-        self.live_mask.set(in_port.index());
-        self.held_mask.set(out_port.index());
         outcome
     }
 
@@ -243,8 +222,6 @@ impl PseudoCircuitUnit {
         debug_assert_eq!(regs.holder, Some(in_port), "hold desync");
         regs.holder = None;
         regs.history = Some(in_port);
-        self.live_mask.clear(in_port.index());
-        self.held_mask.clear(out.index());
         self.restorable_mask.set(out.index());
     }
 
@@ -263,8 +240,6 @@ impl PseudoCircuitUnit {
             .expect("a restorable output has history");
         self.ports[h.index()].input.valid = true;
         self.ports[out_port.index()].output.holder = Some(h);
-        self.live_mask.set(h.index());
-        self.held_mask.set(out_port.index());
         self.restorable_mask.clear(out_port.index());
         true
     }
@@ -279,8 +254,8 @@ impl PseudoCircuitUnit {
             })
     }
 
-    /// Checks the one-per-port invariants and the three port masks against
-    /// the records they summarize; used by debug assertions and property
+    /// Checks the one-per-port invariants and the restorable mask against
+    /// the records it summarizes; used by debug assertions and property
     /// tests.
     pub fn check_invariants(&self) -> Result<(), String> {
         for i in 0..usize::from(self.in_ports) {
@@ -288,15 +263,9 @@ impl PseudoCircuitUnit {
             if reg.valid && self.holder(reg.out_port) != Some(PortIndex::new(i)) {
                 return Err(format!("input {i} valid but output not held by it"));
             }
-            if self.live_mask.get(i) != reg.valid {
-                return Err(format!("stale live_mask bit of input {i}"));
-            }
         }
         for o in 0..usize::from(self.out_ports) {
             let h = self.holder(PortIndex::new(o));
-            if self.held_mask.get(o) != h.is_some() {
-                return Err(format!("stale held_mask bit of output {o}"));
-            }
             if self.restorable_mask.get(o) != self.restorable(PortIndex::new(o)) {
                 return Err(format!("stale restorable_mask bit of output {o}"));
             }

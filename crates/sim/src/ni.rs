@@ -283,6 +283,12 @@ impl NetworkInterface {
         *credits += 1;
     }
 
+    /// Free slots the interface counts in VC `vc` of the router's local
+    /// input port: its side of the injection link's credit law.
+    pub(crate) fn credits(&self, vc: VcIndex) -> u32 {
+        self.credits[vc.index()]
+    }
+
     /// Runs one cycle of injection: returns the flit injected toward the
     /// router's local input port, if any, freshly written into the pool.
     pub fn step(&mut self, _cycle: u64) -> Option<FlitRef> {

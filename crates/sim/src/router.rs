@@ -183,6 +183,24 @@ pub trait RouterModel: Send {
     /// conservation law [`crate::Simulation::audit`] checks counts them.
     fn buffered_flits(&self) -> usize;
 
+    /// The downstream credits this router holds on output VC `(out_port,
+    /// sub, vc)` (drop position `sub`) between cycles, counting one it has
+    /// reserved for a flit granted the switch but not yet sent: its upstream
+    /// side of the credit law [`crate::Simulation::audit`] checks. `None`
+    /// (the default) for a model that keeps no credit books: the law then
+    /// skips its links.
+    fn credits(&self, _out_port: PortIndex, _sub: u8, _vc: VcIndex) -> Option<u32> {
+        None
+    }
+
+    /// The flits this router holds on input VC `(in_port, vc)` between
+    /// cycles, buffered or received but not yet stepped: its downstream side
+    /// of the credit law. `None` (the default) as for
+    /// [`credits`](Self::credits).
+    fn flits_on(&self, _in_port: PortIndex, _vc: VcIndex) -> Option<usize> {
+        None
+    }
+
     /// The router's own laws between cycles, for
     /// [`crate::Simulation::audit`]: `Err` names the first one violated.
     fn audit(&self) -> Result<(), String> {

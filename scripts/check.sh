@@ -8,14 +8,18 @@ echo "==> cargo build --release"
 cargo build --release --offline
 
 # Debug-assertions pass over every workspace member (a bare `cargo test` at
-# the root covers only the facade package): unoptimized profile, so every
-# debug_assert! in the hot path is live — the flit pool's 8-bit generation
+# the root covers only the facade package): the dev profile keeps every
+# debug_assert! in the hot path live — the laws `Simulation::audit` checks
+# after every step (flits, output-VC ownership, credits), the kernel's
+# summary checks after every router step, the flit pool's 8-bit generation
 # tags (use-after-free / double-free checks on every FlitRef deref,
 # DESIGN.md §19), the FifoBank ring-bounds checks, and the O(1) quiescence
 # flag's cross-check against a full component scan all fire here and
-# nowhere else.
+# nowhere else. Its wall time is printed: it is a tracked number.
 echo "==> cargo test -q --workspace"
+started=$SECONDS
 cargo test -q --offline --workspace
+echo "debug test wall time (build included): $((SECONDS - started)) s"
 
 # Second pass with the host budget capped at two: what reads the budget
 # (noc_base::pool::host_threads — a campaign's default worker count, and so

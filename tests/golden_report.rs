@@ -292,10 +292,11 @@ fn full_metrics_do_not_perturb_the_evc_simulation() {
 
 #[test]
 fn every_golden_configuration_and_a_saturated_mesh_conserve_flits_every_cycle() {
-    // The flit and ownership laws of `Simulation::audit`, checked between
-    // every two cycles of the six golden configurations (their 2 500-cycle
-    // window and a stretch of drain) and of a mesh8x8 past saturation,
-    // where every buffer fills and source queues grow.
+    // The flit, ownership and credit laws of `Simulation::audit`, checked
+    // between every two cycles of the six golden configurations (their
+    // 2 500-cycle window and a stretch of drain) and of a mesh8x8 past
+    // saturation, where every buffer fills and source queues grow — in
+    // release builds too, where `Simulation::step` does not audit itself.
     let pc = PcRouterFactory::new(Scheme::pseudo_ps_bb());
     let hybrid = HybridRouterFactory::default();
     let (xy, o1turn) = (RoutingPolicy::Xy, RoutingPolicy::O1Turn);

@@ -156,7 +156,7 @@ fn construction_stays_within_its_allocation_budget() {
     // itself an allocation, so the counter sees both. These are the bytes a
     // cycle walks per router; at 1024 routers they decide whether a step's
     // state is still in cache when its turn comes round again. Of the
-    // router's 2 778, 1 280 are the twenty input VCs at one 64-byte line
+    // router's 2 622, 1 280 are the twenty input VCs at one 64-byte line
     // each (4 refs, 4 full-width ready cycles, cursor, claim) — the floor
     // while a ready cycle is an exact `u64`.
     let pool = Arc::new(FlitPool::new(64, 1));
