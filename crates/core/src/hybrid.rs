@@ -16,10 +16,11 @@
 //! instead of ahead of time:
 //!
 //! 1. **Profile window** (`cycle < profile_cycles`): every router runs pure
-//!    wormhole switching and counts, per flow, the VC-allocation attempts
-//!    of its headers at that router. A header that finds no free output VC
-//!    tries again the next cycle and is counted again, so a congested flow
-//!    counts more than its headers.
+//!    wormhole switching and counts, per flow, the headers that win VC
+//!    allocation at that router. No circuit exists before the freeze, so
+//!    every header wins VA exactly once at every hop: the count is the
+//!    flow's headers through the router, however long each waited for its
+//!    output VC.
 //! 2. **Freeze**: at the first step with `cycle >= profile_cycles` the
 //!    counts stop changing; a flow is hot when its count reached
 //!    `hot_threshold`.
@@ -63,8 +64,8 @@ pub(crate) struct HotFlows {
     /// Whether the profile window is over.
     pub(crate) frozen: bool,
     num_nodes: usize,
-    /// Per-flow VC-allocation counts, gathered during the profile window
-    /// and fixed from the freeze on.
+    /// Per-flow header counts (VC-allocation grants), gathered during the
+    /// profile window and fixed from the freeze on.
     counts: Vec<u32>,
 }
 
@@ -104,7 +105,8 @@ impl HotFlows {
         self.frozen |= cycle >= self.profile_cycles;
     }
 
-    /// Counts one VC allocation attempt of `flit`'s flow, while unfrozen.
+    /// Counts one header of `flit`'s flow that won VC allocation, while
+    /// unfrozen.
     pub(crate) fn sample(&mut self, flit: &Flit) {
         if !self.frozen {
             let slot = self.slot(flit);
@@ -124,7 +126,8 @@ impl HotFlows {
 pub struct HybridRouterFactory {
     /// Length of the online profile window, in cycles.
     pub profile_cycles: u64,
-    /// Profile count (VC-allocation attempts) at which a flow becomes hot.
+    /// Profile count (headers granted a VC at the router) at which a flow
+    /// becomes hot.
     pub hot_threshold: u32,
 }
 

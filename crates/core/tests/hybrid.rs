@@ -1,7 +1,8 @@
 //! Behavioural tests for the profiled-hybrid router: wormhole equivalence
 //! during the profile window, circuit formation for hot flows after the
-//! freeze, the absence of circuits for cold traffic, and a cold grant
-//! tearing down the hot circuit it conflicts with.
+//! freeze, the absence of circuits for cold traffic, a cold grant
+//! tearing down the hot circuit it conflicts with, and a profile that
+//! counts headers, not VA retries.
 
 use noc_base::{
     Flit, FlitKind, FlitPool, NodeId, PacketClass, PacketId, PortIndex, RouteInfo, RouteMode,
@@ -257,4 +258,84 @@ fn a_cold_grant_terminates_the_hot_circuit_it_conflicts_with() {
     assert_eq!(creations(router.as_ref()), [1, 0, 0, 0, 0, 0]);
     let observed = router.observation().unwrap();
     assert_eq!(observed.term_conflict, [1, 0, 0, 0, 0, 0]);
+}
+
+/// The profile counts headers, one per hop, not VA attempts: a header that
+/// waits for its output VC through `hot_threshold` or more cycles of the
+/// profile window leaves its flow cold, so after the freeze its grant
+/// establishes no circuit.
+#[test]
+fn a_header_held_off_va_leaves_its_flow_cold() {
+    // Router 0 of a 2x1 mesh with concentration 2, as above: under static
+    // VA both flows below want output VC 2 on the east port.
+    const EAST: PortIndex = PortIndex::new(3);
+    let topo: SharedTopology = Arc::new(Mesh::new(2, 1, 2));
+    let pool = Arc::new(FlitPool::new(64, 1));
+    let factory = HybridRouterFactory {
+        profile_cycles: 20,
+        hot_threshold: 3,
+    };
+    let mut router = factory.build(RouterBuildContext {
+        id: RouterId::new(0),
+        topology: &topo,
+        config: &NetworkConfig {
+            va_policy: VaPolicy::Static,
+            ..config()
+        },
+        seed: 0,
+        metrics: &MetricsConfig::level(MetricsLevel::Full),
+        pool: &pool,
+    });
+    let mut cycle = 0;
+    let mut run_to = |router: &mut Box<dyn RouterModel>, end: u64| {
+        while cycle < end {
+            let mut out = RouterOutputs::default();
+            router.step(cycle, &mut out);
+            for sent in out.flits {
+                pool.free(sent.flit);
+            }
+            cycle += 1;
+        }
+    };
+    let flit = |packet, src, kind, seq| Flit {
+        kind,
+        seq,
+        ..single_flit(packet, src, 2, 2, EAST)
+    };
+
+    // Node 1 -> node 2: a two-flit packet whose header takes output VC 2
+    // and holds it until its tail passes.
+    router.receive_flit(
+        PortIndex::new(1),
+        pool.alloc_serial(flit(1, 1, FlitKind::Head, 0)),
+    );
+    run_to(&mut router, 1);
+    // Node 0 -> node 2: its header waits for that VC from cycle 2 on.
+    router.receive_flit(
+        PortIndex::new(0),
+        pool.alloc_serial(single_flit(2, 0, 2, 2, EAST)),
+    );
+    run_to(&mut router, 7);
+    assert_eq!(router.stats().flit_traversals, 1, "the header is held off");
+    assert_eq!(router.stats().va_grants, 1);
+    // The tail frees the VC; the waiting header wins it once.
+    router.receive_flit(
+        PortIndex::new(1),
+        pool.alloc_serial(flit(1, 1, FlitKind::Tail, 1)),
+    );
+    run_to(&mut router, 12);
+    assert_eq!(router.stats().flit_traversals, 3);
+    assert_eq!(router.stats().va_grants, 2);
+
+    // After the freeze at cycle 20 the node 0 -> node 2 flow, one header at this hop,
+    // is cold: its grant holds no circuit.
+    run_to(&mut router, 20);
+    router.receive_flit(
+        PortIndex::new(0),
+        pool.alloc_serial(single_flit(3, 0, 2, 2, EAST)),
+    );
+    run_to(&mut router, 25);
+    assert_eq!(router.stats().flit_traversals, 4);
+    let creations = router.observation().unwrap().pc_creations;
+    assert_eq!(creations, [0; 6], "a retried header made its flow hot");
 }
