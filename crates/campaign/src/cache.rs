@@ -28,7 +28,7 @@
 //! trusted.
 
 use crate::runner::PreparedPoint;
-use crate::spec::{routing_name, va_name, PointSpec, SchemeChoice};
+use crate::spec::PointSpec;
 use crate::value::{parse_json, Value};
 use crate::Error;
 use noc_sim::manifest::escape_json;
@@ -140,19 +140,15 @@ impl PointResult {
         str_field(&mut s, "schema", POINT_SCHEMA);
         str_field(&mut s, "config_hash", &self.config_hash);
         str_field(&mut s, "git_rev", &self.git_rev);
-        str_field(&mut s, "topology", &self.spec.topology);
-        str_field(&mut s, "traffic", &self.spec.traffic);
-        str_field(&mut s, "scheme", self.spec.scheme.canonical());
-        str_field(&mut s, "routing", routing_name(self.spec.routing));
-        str_field(&mut s, "va", va_name(self.spec.va));
-        u64_field(&mut s, "vcs", self.spec.vcs as u64);
-        u64_field(&mut s, "buffer", self.spec.buffer as u64);
-        u64_field(&mut s, "packet", self.spec.packet as u64);
-        f64_field(&mut s, "load", self.spec.load);
-        u64_field(&mut s, "seed", self.spec.seed);
-        u64_field(&mut s, "warmup", self.spec.warmup);
-        u64_field(&mut s, "measure", self.spec.measure);
-        u64_field(&mut s, "drain", self.spec.drain);
+        for (key, value) in self.spec.coordinates() {
+            match value {
+                Value::Str(v) => str_field(&mut s, key, &v),
+                Value::Float(v) => f64_field(&mut s, key, v),
+                v => {
+                    let _ = writeln!(s, "  \"{key}\": {v},");
+                }
+            }
+        }
         str_field(&mut s, "metrics", metrics.name());
         str_field(&mut s, "topology_name", &self.topology_name);
         str_field(&mut s, "traffic_name", &self.traffic_name);
@@ -196,73 +192,46 @@ impl PointResult {
         let t = value
             .as_table()
             .ok_or_else(|| Error("point result: not a JSON object".into()))?;
-        if get_str(t, "schema")? != POINT_SCHEMA {
+        if get(t, "schema", Value::as_str)? != POINT_SCHEMA {
             return Err(Error(format!(
                 "point result: unsupported schema (want {POINT_SCHEMA})"
             )));
         }
-        let spec = PointSpec {
-            topology: get_str(t, "topology")?.to_string(),
-            traffic: get_str(t, "traffic")?.to_string(),
-            scheme: SchemeChoice::parse(get_str(t, "scheme")?)?,
-            routing: crate::spec::parse_routing(get_str(t, "routing")?)?,
-            va: crate::spec::parse_va(get_str(t, "va")?)?,
-            vcs: get_int(t, "vcs")?,
-            buffer: get_int(t, "buffer")?,
-            packet: get_int(t, "packet")?,
-            load: get_f64(t, "load")?,
-            seed: get_int(t, "seed")?,
-            warmup: get_int(t, "warmup")?,
-            measure: get_int(t, "measure")?,
-            drain: get_int(t, "drain")?,
-        };
+        let spec = PointSpec::from_record(t)?;
         Ok(Self {
             spec,
-            config_hash: get_str(t, "config_hash")?.to_string(),
-            git_rev: get_str(t, "git_rev")?.to_string(),
-            topology_name: get_str(t, "topology_name")?.to_string(),
-            traffic_name: get_str(t, "traffic_name")?.to_string(),
-            cycles: get_int(t, "cycles")?,
-            avg_latency: get_f64(t, "avg_latency")?,
-            p99_latency: get_int(t, "p99_latency")?,
-            avg_hops: get_f64(t, "avg_hops")?,
-            throughput: get_f64(t, "throughput")?,
-            measured_injected: get_int(t, "measured_injected")?,
-            measured_delivered: get_int(t, "measured_delivered")?,
-            reusability: get_f64(t, "reusability")?,
-            bypass_rate: get_f64(t, "bypass_rate")?,
-            energy_pj: get_f64(t, "energy_pj")?,
-            flit_traversals: get_int(t, "flit_traversals")?,
-            header_hit_rate: get_f64(t, "header_hit_rate")?,
-            xbar_locality: get_f64(t, "xbar_locality")?,
-            end_to_end_locality: get_f64(t, "end_to_end_locality")?,
-            drained: t
-                .get("drained")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| Error("point result: missing bool \"drained\"".into()))?,
+            config_hash: get(t, "config_hash", Value::as_str)?.to_string(),
+            git_rev: get(t, "git_rev", Value::as_str)?.to_string(),
+            topology_name: get(t, "topology_name", Value::as_str)?.to_string(),
+            traffic_name: get(t, "traffic_name", Value::as_str)?.to_string(),
+            cycles: get(t, "cycles", Value::as_u64)?,
+            avg_latency: get(t, "avg_latency", Value::as_f64)?,
+            p99_latency: get(t, "p99_latency", Value::as_u64)?,
+            avg_hops: get(t, "avg_hops", Value::as_f64)?,
+            throughput: get(t, "throughput", Value::as_f64)?,
+            measured_injected: get(t, "measured_injected", Value::as_u64)?,
+            measured_delivered: get(t, "measured_delivered", Value::as_u64)?,
+            reusability: get(t, "reusability", Value::as_f64)?,
+            bypass_rate: get(t, "bypass_rate", Value::as_f64)?,
+            energy_pj: get(t, "energy_pj", Value::as_f64)?,
+            flit_traversals: get(t, "flit_traversals", Value::as_u64)?,
+            header_hit_rate: get(t, "header_hit_rate", Value::as_f64)?,
+            xbar_locality: get(t, "xbar_locality", Value::as_f64)?,
+            end_to_end_locality: get(t, "end_to_end_locality", Value::as_f64)?,
+            drained: get(t, "drained", Value::as_bool)?,
         })
     }
 }
 
-fn get_str<'a>(t: &'a BTreeMap<String, Value>, key: &str) -> Result<&'a str, Error> {
+/// The field `key` as `as_t` reads it.
+fn get<'a, T>(
+    t: &'a BTreeMap<String, Value>,
+    key: &str,
+    as_t: fn(&'a Value) -> Option<T>,
+) -> Result<T, Error> {
     t.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| Error(format!("point result: missing string {key:?}")))
-}
-
-/// An integer field, refused (not wrapped) when it does not fit `T`.
-fn get_int<T: TryFrom<u64>>(t: &BTreeMap<String, Value>, key: &str) -> Result<T, Error> {
-    let n = t
-        .get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| Error(format!("point result: missing integer {key:?}")))?;
-    T::try_from(n).map_err(|_| Error(format!("point result: {key} {n} out of range")))
-}
-
-fn get_f64(t: &BTreeMap<String, Value>, key: &str) -> Result<f64, Error> {
-    t.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| Error(format!("point result: missing number {key:?}")))
+        .and_then(as_t)
+        .ok_or_else(|| Error(format!("point result: missing {key:?}")))
 }
 
 fn str_field(s: &mut String, key: &str, value: &str) {
@@ -387,6 +356,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SchemeChoice;
     use noc_base::{RoutingPolicy, VaPolicy};
 
     fn sample() -> PointResult {
@@ -447,12 +417,21 @@ mod tests {
     fn from_json_rejects_damage() {
         let json = sample().to_json();
         assert!(PointResult::from_json(&json.replace(POINT_SCHEMA, "bogus/9")).is_err());
-        assert!(PointResult::from_json(&json.replace("\"load\"", "\"lode\"")).is_err());
         assert!(PointResult::from_json("{").is_err());
         assert!(PointResult::from_json("[1,2]").is_err());
-        // Out-of-range integers are refused, not wrapped into another point.
+        // A record that lacks a coordinate names no point.
+        for (key, _) in sample().spec.coordinates() {
+            let lacking = json.replace(&format!("\"{key}\""), "\"other\"");
+            let err = PointResult::from_json(&lacking).unwrap_err();
+            assert_eq!(err.0, format!("point result: missing {key:?}"));
+        }
+        // Out-of-range integers are refused by the key's rule, not wrapped
+        // into another point.
         let err = PointResult::from_json(&json.replace("\"vcs\": 4", "\"vcs\": 260")).unwrap_err();
-        assert_eq!(err.0, "point result: vcs 260 out of range");
+        assert_eq!(
+            err.0,
+            "point result: vcs: values must be integers in [1, 255], got 260"
+        );
     }
 
     #[test]

@@ -39,10 +39,7 @@ pub use runner::{
     build_simulation, build_topology, build_traffic, prepare, run_point, validate, PreparedPoint,
     TOPOLOGY_FORMS,
 };
-pub use spec::{
-    parse_routing, parse_va, routing_name, va_name, Axes, CampaignSpec, PointSpec, SchemeChoice,
-    SCHEME_NAMES,
-};
+pub use spec::{Axes, CampaignSpec, PointSpec, SchemeChoice, SCHEME_NAMES};
 
 /// The crate's error type: a human-readable message, already contextualised
 /// (`spec: ...`, `point result: ...`) by whichever layer produced it.

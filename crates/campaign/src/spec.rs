@@ -30,8 +30,15 @@
 //! **duplicate-free** — repeated values within an axis are a parse error, so
 //! the cartesian product cannot contain two identical points. Both
 //! properties are pinned by property tests (`tests/prop_campaign.rs`).
+//!
+//! The thirteen keys of a point — the ten axes and the three phases — are
+//! named once, in one table with each key's value rule. It reads `[axes]`
+//! and `[phases]`, `noc run`'s flags ([`PointSpec::from_flags`]: `noc run`
+//! is a spec of one point) and a run record's coordinates, and writes them
+//! ([`PointSpec::coordinates`]). So a value is refused by the same rule, in
+//! the same words, wherever it is written.
 
-use crate::value::{parse_toml, Value};
+use crate::value::{parse_number, parse_toml, Value};
 use crate::Error;
 use noc_base::{RoutingPolicy, VaPolicy};
 use noc_sim::{NetworkConfig, RouterFactory, RunSpec};
@@ -121,13 +128,9 @@ impl SchemeChoice {
     }
 }
 
-/// Parses a routing-policy name (`xy`, `yx`, `o1turn`).
-///
-/// # Errors
-///
-/// Returns an [`Error`] for unknown names.
-pub fn parse_routing(s: &str) -> Result<RoutingPolicy, Error> {
-    match s.to_ascii_lowercase().as_str() {
+/// Parses a lower-case routing-policy name (`xy`, `yx`, `o1turn`).
+fn parse_routing(s: &str) -> Result<RoutingPolicy, Error> {
+    match s {
         "xy" => Ok(RoutingPolicy::Xy),
         "yx" => Ok(RoutingPolicy::Yx),
         "o1turn" => Ok(RoutingPolicy::O1Turn),
@@ -135,13 +138,9 @@ pub fn parse_routing(s: &str) -> Result<RoutingPolicy, Error> {
     }
 }
 
-/// Parses a VC-allocation-policy name (`static`, `dynamic`).
-///
-/// # Errors
-///
-/// Returns an [`Error`] for unknown names.
-pub fn parse_va(s: &str) -> Result<VaPolicy, Error> {
-    match s.to_ascii_lowercase().as_str() {
+/// Parses a lower-case VC-allocation-policy name (`static`, `dynamic`).
+fn parse_va(s: &str) -> Result<VaPolicy, Error> {
+    match s {
         "static" => Ok(VaPolicy::Static),
         "dynamic" => Ok(VaPolicy::Dynamic),
         other => Err(Error(format!("unknown VA policy {other:?}"))),
@@ -149,7 +148,7 @@ pub fn parse_va(s: &str) -> Result<VaPolicy, Error> {
 }
 
 /// The canonical spec name of a routing policy.
-pub fn routing_name(r: RoutingPolicy) -> &'static str {
+pub(crate) fn routing_name(r: RoutingPolicy) -> &'static str {
     match r {
         RoutingPolicy::Xy => "xy",
         RoutingPolicy::Yx => "yx",
@@ -158,7 +157,7 @@ pub fn routing_name(r: RoutingPolicy) -> &'static str {
 }
 
 /// The canonical spec name of a VC-allocation policy.
-pub fn va_name(v: VaPolicy) -> &'static str {
+pub(crate) fn va_name(v: VaPolicy) -> &'static str {
     match v {
         VaPolicy::Static => "static",
         VaPolicy::Dynamic => "dynamic",
@@ -258,6 +257,110 @@ impl PointSpec {
             seed.unwrap_or_default()
         )
     }
+
+    /// The point's value under each of its keys, in the order the run record
+    /// writes them: the axes in expansion order, then the phases.
+    pub fn coordinates(&self) -> [(&'static str, Value); 13] {
+        KEYS.map(|key| (key.name, (key.get)(self)))
+    }
+
+    /// The point `noc run`'s flags name, each `--key value` given as `(key,
+    /// value)`: a spec of one point. A value is read as `key = value` is in a
+    /// spec, a number if it parses as one and else a string, so a name needs
+    /// no quotes. Keys not given take the defaults, and the point is expanded
+    /// like a campaign's, so its topology and traffic are lower-cased.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`Error`] for a key given twice or that is not a key of a
+    /// point, and for a value outside its key's rule: the rule's words in a
+    /// spec, after `--key:`.
+    pub fn from_flags(flags: &[(&str, &str)]) -> Result<Self, Error> {
+        let mut values = Vec::with_capacity(flags.len());
+        for (i, &(name, text)) in flags.iter().enumerate() {
+            if flags[..i].iter().any(|&(seen, _)| seen == name) {
+                return Err(Error(format!("--{name} is given twice")));
+            }
+            let key = KEYS.iter().find(|key| key.name == name);
+            let key = key.ok_or_else(|| Error(format!("--{name} is not a point key")));
+            values.push((key?, parse_number(text).unwrap_or(Value::Str(text.into()))));
+        }
+        one_point(values.iter().map(|(key, value)| (*key, value)), "--")
+    }
+
+    /// The point a run record's coordinates name, read like
+    /// [`PointSpec::from_flags`]; the record must hold every key.
+    pub(crate) fn from_record(record: &BTreeMap<String, Value>) -> Result<Self, Error> {
+        let values = KEYS
+            .iter()
+            .map(|key| match record.get(key.name) {
+                Some(value) => Ok((key, value)),
+                None => Err(Error(format!("point result: missing {:?}", key.name))),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        one_point(values, "point result: ")
+    }
+}
+
+/// One key of a point: a campaign axis or run phase, a `noc run` flag and a
+/// coordinate of the run record.
+#[derive(Clone, Copy)]
+struct Key {
+    name: &'static str,
+    /// A run phase (`[phases]`, one value shared by every point) rather than
+    /// an axis (`[axes]`).
+    phase: bool,
+    /// The key's value in a point, as the run record writes it.
+    get: fn(&PointSpec) -> Value,
+    /// Reads the key's values into a spec, or refuses them with the text of
+    /// the key's rule.
+    read: fn(&mut CampaignSpec, &[Value]) -> Result<(), String>,
+}
+
+/// The keys of a point, each named once, in record order: the axes in
+/// expansion order, then the phases (one value each: `CampaignSpec::set`
+/// refuses an array).
+#[rustfmt::skip]
+static KEYS: [Key; 13] = [
+    Key { name: "topology", phase: false, get: |p| Value::Str(p.topology.clone()),
+          read: |s, v| strings(v).map(|v| s.axes.topology = v) },
+    Key { name: "traffic", phase: false, get: |p| Value::Str(p.traffic.clone()),
+          read: |s, v| strings(v).map(|v| s.axes.traffic = v) },
+    Key { name: "scheme", phase: false, get: |p| Value::Str(p.scheme.canonical().into()),
+          read: |s, v| names(v, SchemeChoice::parse).map(|v| s.axes.scheme = v) },
+    Key { name: "routing", phase: false, get: |p| Value::Str(routing_name(p.routing).into()),
+          read: |s, v| names(v, parse_routing).map(|v| s.axes.routing = v) },
+    Key { name: "va", phase: false, get: |p| Value::Str(va_name(p.va).into()),
+          read: |s, v| names(v, parse_va).map(|v| s.axes.va = v) },
+    Key { name: "vcs", phase: false, get: |p| Value::Int(p.vcs.into()),
+          read: |s, v| ints(v, 1, u8::MAX.into()).map(|v| s.axes.vcs = v) },
+    Key { name: "buffer", phase: false, get: |p| Value::Int(p.buffer.into()),
+          read: |s, v| ints(v, 1, u32::MAX.into()).map(|v| s.axes.buffer = v) },
+    Key { name: "packet", phase: false, get: |p| Value::Int(p.packet.into()),
+          read: |s, v| ints(v, 1, u16::MAX.into()).map(|v| s.axes.packet = v) },
+    Key { name: "load", phase: false, get: |p| Value::Float(p.load),
+          read: |s, v| loads(v).map(|v| s.axes.load = v) },
+    Key { name: "seed", phase: false, get: |p| Value::Int(p.seed.into()),
+          read: |s, v| ints(v, 0, u64::MAX).map(|v| s.axes.seed = v) },
+    Key { name: "warmup", phase: true, get: |p| Value::Int(p.warmup.into()),
+          read: |s, v| ints(v, 0, u64::MAX).map(|v| s.warmup = v[0]) },
+    Key { name: "measure", phase: true, get: |p| Value::Int(p.measure.into()),
+          read: |s, v| ints(v, 0, u64::MAX).map(|v| s.measure = v[0]) },
+    Key { name: "drain", phase: true, get: |p| Value::Int(p.drain.into()),
+          read: |s, v| ints(v, 0, u64::MAX).map(|v| s.drain = v[0]) },
+];
+
+/// The one point `values` name: a spec whose keys each take one value, as a
+/// phase does (keys not given keep the defaults), expanded like any other.
+fn one_point<'a>(
+    values: impl IntoIterator<Item = (&'a Key, &'a Value)>,
+    context: &str,
+) -> Result<PointSpec, Error> {
+    let mut spec = CampaignSpec::default();
+    for (k, value) in values {
+        spec.set(&Key { phase: true, ..*k }, value, context)?;
+    }
+    Ok(spec.expand().swap_remove(0))
 }
 
 impl fmt::Display for PointSpec {
@@ -381,83 +484,47 @@ impl CampaignSpec {
                 .ok_or_else(|| Error("spec: name must be a string".into()))?
                 .to_string();
         }
-        if let Some(phases) = table.get("phases") {
-            let phases = phases
+        for (section, phase) in [("phases", true), ("axes", false)] {
+            let Some(entries) = table.get(section) else {
+                continue;
+            };
+            let entries = entries
                 .as_table()
-                .ok_or_else(|| Error("spec: [phases] must be a table".into()))?;
-            for (key, value) in phases {
-                let n = value
-                    .as_u64()
-                    .ok_or_else(|| Error(format!("spec: phases.{key} must be an integer")))?;
-                match key.as_str() {
-                    "warmup" => spec.warmup = n,
-                    "measure" => spec.measure = n,
-                    "drain" => spec.drain = n,
-                    other => {
-                        return Err(Error(format!(
-                            "spec: unknown phases key {other:?} (warmup, measure, drain)"
-                        )))
-                    }
-                }
+                .ok_or_else(|| Error(format!("spec: [{section}] must be a table")))?;
+            let keys = KEYS.iter().filter(|key| key.phase == phase);
+            for (name, value) in entries {
+                let Some(key) = keys.clone().find(|key| key.name == *name) else {
+                    let known: Vec<&str> = keys.map(|key| key.name).collect();
+                    let what = if phase { "phases key" } else { "axis" };
+                    let known = known.join(", ");
+                    return Err(Error(format!("spec: unknown {what} {name:?} ({known})")));
+                };
+                spec.set(key, value, &format!("spec: {section}."))?;
             }
         }
-        if let Some(axes) = table.get("axes") {
-            let axes = axes
-                .as_table()
-                .ok_or_else(|| Error("spec: [axes] must be a table".into()))?;
-            spec.axes = Self::axes_from_table(axes)?;
+        match spec.num_points() {
+            n if n <= MAX_POINTS => Ok(spec),
+            n => {
+                let count = match n {
+                    usize::MAX => format!("more than {n}"),
+                    n => n.to_string(),
+                };
+                Err(Error(format!(
+                    "spec: the axes expand to {count} points, at most {MAX_POINTS} are supported"
+                )))
+            }
         }
-        Ok(spec)
     }
 
-    fn axes_from_table(table: &BTreeMap<String, Value>) -> Result<Axes, Error> {
-        let mut axes = Axes::default();
-        for (key, value) in table {
-            match key.as_str() {
-                "topology" => axes.topology = strings(key, value)?,
-                "traffic" => axes.traffic = strings(key, value)?,
-                "scheme" => {
-                    axes.scheme = strings(key, value)?
-                        .iter()
-                        .map(|s| SchemeChoice::parse(s))
-                        .collect::<Result<_, _>>()?
-                }
-                "routing" => {
-                    axes.routing = strings(key, value)?
-                        .iter()
-                        .map(|s| parse_routing(s))
-                        .collect::<Result<_, _>>()?
-                }
-                "va" => {
-                    axes.va = strings(key, value)?
-                        .iter()
-                        .map(|s| parse_va(s))
-                        .collect::<Result<_, _>>()?
-                }
-                "vcs" => axes.vcs = ints(key, value, 1, u8::MAX as u64)?,
-                "buffer" => axes.buffer = ints(key, value, 1, u32::MAX as u64)?,
-                "packet" => axes.packet = ints(key, value, 1, u16::MAX as u64)?,
-                "seed" => axes.seed = ints(key, value, 0, u64::MAX)?,
-                "load" => {
-                    axes.load = value
-                        .as_array()
-                        .map(|v| {
-                            v.as_f64().filter(|l| *l > 0.0 && *l <= 1.0).ok_or_else(|| {
-                                Error(format!("spec: axes.load values must be in (0, 1], got {v}"))
-                            })
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-                other => {
-                    return Err(Error(format!(
-                        "spec: unknown axis {other:?} (topology, traffic, scheme, routing, \
-                         va, vcs, buffer, packet, load, seed)"
-                    )))
-                }
-            }
-        }
-        axes.validate()?;
-        Ok(axes)
+    /// Reads `value` as `key`'s values into the spec: a scalar or an array,
+    /// but one value for a phase. An error starts with `{context}{key}:` and
+    /// gives the key's rule.
+    fn set(&mut self, key: &Key, value: &Value, context: &str) -> Result<(), Error> {
+        let read = match value {
+            Value::Array(_) if key.phase => Err("takes one value, not an array".into()),
+            _ => (key.read)(self, value.as_array().as_slice()),
+        };
+        read.map_err(|rule| Error(format!("{context}{}: {rule}", key.name)))
     }
 
     /// Expands the spec into its full point set: the cartesian product of
@@ -509,97 +576,87 @@ impl CampaignSpec {
     /// when the product overflows — a parsed spec is at most
     /// [`MAX_POINTS`]).
     pub fn num_points(&self) -> usize {
-        self.axes.num_points().unwrap_or(usize::MAX)
-    }
-}
-
-impl Axes {
-    /// The product of the axis lengths, `None` when it overflows.
-    fn num_points(&self) -> Option<usize> {
+        let a = &self.axes;
         [
-            self.topology.len(),
-            self.traffic.len(),
-            self.scheme.len(),
-            self.routing.len(),
-            self.va.len(),
-            self.vcs.len(),
-            self.buffer.len(),
-            self.packet.len(),
-            self.load.len(),
-            self.seed.len(),
+            a.topology.len(),
+            a.traffic.len(),
+            a.scheme.len(),
+            a.routing.len(),
+            a.va.len(),
+            a.vcs.len(),
+            a.buffer.len(),
+            a.packet.len(),
+            a.load.len(),
+            a.seed.len(),
         ]
         .into_iter()
         .try_fold(1usize, usize::checked_mul)
-    }
-
-    /// Rejects an expansion above [`MAX_POINTS`], empty axes, and duplicate
-    /// values within an axis (duplicates would make the cartesian product
-    /// repeat points).
-    fn validate(&self) -> Result<(), Error> {
-        match self.num_points() {
-            Some(n) if n <= MAX_POINTS => {}
-            n => {
-                let count = n.map_or(format!("more than {}", usize::MAX), |n| n.to_string());
-                return Err(Error(format!(
-                    "spec: the axes expand to {count} points, at most {MAX_POINTS} are supported"
-                )));
-            }
-        }
-        fn check<T: PartialEq + fmt::Debug>(name: &str, values: &[T]) -> Result<(), Error> {
-            if values.is_empty() {
-                return Err(Error(format!("spec: axis {name:?} is empty")));
-            }
-            for (i, v) in values.iter().enumerate() {
-                if values[..i].contains(v) {
-                    return Err(Error(format!(
-                        "spec: axis {name:?} repeats value {v:?} (axes must be duplicate-free)"
-                    )));
-                }
-            }
-            Ok(())
-        }
-        let lower =
-            |v: &[String]| -> Vec<String> { v.iter().map(|s| s.to_ascii_lowercase()).collect() };
-        check("topology", &lower(&self.topology))?;
-        check("traffic", &lower(&self.traffic))?;
-        check("scheme", &self.scheme)?;
-        check("routing", &self.routing)?;
-        check("va", &self.va)?;
-        check("vcs", &self.vcs)?;
-        check("buffer", &self.buffer)?;
-        check("packet", &self.packet)?;
-        // Loads are in (0, 1], where `==` is bit equality (no NaN, no -0.0).
-        check("load", &self.load)?;
-        check("seed", &self.seed)
+        .unwrap_or(usize::MAX)
     }
 }
 
-fn strings(key: &str, value: &Value) -> Result<Vec<String>, Error> {
-    value
-        .as_array()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| Error(format!("spec: axes.{key} values must be strings, got {v}")))
-        })
-        .collect()
+// The value rules of the keys. Each refuses a value with one text, which
+// `CampaignSpec::set` puts after the key's name, and refuses an empty list or
+// a value given twice: an axis of either would expand to no point, or to a
+// point twice.
+
+fn distinct<T: PartialEq + fmt::Debug>(values: Vec<T>) -> Result<Vec<T>, String> {
+    if values.is_empty() {
+        return Err("is empty".into());
+    }
+    match values
+        .iter()
+        .enumerate()
+        .find(|&(i, v)| values[..i].contains(v))
+    {
+        Some((_, v)) => Err(format!("repeats value {v:?} (axes must be duplicate-free)")),
+        None => Ok(values),
+    }
 }
 
-fn ints<T: TryFrom<u64>>(key: &str, value: &Value, min: u64, max: u64) -> Result<Vec<T>, Error> {
-    value
-        .as_array()
-        .map(|v| {
-            let n = v
-                .as_u64()
-                .filter(|n| *n >= min && *n <= max)
-                .ok_or_else(|| {
-                    Error(format!(
-                        "spec: axes.{key} values must be integers in [{min}, {max}], got {v}"
-                    ))
-                })?;
-            T::try_from(n).map_err(|_| Error(format!("spec: axes.{key} value {n} out of range")))
-        })
-        .collect()
+/// Strings, lower-cased: names are not case-sensitive.
+fn strings(values: &[Value]) -> Result<Vec<String>, String> {
+    let strings = values.iter().map(|v| {
+        v.as_str()
+            .map(str::to_ascii_lowercase)
+            .ok_or_else(|| format!("values must be strings, got {v}"))
+    });
+    distinct(strings.collect::<Result<_, _>>()?)
+}
+
+/// Strings, each a name of `parse`'s vocabulary.
+fn names<T: PartialEq + fmt::Debug>(
+    values: &[Value],
+    parse: fn(&str) -> Result<T, Error>,
+) -> Result<Vec<T>, String> {
+    let names = strings(values)?
+        .into_iter()
+        .map(|s| parse(&s).map_err(|e| e.0));
+    distinct(names.collect::<Result<_, _>>()?)
+}
+
+/// Integers in `[min, max]`, where `max` fits `T`.
+fn ints<T>(values: &[Value], min: u64, max: u64) -> Result<Vec<T>, String>
+where
+    T: TryFrom<u64> + PartialEq + fmt::Debug,
+{
+    let ints = values.iter().map(|v| {
+        v.as_u64()
+            .filter(|n| (min..=max).contains(n))
+            .and_then(|n| T::try_from(n).ok())
+            .ok_or_else(|| format!("values must be integers in [{min}, {max}], got {v}"))
+    });
+    distinct(ints.collect::<Result<_, _>>()?)
+}
+
+/// Loads, in (0, 1]: there `==` is bit equality (no NaN, no -0.0).
+fn loads(values: &[Value]) -> Result<Vec<f64>, String> {
+    let loads = values.iter().map(|v| {
+        v.as_f64()
+            .filter(|l| *l > 0.0 && *l <= 1.0)
+            .ok_or_else(|| format!("values must be in (0, 1], got {v}"))
+    });
+    distinct(loads.collect::<Result<_, _>>()?)
 }
 
 #[cfg(test)]

@@ -127,7 +127,7 @@ fn perr(msg: impl Into<String>) -> Error {
 ///
 /// Returns an [`Error`] naming the offending line for malformed headers,
 /// missing `=`, unterminated strings/arrays, or duplicate keys.
-pub fn parse_toml(text: &str) -> Result<BTreeMap<String, Value>, Error> {
+pub(crate) fn parse_toml(text: &str) -> Result<BTreeMap<String, Value>, Error> {
     let mut root: BTreeMap<String, Value> = BTreeMap::new();
     let mut section: Option<String> = None;
     for (idx, raw) in text.lines().enumerate() {
@@ -247,7 +247,7 @@ fn parse_toml_scalar(s: &str) -> Result<Value, Error> {
 }
 
 /// Parses a bare token as `Int` when it has no `.`/exponent, else `Float`.
-fn parse_number(s: &str) -> Option<Value> {
+pub(crate) fn parse_number(s: &str) -> Option<Value> {
     if !s.contains('.') && !s.contains('e') && !s.contains('E') {
         return s
             .parse::<i128>()

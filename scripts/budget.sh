@@ -11,7 +11,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 max_crates=8
-max_public_items=515
+max_public_items=511
 max_noc_vars=4
 max_unsafe=27
 

@@ -1,6 +1,7 @@
 //! `noc` — command-line experiment runner for the pseudo-circuit
 //! reproduction. See `noc help` for usage.
 
+use pseudo_circuit_repro::campaign::Error;
 use pseudo_circuit_repro::cli;
 use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
@@ -17,8 +18,8 @@ fn main() -> ExitCode {
             .map(|report| cli::render_report(&report)),
         "campaign" => cli::parse_campaign_args(rest).and_then(|c| cli::run_campaign_command(&c)),
         "list" => Ok(cli::render_list()),
-        "help" | "--help" | "-h" => Ok(cli::usage().to_string()),
-        other => Err(cli::CliError(format!(
+        "help" | "--help" | "-h" => Ok(cli::usage()),
+        other => Err(Error(format!(
             "unknown command {other:?}\n\n{}",
             cli::usage()
         ))),

@@ -4,25 +4,20 @@
 //! library so it is unit-testable. Grammar:
 //!
 //! ```text
-//! noc run [--topology mesh8x8|cmesh4x4|mecs4x4|fbfly4x4|mesh<W>x<H>[c<C>]
-//!                     |ring<N>[c<C>]|hring<G>x<L>[c<C>]]
-//!         [--traffic ur|bc|bp|tornado|neighbor|<benchmark>]
-//!         [--load 0.10] [--packet 5]
-//!         [--scheme baseline|pseudo|pseudo+ps|pseudo+bb|pseudo+ps+bb|evc|hybrid]
-//!         [--routing xy|yx|o1turn] [--va static|dynamic]
-//!         [--vcs 4] [--buffer 4]
-//!         [--warmup 1000] [--measure 10000] [--drain 100000]
-//!         [--seed 1]
+//! noc run [--<key> <value>]...      # a key of a spec's [axes] or [phases]
 //!         [--metrics off|full] [--manifest PATH]
 //!         [--trace PATH] [--trace-routers 0,5,12]
 //! noc campaign run --spec FILE --out DIR [--threads N] [--max-points N]
 //! noc campaign status --spec FILE --out DIR
 //! noc campaign expand --spec FILE
-//! noc list            # available traffic names and topologies
+//! noc help            # the flags and their defaults
+//! noc list            # available traffic names, topologies and schemes
 //! ```
 //!
-//! The experiment flags fill in a [`noc_campaign::PointSpec`] — the same
-//! struct a campaign expands its axes into — and [`run`] builds it through
+//! `noc run` is a campaign spec of one point: each `--key value` is the
+//! `key = value` of a spec's `[axes]` or `[phases]`, read by
+//! [`noc_campaign::PointSpec::from_flags`] under the same rules, into the
+//! struct a campaign expands its axes into. [`run`] builds it through
 //! [`noc_campaign::build_simulation`], so a flag value and a campaign axis
 //! value are parsed, validated, built and hashed by the same code. The
 //! `campaign` subcommand drives [`noc_campaign::run_campaign`]: cached,
@@ -42,18 +37,17 @@
 
 use noc_base::pool::host_threads;
 use noc_campaign::{
-    build_simulation, cache_pass, parse_routing, parse_va, prepare, write_atomic, CampaignOptions,
-    CampaignSpec, PointResult, PointSpec, SchemeChoice,
+    build_simulation, cache_pass, prepare, write_atomic, CampaignOptions, CampaignSpec, Error,
+    PointResult, PointSpec,
 };
 use noc_sim::{MetricsConfig, MetricsLevel, SimReport, TraceSpec};
 use noc_traffic::BenchmarkProfile;
-use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
 
 /// A fully parsed experiment description: the point to simulate plus how to
 /// execute and observe it.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunArgs {
     /// What to simulate (`--topology` … `--seed`): exactly a campaign point,
     /// so the CLI and a campaign hash the same struct.
@@ -68,86 +62,48 @@ pub struct RunArgs {
     pub trace_routers: Vec<usize>,
 }
 
-impl Default for RunArgs {
-    fn default() -> Self {
-        Self {
-            point: PointSpec::default(),
-            metrics: MetricsLevel::Off,
-            manifest: None,
-            trace: None,
-            trace_routers: Vec::new(),
-        }
-    }
+fn err(message: impl Into<String>) -> Error {
+    Error(message.into())
 }
 
-/// A CLI usage error with a human-readable message.
-#[derive(Debug, PartialEq, Eq)]
-pub struct CliError(pub String);
-
-impl fmt::Display for CliError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for CliError {}
-
-impl From<noc_campaign::Error> for CliError {
-    fn from(e: noc_campaign::Error) -> Self {
-        CliError(e.0)
-    }
-}
-
-fn err(message: impl Into<String>) -> CliError {
-    CliError(message.into())
-}
-
-/// Parses `run` subcommand arguments.
+/// Parses `run` subcommand arguments: the flags of one point (see
+/// [`PointSpec::from_flags`]) and of how its run is observed.
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] describing the first unknown flag, missing value,
-/// or unparseable number, or `--trace-routers` given without `--trace`.
-pub fn parse_run_args(args: &[String]) -> Result<RunArgs, CliError> {
+/// Returns an [`Error`] describing the first unknown flag or missing value,
+/// a point key given twice or a value outside its key's rule, an
+/// unparseable `--trace-routers` list, or `--trace-routers` given without
+/// `--trace`.
+pub fn parse_run_args(args: &[String]) -> Result<RunArgs, Error> {
     let mut out = RunArgs::default();
-    let point = &mut out.point;
+    let keys = PointSpec::default().coordinates().map(|(key, _)| key);
+    let mut point = Vec::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = || {
             it.next()
-                .cloned()
                 .ok_or_else(|| err(format!("{flag} needs a value")))
         };
         match flag.as_str() {
-            "--topology" => point.topology = value()?,
-            "--traffic" => point.traffic = value()?,
-            "--load" => point.load = parse_num(&value()?, flag)?,
-            "--packet" => point.packet = parse_num(&value()?, flag)?,
-            "--scheme" => point.scheme = SchemeChoice::parse(&value()?)?,
-            "--routing" => point.routing = parse_routing(&value()?)?,
-            "--va" => point.va = parse_va(&value()?)?,
-            "--vcs" => point.vcs = parse_num(&value()?, flag)?,
-            "--buffer" => point.buffer = parse_num(&value()?, flag)?,
-            "--warmup" => point.warmup = parse_num(&value()?, flag)?,
-            "--measure" => point.measure = parse_num(&value()?, flag)?,
-            "--drain" => point.drain = parse_num(&value()?, flag)?,
-            "--seed" => point.seed = parse_num(&value()?, flag)?,
             "--metrics" => {
                 let v = value()?;
-                out.metrics = MetricsLevel::parse(&v)
+                out.metrics = MetricsLevel::parse(v)
                     .ok_or_else(|| err(format!("unknown metrics level {v:?} (off|full)")))?;
             }
-            "--manifest" => out.manifest = Some(value()?),
-            "--trace" => out.trace = Some(value()?),
+            "--manifest" => out.manifest = Some(value()?.clone()),
+            "--trace" => out.trace = Some(value()?.clone()),
             "--trace-routers" => {
-                let v = value()?;
-                out.trace_routers = v
+                out.trace_routers = value()?
                     .split(',')
                     .filter(|s| !s.trim().is_empty())
                     .map(|s| parse_num(s.trim(), flag))
                     .collect::<Result<Vec<usize>, _>>()?;
             }
-            other => return Err(err(format!("unknown flag {other:?} (see `noc help`)"))),
+            other => match other.strip_prefix("--").filter(|key| keys.contains(key)) {
+                Some(key) => point.push((key, value()?.as_str())),
+                None => return Err(err(format!("unknown flag {other:?} (see `noc help`)"))),
+            },
         }
     }
     if out.trace.is_none() && !out.trace_routers.is_empty() {
@@ -155,10 +111,11 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, CliError> {
             "--trace-routers needs --trace PATH to write the trace to",
         ));
     }
+    out.point = PointSpec::from_flags(&point)?;
     Ok(out)
 }
 
-fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, CliError> {
+fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, Error> {
     s.parse()
         .map_err(|_| err(format!("{flag}: cannot parse {s:?}")))
 }
@@ -170,11 +127,11 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, CliError> {
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] when the topology or traffic spec is invalid, a
+/// Returns an [`Error`] when the topology or traffic spec is invalid, a
 /// value is out of range for the configuration (see
 /// [`noc_campaign::prepare`]), a `--trace-routers` id names no router of the
 /// topology, or a requested output file cannot be written.
-pub fn run(args: &RunArgs) -> Result<SimReport, CliError> {
+pub fn run(args: &RunArgs) -> Result<SimReport, Error> {
     let point = &args.point;
     let metrics = MetricsConfig {
         level: args.metrics,
@@ -245,9 +202,9 @@ pub enum CampaignCommand {
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] for a missing verb, unknown flags, or missing
+/// Returns an [`Error`] for a missing verb, unknown flags, or missing
 /// required flags (`--spec`, `--out`).
-pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, CliError> {
+pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, Error> {
     let (verb, rest) = args
         .split_first()
         .ok_or_else(|| err("campaign needs a verb: run, status or expand"))?;
@@ -302,10 +259,10 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, CliError>
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] for unreadable/invalid specs, a `NOC_THREADS` that
+/// Returns an [`Error`] for unreadable/invalid specs, a `NOC_THREADS` that
 /// is not a positive integer (`run` only), and any execution failure (see
 /// [`noc_campaign::run_campaign`] and [`noc_campaign::cache_pass`]).
-pub fn run_campaign_command(command: &CampaignCommand) -> Result<String, CliError> {
+pub fn run_campaign_command(command: &CampaignCommand) -> Result<String, Error> {
     match command {
         CampaignCommand::Run {
             spec,
@@ -313,7 +270,7 @@ pub fn run_campaign_command(command: &CampaignCommand) -> Result<String, CliErro
             threads,
             max_points,
         } => {
-            host_threads().map_err(CliError)?;
+            host_threads().map_err(Error)?;
             let spec = CampaignSpec::load(Path::new(spec))?;
             let options = CampaignOptions {
                 threads: *threads,
@@ -474,10 +431,21 @@ pub fn render_list() -> String {
     out
 }
 
-/// The `noc help` text. Written flush left: a `\` line continuation would
-/// strip each line's leading spaces, and with them the columns.
-pub fn usage() -> &'static str {
-    "\
+/// The `noc help` text. The point flags and their defaults are the keys of
+/// [`PointSpec::default`], three to a line; the rest is written flush left:
+/// a `\` line continuation would strip each line's leading spaces, and with
+/// them the columns.
+pub fn usage() -> String {
+    let mut flags = String::new();
+    for row in PointSpec::default().coordinates().chunks(3) {
+        let mut line = String::from("\n ");
+        for (key, value) in row {
+            let _ = write!(line, " {:<21}", format!("--{key} {value}"));
+        }
+        flags.push_str(line.trim_end());
+    }
+    format!(
+        "\
 noc — pseudo-circuit NoC experiment runner
 
 USAGE:
@@ -490,11 +458,7 @@ USAGE:
   noc list            list traffic models, topologies and schemes
   noc help            this text
 
-FLAGS (with defaults):
-  --topology mesh8x8    --traffic ur        --load 0.10    --packet 5
-  --scheme pseudo+ps+bb --routing xy        --va static
-  --vcs 4               --buffer 4
-  --warmup 1000         --measure 10000     --drain 100000 --seed 1
+FLAGS (a spec's [axes] and [phases] keys, one value each; defaults):{flags}
 
 CAMPAIGN FLAGS (campaign run only):
   --threads N           points simulated at once, one per thread (default:
@@ -511,12 +475,14 @@ OBSERVABILITY (defaults off; see docs/METRICS.md):
                             latch) as Chrome-trace JSON (chrome://tracing)
   --trace-routers 0,5,12    restrict tracing to these routers (default all;
                             needs --trace, ids below the router count)"
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use noc_base::{RoutingPolicy, VaPolicy};
+    use noc_campaign::SchemeChoice;
     use pseudo_circuit::Scheme;
 
     fn args(list: &[&str]) -> Vec<String> {
@@ -653,17 +619,16 @@ mod tests {
     #[test]
     fn out_of_range_input_is_an_error_not_a_panic() {
         // Every row used to die on an assert deep inside a constructor. The
-        // flags parse (the values are well-formed); the shared validation
-        // behind `prepare` and `run` must reject them, naming the field.
+        // flags parse (each value is inside its key's rule); the shared
+        // validation behind `prepare` and `run` must reject them, naming the
+        // field.
         let table: &[(&[&str], &str)] = &[
             (&["--scheme", "evc", "--topology", "ring8"], "scheme"),
             (&["--scheme", "evc", "--routing", "o1turn"], "scheme"),
             (&["--scheme", "evc", "--vcs", "3"], "vcs"),
-            (&["--vcs", "0"], "vcs"),
             (&["--vcs", "66"], "vcs: at most 64"),
             (&["--topology", "mesh2x2c61"], "65 ports"),
             (&["--vcs", "1", "--routing", "o1turn"], "vcs"),
-            (&["--buffer", "0"], "buffer"),
             // Both used to build the whole network and die in
             // `FlitPool::new`; the first wrapped a `u32` product on the way.
             (
@@ -671,9 +636,6 @@ mod tests {
                 "buffer: 4294967295 flits on each of 4 VCs",
             ),
             (&["--vcs", "64", "--buffer", "1024"], "in flight on mesh8x8"),
-            (&["--packet", "0"], "packet"),
-            (&["--load", "-1"], "load"),
-            (&["--load", "5"], "load"),
             (&["--topology", "mesh0x4"], "mesh"),
             (&["--topology", "ring8c0"], "concentration"),
             // Used to wrap `warmup + measure` in release (a 999-cycle run,
@@ -690,6 +652,27 @@ mod tests {
             assert_eq!(from_prepare.0, from_run.0, "{flags:?}");
             assert!(from_run.0.contains(field), "{flags:?}: {from_run}");
             assert!(!from_run.0.contains('\n'), "{flags:?}: {from_run}");
+        }
+        // These values are outside their key's rule, so the flags are
+        // refused where they are parsed. The same point built in code is
+        // still refused by the validation, naming the field.
+        type Refused = (&'static [&'static str], &'static str, fn(&mut PointSpec));
+        let refused: &[Refused] = &[
+            (&["--vcs", "0"], "vcs", |p| p.vcs = 0),
+            (&["--buffer", "0"], "buffer", |p| p.buffer = 0),
+            (&["--packet", "0"], "packet", |p| p.packet = 0),
+            (&["--load", "-1"], "load", |p| p.load = -1.0),
+            (&["--load", "5"], "load", |p| p.load = 5.0),
+        ];
+        for (flags, field, set) in refused {
+            let e = parse_run_args(&args(flags)).unwrap_err();
+            assert!(e.0.starts_with(&format!("--{field}: ")), "{flags:?}: {e}");
+            assert!(!e.0.contains('\n'), "{flags:?}: {e}");
+            let mut point = PointSpec::default();
+            set(&mut point);
+            let e = noc_campaign::prepare(&point).unwrap_err();
+            assert!(e.0.starts_with(&format!("{field}: ")), "{flags:?}: {e}");
+            assert!(!e.0.contains('\n'), "{flags:?}: {e}");
         }
         // A traced-router id past the topology's last router used to select
         // nothing and write an empty trace with exit 0; the count is known
@@ -817,31 +800,37 @@ mod tests {
     fn full_metrics_manifest_is_the_points_cache_record() {
         // `noc run --manifest` and the campaign cache write one record: a
         // `--metrics full` manifest parses to the cache entry of its point,
-        // and a serial `--metrics off` one is that entry, byte for byte.
+        // and a serial `--metrics off` one is that entry, byte for byte —
+        // also when the flags name the topology and traffic in upper case,
+        // which a campaign lower-cases.
         let dir = std::env::temp_dir().join(format!("noc-cli-record-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let point = PointSpec {
-            topology: "mesh2x2".into(),
-            load: 0.071,
-            packet: 3,
-            warmup: 100,
-            measure: 500,
-            drain: 5_000,
-            ..PointSpec::default()
-        };
-        let manifest_at = |metrics, name: &str| {
+        let flags = [
+            "--topology",
+            "MESH2x2",
+            "--traffic",
+            "UR",
+            "--load",
+            "0.071",
+            "--packet",
+            "3",
+            "--warmup",
+            "100",
+            "--measure",
+            "500",
+            "--drain",
+            "5000",
+        ];
+        let manifest_at = |metrics: &str, name: &str| {
             let path = dir.join("runs").join(name);
-            let run_args = RunArgs {
-                point: point.clone(),
-                metrics,
-                manifest: Some(path.to_string_lossy().into_owned()),
-                ..RunArgs::default()
-            };
-            run(&run_args).unwrap();
+            let path_text = path.to_string_lossy().into_owned();
+            let mut argv = args(&flags);
+            argv.extend(args(&["--metrics", metrics, "--manifest", &path_text]));
+            run(&parse_run_args(&argv).unwrap()).unwrap();
             std::fs::read_to_string(path).unwrap()
         };
-        let full = manifest_at(MetricsLevel::Full, "full.json");
-        let off = manifest_at(MetricsLevel::Off, "off.json");
+        let full = manifest_at("full", "full.json");
+        let off = manifest_at("off", "off.json");
         for key in ["\"metrics\": \"full\"", "\"routers\": ["] {
             assert!(full.contains(key), "{key} missing from {full}");
         }
@@ -849,13 +838,13 @@ mod tests {
         let record = PointResult::from_json(&full).unwrap();
 
         let spec = CampaignSpec {
-            warmup: point.warmup,
-            measure: point.measure,
-            drain: point.drain,
+            warmup: 100,
+            measure: 500,
+            drain: 5_000,
             axes: noc_campaign::Axes {
-                topology: vec![point.topology.clone()],
-                load: vec![point.load],
-                packet: vec![point.packet],
+                topology: vec!["mesh2x2".into()],
+                load: vec![0.071],
+                packet: vec![3],
                 ..noc_campaign::Axes::default()
             },
             ..CampaignSpec::default()
@@ -874,6 +863,144 @@ mod tests {
         assert_eq!(PointResult::from_json(&entry).unwrap(), record);
         assert_eq!(off, entry);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The value of `key` in a run record, copied as a reader would copy it
+    /// into a flag: the text after `"key": `, without its quotes.
+    fn recorded(record: &str, key: &str) -> String {
+        let line = record
+            .lines()
+            .find_map(|line| line.strip_prefix(&format!("  \"{key}\": ")))
+            .unwrap_or_else(|| panic!("no {key} in {record}"));
+        line.trim_end_matches(',').trim_matches('"').to_string()
+    }
+
+    #[test]
+    fn a_records_coordinates_are_the_flags_of_its_point() {
+        // docs/METRICS.md "Reproducing a recorded run": each coordinate of a
+        // record, copied verbatim into its flag, names the same point, with
+        // the same config hash.
+        let mesh = PointSpec {
+            topology: "mesh4x4".into(),
+            scheme: SchemeChoice::Evc,
+            vcs: 2,
+            buffer: 3,
+            packet: 7,
+            load: 0.0731,
+            seed: u64::MAX,
+            ..PointSpec::default()
+        };
+        let points = [
+            mesh,
+            PointSpec {
+                topology: "cmesh4x4".into(),
+                traffic: "fft".into(),
+                scheme: SchemeChoice::Pc(Scheme::pseudo_bb()),
+                routing: RoutingPolicy::O1Turn,
+                va: VaPolicy::Dynamic,
+                ..PointSpec::default()
+            },
+            PointSpec {
+                topology: "ring8c2".into(),
+                traffic: "tornado".into(),
+                scheme: SchemeChoice::Hybrid,
+                routing: RoutingPolicy::Yx,
+                load: 0.05,
+                seed: 0,
+                ..PointSpec::default()
+            },
+            PointSpec {
+                topology: "hring2x4".into(),
+                scheme: SchemeChoice::Pc(Scheme::baseline()),
+                vcs: 6,
+                ..PointSpec::default()
+            },
+        ];
+        let dir = std::env::temp_dir().join(format!("noc-cli-flags-{}", std::process::id()));
+        for (i, point) in points.into_iter().enumerate() {
+            let point = PointSpec {
+                warmup: 20,
+                measure: 50,
+                drain: 3_000 + i as u64,
+                ..point
+            };
+            let path = dir.join(format!("{i}.json"));
+            let run_args = RunArgs {
+                point: point.clone(),
+                manifest: Some(path.to_string_lossy().into_owned()),
+                ..RunArgs::default()
+            };
+            run(&run_args).unwrap();
+            let record = std::fs::read_to_string(&path).unwrap();
+            let mut flags = Vec::new();
+            for (key, _) in point.coordinates() {
+                flags.push(format!("--{key}"));
+                flags.push(recorded(&record, key));
+            }
+            let again = parse_run_args(&flags).unwrap().point;
+            assert_eq!(again, point, "{flags:?}");
+            let hash = prepare(&again).unwrap().config_hash;
+            assert_eq!(hash, recorded(&record, "config_hash"), "{flags:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_bad_value_breaks_the_same_rule_as_a_flag_and_in_a_spec() {
+        // One row per key: a value outside its rule, as a flag and as the
+        // TOML of a spec's [axes] or [phases]. Both refuse it in the same
+        // words after the key's name.
+        let rows: &[(&str, &str, &str, &str)] = &[
+            ("topology", "5", "5", "strings"),
+            ("traffic", "0.5", "0.5", "strings"),
+            ("scheme", "warp", "\"warp\"", "unknown scheme"),
+            ("routing", "zigzag", "\"zigzag\"", "unknown routing"),
+            ("va", "psychic", "\"psychic\"", "unknown VA policy"),
+            ("vcs", "256", "256", "[1, 255]"),
+            ("buffer", "0", "0", "[1, 4294967295]"),
+            ("packet", "65536", "65536", "[1, 65535]"),
+            ("load", "0", "0", "(0, 1]"),
+            ("seed", "-1", "-1", "[0, 18446744073709551615]"),
+            ("warmup", "-5", "-5", "[0, 18446744073709551615]"),
+            ("measure", "ten", "\"ten\"", "[0, 18446744073709551615]"),
+            ("drain", "1.5", "1.5", "[0, 18446744073709551615]"),
+        ];
+        let keys: Vec<&str> = rows.iter().map(|row| row.0).collect();
+        let table = PointSpec::default().coordinates().map(|(key, _)| key);
+        assert_eq!(keys, table, "one row per key of a point");
+        let phases = ["warmup", "measure", "drain"];
+        for &(key, flag, toml, needle) in rows {
+            let from_flag = parse_run_args(&args(&[&format!("--{key}"), flag])).unwrap_err();
+            let section = if phases.contains(&key) {
+                "phases"
+            } else {
+                "axes"
+            };
+            let text = format!("[{section}]\n{key} = {toml}\n");
+            let from_spec = CampaignSpec::parse_toml_str(&text).unwrap_err();
+            let rule = from_flag.0.strip_prefix(&format!("--{key}: "));
+            let rule = rule.unwrap_or_else(|| panic!("{key}: {from_flag}"));
+            assert_eq!(
+                from_spec.0,
+                format!("spec: {section}.{key}: {rule}"),
+                "{key}"
+            );
+            assert!(
+                rule.contains(needle) && !rule.contains('\n'),
+                "{key}: {rule}"
+            );
+        }
+        // A point key takes one value: a second flag is refused as a second
+        // `key =` line of a spec is, and an array names no one point.
+        let e =
+            parse_run_args(&args(&["--seed", "1", "--load", "0.2", "--seed", "2"])).unwrap_err();
+        assert_eq!(e.0, "--seed is given twice");
+        let e = CampaignSpec::parse_toml_str("[phases]\nwarmup = [1, 2]\n").unwrap_err();
+        assert_eq!(e.0, "spec: phases.warmup: takes one value, not an array");
+        assert!(parse_run_args(&args(&["--load", "[0.1, 0.2]"]))
+            .unwrap_err()
+            .0
+            .starts_with("--load: "));
     }
 
     #[test]
@@ -995,6 +1122,20 @@ mod tests {
         // above it.
         let continuation = " ".repeat(22) + "run/resume a cached sweep";
         assert!(text.contains(&format!("\n{continuation}")), "{text}");
+    }
+
+    #[test]
+    fn usage_shows_every_point_flag_with_its_default() {
+        let text = usage();
+        let mut flags = Vec::new();
+        for (key, default) in PointSpec::default().coordinates() {
+            let flag = format!("--{key} {default}");
+            assert!(text.contains(&flag), "{flag:?} missing from {text}");
+            flags.extend([format!("--{key}"), default.to_string()]);
+        }
+        // And the defaults shown name the default point.
+        assert_eq!(parse_run_args(&flags).unwrap(), RunArgs::default());
+        assert!(!text.lines().any(|line| line.ends_with(' ')), "{text}");
     }
 
     #[test]
