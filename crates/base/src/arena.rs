@@ -26,12 +26,13 @@
 //!
 //! No slot is read before it was written: indices enter circulation only
 //! through the mark; an index reaches a reader only as a [`FlitRef`] minted
-//! by `alloc*`, which writes the slot first; and every dereference (`get`,
-//! `update`) first checks `index < issued` — in release builds too, where it
-//! replaces the slice bounds check — so a forged, foreign or
+//! by `alloc_serial`, which writes the slot first; and every dereference
+//! (`get`, `update`) first checks `index < issued` — in release builds too,
+//! where it replaces the slice bounds check — so a forged, foreign or
 //! [`FlitRef::INVALID`] handle panics instead of reading an unwritten slot.
-//! (`free` reads nothing and, in release builds, checks nothing; `alloc*`
-//! bounds-checks the index it writes, so a forged free ends in a panic too.)
+//! (`free` reads nothing and, in release builds, checks nothing;
+//! `alloc_serial` bounds-checks the index it writes, so a forged free ends
+//! in a panic too.)
 //! A recycled slot holds its previous flit: stale, but initialised.
 //!
 //! # Ownership discipline and thread safety
@@ -45,21 +46,16 @@
 //!   an event-vector entry, an interface mid-receipt). Only the owner may
 //!   read or write the referenced slot.
 //! - Every method runs on the thread that steps the pool's simulation. The
-//!   pool is `Sync` only so that a whole simulation may move to a worker
-//!   thread (campaign points run one per worker); no two threads ever touch
-//!   one pool at once.
+//!   pool is `Sync` only so that a whole simulation may move to another
+//!   thread (a campaign batch steps one point per thread); no two threads
+//!   ever touch one pool at once.
 //!
 //! Interfaces allocate with [`FlitPool::alloc_serial`] and free with
-//! [`FlitPool::free`], both on the recycled list and the mark.
-//!
-//! # The shard-local stacks
-//!
-//! [`FlitPool::alloc`], [`FlitPool::try_alloc`], [`FlitPool::replenish`] and
-//! [`FlitPool::reclaim_locals`] keep per-shard free stacks that only a
-//! sharded engine needed. The engine no longer shards; they stay because the
-//! repository benchmark (`crates/bench/benchmark`, which changes on its own
-//! schedule) times `replenish` + `alloc` as its pool layer. Delete them with
-//! that driver.
+//! [`FlitPool::free`], both on the one free list: the recycled stack and the
+//! mark. [`FlitPool::alloc`], [`FlitPool::replenish`] and `new`'s second
+//! argument are what is left of a sharded engine's per-shard stacks, kept
+//! as forwards for the repository benchmark (`crates/bench/benchmark`, which
+//! changes on its own schedule): delete them with its next change.
 //!
 //! # Generation tags
 //!
@@ -121,27 +117,20 @@ impl fmt::Debug for FlitRef {
     }
 }
 
-/// One free stack behind its own `UnsafeCell` (the outer `Vec` is never
-/// resized, so a reference to one stack never aliases another).
-struct FreeStack(UnsafeCell<Vec<u32>>);
-
 /// A fixed-capacity slab of [`Flit`]s with a recycling free list.
 ///
 /// See the [module docs](self) for the ownership discipline that makes the
 /// unlocked sharing sound, for why no slot is read before it was written,
 /// and for the generation-tag scheme.
 pub struct FlitPool {
-    /// Uninitialised at construction; slot `i` is written by the `alloc*`
-    /// call that first issues it, and only slots below `issued` are read.
+    /// Uninitialised at construction; slot `i` is written by the call that
+    /// first issues it, and only slots below `issued` are read.
     slots: Box<[UnsafeCell<MaybeUninit<Flit>>]>,
     #[cfg(debug_assertions)]
     gens: Vec<UnsafeCell<u8>>,
-    /// The shard-local free stacks (see the module docs), sized at
-    /// construction so the outer `Vec` never moves.
-    locals: Vec<FreeStack>,
-    /// The recycled half of the global free list: frees land here and
-    /// leave before the mark advances. Reserved to `capacity`
-    /// entries (untouched until used), so a free never allocates.
+    /// The recycled half of the free list: frees land here and leave before
+    /// the mark advances. Reserved to `capacity` entries (untouched until
+    /// used), so a free never allocates.
     recycled: UnsafeCell<Vec<u32>>,
     /// The bump mark: slots `issued..capacity` were never handed out. A
     /// plain word, not an atomic, so that the check every dereference makes
@@ -153,7 +142,7 @@ pub struct FlitPool {
 // — every holder of a pool belongs to one simulation, which one thread steps
 // at a time, and a slot is touched only by the component owning its ref.
 // Moving the simulation to another thread hands it the whole pool; the move
-// itself (a spawn or a pool batch, both synchronising) publishes its state.
+// itself (a batch's spawn and join, both synchronising) publishes its state.
 unsafe impl Sync for FlitPool {}
 
 impl FlitPool {
@@ -161,21 +150,19 @@ impl FlitPool {
     /// [`FlitRef`] can name, less the index [`FlitRef::INVALID`] carries.
     pub const MAX_CAPACITY: usize = INDEX_MASK as usize;
 
-    /// Creates a pool of `capacity` slots with `max_shards` shard-local
-    /// stacks (module docs; the engine asks for one). Reserves the slab and the free list
-    /// without writing either.
+    /// Creates a pool of `capacity` slots, reserving the slab and the free
+    /// list without writing either. The second argument is ignored: a
+    /// forward for the repository benchmark (module docs).
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero or above [`MAX_CAPACITY`](Self::MAX_CAPACITY),
-    /// or if `max_shards` is zero.
-    pub fn new(capacity: usize, max_shards: usize) -> Self {
+    /// Panics if `capacity` is zero or above [`MAX_CAPACITY`](Self::MAX_CAPACITY).
+    pub fn new(capacity: usize, _shards: usize) -> Self {
         assert!(capacity > 0, "flit pool capacity must be nonzero");
         assert!(
             capacity <= Self::MAX_CAPACITY,
             "flit pool capacity {capacity} exceeds the 24-bit FlitRef index"
         );
-        assert!(max_shards > 0, "flit pool needs at least one shard");
         // SAFETY: `MaybeUninit<Flit>` has no validity requirement and
         // `UnsafeCell` is `repr(transparent)`, so an uninitialised
         // `UnsafeCell<MaybeUninit<Flit>>` is a valid value of its type.
@@ -184,9 +171,6 @@ impl FlitPool {
             slots,
             #[cfg(debug_assertions)]
             gens: (0..capacity).map(|_| UnsafeCell::new(0)).collect(),
-            locals: (0..max_shards)
-                .map(|_| FreeStack(UnsafeCell::new(Vec::new())))
-                .collect(),
             recycled: UnsafeCell::new(Vec::with_capacity(capacity)),
             issued: Cell::new(0),
         }
@@ -203,19 +187,11 @@ impl FlitPool {
         self.issued.get() as usize
     }
 
-    /// Free slots on the global list — recycled ones plus those the mark
-    /// has not reached (diagnostics; excludes shard-local stacks).
-    pub fn global_free(&self) -> usize {
+    /// Free slots: recycled ones plus those the mark has not reached.
+    pub fn total_free(&self) -> usize {
         // SAFETY: one thread uses the pool at a time (module docs).
         let recycled = unsafe { (*self.recycled.get()).len() };
         recycled + self.capacity() - self.issued()
-    }
-
-    /// Free slots across the global list and every shard stack.
-    pub fn total_free(&self) -> usize {
-        // SAFETY: one thread uses the pool at a time (module docs).
-        let local: usize = unsafe { self.locals.iter().map(|l| (*l.0.get()).len()).sum() };
-        self.global_free() + local
     }
 
     /// Writes `flit` into the free slot `idx` and mints its ref. The index
@@ -276,24 +252,14 @@ impl FlitPool {
         )
     }
 
-    /// Allocates a slot from `shard`'s free stack and writes `flit` into it
-    /// (a shard-local stack: see the module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard stack is empty.
+    /// [`alloc_serial`](Self::alloc_serial), the shard ignored: a forward for
+    /// the repository benchmark (module docs).
     #[inline]
-    pub fn alloc(&self, shard: usize, flit: Flit) -> FlitRef {
-        self.try_alloc(shard, flit).unwrap_or_else(|| {
-            panic!(
-                "flit pool exhausted on shard {shard} (capacity {}): \
-                 structural bound violated — credit accounting bug",
-                self.slots.len()
-            )
-        })
+    pub fn alloc(&self, _shard: usize, flit: Flit) -> FlitRef {
+        self.alloc_serial(flit)
     }
 
-    /// Allocates from the global free list — a recycled slot, most recently
+    /// Allocates from the free list — a recycled slot, most recently
     /// freed first, or else the next one above the mark — and writes `flit`
     /// into it. How the engine's interfaces inject.
     ///
@@ -320,15 +286,6 @@ impl FlitPool {
         self.fill(idx, flit)
     }
 
-    /// Like [`alloc`](Self::alloc) but returns `None` on an empty stack.
-    #[inline]
-    pub fn try_alloc(&self, shard: usize, flit: Flit) -> Option<FlitRef> {
-        // SAFETY: one thread uses the pool at a time (module docs), and the
-        // outer `locals` Vec is never resized.
-        let stack = unsafe { &mut *self.locals[shard].0.get() };
-        Some(self.fill(stack.pop()?, flit))
-    }
-
     /// Reads the flit behind `r`.
     ///
     /// The returned borrow must not be held across a mutation of the same
@@ -348,7 +305,7 @@ impl FlitPool {
         f(unsafe { &mut *self.slot(r) });
     }
 
-    /// Returns `r`'s slot to the global free list.
+    /// Returns `r`'s slot to the free list.
     ///
     /// In debug builds this bumps the slot generation, so any surviving
     /// copy of `r` (use-after-free) or a second `free` (double-free) trips
@@ -370,47 +327,8 @@ impl FlitPool {
         unsafe { (*self.recycled.get()).push(r.index() as u32) };
     }
 
-    /// Tops `shard`'s free stack up to at least `target` entries from the
-    /// global list (stopping early if the global list runs dry — remaining
-    /// demand then fails in [`alloc`] with the exhaustion panic).
-    ///
-    /// [`alloc`]: Self::alloc
-    pub fn replenish(&self, shard: usize, target: usize) {
-        // SAFETY: one thread uses the pool at a time (module docs).
-        unsafe {
-            let stack = &mut *self.locals[shard].0.get();
-            if stack.capacity() < target {
-                stack.reserve(target - stack.len());
-            }
-            let recycled = &mut *self.recycled.get();
-            while stack.len() < target {
-                match recycled.pop() {
-                    Some(idx) => stack.push(idx),
-                    None => break,
-                }
-            }
-            // The rest comes from above the mark, in one step.
-            let issued = self.issued.get();
-            let fresh =
-                (target.saturating_sub(stack.len()) as u32).min(self.slots.len() as u32 - issued);
-            stack.extend(issued..issued + fresh);
-            self.issued.set(issued + fresh);
-        }
-    }
-
-    /// Drains every shard stack back into the global list ([`replenish`]
-    /// then refills them).
-    ///
-    /// [`replenish`]: Self::replenish
-    pub fn reclaim_locals(&self) {
-        // SAFETY: one thread uses the pool at a time (module docs).
-        unsafe {
-            let recycled = &mut *self.recycled.get();
-            for l in &self.locals {
-                recycled.append(&mut *l.0.get());
-            }
-        }
-    }
+    /// Does nothing: a forward for the repository benchmark (module docs).
+    pub fn replenish(&self, _shard: usize, _target: usize) {}
 }
 
 impl fmt::Debug for FlitPool {
@@ -418,7 +336,6 @@ impl fmt::Debug for FlitPool {
         f.debug_struct("FlitPool")
             .field("capacity", &self.slots.len())
             .field("issued", &self.issued())
-            .field("max_shards", &self.locals.len())
             .finish_non_exhaustive()
     }
 }
@@ -460,67 +377,17 @@ mod tests {
     #[test]
     fn alloc_reads_back_and_refs_stay_stable() {
         let pool = FlitPool::new(8, 1);
-        pool.replenish(0, 8);
-        let a = pool.alloc(0, flit(1));
-        let b = pool.alloc(0, flit(2));
+        let a = pool.alloc_serial(flit(1));
+        let b = pool.alloc_serial(flit(2));
         assert_ne!(a, b);
         assert_eq!(pool.get(a).src, NodeId::new(1));
         assert_eq!(pool.get(b).src, NodeId::new(2));
         // A later allocation does not move earlier flits.
-        let c = pool.alloc(0, flit(3));
+        let c = pool.alloc_serial(flit(3));
         assert_eq!(pool.get(a).src, NodeId::new(1));
         pool.update(b, |f| f.src = NodeId::new(9));
         assert_eq!(pool.get(b).src, NodeId::new(9));
         assert_eq!(pool.get(c).src, NodeId::new(3));
-    }
-
-    #[test]
-    fn free_recycles_through_global_list() {
-        let pool = FlitPool::new(2, 1);
-        pool.replenish(0, 2);
-        let a = pool.alloc(0, flit(1));
-        let _b = pool.alloc(0, flit(2));
-        assert!(pool.try_alloc(0, flit(3)).is_none(), "pool exhausted");
-        pool.free(a);
-        assert!(pool.try_alloc(0, flit(3)).is_none(), "free went global");
-        pool.replenish(0, 1);
-        let c = pool.alloc(0, flit(3));
-        assert_eq!(pool.get(c).src, NodeId::new(3));
-    }
-
-    #[test]
-    fn replenish_partitions_across_shards() {
-        let pool = FlitPool::new(6, 3);
-        pool.replenish(0, 2);
-        pool.replenish(1, 2);
-        pool.replenish(2, 2);
-        let refs: Vec<FlitRef> = (0..3)
-            .flat_map(|s| [pool.alloc(s, flit(s)), pool.alloc(s, flit(9))])
-            .collect();
-        // All six slots distinct.
-        for (i, a) in refs.iter().enumerate() {
-            for b in &refs[i + 1..] {
-                assert_ne!(a.index(), b.index());
-            }
-        }
-        assert!(pool.try_alloc(0, flit(0)).is_none());
-        for r in refs {
-            pool.free(r);
-        }
-        assert_eq!(pool.total_free(), 6);
-    }
-
-    #[test]
-    fn reclaim_locals_returns_unused_stock() {
-        let pool = FlitPool::new(4, 2);
-        pool.replenish(0, 3);
-        pool.replenish(1, 1);
-        assert_eq!(pool.global_free(), 0);
-        pool.reclaim_locals();
-        assert_eq!(pool.global_free(), 4);
-        pool.replenish(1, 4);
-        let r = pool.alloc(1, flit(7));
-        assert_eq!(pool.get(r).src, NodeId::new(7));
     }
 
     #[test]
@@ -565,9 +432,8 @@ mod tests {
     #[should_panic(expected = "flit pool exhausted")]
     fn exhaustion_panics_with_diagnosis() {
         let pool = FlitPool::new(1, 1);
-        pool.replenish(0, 1);
-        let _a = pool.alloc(0, flit(1));
-        let _b = pool.alloc(0, flit(2));
+        let _a = pool.alloc_serial(flit(1));
+        let _b = pool.alloc_serial(flit(2));
     }
 
     #[cfg(debug_assertions)]
@@ -575,8 +441,7 @@ mod tests {
     #[should_panic(expected = "use-after-free")]
     fn stale_ref_is_caught_in_debug() {
         let pool = FlitPool::new(1, 1);
-        pool.replenish(0, 1);
-        let a = pool.alloc(0, flit(1));
+        let a = pool.alloc_serial(flit(1));
         pool.free(a);
         let _ = pool.get(a);
     }
@@ -586,8 +451,7 @@ mod tests {
     #[should_panic(expected = "use-after-free")]
     fn double_free_is_caught_in_debug() {
         let pool = FlitPool::new(1, 1);
-        pool.replenish(0, 1);
-        let a = pool.alloc(0, flit(1));
+        let a = pool.alloc_serial(flit(1));
         pool.free(a);
         pool.free(a);
     }

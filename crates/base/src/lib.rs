@@ -21,9 +21,9 @@
 //! - a small deterministic PRNG ([`rng::Pcg32`]) plus a seed-stream splitter
 //!   ([`rng::SeedStream`]) so that every experiment in the reproduction is
 //!   bit-for-bit repeatable regardless of external crate versions;
-//! - a persistent fork/join worker pool ([`pool::WorkerPool`]) shared by the
-//!   multi-threaded cycle loop and campaign sweeps, and the host's thread
-//!   budget ([`pool::host_threads`]).
+//! - fork/join batches on scoped threads ([`pool::WorkerPool`]), which run
+//!   a campaign's points in parallel, and the host's thread budget
+//!   ([`pool::host_threads`]).
 //!
 //! # Example
 //!

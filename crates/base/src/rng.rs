@@ -274,7 +274,7 @@ impl SeedStream {
 
 /// SplitMix64 finalizer — used to decorrelate seeds and streams.
 #[inline]
-pub fn splitmix64(mut z: u64) -> u64 {
+fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e3779b97f4a7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);

@@ -9,32 +9,18 @@ use proptest::prelude::*;
 /// One call into a [`FlitPool`], as the engine makes them.
 #[derive(Copy, Clone, Debug)]
 enum PoolOp {
-    /// `try_alloc` on a shard (the parallel phase's allocation).
-    Alloc(usize),
-    /// `alloc_serial` (test harnesses and serial drivers).
-    AllocSerial,
+    /// `alloc_serial`.
+    Alloc,
     /// `free` of the live flit picked by the index (modulo the live count).
     Free(usize),
-    /// `replenish(shard, target)` (the driver's per-cycle top-up).
-    Replenish(usize, usize),
-    /// `reclaim_locals` (a re-shard).
-    Reclaim,
 }
 
-const POOL_SHARDS: usize = 3;
-
-/// Allocations and frees four times as likely as a serial allocation or a
-/// re-shard, top-ups in between.
+/// Allocations a little more likely than frees, so the live set wanders.
 fn pool_op() -> impl Strategy<Value = PoolOp> {
-    (0usize..12, 0..POOL_SHARDS, any::<usize>(), 0usize..6).prop_map(
-        |(kind, shard, pick, target)| match kind {
-            0..=3 => PoolOp::Alloc(shard),
-            4 => PoolOp::AllocSerial,
-            5..=8 => PoolOp::Free(pick),
-            9..=10 => PoolOp::Replenish(shard, target),
-            _ => PoolOp::Reclaim,
-        },
-    )
+    (0usize..9, any::<usize>()).prop_map(|(kind, pick)| match kind {
+        0..=4 => PoolOp::Alloc,
+        _ => PoolOp::Free(pick),
+    })
 }
 
 /// `Pcg32::next_bool` as it is defined: compare a 53-bit uniform `f64`.
@@ -267,38 +253,29 @@ proptest! {
 
 proptest! {
     /// The pool's free list — a bump mark plus a LIFO of recycled slots —
-    /// under any interleaving of the calls the engine makes: no live slot is
+    /// under any interleaving of allocations and frees: no live slot is
     /// handed out twice, every slot is live or free, live flits read back
     /// what was written, and the mark (one past the highest index ever
-    /// issued) never passes the most slots that were out of the global list
-    /// at once — live ones plus the shard stacks' stock. That last property
-    /// is what keeps live flits dense at the bottom of a slab reserved for a
-    /// structural maximum the run never approaches: the capacity here is
-    /// far above anything the drawn sequences use, as it is in a simulation.
+    /// issued) never passes the most flits that were live at once. That last
+    /// property is what keeps live flits dense at the bottom of a slab
+    /// reserved for a structural maximum the run never approaches: the
+    /// capacity here is far above anything the drawn sequences use, as it is
+    /// in a simulation.
     #[test]
     fn pool_free_list_stays_dense_and_exact(ops in prop::collection::vec(pool_op(), 1..300)) {
         const CAPACITY: usize = 1 << 16;
-        let pool = FlitPool::new(CAPACITY, POOL_SHARDS);
+        let pool = FlitPool::new(CAPACITY, 1);
         let mut live: Vec<(FlitRef, u16)> = Vec::new();
         let mut next_tag = 0u16;
-        let mut peak_out = 0;
+        let mut peak_live = 0;
         for op in ops {
             let flit = Flit { seq: next_tag, ..noc_base::arena::placeholder_flit() };
             let fresh = match op {
-                PoolOp::Alloc(shard) => pool.try_alloc(shard, flit),
-                PoolOp::AllocSerial => Some(pool.alloc_serial(flit)),
+                PoolOp::Alloc => Some(pool.alloc_serial(flit)),
                 PoolOp::Free(pick) => {
                     if !live.is_empty() {
                         pool.free(live.swap_remove(pick % live.len()).0);
                     }
-                    None
-                }
-                PoolOp::Replenish(shard, target) => {
-                    pool.replenish(shard, target);
-                    None
-                }
-                PoolOp::Reclaim => {
-                    pool.reclaim_locals();
                     None
                 }
             };
@@ -312,13 +289,12 @@ proptest! {
                 next_tag = next_tag.wrapping_add(1);
             }
             prop_assert_eq!(pool.total_free() + live.len(), pool.capacity());
-            let stocked = pool.total_free() - pool.global_free();
-            peak_out = peak_out.max(live.len() + stocked);
+            peak_live = peak_live.max(live.len());
             prop_assert!(
-                pool.issued() <= peak_out,
-                "the mark is at {} but at most {} slots were ever out at once",
+                pool.issued() <= peak_live,
+                "the mark is at {} but at most {} flits were ever live at once",
                 pool.issued(),
-                peak_out
+                peak_live
             );
             for &(r, tag) in &live {
                 prop_assert_eq!(pool.get(r).seq, tag, "live flit body corrupted");

@@ -4,8 +4,8 @@
 //! axes — topology, traffic, scheme, routing, VC allocation, VC count,
 //! buffer depth, packet length, offered load, seed — written as a small
 //! TOML file ([`spec`]), expanded deterministically into a point
-//! set, executed one simulation per worker core on the shared
-//! [`noc_base::pool`], and merged into a single plotting-ready report
+//! set, executed one simulation per thread of one batch
+//! ([`noc_base::pool`]), and merged into a single plotting-ready report
 //! ([`report`]).
 //!
 //! The engine is built around a content-addressed result cache ([`cache`]):
@@ -132,8 +132,8 @@ pub fn cache_pass(
 
 /// Runs (or resumes) a campaign into `campaign_dir`.
 ///
-/// The full pipeline: the [`cache_pass`], then the misses scheduled on the
-/// global worker pool (one single-threaded simulation per worker), each
+/// The full pipeline: the [`cache_pass`], then the misses run as one batch
+/// ([`noc_base::pool`]: one single-threaded simulation per thread), each
 /// finished point stored atomically, and — once every point is done —
 /// everything merged into `<campaign_dir>/report.json`. The cache is the
 /// campaign's only state: re-invoking with the same spec and revision is
@@ -167,9 +167,9 @@ pub fn run_campaign(
         pending.truncate(limit);
     }
 
-    // Execute the misses, one single-threaded simulation per worker slot.
-    // Each finished point lands in the cache (atomically) before the next
-    // one starts on that worker, so an interrupt loses at most the
+    // Execute the misses, one single-threaded simulation per thread of the
+    // batch. Each finished point lands in the cache (atomically) before the
+    // next one starts on that thread, so an interrupt loses at most the
     // in-flight points.
     let slots: Vec<Mutex<Option<PointResult>>> = pending.iter().map(|_| Mutex::new(None)).collect();
     let failures: Mutex<Vec<String>> = Mutex::new(Vec::new());
@@ -188,7 +188,7 @@ pub fn run_campaign(
                 .push(format!("{}: {e}", point.spec));
         }
     };
-    noc_base::pool::global().run_limited(pending.len(), threads, &job);
+    noc_base::pool::WorkerPool.run_limited(pending.len(), threads, &job);
 
     let failures = failures.into_inner().unwrap();
     if !failures.is_empty() {

@@ -157,18 +157,13 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, Error> {
 }
 
 /// A point whose spec strings have been resolved — topology and traffic
-/// build, the display names are known, and the `config_hash` is computed.
-/// Preparing does **not** run anything; it is the cheap step the cache
-/// lookup needs. Carries only plain data so prepared points can cross
-/// worker threads.
+/// build — and whose `config_hash` is computed. Preparing does **not** run
+/// anything; it is the cheap step the cache lookup needs. Carries only plain
+/// data so prepared points can cross threads.
 #[derive(Clone, Debug)]
 pub struct PreparedPoint {
     /// The point's coordinates.
     pub spec: PointSpec,
-    /// The resolved topology display name (`Topology::name`).
-    pub topology_name: String,
-    /// The resolved traffic display name (`TrafficModel::name`).
-    pub traffic_name: String,
     /// The configuration hash of this point (see [`prepare`]) — the cache's
     /// content address.
     pub config_hash: String,
@@ -293,10 +288,20 @@ pub fn prepare(point: &PointSpec) -> Result<PreparedPoint, Error> {
     let (topo, traffic) = resolve(point)?;
     Ok(PreparedPoint {
         spec: point.clone(),
-        topology_name: topo.name().to_string(),
-        traffic_name: traffic.name().to_string(),
         config_hash: config_hash(point, topo.name(), traffic.as_ref()),
     })
+}
+
+impl PreparedPoint {
+    /// `point` prepared from `sim`, the simulation [`build_simulation`] built
+    /// from it: what [`prepare`] returns, without resolving the point again.
+    pub fn from_simulation(point: &PointSpec, sim: &Simulation) -> Self {
+        let topology = sim.topology().name();
+        Self {
+            spec: point.clone(),
+            config_hash: config_hash(point, topology, sim.traffic_model()),
+        }
+    }
 }
 
 /// The `config_hash` of a resolved point: FNV-1a over the topology and
@@ -327,8 +332,8 @@ fn config_hash(point: &PointSpec, topology: &str, traffic: &dyn TrafficModel) ->
 
 /// Builds the simulation of one point: the single point→[`Simulation`]
 /// path, shared by [`run_point`] and `noc run`. The engine is serial:
-/// parallelism is across points, one simulation per pool worker
-/// ([`crate::run_campaign`]).
+/// parallelism is across points, one simulation per thread of a campaign's
+/// batch ([`crate::run_campaign`]).
 ///
 /// # Errors
 ///
@@ -348,7 +353,7 @@ pub fn build_simulation(point: &PointSpec, metrics: MetricsConfig) -> Result<Sim
 /// Runs one prepared point to completion and returns its report.
 ///
 /// The simulation runs on the calling thread: campaign parallelism is
-/// across points (one simulation per worker), so determinism never depends
+/// across points (one simulation per thread), so determinism never depends
 /// on the campaign's thread budget.
 ///
 /// # Errors
@@ -420,13 +425,20 @@ mod tests {
     }
 
     #[test]
-    fn prepare_resolves_the_display_names() {
-        let point = tiny_point();
-        let prepared = prepare(&point).unwrap();
-        let report = run_point(&prepared).unwrap();
-        assert_eq!(prepared.topology_name, report.topology);
-        assert_eq!(prepared.traffic_name, report.traffic);
-        assert_eq!(prepared.config_hash.len(), 16);
+    fn a_built_simulation_prepares_to_the_points_hash() {
+        let cmp = PointSpec {
+            topology: "cmesh4x4".into(),
+            traffic: "fft".into(),
+            ..PointSpec::default()
+        };
+        for point in [tiny_point(), cmp] {
+            let prepared = prepare(&point).unwrap();
+            assert_eq!(prepared.config_hash.len(), 16);
+            let sim = build_simulation(&point, MetricsConfig::off()).unwrap();
+            let built = PreparedPoint::from_simulation(&point, &sim);
+            assert_eq!(built.config_hash, prepared.config_hash, "{point}");
+            assert_eq!(built.spec, prepared.spec);
+        }
     }
 
     /// The hash `noc run --topology cmesh4x4 --traffic fft` has always

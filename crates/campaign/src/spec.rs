@@ -83,7 +83,7 @@ impl SchemeChoice {
             "pseudo" => SchemeChoice::Pc(Scheme::pseudo()),
             "pseudo+ps" => SchemeChoice::Pc(Scheme::pseudo_ps()),
             "pseudo+bb" => SchemeChoice::Pc(Scheme::pseudo_bb()),
-            "pseudo+ps+bb" | "full" => SchemeChoice::Pc(Scheme::pseudo_ps_bb()),
+            "pseudo+ps+bb" => SchemeChoice::Pc(Scheme::pseudo_ps_bb()),
             "evc" => SchemeChoice::Evc,
             "hybrid" => SchemeChoice::Hybrid,
             other => return Err(Error(format!("unknown scheme {other:?}"))),
@@ -624,15 +624,13 @@ fn strings(values: &[Value]) -> Result<Vec<String>, String> {
     distinct(strings.collect::<Result<_, _>>()?)
 }
 
-/// Strings, each a name of `parse`'s vocabulary.
-fn names<T: PartialEq + fmt::Debug>(
-    values: &[Value],
-    parse: fn(&str) -> Result<T, Error>,
-) -> Result<Vec<T>, String> {
-    let names = strings(values)?
-        .into_iter()
-        .map(|s| parse(&s).map_err(|e| e.0));
-    distinct(names.collect::<Result<_, _>>()?)
+/// Strings, each a name of `parse`'s vocabulary. A vocabulary has one name
+/// per value, so distinct strings are distinct values.
+fn names<T>(values: &[Value], parse: fn(&str) -> Result<T, Error>) -> Result<Vec<T>, String> {
+    strings(values)?
+        .iter()
+        .map(|s| parse(s).map_err(|e| e.0))
+        .collect()
 }
 
 /// Integers in `[min, max]`, where `max` fits `T`.
@@ -725,6 +723,8 @@ load = [0.05, 0.1]
             ("[axes]\nload = []\n", "empty"),
             ("[axes]\nload = [1.5]\n", "(0, 1]"),
             ("[axes]\nscheme = \"warp\"\n", "unknown scheme"),
+            // Not in the vocabulary table, so no second name for pseudo+ps+bb.
+            ("[axes]\nscheme = \"full\"\n", "unknown scheme \"full\""),
             ("[axes]\nrouting = \"zigzag\"\n", "unknown routing"),
             ("[axes]\nva = \"psychic\"\n", "unknown VA"),
             ("[axes]\nvcs = 0\n", "[1, 255]"),
@@ -810,10 +810,6 @@ load = [0.05, 0.1]
         }
         assert!(SCHEME_NAMES.contains(&SchemeChoice::Evc.canonical()));
         assert!(SCHEME_NAMES.contains(&SchemeChoice::Hybrid.canonical()));
-        assert_eq!(
-            SchemeChoice::parse("full").unwrap().canonical(),
-            "pseudo+ps+bb"
-        );
         assert_eq!(
             SchemeChoice::Pc(Scheme::pseudo_ps_bb()).label(),
             "Pseudo+PS+BB"

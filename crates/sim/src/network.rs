@@ -22,8 +22,8 @@
 //! vector before any router steps. So a receiver sees interface emissions
 //! before router emissions, router emissions in ascending source index, and
 //! an ejection credit one cycle after the flit it frees. Parallelism lives
-//! across simulations (campaign points on the worker pool), never inside
-//! one.
+//! across simulations (a campaign's points, one per thread of its batch),
+//! never inside one.
 
 use crate::metrics::{chrome_trace_json, MetricsConfig, MetricsLevel, ObservabilityReport};
 use crate::ni::NetworkInterface;

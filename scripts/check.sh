@@ -24,14 +24,14 @@ echo "debug test wall time (build included): $((SECONDS - started)) s"
 # Second pass with the host budget capped at two: what reads the budget
 # (noc_base::pool::host_threads — a campaign's default worker count, and so
 # the figure-spec smoke of tests/figures.rs) runs exactly two wide whatever
-# the host, so the sweep tests drive the worker pool in the
-# submitter-plus-one-worker shape the benchmark measures. Each simulation is
-# serial and reads no environment.
+# the host, so the sweep tests run each batch as the calling thread plus one
+# spawned thread, the shape the benchmark's campaign workload runs. Each
+# simulation is serial and reads no environment.
 echo "==> NOC_THREADS=2 cargo test -q --workspace"
 NOC_THREADS=2 cargo test -q --offline --workspace
 
-# One lint pass over every target of every member: the facade, the unsafe
-# lifetime erasure of noc-base's worker pool, the pipeline kernel and its
+# One lint pass over every target of every member: the facade, the
+# hand-managed slab of noc-base's flit pool, the pipeline kernel and its
 # two crate-private hook sets (pseudo-circuit), the campaign engine's
 # hand-rolled TOML/JSON parsing, and the figure claims of tests/figures.rs.
 # vendor/proptest is an implicit member and not ours to lint.

@@ -37,8 +37,8 @@
 
 use noc_base::pool::host_threads;
 use noc_campaign::{
-    build_simulation, cache_pass, prepare, write_atomic, CampaignOptions, CampaignSpec, Error,
-    PointResult, PointSpec,
+    build_simulation, cache_pass, write_atomic, CampaignOptions, CampaignSpec, Error, PointResult,
+    PointSpec, PreparedPoint,
 };
 use noc_sim::{MetricsConfig, MetricsLevel, SimReport, TraceSpec};
 use noc_traffic::BenchmarkProfile;
@@ -150,7 +150,8 @@ pub fn run(args: &RunArgs) -> Result<SimReport, Error> {
     }
     let report = sim.run(point.run_spec());
     if let Some(path) = &args.manifest {
-        let record = PointResult::from_report(&prepare(point)?, &noc_sim::git_rev(), &report);
+        let prepared = PreparedPoint::from_simulation(point, &sim);
+        let record = PointResult::from_report(&prepared, &noc_sim::git_rev(), &report);
         let path = Path::new(path);
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)
@@ -939,7 +940,7 @@ mod tests {
             }
             let again = parse_run_args(&flags).unwrap().point;
             assert_eq!(again, point, "{flags:?}");
-            let hash = prepare(&again).unwrap().config_hash;
+            let hash = noc_campaign::prepare(&again).unwrap().config_hash;
             assert_eq!(hash, recorded(&record, "config_hash"), "{flags:?}");
         }
         std::fs::remove_dir_all(&dir).unwrap();

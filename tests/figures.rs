@@ -144,7 +144,7 @@ fn run_points(
     let slots: Vec<Mutex<Option<Result<f64, String>>>> =
         points.iter().map(|_| Mutex::new(None)).collect();
     let threads = noc_base::pool::host_threads()?;
-    noc_base::pool::global().run_limited(points.len(), threads, &|i| {
+    noc_base::pool::WorkerPool.run_limited(points.len(), threads, &|i| {
         *slots[i].lock().unwrap() = Some(measure(&points[i]));
     });
     slots

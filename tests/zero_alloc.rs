@@ -36,13 +36,6 @@ thread_local! {
     static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-// Worker-pool threads are not test threads, so their allocations are counted
-// globally: while WORKER_COUNTING is set, any allocation made on a
-// `noc_base::pool` worker increments WORKER_ALLOCS. Both checks read only
-// const-initialized TLS and atomics, so counting itself never allocates.
-static WORKER_COUNTING: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-static WORKER_ALLOCS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
 fn note_alloc(bytes: usize) {
     // try_with: the TLS slot may already be gone during thread teardown.
     let _ = COUNTING.try_with(|c| {
@@ -55,11 +48,6 @@ fn note_alloc(bytes: usize) {
             }
         }
     });
-    if WORKER_COUNTING.load(std::sync::atomic::Ordering::Relaxed)
-        && noc_base::pool::is_worker_thread()
-    {
-        WORKER_ALLOCS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -225,16 +213,16 @@ fn steady_state_step_does_not_allocate() {
 
 #[test]
 fn multi_threaded_steady_state_does_not_allocate_on_any_thread() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     // Parallelism lives across simulations: a campaign steps one simulation
-    // per pool worker. Two warm simulations stepped as the two jobs of one
-    // batch must stay allocation-free on every thread — the submitter
-    // (counted thread-locally, including its own job) and the worker
-    // (counted globally via WORKER_ALLOCS). Each job waits until both have
-    // started, so the worker really runs one however the host schedules
-    // threads; a first batch spawns the worker before counting begins.
+    // per thread of its batch. Two warm simulations stepped as the two jobs
+    // of one batch must stay allocation-free on both threads, the caller's
+    // and the spawned one; each job counts its own thread's allocations
+    // while it steps (the batch's thread spawn, once per campaign, is
+    // outside the count). Each job waits until both have started, so the
+    // spawned thread really runs one however the host schedules threads.
     let sims: Vec<Mutex<Simulation>> = (0..2)
         .map(|_| {
             let mut sim = paper_cmesh_sim();
@@ -244,46 +232,38 @@ fn multi_threaded_steady_state_does_not_allocate_on_any_thread() {
             Mutex::new(sim)
         })
         .collect();
-    let pool = noc_base::pool::global();
-    pool.run_limited(2, 2, &|_| {});
     let started = AtomicUsize::new(0);
-    let on_worker = AtomicUsize::new(0);
+    let on_spawned = AtomicUsize::new(0);
+    let allocs: Vec<AtomicU64> = (0..2).map(|_| AtomicU64::new(0)).collect();
     let cycles = 2_000;
-    WORKER_ALLOCS.store(0, Ordering::Relaxed);
-    WORKER_COUNTING.store(true, Ordering::Relaxed);
-    let allocs = count_allocs(|| {
-        pool.run_limited(2, 2, &|i| {
-            started.fetch_add(1, Ordering::SeqCst);
-            let mut polls = 0u64;
-            while started.load(Ordering::SeqCst) < 2 {
-                std::thread::yield_now();
-                polls += 1;
-                assert!(polls < 50_000_000, "the second job never started");
-            }
-            if noc_base::pool::is_worker_thread() {
-                on_worker.fetch_add(1, Ordering::SeqCst);
-            }
-            let mut sim = sims[i].lock().expect("each job locks its own simulation");
+    noc_base::pool::WorkerPool.run_limited(2, 2, &|i| {
+        started.fetch_add(1, Ordering::SeqCst);
+        let mut polls = 0u64;
+        while started.load(Ordering::SeqCst) < 2 {
+            std::thread::yield_now();
+            polls += 1;
+            assert!(polls < 50_000_000, "the second job never started");
+        }
+        if noc_base::pool::is_worker_thread() {
+            on_spawned.fetch_add(1, Ordering::SeqCst);
+        }
+        let mut sim = sims[i].lock().expect("each job locks its own simulation");
+        let n = count_allocs(|| {
             for _ in 0..cycles {
                 sim.step();
             }
         });
+        allocs[i].store(n, Ordering::SeqCst);
     });
-    WORKER_COUNTING.store(false, Ordering::Relaxed);
-    let worker_allocs = WORKER_ALLOCS.load(Ordering::Relaxed);
     assert_eq!(
-        on_worker.load(Ordering::SeqCst),
+        on_spawned.load(Ordering::SeqCst),
         1,
-        "one job ran on the worker"
+        "one job ran on the spawned thread"
     );
-    assert_eq!(
-        allocs, 0,
-        "the submitting thread allocated {allocs} times over {cycles} cycles"
-    );
-    assert_eq!(
-        worker_allocs, 0,
-        "the pool worker allocated {worker_allocs} times over {cycles} cycles"
-    );
+    for (i, n) in allocs.iter().enumerate() {
+        let n = n.load(Ordering::SeqCst);
+        assert_eq!(n, 0, "job {i} allocated {n} times over {cycles} cycles");
+    }
 }
 
 #[test]
