@@ -102,7 +102,7 @@ impl FlitRef {
 
     /// The generation tag (always 0 in release builds).
     #[inline]
-    pub fn generation(self) -> u8 {
+    fn generation(self) -> u8 {
         (self.0 >> INDEX_BITS) as u8
     }
 }
@@ -127,7 +127,7 @@ pub struct FlitPool {
     /// first issues it, and only slots below `issued` are read.
     slots: Box<[UnsafeCell<MaybeUninit<Flit>>]>,
     #[cfg(debug_assertions)]
-    gens: Vec<UnsafeCell<u8>>,
+    gens: Vec<Cell<u8>>,
     /// The recycled half of the free list: frees land here and leave before
     /// the mark advances. Reserved to `capacity` entries (untouched until
     /// used), so a free never allocates.
@@ -170,7 +170,7 @@ impl FlitPool {
         Self {
             slots,
             #[cfg(debug_assertions)]
-            gens: (0..capacity).map(|_| UnsafeCell::new(0)).collect(),
+            gens: vec![Cell::new(0); capacity],
             recycled: UnsafeCell::new(Vec::with_capacity(capacity)),
             issued: Cell::new(0),
         }
@@ -209,8 +209,7 @@ impl FlitPool {
     fn make_ref(&self, idx: u32) -> FlitRef {
         #[cfg(debug_assertions)]
         {
-            // SAFETY: caller owns `idx` (it came off a free list it owns).
-            let g = unsafe { *self.gens[idx as usize].get() };
+            let g = self.gens[idx as usize].get();
             FlitRef(((g as u32) << INDEX_BITS) | idx)
         }
         #[cfg(not(debug_assertions))]
@@ -228,8 +227,7 @@ impl FlitPool {
         }
         #[cfg(debug_assertions)]
         {
-            // SAFETY: the owner of `r` is the only accessor of this slot.
-            let g = unsafe { *self.gens[idx].get() };
+            let g = self.gens[idx].get();
             assert!(
                 g == r.generation(),
                 "stale {r:?}: slot generation is {g} (use-after-free)"
@@ -314,13 +312,11 @@ impl FlitPool {
     pub fn free(&self, r: FlitRef) {
         #[cfg(debug_assertions)]
         {
-            self.slot(r); // the mark and generation checks
-                          // SAFETY: one thread uses the pool at a time; bumping
-                          // invalidates all existing refs.
-            unsafe {
-                let g = self.gens[r.index()].get();
-                *g = (*g).wrapping_add(1);
-            }
+            // The mark and generation checks; bumping the generation then
+            // invalidates all existing refs.
+            self.slot(r);
+            let g = &self.gens[r.index()];
+            g.set(g.get().wrapping_add(1));
         }
         // SAFETY: one thread uses the pool at a time (module docs). The
         // list was reserved to `capacity`, so the push does not allocate.

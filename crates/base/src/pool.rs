@@ -37,36 +37,10 @@ pub fn is_worker_thread() -> bool {
     IN_WORKER.get()
 }
 
-fn host_cpus() -> usize {
+/// The host's thread budget: its CPUs. A campaign's default worker count
+/// (and so the width of the figure specs' runs).
+pub fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// The host's thread budget: its CPUs, capped by `NOC_THREADS`. The one
-/// reading of the variable: a campaign's default worker count (and so the
-/// width of the figure specs' runs).
-///
-/// # Errors
-///
-/// Returns a one-line message when `NOC_THREADS` is set to anything but a
-/// positive integer (`lots`, `0`, `-2`), for the CLI to print.
-pub fn host_threads() -> Result<usize, String> {
-    let raw = std::env::var_os("NOC_THREADS");
-    host_threads_from(raw.as_ref().map(|v| v.to_string_lossy()).as_deref())
-}
-
-/// [`host_threads`] for a given `NOC_THREADS` value (`None`: unset). Pure, so
-/// the rules are testable without `setenv`, which races the `getenv` of the
-/// tests running beside it (undefined behavior on glibc).
-pub fn host_threads_from(raw: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = raw else {
-        return Ok(host_cpus());
-    };
-    match raw.parse::<usize>() {
-        Ok(cap) if cap > 0 => Ok(host_cpus().min(cap)),
-        _ => Err(format!(
-            "NOC_THREADS must be a positive integer, got {raw:?}"
-        )),
-    }
 }
 
 /// Claims and runs indices of `0..len` from `next` until none is left, or
@@ -301,28 +275,5 @@ mod tests {
         // A parallel batch reports whatever its joins took, and runs whole.
         let _wait = WorkerPool.run_limited_timed(16, 4, &count);
         assert_eq!(hits.load(Ordering::Relaxed), 32);
-    }
-
-    #[test]
-    fn host_threads_is_the_cpu_count_capped_by_a_valid_noc_threads() {
-        // Through the pure function rather than by mutating NOC_THREADS:
-        // setenv concurrent with getenv (other tests in this binary read
-        // the environment) is undefined behavior on glibc.
-        let cpus = host_cpus();
-        assert_eq!(host_threads_from(None), Ok(cpus));
-        assert_eq!(host_threads_from(Some("1")), Ok(1));
-        assert_eq!(host_threads_from(Some("3")), Ok(cpus.min(3)));
-        assert_eq!(host_threads_from(Some("1000000")), Ok(cpus), "a cap only");
-        for hostile in ["0", "lots", "-2", "", "2 "] {
-            assert_eq!(
-                host_threads_from(Some(hostile)),
-                Err(format!(
-                    "NOC_THREADS must be a positive integer, got {hostile:?}"
-                ))
-            );
-        }
-        // Read-only against the real environment: whatever NOC_THREADS is
-        // (or isn't) in this process, a budget is within the CPU count.
-        assert!(host_threads().map_or(true, |n| (1..=cpus).contains(&n)));
     }
 }

@@ -142,16 +142,15 @@ pub fn cache_pass(
 ///
 /// # Errors
 ///
-/// As [`cache_pass`]; also when `options.threads` is 0 and `NOC_THREADS` is
-/// not a positive integer, a point fails, or on I/O failure in the cache or
-/// report.
+/// As [`cache_pass`]; also when a point fails, or on I/O failure in the
+/// cache or report.
 pub fn run_campaign(
     spec: &CampaignSpec,
     campaign_dir: &Path,
     options: &CampaignOptions,
 ) -> Result<CampaignOutcome, Error> {
     let threads = match options.threads {
-        0 => noc_base::pool::host_threads().map_err(Error)?,
+        0 => noc_base::pool::host_threads(),
         n => n,
     };
     let git_rev = options.git_rev.clone().unwrap_or_else(noc_sim::git_rev);

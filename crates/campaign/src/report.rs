@@ -187,21 +187,39 @@ impl CampaignReport {
         s
     }
 
-    /// A terse human-readable summary (one line per curve).
+    /// A terse human-readable summary: one line per seed group (its key,
+    /// seed count and knee over the seeds), then one per crossover.
     pub fn render_summary(&self) -> String {
-        let mut out = format!("campaign {}: {} curve(s)", self.name, self.curves.len());
-        for curve in &self.curves {
-            let knee = curve
-                .saturation_load
-                .map_or("no saturation observed".into(), |load| {
-                    format!("saturates @ load {load:?}")
-                });
-            let _ = write!(
-                out,
-                "\n  {}  points {}  {knee}",
-                curve.key,
-                curve.series.len()
-            );
+        let mut out = format!(
+            "campaign {}: {} curve(s) in {} seed group(s)",
+            self.name,
+            self.curves.len(),
+            self.groups.len()
+        );
+        for group in &self.groups {
+            let knees: Vec<Option<f64>> = self
+                .curves
+                .iter()
+                .filter(|c| c.spec.key(true, false) == group.key)
+                .map(|c| c.saturation_load)
+                .collect();
+            let seeds = knees.len();
+            let saturated: Vec<f64> = knees.into_iter().flatten().collect();
+            let knee = match saturated.iter().copied().reduce(f64::min) {
+                None => "no saturation observed".to_string(),
+                Some(lo) => {
+                    let hi = saturated.iter().copied().fold(lo, f64::max);
+                    let mut knee = format!("saturates @ load {lo:?}");
+                    if hi != lo {
+                        let _ = write!(knee, "..{hi:?}");
+                    }
+                    if saturated.len() < seeds {
+                        let _ = write!(knee, " in {} of {seeds} seeds", saturated.len());
+                    }
+                    knee
+                }
+            };
+            let _ = write!(out, "\n  {}  seeds {seeds}  {knee}", group.key);
         }
         for x in &self.crossovers {
             let _ = write!(
@@ -549,6 +567,35 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"groups\": [\n    {\"key\": \"mesh8x8/ur/baseline/"));
         assert!(json.contains("{\"load\": 0.1, \"n\": 2, \"mean\": 11.0, "));
+    }
+
+    #[test]
+    fn the_summary_has_one_line_per_seed_group() {
+        // Two seeds of two schemes: baseline saturates at 0.2 on seed 1 only
+        // (40 > 3 × 10), evc at 0.2 and 0.3.
+        let results = vec![
+            seeded(1, "baseline", 0.1, 10.0),
+            seeded(1, "baseline", 0.2, 40.0),
+            seeded(2, "baseline", 0.1, 11.0),
+            seeded(2, "baseline", 0.2, 20.0),
+            seeded(1, "evc", 0.1, 10.0),
+            seeded(1, "evc", 0.2, 35.0),
+            seeded(2, "evc", 0.1, 10.0),
+            seeded(2, "evc", 0.2, 20.0),
+            seeded(2, "evc", 0.3, 31.0),
+        ];
+        let report = CampaignReport::merge("t", "rev", &results);
+        assert_eq!(
+            report.render_summary(),
+            "campaign t: 4 curve(s) in 2 seed group(s)\n  \
+             mesh8x8/ur/baseline/xy/static/vcs4/buf4/pkt5  seeds 2  \
+             saturates @ load 0.2 in 1 of 2 seeds\n  \
+             mesh8x8/ur/evc/xy/static/vcs4/buf4/pkt5  seeds 2  saturates @ load 0.2..0.3"
+        );
+        let flat = CampaignReport::merge("t", "rev", &results[2..4]);
+        assert!(flat
+            .render_summary()
+            .ends_with("/pkt5  seeds 1  no saturation observed"));
     }
 
     #[test]

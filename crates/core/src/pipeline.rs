@@ -51,11 +51,11 @@
 use crate::probe::RouterCounters;
 use noc_base::{BitArbiter, Mask64, WordMask};
 use noc_base::{Credit, Flit, FlitPool, FlitRef, PortIndex, RouteInfo, RouterId, VcIndex};
-use noc_energy::{EnergyCounters, EnergyEvent};
+use noc_energy::EnergyCounters;
 use noc_sim::blocks::FifoBank;
 use noc_sim::{
     MetricsConfig, MetricsLevel, NetworkConfig, PipelineStage, RouterModel, RouterObservation,
-    RouterOutputs, RouterStats, SentFlit, TraceEventKind, TraceRing,
+    RouterOutputs, RouterStats, SentFlit, TraceEventKind, TraceRing, TRACE_RING_EVENTS,
 };
 use noc_topology::SharedTopology;
 use std::sync::Arc;
@@ -721,7 +721,7 @@ impl PipelineKernel {
         }
         if let Some(spec) = &metrics.trace {
             if spec.selects(self.id.index()) {
-                self.tracer = Some(Box::new(TraceRing::new(self.id.index(), spec.capacity)));
+                self.tracer = Some(Box::new(TraceRing::new(self.id.index(), TRACE_RING_EVENTS)));
             }
         }
     }
@@ -938,7 +938,7 @@ impl PipelineKernel {
             }
         }
         self.stats.flit_traversals += 1;
-        self.energy.record(EnergyEvent::CrossbarTraversal);
+        self.energy.crossbar_traversals += 1;
         if let Some(p) = self.counters.as_deref_mut() {
             p.on_traversal(in_port);
         }
@@ -1024,7 +1024,7 @@ impl PipelineKernel {
         if *occupancy == 0 {
             self.occupied_ports.clear(in_port.index());
         }
-        self.energy.record(EnergyEvent::BufferRead);
+        self.energy.buffer_reads += 1;
         if let Some(p) = self.counters.as_deref_mut() {
             // The flit was written into the buffer the cycle before it
             // became ready (`FifoBank::push(slot, r, cycle + 1)`).
@@ -1110,7 +1110,7 @@ impl PipelineKernel {
             if hooks.try_arrival_intercept(self, cycle, in_port, r, out) {
                 continue;
             }
-            self.energy.record(EnergyEvent::BufferWrite);
+            self.energy.buffer_writes += 1;
             self.input_mut(in_port).occupancy += 1;
             self.occupied_ports.set(in_port.index());
             let vc = self.pool.get(r).vc;
@@ -1183,7 +1183,7 @@ impl PipelineKernel {
                     self.set_in_vc(slot, state);
                     self.va_now.set(slot);
                     self.stats.va_grants += 1;
-                    self.energy.record(EnergyEvent::Arbitration);
+                    self.energy.arbitrations += 1;
                     if let Some(p) = self.counters.as_deref_mut() {
                         p.va_granted_at[slot] = cycle;
                         p.on_va_grant(in_port);
@@ -1273,7 +1273,7 @@ impl PipelineKernel {
             self.ports[out_port].output.st_grant = (in_port, vc);
             self.st_ports.set(out_port);
             self.stats.sa_grants += 1;
-            self.energy.record(EnergyEvent::Arbitration);
+            self.energy.arbitrations += 1;
             if let Some(p) = self.counters.as_deref_mut() {
                 p.on_sa_grant(in_port);
             }

@@ -39,7 +39,6 @@ use crate::pseudo::{PcRegisters, PseudoCircuitUnit, Termination};
 use noc_base::{
     Flit, FlitPool, FlitRef, PortIndex, RouteInfo, RouterId, VaPolicy, VcIndex, VcPartition,
 };
-use noc_energy::EnergyEvent;
 use noc_sim::{NetworkConfig, PipelineStage, RouterOutputs, TraceEventKind};
 use noc_sim::{RouterBuildContext, RouterFactory, RouterModel};
 use noc_topology::SharedTopology;
@@ -183,7 +182,7 @@ impl PcHooks {
             let out_vc = self.allocate_vc(k, flit, (in_port, vc), true)?;
             k.claim_input_vc(in_port, vc, pc_route, out_vc);
             k.stats.va_grants += 1;
-            k.energy.record(EnergyEvent::Arbitration);
+            k.energy.arbitrations += 1;
             if let Some(p) = k.counters.as_deref_mut() {
                 p.on_va_grant(in_port);
             }

@@ -23,7 +23,9 @@ const STATIC_VC: usize = 2;
 fn full_metrics() -> MetricsConfig {
     MetricsConfig {
         level: MetricsLevel::Full,
-        trace: Some(TraceSpec::routers(Vec::new())),
+        trace: Some(TraceSpec {
+            routers: Vec::new(),
+        }),
     }
 }
 

@@ -37,6 +37,7 @@ pub use manifest::git_rev;
 pub use metrics::{
     chrome_trace_json, MetricsConfig, MetricsLevel, ObservabilityReport, PipelineStage,
     RouterObservation, StageHistograms, TraceEvent, TraceEventKind, TraceRing, TraceSpec,
+    TRACE_RING_EVENTS,
 };
 pub use network::Simulation;
 pub use ni::{NetworkInterface, NiStats};

@@ -56,24 +56,15 @@ impl MetricsLevel {
     }
 }
 
-/// Which routers the event tracer records, and how much history each keeps.
+/// Which routers the event tracer records; each keeps the last
+/// [`TRACE_RING_EVENTS`] events.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TraceSpec {
     /// Router indices to trace (empty = trace every router).
     pub routers: Vec<usize>,
-    /// Ring capacity in events per traced router (oldest overwritten).
-    pub capacity: usize,
 }
 
 impl TraceSpec {
-    /// Traces `routers` with the default per-router ring capacity (4096).
-    pub fn routers(routers: Vec<usize>) -> Self {
-        Self {
-            routers,
-            capacity: 4096,
-        }
-    }
-
     /// Whether `router` is selected by this spec.
     pub fn selects(&self, router: usize) -> bool {
         self.routers.is_empty() || self.routers.contains(&router)
@@ -332,6 +323,9 @@ pub struct TraceEvent {
     pub arg: u32,
 }
 
+/// Events a traced router's [`TraceRing`] keeps (oldest overwritten).
+pub const TRACE_RING_EVENTS: usize = 4096;
+
 /// A fixed-capacity ring buffer of pseudo-circuit lifecycle events for one
 /// router. Recording never allocates after construction; when the ring is
 /// full the oldest event is overwritten and [`dropped`](Self::dropped)
@@ -453,8 +447,10 @@ mod tests {
 
     #[test]
     fn trace_spec_empty_selects_all() {
-        assert!(TraceSpec::routers(vec![]).selects(7));
-        let spec = TraceSpec::routers(vec![1, 3]);
+        assert!(TraceSpec { routers: vec![] }.selects(7));
+        let spec = TraceSpec {
+            routers: vec![1, 3],
+        };
         assert!(spec.selects(3) && !spec.selects(2));
     }
 

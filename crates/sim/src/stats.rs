@@ -3,7 +3,7 @@
 
 use crate::metrics::ObservabilityReport;
 use crate::router::RouterStats;
-use noc_energy::{EnergyBreakdown, EnergyCounters, EnergyModel};
+use noc_energy::{EnergyBreakdown, EnergyCounters};
 use noc_traffic::DeliveredPacket;
 use std::fmt;
 
@@ -283,7 +283,7 @@ impl fmt::Display for SimReport {
 
 /// Applies the energy model to counters, for report construction.
 pub fn energy_breakdown_of(counters: &EnergyCounters) -> EnergyBreakdown {
-    EnergyModel::paper_45nm().breakdown(counters)
+    counters.breakdown()
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 #![allow(dead_code)]
 
 use noc_base::{Credit, FlitPool, FlitRef, NodeId, PortIndex, RouteInfo, RouteMode, RouterId};
-use noc_energy::{EnergyCounters, EnergyEvent};
+use noc_energy::EnergyCounters;
 use noc_sim::{
     RouterBuildContext, RouterFactory, RouterModel, RouterOutputs, RouterStats, SentFlit,
 };
@@ -93,7 +93,7 @@ impl RouterModel for WireRouter {
 
     fn step(&mut self, cycle: u64, out: &mut RouterOutputs) {
         for (in_port, flit) in self.staged.drain(..) {
-            self.energy.record(EnergyEvent::BufferWrite);
+            self.energy.buffer_writes += 1;
             self.pipeline.push_back((cycle + self.delay, in_port, flit));
         }
         while let Some((due, _, _)) = self.pipeline.front() {
@@ -101,8 +101,8 @@ impl RouterModel for WireRouter {
                 break;
             }
             let (_, in_port, r) = self.pipeline.pop_front().expect("front exists");
-            self.energy.record(EnergyEvent::BufferRead);
-            self.energy.record(EnergyEvent::CrossbarTraversal);
+            self.energy.buffer_reads += 1;
+            self.energy.crossbar_traversals += 1;
             let flit = *self.pool.get(r);
             out.credits.push((in_port, flit.vc));
 

@@ -160,44 +160,21 @@ impl fmt::Display for NoFloorplan {
 
 impl std::error::Error for NoFloorplan {}
 
-/// Fixed system parameters of the CMP model (the paper's Table I; latencies
-/// the OCR lost are documented choices, see DESIGN.md §5).
-#[derive(Copy, Clone, PartialEq, Debug)]
-pub struct CmpConfig {
-    /// MSHRs per core (outstanding-miss limit; 4 in the paper).
-    pub mshrs_per_core: usize,
-    /// L2 bank access latency in cycles.
-    pub l2_latency: u64,
-    /// Additional latency when the L2 bank misses to memory.
-    pub mem_latency: u64,
-    /// Probability an L2 access misses to memory.
-    pub l2_miss_rate: f64,
-    /// Flits in an address-only packet.
-    pub addr_flits: u16,
-    /// Flits in an address + cache-block packet.
-    pub data_flits: u16,
-}
+// The CMP system of the paper's Table I; the latencies the OCR lost are
+// documented choices (DESIGN.md §5).
 
-impl CmpConfig {
-    /// The paper's configuration: 4 MSHRs, 1-flit address packets, 5-flit
-    /// data packets, 6-cycle L2 banks, 100-cycle memory at 10% L2 miss rate.
-    pub fn paper() -> Self {
-        Self {
-            mshrs_per_core: 4,
-            l2_latency: 6,
-            mem_latency: 100,
-            l2_miss_rate: 0.10,
-            addr_flits: 1,
-            data_flits: 5,
-        }
-    }
-}
-
-impl Default for CmpConfig {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
+/// MSHRs per core: the outstanding-miss limit (4 in the paper).
+const MSHRS_PER_CORE: usize = 4;
+/// L2 bank access latency in cycles.
+const L2_LATENCY: u64 = 6;
+/// Additional latency when the L2 bank misses to memory.
+const MEM_LATENCY: u64 = 100;
+/// Probability an L2 access misses to memory.
+const L2_MISS_RATE: f64 = 0.10;
+/// Flits in an address-only packet: an address fits in one 128-bit flit.
+const ADDR_FLITS: u16 = 1;
+/// Flits in an address + 64-byte cache-block packet.
+const DATA_FLITS: u16 = 5;
 
 #[derive(Clone, Debug)]
 struct CoreState {
@@ -240,7 +217,6 @@ impl CmpStats {
 
 /// The closed-loop CMP workload generator.
 pub struct CmpTraffic {
-    cfg: CmpConfig,
     layout: CmpLayout,
     profile: BenchmarkProfile,
     rng: Pcg32,
@@ -261,10 +237,10 @@ pub struct CmpTraffic {
 
 impl CmpTraffic {
     /// Creates the workload for one benchmark profile.
-    pub fn new(cfg: CmpConfig, layout: CmpLayout, profile: BenchmarkProfile, seed: u64) -> Self {
+    pub fn new(layout: CmpLayout, profile: BenchmarkProfile, seed: u64) -> Self {
         let cores = vec![
             CoreState {
-                free_mshrs: cfg.mshrs_per_core,
+                free_mshrs: MSHRS_PER_CORE,
                 last_bank: None,
                 bursting: false,
             };
@@ -274,7 +250,6 @@ impl CmpTraffic {
             .map(|i| 1.0 / (1.0 + i as f64).powf(profile.hotspot_skew))
             .collect();
         Self {
-            cfg,
             profile,
             rng: Pcg32::seed_with_stream(seed, 0xc39),
             cores,
@@ -289,7 +264,7 @@ impl CmpTraffic {
         }
     }
 
-    /// The paper's CMP workload ([`CmpConfig::paper`]) laid out on `topo`:
+    /// The paper's CMP workload (Table I) laid out on `topo`:
     /// the concentration-4 floorplan (two cores + two banks per router,
     /// [`CmpLayout::paper_cmesh`]) when the topology is concentrated, a
     /// checkerboard of cores and banks ([`CmpLayout::alternating`]) on a
@@ -316,7 +291,7 @@ impl CmpTraffic {
                 })
             }
         };
-        Ok(Self::new(CmpConfig::paper(), layout, profile, seed))
+        Ok(Self::new(layout, profile, seed))
     }
 
     /// Message counters accumulated so far.
@@ -369,10 +344,10 @@ impl CmpTraffic {
         let dst = self.layout.bank(bank);
         let (len, class) = if self.rng.next_bool(self.profile.write_fraction) {
             self.stats.writes += 1;
-            (self.cfg.data_flits, PacketClass::WriteRequest)
+            (DATA_FLITS, PacketClass::WriteRequest)
         } else {
             self.stats.reads += 1;
-            (self.cfg.addr_flits, PacketClass::ReadRequest)
+            (ADDR_FLITS, PacketClass::ReadRequest)
         };
         let request = PacketRequest {
             src,
@@ -405,9 +380,9 @@ impl CmpTraffic {
     }
 
     fn bank_latency(&mut self) -> u64 {
-        let mut latency = self.cfg.l2_latency;
-        if self.rng.next_bool(self.cfg.l2_miss_rate) {
-            latency += self.cfg.mem_latency;
+        let mut latency = L2_LATENCY;
+        if self.rng.next_bool(L2_MISS_RATE) {
+            latency += MEM_LATENCY;
         }
         latency
     }
@@ -453,7 +428,7 @@ impl TrafficModel for CmpTraffic {
         self.in_flight = self.in_flight.saturating_sub(1);
         // A reply leaves the node the packet arrived at, for its sender.
         let (here, sender) = (packet.dst, packet.src);
-        let (addr, data) = (self.cfg.addr_flits, self.cfg.data_flits);
+        let (addr, data) = (ADDR_FLITS, DATA_FLITS);
         match packet.class {
             PacketClass::ReadRequest => {
                 let at = cycle + self.bank_latency();
@@ -474,7 +449,7 @@ impl TrafficModel for CmpTraffic {
                             self.sharers.set(c);
                         }
                     }
-                    let at = cycle + self.cfg.l2_latency;
+                    let at = cycle + L2_LATENCY;
                     while let Some(c) = self.sharers.first_set_from(0) {
                         self.sharers.clear(c);
                         self.stats.invalidations += 1;
@@ -485,7 +460,7 @@ impl TrafficModel for CmpTraffic {
             PacketClass::ReadResponse | PacketClass::WriteAck => {
                 if let Some(core) = self.core_of(here) {
                     self.cores[core].free_mshrs =
-                        (self.cores[core].free_mshrs + 1).min(self.cfg.mshrs_per_core);
+                        (self.cores[core].free_mshrs + 1).min(MSHRS_PER_CORE);
                 }
             }
             // Invalidation arriving at a core: acknowledge to the bank.
@@ -512,12 +487,7 @@ mod tests {
 
     fn small() -> CmpTraffic {
         let layout = CmpLayout::paper_cmesh(4); // 8 cores, 8 banks
-        CmpTraffic::new(
-            CmpConfig::paper(),
-            layout,
-            *BenchmarkProfile::by_name("fma3d").unwrap(),
-            7,
-        )
+        CmpTraffic::new(layout, *BenchmarkProfile::by_name("fma3d").unwrap(), 7)
     }
 
     /// Runs the model against an ideal zero-latency "network".
@@ -566,13 +536,8 @@ mod tests {
     fn paper_config_is_table_one() {
         // Table I, with the latencies the source text lost substituted as
         // DESIGN.md §5 records.
-        let c = CmpConfig::paper();
-        let sizes = (c.mshrs_per_core, c.addr_flits, c.data_flits);
-        assert_eq!(sizes, (4, 1, 5));
-        assert_eq!(
-            (c.l2_latency, c.mem_latency, c.l2_miss_rate),
-            (6, 100, 0.10)
-        );
+        assert_eq!((MSHRS_PER_CORE, ADDR_FLITS, DATA_FLITS), (4, 1, 5));
+        assert_eq!((L2_LATENCY, MEM_LATENCY, L2_MISS_RATE), (6, 100, 0.10));
     }
 
     #[test]
@@ -687,12 +652,7 @@ mod tests {
     #[test]
     fn skewed_profile_concentrates_on_low_banks() {
         let layout = CmpLayout::paper_cmesh(8);
-        let mut t = CmpTraffic::new(
-            CmpConfig::paper(),
-            layout,
-            *BenchmarkProfile::by_name("jbb").unwrap(),
-            3,
-        );
+        let mut t = CmpTraffic::new(layout, *BenchmarkProfile::by_name("jbb").unwrap(), 3);
         let reqs = run_ideal(&mut t, 8000);
         let mut per_bank = vec![0usize; t.layout.num_banks()];
         for r in &reqs {
@@ -719,7 +679,7 @@ mod tests {
         let mut profile = *BenchmarkProfile::by_name("mgrid").unwrap();
         profile.bank_locality = 0.9;
         profile.burstiness = 0.0;
-        let mut t = CmpTraffic::new(CmpConfig::paper(), layout, profile, 5);
+        let mut t = CmpTraffic::new(layout, profile, 5);
         let reqs = run_ideal(&mut t, 6000);
         // Per core, count consecutive same-bank requests.
         let mut last: std::collections::HashMap<NodeId, NodeId> = Default::default();
@@ -745,7 +705,6 @@ mod tests {
     fn determinism_by_seed() {
         let mk = || {
             CmpTraffic::new(
-                CmpConfig::paper(),
                 CmpLayout::paper_cmesh(4),
                 *BenchmarkProfile::by_name("fft").unwrap(),
                 11,

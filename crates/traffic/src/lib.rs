@@ -26,7 +26,7 @@ pub mod profiles;
 pub mod synthetic;
 pub mod trace;
 
-pub use cmp::{CmpConfig, CmpLayout, CmpStats, CmpTraffic, NoFloorplan, NodeRole};
+pub use cmp::{CmpLayout, CmpStats, CmpTraffic, NoFloorplan, NodeRole};
 pub use profiles::BenchmarkProfile;
 pub use synthetic::{SyntheticPattern, SyntheticTraffic};
 pub use trace::{read_trace, write_trace, TraceError, TraceRecord, TraceRecorder, TraceReplay};

@@ -35,7 +35,6 @@
 //! every scheme, including `--scheme evc` — both router families run on the
 //! shared pipeline kernel and carry the same observability plumbing.
 
-use noc_base::pool::host_threads;
 use noc_campaign::{
     build_simulation, cache_pass, write_atomic, CampaignOptions, CampaignSpec, Error, PointResult,
     PointSpec, PreparedPoint,
@@ -135,10 +134,9 @@ pub fn run(args: &RunArgs) -> Result<SimReport, Error> {
     let point = &args.point;
     let metrics = MetricsConfig {
         level: args.metrics,
-        trace: args
-            .trace
-            .as_ref()
-            .map(|_| TraceSpec::routers(args.trace_routers.clone())),
+        trace: args.trace.as_ref().map(|_| TraceSpec {
+            routers: args.trace_routers.clone(),
+        }),
     };
     let mut sim = build_simulation(point, metrics)?;
     let routers = sim.topology().num_routers();
@@ -260,9 +258,9 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignCommand, Error> {
 ///
 /// # Errors
 ///
-/// Returns an [`Error`] for unreadable/invalid specs, a `NOC_THREADS` that
-/// is not a positive integer (`run` only), and any execution failure (see
-/// [`noc_campaign::run_campaign`] and [`noc_campaign::cache_pass`]).
+/// Returns an [`Error`] for unreadable/invalid specs and any execution
+/// failure (see [`noc_campaign::run_campaign`] and
+/// [`noc_campaign::cache_pass`]).
 pub fn run_campaign_command(command: &CampaignCommand) -> Result<String, Error> {
     match command {
         CampaignCommand::Run {
@@ -271,7 +269,6 @@ pub fn run_campaign_command(command: &CampaignCommand) -> Result<String, Error> 
             threads,
             max_points,
         } => {
-            host_threads().map_err(Error)?;
             let spec = CampaignSpec::load(Path::new(spec))?;
             let options = CampaignOptions {
                 threads: *threads,
@@ -463,8 +460,8 @@ FLAGS (a spec's [axes] and [phases] keys, one value each; defaults):{flags}
 
 CAMPAIGN FLAGS (campaign run only):
   --threads N           points simulated at once, one per thread (default:
-                        the host's CPUs, capped by NOC_THREADS); each
-                        simulation is serial, so results never depend on it
+                        the host's CPUs); each simulation is serial, so
+                        results never depend on it
   --max-points N        stop after N uncached points (re-run to resume)
 
 OBSERVABILITY (defaults off; see docs/METRICS.md):
@@ -584,17 +581,6 @@ mod tests {
             .contains("warp"));
         assert!(parse_run_args(&args(&["--routing", "zigzag"])).is_err());
         assert!(parse_run_args(&args(&["--va", "lucky"])).is_err());
-        // A hostile NOC_THREADS ends `campaign run` with this one line.
-        // Checked on the pure function it hands the variable to: setting it
-        // here would race the getenv of the tests running beside this one
-        // (scripts/check.sh drives the real environment).
-        for hostile in ["lots", "0", "-2"] {
-            let e = noc_base::pool::host_threads_from(Some(hostile)).unwrap_err();
-            assert_eq!(
-                e,
-                format!("NOC_THREADS must be a positive integer, got {hostile:?}")
-            );
-        }
     }
 
     #[test]

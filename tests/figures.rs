@@ -143,7 +143,7 @@ fn run_points(
 ) -> Result<Vec<f64>, String> {
     let slots: Vec<Mutex<Option<Result<f64, String>>>> =
         points.iter().map(|_| Mutex::new(None)).collect();
-    let threads = noc_base::pool::host_threads()?;
+    let threads = noc_base::pool::host_threads();
     noc_base::pool::WorkerPool.run_limited(points.len(), threads, &|i| {
         *slots[i].lock().unwrap() = Some(measure(&points[i]));
     });
