@@ -21,7 +21,11 @@
 //!   it fails when a verdict differs from the one recorded on its claim.
 //! - The tier-1 smoke runs each spec at its first seed and first traffic
 //!   value with a tenth of its windows, and checks that every spec parses
-//!   and every claim finds its points and returns a verdict, whichever.
+//!   and every claim finds its points and returns a verdict, whichever. It
+//!   also pins every figure axis: a hash of each spec's merged report (its
+//!   `git_rev` blanked) must equal the one in [`FINGERPRINTS`]. A change that
+//!   moves one on purpose runs the full verdict test above, then re-blesses
+//!   with `NOC_BLESS=1 cargo test --test figures`.
 
 use noc_base::{NodeId, RoutingPolicy, VaPolicy};
 use noc_campaign::{
@@ -36,6 +40,9 @@ use std::sync::Mutex;
 
 use RoutingPolicy::{O1Turn, Xy, Yx};
 use VaPolicy::{Dynamic, Static};
+
+/// The smoke's fingerprints, one `stem hash` line per spec.
+const FINGERPRINTS: &str = "tests/golden/figures_smoke.txt";
 
 /// One spec, run: the spec as run, its merged report, and its points by
 /// coordinates (`PointSpec`'s display form).
@@ -1152,10 +1159,13 @@ fn specs() -> Vec<(String, CampaignSpec)> {
 }
 
 /// Runs every spec (cut down by `cut`) into `out` and evaluates its claims.
-fn evaluate(
-    out: &str,
-    cut: fn(&mut CampaignSpec),
-) -> Vec<(&'static Claim, Result<Verdict, String>)> {
+/// Every claim with what deciding it found.
+type Verdicts = Vec<(&'static Claim, Result<Verdict, String>)>;
+
+/// Runs every spec, cut by `cut`, and decides every claim on it. Returns the
+/// verdicts and the specs' fingerprints: one `stem hash` line per spec, the
+/// hash taken over the merged report's JSON with its `git_rev` blanked.
+fn evaluate(out: &str, cut: fn(&mut CampaignSpec)) -> (Verdicts, String) {
     let specs = specs();
     for claim in CLAIMS {
         assert!(
@@ -1166,23 +1176,30 @@ fn evaluate(
         );
     }
     let mut verdicts = Vec::new();
+    let mut fingerprints = String::new();
     for (stem, mut spec) in specs {
         assert!(spec.axes.seed.len() >= 5, "{stem}: fewer than five seeds");
         cut(&mut spec);
         let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(out).join(&stem);
         let figure = Figure::run(spec, &dir);
+        let report = CampaignReport {
+            git_rev: String::new(),
+            ..figure.report.clone()
+        };
+        let hash = noc_sim::manifest::fnv1a64(report.to_json().as_bytes());
+        fingerprints.push_str(&format!("{stem} {hash:016x}\n"));
         let claims: Vec<&Claim> = CLAIMS.iter().filter(|c| c.spec == stem).collect();
         assert!(!claims.is_empty(), "{stem}: a spec without a claim");
         for claim in claims {
             verdicts.push((claim, (claim.check)(&figure)));
         }
     }
-    verdicts
+    (verdicts, fingerprints)
 }
 
 #[test]
 fn every_spec_parses_and_every_claim_returns_a_verdict() {
-    let verdicts = evaluate("figures-smoke", |spec| {
+    let (verdicts, fingerprints) = evaluate("figures-smoke", |spec| {
         spec.axes.seed.truncate(1);
         spec.axes.traffic.truncate(1);
         spec.warmup /= 10;
@@ -1195,13 +1212,24 @@ fn every_spec_parses_and_every_claim_returns_a_verdict() {
             panic!("{}: {e}", claim.id);
         }
     }
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(FINGERPRINTS);
+    if std::env::var_os("NOC_BLESS").is_some() {
+        std::fs::write(&path, &fingerprints).expect("write the fingerprints");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing {FINGERPRINTS} ({e}); run with NOC_BLESS=1"));
+    assert_eq!(
+        fingerprints, expected,
+        "a figure's simulated results moved: run the full verdict test, then re-bless"
+    );
 }
 
 #[test]
 #[ignore = "runs every figure spec in full: minutes in release"]
 fn every_claim_has_its_recorded_verdict_across_seeds() {
     let mut wrong = Vec::new();
-    for (claim, verdict) in evaluate("figures", |_| {}) {
+    for (claim, verdict) in evaluate("figures", |_| {}).0 {
         let verdict = verdict.unwrap_or_else(|e| panic!("{}: {e}", claim.id));
         let outcome = match (verdict.holds, claim.holds) {
             (true, true) => "holds",
