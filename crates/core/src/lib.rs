@@ -77,7 +77,6 @@ mod config;
 pub mod evc;
 pub mod hybrid;
 mod pipeline;
-mod probe;
 mod pseudo;
 mod router;
 

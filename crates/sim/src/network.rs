@@ -763,19 +763,17 @@ impl Simulation {
         self.report(spec)
     }
 
-    /// Builds a report from the current statistics. Per-router counters and
-    /// energy are merged here in ascending router-index order.
+    /// Builds a report from the current statistics. Per-router counters are
+    /// merged here in ascending router-index order, and the energy events
+    /// derived from them ([`energy_events`]).
     fn report(&self, spec: RunSpec) -> SimReport {
         let router_stats = self
             .routers
             .iter()
             .map(|r| r.stats())
             .fold(crate::RouterStats::default(), |a, b| a + b);
-        let energy = self
-            .routers
-            .iter()
-            .map(|r| r.energy())
-            .fold(EnergyCounters::default(), |a, b| a + b);
+        let buffered: usize = self.routers.iter().map(|r| r.buffered_flits()).sum();
+        let energy = energy_events(&router_stats, buffered as u64);
         let (hits, total) = self.nis.iter().fold((0u64, 0u64), |(h, t), ni| {
             (h + ni.stats().locality_hits, t + ni.stats().locality_total)
         });
@@ -828,6 +826,33 @@ impl Simulation {
     }
 }
 
+/// The Table II energy events of a run (buffer writes and reads, crossbar
+/// traversals, arbitrations), derived from its summed router statistics and
+/// the flits its routers hold:
+///
+/// - every crossbar traversal is a flit traversal;
+/// - every arbitration is a VA or an SA grant;
+/// - every flit traversal reads the buffer, except a pseudo-circuit buffer
+///   bypass or an EVC express latch, which never enter it;
+/// - every flit written is read or still buffered: writes = reads +
+///   `buffered`.
+///
+/// The last is exact when [`Simulation::run`] reports. `run` ends on a step,
+/// and that step steps every router a flit was delivered to; or it ends on a
+/// fast-forward, which runs only when the network is quiescent. Either way
+/// no router holds a received, unstepped flit, so
+/// [`RouterModel::buffered_flits`] counts written flits only. Flits on links
+/// have not been written yet.
+fn energy_events(stats: &crate::RouterStats, buffered: u64) -> EnergyCounters {
+    let buffer_reads = stats.flit_traversals - stats.buffer_bypasses - stats.express_bypasses;
+    EnergyCounters {
+        buffer_writes: buffer_reads + buffered,
+        buffer_reads,
+        crossbar_traversals: stats.flit_traversals,
+        arbitrations: stats.va_grants + stats.sa_grants,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -869,9 +894,6 @@ mod tests {
         }
         fn stats(&self) -> crate::RouterStats {
             crate::RouterStats::default()
-        }
-        fn energy(&self) -> EnergyCounters {
-            EnergyCounters::default()
         }
     }
 

@@ -7,7 +7,6 @@
 
 use crate::metrics::{MetricsConfig, RouterObservation, TraceRing};
 use noc_base::{Credit, FlitPool, FlitRef, PortIndex, RouterId, VcIndex};
-use noc_energy::EnergyCounters;
 use noc_topology::SharedTopology;
 use std::ops::{Add, AddAssign};
 use std::sync::Arc;
@@ -207,11 +206,10 @@ pub trait RouterModel: Send {
         Ok(())
     }
 
-    /// Cumulative statistics.
+    /// Cumulative statistics. The run's energy is derived from them
+    /// (`Simulation::run`), so a model counts every crossbar traversal, VA
+    /// and SA grant, and buffer or express bypass here.
     fn stats(&self) -> RouterStats;
-
-    /// Cumulative energy event counts.
-    fn energy(&self) -> EnergyCounters;
 
     /// A snapshot of this router's per-port observability counters, when the
     /// model was built with [`crate::MetricsLevel::Full`]. Models without

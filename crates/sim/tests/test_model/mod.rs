@@ -14,7 +14,6 @@
 #![allow(dead_code)]
 
 use noc_base::{Credit, FlitPool, FlitRef, NodeId, PortIndex, RouteInfo, RouteMode, RouterId};
-use noc_energy::EnergyCounters;
 use noc_sim::{
     RouterBuildContext, RouterFactory, RouterModel, RouterOutputs, RouterStats, SentFlit,
 };
@@ -57,7 +56,6 @@ pub struct WireRouter {
     pipeline: VecDeque<(u64, PortIndex, FlitRef)>,
     last_connection: Vec<Option<PortIndex>>,
     stats: RouterStats,
-    energy: EnergyCounters,
 }
 
 impl WireRouter {
@@ -73,7 +71,6 @@ impl WireRouter {
             pipeline: VecDeque::new(),
             last_connection: vec![None; in_ports],
             stats: RouterStats::default(),
-            energy: EnergyCounters::default(),
         }
     }
 }
@@ -93,7 +90,6 @@ impl RouterModel for WireRouter {
 
     fn step(&mut self, cycle: u64, out: &mut RouterOutputs) {
         for (in_port, flit) in self.staged.drain(..) {
-            self.energy.buffer_writes += 1;
             self.pipeline.push_back((cycle + self.delay, in_port, flit));
         }
         while let Some((due, _, _)) = self.pipeline.front() {
@@ -101,8 +97,6 @@ impl RouterModel for WireRouter {
                 break;
             }
             let (_, in_port, r) = self.pipeline.pop_front().expect("front exists");
-            self.energy.buffer_reads += 1;
-            self.energy.crossbar_traversals += 1;
             let flit = *self.pool.get(r);
             out.credits.push((in_port, flit.vc));
 
@@ -147,10 +141,6 @@ impl RouterModel for WireRouter {
 
     fn stats(&self) -> RouterStats {
         self.stats
-    }
-
-    fn energy(&self) -> EnergyCounters {
-        self.energy
     }
 }
 

@@ -1,6 +1,6 @@
 //! Energy accounting and statistics invariants across full simulations.
 
-use noc_base::{RoutingPolicy, VaPolicy};
+use noc_base::{RouterId, RoutingPolicy, VaPolicy};
 use noc_campaign::{build_simulation, PointSpec, SchemeChoice};
 use noc_sim::{MetricsConfig, NetworkConfig, RunSpec, Simulation};
 use noc_topology::{Mesh, SharedTopology};
@@ -9,8 +9,9 @@ use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::sync::Arc;
 
 /// `noc run --topology cmesh4x4 --traffic mgrid` (XY + static VA) under
-/// `scheme`, 4 000 measured cycles.
-fn run(scheme: Scheme, seed: u64) -> noc_sim::SimReport {
+/// `scheme`, 4 000 measured cycles: the simulation as the run left it, and
+/// its report.
+fn simulate(scheme: Scheme, seed: u64) -> (Simulation, noc_sim::SimReport) {
     let point = PointSpec {
         topology: "cmesh4x4".into(),
         traffic: "mgrid".into(),
@@ -22,7 +23,12 @@ fn run(scheme: Scheme, seed: u64) -> noc_sim::SimReport {
         ..PointSpec::default()
     };
     let mut sim = build_simulation(&point, MetricsConfig::off()).unwrap();
-    sim.run(point.run_spec())
+    let report = sim.run(point.run_spec());
+    (sim, report)
+}
+
+fn run(scheme: Scheme, seed: u64) -> noc_sim::SimReport {
+    simulate(scheme, seed).1
 }
 
 #[test]
@@ -55,20 +61,18 @@ fn pseudo_without_bb_saves_little_energy() {
 
 #[test]
 fn energy_counters_are_flit_conserving() {
-    let report = run(Scheme::baseline(), 7);
+    let (sim, report) = simulate(Scheme::baseline(), 7);
     let e = report.energy;
     // Baseline: every traversal reads a buffered flit.
     assert_eq!(e.buffer_reads, e.crossbar_traversals);
     assert_eq!(report.router_stats.flit_traversals, e.crossbar_traversals);
-    // Every read was written; unmeasured flits still buffered when the run
-    // stops account for at most the total buffering of the network
-    // (16 routers x <=8 ports x 4 VCs x 4 flits).
-    assert!(e.buffer_writes >= e.buffer_reads);
-    assert!(
-        e.buffer_writes - e.buffer_reads <= 16 * 8 * 4 * 4,
-        "residual {} exceeds network buffering",
-        e.buffer_writes - e.buffer_reads
-    );
+    // Every flit written was read, or is still buffered when the run stops.
+    let routers = 0..sim.topology().num_routers();
+    let buffered: usize = routers
+        .map(|i| sim.router(RouterId::new(i)).buffered_flits())
+        .sum();
+    assert!(buffered > 0, "the run stops with flits in the buffers");
+    assert_eq!(e.buffer_writes, e.buffer_reads + buffered as u64);
 }
 
 #[test]

@@ -18,7 +18,6 @@ use noc_base::{
     Credit, FlitRef, NodeId, PacketClass, PortIndex, RouterId, RoutingPolicy, VaPolicy,
 };
 use noc_campaign::{build_topology, build_traffic, prepare, PointSpec, SchemeChoice, SCHEME_NAMES};
-use noc_energy::EnergyCounters;
 use noc_sim::{
     NetworkConfig, RouterBuildContext, RouterFactory, RouterModel, RouterObservation,
     RouterOutputs, RouterStats, SimReport, Simulation, TraceRing,
@@ -50,9 +49,6 @@ impl RouterModel for NeverIdle {
     }
     fn stats(&self) -> RouterStats {
         self.0.stats()
-    }
-    fn energy(&self) -> EnergyCounters {
-        self.0.energy()
     }
     fn observation(&self) -> Option<RouterObservation> {
         self.0.observation()
@@ -164,9 +160,6 @@ impl RouterModel for StepLog {
     }
     fn stats(&self) -> RouterStats {
         self.0.stats()
-    }
-    fn energy(&self) -> EnergyCounters {
-        self.0.energy()
     }
 }
 
