@@ -40,7 +40,7 @@ impl FlitKind {
     /// # Panics
     ///
     /// Panics if `len` is zero or `seq >= len`.
-    pub fn for_position(seq: usize, len: usize) -> FlitKind {
+    pub(crate) fn for_position(seq: usize, len: usize) -> FlitKind {
         assert!(len > 0, "packet length must be nonzero");
         assert!(seq < len, "flit index {seq} out of range for length {len}");
         match (seq, len) {

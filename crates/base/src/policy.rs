@@ -180,12 +180,6 @@ impl VcPartition {
         }
     }
 
-    /// Total number of VCs across all classes.
-    #[inline]
-    pub fn total_vcs(&self) -> u8 {
-        self.num_classes * self.vcs_per_class
-    }
-
     /// Number of classes.
     #[inline]
     pub fn num_classes(&self) -> u8 {
@@ -282,7 +276,6 @@ mod tests {
         let p = VcPartition::new(4, 2);
         assert_eq!(p.class_range(0), 0..2);
         assert_eq!(p.class_range(1), 2..4);
-        assert_eq!(p.total_vcs(), 4);
         assert_eq!(p.class_of_vc(VcIndex::new(0)), 0);
         assert_eq!(p.class_of_vc(VcIndex::new(3)), 1);
     }

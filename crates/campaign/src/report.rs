@@ -17,7 +17,7 @@ use noc_sim::manifest::escape_json;
 use std::fmt::Write as _;
 
 /// Schema identifier stamped into every campaign report.
-pub const REPORT_SCHEMA: &str = "noc-campaign-report/3";
+pub(crate) const REPORT_SCHEMA: &str = "noc-campaign-report/3";
 
 /// One latency–throughput curve: every point sharing all coordinates except
 /// load, ordered by ascending load.
@@ -39,7 +39,7 @@ pub struct Curve {
 /// The conventional knee criterion for load–latency sweeps; the paper's
 /// Fig. 12 curves turn vertical well past this multiple, so the detected
 /// load is a stable, slightly conservative knee estimate.
-pub const SATURATION_FACTOR: f64 = 3.0;
+pub(crate) const SATURATION_FACTOR: f64 = 3.0;
 
 /// Two-sided 95 % Student-t critical values, `t(0.975, df)` for df = 1..=30.
 const T95: [f64; 30] = [

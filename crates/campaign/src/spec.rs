@@ -416,7 +416,7 @@ impl Default for Axes {
 /// The most points a spec may expand to. The expansion is materialised (and
 /// every point prepared) before anything runs, so a spec past this is refused
 /// where it is parsed.
-pub const MAX_POINTS: usize = 1 << 20;
+pub(crate) const MAX_POINTS: usize = 1 << 20;
 
 /// A parsed, validated campaign specification.
 #[derive(Clone, PartialEq, Debug)]

@@ -171,7 +171,7 @@ impl NetworkInterface {
     /// than [`is_idle`](Self::is_idle) — reassembly and delivered-packet
     /// state don't participate in `step` (the driver drains delivered
     /// packets every cycle).
-    pub fn has_step_work(&self) -> bool {
+    pub(crate) fn has_step_work(&self) -> bool {
         !self.queue.is_empty() || self.current.is_some()
     }
 
@@ -181,7 +181,7 @@ impl NetworkInterface {
     ///
     /// Panics if the request's source is not this interface's node or the
     /// packet length is zero.
-    pub fn enqueue(&mut self, cycle: u64, request: &PacketRequest, id: PacketId) {
+    pub(crate) fn enqueue(&mut self, cycle: u64, request: &PacketRequest, id: PacketId) {
         assert_eq!(request.src, self.node, "request routed to wrong interface");
         assert!(request.len > 0, "zero-length packet");
         if let Some(last) = self.last_dst {
@@ -329,7 +329,7 @@ impl NetworkInterface {
     /// place (rather than handing out a fresh `Vec`) keeps the delivery
     /// buffer's capacity across cycles, so steady-state delivery allocates
     /// nothing.
-    pub fn drain_delivered(&mut self) -> std::vec::Drain<'_, DeliveredPacket> {
+    pub(crate) fn drain_delivered(&mut self) -> std::vec::Drain<'_, DeliveredPacket> {
         self.delivered.drain(..)
     }
 

@@ -64,12 +64,12 @@ impl Mecs {
     }
 
     /// Coordinate of a router.
-    pub fn coord(&self, router: RouterId) -> Coord {
+    pub(crate) fn coord(&self, router: RouterId) -> Coord {
         Coord::from_index(router.index(), self.width)
     }
 
     /// Router at a coordinate.
-    pub fn router_at(&self, coord: Coord) -> RouterId {
+    pub(crate) fn router_at(&self, coord: Coord) -> RouterId {
         RouterId::new(coord.to_index(self.width))
     }
 

@@ -75,7 +75,7 @@ impl CmpLayout {
 
     /// The paper's CMP floorplan: routers with concentration 4, each
     /// attaching two cores then two banks (`num_routers * 4` nodes).
-    pub fn paper_cmesh(num_routers: usize) -> Self {
+    pub(crate) fn paper_cmesh(num_routers: usize) -> Self {
         let mut roles = Vec::with_capacity(num_routers * 4);
         for r in 0..num_routers {
             roles.push(NodeRole::Core(2 * r));
@@ -116,12 +116,12 @@ impl CmpLayout {
     }
 
     /// Number of cores.
-    pub fn num_cores(&self) -> usize {
+    pub(crate) fn num_cores(&self) -> usize {
         self.cores.len()
     }
 
     /// Number of banks.
-    pub fn num_banks(&self) -> usize {
+    pub(crate) fn num_banks(&self) -> usize {
         self.banks.len()
     }
 

@@ -12,7 +12,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 max_crates=8
-max_public_items=500
+max_public_items=479
 max_noc_vars=3
 max_unsafe=19
 max_design_lines=1203
