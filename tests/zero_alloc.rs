@@ -144,7 +144,7 @@ fn construction_stays_within_its_allocation_budget() {
     // itself an allocation, so the counter sees both. These are the bytes a
     // cycle walks per router; at 1024 routers they decide whether a step's
     // state is still in cache when its turn comes round again. Of the
-    // router's 2 622, 1 280 are the twenty input VCs at one 64-byte line
+    // router's 2 598, 1 280 are the twenty input VCs at one 64-byte line
     // each (4 refs, 4 full-width ready cycles, cursor, claim) — the floor
     // while a ready cycle is an exact `u64`.
     let pool = Arc::new(FlitPool::new(64, 1));
@@ -159,7 +159,7 @@ fn construction_stays_within_its_allocation_budget() {
         drop(std::hint::black_box(Box::new(router)));
     });
     assert!(
-        router_bytes <= 2_800,
+        router_bytes <= 2_598,
         "an inner mesh8x8 router is {router_bytes} bytes (3 422 before the per-VC runs)"
     );
     // An interface's source queue takes its share of a network-wide
