@@ -11,11 +11,13 @@
 //! cost of ≈ 0.02 pJ per arbitration — the constants below (see DESIGN.md
 //! §5; the OCR of the paper truncates the two smaller numbers).
 //!
-//! Energy accounting is event-based: the router increments one field of its
-//! [`EnergyCounters`] for every buffer write, buffer read, crossbar traversal
-//! and arbitration; [`EnergyCounters::breakdown`] converts the counters into
-//! picojoules. Only *relative* energy matters for the paper's Fig. 11 (it is
-//! normalized to the baseline router).
+//! Energy accounting is event-based: [`EnergyCounters`] holds a run's buffer
+//! writes, buffer reads, crossbar traversals and arbitrations, and
+//! [`EnergyCounters::breakdown`] converts them into picojoules. Routers keep
+//! no energy counters: `noc-sim` derives the four counts from the routers'
+//! statistics when a run reports (traversals, VA and SA grants, bypasses,
+//! and the flits still buffered). Only *relative* energy matters for the
+//! paper's Fig. 11 (it is normalized to the baseline router).
 //!
 //! # Example
 //!
@@ -44,7 +46,7 @@ pub const CROSSBAR_PJ: f64 = 6.38;
 /// Energy per arbitration (pJ), solved from Table II's 0.24 % share.
 pub const ARBITER_PJ: f64 = 0.02;
 
-/// Event counts accumulated by one router (or summed over a network).
+/// Energy event counts of a run (or of several runs, summed).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct EnergyCounters {
     /// Number of buffer writes.
