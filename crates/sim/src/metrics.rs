@@ -13,10 +13,9 @@
 //! paper figure it validates — lives in `docs/METRICS.md`.
 //!
 //! Layering: this module defines the *data* types (snapshots, histograms,
-//! the trace ring) that the engine aggregates; the router-side recorder,
-//! `RouterCounters` (one [`RouterObservation`] its event methods bump),
-//! lives in the `pseudo-circuit` crate, next to the pipeline kernel whose
-//! increment sites call it.
+//! the trace ring) that the engine aggregates; a router model writes its
+//! [`RouterObservation`]'s fields in place at each event (the
+//! `pseudo-circuit` crate's pipeline kernel and scheme hooks do).
 
 use crate::stats::LatencyHistogram;
 use std::fmt;
