@@ -25,6 +25,7 @@ const FBFLY_GOLDEN_PATH: &str = "tests/golden/fbfly4x4_pseudo_fft.txt";
 const MECS_GOLDEN_PATH: &str = "tests/golden/mecs4x4_pseudo_fft.txt";
 const RING_GOLDEN_PATH: &str = "tests/golden/ring8_pseudo_fft.txt";
 const HYBRID_GOLDEN_PATH: &str = "tests/golden/mesh4x4_hybrid_fft.txt";
+const SHALLOW_GOLDEN_PATH: &str = "tests/golden/mesh4x4_shallow_pseudo_fft.txt";
 
 /// Reads a golden file, or blesses `actual` into it under `NOC_BLESS=1`.
 /// Returns `None` when the file was just (re)written.
@@ -44,35 +45,38 @@ fn golden_expectation(rel_path: &str, actual: &str) -> Option<String> {
 
 /// What every golden run shares: the `fft` CMP profile on `topo` (traffic
 /// seeded apart from the engine, as when the goldens were captured), engine
-/// seed `0x5eed`, the paper's 4 VCs × 4 flits, a 2 000-cycle window. The
-/// goldens predate the `PointSpec` vocabulary's one-seed convention, so the
-/// simulation is assembled from objects.
+/// seed `0x5eed`, a 2 000-cycle window. The goldens predate the `PointSpec`
+/// vocabulary's one-seed convention, so the simulation is assembled from
+/// objects.
 fn fft_report(
     topo: SharedTopology,
-    routing: RoutingPolicy,
-    va_policy: VaPolicy,
+    config: NetworkConfig,
     factory: &dyn RouterFactory,
     metrics: MetricsLevel,
 ) -> SimReport {
-    fft_simulation(topo, routing, va_policy, factory, metrics).run(RunSpec::new(500, 2_000, 40_000))
+    fft_simulation(topo, config, factory, metrics).run(RunSpec::new(500, 2_000, 40_000))
+}
+
+/// The paper's 4 VCs × 4 flits under `routing` and `va_policy`: the buffers
+/// of every golden but the shallow one.
+fn paper(routing: RoutingPolicy, va_policy: VaPolicy) -> NetworkConfig {
+    NetworkConfig {
+        routing,
+        va_policy,
+        ..NetworkConfig::paper()
+    }
 }
 
 /// The simulation [`fft_report`] runs.
 fn fft_simulation(
     topo: SharedTopology,
-    routing: RoutingPolicy,
-    va_policy: VaPolicy,
+    config: NetworkConfig,
     factory: &dyn RouterFactory,
     metrics: MetricsLevel,
 ) -> Simulation {
     let profile = *BenchmarkProfile::by_name("fft").expect("fft profile exists");
     let traffic = CmpTraffic::for_topology(topo.as_ref(), profile, 0x5eed ^ 0x77)
         .expect("golden topologies have a CMP floorplan");
-    let config = NetworkConfig {
-        routing,
-        va_policy,
-        ..NetworkConfig::paper()
-    };
     Simulation::with_metrics(
         topo,
         config,
@@ -97,8 +101,7 @@ fn golden_text(mut report: SimReport) -> String {
 fn golden_report_at(metrics: MetricsLevel) -> SimReport {
     fft_report(
         Arc::new(Mesh::new(4, 4, 4)),
-        RoutingPolicy::O1Turn,
-        VaPolicy::Dynamic,
+        paper(RoutingPolicy::O1Turn, VaPolicy::Dynamic),
         &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
         metrics,
     )
@@ -119,8 +122,7 @@ fn golden_run() -> String {
 fn evc_golden_run_at(metrics: MetricsLevel) -> String {
     golden_text(fft_report(
         Arc::new(Mesh::new(4, 4, 1)),
-        RoutingPolicy::Xy,
-        VaPolicy::Dynamic,
+        paper(RoutingPolicy::Xy, VaPolicy::Dynamic),
         &EvcRouterFactory,
         metrics,
     ))
@@ -138,8 +140,7 @@ fn evc_golden_run() -> String {
 fn topo_golden_run(topo: SharedTopology) -> String {
     golden_text(fft_report(
         topo,
-        RoutingPolicy::Xy,
-        VaPolicy::Static,
+        paper(RoutingPolicy::Xy, VaPolicy::Static),
         &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
         MetricsLevel::Off,
     ))
@@ -169,8 +170,7 @@ fn ring_golden_run() -> String {
 fn hybrid_golden_run_at(metrics: MetricsLevel) -> String {
     golden_text(fft_report(
         Arc::new(Mesh::new(4, 4, 1)),
-        RoutingPolicy::Xy,
-        VaPolicy::Dynamic,
+        paper(RoutingPolicy::Xy, VaPolicy::Dynamic),
         &HybridRouterFactory::default(),
         metrics,
     ))
@@ -178,6 +178,27 @@ fn hybrid_golden_run_at(metrics: MetricsLevel) -> String {
 
 fn hybrid_golden_run() -> String {
     hybrid_golden_run_at(MetricsLevel::Off)
+}
+
+/// The low-buffer corner (2 VCs × 1 flit, as in Wu's ring-router study):
+/// a held circuit's single downstream slot is often taken, so phase A
+/// terminates circuits for credit exhaustion and phase G restores them
+/// speculatively — the two mechanisms no paper-buffer golden fires.
+fn shallow_config() -> NetworkConfig {
+    NetworkConfig {
+        vcs_per_port: 2,
+        buffer_depth: 1,
+        ..paper(RoutingPolicy::Xy, VaPolicy::Static)
+    }
+}
+
+fn shallow_golden_report() -> SimReport {
+    fft_report(
+        Arc::new(Mesh::new(4, 4, 1)),
+        shallow_config(),
+        &PcRouterFactory::new(Scheme::pseudo_ps_bb()),
+        MetricsLevel::Off,
+    )
 }
 
 #[test]
@@ -253,6 +274,24 @@ fn fixed_seed_hybrid_run_matches_golden_report() {
 }
 
 #[test]
+fn fixed_seed_shallow_buffer_run_matches_golden_report() {
+    let report = shallow_golden_report();
+    let stats = report.router_stats;
+    assert!(
+        stats.pc_terminations_credit > 0 && stats.pc_speculative_restores > 0,
+        "the shallow golden must fire credit termination and speculative restore: {stats:?}"
+    );
+    let actual = golden_text(report);
+    let Some(expected) = golden_expectation(SHALLOW_GOLDEN_PATH, &actual) else {
+        return;
+    };
+    assert_eq!(
+        actual, expected,
+        "low-buffer pseudo-circuit behaviour diverged from its golden report"
+    );
+}
+
+#[test]
 fn golden_run_is_internally_deterministic() {
     // Two in-process runs must agree exactly (guards against accidental
     // global state or iteration-order nondeterminism in the engine).
@@ -293,21 +332,23 @@ fn full_metrics_do_not_perturb_the_evc_simulation() {
 #[test]
 fn every_golden_configuration_and_a_saturated_mesh_conserve_flits_every_cycle() {
     // The flit, ownership and credit laws of `Simulation::audit`, checked
-    // between every two cycles of the six golden configurations (their
+    // between every two cycles of the seven golden configurations (their
     // 2 500-cycle window and a stretch of drain) and of a mesh8x8 past
     // saturation, where every buffer fills and source queues grow — in
     // release builds too, where `Simulation::step` does not audit itself.
     let pc = PcRouterFactory::new(Scheme::pseudo_ps_bb());
-    let hybrid = HybridRouterFactory::default();
+    let (evc, hybrid) = (EvcRouterFactory, HybridRouterFactory::default());
     let (xy, o1turn) = (RoutingPolicy::Xy, RoutingPolicy::O1Turn);
     let (st, dy) = (VaPolicy::Static, VaPolicy::Dynamic);
-    let goldens: [(SharedTopology, RoutingPolicy, VaPolicy, &dyn RouterFactory); 6] = [
-        (Arc::new(Mesh::new(4, 4, 4)), o1turn, dy, &pc),
-        (Arc::new(Mesh::new(4, 4, 1)), xy, dy, &EvcRouterFactory),
-        (Arc::new(FlattenedButterfly::new(4, 4, 4)), xy, st, &pc),
-        (Arc::new(Mecs::new(4, 4, 4)), xy, st, &pc),
-        (Arc::new(Ring::new(8, 1)), xy, st, &pc),
-        (Arc::new(Mesh::new(4, 4, 1)), xy, dy, &hybrid),
+    let fbfly = Arc::new(FlattenedButterfly::new(4, 4, 4));
+    let goldens: [(SharedTopology, NetworkConfig, &dyn RouterFactory); 7] = [
+        (Arc::new(Mesh::new(4, 4, 4)), paper(o1turn, dy), &pc),
+        (Arc::new(Mesh::new(4, 4, 1)), paper(xy, dy), &evc),
+        (fbfly, paper(xy, st), &pc),
+        (Arc::new(Mecs::new(4, 4, 4)), paper(xy, st), &pc),
+        (Arc::new(Ring::new(8, 1)), paper(xy, st), &pc),
+        (Arc::new(Mesh::new(4, 4, 1)), paper(xy, dy), &hybrid),
+        (Arc::new(Mesh::new(4, 4, 1)), shallow_config(), &pc),
     ];
     let saturated = noc_campaign::PointSpec {
         topology: "mesh8x8".into(),
@@ -316,9 +357,7 @@ fn every_golden_configuration_and_a_saturated_mesh_conserve_flits_every_cycle() 
     };
     let sims = goldens
         .into_iter()
-        .map(|(topo, routing, va, factory)| {
-            fft_simulation(topo, routing, va, factory, MetricsLevel::Off)
-        })
+        .map(|(topo, config, factory)| fft_simulation(topo, config, factory, MetricsLevel::Off))
         .chain([noc_campaign::build_simulation(&saturated, MetricsConfig::off()).unwrap()]);
     for mut sim in sims {
         for _ in 0..3_000 {
