@@ -2,15 +2,17 @@
 
 use noc_base::{RouterId, RoutingPolicy, VaPolicy};
 use noc_campaign::{build_simulation, PointSpec, SchemeChoice};
-use noc_sim::{MetricsConfig, NetworkConfig, RunSpec, Simulation};
+use noc_sim::{MetricsConfig, MetricsLevel, NetworkConfig, RunSpec, Simulation};
 use noc_topology::{Mesh, SharedTopology};
 use noc_traffic::{SyntheticPattern, SyntheticTraffic};
 use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::sync::Arc;
 
 /// `noc run --topology cmesh4x4 --traffic mgrid` (XY + static VA) under
-/// `scheme`, 4 000 measured cycles: the simulation as the run left it, and
-/// its report.
+/// `scheme`, 4 000 measured cycles, with `--metrics full`: the simulation as
+/// the run left it, and its report. Instrumentation is passive, so the
+/// stage histograms count the run's events a second way, beside the router
+/// statistics the energy events derive from.
 fn simulate(scheme: Scheme, seed: u64) -> (Simulation, noc_sim::SimReport) {
     let point = PointSpec {
         topology: "cmesh4x4".into(),
@@ -22,7 +24,8 @@ fn simulate(scheme: Scheme, seed: u64) -> (Simulation, noc_sim::SimReport) {
         drain: 50_000,
         ..PointSpec::default()
     };
-    let mut sim = build_simulation(&point, MetricsConfig::off()).unwrap();
+    let metrics = MetricsConfig::level(MetricsLevel::Full);
+    let mut sim = build_simulation(&point, metrics).unwrap();
     let report = sim.run(point.run_spec());
     (sim, report)
 }
@@ -63,9 +66,12 @@ fn pseudo_without_bb_saves_little_energy() {
 fn energy_counters_are_flit_conserving() {
     let (sim, report) = simulate(Scheme::baseline(), 7);
     let e = report.energy;
-    // Baseline: every traversal reads a buffered flit.
-    assert_eq!(e.buffer_reads, e.crossbar_traversals);
-    assert_eq!(report.router_stats.flit_traversals, e.crossbar_traversals);
+    let stages = &report.observability.as_ref().expect("full metrics").stages;
+    // A buffered traversal records one BW sample, every traversal one ST
+    // sample. Baseline: every traversal reads a buffered flit.
+    assert_eq!(e.buffer_reads, stages.bw.count());
+    assert_eq!(e.crossbar_traversals, stages.st.count());
+    assert_eq!(stages.bw.count(), stages.st.count());
     // Every flit written was read, or is still buffered when the run stops.
     let routers = 0..sim.topology().num_routers();
     let buffered: usize = routers
@@ -80,10 +86,14 @@ fn bypassed_flits_skip_the_buffer_entirely() {
     let report = run(Scheme::pseudo_ps_bb(), 8);
     let e = report.energy;
     let s = report.router_stats;
-    // Every traversal either read the buffer or came through the bypass
-    // latch (exact), and every buffered flit was written (with residual
-    // in-flight slack at run end).
-    assert_eq!(e.buffer_reads + s.buffer_bypasses, s.flit_traversals);
+    let stages = &report.observability.as_ref().expect("full metrics").stages;
+    // The derived buffer reads are the traversals that left a buffer (one
+    // BW sample each; a bypass records none), the traversals all of them
+    // (one ST sample each); and every buffered flit was written (with
+    // residual in-flight slack at run end).
+    assert_eq!(e.buffer_reads, stages.bw.count());
+    assert_eq!(s.flit_traversals, stages.st.count());
+    assert!(s.buffer_bypasses > 0 && stages.bw.count() < stages.st.count());
     assert!(e.buffer_writes + s.buffer_bypasses >= s.flit_traversals);
     assert!(
         e.buffer_writes + s.buffer_bypasses - s.flit_traversals <= 16 * 8 * 4 * 4,
