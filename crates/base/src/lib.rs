@@ -40,7 +40,7 @@
 pub mod arena;
 pub mod bitset;
 pub mod flit;
-pub mod geom;
+mod geom;
 pub mod ids;
 pub mod policy;
 pub mod pool;

@@ -38,7 +38,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Schema identifier stamped into every run record.
-pub const POINT_SCHEMA: &str = "noc-point/3";
+pub(crate) const POINT_SCHEMA: &str = "noc-point/3";
 
 /// One simulated point's coordinates and headline results — the record of a
 /// run: what `noc run --manifest` writes, the cache stores and the merged

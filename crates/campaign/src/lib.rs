@@ -33,7 +33,7 @@ pub mod runner;
 pub mod spec;
 pub mod value;
 
-pub use cache::{write_atomic, PointResult, ResultCache, POINT_SCHEMA};
+pub use cache::{write_atomic, PointResult, ResultCache};
 pub use report::{CampaignReport, Curve, Interval, SeedGroup};
 pub use runner::{
     build_simulation, build_topology, build_traffic, prepare, run_point, validate, PreparedPoint,

@@ -49,7 +49,7 @@ const L_MAX: u8 = 2;
 /// The EVC scheme's [`SchemeHooks`]: the NVC/EVC split. The hooks carry no
 /// cycle-driven state, so the kernel's base idle predicate is the whole
 /// answer (the default [`SchemeHooks::is_idle`]).
-pub struct EvcHooks {
+pub(crate) struct EvcHooks {
     va_policy: VaPolicy,
     vcs: usize,
     nvcs: usize,
@@ -57,7 +57,7 @@ pub struct EvcHooks {
 
 /// The Express-Virtual-Channel router (dynamic EVCs, `l_max = 2`): the
 /// shared kernel running [`EvcHooks`].
-pub type EvcRouter = KernelRouter<EvcHooks>;
+pub(crate) type EvcRouter = KernelRouter<EvcHooks>;
 
 impl EvcHooks {
     /// Builds an EVC router. Half the VCs are normal, half express.

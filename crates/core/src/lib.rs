@@ -24,7 +24,7 @@
 //!   configurations of the paper ([`Scheme::paper_lineup`]), the baseline
 //!   among them; its [`PseudoCircuitUnit`] is the register/history state
 //!   machine of §III–IV;
-//! - [`EvcRouter`] ([`evc`]) — the Express Virtual Channels comparator of
+//! - the EVC router ([`evc`]) — the Express Virtual Channels comparator of
 //!   §VII.B;
 //! - the profiled hybrid ([`hybrid`]) — He & Cao's profiled hybrid
 //!   switching, a second comparator: a [`PcRouter`] whose circuits only hot
@@ -81,7 +81,7 @@ mod pseudo;
 mod router;
 
 pub use config::Scheme;
-pub use evc::{EvcRouter, EvcRouterFactory};
+pub use evc::EvcRouterFactory;
 pub use hybrid::HybridRouterFactory;
 pub use pseudo::{EstablishOutcome, PcRegisters, PseudoCircuitUnit};
 pub use router::{PcHooks, PcRouter, PcRouterFactory};

@@ -38,13 +38,13 @@ use std::fmt;
 use std::ops::{Add, AddAssign};
 
 /// Energy per buffer write (pJ): half of Table II's buffer cost per flit.
-pub const BUFFER_WRITE_PJ: f64 = 0.98;
+pub(crate) const BUFFER_WRITE_PJ: f64 = 0.98;
 /// Energy per buffer read (pJ): the other half.
-pub const BUFFER_READ_PJ: f64 = 0.98;
+pub(crate) const BUFFER_READ_PJ: f64 = 0.98;
 /// Energy per crossbar traversal (pJ), Table II.
-pub const CROSSBAR_PJ: f64 = 6.38;
+pub(crate) const CROSSBAR_PJ: f64 = 6.38;
 /// Energy per arbitration (pJ), solved from Table II's 0.24 % share.
-pub const ARBITER_PJ: f64 = 0.02;
+pub(crate) const ARBITER_PJ: f64 = 0.02;
 
 /// Energy event counts of a run (or of several runs, summed).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]

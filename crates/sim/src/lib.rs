@@ -35,9 +35,8 @@ pub mod stats;
 
 pub use manifest::git_rev;
 pub use metrics::{
-    chrome_trace_json, MetricsConfig, MetricsLevel, ObservabilityReport, PipelineStage,
-    RouterObservation, StageHistograms, TraceEvent, TraceEventKind, TraceRing, TraceSpec,
-    TRACE_RING_EVENTS,
+    MetricsConfig, MetricsLevel, ObservabilityReport, PipelineStage, RouterObservation,
+    StageHistograms, TraceEvent, TraceEventKind, TraceRing, TraceSpec, TRACE_RING_EVENTS,
 };
 pub use network::Simulation;
 pub use ni::{NetworkInterface, NiStats};

@@ -420,7 +420,7 @@ impl TraceRing {
 
 /// Merges per-router trace rings into one Chrome-trace-format JSON document
 /// (load it at `chrome://tracing` or <https://ui.perfetto.dev>).
-pub fn chrome_trace_json<'a>(rings: impl Iterator<Item = &'a TraceRing>) -> String {
+pub(crate) fn chrome_trace_json<'a>(rings: impl Iterator<Item = &'a TraceRing>) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
     let mut first = true;
     for ring in rings {

@@ -43,7 +43,7 @@ mod wiring;
 pub use fbfly::FlattenedButterfly;
 pub use mecs::Mecs;
 pub use mesh::Mesh;
-pub use ring::{HierRing, Ring, RING_CCW, RING_CW, RING_INTER};
+pub use ring::{HierRing, Ring};
 pub use wiring::{DistanceMatrix, FlatWiring, PortFeeder};
 
 use noc_base::{NodeId, PortIndex, RouteInfo, RouteMode, RouterId};

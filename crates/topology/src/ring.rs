@@ -33,13 +33,13 @@ use noc_base::{NodeId, PortIndex, RouteInfo, RouteMode, RouterId, RoutingPolicy}
 
 /// Clockwise travel (router `r` to `(r + 1) % N`): raw mode 0, so the
 /// policy-default [`RouteMode::XY`] maps onto it unchanged.
-pub const RING_CW: RouteMode = RouteMode::XY;
+pub(crate) const RING_CW: RouteMode = RouteMode::XY;
 /// Counter-clockwise travel (router `r` to `(r - 1) mod N`): raw mode 1.
-pub const RING_CCW: RouteMode = RouteMode::YX;
+pub(crate) const RING_CCW: RouteMode = RouteMode::YX;
 /// Hierarchical-ring inter-group mode: local ring to the hub, hub ring to
 /// the destination group, local ring outward. Raw mode 2 — outside the
 /// XY/YX vocabulary, which is exactly what the opaque `RouteMode` buys.
-pub const RING_INTER: RouteMode = RouteMode::from_raw(2);
+pub(crate) const RING_INTER: RouteMode = RouteMode::from_raw(2);
 
 /// Shortest-direction mode on a ring of `n` routers from `from` to `to`:
 /// clockwise when the CW distance is at most half the ring (ties go CW).
