@@ -158,15 +158,17 @@ impl Simulation {
             .saturating_add(nodes.saturating_mul(per_vc + 1))
     }
 
-    /// Builds a simulation: validates the topology, constructs one router
-    /// per topology node via `factory` (passing `metrics` through the build
-    /// context so instrumented models can enable their counters/tracers),
-    /// attaches network interfaces, and precomputes the flat wiring tables
-    /// and event-vector capacities the hot loop runs on.
+    /// Builds a simulation: flattens (and so checks) the topology's wiring,
+    /// constructs one router per topology node via `factory` (passing
+    /// `metrics` through the build context so instrumented models can enable
+    /// their counters/tracers), attaches network interfaces, and sizes the
+    /// event vectors the hot loop runs on.
     ///
     /// # Panics
     ///
-    /// Panics if the topology fails [`noc_topology::validate`].
+    /// Panics with `invalid topology {name}: {violation}`, before any router
+    /// is built, if the topology fails [`noc_topology::validate`] (which
+    /// [`FlatWiring::new`] checks as it walks the links).
     pub fn with_metrics(
         topo: SharedTopology,
         config: NetworkConfig,
@@ -175,8 +177,7 @@ impl Simulation {
         factory: &dyn RouterFactory,
         seed: u64,
     ) -> Self {
-        noc_topology::validate(topo.as_ref())
-            .unwrap_or_else(|e| panic!("invalid topology {}: {e}", topo.name()));
+        let wiring = FlatWiring::new(topo.as_ref());
         let seeds = SeedStream::new(seed);
 
         let capacity = usize::try_from(Self::flit_capacity(topo.as_ref(), &config))
@@ -206,7 +207,6 @@ impl Simulation {
                 )
             })
             .collect();
-        let wiring = FlatWiring::new(topo.as_ref());
 
         // Reserve every emission buffer to its structural maximum, so the
         // hot loop never grows one (tests/zero_alloc.rs): per cycle a router
@@ -218,8 +218,8 @@ impl Simulation {
         let (mut max_out, mut max_in) = (0, 0);
         let (mut link_flits, mut credits, mut node_credits) = (0, 0, 0);
         for r in 0..routers.len() {
-            let out = topo.out_ports(RouterId::new(r));
-            let inp = topo.in_ports(RouterId::new(r));
+            let out = wiring.out_ports(RouterId::new(r));
+            let inp = wiring.in_ports(RouterId::new(r));
             max_out = max_out.max(out);
             max_in = max_in.max(inp);
             link_flits += out.saturating_sub(conc);

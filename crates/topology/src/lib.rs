@@ -185,66 +185,19 @@ pub fn average_min_hops(topo: &dyn Topology) -> f64 {
     }
 }
 
-/// Exhaustively checks a topology's wiring for internal consistency; used by
-/// tests and by the network builder as a guard against malformed topologies.
-///
-/// Verifies that every connected output channel position lands on a valid
-/// input port, that local ports are not wired as links, and that every
-/// (router, input-port) pair is fed by at most one channel position.
+/// Checks a topology's wiring for internal consistency: every connected
+/// output channel position lands on a valid, non-local input port, no local
+/// output port is wired as a link, no position within `channel_len` is
+/// unconnected and none beyond it is connected, and every input port is fed
+/// by at most one channel position. The check is [`FlatWiring`]'s
+/// construction walk without the tables, so every network the engine builds
+/// passes it.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violation found.
 pub fn validate(topo: &dyn Topology) -> Result<(), String> {
-    let mut seen = std::collections::HashMap::new();
-    for r in 0..topo.num_routers() {
-        let router = RouterId::new(r);
-        for out in 0..topo.out_ports(router) {
-            let out = PortIndex::new(out);
-            let len = topo.channel_len(router, out);
-            if out.index() < topo.concentration() {
-                if topo.link(router, out, 1).is_some() {
-                    return Err(format!("local port {out} of {router} wired as a link"));
-                }
-                continue;
-            }
-            for hop in 1..=len {
-                let Some(end) = topo.link(router, out, hop) else {
-                    return Err(format!(
-                        "{router} out {out} hop {hop} within channel_len {len} but unconnected"
-                    ));
-                };
-                if end.router.index() >= topo.num_routers() {
-                    return Err(format!(
-                        "{router} out {out} hop {hop} -> bad {0}",
-                        end.router
-                    ));
-                }
-                if end.port.index() >= topo.in_ports(end.router) {
-                    return Err(format!(
-                        "{router} out {out} hop {hop} -> {} bad in port {}",
-                        end.router, end.port
-                    ));
-                }
-                if end.port.index() < topo.concentration() {
-                    return Err(format!(
-                        "{router} out {out} hop {hop} lands on local port {}",
-                        end.port
-                    ));
-                }
-                if let Some(prev) = seen.insert((end.router, end.port), (router, out, hop)) {
-                    return Err(format!(
-                        "input ({}, {}) fed twice: by {:?} and ({router}, {out}, {hop})",
-                        end.router, end.port, prev
-                    ));
-                }
-            }
-            if topo.link(router, out, len + 1).is_some() {
-                return Err(format!("{router} out {out} connected beyond channel_len"));
-            }
-        }
-    }
-    Ok(())
+    FlatWiring::walk(topo).map(drop)
 }
 
 /// Walks a packet's dimension-order route from `src` to `dst`, returning the

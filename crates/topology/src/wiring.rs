@@ -6,10 +6,13 @@
 //! per event. [`FlatWiring`] captures the forward wiring (output channel →
 //! downstream input port, per drop position), the reverse wiring (input port
 //! → feeding channel or injecting node, i.e. where credits go), and the
-//! node-attachment maps. [`DistanceMatrix`] flattens all-pairs minimal hop
-//! counts for callers that look the same pairs up many times; the engine is
-//! not one of them (it asks [`Topology::min_hops`] once per delivered packet,
-//! which is O(1) arithmetic on every topology here, and the table is N²).
+//! node-attachment maps. The walk that fills them, the one enumeration of the
+//! topology's links, checks each link as it goes: [`validate`](crate::validate)
+//! is that walk without the tables. [`DistanceMatrix`] flattens all-pairs
+//! minimal hop counts for callers that look the same pairs up many times; the
+//! engine is not one of them (it asks [`Topology::min_hops`] once per
+//! delivered packet, which is O(1) arithmetic on every topology here, and the
+//! table is N²).
 
 use crate::{LinkEnd, Topology};
 use noc_base::{NodeId, PortIndex, RouterId};
@@ -60,8 +63,21 @@ pub struct FlatWiring {
 }
 
 impl FlatWiring {
-    /// Builds the tables by exhaustively enumerating the topology's wiring.
+    /// Builds the tables by enumerating the topology's wiring once, checking
+    /// it as it goes (see [`validate`](crate::validate)).
+    ///
+    /// # Panics
+    ///
+    /// Panics with `invalid topology {name}: {violation}` if the wiring fails
+    /// one of those checks.
     pub fn new(topo: &dyn Topology) -> Self {
+        Self::walk(topo).unwrap_or_else(|e| panic!("invalid topology {}: {e}", topo.name()))
+    }
+
+    /// The one enumeration of `topo`'s links: fills the tables, or returns
+    /// the first violation of [`validate`](crate::validate)'s checks in walk
+    /// order (router, output port, drop position).
+    pub(crate) fn walk(topo: &dyn Topology) -> Result<Self, String> {
         let routers = topo.num_routers();
         let nodes = topo.num_nodes();
         let concentration = topo.concentration();
@@ -82,20 +98,58 @@ impl FlatWiring {
         chan_base.push(0u32);
         for r in 0..routers {
             let router = RouterId::new(r);
-            for out in 0..topo.out_ports(router) {
-                let out_port = PortIndex::new(out);
-                if out >= concentration {
-                    for hop in 1..=topo.channel_len(router, out_port) {
-                        if let Some(end) = topo.link(router, out_port, hop) {
-                            links.push(end);
-                            let slot = in_base[end.router.index()] as usize + end.port.index();
-                            feeders[slot] = PortFeeder::Channel {
-                                router,
-                                out_port,
-                                sub: hop - 1,
-                            };
-                        }
+            for out in 0..(out_base[r + 1] - out_base[r]) as usize {
+                let out = PortIndex::new(out);
+                if out.index() < concentration {
+                    if topo.link(router, out, 1).is_some() {
+                        return Err(format!("local port {out} of {router} wired as a link"));
                     }
+                    chan_base.push(links.len() as u32);
+                    continue;
+                }
+                let len = topo.channel_len(router, out);
+                for hop in 1..=len {
+                    let Some(end) = topo.link(router, out, hop) else {
+                        return Err(format!(
+                            "{router} out {out} hop {hop} within channel_len {len} but unconnected"
+                        ));
+                    };
+                    let LinkEnd { router: to, port } = end;
+                    if to.index() >= routers {
+                        return Err(format!("{router} out {out} hop {hop} -> bad {to}"));
+                    }
+                    let base = in_base[to.index()] as usize;
+                    if port.index() >= in_base[to.index() + 1] as usize - base {
+                        return Err(format!(
+                            "{router} out {out} hop {hop} -> {to} bad in port {port}"
+                        ));
+                    }
+                    if port.index() < concentration {
+                        return Err(format!(
+                            "{router} out {out} hop {hop} lands on local port {port}"
+                        ));
+                    }
+                    let slot = &mut feeders[base + port.index()];
+                    if let PortFeeder::Channel {
+                        router: up,
+                        out_port,
+                        sub,
+                    } = *slot
+                    {
+                        let first = (up, out_port, sub + 1);
+                        return Err(format!(
+                            "input ({to}, {port}) fed twice: by {first:?} and ({router}, {out}, {hop})"
+                        ));
+                    }
+                    *slot = PortFeeder::Channel {
+                        router,
+                        out_port: out,
+                        sub: hop - 1,
+                    };
+                    links.push(end);
+                }
+                if topo.link(router, out, len + 1).is_some() {
+                    return Err(format!("{router} out {out} connected beyond channel_len"));
                 }
                 chan_base.push(links.len() as u32);
             }
@@ -122,7 +176,7 @@ impl FlatWiring {
             })
             .collect();
 
-        Self {
+        Ok(Self {
             concentration,
             in_base,
             out_base,
@@ -131,7 +185,7 @@ impl FlatWiring {
             links,
             attach,
             eject,
-        }
+        })
     }
 
     /// Nodes attached per router (cached from the topology).
