@@ -10,6 +10,8 @@
 //!
 //! - `B/router`: heap + inline bytes of one inner router, counted by this
 //!   file's own allocator around one `RouterFactory::build`;
+//! - `µs/build`: wall time of `build_simulation` (topology, wiring, routers,
+//!   interfaces, traffic) per router;
 //! - `ns/step`: wall time per router per stepped cycle;
 //! - `ns/hop`: wall time per flit traversal.
 //!
@@ -97,18 +99,26 @@ fn router_bytes(side: usize) -> usize {
     bytes
 }
 
-/// One timed run: `(ns per router step, ns per flit traversal, traversals per
-/// router per cycle)`.
-fn run_once(side: usize) -> (f64, f64, f64) {
+/// One timed run: `(µs to build per router, ns per router step, ns per flit
+/// traversal, traversals per router per cycle)`.
+fn run_once(side: usize) -> (f64, f64, f64, f64) {
     let spec = point(side);
+    let routers = (side * side) as f64;
+    let start = Instant::now();
     let mut sim = build_simulation(&spec, MetricsConfig::off()).expect("a legal point");
+    let build_us = start.elapsed().as_nanos() as f64 / 1e3;
     let start = Instant::now();
     let report = sim.run(spec.run_spec());
     let ns = start.elapsed().as_nanos() as f64;
     assert!(report.drained, "mesh{side}x{side} did not drain");
-    let router_steps = (side * side) as f64 * sim.cycle() as f64;
+    let router_steps = routers * sim.cycle() as f64;
     let hops = report.router_stats.flit_traversals as f64;
-    (ns / router_steps, ns / hops, hops / router_steps)
+    (
+        build_us / routers,
+        ns / router_steps,
+        ns / hops,
+        hops / router_steps,
+    )
 }
 
 fn main() {
@@ -121,20 +131,23 @@ fn main() {
     } else {
         sides
     };
-    println!("mesh      routers  B/router  ns/step  ns/hop  hops/step");
+    println!("mesh      routers  B/router  µs/build  ns/step  ns/hop  hops/step");
     for side in sides {
-        let best = (0..3)
-            .map(|_| run_once(side))
-            .min_by(|a, b| a.0.total_cmp(&b.0))
+        let runs: Vec<_> = (0..3).map(|_| run_once(side)).collect();
+        let build = runs.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
+        let best = runs
+            .iter()
+            .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("three runs");
         println!(
-            "{:<9} {:>7}  {:>8}  {:>7.1}  {:>6.1}  {:>9.2}",
+            "{:<9} {:>7}  {:>8}  {:>8.3}  {:>7.1}  {:>6.1}  {:>9.2}",
             format!("{side}x{side}"),
             side * side,
             router_bytes(side),
-            best.0,
+            build,
             best.1,
             best.2,
+            best.3,
         );
     }
 }
