@@ -66,6 +66,31 @@ fn every_scheme_delivers_everything_on_every_topology() {
     assert_eq!(ran, 5 * SCHEME_NAMES.len() - 1);
 }
 
+/// A scheme's name decides its report label, and the label is part of the
+/// `config_hash` key: the cache address of every point and, through it,
+/// `campaign_sweep`'s `report_hash` in the benchmark. One fixed point per
+/// scheme name, each hash as it has always been.
+#[test]
+fn every_scheme_name_keeps_its_config_hash() {
+    let pinned = [
+        ("baseline", "4280040dcbf73022"),
+        ("pseudo", "85390a0c2b7fd8f9"),
+        ("pseudo+ps", "ba3e21c6dcbbe959"),
+        ("pseudo+bb", "de3543eefe6dae1e"),
+        ("pseudo+ps+bb", "9c55b31b2e8b7c7e"),
+        ("evc", "3606d488b67d4aff"),
+        ("hybrid", "005e1ad4ffc6a199"),
+    ];
+    for (name, hash) in pinned {
+        let point = PointSpec {
+            scheme: SchemeChoice::parse(name).unwrap(),
+            ..PointSpec::default()
+        };
+        let prepared = noc_campaign::prepare(&point).unwrap();
+        assert_eq!(prepared.config_hash, hash, "{name}");
+    }
+}
+
 #[test]
 fn latency_ordering_matches_the_paper() {
     // At low load: baseline >= pseudo >= pseudo+bb (strictly, with margin).
