@@ -12,30 +12,9 @@
 //! shares a single output port, which is what keeps crossbar complexity below
 //! the flattened butterfly's (§VII.A of the pseudo-circuit paper).
 
+use crate::mesh::Dir;
 use crate::{LinkEnd, Topology};
 use noc_base::{Coord, NodeId, PortIndex, RouteInfo, RouteMode, RouterId};
-
-/// Direction of the four multidrop output channels; the output port for
-/// direction `d` is `concentration + d as usize` (same order as the mesh).
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum Dir {
-    North = 0,
-    East = 1,
-    South = 2,
-    West = 3,
-}
-
-impl Dir {
-    fn from_port(port: PortIndex, concentration: usize) -> Option<Dir> {
-        match port.index().checked_sub(concentration)? {
-            0 => Some(Dir::North),
-            1 => Some(Dir::East),
-            2 => Some(Dir::South),
-            3 => Some(Dir::West),
-            _ => None,
-        }
-    }
-}
 
 /// A `width × height` MECS network with `concentration` nodes per router.
 #[derive(Clone, Debug)]
@@ -158,15 +137,9 @@ impl Topology for Mecs {
             Dir::East => Coord::new(from.x + hop as u16, from.y),
         };
         // A flit travelling East arrives from the West side, etc.
-        let origin = match dir {
-            Dir::North => Dir::South,
-            Dir::South => Dir::North,
-            Dir::East => Dir::West,
-            Dir::West => Dir::East,
-        };
         Some(LinkEnd {
             router: self.router_at(to),
-            port: self.in_port(to, origin, hop),
+            port: self.in_port(to, dir.opposite(), hop),
         })
     }
 

@@ -3,8 +3,9 @@
 use crate::{LinkEnd, Topology};
 use noc_base::{Coord, NodeId, PortIndex, RouteInfo, RouteMode, RouterId};
 
-/// Cardinal directions on the mesh; the network port for direction `d` is
-/// `concentration + d as usize`.
+/// Cardinal directions on the mesh (and of MECS's four multidrop output
+/// channels); the network port for direction `d` is `concentration + d as
+/// usize`.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub(crate) enum Dir {
     North = 0,
