@@ -356,15 +356,15 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SchemeChoice;
     use noc_base::{RoutingPolicy, VaPolicy};
+    use pseudo_circuit::Scheme;
 
     fn sample() -> PointResult {
         PointResult {
             spec: PointSpec {
                 topology: "mesh2x2".into(),
                 traffic: "ur".into(),
-                scheme: SchemeChoice::parse("pseudo+ps+bb").unwrap(),
+                scheme: Scheme::pseudo_ps_bb(),
                 routing: RoutingPolicy::Xy,
                 va: VaPolicy::Static,
                 vcs: 4,

@@ -37,9 +37,9 @@ pub use cache::{write_atomic, PointResult, ResultCache};
 pub use report::{CampaignReport, Curve, Interval, SeedGroup};
 pub use runner::{
     build_simulation, build_topology, build_traffic, prepare, run_point, validate, PreparedPoint,
-    TOPOLOGY_FORMS,
+    SYNTHETIC_PATTERNS, TOPOLOGY_FORMS,
 };
-pub use spec::{Axes, CampaignSpec, PointSpec, SchemeChoice, SCHEME_NAMES};
+pub use spec::{Axes, CampaignSpec, PointSpec};
 
 /// The crate's error type: a human-readable message, already contextualised
 /// (`spec: ...`, `point result: ...`) by whichever layer produced it.
@@ -101,9 +101,10 @@ pub struct CampaignOutcome {
 /// # Errors
 ///
 /// Returns an [`Error`] when a point's specs don't resolve, or when two
-/// points collapse onto one configuration hash (e.g. a `packet` axis swept
-/// under benchmark traffic, which ignores packet length — the cache could
-/// not tell such points apart).
+/// points collapse onto one configuration hash — the cache could not tell
+/// them apart: an axis the configuration ignores is swept (e.g. `packet`
+/// under benchmark traffic, which ignores packet length), or an axis names
+/// one configuration twice (`cmesh4x4` is `mesh4x4c4`).
 pub fn cache_pass(
     spec: &CampaignSpec,
     campaign_dir: &Path,
@@ -116,8 +117,9 @@ pub fn cache_pass(
         if let Some(first) = seen.insert(&p.config_hash, p) {
             return Err(Error(format!(
                 "points {} and {} share config hash {} — an axis the configuration \
-                 ignores is being swept (e.g. packet or load under benchmark traffic); \
-                 drop that axis",
+                 ignores is being swept (e.g. packet or load under benchmark traffic), \
+                 or two spellings name one configuration (e.g. cmesh4x4 and mesh4x4c4); \
+                 drop one of them",
                 first.spec, p.spec, p.config_hash
             )));
         }

@@ -407,13 +407,14 @@ fn find_crossovers(groups: &[SeedGroup]) -> Vec<Crossover> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{CampaignSpec, SchemeChoice};
+    use crate::spec::CampaignSpec;
+    use pseudo_circuit::Scheme;
 
     /// Synthesizes a result without running a simulation.
     fn fake(scheme: &str, load: f64, latency: f64, drained: bool) -> PointResult {
         let spec = CampaignSpec::default();
         let mut point = spec.expand().remove(0);
-        point.scheme = SchemeChoice::parse(scheme).unwrap();
+        point.scheme = Scheme::parse(scheme).unwrap();
         point.load = load;
         PointResult {
             config_hash: format!("{scheme}-{load:?}"),

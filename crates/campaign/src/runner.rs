@@ -8,13 +8,14 @@
 //! exactly the same rules, and resolve to exactly the same objects (and
 //! therefore the same `config_hash`).
 
-use crate::spec::{routing_name, PointSpec, SchemeChoice};
+use crate::spec::{routing_name, PointSpec};
 use crate::Error;
 use noc_base::{FlitPool, Mask64, RouterId};
 use noc_sim::manifest::fnv1a64;
 use noc_sim::{MetricsConfig, SimReport, Simulation};
 use noc_topology::{FlattenedButterfly, HierRing, Mecs, Mesh, Ring, SharedTopology, Topology};
 use noc_traffic::{BenchmarkProfile, CmpTraffic, SyntheticPattern, SyntheticTraffic, TrafficModel};
+use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::sync::Arc;
 
 /// Every topology spec form, in display order — the single vocabulary
@@ -29,6 +30,17 @@ pub const TOPOLOGY_FORMS: &[&str] = &[
     "mesh<W>x<H>[c<C>]",
     "ring<N>[c<C>]",
     "hring<G>x<L>[c<C>]",
+];
+
+/// Every synthetic pattern by its one name, in display order — the
+/// vocabulary shared by `--traffic`, campaign `traffic` axes, and `noc list`
+/// (the CMP benchmark profiles are the rest of it).
+pub const SYNTHETIC_PATTERNS: &[(&str, SyntheticPattern)] = &[
+    ("ur", SyntheticPattern::UniformRandom),
+    ("bc", SyntheticPattern::BitComplement),
+    ("bp", SyntheticPattern::Transpose),
+    ("tornado", SyntheticPattern::Tornado),
+    ("neighbor", SyntheticPattern::Neighbor),
 ];
 
 /// Builds the topology named by a spec string: the four named presets or
@@ -99,7 +111,8 @@ fn split_concentration(body: &str) -> Result<(&str, usize), Error> {
 }
 
 /// Builds the traffic model named by `traffic` for `topo`: a synthetic
-/// pattern (driven by `load`, `packet`, `seed`) or a CMP benchmark profile.
+/// pattern of [`SYNTHETIC_PATTERNS`] (driven by `load`, `packet`, `seed`) or
+/// a CMP benchmark profile.
 ///
 /// # Errors
 ///
@@ -114,15 +127,8 @@ pub fn build_traffic(
     topo: &SharedTopology,
 ) -> Result<Box<dyn TrafficModel>, Error> {
     let name = traffic.to_ascii_lowercase();
-    let pattern = match name.as_str() {
-        "ur" | "uniform" => Some(SyntheticPattern::UniformRandom),
-        "bc" | "bitcomp" => Some(SyntheticPattern::BitComplement),
-        "bp" | "transpose" => Some(SyntheticPattern::Transpose),
-        "tornado" => Some(SyntheticPattern::Tornado),
-        "neighbor" => Some(SyntheticPattern::Neighbor),
-        _ => None,
-    };
-    if let Some(pattern) = pattern {
+    let pattern = SYNTHETIC_PATTERNS.iter().find(|(known, _)| *known == name);
+    if let Some((_, pattern)) = pattern {
         // Arrange the nodes on the router grid footprint (concentration
         // folded into columns).
         let n = topo.num_nodes();
@@ -141,7 +147,12 @@ pub fn build_traffic(
             return Err(Error("transpose requires a square node grid".into()));
         }
         return Ok(Box::new(SyntheticTraffic::new(
-            pattern, cols, rows, packet, load, seed,
+            pattern.clone(),
+            cols,
+            rows,
+            packet,
+            load,
+            seed,
         )));
     }
     let profile = BenchmarkProfile::by_name(&name)
@@ -244,7 +255,7 @@ pub fn validate(point: &PointSpec, topo: &dyn Topology) -> Result<(), Error> {
     if !(point.load > 0.0 && point.load <= 1.0) {
         return fail(format!("load: must be in (0, 1], got {}", point.load));
     }
-    let classes = point.routing.num_classes().max(topo.min_classes());
+    let classes = point.network_config().deadlock_classes(topo);
     let on = format!("{} routing on {}", routing_name(point.routing), topo.name());
     if !point.vcs.is_multiple_of(classes) {
         return fail(format!(
@@ -252,7 +263,7 @@ pub fn validate(point: &PointSpec, topo: &dyn Topology) -> Result<(), Error> {
             point.vcs
         ));
     }
-    if point.scheme == SchemeChoice::Evc {
+    if point.scheme == Scheme::evc() {
         if classes != 1 {
             return fail(format!(
                 "scheme: evc needs a single deadlock class (xy or yx routing on a \
@@ -315,7 +326,7 @@ impl PreparedPoint {
 /// revision for that reason.
 fn config_hash(point: &PointSpec, topology: &str, traffic: &dyn TrafficModel) -> String {
     let (scheme, config, phases, seed) = (
-        point.scheme.label(),
+        point.scheme.to_string(),
         point.network_config(),
         point.run_spec(),
         point.seed,
@@ -345,7 +356,7 @@ pub fn build_simulation(point: &PointSpec, metrics: MetricsConfig) -> Result<Sim
         point.network_config(),
         metrics,
         traffic,
-        point.scheme.factory().as_ref(),
+        &PcRouterFactory::new(point.scheme),
         point.seed,
     ))
 }

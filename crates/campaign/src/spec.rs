@@ -41,91 +41,14 @@
 use crate::value::{parse_number, parse_toml, Value};
 use crate::Error;
 use noc_base::{RoutingPolicy, VaPolicy};
-use noc_sim::{NetworkConfig, RouterFactory, RunSpec};
-use pseudo_circuit::{EvcRouterFactory, HybridRouterFactory, PcRouterFactory, Scheme};
+use noc_sim::{NetworkConfig, RunSpec};
+use pseudo_circuit::Scheme;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A router scheme named by a campaign axis or the `noc` CLI: one of the
-/// paper's five pseudo-circuit configurations, or a comparison scheme.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum SchemeChoice {
-    /// A `pseudo-circuit` crate scheme.
-    Pc(Scheme),
-    /// The Express-Virtual-Channels router.
-    Evc,
-    /// The profiled-hybrid-switching router.
-    Hybrid,
-}
-
-/// Every canonical scheme name, in display order — the single vocabulary
-/// shared by `--scheme`, campaign `scheme` axes, and `noc list`. Each entry
-/// satisfies `SchemeChoice::parse(name).canonical() == name`.
-pub const SCHEME_NAMES: &[&str] = &[
-    "baseline",
-    "pseudo",
-    "pseudo+ps",
-    "pseudo+bb",
-    "pseudo+ps+bb",
-    "evc",
-    "hybrid",
-];
-
-impl SchemeChoice {
-    /// Parses a scheme name as accepted by `--scheme` and campaign axes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`Error`] for unknown names.
-    pub fn parse(s: &str) -> Result<Self, Error> {
-        Ok(match s.to_ascii_lowercase().as_str() {
-            "baseline" => SchemeChoice::Pc(Scheme::baseline()),
-            "pseudo" => SchemeChoice::Pc(Scheme::pseudo()),
-            "pseudo+ps" => SchemeChoice::Pc(Scheme::pseudo_ps()),
-            "pseudo+bb" => SchemeChoice::Pc(Scheme::pseudo_bb()),
-            "pseudo+ps+bb" => SchemeChoice::Pc(Scheme::pseudo_ps_bb()),
-            "evc" => SchemeChoice::Evc,
-            "hybrid" => SchemeChoice::Hybrid,
-            other => return Err(Error(format!("unknown scheme {other:?}"))),
-        })
-    }
-
-    /// The canonical lower-case spec name (`parse(canonical()) == self`).
-    pub fn canonical(&self) -> &'static str {
-        match self {
-            SchemeChoice::Pc(s) => match (s.pseudo_circuit, s.speculation, s.buffer_bypass) {
-                (false, _, _) => "baseline",
-                (true, false, false) => "pseudo",
-                (true, true, false) => "pseudo+ps",
-                (true, false, true) => "pseudo+bb",
-                (true, true, true) => "pseudo+ps+bb",
-            },
-            SchemeChoice::Evc => "evc",
-            SchemeChoice::Hybrid => "hybrid",
-        }
-    }
-
-    /// The display label stamped into run manifests (`Pseudo+PS+BB`, `EVC`)
-    /// — part of the config-hash key, so it must match what `noc run
-    /// --manifest` records.
-    pub fn label(&self) -> String {
-        match self {
-            SchemeChoice::Pc(s) => s.to_string(),
-            SchemeChoice::Evc => "EVC".to_string(),
-            SchemeChoice::Hybrid => "Hybrid".to_string(),
-        }
-    }
-
-    /// The router factory this scheme names — the one place a scheme name
-    /// becomes router code (the `noc` CLI and campaign points both build
-    /// through [`crate::build_simulation`], which calls this).
-    pub fn factory(&self) -> Box<dyn RouterFactory> {
-        match *self {
-            SchemeChoice::Pc(scheme) => Box::new(PcRouterFactory::new(scheme)),
-            SchemeChoice::Evc => Box::new(EvcRouterFactory),
-            SchemeChoice::Hybrid => Box::new(HybridRouterFactory::default()),
-        }
-    }
+/// Parses a scheme name (`baseline` … `pseudo+ps+bb`, `evc`, `hybrid`).
+fn parse_scheme(s: &str) -> Result<Scheme, Error> {
+    Scheme::parse(s).ok_or_else(|| Error(format!("unknown scheme {s:?}")))
 }
 
 /// Parses a lower-case routing-policy name (`xy`, `yx`, `o1turn`).
@@ -173,7 +96,7 @@ pub struct PointSpec {
     /// Traffic spec: synthetic pattern name or benchmark name.
     pub traffic: String,
     /// Router scheme.
-    pub scheme: SchemeChoice,
+    pub scheme: Scheme,
     /// Routing algorithm.
     pub routing: RoutingPolicy,
     /// VC allocation policy.
@@ -203,7 +126,7 @@ impl Default for PointSpec {
         Self {
             topology: "mesh8x8".into(),
             traffic: "ur".into(),
-            scheme: SchemeChoice::Pc(Scheme::pseudo_ps_bb()),
+            scheme: Scheme::pseudo_ps_bb(),
             routing: RoutingPolicy::Xy,
             va: VaPolicy::Static,
             vcs: 4,
@@ -327,7 +250,7 @@ static KEYS: [Key; 13] = [
     Key { name: "traffic", phase: false, get: |p| Value::Str(p.traffic.clone()),
           read: |s, v| strings(v).map(|v| s.axes.traffic = v) },
     Key { name: "scheme", phase: false, get: |p| Value::Str(p.scheme.canonical().into()),
-          read: |s, v| names(v, SchemeChoice::parse).map(|v| s.axes.scheme = v) },
+          read: |s, v| names(v, parse_scheme).map(|v| s.axes.scheme = v) },
     Key { name: "routing", phase: false, get: |p| Value::Str(routing_name(p.routing).into()),
           read: |s, v| names(v, parse_routing).map(|v| s.axes.routing = v) },
     Key { name: "va", phase: false, get: |p| Value::Str(va_name(p.va).into()),
@@ -377,7 +300,7 @@ pub struct Axes {
     /// Traffic names.
     pub traffic: Vec<String>,
     /// Router schemes.
-    pub scheme: Vec<SchemeChoice>,
+    pub scheme: Vec<Scheme>,
     /// Routing policies.
     pub routing: Vec<RoutingPolicy>,
     /// VC-allocation policies.
@@ -796,25 +719,5 @@ load = [0.05, 0.1]
             let err = err.unwrap_err().0;
             assert!(err.contains(needle) && !err.contains('\n'), "{err}");
         }
-    }
-
-    #[test]
-    fn scheme_choice_roundtrips_and_labels() {
-        // SCHEME_NAMES is the one shared vocabulary table: every entry must
-        // round-trip through parse/canonical, and the variants must cover it
-        // exactly (a new scheme that misses the table fails here).
-        for &name in SCHEME_NAMES {
-            let choice = SchemeChoice::parse(name).unwrap();
-            assert_eq!(choice.canonical(), name);
-            assert_eq!(SchemeChoice::parse(choice.canonical()).unwrap(), choice);
-        }
-        assert!(SCHEME_NAMES.contains(&SchemeChoice::Evc.canonical()));
-        assert!(SCHEME_NAMES.contains(&SchemeChoice::Hybrid.canonical()));
-        assert_eq!(
-            SchemeChoice::Pc(Scheme::pseudo_ps_bb()).label(),
-            "Pseudo+PS+BB"
-        );
-        assert_eq!(SchemeChoice::Evc.label(), "EVC");
-        assert_eq!(SchemeChoice::Hybrid.label(), "Hybrid");
     }
 }

@@ -4,8 +4,9 @@
 //! hostile bytes: a damaged cache entry or spec file ends in `Ok` or a
 //! one-line `Err`, never a panic.
 
-use noc_campaign::{Axes, CampaignSpec, PointResult, PointSpec, ResultCache, SchemeChoice};
+use noc_campaign::{Axes, CampaignSpec, PointResult, PointSpec, ResultCache};
 use proptest::prelude::*;
+use pseudo_circuit::Scheme;
 
 /// A duplicate-free, non-empty subset of `values` selected by a bitmask
 /// (mask 0 — or any mask missing every index — falls back to the full set,
@@ -25,41 +26,28 @@ fn pick<T: Clone>(values: &[T], mask: u64) -> Vec<T> {
 }
 
 fn arb_spec() -> impl Strategy<Value = CampaignSpec> {
-    proptest::collection::vec(any::<u64>(), 7).prop_map(|masks| {
-        let schemes: Vec<SchemeChoice> = [
-            "baseline",
-            "pseudo",
-            "pseudo+ps",
-            "pseudo+bb",
-            "pseudo+ps+bb",
-            "evc",
-        ]
-        .iter()
-        .map(|s| SchemeChoice::parse(s).unwrap())
-        .collect();
-        CampaignSpec {
-            axes: Axes {
-                topology: pick(
-                    &[
-                        "mesh2x2".to_string(),
-                        "mesh3x2".to_string(),
-                        "mesh2x4".to_string(),
-                    ],
-                    masks[0],
-                ),
-                traffic: pick(
-                    &["ur".to_string(), "bc".to_string(), "tornado".to_string()],
-                    masks[1],
-                ),
-                scheme: pick(&schemes, masks[2]),
-                vcs: pick(&[1u8, 2, 4], masks[3]),
-                buffer: pick(&[2u32, 4], masks[4]),
-                load: pick(&[0.02f64, 0.05, 0.1, 0.2], masks[5]),
-                seed: pick(&[1u64, 2, 7], masks[6]),
-                ..Axes::default()
-            },
-            ..CampaignSpec::default()
-        }
+    proptest::collection::vec(any::<u64>(), 7).prop_map(|masks| CampaignSpec {
+        axes: Axes {
+            topology: pick(
+                &[
+                    "mesh2x2".to_string(),
+                    "mesh3x2".to_string(),
+                    "mesh2x4".to_string(),
+                ],
+                masks[0],
+            ),
+            traffic: pick(
+                &["ur".to_string(), "bc".to_string(), "tornado".to_string()],
+                masks[1],
+            ),
+            scheme: pick(&Scheme::ALL, masks[2]),
+            vcs: pick(&[1u8, 2, 4], masks[3]),
+            buffer: pick(&[2u32, 4], masks[4]),
+            load: pick(&[0.02f64, 0.05, 0.1, 0.2], masks[5]),
+            seed: pick(&[1u64, 2, 7], masks[6]),
+            ..Axes::default()
+        },
+        ..CampaignSpec::default()
     })
 }
 

@@ -1,65 +1,104 @@
-//! Scheme configuration: which of the paper's mechanisms are enabled.
+//! The router schemes: the paper's five pseudo-circuit configurations and
+//! the two comparators, each named once in [`TABLE`].
 
 use std::fmt;
 
-/// Which pseudo-circuit mechanisms a router enables. The paper evaluates the
-/// five combinations exposed by the constructors below (its Figs. 8–12 use
-/// exactly these labels).
+/// A router scheme: one of the paper's five configurations (its Figs. 8–12
+/// use exactly these labels), Express Virtual Channels (its Fig. 14), or He &
+/// Cao's profiled hybrid. An opaque value built by the constructors below or
+/// read by [`Scheme::parse`], so every value is a scheme that exists;
+/// [`PcRouterFactory`](crate::PcRouterFactory) builds its routers.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
-pub struct Scheme {
-    /// Reuse crossbar connections to bypass switch arbitration (§III).
-    pub pseudo_circuit: bool,
-    /// Speculatively restore terminated circuits on idle outputs (§IV.A).
-    pub speculation: bool,
-    /// Skip the buffer-write stage through the bypass latch (§IV.B).
-    pub buffer_bypass: bool,
+pub struct Scheme(pub(crate) Kind);
+
+/// What a [`Scheme`] is. Speculation and buffer bypassing exist only as
+/// extensions of the pseudo-circuit scheme, so they are its fields.
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
+pub(crate) enum Kind {
+    /// The speculative two-stage router, holding no circuit.
+    #[default]
+    Baseline,
+    /// Reuse of crossbar connections to bypass switch arbitration (§III),
+    /// with or without speculatively restoring terminated circuits on idle
+    /// outputs (§IV.A) and skipping the buffer write through the bypass
+    /// latch (§IV.B).
+    Pseudo {
+        speculation: bool,
+        buffer_bypass: bool,
+    },
+    /// Express Virtual Channels.
+    Evc,
+    /// Profiled hybrid switching: [`Scheme::pseudo`] with establishment
+    /// gated by a hot-flow profile ([`crate::hybrid`]).
+    Hybrid,
 }
 
+/// Every scheme with its canonical name (what `--scheme` and a campaign's
+/// `scheme` axis take) and its report label (what a run record stamps and
+/// the config hash keys on), in display order.
+const TABLE: [(Scheme, &str, &str); 7] = [
+    (Scheme::baseline(), "baseline", "Baseline"),
+    (Scheme::pseudo(), "pseudo", "Pseudo"),
+    (Scheme::pseudo_ps(), "pseudo+ps", "Pseudo+PS"),
+    (Scheme::pseudo_bb(), "pseudo+bb", "Pseudo+BB"),
+    (Scheme::pseudo_ps_bb(), "pseudo+ps+bb", "Pseudo+PS+BB"),
+    (Scheme::evc(), "evc", "EVC"),
+    (Scheme::hybrid(), "hybrid", "Hybrid"),
+];
+
 impl Scheme {
+    /// Every scheme, in display order.
+    pub const ALL: [Scheme; 7] = {
+        let mut all = [Scheme::baseline(); 7];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = TABLE[i].0;
+            i += 1;
+        }
+        all
+    };
+
     /// The baseline speculative two-stage router, no pseudo-circuits.
     pub const fn baseline() -> Self {
-        Self {
-            pseudo_circuit: false,
-            speculation: false,
-            buffer_bypass: false,
-        }
+        Self(Kind::Baseline)
     }
 
     /// `Pseudo`: the basic pseudo-circuit scheme.
     pub const fn pseudo() -> Self {
-        Self {
-            pseudo_circuit: true,
-            speculation: false,
-            buffer_bypass: false,
-        }
+        Self::circuits(false, false)
     }
 
     /// `Pseudo+PS`: with pseudo-circuit speculation.
     pub const fn pseudo_ps() -> Self {
-        Self {
-            pseudo_circuit: true,
-            speculation: true,
-            buffer_bypass: false,
-        }
+        Self::circuits(true, false)
     }
 
     /// `Pseudo+BB`: with buffer bypassing.
     pub const fn pseudo_bb() -> Self {
-        Self {
-            pseudo_circuit: true,
-            speculation: false,
-            buffer_bypass: true,
-        }
+        Self::circuits(false, true)
     }
 
     /// `Pseudo+PS+BB`: both aggressive schemes (the paper's headline
     /// configuration).
     pub const fn pseudo_ps_bb() -> Self {
-        Self {
-            pseudo_circuit: true,
-            speculation: true,
-            buffer_bypass: true,
-        }
+        Self::circuits(true, true)
+    }
+
+    /// Express Virtual Channels (dynamic EVCs, `l_max = 2`; [`crate::evc`]).
+    pub const fn evc() -> Self {
+        Self(Kind::Evc)
+    }
+
+    /// Profiled hybrid switching ([`crate::hybrid`]).
+    pub const fn hybrid() -> Self {
+        Self(Kind::Hybrid)
+    }
+
+    const fn circuits(speculation: bool, buffer_bypass: bool) -> Self {
+        Self(Kind::Pseudo {
+            speculation,
+            buffer_bypass,
+        })
     }
 
     /// The five configurations of the paper's figures, in plot order.
@@ -73,34 +112,27 @@ impl Scheme {
         ]
     }
 
-    /// Validates internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when speculation or buffer bypassing is enabled
-    /// without the base pseudo-circuit scheme — neither mechanism exists
-    /// without pseudo-circuits.
-    pub fn validate(&self) -> Result<(), String> {
-        if (self.speculation || self.buffer_bypass) && !self.pseudo_circuit {
-            return Err("speculation/buffer bypassing require the pseudo-circuit scheme".into());
-        }
-        Ok(())
+    /// The scheme whose canonical name is `name`, in any letter case.
+    pub fn parse(name: &str) -> Option<Scheme> {
+        let row = TABLE.iter().find(|row| row.1.eq_ignore_ascii_case(name));
+        row.map(|row| row.0)
+    }
+
+    /// The canonical lower-case name (`parse(canonical()) == Some(self)`).
+    pub fn canonical(self) -> &'static str {
+        self.row().1
+    }
+
+    fn row(self) -> &'static (Scheme, &'static str, &'static str) {
+        let row = TABLE.iter().find(|row| row.0 == self);
+        row.expect("every scheme has a row")
     }
 }
 
+/// The report label (`Pseudo+PS+BB`, `EVC`).
 impl fmt::Display for Scheme {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if !self.pseudo_circuit {
-            return write!(f, "Baseline");
-        }
-        write!(f, "Pseudo")?;
-        if self.speculation {
-            write!(f, "+PS")?;
-        }
-        if self.buffer_bypass {
-            write!(f, "+BB")?;
-        }
-        Ok(())
+        f.write_str(self.row().2)
     }
 }
 
@@ -115,32 +147,29 @@ mod tests {
         assert_eq!(Scheme::pseudo_ps().to_string(), "Pseudo+PS");
         assert_eq!(Scheme::pseudo_bb().to_string(), "Pseudo+BB");
         assert_eq!(Scheme::pseudo_ps_bb().to_string(), "Pseudo+PS+BB");
+        assert_eq!(Scheme::evc().to_string(), "EVC");
+        assert_eq!(Scheme::hybrid().to_string(), "Hybrid");
     }
 
     #[test]
-    fn lineup_is_ordered_and_valid() {
+    fn lineup_is_ordered() {
         let lineup = Scheme::paper_lineup();
-        assert_eq!(lineup.len(), 5);
-        for s in lineup {
-            s.validate().unwrap();
-        }
+        assert_eq!(lineup, Scheme::ALL[..5]);
         assert_eq!(lineup[0], Scheme::baseline());
         assert_eq!(lineup[4], Scheme::pseudo_ps_bb());
     }
 
     #[test]
-    fn aggressive_schemes_require_pseudo_circuit() {
-        let bad = Scheme {
-            pseudo_circuit: false,
-            speculation: true,
-            buffer_bypass: false,
-        };
-        assert!(bad.validate().is_err());
-        let bad = Scheme {
-            pseudo_circuit: false,
-            speculation: false,
-            buffer_bypass: true,
-        };
-        assert!(bad.validate().is_err());
+    fn every_scheme_has_one_row_and_round_trips_its_name() {
+        for (i, scheme) in Scheme::ALL.into_iter().enumerate() {
+            assert!(!Scheme::ALL[..i].contains(&scheme), "{scheme} twice");
+            assert_eq!(Scheme::parse(scheme.canonical()), Some(scheme));
+            assert_eq!(
+                Scheme::parse(&scheme.canonical().to_uppercase()),
+                Some(scheme)
+            );
+        }
+        assert_eq!(Scheme::parse("full"), None);
+        assert_eq!(Scheme::default(), Scheme::baseline());
     }
 }

@@ -32,6 +32,7 @@
 //! [`TraceEventKind::ExpressLatch`]), and manifest router dumps.
 
 use crate::pipeline::{KernelRouter, PipelineKernel, SchemeHooks};
+use crate::{PcRouterFactory, Scheme};
 use noc_base::{
     Flit, FlitPool, FlitRef, NodeId, PortIndex, RouteInfo, RouterId, VaPolicy, VcIndex,
 };
@@ -73,7 +74,7 @@ impl EvcHooks {
         pool: Arc<FlitPool>,
     ) -> EvcRouter {
         assert_eq!(
-            config.routing.num_classes().max(topo.min_classes()),
+            config.deadlock_classes(topo.as_ref()),
             1,
             "EVC requires a single-class routing policy (XY or YX) \
              on a topology without extra deadlock classes"
@@ -243,14 +244,14 @@ impl SchemeHooks for EvcHooks {
     }
 }
 
-/// Builds [`EvcRouter`]s.
+/// `PcRouterFactory::new(Scheme::evc())` under the name the repository
+/// benchmark links (`noc_evc::EvcRouterFactory`); nothing else uses it.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct EvcRouterFactory;
 
 impl RouterFactory for EvcRouterFactory {
     fn build(&self, ctx: RouterBuildContext<'_>) -> Box<dyn RouterModel> {
-        EvcHooks::router(ctx.id, ctx.topology.clone(), *ctx.config, ctx.pool.clone())
-            .boxed(ctx.metrics)
+        PcRouterFactory::new(Scheme::evc()).build(ctx)
     }
 }
 

@@ -29,9 +29,11 @@
 //! - the profiled hybrid ([`hybrid`]) — He & Cao's profiled hybrid
 //!   switching, a second comparator: a [`PcRouter`] whose circuits only hot
 //!   flows may establish;
-//! - [`PcRouterFactory`], [`EvcRouterFactory`] and [`HybridRouterFactory`] —
-//!   the [`noc_sim::RouterFactory`]s that plug a scheme into
-//!   [`noc_sim::Simulation`].
+//! - [`Scheme`] — the one type of router scheme: the paper's five, EVC and
+//!   the hybrid, each named once in one table (canonical name, report
+//!   label);
+//! - [`PcRouterFactory`] — the one [`noc_sim::RouterFactory`], which plugs
+//!   any scheme into [`noc_sim::Simulation`].
 //!
 //! The kernel and the hook contract between it and the schemes are private
 //! to the crate (docs/ARCHITECTURE.md, "Adding a scheme"). What tests reach
@@ -82,6 +84,5 @@ mod router;
 
 pub use config::Scheme;
 pub use evc::EvcRouterFactory;
-pub use hybrid::HybridRouterFactory;
 pub use pseudo::{EstablishOutcome, PcRegisters, PseudoCircuitUnit};
 pub use router::{PcHooks, PcRouter, PcRouterFactory};

@@ -1,7 +1,8 @@
 //! The pseudo-circuit scheme as hooks over the shared pipeline kernel
 //! (also the baseline router when the scheme is [`Scheme::baseline`], and
 //! the profiled hybrid when a [`HotFlows`] gate rides along): the one set
-//! of hooks that holds crossbar connections.
+//! of hooks that holds crossbar connections. [`PcRouterFactory`] builds
+//! every scheme's routers, these and the EVC comparator's.
 //!
 //! The speculative two-stage pipeline itself — BW, VA∥SA, ST, the separable
 //! round-robin allocators, credit bookkeeping and observability plumbing —
@@ -32,7 +33,8 @@
 //!   for a hot flow after the profile window; a cold grant after it tears
 //!   down the circuits it conflicts with and establishes none.
 
-use crate::config::Scheme;
+use crate::config::{Kind, Scheme};
+use crate::evc::EvcHooks;
 use crate::hybrid::HotFlows;
 use crate::pipeline::{KernelRouter, PipelineKernel, SchemeHooks};
 use crate::pseudo::{PcRegisters, PseudoCircuitUnit, Termination};
@@ -45,11 +47,16 @@ use noc_topology::SharedTopology;
 use std::sync::Arc;
 
 /// The circuit scheme's [`SchemeHooks`]: the held-circuit datapath gated by
-/// the [`Scheme`] switches — establishment, drain, termination (§III) and
+/// the scheme's switches — establishment, drain, termination (§III) and
 /// the paper's two §IV extensions (speculation, the bypass latch) — and,
 /// for the profiled hybrid, a hot-flow gate on establishment.
 pub struct PcHooks {
-    scheme: Scheme,
+    /// Circuits are held at all (off: the baseline).
+    pseudo_circuit: bool,
+    /// Phase G restores terminated circuits (§IV.A).
+    speculation: bool,
+    /// The bypass latch forwards arriving flits (§IV.B).
+    buffer_bypass: bool,
     /// The VA policy of every header, circuit riders included.
     va_policy: VaPolicy,
     partition: VcPartition,
@@ -60,16 +67,15 @@ pub struct PcHooks {
 }
 
 /// The pseudo-circuit router — also the baseline ([`Scheme::baseline`]) and,
-/// behind [`HybridRouterFactory`](crate::HybridRouterFactory), the profiled
-/// hybrid: the shared kernel running [`PcHooks`].
+/// behind the hot-flow gate, the profiled hybrid ([`Scheme::hybrid`]): the
+/// shared kernel running [`PcHooks`].
 pub type PcRouter = KernelRouter<PcHooks>;
 
 impl PcHooks {
-    /// Builds a router running `scheme`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scheme is inconsistent (see [`Scheme::validate`]).
+    /// Builds an ungated router running the circuit switches of one of the
+    /// paper's five schemes: pseudo-circuits with the scheme's §IV
+    /// extensions, or none for [`Scheme::baseline`]. The comparators'
+    /// routers come from [`PcRouterFactory`]; here they hold no circuit.
     pub fn router(
         id: RouterId,
         topo: SharedTopology,
@@ -77,23 +83,26 @@ impl PcHooks {
         scheme: Scheme,
         pool: Arc<FlitPool>,
     ) -> PcRouter {
-        scheme.validate().unwrap_or_else(|e| panic!("{e}"));
+        let (pseudo_circuit, speculation, buffer_bypass) = match scheme.0 {
+            Kind::Pseudo {
+                speculation,
+                buffer_bypass,
+            } => (true, speculation, buffer_bypass),
+            Kind::Baseline | Kind::Evc | Kind::Hybrid => (false, false, false),
+        };
         // The kernel first: its width check names the router.
         let kernel = PipelineKernel::new(id, topo, config, pool);
         let topo = kernel.topo.as_ref();
         let hooks = PcHooks {
-            scheme,
+            pseudo_circuit,
+            speculation,
+            buffer_bypass,
             va_policy: config.va_policy,
             partition: config.partition_for(topo),
             pcu: PseudoCircuitUnit::new(topo.in_ports(id), topo.out_ports(id)),
             hot: None,
         };
         KernelRouter::new(kernel, hooks)
-    }
-
-    /// Gates establishment by the hybrid profile `hot` ([`crate::hybrid`]).
-    pub(crate) fn gate(&mut self, hot: HotFlows) {
-        self.hot = Some(Box::new(hot));
     }
 
     /// The pseudo-circuit unit (exposed for white-box tests).
@@ -283,7 +292,7 @@ impl SchemeHooks for PcHooks {
         if let Some(hot) = &mut self.hot {
             hot.freeze_at(cycle);
         }
-        if !self.scheme.pseudo_circuit {
+        if !self.pseudo_circuit {
             return;
         }
         for out_port in k.creditless_ports() {
@@ -323,7 +332,7 @@ impl SchemeHooks for PcHooks {
         r: FlitRef,
         out: &mut RouterOutputs,
     ) -> bool {
-        if !self.scheme.buffer_bypass || k.in_busy(in_port) {
+        if !self.buffer_bypass || k.in_busy(in_port) {
             return false;
         }
         let Some(pc) = self.pcu.live(in_port) else {
@@ -396,7 +405,7 @@ impl SchemeHooks for PcHooks {
     /// hybrid's gate is on establishment, not on the drain.
     #[inline]
     fn sa_skip(&self, in_port: PortIndex, vc: VcIndex, route: RouteInfo) -> bool {
-        self.scheme.pseudo_circuit
+        self.pseudo_circuit
             && self
                 .pcu
                 .live(in_port)
@@ -420,7 +429,7 @@ impl SchemeHooks for PcHooks {
         vc: VcIndex,
         route: RouteInfo,
     ) {
-        if !self.scheme.pseudo_circuit {
+        if !self.pseudo_circuit {
             return;
         }
         match &self.hot {
@@ -441,7 +450,7 @@ impl SchemeHooks for PcHooks {
 
     #[inline]
     fn end_cycle(&mut self, k: &mut PipelineKernel, cycle: u64) {
-        if self.scheme.speculation {
+        if self.speculation {
             self.speculate(k, cycle);
         }
     }
@@ -453,11 +462,11 @@ impl SchemeHooks for PcHooks {
     /// counts and the same behaviour.
     #[inline(always)]
     fn is_idle(&self, k: &PipelineKernel) -> bool {
-        (!self.scheme.pseudo_circuit
+        (!self.pseudo_circuit
             || k.creditless_ports()
                 .into_iter()
                 .all(|p| self.creditless_holder(k, PortIndex::new(p)).is_none()))
-            && (!self.scheme.speculation
+            && (!self.speculation
                 || self
                     .pcu
                     .restorable_mask()
@@ -483,30 +492,35 @@ fn count_termination(k: &mut PipelineKernel, in_port: PortIndex, why: Terminatio
     }
 }
 
-/// Builds [`PcRouter`]s with a fixed scheme.
+/// Builds the routers of one [`Scheme`] — the one factory of every scheme.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct PcRouterFactory {
-    /// The scheme every router in the network runs.
-    pub scheme: Scheme,
+    scheme: Scheme,
 }
 
 impl PcRouterFactory {
     /// Creates a factory for `scheme`.
-    pub fn new(scheme: Scheme) -> Self {
+    pub const fn new(scheme: Scheme) -> Self {
         Self { scheme }
     }
 }
 
 impl RouterFactory for PcRouterFactory {
     fn build(&self, ctx: RouterBuildContext<'_>) -> Box<dyn RouterModel> {
-        PcHooks::router(
-            ctx.id,
-            ctx.topology.clone(),
-            *ctx.config,
-            self.scheme,
-            ctx.pool.clone(),
-        )
-        .boxed(ctx.metrics)
+        let (id, config) = (ctx.id, *ctx.config);
+        let (topo, pool) = (ctx.topology.clone(), ctx.pool.clone());
+        match self.scheme.0 {
+            Kind::Baseline | Kind::Pseudo { .. } => {
+                PcHooks::router(id, topo, config, self.scheme, pool).boxed(ctx.metrics)
+            }
+            Kind::Hybrid => {
+                let hot = HotFlows::new(topo.num_nodes());
+                let mut router = PcHooks::router(id, topo, config, Scheme::pseudo(), pool);
+                router.hooks_mut().hot = Some(Box::new(hot));
+                router.boxed(ctx.metrics)
+            }
+            Kind::Evc => EvcHooks::router(id, topo, config, pool).boxed(ctx.metrics),
+        }
     }
 }
 

@@ -6,8 +6,10 @@ use noc_base::{NodeId, PacketClass, RoutingPolicy, VaPolicy};
 use noc_sim::{NetworkConfig, RunSpec, Simulation};
 use noc_topology::Mesh;
 use noc_traffic::{PacketRequest, SyntheticPattern, SyntheticTraffic, TrafficModel};
-use pseudo_circuit::{EvcRouterFactory, PcRouterFactory, Scheme};
+use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::sync::Arc;
+
+const EVC: PcRouterFactory = PcRouterFactory::new(Scheme::evc());
 
 struct Script(Vec<(u64, usize, usize, u16)>);
 
@@ -48,7 +50,7 @@ fn express_flit_latches_through_intermediate_routers() {
         topo.clone(),
         config(),
         Box::new(Script(vec![(0, 0, 7, 1)])),
-        &EvcRouterFactory,
+        &EVC,
         1,
     );
     let evc = evc_sim.run(RunSpec::new(0, 10, 200));
@@ -81,7 +83,7 @@ fn short_routes_never_go_express() {
         topo,
         config(),
         Box::new(Script(vec![(0, 0, 1, 3)])),
-        &EvcRouterFactory,
+        &EVC,
         1,
     );
     let report = sim.run(RunSpec::new(0, 10, 100));
@@ -93,7 +95,7 @@ fn short_routes_never_go_express() {
 fn uniform_traffic_is_fully_delivered_with_evc() {
     let topo = Arc::new(Mesh::new(8, 8, 1));
     let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, 8, 8, 5, 0.15, 11);
-    let mut sim = Simulation::new(topo, config(), Box::new(traffic), &EvcRouterFactory, 3);
+    let mut sim = Simulation::new(topo, config(), Box::new(traffic), &EVC, 3);
     let report = sim.run(RunSpec::new(500, 3_000, 20_000));
     assert!(report.drained, "all measured packets delivered");
     assert!(report.router_stats.express_bypasses > 0, "express used");
@@ -104,7 +106,7 @@ fn evc_beats_baseline_on_the_mesh_at_low_load() {
     // Fig. 14(a): on an 8x8 mesh EVC improves latency.
     let topo = Arc::new(Mesh::new(8, 8, 1));
     let mk = || SyntheticTraffic::new(SyntheticPattern::UniformRandom, 8, 8, 5, 0.08, 21);
-    let mut evc_sim = Simulation::new(topo.clone(), config(), Box::new(mk()), &EvcRouterFactory, 5);
+    let mut evc_sim = Simulation::new(topo.clone(), config(), Box::new(mk()), &EVC, 5);
     let evc = evc_sim.run(RunSpec::new(500, 3_000, 20_000));
     let mut base_sim = Simulation::new(
         topo,
@@ -129,7 +131,7 @@ fn concentrated_mesh_starves_express_channels() {
     // helping (the paper reports no average improvement there).
     let topo = Arc::new(Mesh::new(4, 4, 4));
     let mk = || SyntheticTraffic::new(SyntheticPattern::UniformRandom, 8, 8, 5, 0.30, 33);
-    let mut evc_sim = Simulation::new(topo.clone(), config(), Box::new(mk()), &EvcRouterFactory, 7);
+    let mut evc_sim = Simulation::new(topo.clone(), config(), Box::new(mk()), &EVC, 7);
     let evc = evc_sim.run(RunSpec::new(500, 3_000, 30_000));
     let mut base_sim = Simulation::new(
         topo,
@@ -159,7 +161,7 @@ fn multi_flit_express_packets_reassemble() {
     // Long packets across a long row, two flows sharing links.
     let topo = Arc::new(Mesh::new(8, 1, 1));
     let script = Script(vec![(0, 0, 7, 5), (1, 1, 6, 5), (2, 0, 7, 5)]);
-    let mut sim = Simulation::new(topo, config(), Box::new(script), &EvcRouterFactory, 9);
+    let mut sim = Simulation::new(topo, config(), Box::new(script), &EVC, 9);
     let report = sim.run(RunSpec::new(0, 50, 500));
     assert_eq!(report.measured_delivered, 3);
     assert!(report.drained);

@@ -2,11 +2,13 @@
 //! during the profile window, circuit formation for hot flows after the
 //! freeze, the absence of circuits for cold traffic, a cold grant
 //! tearing down the hot circuit it conflicts with, and a profile that
-//! counts headers, not VA retries.
+//! counts headers, not VA retries. The profile window is the hybrid's
+//! constant one: cycles `0..1000`, after which a flow with 4 or more headers
+//! at a router is hot there.
 
 use noc_base::{
-    Flit, FlitKind, FlitPool, NodeId, PacketClass, PacketId, PortIndex, RouteInfo, RouteMode,
-    RouterId, RoutingPolicy, VaPolicy, VcIndex,
+    Credit, Flit, FlitKind, FlitPool, NodeId, PacketClass, PacketId, PortIndex, RouteInfo,
+    RouteMode, RouterId, RoutingPolicy, VaPolicy, VcIndex,
 };
 use noc_sim::{
     MetricsConfig, MetricsLevel, NetworkConfig, RouterBuildContext, RouterFactory, RouterModel,
@@ -14,7 +16,7 @@ use noc_sim::{
 };
 use noc_topology::{Mesh, Ring, SharedTopology};
 use noc_traffic::{PacketRequest, SyntheticPattern, SyntheticTraffic, TrafficModel};
-use pseudo_circuit::{HybridRouterFactory, PcRouterFactory, Scheme};
+use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::sync::Arc;
 
 struct Script(Vec<(u64, usize, usize, u16)>);
@@ -37,6 +39,13 @@ impl TrafficModel for Script {
     }
 }
 
+/// The cycle the profile window ends at.
+const FREEZE: u64 = 1_000;
+
+fn hybrid() -> PcRouterFactory {
+    PcRouterFactory::new(Scheme::hybrid())
+}
+
 fn config() -> NetworkConfig {
     NetworkConfig {
         vcs_per_port: 4,
@@ -57,14 +66,11 @@ fn periodic_flow(src: usize, dst: usize, period: u64, count: u64, len: u16) -> S
 fn unfrozen_hybrid_is_bit_identical_to_wormhole_baseline() {
     let topo = Arc::new(Mesh::new(4, 4, 1));
     let traffic = || SyntheticTraffic::new(SyntheticPattern::UniformRandom, 4, 4, 5, 0.08, 11);
-    let spec = RunSpec::new(100, 400, 4_000);
+    // At most 900 cycles: the run ends inside the profile window.
+    let spec = RunSpec::new(100, 400, 400);
 
-    let factory = HybridRouterFactory {
-        profile_cycles: u64::MAX, // freeze never happens within this run
-        hot_threshold: 1,
-    };
     let hybrid =
-        Simulation::new(topo.clone(), config(), Box::new(traffic()), &factory, 7).run(spec);
+        Simulation::new(topo.clone(), config(), Box::new(traffic()), &hybrid(), 7).run(spec);
     let baseline = Simulation::new(
         topo,
         config(),
@@ -84,17 +90,13 @@ fn unfrozen_hybrid_is_bit_identical_to_wormhole_baseline() {
 #[test]
 fn hot_flow_holds_a_circuit_after_the_freeze() {
     let topo = Arc::new(Mesh::new(8, 1, 1));
-    let factory = HybridRouterFactory {
-        profile_cycles: 200,
-        hot_threshold: 3,
-    };
-    // 0 -> 7 every 20 cycles: ~10 headers per router in the profile window
-    // (hot), then the same flow keeps running long after the freeze.
-    let traffic = periodic_flow(0, 7, 20, 40, 4);
-    let report = Simulation::new(topo.clone(), config(), Box::new(traffic), &factory, 3)
-        .run(RunSpec::new(0, 800, 4_000));
+    // 0 -> 7 every 20 cycles: 50 headers per router in the profile window
+    // (hot), then the same flow keeps running as long after the freeze.
+    let traffic = periodic_flow(0, 7, 20, 100, 4);
+    let report = Simulation::new(topo.clone(), config(), Box::new(traffic), &hybrid(), 3)
+        .run(RunSpec::new(0, 2_000, 4_000));
 
-    assert_eq!(report.measured_delivered, 40);
+    assert_eq!(report.measured_delivered, 100);
     assert!(
         report.router_stats.pc_reuses > 0,
         "hot flow never reused its circuit: {:?}",
@@ -108,11 +110,11 @@ fn hot_flow_holds_a_circuit_after_the_freeze() {
     let baseline = Simulation::new(
         topo,
         config(),
-        Box::new(periodic_flow(0, 7, 20, 40, 4)),
+        Box::new(periodic_flow(0, 7, 20, 100, 4)),
         &PcRouterFactory::new(Scheme::baseline()),
         3,
     )
-    .run(RunSpec::new(0, 800, 4_000));
+    .run(RunSpec::new(0, 2_000, 4_000));
     assert!(
         report.avg_latency < baseline.avg_latency,
         "hybrid {} vs baseline {}",
@@ -126,21 +128,17 @@ fn hot_flow_holds_a_circuit_after_the_freeze() {
 #[test]
 fn cold_flows_form_no_circuits() {
     let topo = Arc::new(Mesh::new(4, 4, 1));
-    let factory = HybridRouterFactory {
-        profile_cycles: 100,
-        hot_threshold: 3,
-    };
-    // Each flow sends exactly once (count 1 < threshold 3), before and
+    // Each flow sends exactly once (count 1 < threshold 4), before and
     // after the freeze alike.
     let traffic = Script(vec![
         (0, 0, 15, 4),
-        (30, 3, 12, 4),
-        (60, 5, 10, 4),
-        (150, 15, 0, 4),
-        (200, 12, 3, 4),
+        (300, 3, 12, 4),
+        (600, 5, 10, 4),
+        (1_050, 15, 0, 4),
+        (1_100, 12, 3, 4),
     ]);
-    let report = Simulation::new(topo, config(), Box::new(traffic), &factory, 5)
-        .run(RunSpec::new(0, 400, 4_000));
+    let report = Simulation::new(topo, config(), Box::new(traffic), &hybrid(), 5)
+        .run(RunSpec::new(0, 1_300, 4_000));
 
     assert_eq!(report.measured_delivered, 5);
     assert_eq!(report.router_stats.pc_reuses, 0);
@@ -154,18 +152,72 @@ fn cold_flows_form_no_circuits() {
 #[test]
 fn hybrid_rides_the_ring_topology() {
     let topo = Arc::new(Ring::new(8, 1));
-    let factory = HybridRouterFactory {
-        profile_cycles: 200,
-        hot_threshold: 3,
-    };
     // 0 -> 3 clockwise every 20 cycles, forever.
-    let traffic = periodic_flow(0, 3, 20, 40, 4);
-    let report = Simulation::new(topo, config(), Box::new(traffic), &factory, 9)
-        .run(RunSpec::new(0, 800, 4_000));
+    let traffic = periodic_flow(0, 3, 20, 100, 4);
+    let report = Simulation::new(topo, config(), Box::new(traffic), &hybrid(), 9)
+        .run(RunSpec::new(0, 2_000, 4_000));
 
-    assert_eq!(report.measured_delivered, 40);
+    assert_eq!(report.measured_delivered, 100);
     assert!(report.router_stats.pc_reuses > 0);
     assert!(report.drained);
+}
+
+/// Router 0 of a 2x1 mesh with concentration 2 under static VA, run alone:
+/// local ports 0 and 1, the east port 3 toward nodes 2 and 3. Every flit it
+/// sends is credited back at once, as by a downstream that never backs up.
+struct Lone {
+    router: Box<dyn RouterModel>,
+    pool: Arc<FlitPool>,
+    cycle: u64,
+}
+
+impl Lone {
+    fn new() -> Self {
+        let topo: SharedTopology = Arc::new(Mesh::new(2, 1, 2));
+        let pool = Arc::new(FlitPool::new(64, 1));
+        let router = hybrid().build(RouterBuildContext {
+            id: RouterId::new(0),
+            topology: &topo,
+            config: &NetworkConfig {
+                va_policy: VaPolicy::Static,
+                ..config()
+            },
+            seed: 0,
+            metrics: &MetricsConfig::level(MetricsLevel::Full),
+            pool: &pool,
+        });
+        Self {
+            router,
+            pool,
+            cycle: 0,
+        }
+    }
+
+    fn send(&mut self, port: usize, flit: Flit) {
+        let r = self.pool.alloc_serial(flit);
+        self.router.receive_flit(PortIndex::new(port), r);
+    }
+
+    fn run_to(&mut self, end: u64) {
+        while self.cycle < end {
+            let mut out = RouterOutputs::default();
+            self.router.step(self.cycle, &mut out);
+            for sent in out.flits {
+                let vc = self.pool.get(sent.flit).vc;
+                let credit = Credit {
+                    vc,
+                    sub: sent.hops - 1,
+                };
+                self.router.receive_credit(sent.out_port, credit);
+                self.pool.free(sent.flit);
+            }
+            self.cycle += 1;
+        }
+    }
+
+    fn creations(&self) -> Vec<u64> {
+        self.router.observation().unwrap().pc_creations
+    }
 }
 
 /// A single-flit packet `src -> dst` on VC `vc`, leaving through `port`.
@@ -191,112 +243,48 @@ fn single_flit(packet: u64, src: usize, dst: usize, vc: usize, port: PortIndex) 
 /// of its own; before the freeze, a grant establishes nothing.
 #[test]
 fn a_cold_grant_terminates_the_hot_circuit_it_conflicts_with() {
-    // Router 0 of a 2x1 mesh with concentration 2: local ports 0 and 1,
-    // the east port 3 toward nodes 2 and 3.
     const EAST: PortIndex = PortIndex::new(3);
-    let topo: SharedTopology = Arc::new(Mesh::new(2, 1, 2));
-    let pool = Arc::new(FlitPool::new(64, 1));
-    let factory = HybridRouterFactory {
-        profile_cycles: 10,
-        hot_threshold: 1,
-    };
-    let mut router = factory.build(RouterBuildContext {
-        id: RouterId::new(0),
-        topology: &topo,
-        config: &NetworkConfig {
-            va_policy: VaPolicy::Static,
-            ..config()
-        },
-        seed: 0,
-        metrics: &MetricsConfig::level(MetricsLevel::Full),
-        pool: &pool,
-    });
-    let mut cycle = 0;
-    let mut run_to = |router: &mut Box<dyn RouterModel>, end: u64| {
-        while cycle < end {
-            let mut out = RouterOutputs::default();
-            router.step(cycle, &mut out);
-            for sent in out.flits {
-                pool.free(sent.flit);
-            }
-            cycle += 1;
-        }
-    };
-    let creations = |router: &dyn RouterModel| router.observation().unwrap().pc_creations;
+    let mut lone = Lone::new();
 
-    // Profile window: node 0 -> node 2 (static VC 2) becomes hot; its grant
-    // establishes nothing yet.
-    router.receive_flit(
-        PortIndex::new(0),
-        pool.alloc_serial(single_flit(1, 0, 2, 2, EAST)),
-    );
-    run_to(&mut router, 12);
-    assert_eq!(router.stats().flit_traversals, 1);
-    assert_eq!(creations(router.as_ref()), [0; 6]);
+    // Profile window: four packets make node 0 -> node 2 (static VC 2) hot;
+    // their grants establish nothing yet.
+    for packet in 1..=4 {
+        lone.send(0, single_flit(packet, 0, 2, 2, EAST));
+        lone.run_to(packet * 5);
+    }
+    lone.run_to(FREEZE + 2);
+    assert_eq!(lone.router.stats().flit_traversals, 4);
+    assert_eq!(lone.creations(), [0; 6]);
 
     // After the freeze the hot flow's grant holds input 0 -> EAST.
-    router.receive_flit(
-        PortIndex::new(0),
-        pool.alloc_serial(single_flit(2, 0, 2, 2, EAST)),
-    );
-    run_to(&mut router, 15);
-    assert_eq!(creations(router.as_ref()), [1, 0, 0, 0, 0, 0]);
-    assert_eq!(router.stats().pc_terminations_conflict, 0);
+    lone.send(0, single_flit(5, 0, 2, 2, EAST));
+    lone.run_to(FREEZE + 5);
+    assert_eq!(lone.creations(), [1, 0, 0, 0, 0, 0]);
+    assert_eq!(lone.router.stats().pc_terminations_conflict, 0);
 
     // Node 1 -> node 3 (static VC 3) was never profiled: cold. Its grant
     // of input 1 -> EAST terminates the hot circuit and holds nothing.
-    router.receive_flit(
-        PortIndex::new(1),
-        pool.alloc_serial(single_flit(3, 1, 3, 3, EAST)),
-    );
-    run_to(&mut router, 18);
-    let stats = router.stats();
-    assert_eq!(stats.flit_traversals, 3);
-    assert_eq!(stats.sa_grants, 3);
+    lone.send(1, single_flit(6, 1, 3, 3, EAST));
+    lone.run_to(FREEZE + 8);
+    let stats = lone.router.stats();
+    assert_eq!(stats.flit_traversals, 6);
+    assert_eq!(stats.sa_grants, 6);
     assert_eq!(stats.pc_terminations_conflict, 1);
     assert_eq!(stats.pc_terminations_credit, 0);
-    assert_eq!(creations(router.as_ref()), [1, 0, 0, 0, 0, 0]);
-    let observed = router.observation().unwrap();
+    assert_eq!(lone.creations(), [1, 0, 0, 0, 0, 0]);
+    let observed = lone.router.observation().unwrap();
     assert_eq!(observed.term_conflict, [1, 0, 0, 0, 0, 0]);
 }
 
 /// The profile counts headers, one per hop, not VA attempts: a header that
-/// waits for its output VC through `hot_threshold` or more cycles of the
+/// waits for its output VC through the threshold's 4 or more cycles of the
 /// profile window leaves its flow cold, so after the freeze its grant
 /// establishes no circuit.
 #[test]
 fn a_header_held_off_va_leaves_its_flow_cold() {
-    // Router 0 of a 2x1 mesh with concentration 2, as above: under static
-    // VA both flows below want output VC 2 on the east port.
+    // Under static VA both flows below want output VC 2 on the east port.
     const EAST: PortIndex = PortIndex::new(3);
-    let topo: SharedTopology = Arc::new(Mesh::new(2, 1, 2));
-    let pool = Arc::new(FlitPool::new(64, 1));
-    let factory = HybridRouterFactory {
-        profile_cycles: 20,
-        hot_threshold: 3,
-    };
-    let mut router = factory.build(RouterBuildContext {
-        id: RouterId::new(0),
-        topology: &topo,
-        config: &NetworkConfig {
-            va_policy: VaPolicy::Static,
-            ..config()
-        },
-        seed: 0,
-        metrics: &MetricsConfig::level(MetricsLevel::Full),
-        pool: &pool,
-    });
-    let mut cycle = 0;
-    let mut run_to = |router: &mut Box<dyn RouterModel>, end: u64| {
-        while cycle < end {
-            let mut out = RouterOutputs::default();
-            router.step(cycle, &mut out);
-            for sent in out.flits {
-                pool.free(sent.flit);
-            }
-            cycle += 1;
-        }
-    };
+    let mut lone = Lone::new();
     let flit = |packet, src, kind, seq| Flit {
         kind,
         seq,
@@ -305,37 +293,29 @@ fn a_header_held_off_va_leaves_its_flow_cold() {
 
     // Node 1 -> node 2: a two-flit packet whose header takes output VC 2
     // and holds it until its tail passes.
-    router.receive_flit(
-        PortIndex::new(1),
-        pool.alloc_serial(flit(1, 1, FlitKind::Head, 0)),
-    );
-    run_to(&mut router, 1);
+    lone.send(1, flit(1, 1, FlitKind::Head, 0));
+    lone.run_to(1);
     // Node 0 -> node 2: its header waits for that VC from cycle 2 on.
-    router.receive_flit(
-        PortIndex::new(0),
-        pool.alloc_serial(single_flit(2, 0, 2, 2, EAST)),
-    );
-    run_to(&mut router, 7);
-    assert_eq!(router.stats().flit_traversals, 1, "the header is held off");
-    assert_eq!(router.stats().va_grants, 1);
+    lone.send(0, single_flit(2, 0, 2, 2, EAST));
+    lone.run_to(8);
+    let stats = lone.router.stats();
+    assert_eq!(stats.flit_traversals, 1, "the header is held off");
+    assert_eq!(stats.va_grants, 1);
     // The tail frees the VC; the waiting header wins it once.
-    router.receive_flit(
-        PortIndex::new(1),
-        pool.alloc_serial(flit(1, 1, FlitKind::Tail, 1)),
-    );
-    run_to(&mut router, 12);
-    assert_eq!(router.stats().flit_traversals, 3);
-    assert_eq!(router.stats().va_grants, 2);
+    lone.send(1, flit(1, 1, FlitKind::Tail, 1));
+    lone.run_to(13);
+    assert_eq!(lone.router.stats().flit_traversals, 3);
+    assert_eq!(lone.router.stats().va_grants, 2);
 
-    // After the freeze at cycle 20 the node 0 -> node 2 flow, one header at this hop,
+    // After the freeze the node 0 -> node 2 flow, one header at this hop,
     // is cold: its grant holds no circuit.
-    run_to(&mut router, 20);
-    router.receive_flit(
-        PortIndex::new(0),
-        pool.alloc_serial(single_flit(3, 0, 2, 2, EAST)),
+    lone.run_to(FREEZE);
+    lone.send(0, single_flit(3, 0, 2, 2, EAST));
+    lone.run_to(FREEZE + 5);
+    assert_eq!(lone.router.stats().flit_traversals, 4);
+    assert_eq!(
+        lone.creations(),
+        [0; 6],
+        "a retried header made its flow hot"
     );
-    run_to(&mut router, 25);
-    assert_eq!(router.stats().flit_traversals, 4);
-    let creations = router.observation().unwrap().pc_creations;
-    assert_eq!(creations, [0; 6], "a retried header made its flow hot");
 }

@@ -73,16 +73,21 @@ impl NetworkConfig {
         }
     }
 
-    /// The VC partition on `topo`: the policy's deadlock classes widened to
-    /// the topology's own minimum (e.g. a ring needs 2 dateline classes even
-    /// under a single-class policy).
+    /// The deadlock classes each port's VCs are split into on `topo`: the
+    /// policy's classes widened to the topology's own minimum (e.g. a ring
+    /// needs 2 dateline classes even under a single-class policy).
+    pub fn deadlock_classes(&self, topo: &dyn Topology) -> u8 {
+        self.routing.num_classes().max(topo.min_classes())
+    }
+
+    /// The VC partition on `topo`, one class per [`deadlock
+    /// class`](Self::deadlock_classes).
     ///
     /// # Panics
     ///
     /// Panics if the VC count cannot be split evenly across the classes.
     pub fn partition_for(&self, topo: &dyn Topology) -> VcPartition {
-        let classes = self.routing.num_classes().max(topo.min_classes());
-        VcPartition::new(self.vcs_per_port, classes)
+        VcPartition::new(self.vcs_per_port, self.deadlock_classes(topo))
     }
 }
 

@@ -7,7 +7,7 @@
 //! (default benchmark: fma3d; try `jbb` for skewed traffic)
 
 use noc_base::{RoutingPolicy, VaPolicy};
-use noc_campaign::{build_simulation, PointSpec, SchemeChoice};
+use noc_campaign::{build_simulation, PointSpec};
 use noc_sim::{MetricsConfig, SimReport};
 use noc_traffic::BenchmarkProfile;
 use pseudo_circuit::Scheme;
@@ -44,7 +44,7 @@ fn main() {
 
     // The paper's strongest baseline: O1TURN + dynamic VA.
     let baseline = run(&PointSpec {
-        scheme: SchemeChoice::Pc(Scheme::baseline()),
+        scheme: Scheme::baseline(),
         routing: RoutingPolicy::O1Turn,
         va: VaPolicy::Dynamic,
         ..cell.clone()
@@ -57,7 +57,7 @@ fn main() {
     println!("\nscheme        latency  reduction  reuse%  header-hit%  energy/flit");
     for scheme in Scheme::paper_lineup() {
         let report = run(&PointSpec {
-            scheme: SchemeChoice::Pc(scheme),
+            scheme,
             ..cell.clone()
         });
         let per_flit = report.energy_pj() / report.router_stats.flit_traversals.max(1) as f64;

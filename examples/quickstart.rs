@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use noc_campaign::{build_simulation, PointSpec, SchemeChoice};
+use noc_campaign::{build_simulation, PointSpec};
 use noc_sim::MetricsConfig;
 use pseudo_circuit::Scheme;
 
@@ -20,7 +20,7 @@ fn main() {
             // Omitted coordinates take the `noc run` defaults: uniform-random
             // 5-flit packets on an 8x8 mesh, XY routing, static VA.
             let point = PointSpec {
-                scheme: SchemeChoice::Pc(scheme),
+                scheme,
                 load,
                 seed: 2010,
                 measure: 5_000,

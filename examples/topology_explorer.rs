@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example topology_explorer`
 
-use noc_campaign::{build_simulation, build_topology, PointSpec, SchemeChoice};
+use noc_campaign::{build_simulation, build_topology, PointSpec};
 use noc_sim::MetricsConfig;
 use noc_topology::average_min_hops;
 use pseudo_circuit::Scheme;
@@ -19,7 +19,7 @@ fn main() {
             let point = PointSpec {
                 topology: topology.into(),
                 traffic: "fma3d".into(),
-                scheme: SchemeChoice::Pc(scheme),
+                scheme,
                 seed: 11,
                 measure: 15_000,
                 drain: 150_000,

@@ -12,10 +12,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 max_crates=8
-max_public_items=467
+max_public_items=465
 max_noc_vars=3
 max_unsafe=19
-max_design_lines=1198
+max_design_lines=1197
 max_experiments_lines=921
 
 # A file's non-test lines are those before its first `#[cfg(test)]` at the

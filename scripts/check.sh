@@ -153,6 +153,20 @@ refusal=$(./target/release/noc campaign run --spec "$campdir/sweep.json" \
     echo "campaign smoke: a JSON spec exited $status saying: $refusal" >&2
     exit 1
 }
+# Two spellings of one topology expand to two points of one config hash: one
+# line that names that cause too, and exit 1.
+printf '[axes]\ntopology = ["cmesh4x4", "mesh4x4c4"]\n' > "$campdir/spellings.toml"
+status=0
+refusal=$(./target/release/noc campaign run --spec "$campdir/spellings.toml" \
+    --out "$campdir/spellings" 2>&1 >/dev/null) || status=$?
+point="ur/pseudo+ps+bb/xy/static/vcs4/buf4/pkt5/seed1 load0.1"
+[ "$status" -eq 1 ] && [ "$refusal" = "error: points cmesh4x4/$point and mesh4x4c4/$point \
+share config hash a39f96745a1be058 — an axis the configuration ignores is being swept \
+(e.g. packet or load under benchmark traffic), or two spellings name one configuration \
+(e.g. cmesh4x4 and mesh4x4c4); drop one of them" ] || {
+    echo "campaign smoke: two spellings of one point exited $status saying: $refusal" >&2
+    exit 1
+}
 
 # Packet length is part of a synthetic point's hash: the packet-size
 # ablation (UR, 1/5/9-flit packets) runs as a campaign.

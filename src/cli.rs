@@ -41,6 +41,7 @@ use noc_campaign::{
 };
 use noc_sim::{MetricsConfig, MetricsLevel, SimReport, TraceSpec};
 use noc_traffic::BenchmarkProfile;
+use pseudo_circuit::Scheme;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -415,18 +416,20 @@ fn render_observability(obs: &noc_sim::ObservabilityReport) -> String {
 
 /// The `noc list` output: available traffic names, topology forms, and
 /// schemes — rendered from the same vocabulary tables
-/// ([`noc_campaign::TOPOLOGY_FORMS`], [`noc_campaign::SCHEME_NAMES`]) the
-/// parsers accept, so the listing cannot drift from the grammar.
+/// ([`noc_campaign::SYNTHETIC_PATTERNS`], [`BenchmarkProfile::suite`],
+/// [`noc_campaign::TOPOLOGY_FORMS`], [`Scheme::ALL`]) the parsers read, so
+/// the listing cannot drift from the grammar.
 pub fn render_list() -> String {
-    let mut out =
-        String::from("synthetic traffic: ur, bc, bp, tornado, neighbor\nbenchmarks:        ");
-    let names: Vec<&str> = BenchmarkProfile::suite().iter().map(|p| p.name).collect();
-    out.push_str(&names.join(", "));
-    out.push_str("\ntopologies:        ");
-    out.push_str(&noc_campaign::TOPOLOGY_FORMS.join(", "));
-    out.push_str("\nschemes:           ");
-    out.push_str(&noc_campaign::SCHEME_NAMES.join(", "));
-    out
+    let patterns = noc_campaign::SYNTHETIC_PATTERNS.iter().map(|p| p.0);
+    let benchmarks = BenchmarkProfile::suite().iter().map(|p| p.name);
+    let schemes = Scheme::ALL.map(Scheme::canonical);
+    format!(
+        "synthetic traffic: {}\nbenchmarks:        {}\ntopologies:        {}\nschemes:           {}",
+        patterns.collect::<Vec<_>>().join(", "),
+        benchmarks.collect::<Vec<_>>().join(", "),
+        noc_campaign::TOPOLOGY_FORMS.join(", "),
+        schemes.join(", ")
+    )
 }
 
 /// The `noc help` text. The point flags and their defaults are the keys of
@@ -480,8 +483,6 @@ OBSERVABILITY (defaults off; see docs/METRICS.md):
 mod tests {
     use super::*;
     use noc_base::{RoutingPolicy, VaPolicy};
-    use noc_campaign::SchemeChoice;
-    use pseudo_circuit::Scheme;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -526,7 +527,7 @@ mod tests {
         .unwrap();
         let point = parsed.point;
         assert_eq!(point.topology, "cmesh4x4");
-        assert_eq!(point.scheme, SchemeChoice::Pc(Scheme::pseudo_bb()));
+        assert_eq!(point.scheme, Scheme::pseudo_bb());
         assert_eq!(point.routing, RoutingPolicy::O1Turn);
         assert_eq!(point.va, VaPolicy::Dynamic);
         assert_eq!((point.vcs, point.buffer), (8, 2));
@@ -869,7 +870,7 @@ mod tests {
         // the same config hash.
         let mesh = PointSpec {
             topology: "mesh4x4".into(),
-            scheme: SchemeChoice::Evc,
+            scheme: Scheme::evc(),
             vcs: 2,
             buffer: 3,
             packet: 7,
@@ -882,7 +883,7 @@ mod tests {
             PointSpec {
                 topology: "cmesh4x4".into(),
                 traffic: "fft".into(),
-                scheme: SchemeChoice::Pc(Scheme::pseudo_bb()),
+                scheme: Scheme::pseudo_bb(),
                 routing: RoutingPolicy::O1Turn,
                 va: VaPolicy::Dynamic,
                 ..PointSpec::default()
@@ -890,7 +891,7 @@ mod tests {
             PointSpec {
                 topology: "ring8c2".into(),
                 traffic: "tornado".into(),
-                scheme: SchemeChoice::Hybrid,
+                scheme: Scheme::hybrid(),
                 routing: RoutingPolicy::Yx,
                 load: 0.05,
                 seed: 0,
@@ -898,7 +899,7 @@ mod tests {
             },
             PointSpec {
                 topology: "hring2x4".into(),
-                scheme: SchemeChoice::Pc(Scheme::baseline()),
+                scheme: Scheme::baseline(),
                 vcs: 6,
                 ..PointSpec::default()
             },
@@ -1014,7 +1015,7 @@ mod tests {
         let run_args = RunArgs {
             point: PointSpec {
                 topology: "mesh4x4".into(),
-                scheme: SchemeChoice::Evc,
+                scheme: Scheme::evc(),
                 load: 0.05,
                 measure: 400,
                 warmup: 100,
@@ -1038,7 +1039,7 @@ mod tests {
         let run_args = RunArgs {
             point: PointSpec {
                 topology: "mesh4x4".into(),
-                scheme: SchemeChoice::Evc,
+                scheme: Scheme::evc(),
                 load: 0.10,
                 packet: 5,
                 warmup: 200,
@@ -1077,7 +1078,7 @@ mod tests {
         let run_args = RunArgs {
             point: PointSpec {
                 topology: "ring8".into(),
-                scheme: SchemeChoice::Hybrid,
+                scheme: Scheme::hybrid(),
                 load: 0.05,
                 warmup: 100,
                 measure: 2_000,
@@ -1134,12 +1135,47 @@ mod tests {
         assert!(list.contains("hybrid"), "{list}");
         assert!(list.contains("ring<N>[c<C>]"), "{list}");
         assert!(list.contains("hring<G>x<L>[c<C>]"), "{list}");
-        // Everything `noc list` advertises as a scheme actually parses.
-        for name in noc_campaign::SCHEME_NAMES {
-            assert!(SchemeChoice::parse(name).is_ok(), "{name}");
-        }
         assert!(usage().contains("noc run"));
         assert!(usage().contains("noc campaign run"));
+    }
+
+    /// The line of `noc list` that starts with `label`, split into its names.
+    fn listed(label: &str) -> Vec<String> {
+        let list = render_list();
+        let line = list.lines().find_map(|line| line.strip_prefix(label));
+        let line = line.unwrap_or_else(|| panic!("no {label:?} line in {list}"));
+        line.trim().split(", ").map(str::to_string).collect()
+    }
+
+    #[test]
+    fn the_listed_schemes_are_every_scheme_by_its_one_name() {
+        // `noc list`, `Scheme::ALL`, `canonical`, `parse` and the `--scheme`
+        // flag agree name for name, in order.
+        let names = listed("schemes:");
+        assert_eq!(names.len(), Scheme::ALL.len(), "{names:?}");
+        for (name, scheme) in names.iter().zip(Scheme::ALL) {
+            assert_eq!(scheme.canonical(), name);
+            assert_eq!(Scheme::parse(name), Some(scheme), "{name}");
+            let flag = PointSpec::from_flags(&[("scheme", name.as_str())]).unwrap();
+            assert_eq!(flag.scheme, scheme, "--scheme {name}");
+        }
+    }
+
+    #[test]
+    fn every_listed_traffic_name_runs_and_no_other_spelling_does() {
+        let topo = noc_campaign::build_topology("cmesh4x4").unwrap();
+        let build = |name: &str| noc_campaign::build_traffic(name, 0.1, 5, 1, &topo);
+        for name in listed("synthetic traffic:")
+            .iter()
+            .chain(&listed("benchmarks:"))
+        {
+            assert!(build(name).is_ok(), "{name}");
+        }
+        // A pattern has one name: the long spellings are not second names.
+        for alias in ["uniform", "bitcomp", "transpose", "full"] {
+            let err = build(alias).map(|_| ()).unwrap_err();
+            assert_eq!(err.0, format!("unknown traffic {alias:?} (try `noc list`)"));
+        }
     }
 
     #[test]

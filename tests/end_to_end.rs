@@ -2,11 +2,11 @@
 //! topology family and traffic model.
 
 use noc_base::{RoutingPolicy, VaPolicy};
-use noc_campaign::{PointSpec, SchemeChoice, SCHEME_NAMES};
+use noc_campaign::PointSpec;
 use noc_sim::{NetworkConfig, RunSpec, Simulation};
 use noc_topology::{FlattenedButterfly, Mecs, Mesh, Ring, SharedTopology};
 use noc_traffic::{BenchmarkProfile, CmpTraffic, SyntheticPattern, SyntheticTraffic};
-use pseudo_circuit::{EvcRouterFactory, PcRouterFactory, Scheme};
+use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::sync::Arc;
 
 /// What most tests here run with: XY routing + static VA on the paper's
@@ -35,13 +35,16 @@ fn every_scheme_delivers_everything_on_every_topology() {
     ];
     let mut ran = 0;
     for topo in topologies {
-        for &name in SCHEME_NAMES {
-            // The same name → factory mapping and validation `noc run` and
-            // campaign points go through (XY routing, static VA).
-            let point = PointSpec {
-                scheme: SchemeChoice::parse(name).unwrap(),
-                ..PointSpec::default()
-            };
+        for scheme in Scheme::ALL {
+            // The same factory and validation `noc run` and campaign points
+            // go through (XY routing, static VA).
+            let (point, name) = (
+                PointSpec {
+                    scheme,
+                    ..PointSpec::default()
+                },
+                scheme.canonical(),
+            );
             if noc_campaign::validate(&point, topo.as_ref()).is_err() {
                 assert_eq!((name, topo.name()), ("evc", "ring8"));
                 continue;
@@ -53,7 +56,7 @@ fn every_scheme_delivers_everything_on_every_topology() {
                 topo.clone(),
                 point.network_config(),
                 Box::new(traffic),
-                point.scheme.factory().as_ref(),
+                &PcRouterFactory::new(scheme),
                 SEED,
             )
             .run(PHASES);
@@ -63,7 +66,7 @@ fn every_scheme_delivers_everything_on_every_topology() {
             ran += 1;
         }
     }
-    assert_eq!(ran, 5 * SCHEME_NAMES.len() - 1);
+    assert_eq!(ran, 5 * Scheme::ALL.len() - 1);
 }
 
 /// A scheme's name decides its report label, and the label is part of the
@@ -83,7 +86,7 @@ fn every_scheme_name_keeps_its_config_hash() {
     ];
     for (name, hash) in pinned {
         let point = PointSpec {
-            scheme: SchemeChoice::parse(name).unwrap(),
+            scheme: Scheme::parse(name).unwrap(),
             ..PointSpec::default()
         };
         let prepared = noc_campaign::prepare(&point).unwrap();
@@ -169,7 +172,7 @@ fn evc_router_integrates_with_the_builder() {
         va_policy: VaPolicy::Dynamic,
         ..XY_STATIC
     };
-    let factory = EvcRouterFactory;
+    let factory = PcRouterFactory::new(Scheme::evc());
     let report = Simulation::new(topo, config, Box::new(traffic), &factory, SEED).run(PHASES);
     assert!(report.drained);
     assert!(report.router_stats.express_bypasses > 0);
@@ -177,12 +180,12 @@ fn evc_router_integrates_with_the_builder() {
 
 #[test]
 fn facade_crate_reexports_work() {
-    use pseudo_circuit_repro::{base, core, hybrid, topology};
+    use pseudo_circuit_repro::{base, core, topology};
     let topo: base::NodeId = base::NodeId::new(1);
     assert_eq!(topo.index(), 1);
     let mesh = topology::Mesh::new(2, 2, 1);
     let _ = core::Scheme::paper_lineup();
-    let _ = hybrid::HybridRouterFactory::default();
+    let _ = core::PcRouterFactory::new(core::Scheme::hybrid());
     assert_eq!(topology::Topology::num_routers(&mesh), 4);
 }
 

@@ -1,7 +1,7 @@
 //! Energy accounting and statistics invariants across full simulations.
 
 use noc_base::{RouterId, RoutingPolicy, VaPolicy};
-use noc_campaign::{build_simulation, PointSpec, SchemeChoice};
+use noc_campaign::{build_simulation, PointSpec};
 use noc_sim::{MetricsConfig, MetricsLevel, NetworkConfig, RunSpec, Simulation};
 use noc_topology::{Mesh, SharedTopology};
 use noc_traffic::{SyntheticPattern, SyntheticTraffic};
@@ -17,7 +17,7 @@ fn simulate(scheme: Scheme, seed: u64) -> (Simulation, noc_sim::SimReport) {
     let point = PointSpec {
         topology: "cmesh4x4".into(),
         traffic: "mgrid".into(),
-        scheme: SchemeChoice::Pc(scheme),
+        scheme,
         seed,
         warmup: 500,
         measure: 4_000,

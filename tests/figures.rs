@@ -30,10 +30,11 @@
 use noc_base::{NodeId, RoutingPolicy, VaPolicy};
 use noc_campaign::{
     build_simulation, build_topology, run_campaign, CampaignOptions, CampaignReport, CampaignSpec,
-    Interval, PointResult, PointSpec, SchemeChoice,
+    Interval, PointResult, PointSpec,
 };
 use noc_sim::{MetricsConfig, MetricsLevel, RouterObservation, SimReport, Simulation};
 use noc_traffic::{CmpTraffic, SyntheticPattern, SyntheticTraffic};
+use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -234,8 +235,8 @@ fn ratio(a: &[f64], b: &[f64]) -> Vec<f64> {
     a.iter().zip(b).map(|(a, b)| a / b).collect()
 }
 
-fn scheme(name: &str) -> SchemeChoice {
-    SchemeChoice::parse(name).expect("a canonical scheme name")
+fn scheme(name: &str) -> Scheme {
+    Scheme::parse(name).expect("a canonical scheme name")
 }
 
 fn latency(r: &PointResult) -> f64 {
@@ -914,7 +915,7 @@ fn hotspot(
         at.network_config(),
         MetricsConfig::level(level),
         Box::new(traffic),
-        at.scheme.factory().as_ref(),
+        &PcRouterFactory::new(at.scheme),
         at.seed,
     );
     Ok(metric(&sim.run(at.run_spec())))

@@ -16,7 +16,7 @@ use noc_sim::{
 };
 use noc_topology::{FlattenedButterfly, Mecs, Mesh, Ring, SharedTopology};
 use noc_traffic::{BenchmarkProfile, CmpTraffic};
-use pseudo_circuit::{EvcRouterFactory, HybridRouterFactory, PcRouterFactory, Scheme};
+use pseudo_circuit::{PcRouterFactory, Scheme};
 use std::sync::Arc;
 
 const GOLDEN_PATH: &str = "tests/golden/cmp4x4_pseudo_fft.txt";
@@ -123,7 +123,7 @@ fn evc_golden_run_at(metrics: MetricsLevel) -> String {
     golden_text(fft_report(
         Arc::new(Mesh::new(4, 4, 1)),
         paper(RoutingPolicy::Xy, VaPolicy::Dynamic),
-        &EvcRouterFactory,
+        &PcRouterFactory::new(Scheme::evc()),
         metrics,
     ))
 }
@@ -171,7 +171,7 @@ fn hybrid_golden_run_at(metrics: MetricsLevel) -> String {
     golden_text(fft_report(
         Arc::new(Mesh::new(4, 4, 1)),
         paper(RoutingPolicy::Xy, VaPolicy::Dynamic),
-        &HybridRouterFactory::default(),
+        &PcRouterFactory::new(Scheme::hybrid()),
         metrics,
     ))
 }
@@ -337,7 +337,8 @@ fn every_golden_configuration_and_a_saturated_mesh_conserve_flits_every_cycle() 
     // saturation, where every buffer fills and source queues grow — in
     // release builds too, where `Simulation::step` does not audit itself.
     let pc = PcRouterFactory::new(Scheme::pseudo_ps_bb());
-    let (evc, hybrid) = (EvcRouterFactory, HybridRouterFactory::default());
+    let evc = PcRouterFactory::new(Scheme::evc());
+    let hybrid = PcRouterFactory::new(Scheme::hybrid());
     let (xy, o1turn) = (RoutingPolicy::Xy, RoutingPolicy::O1Turn);
     let (st, dy) = (VaPolicy::Static, VaPolicy::Dynamic);
     let fbfly = Arc::new(FlattenedButterfly::new(4, 4, 4));

@@ -228,3 +228,34 @@ fn threads_is_a_campaign_flag_and_an_unknown_one_for_run() {
     std::fs::remove_dir_all(&out).unwrap();
     std::fs::remove_file(&path).unwrap();
 }
+
+#[test]
+fn two_spellings_of_one_point_are_refused_for_what_they_are() {
+    // A pattern has one name, so a second spelling is an unknown traffic;
+    // a topology can be written two ways, and the two points it expands to
+    // share one config hash.
+    let refusals = [
+        (
+            "traffic = [\"ur\", \"uniform\"]",
+            "unknown traffic \"uniform\" (try `noc list`)".to_string(),
+        ),
+        (
+            "topology = [\"cmesh4x4\", \"mesh4x4c4\"]",
+            format!(
+                "points cmesh4x4/{TAIL} and mesh4x4c4/{TAIL} share config hash \
+                 a39f96745a1be058 — an axis the configuration ignores is being swept (e.g. \
+                 packet or load under benchmark traffic), or two spellings name one \
+                 configuration (e.g. cmesh4x4 and mesh4x4c4); drop one of them"
+            ),
+        ),
+    ];
+    const TAIL: &str = "ur/pseudo+ps+bb/xy/static/vcs4/buf4/pkt5/seed1 load0.1";
+    for (i, (axis, refusal)) in refusals.into_iter().enumerate() {
+        let path = scratch(usize::MAX - 4 - i);
+        std::fs::write(&path, format!("[axes]\n{axis}\n")).unwrap();
+        let outcomes = drive(&path);
+        assert!(outcomes[0].is_ok(), "expand resolves nothing: {axis}");
+        assert_eq!(outcomes[1].as_ref().unwrap_err(), &refusal, "{axis}");
+        std::fs::remove_file(&path).unwrap();
+    }
+}

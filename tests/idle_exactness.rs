@@ -17,7 +17,7 @@
 use noc_base::{
     Credit, FlitRef, NodeId, PacketClass, PortIndex, RouterId, RoutingPolicy, VaPolicy,
 };
-use noc_campaign::{build_topology, build_traffic, prepare, PointSpec, SchemeChoice, SCHEME_NAMES};
+use noc_campaign::{build_topology, build_traffic, prepare, PointSpec};
 use noc_sim::{
     NetworkConfig, RouterBuildContext, RouterFactory, RouterModel, RouterObservation,
     RouterOutputs, RouterStats, SimReport, Simulation, TraceRing,
@@ -58,7 +58,7 @@ impl RouterModel for NeverIdle {
     }
 }
 
-struct NeverIdleFactory(Box<dyn RouterFactory>);
+struct NeverIdleFactory(PcRouterFactory);
 
 impl RouterFactory for NeverIdleFactory {
     fn build(&self, ctx: RouterBuildContext<'_>) -> Box<dyn RouterModel> {
@@ -80,8 +80,9 @@ fn run(point: &PointSpec, factory: &dyn RouterFactory) -> SimReport {
 }
 
 fn assert_skipping_is_exact(point: &PointSpec) {
-    let skipping = run(point, point.scheme.factory().as_ref());
-    let stepped = run(point, &NeverIdleFactory(point.scheme.factory()));
+    let factory = PcRouterFactory::new(point.scheme);
+    let skipping = run(point, &factory);
+    let stepped = run(point, &NeverIdleFactory(factory));
     assert!(skipping.drained && skipping.measured_delivered > 0);
     assert_eq!(
         format!("{skipping:?}"),
@@ -93,7 +94,7 @@ fn assert_skipping_is_exact(point: &PointSpec) {
 #[test]
 fn skipping_idle_routers_never_changes_a_report() {
     let mut compared = 0;
-    for &name in SCHEME_NAMES {
+    for scheme in Scheme::ALL {
         for topology in ["mesh4x4", "ring8"] {
             // Sparse traffic, so routers sit idle between packets while
             // holding live circuits and speculation history. Uniform random
@@ -115,7 +116,7 @@ fn skipping_idle_routers_never_changes_a_report() {
                 let point = PointSpec {
                     topology: topology.into(),
                     traffic: traffic.into(),
-                    scheme: SchemeChoice::parse(name).unwrap(),
+                    scheme,
                     vcs: 2,
                     buffer,
                     load,
@@ -127,7 +128,7 @@ fn skipping_idle_routers_never_changes_a_report() {
                     ..PointSpec::default()
                 };
                 if prepare(&point).is_err() {
-                    assert_eq!((name, topology), ("evc", "ring8"));
+                    assert_eq!((scheme.canonical(), topology), ("evc", "ring8"));
                     continue;
                 }
                 assert_skipping_is_exact(&point);
@@ -135,7 +136,7 @@ fn skipping_idle_routers_never_changes_a_report() {
             }
         }
     }
-    assert_eq!(compared, 4 * (2 * SCHEME_NAMES.len() - 1));
+    assert_eq!(compared, 4 * (2 * Scheme::ALL.len() - 1));
 }
 
 /// Logs the cycles in which each wrapped router is stepped.

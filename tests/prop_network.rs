@@ -3,7 +3,7 @@
 //! conservation laws hold across the network.
 
 use noc_base::{RoutingPolicy, VaPolicy};
-use noc_campaign::{build_simulation, PointSpec, SchemeChoice};
+use noc_campaign::{build_simulation, PointSpec};
 use noc_sim::{MetricsConfig, NetworkConfig, RunSpec, Simulation};
 use noc_topology::{Mesh, SharedTopology};
 use noc_traffic::{SyntheticPattern, SyntheticTraffic};
@@ -82,7 +82,7 @@ proptest! {
         let run = |scheme| {
             let point = PointSpec {
                 topology: "mesh4x4".into(),
-                scheme: SchemeChoice::Pc(scheme),
+                scheme,
                 load,
                 seed,
                 warmup: 200,

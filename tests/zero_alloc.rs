@@ -20,7 +20,7 @@ use noc_base::{FlitPool, NodeId, RouterId, RoutingPolicy, VaPolicy};
 use noc_sim::{NetworkConfig, NetworkInterface, Simulation};
 use noc_topology::{Mesh, Ring, SharedTopology};
 use noc_traffic::{SyntheticPattern, SyntheticTraffic};
-use pseudo_circuit::{EvcRouterFactory, HybridRouterFactory, PcHooks, PcRouterFactory, Scheme};
+use pseudo_circuit::{PcHooks, PcRouterFactory, Scheme};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -344,7 +344,13 @@ fn steady_state_step_does_not_allocate_with_evc_router() {
         va_policy: VaPolicy::Static,
         ..NetworkConfig::paper()
     };
-    let mut sim = Simulation::new(topo, config, Box::new(traffic), &EvcRouterFactory, 9);
+    let mut sim = Simulation::new(
+        topo,
+        config,
+        Box::new(traffic),
+        &PcRouterFactory::new(Scheme::evc()),
+        9,
+    );
     for _ in 0..20_000 {
         sim.step();
     }
@@ -420,7 +426,7 @@ fn steady_state_step_does_not_allocate_with_hybrid_router() {
         topo,
         config,
         Box::new(traffic),
-        &HybridRouterFactory::default(),
+        &PcRouterFactory::new(Scheme::hybrid()),
         9,
     );
     for _ in 0..20_000 {

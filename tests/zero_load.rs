@@ -61,10 +61,10 @@ impl TrafficModel for Repeat {
 
 /// The closed form, plus the baseline router's credit waits.
 fn zero_load(t_router: u64, hops: u64, len: u64, scheme: Scheme) -> u64 {
-    let credit_waits = if scheme.pseudo_circuit {
-        0
-    } else {
+    let credit_waits = if scheme == Scheme::baseline() {
         (len - 1) / 4
+    } else {
+        0
     };
     1 + t_router * (hops + 1) + (len - 1) + credit_waits
 }
@@ -143,7 +143,11 @@ fn isolated_packets_meet_the_closed_form_exactly() {
                     zero_load(t_repeat, hops, len, scheme),
                     "{at}: repeat"
                 );
-                let expected_hits = if scheme.pseudo_circuit { hops + 1 } else { 0 };
+                let expected_hits = if scheme == Scheme::baseline() {
+                    0
+                } else {
+                    hops + 1
+                };
                 assert_eq!(hits, expected_hits, "{at}: header hits");
             }
         }
