@@ -36,7 +36,7 @@ pub(crate) enum Kind {
 /// Every scheme with its canonical name (what `--scheme` and a campaign's
 /// `scheme` axis take) and its report label (what a run record stamps and
 /// the config hash keys on), in display order.
-const TABLE: [(Scheme, &str, &str); 7] = [
+const TABLE: &[(Scheme, &str, &str)] = &[
     (Scheme::baseline(), "baseline", "Baseline"),
     (Scheme::pseudo(), "pseudo", "Pseudo"),
     (Scheme::pseudo_ps(), "pseudo+ps", "Pseudo+PS"),
@@ -48,8 +48,8 @@ const TABLE: [(Scheme, &str, &str); 7] = [
 
 impl Scheme {
     /// Every scheme, in display order.
-    pub const ALL: [Scheme; 7] = {
-        let mut all = [Scheme::baseline(); 7];
+    pub const ALL: [Scheme; TABLE.len()] = {
+        let mut all = [Scheme::baseline(); TABLE.len()];
         let mut i = 0;
         while i < all.len() {
             all[i] = TABLE[i].0;

@@ -1476,11 +1476,6 @@ impl<H> KernelRouter<H> {
         &self.hooks
     }
 
-    /// The scheme state, for a factory that configures it after construction.
-    pub(crate) fn hooks_mut(&mut self) -> &mut H {
-        &mut self.hooks
-    }
-
     /// The kernel state, for the crate's white-box tests.
     #[cfg(test)]
     pub(crate) fn kernel(&self) -> &PipelineKernel {

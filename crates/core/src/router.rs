@@ -72,10 +72,11 @@ pub struct PcHooks {
 pub type PcRouter = KernelRouter<PcHooks>;
 
 impl PcHooks {
-    /// Builds an ungated router running the circuit switches of one of the
-    /// paper's five schemes: pseudo-circuits with the scheme's §IV
-    /// extensions, or none for [`Scheme::baseline`]. The comparators'
-    /// routers come from [`PcRouterFactory`]; here they hold no circuit.
+    /// Builds a router running `scheme`'s circuit switches: pseudo-circuits
+    /// with the scheme's §IV extensions, behind the hot-flow gate for
+    /// [`Scheme::hybrid`], or none for [`Scheme::baseline`]. EVC is not a
+    /// circuit scheme: its routers come from [`PcRouterFactory`], and here
+    /// [`Scheme::evc`] holds no circuit.
     pub fn router(
         id: RouterId,
         topo: SharedTopology,
@@ -88,7 +89,8 @@ impl PcHooks {
                 speculation,
                 buffer_bypass,
             } => (true, speculation, buffer_bypass),
-            Kind::Baseline | Kind::Evc | Kind::Hybrid => (false, false, false),
+            Kind::Hybrid => (true, false, false),
+            Kind::Baseline | Kind::Evc => (false, false, false),
         };
         // The kernel first: its width check names the router.
         let kernel = PipelineKernel::new(id, topo, config, pool);
@@ -100,7 +102,7 @@ impl PcHooks {
             va_policy: config.va_policy,
             partition: config.partition_for(topo),
             pcu: PseudoCircuitUnit::new(topo.in_ports(id), topo.out_ports(id)),
-            hot: None,
+            hot: (scheme == Scheme::hybrid()).then(|| Box::new(HotFlows::new(topo.num_nodes()))),
         };
         KernelRouter::new(kernel, hooks)
     }
@@ -510,16 +512,10 @@ impl RouterFactory for PcRouterFactory {
         let (id, config) = (ctx.id, *ctx.config);
         let (topo, pool) = (ctx.topology.clone(), ctx.pool.clone());
         match self.scheme.0 {
-            Kind::Baseline | Kind::Pseudo { .. } => {
+            Kind::Evc => EvcHooks::router(id, topo, config, pool).boxed(ctx.metrics),
+            Kind::Baseline | Kind::Pseudo { .. } | Kind::Hybrid => {
                 PcHooks::router(id, topo, config, self.scheme, pool).boxed(ctx.metrics)
             }
-            Kind::Hybrid => {
-                let hot = HotFlows::new(topo.num_nodes());
-                let mut router = PcHooks::router(id, topo, config, Scheme::pseudo(), pool);
-                router.hooks_mut().hot = Some(Box::new(hot));
-                router.boxed(ctx.metrics)
-            }
-            Kind::Evc => EvcHooks::router(id, topo, config, pool).boxed(ctx.metrics),
         }
     }
 }

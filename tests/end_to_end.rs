@@ -38,13 +38,11 @@ fn every_scheme_delivers_everything_on_every_topology() {
         for scheme in Scheme::ALL {
             // The same factory and validation `noc run` and campaign points
             // go through (XY routing, static VA).
-            let (point, name) = (
-                PointSpec {
-                    scheme,
-                    ..PointSpec::default()
-                },
-                scheme.canonical(),
-            );
+            let point = PointSpec {
+                scheme,
+                ..PointSpec::default()
+            };
+            let name = scheme.canonical();
             if noc_campaign::validate(&point, topo.as_ref()).is_err() {
                 assert_eq!((name, topo.name()), ("evc", "ring8"));
                 continue;
